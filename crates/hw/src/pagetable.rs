@@ -118,6 +118,8 @@ pub enum Entry {
 struct Node {
     level: u8,
     /// Number of parents (plus explicit retains) referencing this node.
+    /// Zero marks a free arena slot: its `entries` buffer is all
+    /// [`Entry::None`] and is handed back out by the next allocation.
     refs: u32,
     /// Number of non-`None` entries, for cheap emptiness checks.
     live: u16,
@@ -173,9 +175,15 @@ pub struct Translation {
 }
 
 /// Arena of refcounted page-table nodes shared by all address spaces.
+///
+/// A freed node keeps its slot and its (cleared) entry buffer, marked
+/// free by `refs == 0`; allocation pops `free_ids` LIFO and reuses the
+/// slot in place, so steady-state launch and teardown touch no host
+/// allocator.
 #[derive(Debug, Default)]
 pub struct PageTables {
-    nodes: Vec<Option<Node>>,
+    nodes: Vec<Node>,
+    /// Free slots, most recently freed last.
     free_ids: Vec<u32>,
     /// Bumped on every structural change (entry writes, node
     /// allocation/free). Flag-only updates ([`mark_accessed`],
@@ -200,7 +208,7 @@ impl PageTables {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.nodes.len() - self.free_ids.len()
     }
 
     /// Bytes of page-table metadata currently allocated (each node is
@@ -209,16 +217,37 @@ impl PageTables {
         self.node_count() as u64 * PAGE_SIZE
     }
 
+    /// Check the arena's slot invariants (test/debug support;
+    /// O(arena)): every live node's `live` equals its count of
+    /// non-`None` entries, every free (`refs == 0`) slot holds an
+    /// all-`None` buffer, and `free_ids` lists exactly the free slots.
+    pub fn check_consistency(&self) -> bool {
+        let slots_ok = self.nodes.iter().all(|n| {
+            let used = n
+                .entries
+                .iter()
+                .filter(|e| !matches!(e, Entry::None))
+                .count();
+            used == usize::from(n.live) && (n.refs > 0 || used == 0)
+        });
+        let mut listed = self.free_ids.clone();
+        listed.sort_unstable();
+        let free: Vec<u32> = (0..self.nodes.len() as u32)
+            .filter(|&i| self.nodes[i as usize].refs == 0)
+            .collect();
+        slots_ok && listed == free
+    }
+
     fn node(&self, id: PtNodeId) -> &Node {
-        self.nodes[id.0 as usize]
-            .as_ref()
-            .expect("stale PtNodeId: node was freed")
+        let n = &self.nodes[id.0 as usize];
+        assert!(n.refs > 0, "stale PtNodeId: node was freed");
+        n
     }
 
     fn node_mut(&mut self, id: PtNodeId) -> &mut Node {
-        self.nodes[id.0 as usize]
-            .as_mut()
-            .expect("stale PtNodeId: node was freed")
+        let n = &mut self.nodes[id.0 as usize];
+        assert!(n.refs > 0, "stale PtNodeId: node was freed");
+        n
     }
 
     /// Level of `id` (0 = leaf page table, 3 = root).
@@ -251,14 +280,17 @@ impl PageTables {
     fn create_node_uncharged(&mut self, level: u8) -> PtNodeId {
         assert!(level < crate::addr::PT_LEVELS, "bad page-table level");
         self.epoch += 1;
-        let node = Node::new(level);
         match self.free_ids.pop() {
             Some(i) => {
-                self.nodes[i as usize] = Some(node);
+                // The freed slot's buffer is already all `None`.
+                let n = &mut self.nodes[i as usize];
+                debug_assert!(n.refs == 0 && n.live == 0);
+                n.level = level;
+                n.refs = 1;
                 PtNodeId(i)
             }
             None => {
-                self.nodes.push(Some(node));
+                self.nodes.push(Node::new(level));
                 PtNodeId((self.nodes.len() - 1) as u32)
             }
         }
@@ -281,29 +313,30 @@ impl PageTables {
     /// by the allocator or file layer.
     pub fn release(&mut self, m: &mut Machine, id: PtNodeId) {
         let node = self.node_mut(id);
-        assert!(node.refs > 0, "release of node with zero refs");
         node.refs -= 1;
         if node.refs > 0 {
             return;
         }
-        // Free this node; release children afterwards to keep borrows
-        // simple (depth is bounded by PT_LEVELS).
-        let children: Vec<PtNodeId> = self
-            .node(id)
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                Entry::Table(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        self.nodes[id.0 as usize] = None;
+        // Free this node first, then clear its live entries in index
+        // order, releasing child tables as they are met (depth is
+        // bounded by PT_LEVELS). The scan stops at the last live entry
+        // and leaves the slot's buffer all `None` for reuse.
         self.free_ids.push(id.0);
         self.epoch += 1;
         m.charge_kind(CostKind::PtNodeFree);
         m.perf.pt_nodes_freed += 1;
-        for c in children {
-            self.release(m, c);
+        for idx in 0..PT_ENTRIES {
+            let n = &mut self.nodes[id.0 as usize];
+            if n.live == 0 {
+                break;
+            }
+            if matches!(n.entries[idx], Entry::None) {
+                continue;
+            }
+            n.live -= 1;
+            if let Entry::Table(child) = core::mem::take(&mut n.entries[idx]) {
+                self.release(m, child);
+            }
         }
     }
 
@@ -603,7 +636,8 @@ impl PageTables {
         va: VirtAddr,
     ) -> Option<(FrameNo, PteFlags, PageSize)> {
         // Record the walk path so empty nodes can be pruned.
-        let mut path: Vec<(PtNodeId, usize)> = Vec::with_capacity(4);
+        let mut path = [(root, 0usize); crate::addr::PT_LEVELS as usize];
+        let mut depth = 0;
         let mut cur = root;
         let mut level = self.node(cur).level;
         let (frame, flags, size) = loop {
@@ -611,7 +645,8 @@ impl PageTables {
             match self.entry(cur, idx) {
                 Entry::None => return None,
                 Entry::Table(child) => {
-                    path.push((cur, idx));
+                    path[depth] = (cur, idx);
+                    depth += 1;
                     cur = child;
                     level -= 1;
                 }
@@ -629,7 +664,7 @@ impl PageTables {
         };
         // Prune empty, unshared nodes bottom-up.
         let mut child = cur;
-        for (parent, idx) in path.into_iter().rev() {
+        for &(parent, idx) in path[..depth].iter().rev() {
             if child == root || self.node(child).live > 0 || self.node(child).refs > 1 {
                 break;
             }
@@ -1186,6 +1221,53 @@ mod tests {
         pt.release(&mut m, root);
         assert_eq!(pt.node_count(), 0);
         assert_eq!(m.perf.pt_nodes_freed, m.perf.pt_nodes_alloced);
+        assert!(pt.check_consistency());
+    }
+
+    #[test]
+    fn released_nodes_recycle_lifo_in_preorder() {
+        let (mut m, mut pt, root) = setup();
+        // Three populated leaf tables: two under one level-1 node, one
+        // under another. Ids: root 0, L2 1, L1 2, L0 3, L0 4, L1 5, L0 6.
+        for va in [0, HUGE_2M, HUGE_1G] {
+            pt.map(
+                &mut m,
+                root,
+                VirtAddr(va),
+                FrameNo(va / PAGE_SIZE),
+                PageSize::Base,
+                PteFlags::user_rw(),
+            )
+            .unwrap();
+        }
+        assert_eq!(pt.node_count(), 7);
+        pt.release(&mut m, root);
+        assert!(pt.check_consistency());
+        // Release frees each node before its children, in entry order,
+        // and allocation pops the most recently freed slot first.
+        let ids: Vec<PtNodeId> = (0..8).map(|_| pt.create_node(&mut m, 0)).collect();
+        let want: Vec<PtNodeId> = [6, 5, 4, 3, 2, 1, 0, 7].map(PtNodeId).to_vec();
+        assert_eq!(ids, want);
+        // Recycled slots come back empty.
+        assert!(ids.iter().all(|&id| pt.live_entries(id) == 0));
+        assert!(pt.check_consistency());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_and_entry_sizes_are_pinned() {
+        // fig_hostmem and fig_service's host-live gauges read the real
+        // heap, so these sizes are part of the committed figure bytes.
+        assert_eq!(core::mem::size_of::<Node>(), 24);
+        assert_eq!(core::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale PtNodeId")]
+    fn freed_node_id_is_stale() {
+        let (mut m, mut pt, root) = setup();
+        pt.release(&mut m, root);
+        pt.level(root);
     }
 
     #[test]

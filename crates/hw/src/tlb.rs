@@ -47,7 +47,7 @@ type TlbKey = (Asid, PageNo, PageSize);
 ///
 /// Both are revalidated or rebuilt on every mutation, so hit/miss
 /// behaviour, stamps and eviction victims are identical to a plain
-/// linear-scan implementation (see `tests/tlb_model.rs`).
+/// linear-scan implementation (see `crates/hw/tests/tlb_model.rs`).
 #[derive(Debug)]
 pub struct Tlb {
     sets: Vec<Vec<TlbEntry>>,
@@ -258,9 +258,11 @@ impl Tlb {
     /// Invalidate every entry belonging to `asid`.
     pub fn flush_asid(&mut self, asid: Asid) {
         self.last[last_slot(asid)] = None;
-        self.index.retain(|&(a, _, _), _| a != asid);
         for set in 0..self.sets.len() {
             if self.sets[set].iter().any(|e| e.asid == asid) {
+                for e in self.sets[set].iter().filter(|e| e.asid == asid) {
+                    self.index.remove(&(e.asid, e.vpn, e.size));
+                }
                 self.sets[set].retain(|e| e.asid != asid);
                 self.reindex_set(set);
             }

@@ -148,6 +148,7 @@ proptest! {
                     prop_assert_eq!(got, want, "space {} page {}", space, page);
                 }
             }
+            prop_assert!(pt.check_consistency(), "arena slot invariants");
         }
 
         // Full verification sweep.
@@ -165,6 +166,7 @@ proptest! {
             pt.release(&mut m, r);
         }
         prop_assert_eq!(pt.node_count(), 0, "all nodes freed");
+        prop_assert!(pt.check_consistency(), "freed slots are clean");
         prop_assert_eq!(m.perf.pt_nodes_alloced, m.perf.pt_nodes_freed);
     }
 }

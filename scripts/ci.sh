@@ -167,6 +167,12 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> hostbench smoke (every workload small; digests vs fast-forward off)"
+# The benchmark package has its own workspace. Its tests replay the
+# first rounds with fast-forward off and fail on any digest mismatch,
+# so host-side changes are checked against the interpreter here too.
+cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> figures smoke (--fig fig1a --json, deterministic output)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
