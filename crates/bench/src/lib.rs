@@ -5,9 +5,9 @@
 //! [`series`] holds the data and prints paper-style tables; [`attrib`]
 //! and [`latency`] turn traced runs into cost-attribution and
 //! tail-latency views; [`diff`] is the perf-regression gate behind
-//! the `bench-diff` binary. The `figures` binary drives it all;
-//! Criterion benches in `benches/` measure the host-side cost of the
-//! same operations.
+//! the `bench-diff` binary. The `figures` binary drives it all.
+//! Host-side speed is measured separately, by the `hostbench`
+//! package at the repository root.
 
 pub mod attrib;
 pub mod diff;

@@ -12,7 +12,7 @@
 //!   (§4.3), a Utopia-style hashed fast region over flexible page
 //!   tables (arXiv:2211.12205), or OBASE-style DRAM↔NVM extent
 //!   tiering with background migration (arXiv:2603.00378). Each lives
-//!   behind the [`crate::mech::MapMechanism`] seam.
+//!   behind the `MapMechanism` strategy seam.
 //! * **Permissions** are per file; **reclamation** is per file
 //!   (`munmap`/exit, plus LRU deletion of discardable files under
 //!   pressure); **no demand paging, no reclaim scanning, no dirty
@@ -28,13 +28,13 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    Access, Asid, AsidAllocator, CpuId, FastMap, Machine, MachineConfig, Mmu, PageTables, PhysAddr,
-    PtNodeId, RangeTable, TranslateError, VirtAddr, PAGE_SIZE,
+    Access, Asid, FastMap, MachineConfig, PhysAddr, PtNodeId, RangeTable, TranslateError, VirtAddr,
+    PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
 use o1_palloc::PhysExtent;
-use o1_vm::runs::{bulk_memory, AccessRun};
-use o1_vm::{MemSys, Pid, ProcTable, Prot, VmError};
+use o1_vm::runs::AccessRun;
+use o1_vm::{CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError};
 
 use crate::mech::{make_mechanism, MapMechanism, MechCtx, MechParams, Piece};
 
@@ -47,7 +47,7 @@ pub const FOM_MMAP_BASE: u64 = 0x2000_0000;
 pub const PBM_BASE: u64 = 0x4000_0000_0000;
 
 /// How file mappings are installed. Each tag names a strategy object
-/// behind the [`crate::mech::MapMechanism`] seam.
+/// behind the `MapMechanism` strategy seam.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MapMech {
     /// Conventional page tables, one entry per (huge) page — the
@@ -132,8 +132,10 @@ struct Mapping {
     auto_unlink: bool,
 }
 
+/// A file-only-memory process: its address space, range table and
+/// whole-file mappings.
 #[derive(Debug)]
-pub(crate) struct FomProc {
+pub struct FomProc {
     pub(crate) asid: Asid,
     pub(crate) root: PtNodeId,
     pub(crate) ranges: RangeTable,
@@ -144,22 +146,40 @@ pub(crate) struct FomProc {
     pub(crate) next_va: u64,
 }
 
+impl CoreProc for FomProc {
+    #[inline]
+    fn new(asid: Asid, root: PtNodeId) -> FomProc {
+        FomProc {
+            asid,
+            root,
+            ranges: RangeTable::new(),
+            maps: FastMap::default(),
+            next_va: FOM_MMAP_BASE,
+        }
+    }
+
+    #[inline]
+    fn asid(&self) -> Asid {
+        self.asid
+    }
+
+    #[inline]
+    fn root(&self) -> PtNodeId {
+        self.root
+    }
+}
+
 /// The file-only memory kernel.
 #[derive(Debug)]
 pub struct FomKernel {
-    machine: Machine,
-    pt: PageTables,
-    mmu: Mmu,
+    core: KernelCore<FomProc>,
     /// The persistent-memory file system backing all memory.
     pub pmfs: Pmfs,
-    procs: ProcTable<FomProc>,
     /// The mapping-mechanism strategy object; owns per-mechanism state
     /// (shared-subtree registries, the Utopia fast region, OBASE
     /// residency records).
     mech: Box<dyn MapMechanism>,
     erase: ErasePolicy,
-    asids: AsidAllocator,
-    next_pid: u32,
     next_vol: u64,
     keys_live: u64,
     /// Freed-but-not-yet-zeroed extents (BackgroundPool policy).
@@ -243,7 +263,6 @@ impl FomBuilder {
     /// Boot the kernel, rejecting invalid machine configurations
     /// (`cpus == 0` or `cpus > o1_hw::MAX_CPUS`).
     pub fn try_build(self) -> Result<FomKernel, VmError> {
-        o1_vm::validate_machine_config(&self.machine)?;
         let config = MachineConfig {
             dram_bytes: self.config.dram_bytes,
             nvm_bytes: self.config.nvm_bytes,
@@ -258,14 +277,13 @@ impl FomBuilder {
                 dram_frames: self.config.dram_bytes / PAGE_SIZE,
             },
         );
-        let mmu = Mmu::smp(
+        let core = KernelCore::boot(
+            config,
             mechanism.ranges_enabled(),
-            config.cpus,
             self.tlb,
             self.rtlb_entries,
-        );
-        let machine = Machine::from_config(config);
-        Ok(FomKernel::boot(self.config, machine, mmu, mechanism))
+        )?;
+        Ok(FomKernel::boot(self.config, core, mechanism))
     }
 }
 
@@ -285,50 +303,19 @@ impl FomKernel {
 
     fn boot(
         config: FomConfig,
-        machine: Machine,
-        mmu: Mmu,
+        core: KernelCore<FomProc>,
         mech: Box<dyn MapMechanism>,
     ) -> FomKernel {
-        let span = PhysExtent::new(machine.phys.nvm_base(), machine.phys.nvm_frames());
+        let span = PhysExtent::new(core.machine.phys.nvm_base(), core.machine.phys.nvm_frames());
         FomKernel {
-            machine,
-            pt: PageTables::new(),
-            mmu,
+            core,
             pmfs: Pmfs::format(span),
-            procs: ProcTable::new(),
             mech,
             erase: config.erase,
-            asids: AsidAllocator::new(),
-            next_pid: 1,
             next_vol: 0,
             keys_live: 0,
             dirty: Vec::new(),
         }
-    }
-
-    /// The simulated machine.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// Mutable machine access.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    /// CPU whose translation caches serve subsequent operations.
-    pub fn current_cpu(&self) -> CpuId {
-        self.mmu.current_cpu()
-    }
-
-    /// Move subsequent operations onto `cpu` (see [`Mmu::set_cpu`]).
-    pub fn set_cpu(&mut self, cpu: CpuId) {
-        self.mmu.set_cpu(cpu);
-    }
-
-    /// Number of simulated CPUs this kernel was booted with.
-    pub fn cpu_count(&self) -> u32 {
-        self.mmu.cpu_count()
     }
 
     /// Mapping mechanism in use.
@@ -336,23 +323,24 @@ impl FomKernel {
         self.mech.kind()
     }
 
-    /// Mechanism label used for experiment output and as the latency
-    /// ledger key ([`MemSys::sys_name`] returns the same string).
-    pub fn mech_str(&self) -> &'static str {
-        self.mech.label()
-    }
-
     /// Split-borrow the kernel into the mechanism object and a context
     /// over everything else — the only way mechanism code runs.
     fn seam(&mut self) -> (&mut dyn MapMechanism, MechCtx<'_>) {
+        let KernelCore {
+            machine,
+            pt,
+            mmu,
+            procs,
+            ..
+        } = &mut self.core;
         (
             self.mech.as_mut(),
             MechCtx {
-                machine: &mut self.machine,
-                pt: &mut self.pt,
-                mmu: &mut self.mmu,
+                machine,
+                pt,
+                mmu,
                 pmfs: &mut self.pmfs,
-                procs: &mut self.procs,
+                procs,
             },
         )
     }
@@ -390,12 +378,12 @@ impl FomKernel {
     /// virtualized nesting). Range translations are unaffected — one
     /// of their selling points.
     pub fn set_walk_mode(&mut self, mode: o1_hw::WalkMode) {
-        self.mmu.walk_mode = mode;
+        self.core.mmu.walk_mode = mode;
     }
 
     /// Bytes of page-table metadata currently allocated.
     pub fn pt_metadata_bytes(&self) -> u64 {
-        self.pt.metadata_bytes()
+        self.core.pt.metadata_bytes()
     }
 
     /// Live crypto-erase keys (one per volatile file under
@@ -404,90 +392,7 @@ impl FomKernel {
         self.keys_live
     }
 
-    /// Sample the gauge timeline if the machine's sampler is due.
-    ///
-    /// Called at the end of every top-level kernel operation — the
-    /// poll rides the syscall funnel rather than `advance` itself so
-    /// gauges are read at quiescent points, never mid-operation.
-    /// Idempotent at a given clock value: the first due sample re-arms
-    /// the sampler past `now`, so nested ops polling again are no-ops.
-    fn poll_timeline(&mut self) {
-        if !self.machine.timeline_due() {
-            return;
-        }
-        let mut g: Vec<(&'static str, u64)> = vec![
-            ("kernel.procs_live", self.procs.len() as u64),
-            ("kernel.asids_live", u64::from(self.asids.live())),
-            ("kernel.pt_meta_bytes", self.pt.metadata_bytes()),
-            ("kernel.keys_live", self.keys_live),
-            ("kernel.free_frames", self.pmfs.free_frames()),
-        ];
-        self.mmu.gauges(&mut g);
-        self.mech.gauges(&mut g);
-        self.machine.timeline_sample(&g);
-    }
-
-    fn proc(&self, pid: Pid) -> Result<&FomProc, VmError> {
-        self.procs.get(pid).ok_or(VmError::NoProcess)
-    }
-
-    fn proc_mut(&mut self, pid: Pid) -> Result<&mut FomProc, VmError> {
-        self.procs.get_mut(pid).ok_or(VmError::NoProcess)
-    }
-
     // ---- process lifecycle --------------------------------------------------
-
-    /// Create an empty process.
-    ///
-    /// # Errors
-    /// [`VmError::ProcessLimit`] once the 16-bit ASID space is spent.
-    pub fn create_process(&mut self) -> Result<Pid, VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        let grant = self.asids.alloc().ok_or(VmError::ProcessLimit)?;
-        if grant.needs_flush {
-            // PCID-style recycling: a reused ASID may have stale
-            // translations cached from its previous owner.
-            self.mmu.flush_asid(&mut self.machine, grant.asid);
-            self.mech.on_flush_asid(grant.asid);
-        }
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        let root = self.pt.create_root(&mut self.machine);
-        self.procs.insert(
-            pid,
-            FomProc {
-                asid: grant.asid,
-                root,
-                ranges: RangeTable::new(),
-                maps: FastMap::default(),
-                next_va: FOM_MMAP_BASE,
-            },
-        );
-        self.machine.op_end(t0, OpKind::Launch, self.mech_str());
-        self.poll_timeline();
-        Ok(pid)
-    }
-
-    /// Tear down a process. Cost is per *mapping*, not per page —
-    /// "memory is only reclaimed in the unit of a file... or when the
-    /// process terminates".
-    pub fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        let bases: Vec<u64> = self.proc(pid)?.maps.keys().copied().collect();
-        for base in bases {
-            self.unmap(pid, VirtAddr(base))?;
-        }
-        let proc = self.procs.remove(pid).expect("checked above");
-        self.mmu.flush_asid(&mut self.machine, proc.asid);
-        self.mech.on_flush_asid(proc.asid);
-        self.asids.free(proc.asid);
-        self.pt.release(&mut self.machine, proc.root);
-        self.machine.op_end(t0, OpKind::Teardown, self.mech_str());
-        self.poll_timeline();
-        Ok(())
-    }
 
     /// Launch a process whose stack and heap arena are single-extent
     /// files and whose code is a named persistent file shared across
@@ -503,7 +408,7 @@ impl FomKernel {
     ) -> Result<Pid, VmError> {
         let pid = self.create_process()?;
         // Code: create once, then every launch just maps it.
-        if self.pmfs.lookup(&mut self.machine, code_name).is_err() {
+        if self.pmfs.lookup(&mut self.core.machine, code_name).is_err() {
             self.create_named(pid, code_name, code_bytes, FileClass::Persistent)?;
         } else {
             self.open_map(pid, code_name, Prot::ReadExec)?;
@@ -525,6 +430,7 @@ impl FomKernel {
     /// ```
     /// use o1_core::{FomKernel, MapMech};
     /// use o1_memfs::FileClass;
+    /// use o1_vm::MemSys;
     ///
     /// let mut k = FomKernel::builder().mech(MapMech::Ranges).build();
     /// let pid = k.create_process().unwrap();
@@ -583,10 +489,10 @@ impl FomKernel {
         if bytes == 0 {
             return Err(VmError::BadRange);
         }
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        self.proc(pid)?;
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        let t0 = self.core.machine.op_start();
+        self.core.machine.charge_syscall();
+        self.core.proc(pid)?;
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         let id = pmfs.create(machine, name, class).map_err(VmError::from)?;
         // Allocate, reclaiming discardable files under pressure — the
         // paper's transcendent-memory story.
@@ -612,17 +518,17 @@ impl FomKernel {
         match self.erase {
             ErasePolicy::Eager => {
                 for e in &extents {
-                    let tier = self.machine.phys.tier(e.start);
-                    self.machine.charge_zero_fg(tier, e.bytes());
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    let tier = self.core.machine.phys.tier(e.start);
+                    self.core.machine.charge_zero_fg(tier, e.bytes());
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::CryptoErase => {
-                self.machine.charge_kind(CostKind::KeyGen);
+                self.core.machine.charge_kind(CostKind::KeyGen);
                 self.keys_live += 1;
                 for e in &extents {
                     // Fresh key ⇒ old ciphertext reads as zeros.
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::BackgroundPool => {
@@ -634,7 +540,7 @@ impl FomKernel {
             }
         }
         let va = self.map_file_internal(pid, id, name, bytes, Prot::ReadWrite, auto_unlink)?;
-        self.machine.op_end(t0, OpKind::Alloc, self.mech_str());
+        self.core.machine.op_end(t0, OpKind::Alloc, self.label());
         self.poll_timeline();
         Ok((id, va))
     }
@@ -647,8 +553,8 @@ impl FomKernel {
         name: &str,
         prot: Prot,
     ) -> Result<(FileId, VirtAddr), VmError> {
-        self.machine.charge_syscall();
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        self.core.machine.charge_syscall();
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         let id = pmfs.lookup(machine, name).map_err(VmError::from)?;
         let bytes = pmfs.inode(id).map_err(VmError::from)?.size();
         let va = self.map_file_internal(pid, id, name, bytes, prot, false)?;
@@ -669,7 +575,7 @@ impl FomKernel {
     ) -> Result<VirtAddr, VmError> {
         self.pmfs.inc_ref(id).map_err(VmError::from)?;
         // One map record per file — the whole-file analogue of a VMA.
-        self.machine.charge_kind(CostKind::VmaCreate);
+        self.core.machine.charge_kind(CostKind::VmaCreate);
         let extents: Vec<o1_memfs::FileExtent> = self
             .pmfs
             .inode(id)
@@ -696,7 +602,7 @@ impl FomKernel {
             }
             base
         };
-        let proc = self.proc_mut(pid)?;
+        let proc = self.core.proc_mut(pid)?;
         proc.maps.insert(
             base.0,
             Mapping {
@@ -716,14 +622,14 @@ impl FomKernel {
     /// O(pages) except for small per-page tails. If the mapping was a
     /// volatile scratch file, the file itself is deleted and erased.
     pub fn unmap(&mut self, pid: Pid, base: VirtAddr) -> Result<(), VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
+        let t0 = self.core.machine.op_start();
+        self.core.machine.charge_syscall();
         let mapping = {
-            let proc = self.proc_mut(pid)?;
+            let proc = self.core.proc_mut(pid)?;
             proc.maps.remove(&base.0).ok_or(VmError::BadRange)?
         };
-        let asid = self.proc(pid)?.asid;
-        self.machine.charge_kind(CostKind::VmaDestroy);
+        let asid = self.core.proc(pid)?.asid;
+        self.core.machine.charge_kind(CostKind::VmaDestroy);
         {
             let (mech, mut ctx) = self.seam();
             mech.teardown_pieces(&mut ctx, pid, &mapping.pieces)?;
@@ -731,7 +637,7 @@ impl FomKernel {
         // One shootdown broadcast for the whole unmap, constant cost:
         // drop the ASID from every CPU's page and range TLB and
         // charge one IPI per CPU that actually cached it.
-        self.mmu.flush_asid(&mut self.machine, asid);
+        self.core.mmu.flush_asid(&mut self.core.machine, asid);
         self.mech.on_flush_asid(asid);
 
         // Drop the file reference; delete volatile scratch files.
@@ -744,18 +650,18 @@ impl FomKernel {
             .map(|fe| fe.phys)
             .collect();
         if mapping.auto_unlink {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             // May already be unlinked if mapped twice; ignore.
             let _ = pmfs.unlink(machine, &mapping.name);
         }
         let destroyed = {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.dec_ref(machine, mapping.file).map_err(VmError::from)?
         };
         if destroyed {
             self.on_file_destroyed(mapping.file, &extents);
         }
-        self.machine.op_end(t0, OpKind::Free, self.mech_str());
+        self.core.machine.op_end(t0, OpKind::Free, self.label());
         self.poll_timeline();
         Ok(())
     }
@@ -766,16 +672,16 @@ impl FomKernel {
         match self.erase {
             ErasePolicy::Eager => {
                 for e in extents {
-                    let tier = self.machine.phys.tier(e.start);
-                    self.machine.charge_zero_fg(tier, e.bytes());
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    let tier = self.core.machine.phys.tier(e.start);
+                    self.core.machine.charge_zero_fg(tier, e.bytes());
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::CryptoErase => {
-                self.machine.charge_kind(CostKind::KeyDrop);
+                self.core.machine.charge_kind(CostKind::KeyDrop);
                 self.keys_live = self.keys_live.saturating_sub(1);
                 for e in extents {
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::BackgroundPool => {
@@ -800,8 +706,8 @@ impl FomKernel {
             let Some(ext) = self.dirty.pop() else { break };
             let take = ext.frames.min(budget - done);
             let head = PhysExtent::new(ext.start, take);
-            self.machine.phys.zero_frames(head.start, head.frames);
-            self.machine.note_zero_bg(head.bytes());
+            self.core.machine.phys.zero_frames(head.start, head.frames);
+            self.core.machine.note_zero_bg(head.bytes());
             done += take;
             if take < ext.frames {
                 self.dirty
@@ -825,9 +731,9 @@ impl FomKernel {
             let lo = d.start.0.max(ext.start.0);
             let hi = d.end().0.min(ext.end().0);
             let part = PhysExtent::new(o1_hw::FrameNo(lo), hi - lo);
-            let tier = self.machine.phys.tier(part.start);
-            self.machine.charge_zero_fg(tier, part.bytes());
-            self.machine.phys.zero_frames(part.start, part.frames);
+            let tier = self.core.machine.phys.tier(part.start);
+            self.core.machine.charge_zero_fg(tier, part.bytes());
+            self.core.machine.phys.zero_frames(part.start, part.frames);
             // Keep the non-overlapping remnants of the dirty extent.
             if d.start.0 < lo {
                 remnants.push(PhysExtent::new(d.start, lo - d.start.0));
@@ -843,9 +749,9 @@ impl FomKernel {
     /// lives on until the last unmap; otherwise it is destroyed and
     /// erased now (O(1) per extent).
     pub fn delete(&mut self, name: &str) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let id = {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.lookup(machine, name).map_err(VmError::from)?
         };
         let (extents, refs): (Vec<PhysExtent>, u32) = {
@@ -856,7 +762,7 @@ impl FomKernel {
             )
         };
         {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.unlink(machine, name).map_err(VmError::from)?;
         }
         if refs == 0 {
@@ -871,9 +777,9 @@ impl FomKernel {
     /// usual O(1)-per-extent machinery; existing contents stay in
     /// place physically.
     pub fn fgrow(&mut self, pid: Pid, base: VirtAddr, new_bytes: u64) -> Result<VirtAddr, VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let (id, name, old_bytes, auto) = {
-            let proc = self.proc(pid)?;
+            let proc = self.core.proc(pid)?;
             let m = proc.maps.get(&base.0).ok_or(VmError::BadRange)?;
             (m.file, m.name.clone(), m.bytes, m.auto_unlink)
         };
@@ -884,7 +790,7 @@ impl FomKernel {
         self.pmfs.inc_ref(id).map_err(VmError::from)?;
         self.unmap_keep_file(pid, base)?;
         {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.allocate(machine, id, new_bytes)
                 .map_err(VmError::from)?;
         }
@@ -901,14 +807,14 @@ impl FomKernel {
         match self.erase {
             ErasePolicy::Eager => {
                 for e in &new_extents {
-                    let tier = self.machine.phys.tier(e.start);
-                    self.machine.charge_zero_fg(tier, e.bytes());
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    let tier = self.core.machine.phys.tier(e.start);
+                    self.core.machine.charge_zero_fg(tier, e.bytes());
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::CryptoErase => {
                 for e in &new_extents {
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::BackgroundPool => {
@@ -918,7 +824,7 @@ impl FomKernel {
             }
         }
         let new_base = self.map_file_internal(pid, id, &name, new_bytes, Prot::ReadWrite, auto)?;
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.dec_ref(machine, id).map_err(VmError::from)?;
         self.poll_timeline();
         Ok(new_base)
@@ -929,7 +835,7 @@ impl FomKernel {
         // Temporarily clear the auto_unlink flag so unmap() keeps the
         // name; restore behaviour is the caller's job.
         {
-            let proc = self.proc_mut(pid)?;
+            let proc = self.core.proc_mut(pid)?;
             if let Some(m) = proc.maps.get_mut(&base.0) {
                 m.auto_unlink = false;
             }
@@ -941,9 +847,9 @@ impl FomKernel {
     /// marked at any time as volatile or persistent to indicate
     /// whether they should survive... system restarts".
     pub fn set_file_class(&mut self, name: &str, class: FileClass) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let id = {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             let id = pmfs.lookup(machine, name).map_err(VmError::from)?;
             pmfs.set_class(machine, id, class).map_err(VmError::from)?;
             id
@@ -962,14 +868,14 @@ impl FomKernel {
         base: VirtAddr,
         new_name: &str,
     ) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let old_name = {
-            let proc = self.proc(pid)?;
+            let proc = self.core.proc(pid)?;
             let m = proc.maps.get(&base.0).ok_or(VmError::BadRange)?;
             m.name.clone()
         };
         let id = {
-            let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.rename(machine, &old_name, new_name)
                 .map_err(VmError::from)?;
             let id = pmfs.lookup(machine, new_name).map_err(VmError::from)?;
@@ -977,7 +883,7 @@ impl FomKernel {
                 .map_err(VmError::from)?;
             id
         };
-        let proc = self.proc_mut(pid)?;
+        let proc = self.core.proc_mut(pid)?;
         let m = proc.maps.get_mut(&base.0).expect("checked above");
         m.name = new_name.to_string();
         m.auto_unlink = false;
@@ -988,23 +894,23 @@ impl FomKernel {
 
     /// Compact the file system journal (bounds recovery time).
     pub fn checkpoint(&mut self) {
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.checkpoint(machine);
     }
 
     /// Rename a named file (O(1), journaled for persistent files).
     pub fn rename_file(&mut self, old: &str, new: &str) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        self.core.machine.charge_syscall();
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.rename(machine, old, new).map_err(VmError::from)
     }
 
     /// Whole-file permission change — the fom replacement for
     /// `mprotect`. Cost is per extent/chunk, independent of file size.
     pub fn mprotect_file(&mut self, pid: Pid, base: VirtAddr, prot: Prot) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let mapping = {
-            let proc = self.proc(pid)?;
+            let proc = self.core.proc(pid)?;
             proc.maps.get(&base.0).ok_or(VmError::BadRange)?
         };
         let (id, name, bytes, auto) = (
@@ -1019,7 +925,7 @@ impl FomKernel {
         // Remap at a fresh base with the new protection. (PBM remaps
         // at the same physically-derived address by construction.)
         let _new_base = self.map_file_internal(pid, id, &name, bytes, prot, auto)?;
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.dec_ref(machine, id).map_err(VmError::from)?;
         // For non-PBM mechanisms the base address changes; callers
         // retrieve the new base with `mapping_base(pid, name)`.
@@ -1030,7 +936,8 @@ impl FomKernel {
     /// [`mprotect_file`](Self::mprotect_file)-style remaps: fetch by
     /// file name instead.
     pub fn mapping_base(&self, pid: Pid, name: &str) -> Option<VirtAddr> {
-        self.procs
+        self.core
+            .procs
             .get(pid)?
             .maps
             .iter()
@@ -1039,103 +946,6 @@ impl FomKernel {
 
     // ---- access ---------------------------------------------------------------
 
-    /// Translate an address. There is *no fault path*: file-only
-    /// memory maps files whole at map time, so an unmapped access is
-    /// a program error (SIGSEGV), never demand paging.
-    pub fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
-        self.proc(pid)?;
-        let result = {
-            let (mech, mut ctx) = self.seam();
-            mech.translate(&mut ctx, pid, va, access)
-        };
-        match result {
-            Ok(pa) => Ok(pa),
-            Err(TranslateError::NotMapped) => {
-                self.machine.perf.prot_faults += 1;
-                Err(VmError::BadAddress)
-            }
-            Err(TranslateError::Protection) => {
-                self.machine.perf.prot_faults += 1;
-                Err(VmError::ProtectionFault)
-            }
-        }
-    }
-
-    /// User-level 8-byte load.
-    pub fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        let traced = self.machine.traced();
-        let t0 = self.machine.op_start();
-        let pa = self.resolve(pid, va, Access::Read)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_load(tier);
-        let v = self.machine.phys.read_u64(pa);
-        if traced {
-            // A fom access never demand-faults: every page is mapped at
-            // allocation time, so the hit/fault split is degenerate here.
-            self.machine.op_end(t0, OpKind::AccessHit, self.mech_str());
-            self.poll_timeline();
-        }
-        Ok(v)
-    }
-
-    /// User-level 8-byte store.
-    pub fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        let traced = self.machine.traced();
-        let t0 = self.machine.op_start();
-        let pa = self.resolve(pid, va, Access::Write)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_store(tier);
-        self.machine.phys.write_u64(pa, value);
-        if traced {
-            self.machine.op_end(t0, OpKind::AccessHit, self.mech_str());
-            self.poll_timeline();
-        }
-        Ok(())
-    }
-
-    /// Run-compressed span execution: the file-only-memory twin of
-    /// `BaselineKernel::access_span`. Translation-uniform prefixes are
-    /// fast-forwarded through [`Mmu::translate_run`]; everything else
-    /// is interpreted per access, so output is identical either way.
-    pub fn access_span(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        let access = if write { Access::Write } else { Access::Read };
-        let mut k = 0u64;
-        while k < len {
-            let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            if self.machine.fastforward() && len - k >= 2 {
-                self.proc(pid)?;
-                let t0 = self.machine.op_start();
-                let proven = {
-                    let (mech, mut ctx) = self.seam();
-                    mech.translate_run(&mut ctx, pid, a, stride, len - k, access)
-                };
-                if let Some((pa, span)) = proven {
-                    bulk_memory(&mut self.machine, pa, stride, span, write, first_value + k);
-                    self.machine
-                        .op_end_n(t0, OpKind::AccessHit, self.mech_str(), span);
-                    self.poll_timeline();
-                    k += span;
-                    continue;
-                }
-            }
-            if write {
-                self.store(pid, a, first_value + k)?;
-            } else {
-                self.load(pid, a)?;
-            }
-            k += 1;
-        }
-        Ok(())
-    }
-
     /// Bulk write through a mapping (charged per page copy).
     pub fn write_bytes(&mut self, pid: Pid, va: VirtAddr, data: &[u8]) -> Result<(), VmError> {
         let mut off = 0usize;
@@ -1143,8 +953,8 @@ impl FomKernel {
             let at = va + off as u64;
             let pa = self.resolve(pid, at, Access::Write)?;
             let take = usize::min(data.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
-            self.machine.charge_kind(CostKind::CopyPage);
-            self.machine.phys.write(pa, &data[off..off + take]);
+            self.core.machine.charge_kind(CostKind::CopyPage);
+            self.core.machine.phys.write(pa, &data[off..off + take]);
             off += take;
         }
         Ok(())
@@ -1157,8 +967,8 @@ impl FomKernel {
             let at = va + off as u64;
             let pa = self.resolve(pid, at, Access::Read)?;
             let take = usize::min(buf.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
-            self.machine.charge_kind(CostKind::CopyPage);
-            self.machine.phys.read(pa, &mut buf[off..off + take]);
+            self.core.machine.charge_kind(CostKind::CopyPage);
+            self.core.machine.phys.read(pa, &mut buf[off..off + take]);
             off += take;
         }
         Ok(())
@@ -1182,14 +992,14 @@ impl FomKernel {
         match self.erase {
             ErasePolicy::Eager => {
                 for e in &volatile_extents {
-                    let tier = self.machine.phys.tier(e.start);
-                    self.machine.charge_zero_fg(tier, e.bytes());
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    let tier = self.core.machine.phys.tier(e.start);
+                    self.core.machine.charge_zero_fg(tier, e.bytes());
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
             }
             ErasePolicy::CryptoErase => {
                 for e in &volatile_extents {
-                    self.machine.phys.zero_frames(e.start, e.frames);
+                    self.core.machine.phys.zero_frames(e.start, e.frames);
                 }
                 self.keys_live = 0;
             }
@@ -1197,14 +1007,14 @@ impl FomKernel {
                 self.dirty = volatile_extents.clone();
             }
         }
-        self.machine.phys.crash();
+        self.core.machine.phys.crash();
         // Processes and their page tables are DRAM state: gone.
-        for pid in self.procs.pids() {
-            let proc = self.procs.remove(pid).expect("listed");
-            self.pt.release(&mut self.machine, proc.root);
-            self.mmu.flush_asid(&mut self.machine, proc.asid);
+        for pid in self.core.procs.pids() {
+            let proc = self.core.procs.remove(pid).expect("listed");
+            self.core.pt.release(&mut self.core.machine, proc.root);
+            self.core.mmu.flush_asid(&mut self.core.machine, proc.asid);
             self.mech.on_flush_asid(proc.asid);
-            self.asids.free(proc.asid);
+            self.core.asids.free(proc.asid);
         }
         // Mechanism state (pre-created page tables, residency records)
         // was DRAM-resident too; it is rebuilt lazily after recovery.
@@ -1214,7 +1024,7 @@ impl FomKernel {
         }
         let span = self.pmfs.span();
         let journal = self.pmfs.journal().clone();
-        let (pmfs, mut stats) = Pmfs::recover(&mut self.machine, span, journal);
+        let (pmfs, mut stats) = Pmfs::recover(&mut self.core.machine, span, journal);
         self.pmfs = pmfs;
         self.keys_live = 0;
         stats.volatile_dropped += volatile_count;
@@ -1224,7 +1034,7 @@ impl FomKernel {
     /// Memory-pressure entry point: free at least `frames` by deleting
     /// LRU discardable files. Returns frames freed.
     pub fn reclaim_discardable(&mut self, frames: u64) -> u64 {
-        let (machine, pmfs) = (&mut self.machine, &mut self.pmfs);
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.reclaim_discardable(machine, frames)
     }
 
@@ -1238,12 +1048,17 @@ impl FomKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
         while at < va + o1_hw::round_up_pages(len.max(1)) {
             let pa = self.resolve(pid, at, Access::Read)?;
-            pages += dma.transfer(&mut self.machine, pa, PAGE_SIZE, o1_hw::DmaMode::Pinned);
+            pages += dma.transfer(
+                &mut self.core.machine,
+                pa,
+                PAGE_SIZE,
+                o1_hw::DmaMode::Pinned,
+            );
             at += PAGE_SIZE;
         }
         Ok(pages)
@@ -1265,98 +1080,106 @@ impl FomKernel {
     }
 }
 
-impl MemSys for FomKernel {
-    fn sys_name(&self) -> &'static str {
+impl KernelHooks for FomKernel {
+    type Proc = FomProc;
+
+    #[inline]
+    fn core(&self) -> &KernelCore<FomProc> {
+        &self.core
+    }
+
+    #[inline]
+    fn core_mut(&mut self) -> &mut KernelCore<FomProc> {
+        &mut self.core
+    }
+
+    #[inline]
+    fn label(&self) -> &'static str {
         self.mech.label()
     }
 
-    fn machine(&self) -> &Machine {
-        &self.machine
+    /// Translate an address. There is *no fault path*: file-only
+    /// memory maps files whole at map time, so an unmapped access is
+    /// a program error (SIGSEGV), never demand paging.
+    #[inline]
+    fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
+        self.core.proc(pid)?;
+        let result = {
+            let (mech, mut ctx) = self.seam();
+            mech.translate(&mut ctx, pid, va, access)
+        };
+        match result {
+            Ok(pa) => Ok(pa),
+            Err(TranslateError::NotMapped) => {
+                self.core.machine.perf.prot_faults += 1;
+                Err(VmError::BadAddress)
+            }
+            Err(TranslateError::Protection) => {
+                self.core.machine.perf.prot_faults += 1;
+                Err(VmError::ProtectionFault)
+            }
+        }
     }
 
-    fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn create_process(&mut self) -> Result<Pid, VmError> {
-        self.create_process()
-    }
-
-    fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        self.destroy_process(pid)
-    }
-
-    fn current_cpu(&self) -> CpuId {
-        self.current_cpu()
-    }
-
-    fn cpu_count(&self) -> u32 {
-        self.cpu_count()
-    }
-
-    fn set_cpu(&mut self, cpu: CpuId) {
-        self.set_cpu(cpu);
-    }
-
-    fn alloc(&mut self, pid: Pid, bytes: u64, _populate: bool) -> Result<VirtAddr, VmError> {
+    fn alloc_region(&mut self, pid: Pid, bytes: u64, _populate: bool) -> Result<VirtAddr, VmError> {
         // File-only memory is always "populated": mapping is O(1) per
         // extent, so there is nothing to defer.
         self.falloc(pid, bytes, FileClass::Volatile)
             .map(|(_, va)| va)
     }
 
-    fn release(&mut self, pid: Pid, va: VirtAddr, _bytes: u64) -> Result<(), VmError> {
+    fn release_region(&mut self, pid: Pid, va: VirtAddr, _bytes: u64) -> Result<(), VmError> {
         self.unmap(pid, va)
     }
 
-    fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        self.load(pid, va)
+    /// Unmap every file. Cost is per *mapping*, not per page —
+    /// "memory is only reclaimed in the unit of a file... or when the
+    /// process terminates".
+    fn teardown(&mut self, pid: Pid) -> Result<(), VmError> {
+        let bases: Vec<u64> = self.core.proc(pid)?.maps.keys().copied().collect();
+        for base in bases {
+            self.unmap(pid, VirtAddr(base))?;
+        }
+        Ok(())
     }
 
-    fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        self.store(pid, va, value)
+    fn on_asid_flush(&mut self, asid: Asid) {
+        self.mech.on_flush_asid(asid);
     }
 
-    fn access_span(
+    fn gauges(&self, g: &mut Vec<(&'static str, u64)>) {
+        g.push(("kernel.keys_live", self.keys_live));
+        g.push(("kernel.free_frames", self.pmfs.free_frames()));
+        self.mech.gauges(g);
+    }
+
+    #[inline]
+    fn hit_run(
         &mut self,
         pid: Pid,
         va: VirtAddr,
         stride: i64,
         len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        self.access_span(pid, va, stride, len, write, first_value)
+        access: Access,
+    ) -> Result<Option<(PhysAddr, u64)>, VmError> {
+        self.core.proc(pid)?;
+        let (mech, mut ctx) = self.seam();
+        Ok(mech.translate_run(&mut ctx, pid, va, stride, len, access))
     }
 
-    fn access_runs(
+    /// Range translations can often swallow a whole batch — even a
+    /// random one — in one uniformity proof.
+    #[inline]
+    fn bulk_runs(
         &mut self,
         pid: Pid,
         base: VirtAddr,
         runs: &[AccessRun],
         write: bool,
         first_value: u64,
-    ) -> Result<u64, VmError> {
-        // Range translations can often swallow a whole batch — even a
-        // random one — in one uniformity proof; everything else runs
-        // the per-run engine (same result, proven per prefix). A
-        // mechanism without a whole-batch prover refuses charge-free.
-        if self.machine.fastforward() && !runs.is_empty() {
-            let proven = {
-                let (mech, mut ctx) = self.seam();
-                mech.try_bulk_runs(&mut ctx, pid, base, runs, write, first_value)?
-            };
-            if let Some(value) = proven {
-                return Ok(value);
-            }
-        }
-        let mut value = first_value;
-        for r in runs {
-            let va = base + r.start_page * PAGE_SIZE;
-            self.access_span(pid, va, r.stride.wrapping_mul(PAGE_SIZE as i64), r.len, write, value)?;
-            value += r.len;
-        }
-        Ok(value)
+    ) -> Result<Option<u64>, VmError> {
+        let (mech, mut ctx) = self.seam();
+        mech.try_bulk_runs(&mut ctx, pid, base, runs, write, first_value)
     }
 }
 
@@ -1371,8 +1194,12 @@ mod tests {
         let mut k = FomKernel::builder().mech(MapMech::SharedPt).build();
         let first = k.create_process().unwrap();
         // Burn the rest of the 16-bit ASID space directly.
-        while k.asids.alloc().is_some() {}
+        while k.core.alloc_pid().is_ok() {}
         assert_eq!(k.create_process(), Err(VmError::ProcessLimit));
+        assert_eq!(
+            k.launch_process("/bin/app", PAGE_SIZE, PAGE_SIZE, PAGE_SIZE),
+            Err(VmError::ProcessLimit)
+        );
         // Freeing one ASID makes room for exactly one more process,
         // and pids stay monotonic across recycling.
         k.destroy_process(first).unwrap();
@@ -1873,7 +1700,7 @@ mod tests {
     #[test]
     fn memsys_trait_roundtrip() {
         // Monomorphic MemSys usage — the shape every figure hot path
-        // compiles down to (erasure lives behind `o1_vm::Erased`).
+        // compiles down to (erasure is a plain `&mut dyn MemSys`).
         fn roundtrip(sys: &mut impl MemSys) {
             let pid = sys.create_process().unwrap();
             let va = sys.alloc(pid, 8 * PAGE_SIZE, false).unwrap();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use o1_hw::VirtAddr;
 use o1_memfs::FileClass;
-use o1_vm::{Pid, VmError};
+use o1_vm::{MemSys, Pid, VmError};
 
 use crate::fom::FomKernel;
 

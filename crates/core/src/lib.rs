@@ -2,7 +2,8 @@
 //!
 //! [`fom::FomKernel`] manages all user memory as whole files in a
 //! persistent-memory file system, with six mapping mechanisms
-//! ([`fom::MapMech`]) behind one strategy seam ([`mech`]):
+//! ([`fom::MapMech`]) behind one strategy seam (the private `mech`
+//! module):
 //! conventional page tables, pre-created shared page-table subtrees,
 //! physically based mappings (§4.2), hardware range translations
 //! (§4.3), a Utopia-style hybrid fast region (arXiv:2211.12205), and

@@ -2,16 +2,16 @@
 //!
 //! The simulation core is single-threaded and deterministic; real
 //! consumers want to call it from many threads. [`SyncFom`] wraps a
-//! [`FomKernel`] in a [`parking_lot::Mutex`] and exposes the common
+//! [`FomKernel`] in a [`std::sync::Mutex`] and exposes the common
 //! operations. Determinism of the *per-operation* costs is preserved;
 //! the interleaving across threads is whatever the scheduler produces,
 //! as it would be on real hardware.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use o1_hw::{SimNs, VirtAddr};
 use o1_memfs::FileClass;
-use o1_vm::{Pid, Prot, VmError};
+use o1_vm::{MemSys, Pid, Prot, VmError};
 
 use crate::fom::{FomConfig, FomKernel};
 
@@ -29,71 +29,72 @@ impl SyncFom {
         }
     }
 
+    /// Take the lock. A panic in another thread does not poison the
+    /// handle: the kernel is handed back as that thread left it.
+    fn lock(&self) -> MutexGuard<'_, FomKernel> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Create a process.
     ///
     /// # Errors
     /// [`VmError::ProcessLimit`] when the process table is exhausted.
     pub fn create_process(&self) -> Result<Pid, VmError> {
-        self.inner.lock().create_process()
+        self.lock().create_process()
     }
 
     /// Destroy a process.
     pub fn destroy_process(&self, pid: Pid) -> Result<(), VmError> {
-        self.inner.lock().destroy_process(pid)
+        self.lock().destroy_process(pid)
     }
 
     /// Allocate-and-map a volatile file of `bytes`.
     pub fn alloc(&self, pid: Pid, bytes: u64) -> Result<VirtAddr, VmError> {
-        self.inner
-            .lock()
+        self.lock()
             .falloc(pid, bytes, FileClass::Volatile)
             .map(|(_, va)| va)
     }
 
     /// Create-and-map a named persistent file.
     pub fn create_named(&self, pid: Pid, name: &str, bytes: u64) -> Result<VirtAddr, VmError> {
-        self.inner
-            .lock()
+        self.lock()
             .create_named(pid, name, bytes, FileClass::Persistent)
             .map(|(_, va)| va)
     }
 
     /// Map an existing named file.
     pub fn open_map(&self, pid: Pid, name: &str, prot: Prot) -> Result<VirtAddr, VmError> {
-        self.inner
-            .lock()
-            .open_map(pid, name, prot)
-            .map(|(_, va)| va)
+        self.lock().open_map(pid, name, prot).map(|(_, va)| va)
     }
 
     /// Unmap a mapping by base address.
     pub fn unmap(&self, pid: Pid, va: VirtAddr) -> Result<(), VmError> {
-        self.inner.lock().unmap(pid, va)
+        self.lock().unmap(pid, va)
     }
 
     /// 8-byte load.
     pub fn load(&self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        self.inner.lock().load(pid, va)
+        self.lock().load(pid, va)
     }
 
     /// 8-byte store.
     pub fn store(&self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        self.inner.lock().store(pid, va, value)
+        self.lock().store(pid, va, value)
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimNs {
-        self.inner.lock().machine().now()
+        self.lock().machine().now()
     }
 
     /// Free frames in the volume.
     pub fn free_frames(&self) -> u64 {
-        self.inner.lock().free_frames()
+        self.lock().free_frames()
     }
 
     /// Run `f` with exclusive kernel access (batch operations).
     pub fn with<T>(&self, f: impl FnOnce(&mut FomKernel) -> T) -> T {
-        f(&mut self.inner.lock())
+        f(&mut self.lock())
     }
 }
 
@@ -131,16 +132,16 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_scoped_sharing_of_a_file() {
+    fn scoped_sharing_of_a_file() {
         let fom = SyncFom::new(FomConfig::default());
         let writer = fom.create_process().unwrap();
         let base = fom.create_named(writer, "/shared/blob", 1 << 20).unwrap();
         for i in 0..16u64 {
             fom.store(writer, base + i * 8, i * i).unwrap();
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let pid = fom.create_process().unwrap();
                     let va = fom.open_map(pid, "/shared/blob", Prot::Read).unwrap();
                     for i in 0..16u64 {
@@ -149,8 +150,7 @@ mod tests {
                     fom.destroy_process(pid).unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The build environment has no crates.io access, so the workspace
 //! vendors the slice of proptest its property tests actually use:
-//! the [`proptest!`] macro, [`Strategy`] with `prop_map`,
-//! [`prop_oneof!`] (weighted and unweighted), [`Just`],
-//! [`any`](arbitrary::any), `collection::vec`, and the
-//! `prop_assert*` macros.
+//! the [`proptest!`] macro, [`Strategy`](strategy::Strategy) with
+//! `prop_map`, [`prop_oneof!`] (weighted and unweighted),
+//! [`Just`](strategy::Just), [`any`](arbitrary::any),
+//! `collection::vec`, and the `prop_assert*` macros.
 //!
 //! Differences from upstream, none of which the workspace's
 //! invariant-style properties depend on:
@@ -113,7 +113,7 @@ pub mod strategy {
     impl_tuple_strategy!(S1 / a, S2 / b, S3 / c, S4 / d, S5 / e);
     impl_tuple_strategy!(S1 / a, S2 / b, S3 / c, S4 / d, S5 / e, S6 / f);
 
-    /// Weighted choice between boxed strategies ([`prop_oneof!`]).
+    /// Weighted choice between boxed strategies ([`prop_oneof!`](crate::prop_oneof!)).
     pub struct Union<T> {
         arms: Vec<(u32, Box<dyn Strategy<Value = T>>)>,
     }
@@ -126,7 +126,7 @@ pub mod strategy {
         }
     }
 
-    /// Box one weighted arm (used by the [`prop_oneof!`] expansion).
+    /// Box one weighted arm (used by the [`prop_oneof!`](crate::prop_oneof!) expansion).
     pub fn weighted<T, S>(weight: u32, strategy: S) -> (u32, Box<dyn Strategy<Value = T>>)
     where
         S: Strategy<Value = T> + 'static,

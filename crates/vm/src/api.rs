@@ -5,22 +5,12 @@
 //! and the file-only-memory kernel and differs only in what the two
 //! designs charge.
 
-use o1_hw::{CpuId, Machine, MachineConfig, PerfSnapshot, VirtAddr, PAGE_SIZE};
+use o1_hw::{CpuId, Machine, PerfSnapshot, VirtAddr, PAGE_SIZE};
 
 use crate::runs::AccessRun;
 use crate::types::{Pid, VmError};
 
-/// Validate the machine half of a kernel builder. CPU counts outside
-/// `1..=o1_hw::MAX_CPUS` are rejected here — at build time, with an
-/// error — rather than panicking deep inside the hardware layer.
-pub fn validate_machine_config(config: &MachineConfig) -> Result<(), VmError> {
-    if config.cpus == 0 || config.cpus > o1_hw::MAX_CPUS {
-        return Err(VmError::InvalidConfig);
-    }
-    Ok(())
-}
-
-/// Generates the [`MachineConfig`]-backed setters every kernel
+/// Generates the [`MachineConfig`](o1_hw::MachineConfig)-backed setters every kernel
 /// builder shares — `cost`, `cpus`, `obs`, `tlb` — so the baseline
 /// and file-only builders cannot drift apart. The builder type must
 /// have `machine: MachineConfig` and `tlb: Option<(usize, usize)>`
@@ -181,46 +171,29 @@ pub trait MemSys {
         write: bool,
         first_value: u64,
     ) -> Result<u64, VmError> {
-        let mut value = first_value;
-        for r in runs {
-            let va = base + r.start_page * PAGE_SIZE;
-            self.access_span(pid, va, r.stride.wrapping_mul(PAGE_SIZE as i64), r.len, write, value)?;
-            value += r.len;
-        }
-        Ok(value)
+        span_runs(self, pid, base, runs, write, first_value)
     }
+}
 
-    /// Drive a whole access sequence in one call: for each address,
-    /// a [`store`](Self::store) of its sequence index when `write`,
-    /// else a [`load`](Self::load). Semantically identical to the
-    /// per-element loop (same order, same values, same charges). The
-    /// addresses are greedily run-length encoded on the fly and fed
-    /// to [`access_span`](Self::access_span), so every implementor —
-    /// trait default and kernel overrides alike — shares one loop and
-    /// kernels get their fast-forward engine for free.
-    fn access_batch(&mut self, pid: Pid, addrs: &[VirtAddr], write: bool) -> Result<(), VmError> {
-        let mut i = 0usize;
-        while i < addrs.len() {
-            let start = addrs[i];
-            let mut stride = 0i64;
-            let mut len = 1u64;
-            if i + 1 < addrs.len() {
-                stride = addrs[i + 1].0.wrapping_sub(start.0) as i64;
-                len = 2;
-                while i + (len as usize) < addrs.len()
-                    && addrs[i + len as usize]
-                        .0
-                        .wrapping_sub(addrs[i + len as usize - 1].0) as i64
-                        == stride
-                {
-                    len += 1;
-                }
-            }
-            self.access_span(pid, start, stride, len, write, i as u64)?;
-            i += len as usize;
-        }
-        Ok(())
+/// The per-run loop behind [`MemSys::access_runs`]: one
+/// [`access_span`](MemSys::access_span) per run, the value counter
+/// running on across runs.
+pub(crate) fn span_runs<S: MemSys + ?Sized>(
+    sys: &mut S,
+    pid: Pid,
+    base: VirtAddr,
+    runs: &[AccessRun],
+    write: bool,
+    first_value: u64,
+) -> Result<u64, VmError> {
+    let mut value = first_value;
+    for r in runs {
+        let va = base + r.start_page * PAGE_SIZE;
+        let stride = r.stride.wrapping_mul(PAGE_SIZE as i64);
+        sys.access_span(pid, va, stride, r.len, write, value)?;
+        value += r.len;
     }
+    Ok(value)
 }
 
 /// Scoped CPU pin over a [`MemSys`], created by [`MemSys::on_cpu`]:
@@ -272,184 +245,13 @@ impl<M: MemSys> Drop for OnCpu<'_, M> {
     }
 }
 
-/// Thin type-erasure facade over [`MemSys`].
-///
-/// The workload drivers are generic (`impl MemSys`), so every kernel ×
-/// driver pair monomorphizes on the figure hot path. Tools that
-/// genuinely need erasure — heterogeneous kernel lists, trait-object
-/// storage — wrap a `&mut dyn MemSys` in `Erased` and pass *that* to
-/// the generic drivers. Every method delegates through the vtable, so
-/// kernel overrides (the fast-forward engines) are reached exactly as
-/// in the monomorphic path; the equivalence test in
-/// `tests/drivers_equiv.rs` proves the two paths produce identical
-/// ledgers.
-pub struct Erased<'a>(pub &'a mut dyn MemSys);
-
-impl MemSys for Erased<'_> {
-    fn sys_name(&self) -> &'static str {
-        self.0.sys_name()
-    }
-
-    fn machine(&self) -> &Machine {
-        self.0.machine()
-    }
-
-    fn machine_mut(&mut self) -> &mut Machine {
-        self.0.machine_mut()
-    }
-
-    fn stats(&self) -> PerfSnapshot {
-        self.0.stats()
-    }
-
-    fn phase(&mut self, label: &'static str) {
-        self.0.phase(label);
-    }
-
-    fn current_cpu(&self) -> CpuId {
-        self.0.current_cpu()
-    }
-
-    fn cpu_count(&self) -> u32 {
-        self.0.cpu_count()
-    }
-
-    fn set_cpu(&mut self, cpu: CpuId) {
-        self.0.set_cpu(cpu);
-    }
-
-    fn create_process(&mut self) -> Result<Pid, VmError> {
-        self.0.create_process()
-    }
-
-    fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        self.0.destroy_process(pid)
-    }
-
-    fn alloc(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError> {
-        self.0.alloc(pid, bytes, populate)
-    }
-
-    fn release(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError> {
-        self.0.release(pid, va, bytes)
-    }
-
-    fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        self.0.load(pid, va)
-    }
-
-    fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        self.0.store(pid, va, value)
-    }
-
-    fn access_span(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        self.0.access_span(pid, va, stride, len, write, first_value)
-    }
-
-    fn access_runs(
-        &mut self,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<u64, VmError> {
-        self.0.access_runs(pid, base, runs, write, first_value)
-    }
-
-    fn access_batch(&mut self, pid: Pid, addrs: &[VirtAddr], write: bool) -> Result<(), VmError> {
-        self.0.access_batch(pid, addrs, write)
-    }
-}
-
-impl MemSys for crate::kernel::BaselineKernel {
-    fn sys_name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn machine(&self) -> &Machine {
-        self.machine()
-    }
-
-    fn machine_mut(&mut self) -> &mut Machine {
-        self.machine_mut()
-    }
-
-    fn current_cpu(&self) -> CpuId {
-        self.current_cpu()
-    }
-
-    fn cpu_count(&self) -> u32 {
-        self.cpu_count()
-    }
-
-    fn set_cpu(&mut self, cpu: CpuId) {
-        self.set_cpu(cpu);
-    }
-
-    fn create_process(&mut self) -> Result<Pid, VmError> {
-        self.create_process()
-    }
-
-    fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        self.destroy_process(pid)
-    }
-
-    fn alloc(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError> {
-        let flags = if populate {
-            crate::types::MapFlags::private_populate()
-        } else {
-            crate::types::MapFlags::private()
-        };
-        self.mmap(
-            pid,
-            bytes,
-            crate::types::Prot::ReadWrite,
-            crate::types::Backing::Anon,
-            flags,
-        )
-    }
-
-    fn release(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError> {
-        self.munmap(pid, va, bytes)
-    }
-
-    fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        self.load(pid, va)
-    }
-
-    fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        self.store(pid, va, value)
-    }
-
-    fn access_span(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        self.access_span(pid, va, stride, len, write, first_value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::BaselineKernel;
     use o1_hw::PAGE_SIZE;
 
-    fn run_generic(sys: &mut impl MemSys) {
+    fn run_generic<S: MemSys + ?Sized>(sys: &mut S) {
         let pid = sys.create_process().unwrap();
         let va = sys.alloc(pid, 8 * PAGE_SIZE, false).unwrap();
         sys.store(pid, va, 1234).unwrap();
@@ -480,7 +282,10 @@ mod tests {
                 .err(),
             Some(VmError::InvalidConfig)
         );
-        assert!(BaselineKernel::builder().cpus(o1_hw::MAX_CPUS).try_build().is_ok());
+        assert!(BaselineKernel::builder()
+            .cpus(o1_hw::MAX_CPUS)
+            .try_build()
+            .is_ok());
     }
 
     #[test]
@@ -495,10 +300,13 @@ mod tests {
             run_generic(&mut *pinned);
         }
         assert_eq!(k.current_cpu(), CpuId::BOOT, "drop restores the CPU");
-        // Erased facade routes CPU placement through the vtable.
-        let mut erased = Erased(&mut k);
-        erased.set_cpu(CpuId(2));
-        assert_eq!(erased.current_cpu(), CpuId(2));
-        k.set_cpu(CpuId::BOOT);
+        // A trait object routes CPU placement and the whole op funnel
+        // through the vtable.
+        let dynamic: &mut dyn MemSys = &mut k;
+        dynamic.set_cpu(CpuId(2));
+        assert_eq!(dynamic.current_cpu(), CpuId(2));
+        run_generic(dynamic);
+        dynamic.set_cpu(CpuId::BOOT);
+        assert_eq!(k.current_cpu(), CpuId::BOOT);
     }
 }

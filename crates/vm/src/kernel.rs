@@ -17,9 +17,8 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    span_within, Access, Asid, AsidAllocator, CpuId, FastMap, FrameNo, Machine, MachineConfig,
-    MemTier, Mmu, PageSize, PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError,
-    VirtAddr, HUGE_2M, PAGE_SIZE, PT_LEVELS,
+    span_within, Access, Asid, FastMap, FrameNo, MachineConfig, MemTier, PageSize, PhysAddr,
+    PtNodeId, PteFlags, RangeTable, TranslateError, VirtAddr, HUGE_2M, PAGE_SIZE, PT_LEVELS,
 };
 use o1_memfs::{FileId, Tmpfs};
 use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
@@ -28,8 +27,9 @@ use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
 /// recorded in the `o1-obs` ledger.
 const MECH: &str = "baseline";
 
+use crate::api::MemSys;
+use crate::kernel_core::{CoreProc, KernelCore, KernelHooks};
 use crate::page_meta::{PageFlag, PageMetaTable};
-use crate::proc_table::ProcTable;
 use crate::reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
 use crate::types::{Backing, MapFlags, Pid, Prot, VmError};
 use crate::vma::{Vma, VmaMap};
@@ -166,15 +166,13 @@ impl BaselineBuilder {
     /// [`VmError::InvalidConfig`] when `cpus` is zero or exceeds
     /// [`o1_hw::MAX_CPUS`].
     pub fn try_build(self) -> Result<BaselineKernel, VmError> {
-        crate::api::validate_machine_config(&self.machine)?;
         let config = MachineConfig {
             dram_bytes: self.config.dram_bytes,
             nvm_bytes: 0,
             ..self.machine
         };
-        let mmu = Mmu::smp(false, config.cpus, self.tlb, None);
-        let machine = Machine::from_config(config);
-        Ok(BaselineKernel::boot(self.config, machine, mmu))
+        let core = KernelCore::boot(config, false, self.tlb, None)?;
+        Ok(BaselineKernel::boot(self.config, core))
     }
 }
 
@@ -182,8 +180,9 @@ impl BaselineBuilder {
 // file-only kernel's builder.
 crate::machine_config_builder!(BaselineBuilder);
 
+/// A baseline process: its address space and what it has in swap.
 #[derive(Debug)]
-struct Proc {
+pub struct BaselineProc {
     asid: Asid,
     root: PtNodeId,
     vmas: VmaMap,
@@ -193,16 +192,35 @@ struct Proc {
     swapped: FastMap<u64, SwapSlot>,
 }
 
+impl CoreProc for BaselineProc {
+    #[inline]
+    fn new(asid: Asid, root: PtNodeId) -> BaselineProc {
+        BaselineProc {
+            asid,
+            root,
+            vmas: VmaMap::new(),
+            swapped: FastMap::default(),
+        }
+    }
+
+    #[inline]
+    fn asid(&self) -> Asid {
+        self.asid
+    }
+
+    #[inline]
+    fn root(&self) -> PtNodeId {
+        self.root
+    }
+}
+
 /// The baseline Linux-like kernel.
 #[derive(Debug)]
 pub struct BaselineKernel {
-    machine: Machine,
-    pt: PageTables,
-    mmu: Mmu,
+    core: KernelCore<BaselineProc>,
     alloc: BuddyAllocator,
     /// The tmpfs instance files live in.
     pub tmpfs: Tmpfs,
-    procs: ProcTable<Proc>,
     meta: PageMetaTable,
     swap: SwapDevice,
     lru: LruLists,
@@ -210,10 +228,6 @@ pub struct BaselineKernel {
     swap_enabled: bool,
     thp: ThpMode,
     fault_around: u32,
-    next_pid: u32,
-    /// ASID lifecycle: sequential-first grants, PCID-style recycling
-    /// with flush-on-reuse once the 16-bit space rolls over.
-    asids: AsidAllocator,
     /// Huge buddy blocks that were split in place: block start frame →
     /// live base pages. The order-9 block returns to the buddy only
     /// when the count reaches zero.
@@ -238,15 +252,12 @@ impl BaselineKernel {
         BaselineBuilder::default()
     }
 
-    fn boot(config: BaselineConfig, machine: Machine, mmu: Mmu) -> BaselineKernel {
-        let frames = machine.phys.total_frames();
+    fn boot(config: BaselineConfig, core: KernelCore<BaselineProc>) -> BaselineKernel {
+        let frames = core.machine.phys.total_frames();
         BaselineKernel {
-            machine,
-            pt: PageTables::new(),
-            mmu,
+            core,
             alloc: BuddyAllocator::new(PhysExtent::new(FrameNo(0), frames)),
             tmpfs: Tmpfs::new(),
-            procs: ProcTable::new(),
             meta: PageMetaTable::new(frames),
             swap: SwapDevice::new(),
             lru: LruLists::new(config.reclaim),
@@ -254,22 +265,10 @@ impl BaselineKernel {
             swap_enabled: config.swap_enabled,
             thp: config.thp,
             fault_around: config.fault_around.max(1),
-            next_pid: 1,
-            asids: AsidAllocator::new(),
             huge_parts: FastMap::default(),
             space_overhead: 0,
             no_ranges: RangeTable::new(),
         }
-    }
-
-    /// The simulated machine (clock, counters, cost model).
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// Mutable machine access (experiments tweak costs, read clock).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
     }
 
     /// Free physical frames.
@@ -280,25 +279,7 @@ impl BaselineKernel {
     /// Configure the hardware translation depth (§2: 5-level paging,
     /// virtualized nesting).
     pub fn set_walk_mode(&mut self, mode: o1_hw::WalkMode) {
-        self.mmu.walk_mode = mode;
-    }
-
-    /// CPU whose private translation caches subsequent operations use.
-    pub fn current_cpu(&self) -> CpuId {
-        self.mmu.current_cpu()
-    }
-
-    /// Run subsequent operations on `cpu`.
-    ///
-    /// # Panics
-    /// Panics if `cpu` is out of range for this machine.
-    pub fn set_cpu(&mut self, cpu: CpuId) {
-        self.mmu.set_cpu(cpu);
-    }
-
-    /// Number of simulated CPUs this kernel was booted with.
-    pub fn cpu_count(&self) -> u32 {
-        self.mmu.cpu_count()
+        self.core.mmu.walk_mode = mode;
     }
 
     /// Bytes of memory wasted by the GreedyHuge space-for-time trade
@@ -309,7 +290,7 @@ impl BaselineKernel {
 
     /// Bytes of page-table metadata currently allocated.
     pub fn pt_metadata_bytes(&self) -> u64 {
-        self.pt.metadata_bytes()
+        self.core.pt.metadata_bytes()
     }
 
     /// Bytes of `struct page` metadata (fixed at boot — the linear
@@ -320,111 +301,17 @@ impl BaselineKernel {
 
     /// Number of VMAs in a process (metadata diagnostics).
     pub fn vma_count(&self, pid: Pid) -> Result<usize, VmError> {
-        Ok(self.proc(pid)?.vmas.len())
-    }
-
-    /// Sample the gauge timeline if the machine's sampler is due.
-    ///
-    /// Mirrors `FomKernel::poll_timeline`: rides the syscall/access
-    /// funnel so gauges are read at quiescent points, and is
-    /// idempotent at a given clock value (the first due sample re-arms
-    /// the sampler past `now`).
-    fn poll_timeline(&mut self) {
-        if !self.machine.timeline_due() {
-            return;
-        }
-        let mut g: Vec<(&'static str, u64)> = vec![
-            ("kernel.procs_live", self.procs.len() as u64),
-            ("kernel.asids_live", u64::from(self.asids.live())),
-            ("kernel.pt_meta_bytes", self.pt.metadata_bytes()),
-            ("kernel.free_frames", self.alloc.free_frames()),
-            ("kernel.swap_used_slots", self.swap.used_slots() as u64),
-            ("kernel.lru_tracked", self.lru.len() as u64),
-        ];
-        self.mmu.gauges(&mut g);
-        self.machine.timeline_sample(&g);
-    }
-
-    fn proc(&self, pid: Pid) -> Result<&Proc, VmError> {
-        self.procs.get(pid).ok_or(VmError::NoProcess)
-    }
-
-    fn proc_mut(&mut self, pid: Pid) -> Result<&mut Proc, VmError> {
-        self.procs.get_mut(pid).ok_or(VmError::NoProcess)
+        Ok(self.core.proc(pid)?.vmas.len())
     }
 
     // ---- process lifecycle ------------------------------------------------
 
-    /// Allocate the next pid and an ASID for it. Pids are monotonic;
-    /// ASIDs come from the recycling allocator, and a recycled
-    /// grant's stale translations are flushed here (the PCID
-    /// rollover cost).
-    fn alloc_pid(&mut self) -> Result<(Pid, Asid), VmError> {
-        let grant = self.asids.alloc().ok_or(VmError::ProcessLimit)?;
-        if grant.needs_flush {
-            self.mmu.flush_asid(&mut self.machine, grant.asid);
-        }
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        Ok((pid, grant.asid))
-    }
-
-    /// Create an empty process.
-    ///
-    /// # Errors
-    /// [`VmError::ProcessLimit`] while all 65535 16-bit ASIDs are
-    /// held by live processes.
-    pub fn create_process(&mut self) -> Result<Pid, VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        let (pid, asid) = self.alloc_pid()?;
-        let root = self.pt.create_root(&mut self.machine);
-        self.procs.insert(
-            pid,
-            Proc {
-                asid,
-                root,
-                vmas: VmaMap::new(),
-                swapped: FastMap::default(),
-            },
-        );
-        self.machine.op_end(t0, OpKind::Launch, MECH);
-        self.poll_timeline();
-        Ok(pid)
-    }
-
-    /// Tear down a process: unmap everything (page by page — the
-    /// baseline's linear exit cost), free its page tables, drop swap.
-    pub fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        let regions: Vec<(VirtAddr, u64)> = self
-            .proc(pid)?
-            .vmas
-            .iter()
-            .map(|v| (v.start, v.len()))
-            .collect();
-        for (start, len) in regions {
-            self.unmap_region(pid, start, len)?;
-        }
-        let proc = self.procs.remove(pid).expect("checked above");
-        for (_, slot) in proc.swapped {
-            self.swap.discard(slot);
-        }
-        self.mmu.flush_asid(&mut self.machine, proc.asid);
-        self.asids.free(proc.asid);
-        self.pt.release(&mut self.machine, proc.root);
-        self.machine.op_end(t0, OpKind::Teardown, MECH);
-        self.poll_timeline();
-        Ok(())
-    }
-
     /// Fork: duplicate the address space with copy-on-write. Linear in
     /// the number of *mapped* pages, as on real hardware.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let (p_root, p_asid, vmas, swapped): (PtNodeId, Asid, Vec<Vma>, Vec<(u64, SwapSlot)>) = {
-            let p = self.proc(parent)?;
+            let p = self.core.proc(parent)?;
             (
                 p.root,
                 p.asid,
@@ -432,11 +319,11 @@ impl BaselineKernel {
                 p.swapped.iter().map(|(&k, &v)| (k, v)).collect(),
             )
         };
-        let (child, child_asid) = self.alloc_pid()?;
-        let c_root = self.pt.create_root(&mut self.machine);
+        let (child, grant) = self.core.alloc_pid()?;
+        let c_root = self.core.pt.create_root(&mut self.core.machine);
         let mut c_vmas = VmaMap::new();
         for v in &vmas {
-            self.machine.charge_kind(CostKind::VmaCreate);
+            self.core.machine.charge_kind(CostKind::VmaCreate);
             c_vmas.insert(*v);
         }
         let mut c_swapped = FastMap::default();
@@ -446,7 +333,7 @@ impl BaselineKernel {
         for (vpage, slot) in swapped {
             let va = VirtAddr(vpage * PAGE_SIZE);
             self.swap_in_page(parent, va, slot)?;
-            self.proc_mut(parent)?.swapped.remove(&vpage);
+            self.core.proc_mut(parent)?.swapped.remove(&vpage);
             let _ = &mut c_swapped;
         }
         // Huge mappings are split before COW-sharing (as Linux did for
@@ -455,7 +342,7 @@ impl BaselineKernel {
         for v in &vmas {
             let mut va = v.start;
             while va < v.end {
-                match self.pt.lookup(p_root, va) {
+                match self.core.pt.lookup(p_root, va) {
                     Some(t) if t.size != PageSize::Base => {
                         let leaf = va.align_down(t.size.bytes());
                         self.split_huge_leaf(parent, p_root, p_asid, leaf);
@@ -469,24 +356,26 @@ impl BaselineKernel {
         for v in &vmas {
             let mut va = v.start;
             while va < v.end {
-                if let Some(t) = self.pt.lookup(p_root, va) {
+                if let Some(t) = self.core.pt.lookup(p_root, va) {
                     let frame = t.pa.frame();
                     // Downgrade parent to COW (skip shared mappings).
                     if !v.shared {
-                        self.pt.unmap(&mut self.machine, p_root, va);
+                        self.core.pt.unmap(&mut self.core.machine, p_root, va);
                         let flags = pte_for(v.prot)
                             .difference(PteFlags::WRITE)
                             .union(cow_bit(v.prot));
-                        self.pt
-                            .map(&mut self.machine, p_root, va, frame, PageSize::Base, flags)
+                        let core = &mut self.core;
+                        core.pt
+                            .map(&mut core.machine, p_root, va, frame, PageSize::Base, flags)
                             .expect("remapping just-unmapped page");
-                        self.pt
-                            .map(&mut self.machine, c_root, va, frame, PageSize::Base, flags)
+                        core.pt
+                            .map(&mut core.machine, c_root, va, frame, PageSize::Base, flags)
                             .expect("child slot empty");
                     } else {
-                        self.pt
+                        self.core
+                            .pt
                             .map(
-                                &mut self.machine,
+                                &mut self.core.machine,
                                 c_root,
                                 va,
                                 frame,
@@ -498,18 +387,19 @@ impl BaselineKernel {
                     let meta = self.meta.get_mut(frame);
                     meta.mapcount += 1;
                     meta.rmap.push((child, va));
-                    self.machine.charge_kind(CostKind::PageMetaUpdate);
-                    self.machine.perf.page_meta_updates += 1;
+                    self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+                    self.core.machine.perf.page_meta_updates += 1;
                 }
                 va += PAGE_SIZE;
             }
         }
-        self.mmu.flush_asid(&mut self.machine, p_asid);
-        self.mmu.charge_shootdown(&mut self.machine, p_asid);
-        self.procs.insert(
+        self.core.mmu.flush_asid(&mut self.core.machine, p_asid);
+        let core = &mut self.core;
+        core.mmu.charge_shootdown(&mut core.machine, p_asid);
+        self.core.procs.insert(
             child,
-            Proc {
-                asid: child_asid,
+            BaselineProc {
+                asid: grant.asid,
                 root: c_root,
                 vmas: c_vmas,
                 swapped: c_swapped,
@@ -529,7 +419,7 @@ impl BaselineKernel {
         stack_bytes: u64,
         populate: bool,
     ) -> Result<Pid, VmError> {
-        let pid = self.create_process().unwrap();
+        let pid = self.create_process()?;
         let flags = if populate {
             MapFlags::private_populate()
         } else {
@@ -555,12 +445,12 @@ impl BaselineKernel {
         if initial_bytes == 0 || initial_bytes > max_bytes {
             return Err(VmError::BadRange);
         }
-        self.machine.charge_syscall();
-        self.machine.charge_kind(CostKind::MmapFixed);
-        self.machine.charge_kind(CostKind::VmaCreate);
+        self.core.machine.charge_syscall();
+        self.core.machine.charge_kind(CostKind::MmapFixed);
+        self.core.machine.charge_kind(CostKind::VmaCreate);
         let initial = o1_hw::round_up_pages(initial_bytes);
         let max = o1_hw::round_up_pages(max_bytes);
-        let proc = self.proc_mut(pid)?;
+        let proc = self.core.proc_mut(pid)?;
         // Reserve the whole growth window plus a guard page.
         let window = proc.vmas.find_gap(VirtAddr(MMAP_BASE), max + 2 * PAGE_SIZE) + PAGE_SIZE;
         let limit = window + PAGE_SIZE; // guard page below the limit
@@ -581,7 +471,7 @@ impl BaselineKernel {
     /// start, extend the VMA down to cover it and return the grown
     /// VMA.
     fn try_grow_stack(&mut self, pid: Pid, va: VirtAddr) -> Result<Option<Vma>, VmError> {
-        let proc = self.proc_mut(pid)?;
+        let proc = self.core.proc_mut(pid)?;
         let Some(next) = proc.vmas.next_above(va) else {
             return Ok(None);
         };
@@ -593,7 +483,7 @@ impl BaselineKernel {
         let new_start = va.align_down(PAGE_SIZE);
         proc.vmas.grow_down(old_start, new_start);
         let grown = proc.vmas.find(va).copied();
-        self.machine.charge_kind(CostKind::VmaCreate);
+        self.core.machine.charge_kind(CostKind::VmaCreate);
         Ok(grown)
     }
 
@@ -628,10 +518,10 @@ impl BaselineKernel {
         if len == 0 {
             return Err(VmError::BadRange);
         }
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
-        self.machine.charge_kind(CostKind::MmapFixed);
-        self.machine.charge_kind(CostKind::VmaCreate);
+        let t0 = self.core.machine.op_start();
+        self.core.machine.charge_syscall();
+        self.core.machine.charge_kind(CostKind::MmapFixed);
+        self.core.machine.charge_kind(CostKind::VmaCreate);
         let mut len = o1_hw::round_up_pages(len);
         let anon = matches!(backing, Backing::Anon);
         if anon && self.thp == ThpMode::GreedyHuge {
@@ -645,7 +535,7 @@ impl BaselineKernel {
             self.tmpfs.inc_ref(id).map_err(VmError::from)?;
         }
         let huge_align = anon && self.thp != ThpMode::Never && len >= HUGE_2M;
-        let proc = self.proc_mut(pid)?;
+        let proc = self.core.proc_mut(pid)?;
         // Leave a one-page guard gap before the region, as real mmap
         // layouts do (also keeps stacks from silently merging into
         // heaps). Huge-eligible regions are 2 MiB-aligned so the
@@ -671,7 +561,7 @@ impl BaselineKernel {
             let mut va = start;
             let end = start + len;
             while va < end {
-                if self.machine.fastforward() {
+                if self.core.machine.fastforward() {
                     let left = (end.0 - va.0) / PAGE_SIZE;
                     if let Some(done) = self.try_populate_run(pid, va, left, vma) {
                         va += done * PAGE_SIZE;
@@ -682,7 +572,7 @@ impl BaselineKernel {
                 va += PAGE_SIZE;
             }
         }
-        self.machine.op_end(t0, OpKind::Mmap, MECH);
+        self.core.machine.op_end(t0, OpKind::Mmap, MECH);
         self.poll_timeline();
         Ok(start)
     }
@@ -690,30 +580,31 @@ impl BaselineKernel {
     /// `munmap`: remove `[va, va+len)`. Per-page teardown, as on
     /// Linux.
     pub fn munmap(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        let t0 = self.machine.op_start();
-        self.machine.charge_syscall();
+        let t0 = self.core.machine.op_start();
+        self.core.machine.charge_syscall();
         if len == 0 || !va.is_aligned(PAGE_SIZE) {
             return Err(VmError::BadRange);
         }
         self.unmap_region(pid, va, o1_hw::round_up_pages(len))?;
-        self.machine.op_end(t0, OpKind::Munmap, MECH);
+        self.core.machine.op_end(t0, OpKind::Munmap, MECH);
         self.poll_timeline();
         Ok(())
     }
 
     fn unmap_region(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
         let removed = {
-            let proc = self.proc_mut(pid)?;
+            let proc = self.core.proc_mut(pid)?;
             proc.vmas.remove_range(va, len)
         };
-        self.machine.charge_kind(CostKind::VmaDestroy);
+        self.core.machine.charge_kind(CostKind::VmaDestroy);
         let (root, asid) = {
-            let p = self.proc(pid)?;
+            let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
         for piece in removed {
             if let Backing::File { id, .. } = piece.backing {
-                let (machine, tmpfs, alloc) = (&mut self.machine, &mut self.tmpfs, &mut self.alloc);
+                let (machine, tmpfs, alloc) =
+                    (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
                 tmpfs.dec_ref(machine, alloc, id).map_err(VmError::from)?;
             }
             // Huge leaves straddling the piece boundaries must be
@@ -724,13 +615,13 @@ impl BaselineKernel {
             while page_va < piece.end {
                 self.drop_page_mapping(pid, root, asid, page_va);
                 let vpage = page_va.page().0;
-                if let Some(slot) = self.proc_mut(pid)?.swapped.remove(&vpage) {
+                if let Some(slot) = self.core.proc_mut(pid)?.swapped.remove(&vpage) {
                     self.swap.discard(slot);
                 }
                 page_va += PAGE_SIZE;
             }
         }
-        self.mmu.charge_shootdown(&mut self.machine, asid);
+        self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
         Ok(())
     }
 
@@ -741,7 +632,7 @@ impl BaselineKernel {
     /// goes (`huge_parts` refcount). This is the huge-page
     /// fragmentation cost the paper's §3 describes.
     fn split_huge_covering(&mut self, pid: Pid, root: PtNodeId, asid: Asid, boundary: VirtAddr) {
-        let Some(t) = self.pt.lookup(root, boundary) else {
+        let Some(t) = self.core.pt.lookup(root, boundary) else {
             return;
         };
         if t.size == PageSize::Base || boundary.is_aligned(t.size.bytes()) {
@@ -753,10 +644,12 @@ impl BaselineKernel {
     /// Unconditionally split the huge leaf based at `leaf_va`.
     fn split_huge_leaf(&mut self, pid: Pid, root: PtNodeId, asid: Asid, leaf_va: VirtAddr) {
         let (head, flags, size) = self
+            .core
             .pt
-            .unmap(&mut self.machine, root, leaf_va)
+            .unmap(&mut self.core.machine, root, leaf_va)
             .expect("split of unmapped leaf");
-        self.mmu.invalidate_page(&mut self.machine, asid, leaf_va);
+        let core = &mut self.core;
+        core.mmu.invalidate_page(&mut core.machine, asid, leaf_va);
         let pages = size.bytes() / PAGE_SIZE;
         self.huge_parts.insert(head.0, pages as u32);
         // Head-frame metadata dissolves into per-frame records.
@@ -770,11 +663,12 @@ impl BaselineKernel {
         for i in 0..pages {
             let frame = head + i;
             let va = leaf_va + i * PAGE_SIZE;
-            self.pt
-                .map(&mut self.machine, root, va, frame, PageSize::Base, flags)
+            let core = &mut self.core;
+            core.pt
+                .map(&mut core.machine, root, va, frame, PageSize::Base, flags)
                 .expect("fresh base slot inside split leaf");
-            self.machine.charge_kind(CostKind::PageMetaUpdate);
-            self.machine.perf.page_meta_updates += 1;
+            self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+            self.core.machine.perf.page_meta_updates += 1;
             let meta = self.meta.get_mut(frame);
             meta.mapcount = 1;
             meta.rmap.push((pid, va));
@@ -786,7 +680,7 @@ impl BaselineKernel {
                 self.lru.insert(frame);
             }
         }
-        self.mmu.charge_shootdown(&mut self.machine, asid);
+        self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
     }
 
     /// Return one base frame to the allocator, honouring split huge
@@ -799,24 +693,26 @@ impl BaselineKernel {
             if *live == 0 {
                 self.huge_parts.remove(&block);
                 self.alloc
-                    .free_block(&mut self.machine, PhysExtent::new(FrameNo(block), 512));
+                    .free_block(&mut self.core.machine, PhysExtent::new(FrameNo(block), 512));
             }
             return;
         }
         self.alloc
-            .free_block(&mut self.machine, PhysExtent::new(frame, 1));
+            .free_block(&mut self.core.machine, PhysExtent::new(frame, 1));
     }
 
     /// Unmap the mapping covering `va` (any size) and release the
     /// frame(s) if this was the last mapping and they are
     /// process-owned (not file pages).
     fn drop_page_mapping(&mut self, pid: Pid, root: PtNodeId, asid: Asid, va: VirtAddr) {
-        let Some((frame, _flags, size)) = self.pt.unmap(&mut self.machine, root, va) else {
+        let Some((frame, _flags, size)) = self.core.pt.unmap(&mut self.core.machine, root, va)
+        else {
             return;
         };
-        self.mmu.invalidate_page(&mut self.machine, asid, va);
-        self.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.machine.perf.page_meta_updates += 1;
+        let core = &mut self.core;
+        core.mmu.invalidate_page(&mut core.machine, asid, va);
+        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+        self.core.machine.perf.page_meta_updates += 1;
         let meta = self.meta.get_mut(frame);
         meta.mapcount = meta.mapcount.saturating_sub(1);
         meta.rmap.retain(|&(p, v)| !(p == pid && v == va));
@@ -829,7 +725,7 @@ impl BaselineKernel {
                 // A whole huge leaf: the block was never split, so it
                 // returns to the buddy in one piece.
                 _ => self.alloc.free_block(
-                    &mut self.machine,
+                    &mut self.core.machine,
                     PhysExtent::new(frame, size.bytes() / PAGE_SIZE),
                 ),
             }
@@ -845,14 +741,14 @@ impl BaselineKernel {
         len: u64,
         prot: Prot,
     ) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let len = o1_hw::round_up_pages(len);
         let (root, asid) = {
-            let p = self.proc(pid)?;
+            let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
         {
-            let proc = self.proc_mut(pid)?;
+            let proc = self.core.proc_mut(pid)?;
             if !proc.vmas.set_prot(va, len, prot) {
                 return Err(VmError::BadRange);
             }
@@ -863,30 +759,33 @@ impl BaselineKernel {
         self.split_huge_covering(pid, root, asid, va + len);
         let mut page_va = va;
         while page_va < va + len {
-            if let Some((frame, old, size)) = self.pt.unmap(&mut self.machine, root, page_va) {
+            if let Some((frame, old, size)) =
+                self.core.pt.unmap(&mut self.core.machine, root, page_va)
+            {
                 let keep_cow = old.contains(PteFlags::COW);
                 let mut flags = pte_for(prot);
                 if keep_cow {
                     flags = flags.difference(PteFlags::WRITE).union(PteFlags::COW);
                 }
-                self.pt
-                    .map(&mut self.machine, root, page_va, frame, size, flags)
+                self.core
+                    .pt
+                    .map(&mut self.core.machine, root, page_va, frame, size, flags)
                     .expect("remap after unmap");
                 page_va += size.bytes();
             } else {
                 page_va += PAGE_SIZE;
             }
         }
-        self.mmu.flush_asid(&mut self.machine, asid);
-        self.mmu.charge_shootdown(&mut self.machine, asid);
+        self.core.mmu.flush_asid(&mut self.core.machine, asid);
+        self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
         Ok(())
     }
 
     /// `madvise(MADV_DONTNEED)`: drop anonymous pages in the range.
     pub fn madvise_dontneed(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let (root, asid) = {
-            let p = self.proc(pid)?;
+            let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
         let len = o1_hw::round_up_pages(len);
@@ -897,7 +796,7 @@ impl BaselineKernel {
             self.drop_page_mapping(pid, root, asid, page_va);
             page_va += PAGE_SIZE;
         }
-        self.mmu.charge_shootdown(&mut self.machine, asid);
+        self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
         Ok(())
     }
 
@@ -905,10 +804,10 @@ impl BaselineKernel {
 
     fn populate_page(&mut self, pid: Pid, va: VirtAddr, vma: Vma) -> Result<(), VmError> {
         let (root, _asid) = {
-            let p = self.proc(pid)?;
+            let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
-        if self.pt.lookup(root, va).is_some() {
+        if self.core.pt.lookup(root, va).is_some() {
             return Ok(());
         }
         match vma.backing {
@@ -919,9 +818,10 @@ impl BaselineKernel {
                     return Ok(());
                 }
                 let frame = self.alloc_frame()?;
-                self.pt
+                self.core
+                    .pt
                     .map(
-                        &mut self.machine,
+                        &mut self.core.machine,
                         root,
                         va,
                         frame,
@@ -935,8 +835,8 @@ impl BaselineKernel {
                 meta.set(PageFlag::Swapbacked);
                 meta.set(PageFlag::Lru);
                 meta.set(PageFlag::Uptodate);
-                self.machine.charge_kind(CostKind::PageMetaUpdate);
-                self.machine.perf.page_meta_updates += 1;
+                self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+                self.core.machine.perf.page_meta_updates += 1;
                 if self.swap_enabled {
                     self.lru.insert(frame);
                 }
@@ -944,7 +844,8 @@ impl BaselineKernel {
             Backing::File { id, .. } => {
                 let file_off = vma.file_offset_of(va).expect("va inside file vma");
                 let file_page = file_off / PAGE_SIZE;
-                let (machine, tmpfs, alloc) = (&mut self.machine, &mut self.tmpfs, &mut self.alloc);
+                let (machine, tmpfs, alloc) =
+                    (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
                 let frame = tmpfs
                     .get_or_alloc_page(machine, alloc, id, file_page)
                     .map_err(VmError::from)?;
@@ -957,16 +858,17 @@ impl BaselineKernel {
                         .difference(PteFlags::WRITE)
                         .union(cow_bit(vma.prot))
                 };
-                self.pt
-                    .map(&mut self.machine, root, va, frame, PageSize::Base, flags)
+                let core = &mut self.core;
+                core.pt
+                    .map(&mut core.machine, root, va, frame, PageSize::Base, flags)
                     .expect("fresh file slot");
                 let meta = self.meta.get_mut(frame);
                 meta.mapcount += 1;
                 meta.rmap.push((pid, va));
                 meta.set(PageFlag::Mappedtodisk);
                 meta.set(PageFlag::Uptodate);
-                self.machine.charge_kind(CostKind::PageMetaUpdate);
-                self.machine.perf.page_meta_updates += 1;
+                self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+                self.core.machine.perf.page_meta_updates += 1;
             }
         }
         Ok(())
@@ -992,7 +894,7 @@ impl BaselineKernel {
         }
         // One tier keeps the zeroing charge uniform (true of every
         // baseline machine; cheap to re-check).
-        if self.machine.phys.nvm_frames() != 0 {
+        if self.core.machine.phys.nvm_frames() != 0 {
             return None;
         }
         // No allocation in the run may dip below the reclaim
@@ -1014,8 +916,8 @@ impl BaselineKernel {
         if want < 2 {
             return None;
         }
-        let root = self.procs.get(pid)?.root;
-        let span = self.pt.absent_run(root, va, want);
+        let root = self.core.procs.get(pid)?.root;
+        let span = self.core.pt.absent_run(root, va, want);
         if span < 2 {
             return None;
         }
@@ -1028,8 +930,7 @@ impl BaselineKernel {
         let mut at = va;
         let mut nodes_total = 0u64;
         let BaselineKernel {
-            machine,
-            pt,
+            core: KernelCore { machine, pt, .. },
             alloc,
             meta,
             lru,
@@ -1085,21 +986,22 @@ impl BaselineKernel {
         // forbids the huge mapping.
         let mut at = leaf_va;
         while at < leaf_va + HUGE_2M {
-            if self.pt.lookup(root, at).is_some()
-                || self.proc(pid)?.swapped.contains_key(&at.page().0)
+            if self.core.pt.lookup(root, at).is_some()
+                || self.core.proc(pid)?.swapped.contains_key(&at.page().0)
             {
                 return Ok(false);
             }
             at += PAGE_SIZE;
         }
-        let Ok(ext) = self.alloc.alloc_order(&mut self.machine, 9) else {
+        let Ok(ext) = self.alloc.alloc_order(&mut self.core.machine, 9) else {
             return Ok(false); // fragmentation: fall back to base pages
         };
-        self.machine.charge_zero_fg(MemTier::Dram, HUGE_2M);
-        self.machine.phys.zero_frames(ext.start, ext.frames);
-        self.pt
+        self.core.machine.charge_zero_fg(MemTier::Dram, HUGE_2M);
+        self.core.machine.phys.zero_frames(ext.start, ext.frames);
+        self.core
+            .pt
             .map(
-                &mut self.machine,
+                &mut self.core.machine,
                 root,
                 leaf_va,
                 ext.start,
@@ -1113,18 +1015,18 @@ impl BaselineKernel {
         meta.set(PageFlag::Head);
         meta.set(PageFlag::Swapbacked);
         meta.set(PageFlag::Uptodate);
-        self.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.machine.perf.page_meta_updates += 1;
+        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+        self.core.machine.perf.page_meta_updates += 1;
         // Huge pages are not on the reclaim lists (they would need a
         // split first); splitting re-inserts the fragments.
         Ok(true)
     }
 
     fn page_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<(), VmError> {
-        self.machine.charge_kind(CostKind::FaultTrap);
-        self.machine.charge_kind(CostKind::FaultHandlerBase);
-        self.machine.charge_kind(CostKind::VmaFind);
-        let vma = match self.proc(pid)?.vmas.find(va) {
+        self.core.machine.charge_kind(CostKind::FaultTrap);
+        self.core.machine.charge_kind(CostKind::FaultHandlerBase);
+        self.core.machine.charge_kind(CostKind::VmaFind);
+        let vma = match self.core.proc(pid)?.vmas.find(va) {
             Some(v) => *v,
             None => {
                 // Stack growth: a fault just below a grow-down VMA
@@ -1132,34 +1034,34 @@ impl BaselineKernel {
                 match self.try_grow_stack(pid, va)? {
                     Some(grown) => grown,
                     None => {
-                        self.machine.perf.prot_faults += 1;
+                        self.core.machine.perf.prot_faults += 1;
                         return Err(VmError::BadAddress);
                     }
                 }
             }
         };
         if access == Access::Write && !vma.prot.writable() {
-            self.machine.perf.prot_faults += 1;
+            self.core.machine.perf.prot_faults += 1;
             return Err(VmError::ProtectionFault);
         }
         let vpage = va.page().0;
-        if let Some(&slot) = self.proc(pid)?.swapped.get(&vpage) {
-            self.machine.perf.major_faults += 1;
-            self.proc_mut(pid)?.swapped.remove(&vpage);
+        if let Some(&slot) = self.core.proc(pid)?.swapped.get(&vpage) {
+            self.core.machine.perf.major_faults += 1;
+            self.core.proc_mut(pid)?.swapped.remove(&vpage);
             return self.swap_in_page(pid, va.page().base(), slot);
         }
-        self.machine.perf.minor_faults += 1;
+        self.core.machine.perf.minor_faults += 1;
         self.populate_page(pid, va.page().base(), vma)?;
         // Fault-around: opportunistically populate the following pages
         // of the VMA without extra traps (Linux does this for file
         // mappings; configurable here for both).
         if self.fault_around > 1 {
-            let root = self.proc(pid)?.root;
+            let root = self.core.proc(pid)?.root;
             for i in 1..u64::from(self.fault_around) {
                 let next = va.page().base() + i * PAGE_SIZE;
                 if next >= vma.end
-                    || self.pt.lookup(root, next).is_some()
-                    || self.proc(pid)?.swapped.contains_key(&next.page().0)
+                    || self.core.pt.lookup(root, next).is_some()
+                    || self.core.proc(pid)?.swapped.contains_key(&next.page().0)
                 {
                     continue;
                 }
@@ -1171,32 +1073,32 @@ impl BaselineKernel {
 
     /// Handle a protection fault: break COW if applicable.
     fn protection_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<(), VmError> {
-        self.machine.charge_kind(CostKind::FaultTrap);
-        self.machine.charge_kind(CostKind::FaultHandlerBase);
-        self.machine.charge_kind(CostKind::VmaFind);
-        let vma = match self.proc(pid)?.vmas.find(va) {
+        self.core.machine.charge_kind(CostKind::FaultTrap);
+        self.core.machine.charge_kind(CostKind::FaultHandlerBase);
+        self.core.machine.charge_kind(CostKind::VmaFind);
+        let vma = match self.core.proc(pid)?.vmas.find(va) {
             Some(v) => *v,
             None => {
-                self.machine.perf.prot_faults += 1;
+                self.core.machine.perf.prot_faults += 1;
                 return Err(VmError::BadAddress);
             }
         };
         let (root, asid) = {
-            let p = self.proc(pid)?;
+            let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
         let page_va = va.page().base();
-        let Some(t) = self.pt.lookup(root, page_va) else {
-            self.machine.perf.prot_faults += 1;
+        let Some(t) = self.core.pt.lookup(root, page_va) else {
+            self.core.machine.perf.prot_faults += 1;
             return Err(VmError::ProtectionFault);
         };
         let is_cow_write =
             access == Access::Write && t.flags.contains(PteFlags::COW) && vma.prot.writable();
         if !is_cow_write {
-            self.machine.perf.prot_faults += 1;
+            self.core.machine.perf.prot_faults += 1;
             return Err(VmError::ProtectionFault);
         }
-        self.machine.perf.minor_faults += 1;
+        self.core.machine.perf.minor_faults += 1;
         let old_frame = t.pa.frame();
         // If we are the only mapper of a non-file page, just upgrade.
         let (sole_owner, file_owned) = {
@@ -1204,10 +1106,11 @@ impl BaselineKernel {
             (meta.mapcount == 1, meta.test(PageFlag::Mappedtodisk))
         };
         if sole_owner && !file_owned {
-            self.pt.unmap(&mut self.machine, root, page_va);
-            self.pt
+            self.core.pt.unmap(&mut self.core.machine, root, page_va);
+            self.core
+                .pt
                 .map(
-                    &mut self.machine,
+                    &mut self.core.machine,
                     root,
                     page_va,
                     old_frame,
@@ -1215,20 +1118,22 @@ impl BaselineKernel {
                     pte_for(vma.prot),
                 )
                 .expect("remap upgraded page");
-            self.mmu.invalidate_page(&mut self.machine, asid, page_va);
+            let core = &mut self.core;
+            core.mmu.invalidate_page(&mut core.machine, asid, page_va);
             return Ok(());
         }
         // Copy the page.
         let new_frame = self.alloc_frame()?;
-        self.machine.charge_kind(CostKind::CopyPage);
+        self.core.machine.charge_kind(CostKind::CopyPage);
         let mut buf = vec![0u8; PAGE_SIZE as usize];
-        self.machine.phys.read(old_frame.base(), &mut buf);
-        self.machine.phys.write(new_frame.base(), &buf);
+        self.core.machine.phys.read(old_frame.base(), &mut buf);
+        self.core.machine.phys.write(new_frame.base(), &buf);
         // Swing the PTE.
-        self.pt.unmap(&mut self.machine, root, page_va);
-        self.pt
+        self.core.pt.unmap(&mut self.core.machine, root, page_va);
+        self.core
+            .pt
             .map(
-                &mut self.machine,
+                &mut self.core.machine,
                 root,
                 page_va,
                 new_frame,
@@ -1236,7 +1141,8 @@ impl BaselineKernel {
                 pte_for(vma.prot),
             )
             .expect("remap copied page");
-        self.mmu.invalidate_page(&mut self.machine, asid, page_va);
+        let core = &mut self.core;
+        core.mmu.invalidate_page(&mut core.machine, asid, page_va);
         // Old frame bookkeeping.
         {
             let meta = self.meta.get_mut(old_frame);
@@ -1258,8 +1164,8 @@ impl BaselineKernel {
         meta.rmap.push((pid, page_va));
         meta.set(PageFlag::Swapbacked);
         meta.set(PageFlag::Uptodate);
-        self.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.machine.perf.page_meta_updates += 1;
+        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+        self.core.machine.perf.page_meta_updates += 1;
         if self.swap_enabled {
             self.lru.insert(new_frame);
         }
@@ -1267,14 +1173,20 @@ impl BaselineKernel {
     }
 
     fn swap_in_page(&mut self, pid: Pid, va: VirtAddr, slot: SwapSlot) -> Result<(), VmError> {
-        let vma = *self.proc(pid)?.vmas.find(va).ok_or(VmError::BadAddress)?;
+        let vma = *self
+            .core
+            .proc(pid)?
+            .vmas
+            .find(va)
+            .ok_or(VmError::BadAddress)?;
         let frame = self.alloc_frame()?;
-        let data = self.swap.swap_in(&mut self.machine, slot);
-        self.machine.phys.put_frame_image(frame, data);
-        let root = self.proc(pid)?.root;
-        self.pt
+        let data = self.swap.swap_in(&mut self.core.machine, slot);
+        self.core.machine.phys.put_frame_image(frame, data);
+        let root = self.core.proc(pid)?.root;
+        self.core
+            .pt
             .map(
-                &mut self.machine,
+                &mut self.core.machine,
                 root,
                 va,
                 frame,
@@ -1287,8 +1199,8 @@ impl BaselineKernel {
         meta.rmap.push((pid, va));
         meta.set(PageFlag::Swapbacked);
         meta.set(PageFlag::Uptodate);
-        self.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.machine.perf.page_meta_updates += 1;
+        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
+        self.core.machine.perf.page_meta_updates += 1;
         if self.swap_enabled {
             self.lru.insert(frame);
         }
@@ -1302,19 +1214,19 @@ impl BaselineKernel {
         if self.alloc.free_frames() < self.low_watermark && self.swap_enabled {
             self.reclaim_until(self.low_watermark);
         }
-        let ext = match self.alloc.alloc_one(&mut self.machine) {
+        let ext = match self.alloc.alloc_one(&mut self.core.machine) {
             Ok(e) => e,
             Err(_) if self.swap_enabled => {
                 self.reclaim_until(self.low_watermark.max(1));
                 self.alloc
-                    .alloc_one(&mut self.machine)
+                    .alloc_one(&mut self.core.machine)
                     .map_err(|_| VmError::NoMemory)?
             }
             Err(_) => return Err(VmError::NoMemory),
         };
         // Baseline zeroes on the allocation critical path.
-        self.machine.charge_zero_fg(MemTier::Dram, PAGE_SIZE);
-        self.machine.phys.zero_frames(ext.start, 1);
+        self.core.machine.charge_zero_fg(MemTier::Dram, PAGE_SIZE);
+        self.core.machine.phys.zero_frames(ext.start, 1);
         Ok(ext.start)
     }
 
@@ -1329,8 +1241,8 @@ impl BaselineKernel {
             let Some(frame) = self.lru.next_candidate() else {
                 break;
             };
-            self.machine.charge_kind(CostKind::ReclaimScanPage);
-            self.machine.perf.reclaim_scanned += 1;
+            self.core.machine.charge_kind(CostKind::ReclaimScanPage);
+            self.core.machine.perf.reclaim_scanned += 1;
             let (pins, rmap) = {
                 let meta = self.meta.get(frame);
                 (meta.pins, meta.rmap.clone())
@@ -1342,9 +1254,9 @@ impl BaselineKernel {
             // Referenced anywhere → second chance.
             let mut referenced = false;
             for &(pid, va) in &rmap {
-                if let Ok(p) = self.proc(pid) {
+                if let Ok(p) = self.core.proc(pid) {
                     let root = p.root;
-                    if self.pt.test_and_clear_accessed(root, va) == Some(true) {
+                    if self.core.pt.test_and_clear_accessed(root, va) == Some(true) {
                         referenced = true;
                     }
                 }
@@ -1355,16 +1267,17 @@ impl BaselineKernel {
             }
             // Evict.
             self.lru.verdict(frame, ScanDecision::Evict);
-            let data = self.machine.phys.take_frame_image(frame);
-            let slot = self.swap.swap_out(&mut self.machine, data);
+            let data = self.core.machine.phys.take_frame_image(frame);
+            let slot = self.swap.swap_out(&mut self.core.machine, data);
             let mut round_asid = None;
             for (pid, va) in rmap {
-                let Ok(p) = self.proc(pid) else { continue };
+                let Ok(p) = self.core.proc(pid) else { continue };
                 let (root, asid) = (p.root, p.asid);
                 round_asid.get_or_insert(asid);
-                self.pt.unmap(&mut self.machine, root, va);
-                self.mmu.invalidate_page(&mut self.machine, asid, va);
-                if let Ok(p) = self.proc_mut(pid) {
+                self.core.pt.unmap(&mut self.core.machine, root, va);
+                let core = &mut self.core;
+                core.mmu.invalidate_page(&mut core.machine, asid, va);
+                if let Ok(p) = self.core.proc_mut(pid) {
                     p.swapped.insert(va.page().0, slot);
                 }
             }
@@ -1373,8 +1286,8 @@ impl BaselineKernel {
             // its responders; further mappers were already notified by
             // the per-page broadcasts above).
             match round_asid {
-                Some(asid) => self.mmu.charge_shootdown(&mut self.machine, asid),
-                None => self.machine.charge_shootdown(0),
+                Some(asid) => self.core.mmu.charge_shootdown(&mut self.core.machine, asid),
+                None => self.core.machine.charge_shootdown(0),
             }
             self.meta.reset(frame);
             self.free_frame(frame);
@@ -1384,18 +1297,120 @@ impl BaselineKernel {
         evicted
     }
 
-    // ---- memory access -----------------------------------------------------
+    // ---- file I/O syscalls ---------------------------------------------------
+
+    /// `read()`-style syscall: copy `buf.len()` bytes from a tmpfs
+    /// file into the caller (kernel interposes on every byte — the
+    /// path the paper contrasts with direct mapping, T-READ16K).
+    pub fn file_read(&mut self, id: FileId, off: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        self.core.machine.charge_syscall();
+        self.core.machine.charge_kind(CostKind::FileIoFixed);
+        self.tmpfs
+            .read(&mut self.core.machine, id, off, buf)
+            .map_err(VmError::from)
+    }
+
+    /// `write()`-style syscall into a tmpfs file.
+    pub fn file_write(&mut self, id: FileId, off: u64, data: &[u8]) -> Result<(), VmError> {
+        self.core.machine.charge_syscall();
+        self.core.machine.charge_kind(CostKind::FileIoFixed);
+        let (machine, tmpfs, alloc) = (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
+        tmpfs
+            .write(machine, alloc, id, off, data)
+            .map_err(VmError::from)
+    }
+
+    /// `fallocate()`-style syscall: preallocate the pages backing
+    /// `[off, off+bytes)` of a tmpfs file without writing data.
+    pub fn file_allocate(&mut self, id: FileId, off: u64, bytes: u64) -> Result<(), VmError> {
+        self.core.machine.charge_syscall();
+        self.core.machine.charge_kind(CostKind::FileIoFixed);
+        let (machine, tmpfs, alloc) = (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
+        tmpfs
+            .allocate_range(machine, alloc, id, off, bytes)
+            .map_err(VmError::from)
+    }
+
+    /// Create a tmpfs file sized `bytes` (sparse).
+    pub fn create_file(&mut self, name: &str, bytes: u64) -> Result<FileId, VmError> {
+        self.core.machine.charge_syscall();
+        let (machine, tmpfs, alloc) = (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
+        let id = tmpfs.create(machine, name).map_err(VmError::from)?;
+        tmpfs
+            .set_size(machine, alloc, id, bytes)
+            .map_err(VmError::from)?;
+        Ok(id)
+    }
+
+    // ---- pinning -------------------------------------------------------------
+
+    /// Pin `[va, va+len)` for device access: faults everything in and
+    /// marks each page unevictable. Linear per-page cost (the paper's
+    /// "expensive per-page operations to ensure data remains in
+    /// place").
+    pub fn pin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        self.core.machine.charge_syscall();
+        let mut page_va = va;
+        while page_va < va + o1_hw::round_up_pages(len) {
+            let pa = self.resolve(pid, page_va, Access::Read)?;
+            self.core.machine.charge_kind(CostKind::PinPage);
+            let meta = self.meta.get_mut(pa.frame());
+            meta.pins += 1;
+            meta.set(PageFlag::Mlocked);
+            meta.set(PageFlag::Unevictable);
+            page_va += PAGE_SIZE;
+        }
+        Ok(())
+    }
+
+    /// Undo [`pin_range`](Self::pin_range).
+    pub fn unpin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        self.core.machine.charge_syscall();
+        let mut page_va = va;
+        while page_va < va + o1_hw::round_up_pages(len) {
+            let pa = self.resolve(pid, page_va, Access::Read)?;
+            self.core.machine.charge_kind(CostKind::PinPage);
+            let meta = self.meta.get_mut(pa.frame());
+            meta.pins = meta.pins.saturating_sub(1);
+            if meta.pins == 0 {
+                meta.clear(PageFlag::Mlocked);
+                meta.clear(PageFlag::Unevictable);
+            }
+            page_va += PAGE_SIZE;
+        }
+        Ok(())
+    }
+}
+
+impl KernelHooks for BaselineKernel {
+    type Proc = BaselineProc;
+
+    #[inline]
+    fn core(&self) -> &KernelCore<BaselineProc> {
+        &self.core
+    }
+
+    #[inline]
+    fn core_mut(&mut self) -> &mut KernelCore<BaselineProc> {
+        &mut self.core
+    }
+
+    #[inline]
+    fn label(&self) -> &'static str {
+        MECH
+    }
 
     /// Translate `va`, handling faults (demand paging, COW, swap-in).
-    pub fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
+    #[inline]
+    fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
         for _ in 0..4 {
             let (root, asid) = {
-                let p = self.proc(pid)?;
+                let p = self.core.proc(pid)?;
                 (p.root, p.asid)
             };
-            match self.mmu.translate(
-                &mut self.machine,
-                &mut self.pt,
+            match self.core.mmu.translate(
+                &mut self.core.machine,
+                &mut self.core.pt,
                 root,
                 &self.no_ranges,
                 asid,
@@ -1410,133 +1425,72 @@ impl BaselineKernel {
         unreachable!("fault handler did not make progress at {va:?}")
     }
 
-    /// Latency bookkeeping for one access: clock at entry plus the
-    /// fault count, so the op can be classified hit vs fault at exit.
-    /// `None` when untraced, keeping the hot path a single branch.
-    #[inline]
-    fn access_op_start(&self) -> Option<(o1_hw::SimNs, u64)> {
-        if self.machine.traced() {
-            let perf = &self.machine.perf;
-            Some((self.machine.op_start(), perf.minor_faults + perf.major_faults))
+    fn alloc_region(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError> {
+        let flags = if populate {
+            MapFlags::private_populate()
         } else {
-            None
+            MapFlags::private()
+        };
+        self.mmap(pid, bytes, Prot::ReadWrite, Backing::Anon, flags)
+    }
+
+    fn release_region(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError> {
+        self.munmap(pid, va, bytes)
+    }
+
+    /// Unmap everything (page by page — the baseline's linear exit
+    /// cost) and drop the process's swap slots.
+    fn teardown(&mut self, pid: Pid) -> Result<(), VmError> {
+        let regions: Vec<(VirtAddr, u64)> = self
+            .core
+            .proc(pid)?
+            .vmas
+            .iter()
+            .map(|v| (v.start, v.len()))
+            .collect();
+        for (start, len) in regions {
+            self.unmap_region(pid, start, len)?;
         }
-    }
-
-    /// Close an access op span: classify by whether [`resolve`] took
-    /// any demand fault and record the latency under the current phase.
-    #[inline]
-    fn access_op_end(&mut self, started: Option<(o1_hw::SimNs, u64)>) {
-        if let Some((t0, faults0)) = started {
-            let perf = &self.machine.perf;
-            let op = if perf.minor_faults + perf.major_faults > faults0 {
-                OpKind::AccessFault
-            } else {
-                OpKind::AccessHit
-            };
-            self.machine.op_end(t0, op, MECH);
-            self.poll_timeline();
+        let swapped = std::mem::take(&mut self.core.proc_mut(pid)?.swapped);
+        for (_, slot) in swapped {
+            self.swap.discard(slot);
         }
-    }
-
-    /// User-level 8-byte load.
-    pub fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        let op = self.access_op_start();
-        let pa = self.resolve(pid, va, Access::Read)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_load(tier);
-        let out = self.machine.phys.read_u64(pa);
-        self.access_op_end(op);
-        Ok(out)
-    }
-
-    /// User-level 8-byte store.
-    pub fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        let op = self.access_op_start();
-        let pa = self.resolve(pid, va, Access::Write)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_store(tier);
-        self.machine.phys.write_u64(pa, value);
-        self.access_op_end(op);
         Ok(())
     }
 
-    /// Run-compressed span execution: `len` accesses at `va`,
-    /// `va + stride`, … (byte stride), stores writing `first_value + k`
-    /// at access `k`. Translation-uniform prefixes are fast-forwarded
-    /// — the MMU proves every access in the prefix hits the same
-    /// resident TLB entry with the same outcome
-    /// ([`Mmu::translate_run`]), the whole prefix is charged in O(1)
-    /// charge calls, and only data stores run per element. Anything it
-    /// cannot prove (cold TLB, faults, boundaries) is interpreted one
-    /// access at a time through [`load`](Self::load) /
-    /// [`store`](Self::store), so simulated clock, counters, ledger
-    /// and memory contents are identical to the plain loop.
-    pub fn access_span(
+    fn gauges(&self, g: &mut Vec<(&'static str, u64)>) {
+        g.push(("kernel.free_frames", self.alloc.free_frames()));
+        g.push(("kernel.swap_used_slots", self.swap.used_slots() as u64));
+        g.push(("kernel.lru_tracked", self.lru.len() as u64));
+    }
+
+    /// The MMU proves the run hits one resident TLB entry
+    /// ([`Mmu::translate_run`](o1_hw::Mmu::translate_run)).
+    #[inline]
+    fn hit_run(
         &mut self,
         pid: Pid,
         va: VirtAddr,
         stride: i64,
         len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        let access = if write { Access::Write } else { Access::Read };
-        let mut k = 0u64;
-        while k < len {
-            let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            if self.machine.fastforward() && len - k >= 2 {
-                let (root, asid) = {
-                    let p = self.proc(pid)?;
-                    (p.root, p.asid)
-                };
-                let t0 = self.machine.op_start();
-                if let Some((pa, span)) = self.mmu.translate_run(
-                    &mut self.machine,
-                    &mut self.pt,
-                    root,
-                    asid,
-                    a,
-                    stride,
-                    len - k,
-                    access,
-                ) {
-                    crate::runs::bulk_memory(
-                        &mut self.machine,
-                        pa,
-                        stride,
-                        span,
-                        write,
-                        first_value + k,
-                    );
-                    // Every access in the span hit — `span` AccessHit
-                    // latencies, each of the identical per-access cost.
-                    self.machine.op_end_n(t0, OpKind::AccessHit, MECH, span);
-                    self.poll_timeline();
-                    k += span;
-                    continue;
-                }
-                // The dual case: prove the accesses all *miss* and
-                // demand-fault fresh pages, then install the mappings
-                // and charge the faults analytically.
-                if let Some(span) =
-                    self.try_fault_run(pid, root, asid, a, stride, len - k, write, first_value + k, t0)
-                {
-                    k += span;
-                    continue;
-                }
-            }
-            if write {
-                self.store(pid, a, first_value + k)?;
-            } else {
-                self.load(pid, a)?;
-            }
-            k += 1;
-        }
-        Ok(())
+        access: Access,
+    ) -> Result<Option<(PhysAddr, u64)>, VmError> {
+        let p = self.core.proc(pid)?;
+        let (root, asid) = (p.root, p.asid);
+        let core = &mut self.core;
+        Ok(core.mmu.translate_run(
+            &mut core.machine,
+            &mut core.pt,
+            root,
+            asid,
+            va,
+            stride,
+            len,
+            access,
+        ))
     }
 
-    /// Bulk-fault fast-forward — the dual of [`Mmu::translate_run`]'s
+    /// Bulk-fault fast-forward — the dual of [`Mmu::translate_run`](o1_hw::Mmu::translate_run)'s
     /// hit span: prove that the next `len` accesses of the run all
     /// miss translation and demand-fault fresh anonymous base pages
     /// with a uniform outcome, then install every mapping and replay
@@ -1559,21 +1513,19 @@ impl BaselineKernel {
     ///   clamp, as in the bulk-populate path);
     /// * no translation is installed anywhere in the run and no
     ///   unobserved invalidation overlaps it
-    ///   ([`Mmu::translate_miss_run`]).
+    ///   ([`Mmu::translate_miss_run`](o1_hw::Mmu::translate_miss_run)).
     ///
     /// Fault latencies within a run are *not* uniform — buddy splits
     /// and page-table node creation vary page to page — so the ledger
     /// records groups of equal-latency `AccessFault` ops
-    /// ([`Machine::op_record_n`]) whose per-op cost is reconstructed
-    /// from the cost model; a debug assertion checks the records sum
-    /// exactly to the clock advance. Returns the fused access count
-    /// (`≥ 2`), or `None` to interpret at least one access.
-    #[allow(clippy::too_many_arguments)] // one parameter per proof input
-    fn try_fault_run(
+    /// ([`Machine::op_record_n`](o1_hw::Machine::op_record_n)) whose
+    /// per-op cost is reconstructed from the cost model; a debug
+    /// assertion checks the records sum exactly to the clock advance.
+    /// Returns the fused access count (`≥ 2`), or `None` to interpret
+    /// at least one access.
+    fn miss_run(
         &mut self,
         pid: Pid,
-        root: PtNodeId,
-        asid: Asid,
         va: VirtAddr,
         stride: i64,
         len: u64,
@@ -1584,11 +1536,11 @@ impl BaselineKernel {
         if self.thp != ThpMode::Never || self.fault_around != 1 {
             return None;
         }
-        if self.machine.phys.nvm_frames() != 0 {
+        if self.core.machine.phys.nvm_frames() != 0 {
             return None;
         }
-        let (vma_start, vma_end, prot) = {
-            let p = self.procs.get(pid)?;
+        let (root, asid, vma_start, vma_end, prot) = {
+            let p = self.core.procs.get(pid)?;
             if !p.swapped.is_empty() {
                 return None;
             }
@@ -1599,7 +1551,7 @@ impl BaselineKernel {
             if write && !vma.prot.writable() {
                 return None;
             }
-            (vma.start.0, vma.end.0, vma.prot)
+            (p.root, p.asid, vma.start.0, vma.end.0, vma.prot)
         };
         let len = len.min(span_within(va.0, stride, len, vma_start, vma_end));
         let free0 = self.alloc.free_frames();
@@ -1616,8 +1568,9 @@ impl BaselineKernel {
             return None;
         }
         let span = self
+            .core
             .mmu
-            .translate_miss_run(&self.pt, root, asid, va, stride, len)?;
+            .translate_miss_run(&self.core.pt, root, asid, va, stride, len)?;
         // Committed: everything below is infallible. Per page, the
         // interpreter's sequence is: two failing translates (each one
         // TLB-aging lookup and one full-depth walk), the fault-handler
@@ -1633,10 +1586,10 @@ impl BaselineKernel {
         } else {
             walk_flags.union(PteFlags::ACCESSED)
         };
-        let refs = self.mmu.walk_mode.refs(PT_LEVELS);
-        let traced = self.machine.traced();
+        let refs = self.core.mmu.walk_mode.refs(PT_LEVELS);
+        let traced = self.core.machine.traced();
         let (ns_fixed, ns_split, ns_node) = if traced {
-            let u = |k: CostKind| self.machine.cost.unit(k);
+            let u = |k: CostKind| self.core.machine.cost.unit(k);
             (
                 2 * refs * u(CostKind::PtwLevelRef)
                     + u(CostKind::FaultTrap)
@@ -1669,9 +1622,9 @@ impl BaselineKernel {
         let mut grp = (u32::MAX, u64::MAX);
         let (mut grp_ns, mut grp_cnt, mut recorded) = (0u64, 0u64, 0u64);
         let BaselineKernel {
-            machine,
-            pt,
-            mmu,
+            core: KernelCore {
+                machine, pt, mmu, ..
+            },
             alloc,
             meta,
             lru,
@@ -1762,90 +1715,6 @@ impl BaselineKernel {
         self.poll_timeline();
         Some(span)
     }
-
-    // ---- file I/O syscalls ---------------------------------------------------
-
-    /// `read()`-style syscall: copy `buf.len()` bytes from a tmpfs
-    /// file into the caller (kernel interposes on every byte — the
-    /// path the paper contrasts with direct mapping, T-READ16K).
-    pub fn file_read(&mut self, id: FileId, off: u64, buf: &mut [u8]) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        self.machine.charge_kind(CostKind::FileIoFixed);
-        self.tmpfs
-            .read(&mut self.machine, id, off, buf)
-            .map_err(VmError::from)
-    }
-
-    /// `write()`-style syscall into a tmpfs file.
-    pub fn file_write(&mut self, id: FileId, off: u64, data: &[u8]) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        self.machine.charge_kind(CostKind::FileIoFixed);
-        let (machine, tmpfs, alloc) = (&mut self.machine, &mut self.tmpfs, &mut self.alloc);
-        tmpfs
-            .write(machine, alloc, id, off, data)
-            .map_err(VmError::from)
-    }
-
-    /// `fallocate()`-style syscall: preallocate the pages backing
-    /// `[off, off+bytes)` of a tmpfs file without writing data.
-    pub fn file_allocate(&mut self, id: FileId, off: u64, bytes: u64) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        self.machine.charge_kind(CostKind::FileIoFixed);
-        let (machine, tmpfs, alloc) = (&mut self.machine, &mut self.tmpfs, &mut self.alloc);
-        tmpfs
-            .allocate_range(machine, alloc, id, off, bytes)
-            .map_err(VmError::from)
-    }
-
-    /// Create a tmpfs file sized `bytes` (sparse).
-    pub fn create_file(&mut self, name: &str, bytes: u64) -> Result<FileId, VmError> {
-        self.machine.charge_syscall();
-        let (machine, tmpfs, alloc) = (&mut self.machine, &mut self.tmpfs, &mut self.alloc);
-        let id = tmpfs.create(machine, name).map_err(VmError::from)?;
-        tmpfs
-            .set_size(machine, alloc, id, bytes)
-            .map_err(VmError::from)?;
-        Ok(id)
-    }
-
-    // ---- pinning -------------------------------------------------------------
-
-    /// Pin `[va, va+len)` for device access: faults everything in and
-    /// marks each page unevictable. Linear per-page cost (the paper's
-    /// "expensive per-page operations to ensure data remains in
-    /// place").
-    pub fn pin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        let mut page_va = va;
-        while page_va < va + o1_hw::round_up_pages(len) {
-            let pa = self.resolve(pid, page_va, Access::Read)?;
-            self.machine.charge_kind(CostKind::PinPage);
-            let meta = self.meta.get_mut(pa.frame());
-            meta.pins += 1;
-            meta.set(PageFlag::Mlocked);
-            meta.set(PageFlag::Unevictable);
-            page_va += PAGE_SIZE;
-        }
-        Ok(())
-    }
-
-    /// Undo [`pin_range`](Self::pin_range).
-    pub fn unpin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        self.machine.charge_syscall();
-        let mut page_va = va;
-        while page_va < va + o1_hw::round_up_pages(len) {
-            let pa = self.resolve(pid, page_va, Access::Read)?;
-            self.machine.charge_kind(CostKind::PinPage);
-            let meta = self.meta.get_mut(pa.frame());
-            meta.pins = meta.pins.saturating_sub(1);
-            if meta.pins == 0 {
-                meta.clear(PageFlag::Mlocked);
-                meta.clear(PageFlag::Unevictable);
-            }
-            page_va += PAGE_SIZE;
-        }
-        Ok(())
-    }
 }
 
 impl BaselineKernel {
@@ -1860,7 +1729,7 @@ impl BaselineKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
-        self.machine.charge_syscall();
+        self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
         while at < va + o1_hw::round_up_pages(len.max(1)) {
@@ -1871,7 +1740,7 @@ impl BaselineKernel {
             } else {
                 o1_hw::DmaMode::IommuFaulting
             };
-            pages += dma.transfer(&mut self.machine, pa, PAGE_SIZE, mode);
+            pages += dma.transfer(&mut self.core.machine, pa, PAGE_SIZE, mode);
             at += PAGE_SIZE;
         }
         Ok(pages)
@@ -1910,9 +1779,13 @@ mod tests {
         let first = k.create_process().unwrap();
         // Drain the remaining 16-bit ASID space without the expense of
         // booting 65534 processes.
-        while k.asids.alloc().is_some() {}
+        while k.core.alloc_pid().is_ok() {}
         assert_eq!(k.create_process(), Err(VmError::ProcessLimit));
         assert_eq!(k.fork(first), Err(VmError::ProcessLimit));
+        assert_eq!(
+            k.launch_process(PAGE_SIZE, PAGE_SIZE, PAGE_SIZE, false),
+            Err(VmError::ProcessLimit)
+        );
         // Destroying a process recycles its ASID: creation works again
         // (the recycled grant is flushed — PCID rollover semantics).
         k.destroy_process(first).unwrap();

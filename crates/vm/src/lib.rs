@@ -10,10 +10,13 @@
 //! * [`page_meta`] — the `struct page` model (25 flags, 64 B/frame);
 //! * [`reclaim`] — clock and 2Q scanning plus a swap device;
 //! * [`api`] — the [`api::MemSys`] trait shared with the file-only
-//!   memory kernel so workloads drive both identically.
+//!   memory kernel so workloads drive both identically;
+//! * [`kernel_core`] — the state and code both kernels embed: process
+//!   lifecycle, the access-op funnel and the fast-forward run loops.
 
 pub mod api;
 pub mod kernel;
+pub mod kernel_core;
 pub mod page_meta;
 pub mod proc_table;
 pub mod reclaim;
@@ -21,10 +24,11 @@ pub mod runs;
 pub mod types;
 pub mod vma;
 
-pub use api::{validate_machine_config, Erased, MemSys, OnCpu};
+pub use api::{MemSys, OnCpu};
 pub use proc_table::ProcTable;
 pub use runs::AccessRun;
 pub use kernel::{BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MMAP_BASE};
+pub use kernel_core::{CoreProc, KernelCore, KernelHooks};
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
 pub use reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
 pub use types::{Backing, CpuId, MapFlags, Pid, Prot, VmError};

@@ -11,7 +11,7 @@
 
 use o1mem::core::{FomConfig, FomKernel, MapMech};
 use o1mem::memfs::FileClass;
-use o1mem::vm::Prot;
+use o1mem::vm::{MemSys, Prot};
 use o1mem::{Pid, PAGE_SIZE};
 
 const CACHE_PAGES: u64 = 256;

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::memfs::FileClass;
-use o1mem::vm::Prot;
+use o1mem::vm::{MemSys, Prot};
 use o1mem::{Pid, VirtAddr};
 
 /// Record layout: [ key u64 | len u64 | value bytes (8-aligned) ].

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use o1mem::core::{FomConfig, FomKernel, MapMech};
 use o1mem::memfs::FileClass;
-use o1mem::{Pid, VirtAddr};
+use o1mem::{MemSys, Pid, VirtAddr};
 
 const CHUNK: u64 = 4 << 20;
 const DATASET: u64 = 256 << 20;

@@ -8,8 +8,9 @@
 #                           # committed BENCH_figures.json (exit 1 on
 #                           # any mean/percentile/count regression)
 #
-# The repo builds offline: all external dev-deps resolve to the
-# in-tree shims under crates/shims/, so no network access is needed.
+# The repo builds offline: its only external dependencies, `rand` and
+# `proptest`, resolve to the in-tree shims under crates/shims/, so no
+# network access is needed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -163,6 +164,9 @@ cargo build --release
 
 echo "==> cargo clippy --workspace (warnings are errors)"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+echo "==> cargo doc --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace

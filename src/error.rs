@@ -18,7 +18,7 @@ use o1_vm::VmError;
 /// # Examples
 /// ```
 /// use o1mem::core::{FomKernel, MapMech};
-/// use o1mem::{Error, FileClass};
+/// use o1mem::{Error, FileClass, MemSys};
 ///
 /// fn scratch() -> Result<u64, Error> {
 ///     let mut k = FomKernel::builder().mech(MapMech::Ranges).build();

@@ -12,6 +12,7 @@
 //! ```
 //! use o1mem::core::{FomKernel, MapMech};
 //! use o1mem::memfs::FileClass;
+//! use o1mem::MemSys;
 //!
 //! let mut k = FomKernel::builder().mech(MapMech::Ranges).build();
 //! let pid = k.create_process().unwrap();

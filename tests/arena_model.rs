@@ -2,8 +2,9 @@
 //! process state in: the arena must agree with a plain map oracle
 //! under random insert/remove churn, stale handles must never resolve
 //! after their slot is reused, and — one level up — a destroyed `Pid`
-//! must keep reporting `NoProcess` on both kernels even after its
-//! table slot has been recycled by later processes.
+//! must keep reporting `NoProcess` on the baseline kernel and under
+//! every file-only mapping mechanism, even after its table slot has
+//! been recycled by later processes.
 
 use std::collections::HashMap;
 
@@ -111,5 +112,9 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
         assert_eq!(sys.destroy_process(victim), Err(VmError::NoProcess));
     }
     scenario(&mut BaselineKernel::builder().dram(64 << 20).build());
-    scenario(&mut FomKernel::builder().mech(MapMech::Ranges).build());
+    // The lifecycle is shared kernel-core code, so every mechanism
+    // must agree.
+    for mech in MapMech::ALL {
+        scenario(&mut FomKernel::builder().mech(mech).build());
+    }
 }

@@ -3,7 +3,7 @@
 
 use o1mem::core::{FomConfig, FomKernel, MapMech};
 use o1mem::memfs::{FileClass, Pmfs};
-use o1mem::vm::Prot;
+use o1mem::vm::{MemSys, Prot};
 use o1mem::PAGE_SIZE;
 
 #[test]

@@ -1,13 +1,13 @@
-//! The workload drivers are generic (`impl MemSys`) so the figure
-//! suite monomorphizes, while `Erased` keeps a dyn-compatible facade
-//! for tools that need type erasure. Dispatch strategy must be pure
-//! host mechanics: this test drives identical scenarios down both
+//! The workload drivers are generic (`S: MemSys + ?Sized`) so the
+//! figure suite monomorphizes, while tools that need type erasure pass
+//! a `&mut dyn MemSys` to the same drivers. Dispatch strategy must be
+//! pure host mechanics: this test drives identical scenarios down both
 //! paths and requires bit-identical simulated outcomes — clock, every
 //! perf counter, and the values the workload reads back.
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::PerfSnapshot;
-use o1mem::vm::{BaselineKernel, Erased, MemSys};
+use o1mem::vm::{BaselineKernel, MemSys};
 use o1mem::workloads::{
     drive_access, drive_alloc, drive_churn, drive_launch_storm, AccessPattern,
 };
@@ -15,7 +15,7 @@ use o1mem::PAGE_SIZE;
 
 /// One representative pass over every driver, returning the simulated
 /// outcome: the final snapshot plus the witness values read back.
-fn scenario(sys: &mut impl MemSys) -> (PerfSnapshot, Vec<u64>) {
+fn scenario<S: MemSys + ?Sized>(sys: &mut S) -> (PerfSnapshot, Vec<u64>) {
     let pid = sys.create_process().unwrap();
     let (va, _) = drive_alloc(sys, pid, 128, false).unwrap();
     for pat in [
@@ -44,13 +44,13 @@ fn scenario(sys: &mut impl MemSys) -> (PerfSnapshot, Vec<u64>) {
 
 /// Run `scenario` twice on identically-built kernels: once through the
 /// monomorphic instantiation (the figure harness path) and once
-/// through the `Erased` vtable facade. Everything simulated must
-/// match exactly.
+/// through a `dyn MemSys` vtable. Everything simulated must match
+/// exactly.
 fn assert_paths_identical<K: MemSys>(mut make: impl FnMut() -> K, what: &str) {
     let mut direct = make();
     let (snap, vals) = scenario(&mut direct);
-    let mut behind_facade = make();
-    let (dyn_snap, dyn_vals) = scenario(&mut Erased(&mut behind_facade));
+    let mut erased = make();
+    let (dyn_snap, dyn_vals) = scenario(&mut erased as &mut dyn MemSys);
     assert_eq!(snap.at, dyn_snap.at, "{what}: simulated clock diverged");
     assert_eq!(
         snap.counters, dyn_snap.counters,

@@ -89,8 +89,8 @@ fn assert_equivalent(
 }
 
 /// Two identically-configured kernels behind genuine type erasure —
-/// exactly the heterogeneous-list use case the `Erased` facade and
-/// `Box<dyn MemSys>` exist for.
+/// exactly the heterogeneous-list use case `Box<dyn MemSys>` exists
+/// for.
 type KernelPair = (Box<dyn MemSys>, Box<dyn MemSys>);
 
 fn baseline_pair(thp: ThpMode) -> KernelPair {
