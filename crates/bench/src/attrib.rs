@@ -148,8 +148,8 @@ mod tests {
             &fns,
             &RunnerOptions {
                 threads: 1,
-                repeat: 1,
                 trace: true,
+                ..Default::default()
             },
         );
         (report.figures(), report.traces())

@@ -24,7 +24,7 @@ use std::io::Write as _;
 
 use o1_bench::diff::{figure_metrics, write_metrics_json};
 use o1_bench::jsonval;
-use o1_bench::runner::{figure_fn, run_figures, RunReport, RunnerOptions, ALL_IDS};
+use o1_bench::runner::{figure_fn, run_figures, RunReport, RunnerOptions, SuiteScale, ALL_IDS};
 use o1_bench::{
     attribution_table_with, figure_extras, figures_to_json_pretty,
     figures_to_json_pretty_with_extras, json, latency_table_with, Figure,
@@ -361,6 +361,7 @@ fn main() {
         threads,
         repeat: cli.repeat,
         trace: tracing,
+        scale: SuiteScale::Full,
     };
 
     let (reports, identical): (Vec<RunReport>, Option<bool>) = if cli.profile {

@@ -635,8 +635,8 @@ mod tests {
             &fns,
             &RunnerOptions {
                 threads: 1,
-                repeat: 1,
                 trace,
+                ..Default::default()
             },
         );
         figure_metrics(&report.figures(), &report.traces())
@@ -649,8 +649,8 @@ mod tests {
             &fns,
             &RunnerOptions {
                 threads: 1,
-                repeat: 1,
                 trace: true,
+                ..Default::default()
             },
         );
         let (figures, traces) = (report.figures(), report.traces());

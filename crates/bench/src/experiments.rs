@@ -22,6 +22,7 @@ use o1_workloads::{
     drive_service_fleet, AccessPattern, Trace,
 };
 
+use crate::runner::SuiteScale;
 use crate::series::{Figure, Series};
 
 /// File sizes used by Figures 1a/1b (KB), matching the paper's x-axis
@@ -1376,13 +1377,16 @@ pub fn fig_hostmem() -> Figure {
     fig
 }
 
-/// Tenant lifecycles the `fig_service` latency fleets stream by
-/// default, split 1:2:2 over baseline / fom-ranges / fom-sharedpt
-/// (the two populate-only gauge fleets add another fifth on top).
-/// `O1_SERVICE_TENANTS` overrides the total for smoke runs — the CI
-/// gate uses a reduced fleet and byte-compares it against
-/// `--no-fastforward` at the same size.
+/// Tenant lifecycles the `fig_service` latency fleets stream at
+/// [`SuiteScale::Full`], split 1:2:2 over baseline / fom-ranges /
+/// fom-sharedpt (the two populate-only gauge fleets add another fifth
+/// on top).
 pub const SERVICE_TENANTS: u64 = 1_000_000;
+
+/// The fleet size at [`SuiteScale::Smoke`]. It stays below the 65,535
+/// launches that roll the ASID space over; the rollover path is
+/// checked by `tests/fastforward_equiv.rs` instead.
+pub const SERVICE_TENANTS_SMOKE: u64 = 10_000;
 
 /// Concurrent tenants alive at once in every `fig_service` fleet.
 pub const SERVICE_LIVE_CAP: usize = 256;
@@ -1399,18 +1403,17 @@ pub const SERVICE_LIVE_CAP: usize = 256;
 /// construction, every teardown flush is local — with the
 /// migration-heavy variant whose teardowns pay one remote shootdown
 /// per CPU the tenant ran on.
-pub fn fig_service() -> Figure {
+pub fn fig_service(scale: SuiteScale) -> Figure {
     let mut fig = Figure::new(
         "fig_service",
         "serverless tenant fleet: launch latency, host footprint, storm migration",
         "percentile | checkpoint | CPUs",
         "ns | KiB | total ns",
     );
-    let tenants = std::env::var("O1_SERVICE_TENANTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v >= 100)
-        .unwrap_or(SERVICE_TENANTS);
+    let tenants = match scale {
+        SuiteScale::Smoke => SERVICE_TENANTS_SMOKE,
+        SuiteScale::Full => SERVICE_TENANTS,
+    };
     const APPS: u64 = 4096;
     const THETA: f64 = 0.9;
     const SEED: u64 = 17;
@@ -1447,7 +1450,7 @@ pub fn fig_service() -> Figure {
     };
     // Latency fleets: the faulting path the bulk-fault prover
     // compresses; per-tenant ns are simulated clock deltas, so the
-    // ff-vs-noff CI gate holds them byte-identical.
+    // suite matrix's fast-forward-off run holds them byte-identical.
     let t_base = tenants / 5;
     let t_ranges = tenants * 2 / 5;
     let t_shared = tenants - t_base - t_ranges;
@@ -1557,36 +1560,6 @@ pub fn fig_service() -> Figure {
         s_storm_mig_fom,
     ];
     fig
-}
-
-/// All figures, in presentation order.
-pub fn all_figures() -> Vec<Figure> {
-    vec![
-        fig1a(),
-        fig1b(),
-        fig2(),
-        fig3(),
-        fig4_map(),
-        fig4_access(),
-        fig_faults(),
-        fig_read16k(),
-        fig_meta(),
-        fig_zero(),
-        fig_reclaim(),
-        fig_palloc(),
-        fig_persist(),
-        fig_virt(),
-        fig_thp(),
-        fig_teardown(),
-        fig_frag(),
-        fig_churn(),
-        fig_dma(),
-        fig_sweep(),
-        fig_smp(),
-        fig_tiering(),
-        fig_hostmem(),
-        fig_service(),
-    ]
 }
 
 #[cfg(test)]

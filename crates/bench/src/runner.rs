@@ -11,7 +11,7 @@
 //! Parallelism here is pure host-side mechanics: each experiment's
 //! simulated clock, perf counters, and series are computed exactly as
 //! in a sequential run, so emitted figures are byte-identical for any
-//! `--threads` value (enforced by `tests/figures_determinism.rs`).
+//! `--threads` value (enforced by `tests/suite_matrix.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -48,37 +48,48 @@ pub const ALL_IDS: [&str; 24] = [
     "fig_service",
 ];
 
+/// How large a suite run is. Only `fig_service` reads it, as the size
+/// of its tenant fleet; every other figure is the same at both scales.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SuiteScale {
+    /// A reduced `fig_service` fleet, for debug-build checks.
+    Smoke,
+    /// The published figures (`GOLDEN_figures.json`); what the
+    /// `figures` binary always runs.
+    Full,
+}
+
 /// A canonical figure id plus its generator function, as resolved by
 /// [`figure_fn`] and consumed by [`run_figures`].
-pub type FigureEntry = (&'static str, fn() -> Figure);
+pub type FigureEntry = (&'static str, fn(SuiteScale) -> Figure);
 
 /// Resolve a figure id (canonical name, paper number, or short alias)
 /// to `(canonical_id, generator)`.
 pub fn figure_fn(id: &str) -> Option<FigureEntry> {
     let entry: FigureEntry = match id {
-        "1a" | "fig1a" | "6a" => ("fig1a", experiments::fig1a),
-        "1b" | "fig1b" | "6b" => ("fig1b", experiments::fig1b),
-        "2" | "fig2" | "7" => ("fig2", experiments::fig2),
-        "3" | "fig3" | "8" => ("fig3", experiments::fig3),
-        "4" | "fig4_map" | "fig4" | "9" => ("fig4_map", experiments::fig4_map),
-        "4access" | "fig4_access" => ("fig4_access", experiments::fig4_access),
-        "faults" | "fig_faults" => ("fig_faults", experiments::fig_faults),
-        "read16k" | "fig_read16k" => ("fig_read16k", experiments::fig_read16k),
-        "meta" | "fig_meta" => ("fig_meta", experiments::fig_meta),
-        "zero" | "fig_zero" => ("fig_zero", experiments::fig_zero),
-        "reclaim" | "fig_reclaim" => ("fig_reclaim", experiments::fig_reclaim),
-        "palloc" | "fig_palloc" => ("fig_palloc", experiments::fig_palloc),
-        "persist" | "fig_persist" => ("fig_persist", experiments::fig_persist),
-        "virt" | "fig_virt" => ("fig_virt", experiments::fig_virt),
-        "thp" | "fig_thp" => ("fig_thp", experiments::fig_thp),
-        "teardown" | "fig_teardown" => ("fig_teardown", experiments::fig_teardown),
-        "frag" | "fig_frag" => ("fig_frag", experiments::fig_frag),
-        "churn" | "fig_churn" => ("fig_churn", experiments::fig_churn),
-        "dma" | "fig_dma" => ("fig_dma", experiments::fig_dma),
-        "sweep" | "fig_sweep" => ("fig_sweep", experiments::fig_sweep),
-        "smp" | "fig_smp" => ("fig_smp", experiments::fig_smp),
-        "tiering" | "fig_tiering" => ("fig_tiering", experiments::fig_tiering),
-        "hostmem" | "fig_hostmem" => ("fig_hostmem", experiments::fig_hostmem),
+        "1a" | "fig1a" | "6a" => ("fig1a", |_| experiments::fig1a()),
+        "1b" | "fig1b" | "6b" => ("fig1b", |_| experiments::fig1b()),
+        "2" | "fig2" | "7" => ("fig2", |_| experiments::fig2()),
+        "3" | "fig3" | "8" => ("fig3", |_| experiments::fig3()),
+        "4" | "fig4_map" | "fig4" | "9" => ("fig4_map", |_| experiments::fig4_map()),
+        "4access" | "fig4_access" => ("fig4_access", |_| experiments::fig4_access()),
+        "faults" | "fig_faults" => ("fig_faults", |_| experiments::fig_faults()),
+        "read16k" | "fig_read16k" => ("fig_read16k", |_| experiments::fig_read16k()),
+        "meta" | "fig_meta" => ("fig_meta", |_| experiments::fig_meta()),
+        "zero" | "fig_zero" => ("fig_zero", |_| experiments::fig_zero()),
+        "reclaim" | "fig_reclaim" => ("fig_reclaim", |_| experiments::fig_reclaim()),
+        "palloc" | "fig_palloc" => ("fig_palloc", |_| experiments::fig_palloc()),
+        "persist" | "fig_persist" => ("fig_persist", |_| experiments::fig_persist()),
+        "virt" | "fig_virt" => ("fig_virt", |_| experiments::fig_virt()),
+        "thp" | "fig_thp" => ("fig_thp", |_| experiments::fig_thp()),
+        "teardown" | "fig_teardown" => ("fig_teardown", |_| experiments::fig_teardown()),
+        "frag" | "fig_frag" => ("fig_frag", |_| experiments::fig_frag()),
+        "churn" | "fig_churn" => ("fig_churn", |_| experiments::fig_churn()),
+        "dma" | "fig_dma" => ("fig_dma", |_| experiments::fig_dma()),
+        "sweep" | "fig_sweep" => ("fig_sweep", |_| experiments::fig_sweep()),
+        "smp" | "fig_smp" => ("fig_smp", |_| experiments::fig_smp()),
+        "tiering" | "fig_tiering" => ("fig_tiering", |_| experiments::fig_tiering()),
+        "hostmem" | "fig_hostmem" => ("fig_hostmem", |_| experiments::fig_hostmem()),
         "service" | "fig_service" => ("fig_service", experiments::fig_service),
         _ => return None,
     };
@@ -95,13 +106,15 @@ pub struct RunnerOptions {
     pub repeat: usize,
     /// Collect a cost-attribution trace ([`o1_obs::FigureTrace`]) per
     /// figure. Tracing never changes *simulated* figure bytes: the
-    /// ledger records what each machine already charges. The one
-    /// exception is `fig_hostmem`, which measures the host heap and so
-    /// sees the ledger's own constant-size allocations — its numbers
-    /// shift by a few KiB when traced, identically at any thread
-    /// count. Only the first repeat is traced, so `--repeat` timing
-    /// samples stay untraced.
+    /// ledger records what each machine already charges. The two
+    /// exceptions are `fig_hostmem` and `fig_service`, whose host-live
+    /// gauges read the host heap and so see the ledger's own
+    /// allocations — their numbers shift when traced, identically at
+    /// any thread count. Only the first repeat is traced, so
+    /// `--repeat` timing samples stay untraced.
     pub trace: bool,
+    /// Suite scale, passed to every figure function.
+    pub scale: SuiteScale,
 }
 
 impl Default for RunnerOptions {
@@ -112,6 +125,7 @@ impl Default for RunnerOptions {
                 .unwrap_or(1),
             repeat: 1,
             trace: false,
+            scale: SuiteScale::Full,
         }
     }
 }
@@ -198,15 +212,16 @@ pub fn run_figures(fns: &[FigureEntry], opts: &RunnerOptions) -> RunReport {
                 // flush their ledgers on drop in program order — so
                 // the collected trace is deterministic regardless of
                 // thread count.
+                let (id, figure_fn) = fns[fi];
                 let (figure, trace) = if opts.trace && rep == 0 {
-                    let (figure, machines) = o1_obs::with_collector(fns[fi].1);
+                    let (figure, machines) = o1_obs::with_collector(|| figure_fn(opts.scale));
                     let trace = o1_obs::FigureTrace {
-                        id: fns[fi].0.to_string(),
+                        id: id.to_string(),
                         machines,
                     };
                     (figure, Some(trace))
                 } else {
-                    ((fns[fi].1)(), None)
+                    (figure_fn(opts.scale), None)
                 };
                 let ns = started.elapsed().as_nanos() as u64;
                 let mut slot = slots[fi].lock().unwrap_or_else(|e| e.into_inner());
@@ -264,8 +279,8 @@ mod tests {
             .iter()
             .map(|id| figure_fn(id).unwrap())
             .collect();
-        let seq = run_figures(&fns, &RunnerOptions { threads: 1, repeat: 1, trace: false });
-        let par = run_figures(&fns, &RunnerOptions { threads: 3, repeat: 2, trace: false });
+        let seq = run_figures(&fns, &RunnerOptions { threads: 1, ..Default::default() });
+        let par = run_figures(&fns, &RunnerOptions { threads: 3, repeat: 2, ..Default::default() });
         assert_eq!(seq.threads, 1);
         assert_eq!(par.threads, 3);
         assert_eq!(par.runs[0].wall_ns.len(), 2, "repeats all timed");

@@ -19,8 +19,8 @@ fn traced_fig2() -> (Vec<Figure>, Vec<FigureTrace>) {
         &fns,
         &RunnerOptions {
             threads: 1,
-            repeat: 1,
             trace: true,
+            ..Default::default()
         },
     );
     (report.figures(), report.traces())

@@ -34,7 +34,7 @@ use o1_hw::{
 use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
 use o1_palloc::PhysExtent;
 use o1_vm::runs::AccessRun;
-use o1_vm::{CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError};
+use o1_vm::{CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError, MAX_MAP_BYTES};
 
 use crate::mech::{make_mechanism, MapMechanism, MechCtx, MechParams, Piece};
 
@@ -486,7 +486,7 @@ impl FomKernel {
         class: FileClass,
         auto_unlink: bool,
     ) -> Result<(FileId, VirtAddr), VmError> {
-        if bytes == 0 {
+        if bytes == 0 || bytes > MAX_MAP_BYTES {
             return Err(VmError::BadRange);
         }
         let t0 = self.core.machine.op_start();

@@ -114,9 +114,14 @@ impl BuddyAllocator {
     /// would — same frames in the same order, same splits, same free
     /// lists and allocation map afterwards — but with one aggregate
     /// charge block instead of per-call charges (the ledger sums
-    /// `(phase, kind)` rows, so the bytes are identical). Returns
-    /// `(frame, splits)` per allocation so the bulk-fault path can
-    /// group equal-latency pages when recording histograms.
+    /// `(phase, kind)` rows, so the bytes are identical). `sink` is
+    /// called once per allocation, in allocation order, with the
+    /// frame, its split count (so the bulk-fault path can group
+    /// equal-latency pages when recording histograms) and the machine
+    /// on loan so the caller can zero/map/write each frame as it
+    /// appears. No frame vector is built, which keeps the
+    /// bulk-populate path free of host heap allocations that the
+    /// host-memory self-observation figures would otherwise see.
     ///
     /// Fails with no state change and no charge unless all `n` frames
     /// fit; callers clamp `n` to [`free_frames`] first so a fused run
@@ -124,22 +129,6 @@ impl BuddyAllocator {
     ///
     /// [`alloc_one`]: Self::alloc_one
     /// [`free_frames`]: FrameSource::free_frames
-    pub fn alloc_run(
-        &mut self,
-        m: &mut Machine,
-        n: u64,
-    ) -> Result<Vec<(FrameNo, u32)>, AllocError> {
-        let mut out = Vec::with_capacity(n as usize);
-        self.alloc_run_with(m, n, |_, frame, splits| out.push((frame, splits)))?;
-        Ok(out)
-    }
-
-    /// [`alloc_run`](Self::alloc_run) without the frame vector: `sink`
-    /// is called once per allocation, in allocation order, with the
-    /// machine on loan so the caller can zero/map/write each frame as
-    /// it appears. Keeps the bulk-populate path free of host heap
-    /// allocations, which the host-memory self-observation figures
-    /// would otherwise see.
     pub fn alloc_run_with(
         &mut self,
         m: &mut Machine,

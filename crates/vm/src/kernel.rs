@@ -37,6 +37,13 @@ use crate::vma::{Vma, VmaMap};
 /// Lowest address handed out by mmap.
 pub const MMAP_BASE: u64 = 0x1000_0000;
 
+/// Largest length a mapping call accepts on either kernel (`mmap`,
+/// `map_stack`, fom `falloc`): the 47-bit user half of a 48-bit
+/// address space. Longer requests are `BadRange` before anything is
+/// charged, so page rounding, guard gaps and huge alignment never
+/// overflow.
+pub const MAX_MAP_BYTES: u64 = 1 << 47;
+
 /// Configuration of the baseline kernel.
 #[derive(Clone, Debug)]
 pub struct BaselineConfig {
@@ -442,7 +449,7 @@ impl BaselineKernel {
         initial_bytes: u64,
         max_bytes: u64,
     ) -> Result<VirtAddr, VmError> {
-        if initial_bytes == 0 || initial_bytes > max_bytes {
+        if initial_bytes == 0 || initial_bytes > max_bytes || max_bytes > MAX_MAP_BYTES {
             return Err(VmError::BadRange);
         }
         self.core.machine.charge_syscall();
@@ -515,7 +522,7 @@ impl BaselineKernel {
         backing: Backing,
         flags: MapFlags,
     ) -> Result<VirtAddr, VmError> {
-        if len == 0 {
+        if len == 0 || len > MAX_MAP_BYTES {
             return Err(VmError::BadRange);
         }
         let t0 = self.core.machine.op_start();

@@ -360,7 +360,9 @@ impl<K: KernelHooks> MemSys for K {
     /// faults, boundaries) is interpreted one access at a time through
     /// [`load`](MemSys::load) / [`store`](MemSys::store), so simulated
     /// clock, counters, ledger and memory contents are identical to
-    /// the plain loop.
+    /// the plain loop. Gauge timelines are not: a fused prefix is one
+    /// op boundary, where the interpreter has one per access, so
+    /// fast-forward can take fewer timeline samples.
     fn access_span(
         &mut self,
         pid: Pid,

@@ -27,7 +27,9 @@ pub mod vma;
 pub use api::{MemSys, OnCpu};
 pub use proc_table::ProcTable;
 pub use runs::AccessRun;
-pub use kernel::{BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MMAP_BASE};
+pub use kernel::{
+    BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
+};
 pub use kernel_core::{CoreProc, KernelCore, KernelHooks};
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
 pub use reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};

@@ -6,6 +6,7 @@
 //! possible... This reduces the size of internal metadata", §3.1).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use o1_hw::{VirtAddr, PAGE_SIZE};
 
@@ -118,7 +119,10 @@ impl VmaMap {
 
     /// The first VMA starting strictly above `va` (for stack growth).
     pub fn next_above(&self, va: VirtAddr) -> Option<&Vma> {
-        self.map.range(va.0 + 1..).next().map(|(_, v)| v)
+        self.map
+            .range((Bound::Excluded(va.0), Bound::Unbounded))
+            .next()
+            .map(|(_, v)| v)
     }
 
     /// Grow the VMA based at `old_start` downwards to `new_start`.

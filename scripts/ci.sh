@@ -3,10 +3,18 @@
 #
 #   scripts/ci.sh           # build + test + figure smoke
 #   scripts/ci.sh --full    # also regenerate every figure (slow)
-#   scripts/ci.sh --gate    # perf gate only: regenerate the suite with
-#                           # --latency and bench-diff it against the
-#                           # committed BENCH_figures.json (exit 1 on
-#                           # any mean/percentile/count regression)
+#   scripts/ci.sh --gate    # release gates only:
+#                           # - bench-diff a fresh `figures --latency`
+#                           #   run against the committed
+#                           #   BENCH_figures.json (exit 1 on any
+#                           #   mean/percentile/count regression);
+#                           # - BENCH_figures.json trajectory growth;
+#                           # - GOLDEN_figures.json append-only;
+#                           # - the suite matrix (tests/suite_matrix.rs)
+#                           #   at full scale: thread counts,
+#                           #   fast-forward off, tracing off, ledger
+#                           #   conservation, and GOLDEN bytes;
+#                           # - the fig_hostmem shape.
 #
 # The repo builds offline: its only external dependencies, `rand` and
 # `proptest`, resolve to the in-tree shims under crates/shims/, so no
@@ -52,30 +60,6 @@ if [ "${1:-}" = "--gate" ]; then
         exit 1
     fi
     echo "trajectory: $new_entries entries (HEAD had $old_entries)"
-    echo "==> fast-forward gate (fig_sweep bytes, --no-fastforward vs default)"
-    # Run-compressed execution is an escape-hatched optimisation: the
-    # interpreted run must produce byte-identical enriched JSON. Any
-    # difference means the fast path changed a simulated number.
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_sweep --latency --attrib --json "$out/ff.json" \
-        --no-bench >/dev/null
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_sweep --latency --attrib --no-fastforward \
-        --json "$out/noff.json" --no-bench >/dev/null
-    cmp "$out/ff.json" "$out/noff.json"
-    echo "==> bulk-fault gate (small-fleet fig_service, --no-fastforward vs default)"
-    # The bulk-fault prover compresses cold-launch miss spans; a
-    # reduced-tenant fleet must still byte-match the interpreter,
-    # enriched JSON and all. (The latency fleets fault through the
-    # fast path; the host-heap gauges are populate-only and therefore
-    # fast-forward-independent by construction — see fig_hostmem.)
-    O1_SERVICE_TENANTS=50000 cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_service --latency --attrib --json "$out/svc_ff.json" \
-        --no-bench >/dev/null
-    O1_SERVICE_TENANTS=50000 cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_service --latency --attrib --no-fastforward \
-        --json "$out/svc_noff.json" --no-bench >/dev/null
-    cmp "$out/svc_ff.json" "$out/svc_noff.json"
     echo "==> golden append gate (committed figure bytes survive verbatim)"
     # A PR may append a new figure to GOLDEN_figures.json, but the
     # bytes of every figure already committed must survive: the HEAD
@@ -93,44 +77,16 @@ if [ "${1:-}" = "--gate" ]; then
         fi
         echo "golden: pure append over $prefix_len committed bytes"
     fi
-    echo "==> uniprocessor gate (plain figure bytes vs GOLDEN_figures.json)"
-    # Every figure except fig_smp's inner sweep runs on one simulated
-    # CPU, where the SMP machinery must be invisible: no IPI is ever
-    # charged and the frozen v1 JSON is byte-identical to the
-    # committed golden copy. Regenerate and commit GOLDEN_figures.json
-    # only alongside an intentional simulated-number change.
-    cargo run --release -p o1-bench --bin figures -- \
-        --json "$out/plain.json" --no-bench >/dev/null
-    cmp GOLDEN_figures.json "$out/plain.json"
-    echo "==> smp determinism gate (fig_smp bytes across --threads)"
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_smp --latency --attrib --threads 1 \
-        --json "$out/smp1.json" --no-bench >/dev/null
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_smp --latency --attrib --threads 4 \
-        --json "$out/smp4.json" --no-bench >/dev/null
-    cmp "$out/smp1.json" "$out/smp4.json"
-    echo "==> tiering determinism gate (fig_tiering bytes across --threads)"
-    # The tiering figure runs background migration between access
-    # rounds; its bytes must not depend on host-side parallelism any
-    # more than the rest of the suite.
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_tiering --latency --attrib --threads 1 \
-        --json "$out/tier1.json" --no-bench >/dev/null
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_tiering --latency --attrib --threads 4 \
-        --json "$out/tier4.json" --no-bench >/dev/null
-    cmp "$out/tier1.json" "$out/tier4.json"
-    echo "==> timeline determinism gate (full-suite --timeline across --threads)"
-    # Gauge timelines are sampled on the simulated clock at op
-    # boundaries, so both export formats must be byte-identical no
-    # matter how many host threads regenerate the suite.
-    cargo run --release -p o1-bench --bin figures -- \
-        --timeline "$out/tl1" --threads 1 --no-bench >/dev/null
-    cargo run --release -p o1-bench --bin figures -- \
-        --timeline "$out/tl4" --threads 4 --no-bench >/dev/null
-    cmp "$out/tl1/timeline.jsonl" "$out/tl4/timeline.jsonl"
-    cmp "$out/tl1/timeline_chrome.json" "$out/tl4/timeline_chrome.json"
+    echo "==> suite matrix at full scale (tests/suite_matrix.rs)"
+    # The whole suite four ways: sequential and on 4 threads x 2
+    # repeats (traced, timelines armed), with fast-forward off, and
+    # untraced. Every export must agree across threads; figure, enriched
+    # JSON and trace bytes must agree with fast-forward off; tracing may
+    # change only the two host-heap readers; every ledger conserves;
+    # and the untraced figures must equal GOLDEN_figures.json byte for
+    # byte. Regenerate and commit GOLDEN_figures.json only alongside an
+    # intentional simulated-number change.
+    cargo test -q --release --test suite_matrix -- --ignored
     echo "==> hostmem gate (fig_hostmem: baseline grows, fom stays flat)"
     # The 23rd figure measures the simulator's own peak heap per mapped
     # address space. The paper's shape claim, numerically: the baseline
@@ -185,7 +141,7 @@ cargo run --release -p o1-bench --bin figures -- \
     >/dev/null
 # The smoke figure's JSON must be non-empty and parse as the series
 # schema (cheap sanity; byte-level determinism is enforced by
-# tests/figures_determinism.rs above).
+# tests/suite_matrix.rs above).
 grep -q '"fig1a"' "$out/fig1a.json"
 grep -q '"schema": "o1mem/bench-figures/v2"' "$out/bench.json"
 

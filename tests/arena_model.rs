@@ -4,7 +4,8 @@
 //! after their slot is reused, and — one level up — a destroyed `Pid`
 //! must keep reporting `NoProcess` on the baseline kernel and under
 //! every file-only mapping mechanism, even after its table slot has
-//! been recycled by later processes.
+//! been recycled by later processes. Arguments that overflow 64-bit
+//! address arithmetic get errors there too, not panics.
 
 use std::collections::HashMap;
 
@@ -14,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{Arena, Handle};
 use o1mem::vm::{BaselineKernel, MemSys, VmError};
-use o1mem::PAGE_SIZE;
+use o1mem::{VirtAddr, PAGE_SIZE};
 
 #[test]
 fn arena_matches_hashmap_oracle_under_churn() {
@@ -110,6 +111,16 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
             Err(VmError::NoProcess)
         );
         assert_eq!(sys.destroy_process(victim), Err(VmError::NoProcess));
+        // Overflowing lengths and addresses are errors on a live pid,
+        // and a rejected alloc charges nothing.
+        let p = sys.create_process().unwrap();
+        for bytes in [u64::MAX, u64::MAX - (PAGE_SIZE - 1)] {
+            let t0 = sys.machine().now();
+            assert_eq!(sys.alloc(p, bytes, false), Err(VmError::BadRange));
+            assert_eq!(sys.machine().now(), t0, "rejected alloc charged");
+        }
+        assert_eq!(sys.load(p, VirtAddr(u64::MAX)), Err(VmError::BadAddress));
+        sys.destroy_process(p).unwrap();
     }
     scenario(&mut BaselineKernel::builder().dram(64 << 20).build());
     // The lifecycle is shared kernel-core code, so every mechanism

@@ -20,8 +20,8 @@ fn traced_subset() -> Vec<FigureTrace> {
         &fns,
         &RunnerOptions {
             threads: 2,
-            repeat: 1,
             trace: true,
+            ..Default::default()
         },
     )
     .traces()

@@ -301,6 +301,25 @@ fn cold_start_fleets_match_the_interpreter() {
     }
 }
 
+/// Past 65,535 launches the ASID space rolls over: every later
+/// tenant gets a recycled ASID whose stale translations are flushed
+/// first. `fig_service` reaches this only at full scale, so drive one
+/// rollover on every kernel and stream a fleet through the recycled
+/// generation.
+#[test]
+fn asid_rollover_fleets_match_the_interpreter() {
+    for (name, (a, b)) in all_kernel_pairs() {
+        let what = format!("{name} fleet after ASID rollover");
+        assert_equivalent(a, b, &what, &|sys: &mut dyn MemSys| {
+            for _ in 0..u16::MAX {
+                let pid = sys.create_process().unwrap();
+                sys.destroy_process(pid).unwrap();
+            }
+            drive_service_fleet(sys, 600, 48, 64, 0.9, 17, false, |_| {}).unwrap();
+        });
+    }
+}
+
 /// Migration slices each tenant's touch run across every CPU, so
 /// every leg's first batch lands on a cold TLB under a fresh ASID
 /// and must re-prove its span. Those re-proofs (and the refusals

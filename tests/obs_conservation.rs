@@ -2,7 +2,7 @@
 //! op stream does to a kernel — allocs, frees, stores, loads, phase
 //! switches, process churn — the machine's ledger must account for
 //! every simulated nanosecond. The figure-suite gate
-//! (`trace_determinism.rs`) checks the paths the paper exercises; this
+//! (`suite_matrix.rs`) checks the paths the paper exercises; this
 //! one walks the op space at random so new charge paths can't dodge
 //! the ledger by staying off the figure suite.
 
