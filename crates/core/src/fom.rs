@@ -589,15 +589,6 @@ impl FomKernel {
             let (mech, mut ctx) = self.seam();
             let base = mech.base_va(&mut ctx, pid, &extents, total_pages)?;
             for fe in &extents {
-                // Bulk-install fast path: a mechanism with uniform
-                // placement installs the whole extent with aggregate
-                // charges; a refusal falls back to the interpreted
-                // per-page install, charge-identically.
-                if ctx.machine.fastforward()
-                    && mech.install_run(&mut ctx, pid, id, *fe, base, prot, &mut pieces)?
-                {
-                    continue;
-                }
                 mech.install_extent(&mut ctx, pid, id, *fe, base, prot, &mut pieces)?;
             }
             base

@@ -18,6 +18,11 @@
 //!   return a span whose charges are identical to interpreting each
 //!   access, or refuse **without charging or mutating simulated
 //!   state** (the interpreter fallback is charge-identical).
+//! * `install_extent` needs no prover: page-table installs go through
+//!   [`PageTables::map_extent`](o1_hw::PageTables::map_extent) and
+//!   [`share`](o1_hw::PageTables::share), which charge a whole install
+//!   in one block — identical to per-entry charging for every extent
+//!   (DESIGN.md §3.1).
 //! * `on_flush_asid` is called after every ASID shootdown the kernel
 //!   issues; a mechanism holding per-ASID translations (e.g. the
 //!   Utopia fast region) must drop them there.
@@ -101,29 +106,6 @@ pub(crate) trait MapMechanism: std::fmt::Debug + Send {
         prot: Prot,
         pieces: &mut Vec<Piece>,
     ) -> Result<(), VmError>;
-
-    /// Bulk-install prover for one extent: install **all** of the
-    /// extent's mappings with aggregate charges byte-identical to
-    /// [`install_extent`](Self::install_extent), or refuse
-    /// (`Ok(false)`) **without charging or mutating simulated state**
-    /// so the kernel falls back to the interpreted install. Only
-    /// called when fast-forward is enabled. Mechanisms whose placement
-    /// is not uniform across an extent — tier residency, per-access
-    /// caching side state — must refuse.
-    #[allow(clippy::too_many_arguments)]
-    fn install_run(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        let _ = (ctx, pid, id, fe, base, prot, pieces);
-        Ok(false)
-    }
 
     /// Tear down the pieces of one unmapped mapping (called before the
     /// kernel's single ASID shootdown).
@@ -536,44 +518,6 @@ impl MapMechanism for PageTablesMech {
         });
         Ok(())
     }
-
-    /// Plain page tables place every extent uniformly (va-contiguous,
-    /// pa-contiguous, one flags word), so the whole install compresses
-    /// to one aggregate charge block via
-    /// [`PageTables::map_extent_run`](o1_hw::PageTables::map_extent_run).
-    fn install_run(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        _id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        if fe.phys.frames < 2 {
-            return Ok(false); // nothing to compress
-        }
-        let va = base + fe.file_page * PAGE_SIZE;
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
-        ctx.pt
-            .map_extent_run(
-                ctx.machine,
-                root,
-                va,
-                fe.phys.start,
-                fe.phys.frames,
-                pte_for(prot),
-                true,
-            )
-            .map_err(|_| VmError::BadRange)?;
-        pieces.push(Piece::Pages {
-            va,
-            bytes: fe.phys.bytes(),
-        });
-        ctx.machine.note_ffwd_run(fe.phys.frames);
-        Ok(true)
-    }
 }
 
 /// Pre-created page-table subtrees shared by pointer swing.
@@ -736,7 +680,7 @@ impl MapMechanism for RangesMech {
         }
         // Bounding box over accessed page indexes.
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for r in runs {
+        for r in runs.iter().filter(|r| r.len > 0) {
             let Ok(steps) = i64::try_from(r.len - 1) else {
                 return Ok(None);
             };
@@ -784,7 +728,7 @@ impl MapMechanism for RangesMech {
         ctx.machine.perf.rtlb_hits += total;
         ctx.machine.charge_opn(CostKind::RtlbHit, total);
         let mut value = first_value;
-        for r in runs {
+        for r in runs.iter().filter(|r| r.len > 0) {
             let pa = entry.translate(base + r.start_page * PAGE_SIZE);
             let stride_bytes = r.stride.wrapping_mul(PAGE_SIZE as i64);
             bulk_memory(ctx.machine, pa, stride_bytes, r.len, write, value);
@@ -920,24 +864,6 @@ impl MapMechanism for UtopiaMech {
         // TLB-only span proof would charge differently than the
         // interpreter. Always interpret; refusal is charge-free.
         None
-    }
-
-    fn install_run(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        _id: FileId,
-        _fe: FileExtent,
-        _base: VirtAddr,
-        _prot: Prot,
-        _pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        // Placement is not uniform under the hybrid: the direct-mapped
-        // fast region holds per-ASID residents that future conflict
-        // evictions depend on, so an install's observable effect is not
-        // a pure function of the extent. Always interpret; refusal is
-        // charge-free.
-        Ok(false)
     }
 
     fn fgrow_limit_ns(&self) -> u64 {
@@ -1225,24 +1151,6 @@ impl MapMechanism for ObaseMech {
             bytes: fe.phys.bytes(),
         });
         Ok(())
-    }
-
-    fn install_run(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        _id: FileId,
-        _fe: FileExtent,
-        _base: VirtAddr,
-        _prot: Prot,
-        _pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        // Tiered placement is not uniform: the extent's frames resolve
-        // to its DRAM copy or its NVM home depending on promotion
-        // state, a re-install may force a demotion first, and every
-        // install must be recorded for future remaps. Always
-        // interpret; refusal is charge-free.
-        Ok(false)
     }
 
     fn teardown_pieces(

@@ -293,6 +293,21 @@ impl PageSize {
             PageSize::Huge1G => 2,
         }
     }
+
+    /// Size of a leaf entry found at page-table `level` (the inverse
+    /// of [`leaf_level`](Self::leaf_level)).
+    ///
+    /// # Panics
+    /// Panics above level 2: the root never holds a leaf.
+    #[inline]
+    pub(crate) fn at_leaf_level(level: u8) -> PageSize {
+        match level {
+            0 => PageSize::Base,
+            1 => PageSize::Huge2M,
+            2 => PageSize::Huge1G,
+            _ => unreachable!("leaf at root level"),
+        }
+    }
 }
 
 #[cfg(test)]

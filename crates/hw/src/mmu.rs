@@ -126,6 +126,19 @@ struct WalkSlot {
     size: PageSize,
 }
 
+impl WalkSlot {
+    /// The slot of the leaf covering `va` in `root`'s tree, if any.
+    fn find(pt: &PageTables, root: PtNodeId, va: VirtAddr) -> Option<WalkSlot> {
+        let (node, index, levels_touched) = pt.leaf_slot(root, va)?;
+        Some(WalkSlot {
+            node,
+            index: index as u16,
+            levels_touched,
+            size: PageSize::at_leaf_level(pt.level(node)),
+        })
+    }
+}
+
 /// Private translation state of one simulated CPU: its page TLB,
 /// range TLB, and software page-walk cache.
 #[derive(Debug)]
@@ -571,10 +584,8 @@ impl Mmu {
     ///   strictly monotone, pairwise-distinct pages (a mapping the
     ///   caller installs for access *k* can never satisfy access
     ///   *k+1* of the same run);
-    /// * absence is proven from the page tables: an `Entry::None` in a
-    ///   level-`l` node covers an aligned `PAGE_SIZE << 9l`-byte
-    ///   region with nothing mapped below it, and any `Entry::Leaf`
-    ///   (base or huge) ends the provable span;
+    /// * absence is proven from the page tables
+    ///   ([`PageTables::absent_run`]);
     /// * page-TLB absence follows from the invariant TLB ⊆ page
     ///   tables (every unmap path invalidates eagerly), re-checked
     ///   per page in debug builds.
@@ -590,49 +601,13 @@ impl Mmu {
         stride: i64,
         len: u64,
     ) -> Option<u64> {
-        use crate::addr::PAGE_SIZE;
-        if len < 2 || stride.unsigned_abs() < PAGE_SIZE || self.ranges_enabled {
+        if len < 2 || stride.unsigned_abs() < crate::addr::PAGE_SIZE || self.ranges_enabled {
             return None;
         }
         if !self.run_prover_ready() {
             return None;
         }
-        let mut span = 0u64;
-        let mut at = va.0;
-        while span < len {
-            // Descend to the absent region covering `at`, if any.
-            let mut cur = root;
-            let mut level = pt.level(cur);
-            let region = loop {
-                match pt.entry(cur, VirtAddr(at).pt_index(level)) {
-                    Entry::None => {
-                        let bytes = PAGE_SIZE << (9 * u32::from(level));
-                        let lo = at & !(bytes - 1);
-                        break lo.checked_add(bytes).map(|hi| (lo, hi));
-                    }
-                    Entry::Table(child) => {
-                        cur = child;
-                        level -= 1;
-                    }
-                    Entry::Leaf { .. } => break None,
-                }
-            };
-            let Some((lo, hi)) = region else { break };
-            let step = span_within(at, stride, len - span, lo, hi);
-            span += step;
-            if span >= len {
-                break;
-            }
-            // First access past the region; stop on address overflow
-            // (no such run is provable, the prefix stands).
-            let Some(delta) = stride.checked_mul(i64::try_from(step).ok()?) else {
-                break;
-            };
-            let Some(next) = at.checked_add_signed(delta) else {
-                break;
-            };
-            at = next;
-        }
+        let span = pt.absent_run(root, va, stride, len);
         if span < 2 {
             return None;
         }
@@ -670,30 +645,22 @@ impl Mmu {
         root: PtNodeId,
         last_va: VirtAddr,
     ) {
+        let Some(slot) = WalkSlot::find(pt, root, last_va) else {
+            debug_assert!(false, "bulk-fault replay: final page must be mapped");
+            return;
+        };
+        self.walk_cache(pt).insert((root, last_va.page()), slot);
+    }
+
+    /// The current CPU's software page-walk cache, emptied first if
+    /// the page tables changed structure since it was filled.
+    fn walk_cache(&mut self, pt: &PageTables) -> &mut FastMap<(PtNodeId, PageNo), WalkSlot> {
         let cpu = &mut self.cpus[self.current.index()];
         if cpu.walk_epoch != pt.epoch() {
             cpu.walk_cache.clear();
             cpu.walk_epoch = pt.epoch();
         }
-        let Some((node, index, touched)) = pt.leaf_slot(root, last_va) else {
-            debug_assert!(false, "bulk-fault replay: final page must be mapped");
-            return;
-        };
-        let size = match pt.level(node) {
-            0 => PageSize::Base,
-            1 => PageSize::Huge2M,
-            2 => PageSize::Huge1G,
-            _ => unreachable!("leaf at root level"),
-        };
-        cpu.walk_cache.insert(
-            (root, last_va.page()),
-            WalkSlot {
-                node,
-                index: index as u16,
-                levels_touched: touched,
-                size,
-            },
-        );
+        &mut cpu.walk_cache
     }
 
     /// Hardware page walk through the software page-walk cache.
@@ -713,29 +680,13 @@ impl Mmu {
         root: PtNodeId,
         va: VirtAddr,
     ) -> Option<(Translation, FrameNo)> {
-        let cpu = &mut self.cpus[self.current.index()];
-        if cpu.walk_epoch != pt.epoch() {
-            cpu.walk_cache.clear();
-            cpu.walk_epoch = pt.epoch();
-        }
+        let cache = self.walk_cache(pt);
         let key = (root, va.page());
-        let slot = match cpu.walk_cache.get(&key) {
+        let slot = match cache.get(&key) {
             Some(&slot) => slot,
-            None => match pt.leaf_slot(root, va) {
-                Some((node, index, touched)) => {
-                    let size = match pt.level(node) {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
-                    let slot = WalkSlot {
-                        node,
-                        index: index as u16,
-                        levels_touched: touched,
-                        size,
-                    };
-                    cpu.walk_cache.insert(key, slot);
+            None => match WalkSlot::find(pt, root, va) {
+                Some(slot) => {
+                    cache.insert(key, slot);
                     slot
                 }
                 None => {

@@ -23,6 +23,7 @@ use core::fmt;
 
 use crate::addr::{FrameNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE, PT_ENTRIES};
 use crate::machine::Machine;
+use crate::mmu::span_within;
 
 /// Page-table entry permission / status bits.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -275,8 +276,7 @@ impl PageTables {
 
     /// State-only node allocation: identical arena and epoch effects
     /// to [`create_node`](Self::create_node) but no cost or perf
-    /// charge. The bulk-fault fast path uses it and replays the
-    /// aggregate `PtNodeAlloc` charge afterwards.
+    /// charge (the node-creating descent charges in aggregate).
     fn create_node_uncharged(&mut self, level: u8) -> PtNodeId {
         assert!(level < crate::addr::PT_LEVELS, "bad page-table level");
         self.epoch += 1;
@@ -352,8 +352,8 @@ impl PageTables {
     }
 
     /// State-only entry write: identical node and epoch effects to
-    /// [`set_entry`] but no cost or perf charge (bulk-fault fast
-    /// path; the caller replays the aggregate `PteWrite` charge).
+    /// [`set_entry`] but no cost or perf charge (installs charge in
+    /// aggregate).
     fn set_entry_uncharged(&mut self, node: PtNodeId, index: usize, e: Entry) {
         self.epoch += 1;
         let n = self.node_mut(node);
@@ -368,34 +368,51 @@ impl PageTables {
     }
 
     /// Walk from `root` to the node at `target_level` for `va`,
-    /// creating intermediate nodes as needed. Returns an error if the
-    /// walk hits a huge-page leaf.
-    fn walk_create(
+    /// creating missing intermediate nodes: the one descent that
+    /// creates nodes. State only — it returns the node and how many
+    /// nodes it created, and the caller charges them with
+    /// [`charge_installs`](Self::charge_installs). A descent that
+    /// fails (it met a huge-page leaf) has created nothing, because a
+    /// freshly created node holds no leaf.
+    fn descend_create(
         &mut self,
-        m: &mut Machine,
         root: PtNodeId,
         va: VirtAddr,
         target_level: u8,
-    ) -> Result<PtNodeId, MapError> {
+    ) -> Result<(PtNodeId, u64), MapError> {
         let mut cur = root;
         let mut level = self.node(cur).level;
         debug_assert_eq!(level, crate::addr::PT_LEVELS - 1);
+        let mut created = 0u64;
         while level > target_level {
             let idx = va.pt_index(level);
             match self.entry(cur, idx) {
-                Entry::Table(child) => {
-                    cur = child;
-                }
+                Entry::Table(child) => cur = child,
                 Entry::None => {
-                    let child = self.create_node(m, level - 1);
-                    self.set_entry(m, cur, idx, Entry::Table(child));
+                    let child = self.create_node_uncharged(level - 1);
+                    self.set_entry_uncharged(cur, idx, Entry::Table(child));
+                    created += 1;
                     cur = child;
                 }
                 Entry::Leaf { .. } => return Err(MapError::Conflict),
             }
             level -= 1;
         }
-        Ok(cur)
+        Ok((cur, created))
+    }
+
+    /// Charge `nodes` node creations and `entries` further entry
+    /// writes: one `PtNodeAlloc` per node, and one `PteWrite` per
+    /// node link and per entry. The ledger sums `(phase, kind)` rows
+    /// and the clock is a sum, so one block charged after an install
+    /// is identical to charging each write as it happens; zero counts
+    /// charge nothing, so no ledger row appears that per-write
+    /// charging would not have created.
+    pub fn charge_installs(m: &mut Machine, nodes: u64, entries: u64) {
+        m.charge_opn(CostKind::PtNodeAlloc, nodes);
+        m.perf.pt_nodes_alloced += nodes;
+        m.charge_opn(CostKind::PteWrite, nodes + entries);
+        m.perf.pte_writes += nodes + entries;
     }
 
     /// Map one page of `size` at `va` to `frame`.
@@ -411,19 +428,9 @@ impl PageTables {
         size: PageSize,
         flags: PteFlags,
     ) -> Result<(), MapError> {
-        if !va.is_aligned(size.bytes()) || !frame.base().is_aligned(size.bytes()) {
-            return Err(MapError::Misaligned);
-        }
-        let leaf_level = size.leaf_level();
-        let node = self.walk_create(m, root, va, leaf_level)?;
-        let idx = va.pt_index(leaf_level);
-        match self.entry(node, idx) {
-            Entry::None => {
-                self.set_entry(m, node, idx, Entry::Leaf { frame, flags });
-                Ok(())
-            }
-            _ => Err(MapError::AlreadyMapped),
-        }
+        let created = self.map_uncharged(root, va, frame, size, flags)?;
+        Self::charge_installs(m, created, 1);
+        Ok(())
     }
 
     /// Map a contiguous physical extent of `npages` base pages starting
@@ -431,7 +438,12 @@ impl PageTables {
     /// 2 MiB mappings where alignment allows (when `use_huge`).
     ///
     /// Returns the number of leaf entries written — the measure of
-    /// per-page work that the paper's Figure 1a plots.
+    /// per-page work that the paper's Figure 1a plots. The whole
+    /// extent is charged in one block after its entries are written
+    /// (see [`charge_installs`](Self::charge_installs)). On a
+    /// mid-extent error the entries already written are charged, as
+    /// per-page [`map`](Self::map) calls would have been, and the
+    /// error is returned.
     #[allow(clippy::too_many_arguments)]
     pub fn map_extent(
         &mut self,
@@ -446,36 +458,37 @@ impl PageTables {
         if !va.is_aligned(PAGE_SIZE) {
             return Err(MapError::Misaligned);
         }
-        let mut entries = 0u64;
-        let mut va = va;
-        let mut frame = frame;
-        let mut left = npages;
-        while left > 0 {
+        let (mut va, mut frame, mut left) = (va, frame, npages);
+        let (mut entries, mut created) = (0u64, 0u64);
+        let result = loop {
+            if left == 0 {
+                break Ok(entries);
+            }
             let size = if use_huge {
                 Self::best_size(va, frame, left)
             } else {
                 PageSize::Base
             };
-            self.map(m, root, va, frame, size, flags)?;
+            match self.map_uncharged(root, va, frame, size, flags) {
+                Ok(n) => created += n,
+                Err(e) => break Err(e),
+            }
             let pages = size.bytes() / PAGE_SIZE;
             va += size.bytes();
             frame = frame + pages;
             left -= pages;
             entries += 1;
-        }
-        Ok(entries)
+        };
+        Self::charge_installs(m, created, entries);
+        result
     }
 
     /// Map one page of `size` with the same arena mutations, epoch
     /// bumps and failure modes as [`map`](Self::map) but **no**
     /// cost/perf charges. Returns the number of intermediate nodes
-    /// created so the caller can replay the aggregate charge
-    /// (`PtNodeAlloc` per node, `PteWrite` per node link + leaf).
-    ///
-    /// This is the state half of the bulk-fault fast path: the ledger
-    /// accumulates `(phase, kind)` sums and the clock is a sum, so
-    /// charging N pages' worth at once is byte-identical to the
-    /// interpreter's interleaved charges.
+    /// created so the caller can charge them with
+    /// [`charge_installs`](Self::charge_installs). A failed call
+    /// changes nothing.
     pub fn map_uncharged(
         &mut self,
         root: PtNodeId,
@@ -488,112 +501,39 @@ impl PageTables {
             return Err(MapError::Misaligned);
         }
         let leaf_level = size.leaf_level();
-        let mut created = 0u64;
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        debug_assert_eq!(level, crate::addr::PT_LEVELS - 1);
-        while level > leaf_level {
-            let idx = va.pt_index(level);
-            match self.entry(cur, idx) {
-                Entry::Table(child) => cur = child,
-                Entry::None => {
-                    let child = self.create_node_uncharged(level - 1);
-                    self.set_entry_uncharged(cur, idx, Entry::Table(child));
-                    created += 1;
-                    cur = child;
-                }
-                Entry::Leaf { .. } => return Err(MapError::Conflict),
-            }
-            level -= 1;
-        }
+        let (node, created) = self.descend_create(root, va, leaf_level)?;
         let idx = va.pt_index(leaf_level);
-        match self.entry(cur, idx) {
-            Entry::None => {
-                self.set_entry_uncharged(cur, idx, Entry::Leaf { frame, flags });
-                Ok(created)
-            }
-            _ => Err(MapError::AlreadyMapped),
+        if !matches!(self.entry(node, idx), Entry::None) {
+            return Err(MapError::AlreadyMapped);
         }
+        self.set_entry_uncharged(node, idx, Entry::Leaf { frame, flags });
+        Ok(created)
     }
 
-    /// Run-compressed [`map_extent`](Self::map_extent): identical
-    /// mappings, identical total charges, one aggregate charge block
-    /// instead of per-entry calls. On a mid-extent error the pages
-    /// already installed are charged (as the interpreter would have)
-    /// before the error propagates.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_extent_run(
-        &mut self,
-        m: &mut Machine,
-        root: PtNodeId,
-        va: VirtAddr,
-        frame: FrameNo,
-        npages: u64,
-        flags: PteFlags,
-        use_huge: bool,
-    ) -> Result<u64, MapError> {
-        if !va.is_aligned(PAGE_SIZE) {
-            return Err(MapError::Misaligned);
-        }
-        let mut entries = 0u64;
-        let mut created = 0u64;
-        let mut va = va;
-        let mut frame = frame;
-        let mut left = npages;
-        let mut result = Ok(());
-        while left > 0 {
-            let size = if use_huge {
-                Self::best_size(va, frame, left)
-            } else {
-                PageSize::Base
-            };
-            match self.map_uncharged(root, va, frame, size, flags) {
-                Ok(n) => created += n,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            let pages = size.bytes() / PAGE_SIZE;
-            va += size.bytes();
-            frame = frame + pages;
-            left -= pages;
-            entries += 1;
-        }
-        // Aggregate replay of what map() would have charged per page.
-        // Zero-count charges are skipped so no ledger row appears that
-        // the interpreter would not have created.
-        if created > 0 {
-            m.charge_opn(CostKind::PtNodeAlloc, created);
-            m.perf.pt_nodes_alloced += created;
-        }
-        if created + entries > 0 {
-            m.charge_opn(CostKind::PteWrite, created + entries);
-            m.perf.pte_writes += created + entries;
-        }
-        result.map(|()| entries)
-    }
-
-    /// Prove that the `pages` consecutive base pages starting at `va`
-    /// (which must be page-aligned) have **no** entry installed — the
-    /// page-table half of the bulk-populate proof. An [`Entry::None`]
-    /// found in a level-`l` node covers an aligned `PAGE_SIZE << 9l`-
-    /// byte region with nothing mapped below it, so whole subtrees are
-    /// skipped per probe; any leaf (base or huge) ends the provable
-    /// prefix. Returns how many leading pages are provably absent.
-    /// Read-only and charge-free: refusal costs nothing.
-    pub fn absent_run(&self, root: PtNodeId, va: VirtAddr, pages: u64) -> u64 {
-        debug_assert!(va.is_aligned(PAGE_SIZE));
+    /// Prove that none of the `len` accesses `va`, `va + stride`, …
+    /// (byte stride, `|stride| ≥ PAGE_SIZE`, so each access is on its
+    /// own page) has an entry installed: the absence proof of every
+    /// miss-side prover. An [`Entry::None`] found in a level-`l` node
+    /// covers an aligned `PAGE_SIZE << 9l`-byte region with nothing
+    /// mapped below it, so one probe skips every access inside that
+    /// region; any leaf (base or huge) ends the provable prefix, and
+    /// so does address overflow. Returns how many leading accesses
+    /// are provably absent. Read-only and charge-free: refusal costs
+    /// nothing.
+    pub fn absent_run(&self, root: PtNodeId, va: VirtAddr, stride: i64, len: u64) -> u64 {
+        debug_assert!(stride.unsigned_abs() >= PAGE_SIZE);
         let mut proved = 0u64;
         let mut at = va.0;
-        while proved < pages {
+        while proved < len {
+            // Descend to the absent region covering `at`, if any.
             let mut cur = root;
             let mut level = self.node(cur).level;
-            let hi = loop {
+            let region = loop {
                 match self.entry(cur, VirtAddr(at).pt_index(level)) {
                     Entry::None => {
                         let bytes = PAGE_SIZE << (9 * u32::from(level));
-                        break (at & !(bytes - 1)).checked_add(bytes);
+                        let lo = at & !(bytes - 1);
+                        break lo.checked_add(bytes).map(|hi| (lo, hi));
                     }
                     Entry::Table(child) => {
                         cur = child;
@@ -602,12 +542,17 @@ impl PageTables {
                     Entry::Leaf { .. } => break None,
                 }
             };
-            let Some(hi) = hi else { break };
-            let step = ((hi - at) / PAGE_SIZE).min(pages - proved);
+            let Some((lo, hi)) = region else { break };
+            let step = span_within(at, stride, len - proved, lo, hi);
             proved += step;
-            match at.checked_add(step * PAGE_SIZE) {
-                Some(next) => at = next,
-                None => break,
+            // Move to the first access past the region.
+            let next = i64::try_from(step)
+                .ok()
+                .and_then(|s| stride.checked_mul(s))
+                .and_then(|delta| at.checked_add_signed(delta));
+            match next {
+                Some(next) if proved < len => at = next,
+                _ => break,
             }
         }
         proved
@@ -651,12 +596,7 @@ impl PageTables {
                     level -= 1;
                 }
                 Entry::Leaf { frame, flags } => {
-                    let size = match level {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
+                    let size = PageSize::at_leaf_level(level);
                     self.set_entry(m, cur, idx, Entry::None);
                     break (frame, flags, size);
                 }
@@ -678,34 +618,17 @@ impl PageTables {
     /// Pure lookup without cost charging (for assertions and kernel
     /// bookkeeping that would not touch the hardware walker).
     pub fn lookup(&self, root: PtNodeId, va: VirtAddr) -> Option<Translation> {
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        let mut touched = 1u8;
-        loop {
-            match self.entry(cur, va.pt_index(level)) {
-                Entry::None => return None,
-                Entry::Table(child) => {
-                    cur = child;
-                    level -= 1;
-                    touched += 1;
-                }
-                Entry::Leaf { frame, flags } => {
-                    let size = match level {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
-                    let off = va.0 & (size.bytes() - 1);
-                    return Some(Translation {
-                        pa: PhysAddr(frame.base().0 + off),
-                        flags,
-                        size,
-                        levels_touched: touched,
-                    });
-                }
-            }
-        }
+        let (node, index, levels_touched) = self.leaf_slot(root, va)?;
+        let Entry::Leaf { frame, flags } = self.entry(node, index) else {
+            unreachable!("leaf_slot found a non-leaf entry");
+        };
+        let size = PageSize::at_leaf_level(self.level(node));
+        Some(Translation {
+            pa: PhysAddr(frame.base().0 + (va.0 & (size.bytes() - 1))),
+            flags,
+            size,
+            levels_touched,
+        })
     }
 
     /// Locate the node and entry index of the leaf covering `va`, plus
@@ -741,55 +664,43 @@ impl PageTables {
         t
     }
 
+    /// Replace the flags of the leaf covering `va` with `update(old)`
+    /// and return the old flags. Flag-only: no charge and no epoch
+    /// bump, like the hardware's in-place A/D updates.
+    fn update_leaf_flags(
+        &mut self,
+        root: PtNodeId,
+        va: VirtAddr,
+        update: impl FnOnce(PteFlags) -> PteFlags,
+    ) -> Option<PteFlags> {
+        let (node, index, _) = self.leaf_slot(root, va)?;
+        let entry = &mut self.node_mut(node).entries[index];
+        let Entry::Leaf { frame, flags } = *entry else {
+            unreachable!("leaf_slot found a non-leaf entry");
+        };
+        *entry = Entry::Leaf {
+            frame,
+            flags: update(flags),
+        };
+        Some(flags)
+    }
+
     /// Set the ACCESSED (and, for writes, DIRTY) bits on the leaf entry
     /// covering `va`, as the hardware walker does on a TLB fill.
     pub fn mark_accessed(&mut self, root: PtNodeId, va: VirtAddr, write: bool) {
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        loop {
-            let idx = va.pt_index(level);
-            match self.entry(cur, idx) {
-                Entry::None => return,
-                Entry::Table(child) => {
-                    cur = child;
-                    level -= 1;
-                }
-                Entry::Leaf { frame, flags } => {
-                    let mut f = flags.union(PteFlags::ACCESSED);
-                    if write {
-                        f = f.union(PteFlags::DIRTY);
-                    }
-                    // Hardware A/D updates do not charge kernel cost.
-                    self.node_mut(cur).entries[idx] = Entry::Leaf { frame, flags: f };
-                    return;
-                }
-            }
-        }
+        let set = if write {
+            PteFlags::ACCESSED.union(PteFlags::DIRTY)
+        } else {
+            PteFlags::ACCESSED
+        };
+        self.update_leaf_flags(root, va, |f| f.union(set));
     }
 
     /// Clear the ACCESSED bit on the leaf covering `va`, returning its
     /// previous value (used by the clock reclaim algorithm).
     pub fn test_and_clear_accessed(&mut self, root: PtNodeId, va: VirtAddr) -> Option<bool> {
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        loop {
-            let idx = va.pt_index(level);
-            match self.entry(cur, idx) {
-                Entry::None => return None,
-                Entry::Table(child) => {
-                    cur = child;
-                    level -= 1;
-                }
-                Entry::Leaf { frame, flags } => {
-                    let was = flags.contains(PteFlags::ACCESSED);
-                    self.node_mut(cur).entries[idx] = Entry::Leaf {
-                        frame,
-                        flags: flags.difference(PteFlags::ACCESSED),
-                    };
-                    return Some(was);
-                }
-            }
-        }
+        self.update_leaf_flags(root, va, |f| f.difference(PteFlags::ACCESSED))
+            .map(|old| old.contains(PteFlags::ACCESSED))
     }
 
     /// Write a leaf entry directly into a standalone node — used to
@@ -860,17 +771,16 @@ impl PageTables {
         if !va.is_aligned(Self::node_span(node_level)) {
             return Err(MapError::Misaligned);
         }
-        let parent = self.walk_create(m, root, va, node_level + 1)?;
+        let (parent, created) = self.descend_create(root, va, node_level + 1)?;
         let idx = va.pt_index(node_level + 1);
-        match self.entry(parent, idx) {
-            Entry::None => {
-                self.retain(node);
-                self.set_entry(m, parent, idx, Entry::Table(node));
-                m.perf.pt_shares += 1;
-                Ok(())
-            }
-            _ => Err(MapError::AlreadyMapped),
+        if !matches!(self.entry(parent, idx), Entry::None) {
+            return Err(MapError::AlreadyMapped);
         }
+        self.retain(node);
+        self.set_entry_uncharged(parent, idx, Entry::Table(node));
+        Self::charge_installs(m, created, 1);
+        m.perf.pt_shares += 1;
+        Ok(())
     }
 
     /// Detach a subtree previously attached with [`share`](Self::share)
@@ -1106,6 +1016,90 @@ mod tests {
             .unwrap();
         // 2 base pages + 1 huge page.
         assert_eq!(entries, 3);
+    }
+
+    /// The per-leaf reference [`PageTables::map_extent`] must match:
+    /// one charged `map` per leaf, stopping at the first error.
+    fn map_each_leaf(
+        pt: &mut PageTables,
+        m: &mut Machine,
+        root: PtNodeId,
+        va: VirtAddr,
+        frame: FrameNo,
+        npages: u64,
+        use_huge: bool,
+    ) -> Result<u64, MapError> {
+        let (mut va, mut frame, mut left, mut entries) = (va, frame, npages, 0);
+        while left > 0 {
+            let size = if use_huge {
+                PageTables::best_size(va, frame, left)
+            } else {
+                PageSize::Base
+            };
+            pt.map(m, root, va, frame, size, PteFlags::user_rw())?;
+            let pages = size.bytes() / PAGE_SIZE;
+            va += size.bytes();
+            frame = frame + pages;
+            left -= pages;
+            entries += 1;
+        }
+        Ok(entries)
+    }
+
+    #[test]
+    fn map_extent_charges_like_per_leaf_maps() {
+        let p = PAGE_SIZE;
+        // (va, first frame, pages, use_huge, base page mapped first)
+        let cases = [
+            // Base leaves across a 2 MiB edge: a second leaf table.
+            (HUGE_2M - 8 * p, 100, 600, false, None),
+            // Base head below a 1 GiB edge, two 2 MiB leaves, base
+            // tail: new nodes on both sides of the edge.
+            (HUGE_1G - 3 * p, HUGE_1G / p - 3, 3 + 1024 + 5, true, None),
+            // AlreadyMapped mid-extent on base leaves.
+            (HUGE_2M - 8 * p, 100, 600, false, Some(HUGE_2M + 20 * p)),
+            // AlreadyMapped mid-extent on the second 2 MiB leaf.
+            (
+                HUGE_1G - 3 * p,
+                HUGE_1G / p - 3,
+                3 + 1024 + 5,
+                true,
+                Some(HUGE_1G + HUGE_2M + 7 * p),
+            ),
+        ];
+        for (va, frame, pages, use_huge, premapped) in cases {
+            let run = |extent: bool| {
+                let mut m = Machine::from_config(crate::machine::MachineConfig {
+                    dram_bytes: 64 << 20,
+                    obs: crate::machine::ObsMode::On,
+                    ..Default::default()
+                });
+                let mut pt = PageTables::new();
+                let root = pt.create_root(&mut m);
+                let flags = PteFlags::user_rw();
+                if let Some(at) = premapped {
+                    let at = VirtAddr(at);
+                    pt.map(&mut m, root, at, FrameNo(1), PageSize::Base, flags)
+                        .unwrap();
+                }
+                let (va, frame) = (VirtAddr(va), FrameNo(frame));
+                let got = if extent {
+                    pt.map_extent(&mut m, root, va, frame, pages, flags, use_huge)
+                } else {
+                    map_each_leaf(&mut pt, &mut m, root, va, frame, pages, use_huge)
+                };
+                let mapped: Vec<Option<PhysAddr>> = (0..pages)
+                    .map(|i| pt.lookup(root, va + i * PAGE_SIZE).map(|t| t.pa))
+                    .collect();
+                let rows = m.take_trace().expect("ledger on").rows;
+                (got, m.now(), m.perf, rows, mapped, pt.node_count())
+            };
+            let (extent, reference) = (run(true), run(false));
+            assert_eq!(extent, reference, "extent at {va:#x}, huge {use_huge}");
+            assert_eq!(extent.0.is_err(), premapped.is_some());
+            // The pages before the error were installed (and charged).
+            assert!(extent.4[0].is_some());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Model-based property tests: the page-table arena must agree with a
 //! simple `HashMap<page, frame>` oracle under arbitrary interleavings
-//! of map / unmap / share / unshare across multiple address spaces,
-//! and never leak or double-free nodes.
+//! of map / unmap / share / unshare / absence probes across multiple
+//! address spaces, and never leak or double-free nodes.
 
 use std::collections::HashMap;
 
@@ -23,7 +23,20 @@ enum Op {
     Unshare { space: usize, chunk: u64 },
     /// Translate a page and check against the model.
     Check { space: usize, page: u64 },
+    /// Probe `len` accesses `page + k·STRIDES[stride]` (pages, at byte
+    /// offset `offset`) with `absent_run` and check the proven prefix.
+    Absent {
+        space: usize,
+        page: u64,
+        offset: u64,
+        stride: usize,
+        len: u64,
+    },
 }
+
+/// Absence-probe strides, in pages: ±1, several pages, and a whole
+/// 2 MiB chunk.
+const STRIDES: [i64; 8] = [1, -1, 2, -3, 5, 17, 512, -512];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -36,6 +49,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..3, 0u64..2).prop_map(|(space, chunk)| Op::Share { space, chunk }),
         (1usize..3, 0u64..2).prop_map(|(space, chunk)| Op::Unshare { space, chunk }),
         (0usize..3, 0u64..1024).prop_map(|(space, page)| Op::Check { space, page }),
+        (
+            0usize..3,
+            0u64..1100,
+            0u64..512,
+            0usize..STRIDES.len(),
+            1u64..700
+        )
+            .prop_map(|(space, page, offset, stride, len)| Op::Absent {
+                space,
+                page,
+                offset: offset * 8,
+                stride,
+                len,
+            }),
     ]
 }
 
@@ -146,6 +173,20 @@ proptest! {
                     let got = pt.lookup(roots[space], va).map(|t| t.pa.frame().0);
                     let want = model.lookup(space, page);
                     prop_assert_eq!(got, want, "space {} page {}", space, page);
+                }
+                Op::Absent { space, page, offset, stride, len } => {
+                    let stride = STRIDES[stride];
+                    let va = VirtAddr(page * PAGE_SIZE + offset);
+                    let got = pt.absent_run(roots[space], va, stride * PAGE_SIZE as i64, len);
+                    // The leading accesses that are unmapped; a run
+                    // that would wrap below address 0 ends there.
+                    let want = (0..len)
+                        .take_while(|&k| {
+                            let p = page as i64 + k as i64 * stride;
+                            p >= 0 && model.lookup(space, p as u64).is_none()
+                        })
+                        .count() as u64;
+                    prop_assert_eq!(got, want, "space {} page {} stride {} len {}", space, page, stride, len);
                 }
             }
             prop_assert!(pt.check_consistency(), "arena slot invariants");

@@ -17,8 +17,9 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    span_within, Access, Asid, FastMap, FrameNo, MachineConfig, MemTier, PageSize, PhysAddr,
-    PtNodeId, PteFlags, RangeTable, TranslateError, VirtAddr, HUGE_2M, PAGE_SIZE, PT_LEVELS,
+    span_within, Access, Asid, FastMap, FrameNo, Machine, MachineConfig, MemTier, Mmu, PageSize,
+    PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError, VirtAddr, HUGE_2M,
+    PAGE_SIZE, PT_LEVELS,
 };
 use o1_memfs::{FileId, Tmpfs};
 use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
@@ -884,95 +885,121 @@ impl BaselineKernel {
     /// Bulk-populate fast-forward: install up to `pages` fresh
     /// anonymous pages at `va` in one fused pass, charging exactly
     /// what that many [`populate_page`](Self::populate_page) calls
-    /// would have. Proof obligations — base pages only (no THP),
-    /// anonymous backing, every page provably absent from the page
-    /// tables ([`PageTables::absent_run`]), DRAM-only placement, and
-    /// enough free frames that no allocation would have triggered
-    /// reclaim or failed mid-run. Returns the fused page count
-    /// (`≥ 2`), or `None` to fall back to the per-page interpreter —
-    /// which is charge-identical, merely slower on the host.
+    /// would have. Proof obligations — anonymous backing, every page
+    /// provably absent from the page tables
+    /// ([`PageTables::absent_run`]), and the budget shared with the
+    /// bulk-fault prover ([`fresh_run_budget`](Self::fresh_run_budget):
+    /// no THP, DRAM-only placement, and enough free frames that no
+    /// allocation would have triggered reclaim or failed mid-run).
+    /// The pages go in through
+    /// [`install_fresh_run`](Self::install_fresh_run). Returns the
+    /// fused page count (`≥ 2`), or `None` to fall back to the
+    /// per-page interpreter — which is charge-identical, merely slower
+    /// on the host.
     ///
     /// The pass is free of host heap allocations: `mmap(populate)` is
     /// the drive of the host-memory self-observation figures, whose
     /// peak-heap numbers must not depend on the fast-forward engine.
     fn try_populate_run(&mut self, pid: Pid, va: VirtAddr, pages: u64, vma: Vma) -> Option<u64> {
-        if pages < 2 || self.thp != ThpMode::Never || !matches!(vma.backing, Backing::Anon) {
+        if !matches!(vma.backing, Backing::Anon) {
             return None;
         }
-        // One tier keeps the zeroing charge uniform (true of every
-        // baseline machine; cheap to re-check).
-        if self.core.machine.phys.nvm_frames() != 0 {
-            return None;
-        }
-        // No allocation in the run may dip below the reclaim
-        // watermark or come up empty: the j-th allocation starts with
-        // `free0 - j` frames free, so the whole run stays above the
-        // watermark iff `span ≤ free0 - watermark + 1` (and OOM-free
-        // iff `span ≤ free0`). Clamping hands the tail — and with it
-        // the reclaim/OOM behaviour — to the interpreter unchanged.
-        let free0 = self.alloc.free_frames();
-        let max_n = if self.swap_enabled {
-            if free0 < self.low_watermark {
-                return None;
-            }
-            free0.min(free0 - self.low_watermark + 1)
-        } else {
-            free0
-        };
-        let want = pages.min(max_n);
+        let want = pages.min(self.fresh_run_budget()?);
         if want < 2 {
             return None;
         }
         let root = self.core.procs.get(pid)?.root;
-        let span = self.core.pt.absent_run(root, va, want);
+        let stride = PAGE_SIZE as i64;
+        let span = self.core.pt.absent_run(root, va, stride, want);
         if span < 2 {
             return None;
         }
-        // Committed: everything below is infallible and replays the
-        // interpreter's per-page state mutations, then the aggregate
-        // charges (the ledger sums `(phase, kind)` rows and the clock
-        // is a sum, so order does not matter).
         let flags = pte_for(vma.prot);
+        self.install_fresh_run(pid, root, va, stride, span, flags, |_, _, _, _, _, _| {});
+        Some(span)
+    }
+
+    /// The preconditions both fresh-page provers share, and how many
+    /// pages they may fuse. Base pages only (no THP) and one memory
+    /// tier (true of every baseline machine; cheap to re-check) keep
+    /// every page's install and zeroing charge uniform. No allocation
+    /// in the run may dip below the reclaim watermark or come up
+    /// empty: the j-th allocation starts with `free0 - j` frames free,
+    /// so the whole run stays above the watermark iff
+    /// `span ≤ free0 - watermark + 1` (and OOM-free iff `span ≤ free0`).
+    /// Clamping hands the tail — and with it the reclaim/OOM
+    /// behaviour — to the interpreter unchanged.
+    fn fresh_run_budget(&self) -> Option<u64> {
+        if self.thp != ThpMode::Never || self.core.machine.phys.nvm_frames() != 0 {
+            return None;
+        }
+        let free0 = self.alloc.free_frames();
+        if !self.swap_enabled {
+            return Some(free0);
+        }
+        let headroom = free0.checked_sub(self.low_watermark)?;
+        Some(free0.min(headroom + 1))
+    }
+
+    /// The installer both fresh-page provers share: for the `span`
+    /// accesses `va`, `va + stride`, … (absence proven, budget
+    /// clamped) allocate, zero and map one fresh anonymous base page
+    /// each with leaf `flags`, write its `struct page` and LRU entry,
+    /// and hand `per_page` the machine, the MMU, the frame, the access
+    /// address, the buddy split count and the page-table nodes
+    /// created. Then charge the zeroing, page-table and `struct page`
+    /// work of all `span` pages in one block — committed state, no
+    /// refusal past this point. Returns the last page installed.
+    #[allow(clippy::too_many_arguments)]
+    fn install_fresh_run(
+        &mut self,
+        pid: Pid,
+        root: PtNodeId,
+        va: VirtAddr,
+        stride: i64,
+        span: u64,
+        flags: PteFlags,
+        mut per_page: impl FnMut(&mut Machine, &mut Mmu, FrameNo, VirtAddr, u32, u64),
+    ) -> VirtAddr {
         let swap_on = self.swap_enabled;
-        let mut at = va;
-        let mut nodes_total = 0u64;
+        let (mut at, mut last, mut nodes_total) = (va.0, va, 0u64);
         let BaselineKernel {
-            core: KernelCore { machine, pt, .. },
+            core: KernelCore {
+                machine, pt, mmu, ..
+            },
             alloc,
             meta,
             lru,
             ..
         } = self;
         alloc
-            .alloc_run_with(machine, span, |m, frame, _splits| {
+            .alloc_run_with(machine, span, |m, frame, splits| {
+                let page = VirtAddr(at).page().base();
                 m.phys.zero_frames(frame, 1);
                 let nodes = pt
-                    .map_uncharged(root, at, frame, PageSize::Base, flags)
+                    .map_uncharged(root, page, frame, PageSize::Base, flags)
                     .expect("absence proven for the whole run");
                 nodes_total += nodes;
                 let pm = meta.get_mut(frame);
                 pm.mapcount = 1;
-                pm.rmap.push((pid, at));
+                pm.rmap.push((pid, page));
                 pm.set(PageFlag::Swapbacked);
                 pm.set(PageFlag::Lru);
                 pm.set(PageFlag::Uptodate);
                 if swap_on {
                     lru.insert(frame);
                 }
-                at += PAGE_SIZE;
+                per_page(m, mmu, frame, VirtAddr(at), splits, nodes);
+                last = page;
+                at = at.wrapping_add_signed(stride);
             })
             .expect("span clamped to free frames");
         machine.charge_zero_fg(MemTier::Dram, span * PAGE_SIZE);
-        if nodes_total > 0 {
-            machine.charge_opn(CostKind::PtNodeAlloc, nodes_total);
-            machine.perf.pt_nodes_alloced += nodes_total;
-        }
-        machine.charge_opn(CostKind::PteWrite, span + nodes_total);
-        machine.perf.pte_writes += span + nodes_total;
+        PageTables::charge_installs(machine, nodes_total, span);
         machine.charge_opn(CostKind::PageMetaUpdate, span);
         machine.perf.page_meta_updates += span;
         machine.note_ffwd_run(span);
-        Some(span)
+        last
     }
 
     /// Allocate and map one 2 MiB huge page covering `va`, if the VMA
@@ -1500,26 +1527,28 @@ impl KernelHooks for BaselineKernel {
     /// Bulk-fault fast-forward — the dual of [`Mmu::translate_run`](o1_hw::Mmu::translate_run)'s
     /// hit span: prove that the next `len` accesses of the run all
     /// miss translation and demand-fault fresh anonymous base pages
-    /// with a uniform outcome, then install every mapping and replay
-    /// the aggregate charges of `span` interpreted faults in O(1)
-    /// charge calls (plus the O(span) state writes the interpreter
-    /// would also make).
+    /// with a uniform outcome, then install every mapping through the
+    /// installer it shares with bulk populate (`install_fresh_run`)
+    /// and replay the aggregate charges of `span` interpreted faults
+    /// in O(1) charge calls (plus the O(span) state writes the
+    /// interpreter would also make).
     ///
     /// Proof obligations, checked before anything is charged or
     /// mutated:
     ///
-    /// * plain demand paging — no THP, no fault-around;
-    /// * one memory tier (every baseline machine is DRAM-only);
+    /// * no fault-around;
+    /// * no THP, one memory tier, and no allocation that would
+    ///   trigger reclaim or OOM (`fresh_run_budget`, shared with bulk
+    ///   populate);
     /// * the faulting process has no pages in swap (a swap slot would
     ///   turn a minor fault into a major one mid-run);
     /// * one protection-uniform anonymous VMA covers the whole fused
     ///   prefix (clamped via [`span_within`]), and a write run is
     ///   permitted by it — a protection error falls back so the
     ///   interpreter raises it with exact charges;
-    /// * no allocation would trigger reclaim or OOM (free-frame
-    ///   clamp, as in the bulk-populate path);
-    /// * no translation is installed anywhere in the run and no
-    ///   unobserved invalidation overlaps it
+    /// * no translation is installed anywhere in the run
+    ///   ([`PageTables::absent_run`], shared with bulk populate) and
+    ///   no unobserved invalidation overlaps it
     ///   ([`Mmu::translate_miss_run`](o1_hw::Mmu::translate_miss_run)).
     ///
     /// Fault latencies within a run are *not* uniform — buddy splits
@@ -1540,12 +1569,10 @@ impl KernelHooks for BaselineKernel {
         first_value: u64,
         t0: o1_hw::SimNs,
     ) -> Option<u64> {
-        if self.thp != ThpMode::Never || self.fault_around != 1 {
+        if self.fault_around != 1 {
             return None;
         }
-        if self.core.machine.phys.nvm_frames() != 0 {
-            return None;
-        }
+        let budget = self.fresh_run_budget()?;
         let (root, asid, vma_start, vma_end, prot) = {
             let p = self.core.procs.get(pid)?;
             if !p.swapped.is_empty() {
@@ -1560,17 +1587,7 @@ impl KernelHooks for BaselineKernel {
             }
             (p.root, p.asid, vma.start.0, vma.end.0, vma.prot)
         };
-        let len = len.min(span_within(va.0, stride, len, vma_start, vma_end));
-        let free0 = self.alloc.free_frames();
-        let max_n = if self.swap_enabled {
-            if free0 < self.low_watermark {
-                return None;
-            }
-            free0.min(free0 - self.low_watermark + 1)
-        } else {
-            free0
-        };
-        let len = len.min(max_n);
+        let len = span_within(va.0, stride, len, vma_start, vma_end).min(budget);
         if len < 2 {
             return None;
         }
@@ -1618,50 +1635,27 @@ impl KernelHooks for BaselineKernel {
         } else {
             (0, 0, 0)
         };
-        let swap_on = self.swap_enabled;
-        let mut at = va.0;
         let mut idx = 0u64;
-        let mut last_page = va;
-        let mut nodes_total = 0u64;
         // Latency grouping: consecutive pages with equal (splits,
         // nodes-created) cost the same, so they compress into one
         // ledger record — scalar accumulators only, no host heap.
         let mut grp = (u32::MAX, u64::MAX);
         let (mut grp_ns, mut grp_cnt, mut recorded) = (0u64, 0u64, 0u64);
-        let BaselineKernel {
-            core: KernelCore {
-                machine, pt, mmu, ..
-            },
-            alloc,
-            meta,
-            lru,
-            ..
-        } = self;
-        alloc
-            .alloc_run_with(machine, span, |m, frame, splits| {
-                let a = VirtAddr(at);
-                let page = a.page().base();
-                m.phys.zero_frames(frame, 1);
-                let nodes = pt
-                    .map_uncharged(root, page, frame, PageSize::Base, leaf_flags)
-                    .expect("miss prover guaranteed empty slots");
-                nodes_total += nodes;
-                let pm = meta.get_mut(frame);
-                pm.mapcount = 1;
-                pm.rmap.push((pid, page));
-                pm.set(PageFlag::Swapbacked);
-                pm.set(PageFlag::Lru);
-                pm.set(PageFlag::Uptodate);
-                if swap_on {
-                    lru.insert(frame);
-                }
+        let last_page = self.install_fresh_run(
+            pid,
+            root,
+            va,
+            stride,
+            span,
+            leaf_flags,
+            |m, mmu, frame, a, splits, nodes| {
                 // Two failing lookups age the whole TLB before the
                 // fill's own tick stamps the new entry.
                 let tlb = mmu.tlb_mut();
                 tlb.advance_ticks(2);
                 tlb.insert(asid, a, frame, PageSize::Base, walk_flags);
                 if write {
-                    let pa = PhysAddr(frame.base().0 + (at & (PAGE_SIZE - 1)));
+                    let pa = PhysAddr(frame.base().0 + (a.0 & (PAGE_SIZE - 1)));
                     m.phys.write_u64(pa, first_value + idx);
                 }
                 if traced {
@@ -1678,17 +1672,19 @@ impl KernelHooks for BaselineKernel {
                         grp_ns = ns_fixed + u64::from(splits) * ns_split + nodes * ns_node;
                     }
                 }
-                last_page = page;
                 idx += 1;
-                at = at.wrapping_add_signed(stride);
-            })
-            .expect("span clamped to free frames");
+            },
+        );
+        let KernelCore {
+            machine, pt, mmu, ..
+        } = &mut self.core;
         if traced && grp_cnt > 0 {
             machine.op_record_n(OpKind::AccessFault, MECH, grp_ns, grp_cnt);
             recorded += grp_ns * grp_cnt;
         }
         // Aggregate replay of the interpreter's per-fault charges (the
-        // buddy charges landed inside `alloc_run_with`).
+        // buddy charges landed inside the installer's allocation, the
+        // zeroing, page-table and `struct page` charges at its end).
         machine.perf.tlb_misses += 2 * span;
         machine.perf.page_walks += 2 * span;
         machine.charge_opn(CostKind::PtwLevelRef, 2 * span * refs);
@@ -1696,15 +1692,6 @@ impl KernelHooks for BaselineKernel {
         machine.charge_opn(CostKind::FaultHandlerBase, span);
         machine.charge_opn(CostKind::VmaFind, span);
         machine.perf.minor_faults += span;
-        machine.charge_zero_fg(MemTier::Dram, span * PAGE_SIZE);
-        if nodes_total > 0 {
-            machine.charge_opn(CostKind::PtNodeAlloc, nodes_total);
-            machine.perf.pt_nodes_alloced += nodes_total;
-        }
-        machine.charge_opn(CostKind::PteWrite, span + nodes_total);
-        machine.perf.pte_writes += span + nodes_total;
-        machine.charge_opn(CostKind::PageMetaUpdate, span);
-        machine.perf.page_meta_updates += span;
         machine.charge_opn(CostKind::TlbFill, span);
         if write {
             machine.perf.stores += span;
@@ -1718,7 +1705,6 @@ impl KernelHooks for BaselineKernel {
             !traced || recorded == machine.now().since(t0),
             "bulk-fault replay must conserve the clock"
         );
-        machine.note_ffwd_run(span);
         self.poll_timeline();
         Some(span)
     }

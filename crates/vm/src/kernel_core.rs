@@ -185,7 +185,14 @@ pub trait KernelHooks {
 
     /// Miss-run prover: prove the next `len` accesses all demand-fault
     /// fresh pages, then perform them, record their latencies from
-    /// `t0` and return the span. `None` (the default) interprets.
+    /// `t0` and return the span. `None` (the default) interprets, and
+    /// must charge and mutate nothing. Only the baseline proves miss
+    /// runs: absence comes from `PageTables::absent_run` (through
+    /// `Mmu::translate_miss_run`), and the pages go in through the
+    /// fresh-page installer its bulk-populate prover also uses. The
+    /// fom kernel has none: it installs whole extents when a file is
+    /// mapped, and `PageTables::map_extent` charges each install in
+    /// one block without a proof.
     #[allow(clippy::too_many_arguments)] // one parameter per proof input
     fn miss_run(
         &mut self,

@@ -19,7 +19,7 @@ pub struct AccessRun {
     pub start_page: u64,
     /// Pages between consecutive accesses (signed).
     pub stride: i64,
-    /// Number of accesses; always ≥ 1.
+    /// Number of accesses; 0 makes the run a no-op.
     pub len: u64,
 }
 

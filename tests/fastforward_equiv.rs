@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::ObsMode;
-use o1mem::vm::{BaselineKernel, CpuId, MemSys, ThpMode};
+use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, ThpMode};
 use o1mem::workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_launch_storm_migrating,
     drive_service_fleet, AccessPattern,
@@ -192,6 +192,23 @@ fn random_spans_match_the_interpreter() {
                 let write = rng.random();
                 sys.access_span(pid, va + start, stride, len, write, i * 1000)
                     .unwrap();
+            }
+            // An empty run is a no-op, also inside a batch the
+            // whole-batch prover takes on.
+            let runs = [
+                AccessRun {
+                    start_page: 0,
+                    stride: 1,
+                    len: 0,
+                },
+                AccessRun {
+                    start_page: 1,
+                    stride: 1,
+                    len: 4,
+                },
+            ];
+            for write in [false, true] {
+                sys.access_runs(pid, va, &runs, write, 7).unwrap();
             }
             sys.destroy_process(pid).unwrap();
         });
