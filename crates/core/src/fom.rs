@@ -768,6 +768,9 @@ impl FomKernel {
     /// usual O(1)-per-extent machinery; existing contents stay in
     /// place physically.
     pub fn fgrow(&mut self, pid: Pid, base: VirtAddr, new_bytes: u64) -> Result<VirtAddr, VmError> {
+        if new_bytes > MAX_MAP_BYTES {
+            return Err(VmError::BadRange);
+        }
         self.core.machine.charge_syscall();
         let (id, name, old_bytes, auto) = {
             let proc = self.core.proc(pid)?;
@@ -777,14 +780,16 @@ impl FomKernel {
         if new_bytes <= old_bytes {
             return Ok(base);
         }
-        // Keep the file alive across the remap.
-        self.pmfs.inc_ref(id).map_err(VmError::from)?;
-        self.unmap_keep_file(pid, base)?;
+        // Allocate before unmapping: a failed allocation rolls itself
+        // back and leaves the mapping and the file's references alone.
         {
             let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.allocate(machine, id, new_bytes)
                 .map_err(VmError::from)?;
         }
+        // Keep the file alive across the remap.
+        self.pmfs.inc_ref(id).map_err(VmError::from)?;
+        self.unmap_keep_file(pid, base)?;
         // Fresh extents must read as zeros, per the erase policy.
         let new_extents: Vec<PhysExtent> = self
             .pmfs
@@ -1039,10 +1044,11 @@ impl FomKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
+        let end = span_end(va, len.max(1))?;
         self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
-        while at < va + o1_hw::round_up_pages(len.max(1)) {
+        while at < end {
             let pa = self.resolve(pid, at, Access::Read)?;
             pages += dma.transfer(
                 &mut self.core.machine,
@@ -1061,6 +1067,7 @@ impl FomKernel {
     /// device-DMA preparation is therefore free; this method only
     /// verifies the address resolves.
     pub fn dma_prepare(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<PhysAddr, VmError> {
+        span_end(va, len)?;
         let pa = self.resolve(pid, va, Access::Read)?;
         // Verify the whole span is mapped (constant per extent in
         // practice; we check the last byte).
@@ -1069,6 +1076,18 @@ impl FomKernel {
         }
         Ok(pa)
     }
+}
+
+/// End of `[va, va+len)` rounded out to whole pages, or
+/// [`VmError::BadRange`] when `len` exceeds [`MAX_MAP_BYTES`] or the end
+/// does not fit in the address space.
+fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
+    if len > MAX_MAP_BYTES {
+        return Err(VmError::BadRange);
+    }
+    va.0.checked_add(o1_hw::round_up_pages(len))
+        .map(VirtAddr)
+        .ok_or(VmError::BadRange)
 }
 
 impl KernelHooks for FomKernel {

@@ -687,7 +687,12 @@ impl MapMechanism for RangesMech {
             let Some(delta) = r.stride.checked_mul(steps) else {
                 return Ok(None);
             };
-            let last = r.start_page as i64 + delta;
+            let Some(last) = i64::try_from(r.start_page)
+                .ok()
+                .and_then(|start| start.checked_add(delta))
+            else {
+                return Ok(None);
+            };
             if last < 0 {
                 return Ok(None);
             }
@@ -707,8 +712,14 @@ impl MapMechanism for RangesMech {
         if !ctx.mmu.run_prover_ready() {
             return Ok(None);
         }
+        let Some(va_hi) = hi
+            .checked_mul(PAGE_SIZE)
+            .and_then(|off| base.0.checked_add(off))
+            .map(VirtAddr)
+        else {
+            return Ok(None);
+        };
         let va_lo = base + lo * PAGE_SIZE;
-        let va_hi = base + hi * PAGE_SIZE;
         let Some(entry) = ctx.mmu.rtlb().peek(asid, va_lo) else {
             return Ok(None);
         };

@@ -415,16 +415,6 @@ impl Machine {
         self.cpus
     }
 
-    /// Set the CPU count.
-    ///
-    /// # Panics
-    /// Panics if `cpus` is zero or exceeds [`MAX_CPUS`].
-    pub fn set_cpus(&mut self, cpus: u32) {
-        assert!(cpus > 0, "machine needs at least one CPU");
-        assert!(cpus <= MAX_CPUS, "machine supports at most {MAX_CPUS} CPUs");
-        self.cpus = cpus;
-    }
-
     /// Charge the cost of one program-issued load of up to a cache
     /// line from the given tier, and count it.
     #[inline]

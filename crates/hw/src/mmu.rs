@@ -216,16 +216,6 @@ impl Default for Mmu {
 }
 
 impl Mmu {
-    /// MMU with conventional paging only, one CPU.
-    pub fn paging_only() -> Mmu {
-        Mmu::default()
-    }
-
-    /// MMU with the range-translation extension enabled, one CPU.
-    pub fn with_ranges() -> Mmu {
-        Mmu::smp(true, 1, None, None)
-    }
-
     /// Fully-configured MMU: `cpus` private translation-cache sets,
     /// each with the given page-TLB geometry (`None` = default) and
     /// range-TLB capacity (`None` = default).
@@ -833,11 +823,7 @@ mod tests {
             pt,
             root,
             rt: RangeTable::new(),
-            mmu: if ranges {
-                Mmu::with_ranges()
-            } else {
-                Mmu::paging_only()
-            },
+            mmu: Mmu::smp(ranges, 1, None, None),
         }
     }
 

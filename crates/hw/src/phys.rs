@@ -300,27 +300,6 @@ impl PhysicalMemory {
         }
     }
 
-    /// Tier of a whole frame span, or `None` when the span straddles
-    /// the DRAM/NVM boundary. This is the O(1) tier-uniformity probe
-    /// the bulk-fault prover runs before charging N accesses at one
-    /// tier's latency.
-    ///
-    /// # Panics
-    /// Panics if the span is empty or out of range.
-    #[inline]
-    pub fn span_tier(&self, start: FrameNo, frames: u64) -> Option<MemTier> {
-        assert!(frames > 0, "empty span");
-        let end = start.0.checked_add(frames).expect("frame range overflow");
-        assert!(end <= self.total_frames, "span out of range");
-        if end <= self.dram_frames {
-            Some(MemTier::Dram)
-        } else if start.0 >= self.dram_frames {
-            Some(MemTier::Nvm)
-        } else {
-            None
-        }
-    }
-
     /// True if `frame` is a valid frame number.
     #[inline]
     pub fn contains(&self, frame: FrameNo) -> bool {
@@ -455,49 +434,6 @@ impl PhysicalMemory {
         if write_word_slot(slot, off as u16, v) {
             chunk.backed += 1;
             self.backed += 1;
-        }
-    }
-
-    /// Bulk word writes for the fast-forward engines: performs each
-    /// `(pa, value)` write exactly as [`write_u64`](Self::write_u64)
-    /// would, but reserves backing with one sparse-chunk probe per run
-    /// of same-chunk writes instead of one hash per word. Frames
-    /// handed out by a bulk allocation are mostly chunk-contiguous, so
-    /// a fused N-page run pays O(N / 64) probes.
-    pub fn write_u64_run(&mut self, writes: &[(PhysAddr, u64)]) {
-        let total_bytes = self.total_frames * PAGE_SIZE;
-        let mut idx = 0usize;
-        while idx < writes.len() {
-            let pa = writes[idx].0;
-            if pa.0 & (PAGE_SIZE - 1) > PAGE_SIZE - 8 {
-                // Frame-crossing word: the general path handles it.
-                let v = writes[idx].1;
-                self.write(pa, &v.to_le_bytes());
-                idx += 1;
-                continue;
-            }
-            let chunk_no = pa.0 >> crate::addr::PAGE_SHIFT >> CHUNK_SHIFT;
-            let mut newly_backed = 0usize;
-            let chunk = self.chunks.entry(chunk_no).or_insert_with(Chunk::new);
-            while idx < writes.len() {
-                let (pa, v) = writes[idx];
-                let off = (pa.0 & (PAGE_SIZE - 1)) as usize;
-                let frame = pa.0 >> crate::addr::PAGE_SHIFT;
-                if frame >> CHUNK_SHIFT != chunk_no || off > (PAGE_SIZE - 8) as usize {
-                    break;
-                }
-                assert!(
-                    pa.0 + 8 <= total_bytes,
-                    "physical access {pa:?}+8 beyond end of memory"
-                );
-                let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
-                if write_word_slot(slot, off as u16, v) {
-                    newly_backed += 1;
-                }
-                idx += 1;
-            }
-            chunk.backed += newly_backed as u32;
-            self.backed += newly_backed;
         }
     }
 

@@ -150,24 +150,6 @@ impl RangeTable {
     pub fn iter(&self) -> impl Iterator<Item = &RangeEntry> {
         self.entries.values()
     }
-
-    /// Remove every entry whose physical target intersects
-    /// `[pa, pa+len)` (used when freeing physical extents).
-    pub fn remove_phys(&mut self, pa: PhysAddr, len: u64) -> Vec<RangeEntry> {
-        let doomed: Vec<u64> = self
-            .entries
-            .values()
-            .filter(|e| {
-                let e_pa = e.translate(e.base).0;
-                e_pa < pa.0 + len && pa.0 < e_pa + e.len()
-            })
-            .map(|e| e.base.0)
-            .collect();
-        doomed
-            .into_iter()
-            .filter_map(|b| self.entries.remove(&b))
-            .collect()
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -371,17 +353,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         let va = VirtAddr(0x4000_0000 + (1 << 30) - 1);
         assert_eq!(t.lookup(va).unwrap().translate(va).0, (2u64 << 30) - 1);
-    }
-
-    #[test]
-    fn remove_phys_finds_backing_ranges() {
-        let mut t = RangeTable::new();
-        t.insert(entry(0x10000, 0x4000, 0x100000)).unwrap();
-        t.insert(entry(0x20000, 0x4000, 0x200000)).unwrap();
-        let removed = t.remove_phys(PhysAddr(0x101000), 0x1000);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].base, VirtAddr(0x10000));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

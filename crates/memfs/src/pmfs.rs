@@ -165,11 +165,6 @@ impl Pmfs {
         &self.journal
     }
 
-    /// Mutable journal access for failure injection (torn tails).
-    pub fn journal_mut(&mut self) -> &mut Journal {
-        &mut self.journal
-    }
-
     /// Bytes of allocator metadata (for the T-META experiment).
     pub fn allocator_metadata_bytes(&self) -> u64 {
         self.alloc.metadata_bytes()
@@ -178,24 +173,6 @@ impl Pmfs {
     /// Borrow an inode.
     pub fn inode(&self, id: FileId) -> Result<&Inode, FsError> {
         self.files.get(&id).ok_or(FsError::NotFound)
-    }
-
-    /// Names directly under `dir` (a "/"-separated prefix), in order —
-    /// a readdir over the flat namespace. Charges one lookup per path
-    /// component of `dir`.
-    pub fn list_dir(&self, m: &mut Machine, dir: &str) -> Vec<String> {
-        let components = dir.split('/').filter(|c| !c.is_empty()).count() as u64;
-        m.charge_opn(CostKind::FsLookup, components.max(1));
-        let prefix = if dir.ends_with('/') {
-            dir.to_string()
-        } else {
-            format!("{dir}/")
-        };
-        self.names
-            .range(prefix.clone()..)
-            .take_while(|(n, _)| n.starts_with(&prefix))
-            .map(|(n, _)| n.clone())
-            .collect()
     }
 
     /// All linked file names, in name order.
@@ -1136,20 +1113,6 @@ mod tests {
         fs.allocate(&mut m, id, PAGE_SIZE).unwrap();
         let (fs3, _) = Pmfs::recover(&mut m, span, fs.journal().clone());
         assert!(fs3.lookup(&mut m, "post").is_ok());
-    }
-
-    #[test]
-    fn list_dir_scans_a_prefix() {
-        let (mut m, mut fs) = setup(1024);
-        for n in ["/db/a", "/db/b", "/db/sub/c", "/cache/x", "/dbx"] {
-            fs.create(&mut m, n, FileClass::Persistent).unwrap();
-        }
-        let db = fs.list_dir(&mut m, "/db");
-        assert_eq!(db, vec!["/db/a", "/db/b", "/db/sub/c"]);
-        assert_eq!(fs.list_dir(&mut m, "/cache").len(), 1);
-        assert!(fs.list_dir(&mut m, "/nothing").is_empty());
-        // "/dbx" is not inside "/db/".
-        assert!(!db.contains(&"/dbx".to_string()));
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub struct Tmpfs {
     files: FastMap<FileId, TmpfsFile>,
     names: BTreeMap<String, FileId>,
     next_id: u64,
-    /// Optional cap on total allocated frames (`size=` mount option).
-    quota_frames: Option<u64>,
     used_frames: u64,
 }
 
@@ -57,14 +55,6 @@ impl Tmpfs {
     /// Unbounded tmpfs.
     pub fn new() -> Tmpfs {
         Tmpfs::default()
-    }
-
-    /// tmpfs with a frame quota, like `mount -o size=`.
-    pub fn with_quota(quota_frames: u64) -> Tmpfs {
-        Tmpfs {
-            quota_frames: Some(quota_frames),
-            ..Tmpfs::default()
-        }
     }
 
     /// Number of live files (linked or still referenced).
@@ -183,11 +173,6 @@ impl Tmpfs {
             // mapping a pre-allocated file block).
             m.charge_kind(CostKind::FsExtentOp);
             return Ok(frame);
-        }
-        if let Some(q) = self.quota_frames {
-            if self.used_frames + 1 > q {
-                return Err(FsError::QuotaExceeded);
-            }
         }
         let ext = alloc.alloc(m, 1).map_err(|_| FsError::NoSpace)?;
         // tmpfs semantics: a fresh file page reads as zeros, so the
@@ -414,21 +399,6 @@ mod tests {
             fs.read(&mut m, id, PAGE_SIZE, &mut buf),
             Err(FsError::OutOfRange)
         );
-    }
-
-    #[test]
-    fn quota_enforced() {
-        let (mut m, _, mut a) = setup(1024);
-        let mut fs = Tmpfs::with_quota(2);
-        let id = fs.create(&mut m, "f").unwrap();
-        fs.set_size(&mut m, &mut a, id, 10 * PAGE_SIZE).unwrap();
-        fs.get_or_alloc_page(&mut m, &mut a, id, 0).unwrap();
-        fs.get_or_alloc_page(&mut m, &mut a, id, 1).unwrap();
-        assert_eq!(
-            fs.get_or_alloc_page(&mut m, &mut a, id, 2),
-            Err(FsError::QuotaExceeded)
-        );
-        assert_eq!(fs.used_frames(), 2);
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub enum FsError {
     Exists,
     /// The backing store has no room (or is too fragmented).
     NoSpace,
-    /// A quota would be exceeded.
-    QuotaExceeded,
     /// Offset past the end of the file where not permitted.
     OutOfRange,
 }
@@ -49,7 +47,6 @@ impl fmt::Display for FsError {
             FsError::NotFound => write!(f, "file not found"),
             FsError::Exists => write!(f, "file exists"),
             FsError::NoSpace => write!(f, "no space on device"),
-            FsError::QuotaExceeded => write!(f, "quota exceeded"),
             FsError::OutOfRange => write!(f, "offset out of range"),
         }
     }

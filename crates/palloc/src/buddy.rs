@@ -66,12 +66,6 @@ impl BuddyAllocator {
         b
     }
 
-    /// Order whose block size (2^order frames) first fits `frames`.
-    pub fn order_for(frames: u64) -> u32 {
-        debug_assert!(frames > 0);
-        frames.next_power_of_two().trailing_zeros()
-    }
-
     /// Allocate one 2^order block, splitting larger blocks as needed.
     /// Charges the buddy fast-path cost plus one level cost per split.
     pub fn alloc_order(&mut self, m: &mut Machine, order: u32) -> Result<PhysExtent, AllocError> {

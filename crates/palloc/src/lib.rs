@@ -11,8 +11,9 @@
 //! * [`extent::ExtentAllocator`] — best-fit contiguous extents with
 //!   O(1) simulated cost independent of length, the backbone of
 //!   file-only memory;
-//! * [`slab::SlabCache`] / [`slab::SizeClassAllocator`] — Bonwick-style
-//!   slabs applied to physical memory, as §3.1 proposes;
+//! * [`slab::SizeClassAllocator`] — Bonwick-style slabs (one
+//!   [`slab::SlabCache`] per size class) applied to physical memory,
+//!   as §3.1 proposes;
 //! * [`zero`] — eager, background-pool and crypto-erase zeroing.
 //!
 //! All allocators implement [`extent::FrameSource`], so kernels are
@@ -27,5 +28,5 @@ pub mod zero;
 pub use bitmap::BitmapAllocator;
 pub use buddy::{BuddyAllocator, MAX_ORDER};
 pub use extent::{AllocError, ExtentAllocator, FrameSource, PhysExtent};
-pub use slab::{SizeClassAllocator, SlabCache};
-pub use zero::{CryptoZero, EagerZero, ZeroPolicy, ZeroPool};
+pub use slab::SizeClassAllocator;
+pub use zero::{CryptoZero, EagerZero, ZeroPool};

@@ -25,17 +25,6 @@ use o1_hw::Machine;
 
 use crate::extent::{AllocError, FrameSource, PhysExtent};
 
-/// Identifies a zeroing policy (for experiment configuration).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ZeroPolicy {
-    /// Zero at allocation time, on the critical path.
-    Eager,
-    /// Background zeroed-extent pool.
-    BackgroundPool,
-    /// Per-extent crypto-erase.
-    CryptoErase,
-}
-
 fn zero_extent_fg(m: &mut Machine, ext: PhysExtent) {
     let tier = m.phys.tier(ext.start);
     m.charge_zero_fg(tier, ext.bytes());

@@ -187,8 +187,13 @@ pub(crate) fn span_runs<S: MemSys + ?Sized>(
     first_value: u64,
 ) -> Result<u64, VmError> {
     let mut value = first_value;
-    for r in runs {
-        let va = base + r.start_page * PAGE_SIZE;
+    for r in runs.iter().filter(|r| r.len > 0) {
+        let va = r
+            .start_page
+            .checked_mul(PAGE_SIZE)
+            .and_then(|off| base.0.checked_add(off))
+            .map(VirtAddr)
+            .ok_or(VmError::BadAddress)?;
         let stride = r.stride.wrapping_mul(PAGE_SIZE as i64);
         sys.access_span(pid, va, stride, r.len, write, value)?;
         value += r.len;

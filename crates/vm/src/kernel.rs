@@ -588,12 +588,13 @@ impl BaselineKernel {
     /// `munmap`: remove `[va, va+len)`. Per-page teardown, as on
     /// Linux.
     pub fn munmap(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
         let t0 = self.core.machine.op_start();
         self.core.machine.charge_syscall();
         if len == 0 || !va.is_aligned(PAGE_SIZE) {
             return Err(VmError::BadRange);
         }
-        self.unmap_region(pid, va, o1_hw::round_up_pages(len))?;
+        self.unmap_region(pid, va, end - va)?;
         self.core.machine.op_end(t0, OpKind::Munmap, MECH);
         self.poll_timeline();
         Ok(())
@@ -749,8 +750,9 @@ impl BaselineKernel {
         len: u64,
         prot: Prot,
     ) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
-        let len = o1_hw::round_up_pages(len);
+        let len = end - va;
         let (root, asid) = {
             let p = self.core.proc(pid)?;
             (p.root, p.asid)
@@ -764,9 +766,9 @@ impl BaselineKernel {
         // Huge leaves straddling the range edges are split; fully
         // covered huge leaves are re-flagged in place (still huge).
         self.split_huge_covering(pid, root, asid, va);
-        self.split_huge_covering(pid, root, asid, va + len);
+        self.split_huge_covering(pid, root, asid, end);
         let mut page_va = va;
-        while page_va < va + len {
+        while page_va < end {
             if let Some((frame, old, size)) =
                 self.core.pt.unmap(&mut self.core.machine, root, page_va)
             {
@@ -791,16 +793,16 @@ impl BaselineKernel {
 
     /// `madvise(MADV_DONTNEED)`: drop anonymous pages in the range.
     pub fn madvise_dontneed(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let (root, asid) = {
             let p = self.core.proc(pid)?;
             (p.root, p.asid)
         };
-        let len = o1_hw::round_up_pages(len);
         self.split_huge_covering(pid, root, asid, va);
-        self.split_huge_covering(pid, root, asid, va + len);
+        self.split_huge_covering(pid, root, asid, end);
         let mut page_va = va;
-        while page_va < va + len {
+        while page_va < end {
             self.drop_page_mapping(pid, root, asid, page_va);
             page_va += PAGE_SIZE;
         }
@@ -1337,6 +1339,7 @@ impl BaselineKernel {
     /// file into the caller (kernel interposes on every byte — the
     /// path the paper contrasts with direct mapping, T-READ16K).
     pub fn file_read(&mut self, id: FileId, off: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        off.checked_add(buf.len() as u64).ok_or(VmError::BadRange)?;
         self.core.machine.charge_syscall();
         self.core.machine.charge_kind(CostKind::FileIoFixed);
         self.tmpfs
@@ -1346,6 +1349,8 @@ impl BaselineKernel {
 
     /// `write()`-style syscall into a tmpfs file.
     pub fn file_write(&mut self, id: FileId, off: u64, data: &[u8]) -> Result<(), VmError> {
+        off.checked_add(data.len() as u64)
+            .ok_or(VmError::BadRange)?;
         self.core.machine.charge_syscall();
         self.core.machine.charge_kind(CostKind::FileIoFixed);
         let (machine, tmpfs, alloc) = (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
@@ -1357,6 +1362,7 @@ impl BaselineKernel {
     /// `fallocate()`-style syscall: preallocate the pages backing
     /// `[off, off+bytes)` of a tmpfs file without writing data.
     pub fn file_allocate(&mut self, id: FileId, off: u64, bytes: u64) -> Result<(), VmError> {
+        off.checked_add(bytes).ok_or(VmError::BadRange)?;
         self.core.machine.charge_syscall();
         self.core.machine.charge_kind(CostKind::FileIoFixed);
         let (machine, tmpfs, alloc) = (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
@@ -1383,9 +1389,10 @@ impl BaselineKernel {
     /// "expensive per-page operations to ensure data remains in
     /// place").
     pub fn pin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut page_va = va;
-        while page_va < va + o1_hw::round_up_pages(len) {
+        while page_va < end {
             let pa = self.resolve(pid, page_va, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
@@ -1399,9 +1406,10 @@ impl BaselineKernel {
 
     /// Undo [`pin_range`](Self::pin_range).
     pub fn unpin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut page_va = va;
-        while page_va < va + o1_hw::round_up_pages(len) {
+        while page_va < end {
             let pa = self.resolve(pid, page_va, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
@@ -1722,10 +1730,11 @@ impl BaselineKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
+        let end = span_end(va, len.max(1))?;
         self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
-        while at < va + o1_hw::round_up_pages(len.max(1)) {
+        while at < end {
             let pa = self.resolve(pid, at, Access::Read)?;
             let pinned = self.meta.get(pa.frame()).pins > 0;
             let mode = if pinned {
@@ -1738,6 +1747,18 @@ impl BaselineKernel {
         }
         Ok(pages)
     }
+}
+
+/// End of `[va, va+len)` rounded out to whole pages, or
+/// [`VmError::BadRange`] when `len` exceeds [`MAX_MAP_BYTES`] or the end
+/// does not fit in the address space.
+fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
+    if len > MAX_MAP_BYTES {
+        return Err(VmError::BadRange);
+    }
+    va.0.checked_add(o1_hw::round_up_pages(len))
+        .map(VirtAddr)
+        .ok_or(VmError::BadRange)
 }
 
 /// PTE flags for a protection level.

@@ -133,7 +133,7 @@ impl std::error::Error for VmError {}
 impl From<FsError> for VmError {
     fn from(e: FsError) -> VmError {
         match e {
-            FsError::NoSpace | FsError::QuotaExceeded => VmError::NoMemory,
+            FsError::NoSpace => VmError::NoMemory,
             other => VmError::Fs(other),
         }
     }

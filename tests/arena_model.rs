@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::hw::{Arena, Handle};
-use o1mem::vm::{BaselineKernel, MemSys, VmError};
+use o1mem::hw::{Arena, DmaEngine, Handle};
+use o1mem::vm::{AccessRun, BaselineKernel, MemSys, Pid, Prot, VmError};
 use o1mem::{VirtAddr, PAGE_SIZE};
 
 #[test]
@@ -91,7 +91,20 @@ fn slot_reuse_cannot_resurrect_a_stale_handle() {
 /// process's memory.
 #[test]
 fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
-    fn scenario(sys: &mut impl MemSys) {
+    /// Run `call` and check that it fails with `err` without moving
+    /// the simulated clock.
+    fn rejects<K: MemSys, T>(
+        sys: &mut K,
+        err: VmError,
+        call: impl FnOnce(&mut K) -> Result<T, VmError>,
+    ) {
+        let t0 = sys.machine().now();
+        assert_eq!(call(sys).err(), Some(err));
+        assert_eq!(sys.machine().now(), t0, "rejected call charged");
+    }
+    /// Leaves a live process with four populated pages for the
+    /// kernel-specific calls.
+    fn scenario(sys: &mut impl MemSys) -> (Pid, VirtAddr) {
         let victim = sys.create_process().unwrap();
         let va = sys.alloc(victim, 4 * PAGE_SIZE, true).unwrap();
         sys.store(victim, va, 7).unwrap();
@@ -120,12 +133,70 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
             assert_eq!(sys.machine().now(), t0, "rejected alloc charged");
         }
         assert_eq!(sys.load(p, VirtAddr(u64::MAX)), Err(VmError::BadAddress));
-        sys.destroy_process(p).unwrap();
+        // A run whose page index overflows the address arithmetic is
+        // a bad address, rejected before any access is charged, even
+        // with the run's region warm in the TLBs.
+        let va = sys.alloc(p, 4 * PAGE_SIZE, true).unwrap();
+        let warm = AccessRun {
+            start_page: 0,
+            stride: 1,
+            len: 4,
+        };
+        sys.access_runs(p, va, &[warm], true, 0).unwrap();
+        for start_page in [u64::MAX / 2, u64::MAX / PAGE_SIZE] {
+            let far = AccessRun {
+                start_page,
+                stride: 1,
+                len: 2,
+            };
+            for write in [false, true] {
+                rejects(sys, VmError::BadAddress, |s| {
+                    s.access_runs(p, va, &[far], write, 0)
+                });
+            }
+        }
+        (p, va)
     }
-    scenario(&mut BaselineKernel::builder().dram(64 << 20).build());
+    let mut dma = DmaEngine::new();
+    let mut k = BaselineKernel::builder().dram(64 << 20).build();
+    let (p, va) = scenario(&mut k);
+    // Lengths and file offsets that overflow are rejected before the
+    // syscall is charged.
+    rejects(&mut k, VmError::BadRange, |k| k.munmap(p, va, u64::MAX));
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.mprotect(p, va, u64::MAX, Prot::Read)
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.madvise_dontneed(p, va, u64::MAX)
+    });
+    rejects(&mut k, VmError::BadRange, |k| k.pin_range(p, va, u64::MAX));
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.unpin_range(p, va, u64::MAX)
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.dma_transfer(p, va, u64::MAX, &mut dma)
+    });
+    let id = k.create_file("/f", PAGE_SIZE).unwrap();
+    let off = u64::MAX - 2;
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.file_read(id, off, &mut [0; 8])
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.file_write(id, off, &[0; 8])
+    });
+    rejects(&mut k, VmError::BadRange, |k| k.file_allocate(id, off, 8));
+    k.destroy_process(p).unwrap();
     // The lifecycle is shared kernel-core code, so every mechanism
     // must agree.
     for mech in MapMech::ALL {
-        scenario(&mut FomKernel::builder().mech(mech).build());
+        let mut k = FomKernel::builder().mech(mech).build();
+        let (p, va) = scenario(&mut k);
+        rejects(&mut k, VmError::BadRange, |k| {
+            k.dma_prepare(p, va, u64::MAX)
+        });
+        rejects(&mut k, VmError::BadRange, |k| {
+            k.dma_transfer(p, va, u64::MAX, &mut dma)
+        });
+        k.destroy_process(p).unwrap();
     }
 }

@@ -160,6 +160,28 @@ fn memory_conserved_after_churn_on_every_design() {
         MemSys::destroy_process(&mut fom, pid).unwrap();
         assert_eq!(fom.free_frames(), free0, "mech {mech:?} leaked");
         assert_eq!(fom.pt_metadata_bytes(), 0, "mech {mech:?} leaked PT nodes");
+        // Many live processes at once: each reads back only its own
+        // stores, and tearing them all down returns every frame.
+        let procs: Vec<_> = (0..16u64)
+            .map(|t| {
+                let pid = MemSys::create_process(&mut fom).unwrap();
+                let pages = 16 + t % 48;
+                let va = fom.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+                for p in 0..pages {
+                    fom.store(pid, va + p * PAGE_SIZE, t << 32 | p).unwrap();
+                }
+                (t, pid, va, pages)
+            })
+            .collect();
+        for &(t, pid, va, pages) in &procs {
+            for p in 0..pages {
+                assert_eq!(fom.load(pid, va + p * PAGE_SIZE).unwrap(), t << 32 | p);
+            }
+        }
+        for (_, pid, _, _) in procs {
+            MemSys::destroy_process(&mut fom, pid).unwrap();
+        }
+        assert_eq!(fom.free_frames(), free0, "mech {mech:?} leaked");
     }
 }
 

@@ -7,6 +7,7 @@ use o1mem::hw::{DmaEngine, WalkMode};
 use o1mem::memfs::FileClass;
 use o1mem::vm::{
     Backing, BaselineConfig, BaselineKernel, MapFlags, MemSys, Prot, ReclaimPolicy, ThpMode,
+    VmError, MAX_MAP_BYTES,
 };
 use o1mem::PAGE_SIZE;
 
@@ -156,6 +157,29 @@ fn fgrow_end_to_end_with_persistence() {
     let (_, va3) = k.open_map(pid, "/grow/db", Prot::ReadWrite).unwrap();
     assert_eq!(k.load(pid, va3).unwrap(), 7);
     assert_eq!(k.load(pid, va3 + ((8 << 20) - 8)).unwrap(), 8);
+
+    // A failed grow leaves the mapping, its contents and the file's
+    // references as they were, on every mechanism.
+    for mech in MapMech::ALL {
+        let mut k = FomKernel::builder().mech(mech).build();
+        let pid = k.create_process().unwrap();
+        let (frames0, files0) = (k.free_frames(), k.pmfs.file_count());
+        let (_, va) = k.falloc(pid, 4 * PAGE_SIZE, FileClass::Volatile).unwrap();
+        k.store(pid, va, 42).unwrap();
+        let t0 = k.machine().now();
+        assert_eq!(k.fgrow(pid, va, MAX_MAP_BYTES + 1), Err(VmError::BadRange));
+        assert_eq!(
+            k.machine().now(),
+            t0,
+            "{mech:?}: rejected before any charge"
+        );
+        assert_eq!(k.fgrow(pid, va, 1 << 40), Err(VmError::NoMemory));
+        assert_eq!(k.load(pid, va).unwrap(), 42, "{mech:?}: mapping survives");
+        k.unmap(pid, va).unwrap();
+        k.destroy_process(pid).unwrap();
+        assert_eq!(k.free_frames(), frames0, "{mech:?}: no frame leaked");
+        assert_eq!(k.pmfs.file_count(), files0, "{mech:?}: no file leaked");
+    }
 }
 
 #[test]
