@@ -12,10 +12,9 @@
 
 use std::fmt::Write as _;
 
-use o1_obs::{attribute, Attribution, FigureTrace};
+use o1_obs::{Attribution, FigureTrace};
 
 use crate::json;
-use crate::Figure;
 
 /// Tenths of a percent of `total`, as integers — avoids float
 /// formatting in deterministic output.
@@ -28,15 +27,9 @@ fn push_pct(out: &mut String, ns: u64, total: u64) {
     let _ = write!(out, "{:>4}.{}%", p / 10, p % 10);
 }
 
-/// Render one figure's attribution as an aligned text table: totals,
-/// per-subsystem and per-phase splits, and every non-zero cost kind.
-pub fn attribution_table(trace: &FigureTrace) -> String {
-    attribution_table_with(trace, &attribute(trace))
-}
-
-/// [`attribution_table`] over a precomputed [`Attribution`], so
-/// callers that also embed the JSON section derive both views from
-/// one computation.
+/// Render one figure's [`Attribution`] (from [`o1_obs::attribute`]) as
+/// an aligned text table: totals, per-subsystem and per-phase splits,
+/// and every non-zero cost kind.
 pub fn attribution_table_with(trace: &FigureTrace, a: &Attribution) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -125,21 +118,11 @@ pub(crate) fn write_attribution_json(out: &mut String, a: &Attribution, level: u
     out.push('}');
 }
 
-/// [`figures_to_json_pretty`](crate::figures_to_json_pretty), plus a
-/// `"schema_version"` marker and an `"attribution"` member in every
-/// figure object that has a matching trace. Figures without a trace
-/// serialize exactly as in the plain path.
-pub fn figures_to_json_pretty_with_attribution(
-    figures: &[Figure],
-    traces: &[FigureTrace],
-) -> String {
-    crate::latency::figures_to_json_pretty_enriched(figures, traces, true, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures_to_json_pretty;
+    use crate::{figure_extras, figures_to_json_pretty, figures_to_json_pretty_with_extras, Figure};
+    use o1_obs::attribute;
     use crate::runner::{figure_fn, run_figures, RunnerOptions};
 
     fn traced_fig2() -> (Vec<Figure>, Vec<FigureTrace>) {
@@ -161,7 +144,7 @@ mod tests {
         assert_eq!(traces.len(), 1);
         let errors = o1_obs::conservation_errors(&traces);
         assert!(errors.is_empty(), "{errors:?}");
-        let table = attribution_table(&traces[0]);
+        let table = attribution_table_with(&traces[0], &attribute(&traces[0]));
         assert!(table.contains("## attribution — fig2"));
         assert!(table.contains("alloc"), "fig2 drives the alloc phase");
     }
@@ -170,13 +153,19 @@ mod tests {
     fn attributed_json_is_plain_json_plus_attribution() {
         let (figures, traces) = traced_fig2();
         let plain = figures_to_json_pretty(&figures);
-        let attributed = figures_to_json_pretty_with_attribution(&figures, &traces);
+        let with_attribution = |traces: &[FigureTrace]| {
+            figures_to_json_pretty_with_extras(
+                &figures,
+                &figure_extras(&figures, traces, true, false, false),
+            )
+        };
+        let attributed = with_attribution(&traces);
         assert_ne!(plain, attributed);
         assert!(attributed.contains("\"attribution\": {"));
         assert!(attributed.contains("\"by_subsystem\": ["));
         // Stripped of the attribution members, the documents agree:
         // the figure series themselves are untouched by tracing.
-        let stripped = figures_to_json_pretty_with_attribution(&figures, &[]);
+        let stripped = with_attribution(&[]);
         assert_eq!(plain, stripped);
     }
 }

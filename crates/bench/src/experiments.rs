@@ -7,7 +7,7 @@
 //! (who wins, slopes, crossovers) hold; EXPERIMENTS.md records the
 //! numbers.
 
-use o1_core::{ErasePolicy, FomConfig, FomKernel, MapMech};
+use o1_core::{FomConfig, FomKernel, MapMech};
 use o1_hw::{CostModel, FrameNo, Machine, VirtAddr, WalkMode, PAGE_SIZE};
 use o1_memfs::FileClass;
 use o1_palloc::{
@@ -48,7 +48,6 @@ fn fom(mech: MapMech, nvm_bytes: u64) -> FomKernel {
         dram_bytes: 16 << 20,
         nvm_bytes,
         mech,
-        erase: ErasePolicy::CryptoErase,
     })
 }
 

@@ -20,15 +20,10 @@ use crate::json;
 use crate::series::write_figures_pretty;
 use crate::Figure;
 
-/// Render one figure's merged latency rows as an aligned text table:
-/// one row per `(mechanism, op, phase)` with count, p50/p90/p99/p999,
-/// and the exact maximum, all in simulated ns.
-pub fn latency_table(trace: &FigureTrace) -> String {
-    latency_table_with(trace, &latency_rows(trace))
-}
-
-/// [`latency_table`] over precomputed rows, so callers that also
-/// embed the JSON section derive both views from one computation.
+/// Render one figure's merged latency rows (from
+/// [`o1_obs::latency_rows`]) as an aligned text table: one row per
+/// `(mechanism, op, phase)` with count, p50/p90/p99/p999, and the
+/// exact maximum, all in simulated ns.
 pub fn latency_table_with(trace: &FigureTrace, rows: &[LatencyRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn latency_table_has_both_mechanisms_and_alloc_rows() {
         let (_, traces) = traced("fig2");
-        let table = latency_table(&traces[0]);
+        let table = latency_table_with(&traces[0], &latency_rows(&traces[0]));
         assert!(table.contains("## latency — fig2"));
         assert!(table.contains("baseline"), "fig2 runs the baseline kernel");
         assert!(table.contains("fom-"), "fig2 runs a fom kernel");

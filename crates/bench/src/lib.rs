@@ -18,11 +18,11 @@ pub mod latency;
 pub mod runner;
 pub mod series;
 
-pub use attrib::{attribution_table, attribution_table_with, figures_to_json_pretty_with_attribution};
+pub use attrib::attribution_table_with;
 pub use diff::{diff_metrics, figure_metrics, metrics_from_value, DiffReport, Thresholds};
 pub use latency::{
     figure_extras, figures_to_json_pretty_enriched, figures_to_json_pretty_with_extras,
-    latency_table, latency_table_with, FigureExtras,
+    latency_table_with, FigureExtras,
 };
 pub use runner::{run_figures, RunnerOptions, SuiteScale};
 pub use series::{figures_to_json_pretty, Figure, Series};

@@ -143,13 +143,6 @@ pub struct FigureRun {
     pub trace: Option<o1_obs::FigureTrace>,
 }
 
-impl FigureRun {
-    /// Fastest repeat in host ns.
-    pub fn min_wall_ns(&self) -> u64 {
-        self.wall_ns.iter().copied().min().unwrap_or(0)
-    }
-}
-
 /// A full suite run: figures in request order plus the profile.
 pub struct RunReport {
     /// Worker threads actually used.
@@ -289,7 +282,7 @@ mod tests {
         assert_eq!(a, b, "thread count never changes figure bytes");
         for (i, r) in seq.runs.iter().enumerate() {
             assert_eq!(r.id, fns[i].0, "request order preserved");
-            assert!(r.min_wall_ns() > 0);
+            assert!(r.wall_ns.iter().min().is_some_and(|&ns| ns > 0));
         }
     }
 }

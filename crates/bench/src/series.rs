@@ -40,24 +40,6 @@ impl Series {
             _ => None,
         }
     }
-
-    /// Append this series as compact JSON.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"label\":");
-        json::push_str_escaped(out, &self.label);
-        out.push_str(",\"points\":[");
-        for (i, &(x, y)) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            out.push_str(&x.to_string());
-            out.push(',');
-            json::push_f64(out, y);
-            out.push(']');
-        }
-        out.push_str("]}");
-    }
 }
 
 /// A full figure: id, axis labels, and its series.
@@ -95,34 +77,6 @@ impl Figure {
     /// Find a series by label.
     pub fn series(&self, label: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.label == label)
-    }
-
-    /// Compact JSON for this figure (field order: id, title, x_label,
-    /// y_label, series — the order serde used to emit).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    /// Append this figure as compact JSON.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"id\":");
-        json::push_str_escaped(out, &self.id);
-        out.push_str(",\"title\":");
-        json::push_str_escaped(out, &self.title);
-        out.push_str(",\"x_label\":");
-        json::push_str_escaped(out, &self.x_label);
-        out.push_str(",\"y_label\":");
-        json::push_str_escaped(out, &self.y_label);
-        out.push_str(",\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            s.write_json(out);
-        }
-        out.push_str("]}");
     }
 }
 
@@ -276,14 +230,6 @@ mod tests {
         assert!(t.contains("beta"));
         assert!(t.contains("100.50"));
         assert!(t.contains('-'), "missing point rendered as dash");
-    }
-
-    #[test]
-    fn figure_serializes_to_json() {
-        let f = Figure::new("f", "t", "x", "y");
-        let j = f.to_json();
-        assert!(j.contains("\"id\":\"f\""));
-        assert_eq!(j, "{\"id\":\"f\",\"title\":\"t\",\"x_label\":\"x\",\"y_label\":\"y\",\"series\":[]}");
     }
 
     #[test]

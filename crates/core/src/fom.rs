@@ -18,8 +18,10 @@
 //!   pressure); **no demand paging, no reclaim scanning, no dirty
 //!   tracking** exists in this kernel at all.
 //! * **Persistence**: files marked persistent survive
-//!   [`FomKernel::crash_and_recover`]; volatile files are erased in
-//!   O(1) per file via the configured [`ErasePolicy`].
+//!   [`FomKernel::crash_and_recover`]; volatile files are
+//!   crypto-erased: each file has its own key, and dropping the key
+//!   erases the file in O(1). The eager and background-pool
+//!   alternatives are `o1_palloc::zero`'s, compared by `fig_zero`.
 //!
 //! The deliberate losses the paper concedes are visible here too:
 //! there is no copy-on-write and no page-granular `mprotect` — those
@@ -34,7 +36,7 @@ use o1_hw::{
 use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
 use o1_palloc::PhysExtent;
 use o1_vm::runs::AccessRun;
-use o1_vm::{CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError, MAX_MAP_BYTES};
+use o1_vm::{span_end, CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError, MAX_MAP_BYTES};
 
 use crate::mech::{make_mechanism, MapMechanism, MechCtx, MechParams, Piece};
 
@@ -84,19 +86,6 @@ impl MapMech {
     ];
 }
 
-/// How freed volatile memory is erased (§3.1 calls for O(1) erase).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ErasePolicy {
-    /// Zero on the critical path: O(size).
-    Eager,
-    /// Per-file key, dropped on erase: O(1).
-    CryptoErase,
-    /// Freed extents are queued and zeroed by a background sweeper
-    /// ([`FomKernel::background_zero_tick`]); allocation only pays
-    /// foreground zeroing for extents the sweeper has not reached.
-    BackgroundPool,
-}
-
 /// Kernel configuration.
 #[derive(Clone, Debug)]
 pub struct FomConfig {
@@ -107,8 +96,6 @@ pub struct FomConfig {
     pub nvm_bytes: u64,
     /// Mapping mechanism.
     pub mech: MapMech,
-    /// Erase policy for volatile data.
-    pub erase: ErasePolicy,
 }
 
 impl Default for FomConfig {
@@ -117,7 +104,6 @@ impl Default for FomConfig {
             dram_bytes: 64 << 20,
             nvm_bytes: 1 << 30,
             mech: MapMech::SharedPt,
-            erase: ErasePolicy::CryptoErase,
         }
     }
 }
@@ -179,11 +165,8 @@ pub struct FomKernel {
     /// (shared-subtree registries, the Utopia fast region, OBASE
     /// residency records).
     mech: Box<dyn MapMechanism>,
-    erase: ErasePolicy,
     next_vol: u64,
     keys_live: u64,
-    /// Freed-but-not-yet-zeroed extents (BackgroundPool policy).
-    dirty: Vec<PhysExtent>,
 }
 
 /// Builder for a [`FomKernel`]: kernel policy plus the shared
@@ -206,7 +189,6 @@ pub struct FomBuilder {
     config: FomConfig,
     machine: MachineConfig,
     tlb: Option<(usize, usize)>,
-    rtlb_entries: Option<usize>,
     fast_region: Option<usize>,
 }
 
@@ -226,18 +208,6 @@ impl FomBuilder {
     /// Mapping mechanism.
     pub fn mech(mut self, mech: MapMech) -> Self {
         self.config.mech = mech;
-        self
-    }
-
-    /// Erase policy for volatile data.
-    pub fn erase(mut self, policy: ErasePolicy) -> Self {
-        self.config.erase = policy;
-        self
-    }
-
-    /// Range-TLB capacity (only used by [`MapMech::Ranges`]).
-    pub fn rtlb(mut self, entries: usize) -> Self {
-        self.rtlb_entries = Some(entries);
         self
     }
 
@@ -277,13 +247,8 @@ impl FomBuilder {
                 dram_frames: self.config.dram_bytes / PAGE_SIZE,
             },
         );
-        let core = KernelCore::boot(
-            config,
-            mechanism.ranges_enabled(),
-            self.tlb,
-            self.rtlb_entries,
-        )?;
-        Ok(FomKernel::boot(self.config, core, mechanism))
+        let core = KernelCore::boot(config, mechanism.ranges_enabled(), self.tlb)?;
+        Ok(FomKernel::boot(core, mechanism))
     }
 }
 
@@ -301,20 +266,14 @@ impl FomKernel {
         FomBuilder::default()
     }
 
-    fn boot(
-        config: FomConfig,
-        core: KernelCore<FomProc>,
-        mech: Box<dyn MapMechanism>,
-    ) -> FomKernel {
+    fn boot(core: KernelCore<FomProc>, mech: Box<dyn MapMechanism>) -> FomKernel {
         let span = PhysExtent::new(core.machine.phys.nvm_base(), core.machine.phys.nvm_frames());
         FomKernel {
             core,
             pmfs: Pmfs::format(span),
             mech,
-            erase: config.erase,
             next_vol: 0,
             keys_live: 0,
-            dirty: Vec::new(),
         }
     }
 
@@ -386,8 +345,8 @@ impl FomKernel {
         self.core.pt.metadata_bytes()
     }
 
-    /// Live crypto-erase keys (one per volatile file under
-    /// [`ErasePolicy::CryptoErase`]).
+    /// Live crypto-erase keys: one per file created since the last
+    /// crash and not yet destroyed.
     pub fn keys_live(&self) -> u64 {
         self.keys_live
     }
@@ -506,7 +465,8 @@ impl FomKernel {
                     let _ = pmfs.unlink(machine, name);
                 })?;
         }
-        // Erase policy: fresh memory must read as zeros.
+        // Crypto-erase: a fresh key per file, so the old ciphertext in
+        // its extents reads as zeros.
         let extents: Vec<PhysExtent> = self
             .pmfs
             .inode(id)
@@ -515,29 +475,10 @@ impl FomKernel {
             .iter()
             .map(|fe| fe.phys)
             .collect();
-        match self.erase {
-            ErasePolicy::Eager => {
-                for e in &extents {
-                    let tier = self.core.machine.phys.tier(e.start);
-                    self.core.machine.charge_zero_fg(tier, e.bytes());
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::CryptoErase => {
-                self.core.machine.charge_kind(CostKind::KeyGen);
-                self.keys_live += 1;
-                for e in &extents {
-                    // Fresh key ⇒ old ciphertext reads as zeros.
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::BackgroundPool => {
-                // Only frames the sweeper has not reached yet cost
-                // foreground zeroing.
-                for e in &extents {
-                    self.scrub_if_dirty(*e);
-                }
-            }
+        self.core.machine.charge_kind(CostKind::KeyGen);
+        self.keys_live += 1;
+        for e in &extents {
+            self.core.machine.phys.zero_frames(e.start, e.frames);
         }
         let va = self.map_file_internal(pid, id, name, bytes, Prot::ReadWrite, auto_unlink)?;
         self.core.machine.op_end(t0, OpKind::Alloc, self.label());
@@ -657,83 +598,16 @@ impl FomKernel {
         Ok(())
     }
 
-    /// Erase policy + mechanism cleanup when a file's last reference
-    /// drops.
+    /// Crypto-erase (drop the file's key) and mechanism cleanup when a
+    /// file's last reference drops.
     fn on_file_destroyed(&mut self, id: FileId, extents: &[PhysExtent]) {
-        match self.erase {
-            ErasePolicy::Eager => {
-                for e in extents {
-                    let tier = self.core.machine.phys.tier(e.start);
-                    self.core.machine.charge_zero_fg(tier, e.bytes());
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::CryptoErase => {
-                self.core.machine.charge_kind(CostKind::KeyDrop);
-                self.keys_live = self.keys_live.saturating_sub(1);
-                for e in extents {
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::BackgroundPool => {
-                // O(extents) bookkeeping now; the sweeper zeroes later.
-                self.dirty.extend_from_slice(extents);
-            }
+        self.core.machine.charge_kind(CostKind::KeyDrop);
+        self.keys_live = self.keys_live.saturating_sub(1);
+        for e in extents {
+            self.core.machine.phys.zero_frames(e.start, e.frames);
         }
         let (mech, mut ctx) = self.seam();
         mech.on_file_destroyed(&mut ctx, id);
-    }
-
-    /// Frames awaiting background zeroing (BackgroundPool policy).
-    pub fn dirty_frames(&self) -> u64 {
-        self.dirty.iter().map(|e| e.frames).sum()
-    }
-
-    /// Background sweeper: zero up to `budget` queued frames off the
-    /// critical path. Returns frames processed.
-    pub fn background_zero_tick(&mut self, budget: u64) -> u64 {
-        let mut done = 0;
-        while done < budget {
-            let Some(ext) = self.dirty.pop() else { break };
-            let take = ext.frames.min(budget - done);
-            let head = PhysExtent::new(ext.start, take);
-            self.core.machine.phys.zero_frames(head.start, head.frames);
-            self.core.machine.note_zero_bg(head.bytes());
-            done += take;
-            if take < ext.frames {
-                self.dirty
-                    .push(PhysExtent::new(ext.start + take, ext.frames - take));
-            }
-        }
-        done
-    }
-
-    /// Foreground-zero any parts of `ext` still on the dirty list
-    /// (charged), removing them from the list.
-    fn scrub_if_dirty(&mut self, ext: PhysExtent) {
-        let mut remnants = Vec::new();
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for d in dirty.drain(..) {
-            if !d.overlaps(&ext) {
-                remnants.push(d);
-                continue;
-            }
-            // Overlapping part: zero in the foreground.
-            let lo = d.start.0.max(ext.start.0);
-            let hi = d.end().0.min(ext.end().0);
-            let part = PhysExtent::new(o1_hw::FrameNo(lo), hi - lo);
-            let tier = self.core.machine.phys.tier(part.start);
-            self.core.machine.charge_zero_fg(tier, part.bytes());
-            self.core.machine.phys.zero_frames(part.start, part.frames);
-            // Keep the non-overlapping remnants of the dirty extent.
-            if d.start.0 < lo {
-                remnants.push(PhysExtent::new(d.start, lo - d.start.0));
-            }
-            if d.end().0 > hi {
-                remnants.push(PhysExtent::new(o1_hw::FrameNo(hi), d.end().0 - hi));
-            }
-        }
-        self.dirty = remnants;
     }
 
     /// Delete a named file. If it is still mapped anywhere the inode
@@ -790,7 +664,7 @@ impl FomKernel {
         // Keep the file alive across the remap.
         self.pmfs.inc_ref(id).map_err(VmError::from)?;
         self.unmap_keep_file(pid, base)?;
-        // Fresh extents must read as zeros, per the erase policy.
+        // Fresh extents read as zeros under the file's key.
         let new_extents: Vec<PhysExtent> = self
             .pmfs
             .inode(id)
@@ -800,24 +674,8 @@ impl FomKernel {
             .filter(|fe| fe.file_page * PAGE_SIZE >= old_bytes)
             .map(|fe| fe.phys)
             .collect();
-        match self.erase {
-            ErasePolicy::Eager => {
-                for e in &new_extents {
-                    let tier = self.core.machine.phys.tier(e.start);
-                    self.core.machine.charge_zero_fg(tier, e.bytes());
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::CryptoErase => {
-                for e in &new_extents {
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::BackgroundPool => {
-                for e in &new_extents {
-                    self.scrub_if_dirty(*e);
-                }
-            }
+        for e in &new_extents {
+            self.core.machine.phys.zero_frames(e.start, e.frames);
         }
         let new_base = self.map_file_internal(pid, id, &name, new_bytes, Prot::ReadWrite, auto)?;
         let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
@@ -979,29 +837,12 @@ impl FomKernel {
     /// O(files + extents) — never O(pages).
     pub fn crash_and_recover(&mut self) -> RecoveryStats {
         // Volatile/discardable files are not journaled (their metadata
-        // would be pure overhead); the kernel erases their contents
-        // now, per the configured policy. Under CryptoErase this
-        // models the per-file keys (held in DRAM) being lost: O(1) per
-        // file. Under Eager it is the linear scrub the paper wants to
-        // avoid. Under BackgroundPool the freed space is queued dirty.
+        // would be pure overhead); their per-file keys were held in
+        // DRAM and are lost now, which erases their contents in O(1)
+        // per file.
         let (volatile_count, volatile_extents) = self.pmfs.non_persistent_extents();
-        match self.erase {
-            ErasePolicy::Eager => {
-                for e in &volatile_extents {
-                    let tier = self.core.machine.phys.tier(e.start);
-                    self.core.machine.charge_zero_fg(tier, e.bytes());
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-            }
-            ErasePolicy::CryptoErase => {
-                for e in &volatile_extents {
-                    self.core.machine.phys.zero_frames(e.start, e.frames);
-                }
-                self.keys_live = 0;
-            }
-            ErasePolicy::BackgroundPool => {
-                self.dirty = volatile_extents.clone();
-            }
+        for e in &volatile_extents {
+            self.core.machine.phys.zero_frames(e.start, e.frames);
         }
         self.core.machine.phys.crash();
         // Processes and their page tables are DRAM state: gone.
@@ -1076,18 +917,6 @@ impl FomKernel {
         }
         Ok(pa)
     }
-}
-
-/// End of `[va, va+len)` rounded out to whole pages, or
-/// [`VmError::BadRange`] when `len` exceeds [`MAX_MAP_BYTES`] or the end
-/// does not fit in the address space.
-fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
-    if len > MAX_MAP_BYTES {
-        return Err(VmError::BadRange);
-    }
-    va.0.checked_add(o1_hw::round_up_pages(len))
-        .map(VirtAddr)
-        .ok_or(VmError::BadRange)
 }
 
 impl KernelHooks for FomKernel {
@@ -1278,6 +1107,7 @@ mod tests {
             large < 3 * small,
             "fom allocation must be near-O(1): {small} ns vs {large} ns"
         );
+        assert_eq!(k.keys_live(), 0, "unmap drops every file's key");
     }
 
     #[test]
@@ -1511,84 +1341,6 @@ mod tests {
             "implicit pinning beats per-page: {ns} ns"
         );
         assert!(pa.0 > 0);
-    }
-
-    #[test]
-    fn crypto_vs_eager_erase_costs() {
-        let mut eager = FomKernel::new(FomConfig {
-            erase: ErasePolicy::Eager,
-            ..FomConfig::default()
-        });
-        let mut crypto = FomKernel::new(FomConfig {
-            erase: ErasePolicy::CryptoErase,
-            ..FomConfig::default()
-        });
-        let run = |k: &mut FomKernel| {
-            let pid = k.create_process().unwrap();
-            let t0 = k.machine().now();
-            let (_, va) = k.falloc(pid, 64 << 20, FileClass::Volatile).unwrap();
-            k.unmap(pid, va).unwrap();
-            k.machine().now().since(t0)
-        };
-        let eager_ns = run(&mut eager);
-        let crypto_ns = run(&mut crypto);
-        assert!(
-            eager_ns > 20 * crypto_ns,
-            "64 MiB erase: eager {eager_ns} ns vs crypto {crypto_ns} ns"
-        );
-        assert_eq!(crypto.keys_live(), 0);
-    }
-
-    #[test]
-    fn background_pool_erase_is_o1_foreground() {
-        let mut k = FomKernel::new(FomConfig {
-            erase: ErasePolicy::BackgroundPool,
-            ..FomConfig::default()
-        });
-        let pid = k.create_process().unwrap();
-        let (_, va) = k.falloc(pid, 64 << 20, FileClass::Volatile).unwrap();
-        k.store(pid, va, 0xbad).unwrap();
-        // Free: O(1) foreground — extents just queue up.
-        let t0 = k.machine().now();
-        k.unmap(pid, va).unwrap();
-        let free_ns = k.machine().now().since(t0);
-        assert!(free_ns < 20_000, "free is O(1): {free_ns} ns");
-        assert_eq!(k.dirty_frames(), 16384);
-        assert_eq!(k.machine().perf.bytes_zeroed_fg, 0);
-        // Sweep in the background.
-        let swept = k.background_zero_tick(1 << 20);
-        assert_eq!(swept, 16384);
-        assert_eq!(k.dirty_frames(), 0);
-        assert_eq!(k.machine().perf.bytes_zeroed_bg, 64 << 20);
-        // Reallocation is clean and pays no foreground zeroing.
-        let (_, va2) = k.falloc(pid, 64 << 20, FileClass::Volatile).unwrap();
-        assert_eq!(k.load(pid, va2).unwrap(), 0);
-        assert_eq!(k.machine().perf.bytes_zeroed_fg, 0);
-    }
-
-    #[test]
-    fn background_pool_scrubs_unswept_memory_on_realloc() {
-        // A tight volume forces the allocator to reuse the dirty
-        // frames immediately.
-        let mut k = FomKernel::new(FomConfig {
-            erase: ErasePolicy::BackgroundPool,
-            nvm_bytes: 300 * PAGE_SIZE,
-            ..FomConfig::default()
-        });
-        let pid = k.create_process().unwrap();
-        let (_, va) = k.falloc(pid, 256 * PAGE_SIZE, FileClass::Volatile).unwrap();
-        k.store(pid, va, 0x5ec2e7).unwrap();
-        k.unmap(pid, va).unwrap();
-        // No sweep: the next allocation reuses the dirty frames and
-        // must pay foreground zeroing for exactly the overlap.
-        let (_, va2) = k.falloc(pid, 256 * PAGE_SIZE, FileClass::Volatile).unwrap();
-        assert_eq!(k.load(pid, va2).unwrap(), 0, "no data leak");
-        assert_eq!(
-            k.machine().perf.bytes_zeroed_fg,
-            256 * PAGE_SIZE,
-            "foreground zeroing only for the unswept overlap"
-        );
-        assert_eq!(k.dirty_frames(), 0);
     }
 
     #[test]

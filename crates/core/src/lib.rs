@@ -14,4 +14,4 @@
 pub mod fom;
 pub(crate) mod mech;
 
-pub use fom::{ErasePolicy, FomBuilder, FomConfig, FomKernel, MapMech, FOM_MMAP_BASE, PBM_BASE};
+pub use fom::{FomBuilder, FomConfig, FomKernel, MapMech, FOM_MMAP_BASE, PBM_BASE};

@@ -2,7 +2,7 @@
 //! trait.
 //!
 //! [`FomKernel`](crate::fom::FomKernel) owns the machinery every
-//! mechanism shares — syscall charging, file lifetime, erase policy,
+//! mechanism shares — syscall charging, file lifetime, crypto-erase,
 //! op spans — and delegates the per-mechanism decisions (where a file
 //! lands in the address space, how each extent is installed and torn
 //! down, how a VA translates, whether a run batch can be bulk-proven)
@@ -325,15 +325,6 @@ fn teardown_pieces_default(
     Ok(())
 }
 
-/// PTE/range flags for a protection level.
-pub(crate) fn pte_for(prot: Prot) -> PteFlags {
-    match prot {
-        Prot::Read => PteFlags::user_ro(),
-        Prot::ReadWrite => PteFlags::user_rw(),
-        Prot::ReadExec => PteFlags::user_ro().union(PteFlags::EXEC),
-    }
-}
-
 // ---- shared-subtree machinery (SharedPt, Pbm) -------------------------------
 
 /// Registry of pre-created page-table subtrees, one per (file, 2 MiB
@@ -397,7 +388,7 @@ fn map_extent_shared(
                     cur_va,
                     fe.phys.start + page,
                     n,
-                    pte_for(prot),
+                    prot.pte_flags(),
                     false,
                 )
                 .map_err(|_| VmError::BadRange)?;
@@ -508,7 +499,7 @@ impl MapMechanism for PageTablesMech {
                 va,
                 fe.phys.start,
                 fe.phys.frames,
-                pte_for(prot),
+                prot.pte_flags(),
                 true,
             )
             .map_err(|_| VmError::BadRange)?;
@@ -647,7 +638,7 @@ impl MapMechanism for RangesMech {
         pieces: &mut Vec<Piece>,
     ) -> Result<(), VmError> {
         let va = base + fe.file_page * PAGE_SIZE;
-        let entry = RangeEntry::new(va, fe.phys.bytes(), fe.phys.base(), pte_for(prot));
+        let entry = RangeEntry::new(va, fe.phys.bytes(), fe.phys.base(), prot.pte_flags());
         let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
         proc.ranges.insert(entry).map_err(|_| VmError::BadRange)?;
         ctx.machine.charge_kind(CostKind::PteWrite);
@@ -795,7 +786,7 @@ impl MapMechanism for UtopiaMech {
                 va,
                 fe.phys.start,
                 fe.phys.frames,
-                pte_for(prot),
+                prot.pte_flags(),
                 false,
             )
             .map_err(|_| VmError::BadRange)?;
@@ -1114,7 +1105,7 @@ impl MapMechanism for ObaseMech {
         pieces: &mut Vec<Piece>,
     ) -> Result<(), VmError> {
         let va = base + fe.file_page * PAGE_SIZE;
-        let flags = pte_for(prot);
+        let flags = prot.pte_flags();
         let home = fe.phys.start.0;
         let idx = match self.records.iter().position(|r| r.nvm_start == home) {
             Some(i) => {

@@ -168,10 +168,10 @@ struct CpuMmu {
 }
 
 impl CpuMmu {
-    fn new(tlb_geometry: Option<(usize, usize)>, rtlb_entries: Option<usize>) -> CpuMmu {
+    fn new(tlb_geometry: Option<(usize, usize)>) -> CpuMmu {
         CpuMmu {
             tlb: tlb_geometry.map_or_else(Tlb::default, |(sets, assoc)| Tlb::new(sets, assoc)),
-            rtlb: rtlb_entries.map_or_else(RangeTlb::default, RangeTlb::new),
+            rtlb: RangeTlb::default(),
             walk_cache: FastMap::default(),
             walk_epoch: 0,
             synced_epoch: 0,
@@ -211,14 +211,14 @@ pub struct Mmu {
 
 impl Default for Mmu {
     fn default() -> Self {
-        Mmu::smp(false, 1, None, None)
+        Mmu::smp(false, 1, None)
     }
 }
 
 impl Mmu {
     /// Fully-configured MMU: `cpus` private translation-cache sets,
-    /// each with the given page-TLB geometry (`None` = default) and
-    /// range-TLB capacity (`None` = default).
+    /// each with the given page-TLB geometry (`None` = default) and a
+    /// default-sized range TLB.
     ///
     /// # Panics
     /// Panics if `cpus` is zero or exceeds [`crate::machine::MAX_CPUS`]
@@ -227,7 +227,6 @@ impl Mmu {
         ranges_enabled: bool,
         cpus: u32,
         tlb_geometry: Option<(usize, usize)>,
-        rtlb_entries: Option<usize>,
     ) -> Mmu {
         assert!(cpus > 0, "MMU needs at least one CPU");
         assert!(
@@ -237,7 +236,7 @@ impl Mmu {
         );
         Mmu {
             cpus: (0..cpus)
-                .map(|_| CpuMmu::new(tlb_geometry, rtlb_entries))
+                .map(|_| CpuMmu::new(tlb_geometry))
                 .collect(),
             current: CpuId::BOOT,
             ranges_enabled,
@@ -823,7 +822,7 @@ mod tests {
             pt,
             root,
             rt: RangeTable::new(),
-            mmu: Mmu::smp(ranges, 1, None, None),
+            mmu: Mmu::smp(ranges, 1, None),
         }
     }
 
@@ -1092,7 +1091,7 @@ mod tests {
         let mut pt = PageTables::new();
         let root = pt.create_root(&mut m);
         let rt = RangeTable::new();
-        let mut mmu = Mmu::smp(false, 4, None, None);
+        let mut mmu = Mmu::smp(false, 4, None);
         let va = VirtAddr(0x10_0000);
         pt.map(&mut m, root, va, FrameNo(7), PageSize::Base, PteFlags::user_rw())
             .unwrap();
@@ -1140,7 +1139,7 @@ mod tests {
         let mut pt = PageTables::new();
         let root = pt.create_root(&mut m);
         let rt = RangeTable::new();
-        let mut mmu = Mmu::smp(false, 2, None, None);
+        let mut mmu = Mmu::smp(false, 2, None);
         let va = VirtAddr(0x10_0000);
         pt.map(&mut m, root, va, FrameNo(77), PageSize::Base, PteFlags::user_rw())
             .unwrap();

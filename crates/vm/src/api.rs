@@ -11,7 +11,7 @@ use crate::runs::AccessRun;
 use crate::types::{Pid, VmError};
 
 /// Generates the [`MachineConfig`](o1_hw::MachineConfig)-backed setters every kernel
-/// builder shares — `cost`, `cpus`, `obs`, `tlb` — so the baseline
+/// builder shares — `cpus`, `obs`, `tlb` — so the baseline
 /// and file-only builders cannot drift apart. The builder type must
 /// have `machine: MachineConfig` and `tlb: Option<(usize, usize)>`
 /// fields; kernel-specific policy setters stay hand-written.
@@ -19,12 +19,6 @@ use crate::types::{Pid, VmError};
 macro_rules! machine_config_builder {
     ($builder:ty) => {
         impl $builder {
-            /// Per-operation cost table.
-            pub fn cost(mut self, cost: ::o1_hw::CostModel) -> Self {
-                self.machine.cost = cost;
-                self
-            }
-
             /// Number of simulated CPUs (`1..=o1_hw::MAX_CPUS`). Each
             /// CPU owns private translation caches; invalidations
             /// broadcast to the CPUs holding the target ASID and

@@ -123,18 +123,6 @@ impl BaselineBuilder {
         self
     }
 
-    /// Reclaim policy.
-    pub fn reclaim(mut self, policy: ReclaimPolicy) -> Self {
-        self.config.reclaim = policy;
-        self
-    }
-
-    /// Free-frame watermark below which reclaim kicks in.
-    pub fn low_watermark_frames(mut self, frames: u64) -> Self {
-        self.config.low_watermark_frames = frames;
-        self
-    }
-
     /// Whether anonymous pages may be swapped out under pressure.
     pub fn swap(mut self, enabled: bool) -> Self {
         self.config.swap_enabled = enabled;
@@ -144,12 +132,6 @@ impl BaselineBuilder {
     /// Transparent-huge-page policy.
     pub fn thp(mut self, mode: ThpMode) -> Self {
         self.config.thp = mode;
-        self
-    }
-
-    /// Pages populated per fault.
-    pub fn fault_around(mut self, pages: u32) -> Self {
-        self.config.fault_around = pages;
         self
     }
 
@@ -179,12 +161,12 @@ impl BaselineBuilder {
             nvm_bytes: 0,
             ..self.machine
         };
-        let core = KernelCore::boot(config, false, self.tlb, None)?;
+        let core = KernelCore::boot(config, false, self.tlb)?;
         Ok(BaselineKernel::boot(self.config, core))
     }
 }
 
-// The `cost` / `cpus` / `obs` / `tlb` setters, shared with the
+// The `cpus` / `obs` / `tlb` setters, shared with the
 // file-only kernel's builder.
 crate::machine_config_builder!(BaselineBuilder);
 
@@ -369,7 +351,7 @@ impl BaselineKernel {
                     // Downgrade parent to COW (skip shared mappings).
                     if !v.shared {
                         self.core.pt.unmap(&mut self.core.machine, p_root, va);
-                        let flags = pte_for(v.prot)
+                        let flags = v.prot.pte_flags()
                             .difference(PteFlags::WRITE)
                             .union(cow_bit(v.prot));
                         let core = &mut self.core;
@@ -388,7 +370,7 @@ impl BaselineKernel {
                                 va,
                                 frame,
                                 PageSize::Base,
-                                pte_for(v.prot),
+                                v.prot.pte_flags(),
                             )
                             .expect("child slot empty");
                     }
@@ -773,7 +755,7 @@ impl BaselineKernel {
                 self.core.pt.unmap(&mut self.core.machine, root, page_va)
             {
                 let keep_cow = old.contains(PteFlags::COW);
-                let mut flags = pte_for(prot);
+                let mut flags = prot.pte_flags();
                 if keep_cow {
                     flags = flags.difference(PteFlags::WRITE).union(PteFlags::COW);
                 }
@@ -836,7 +818,7 @@ impl BaselineKernel {
                         va,
                         frame,
                         PageSize::Base,
-                        pte_for(vma.prot),
+                        vma.prot.pte_flags(),
                     )
                     .expect("fresh anon slot");
                 let meta = self.meta.get_mut(frame);
@@ -860,11 +842,11 @@ impl BaselineKernel {
                     .get_or_alloc_page(machine, alloc, id, file_page)
                     .map_err(VmError::from)?;
                 let flags = if vma.shared {
-                    pte_for(vma.prot)
+                    vma.prot.pte_flags()
                 } else {
                     // MAP_PRIVATE: share the file page read-only; a
                     // write will copy (COW).
-                    pte_for(vma.prot)
+                    vma.prot.pte_flags()
                         .difference(PteFlags::WRITE)
                         .union(cow_bit(vma.prot))
                 };
@@ -916,7 +898,7 @@ impl BaselineKernel {
         if span < 2 {
             return None;
         }
-        let flags = pte_for(vma.prot);
+        let flags = vma.prot.pte_flags();
         self.install_fresh_run(pid, root, va, stride, span, flags, |_, _, _, _, _, _| {});
         Some(span)
     }
@@ -1042,7 +1024,7 @@ impl BaselineKernel {
                 leaf_va,
                 ext.start,
                 PageSize::Huge2M,
-                pte_for(vma.prot),
+                vma.prot.pte_flags(),
             )
             .expect("checked region empty");
         let meta = self.meta.get_mut(ext.start);
@@ -1151,7 +1133,7 @@ impl BaselineKernel {
                     page_va,
                     old_frame,
                     PageSize::Base,
-                    pte_for(vma.prot),
+                    vma.prot.pte_flags(),
                 )
                 .expect("remap upgraded page");
             let core = &mut self.core;
@@ -1174,7 +1156,7 @@ impl BaselineKernel {
                 page_va,
                 new_frame,
                 PageSize::Base,
-                pte_for(vma.prot),
+                vma.prot.pte_flags(),
             )
             .expect("remap copied page");
         let core = &mut self.core;
@@ -1227,7 +1209,7 @@ impl BaselineKernel {
                 va,
                 frame,
                 PageSize::Base,
-                pte_for(vma.prot),
+                vma.prot.pte_flags(),
             )
             .expect("swapped page slot empty");
         let meta = self.meta.get_mut(frame);
@@ -1610,7 +1592,7 @@ impl KernelHooks for BaselineKernel {
         // install, the `struct page` update, the TLB fill of the
         // walked (pre-A/D) flags, and the data access itself. State
         // writes happen per page below; charges land once, after.
-        let walk_flags = pte_for(prot);
+        let walk_flags = prot.pte_flags();
         let leaf_flags = if write {
             // `map` writes the PTE, then `mark_accessed` sets A/D in
             // place charge-free — fused into one leaf write here.
@@ -1752,22 +1734,13 @@ impl BaselineKernel {
 /// End of `[va, va+len)` rounded out to whole pages, or
 /// [`VmError::BadRange`] when `len` exceeds [`MAX_MAP_BYTES`] or the end
 /// does not fit in the address space.
-fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
+pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
     if len > MAX_MAP_BYTES {
         return Err(VmError::BadRange);
     }
     va.0.checked_add(o1_hw::round_up_pages(len))
         .map(VirtAddr)
         .ok_or(VmError::BadRange)
-}
-
-/// PTE flags for a protection level.
-fn pte_for(prot: Prot) -> PteFlags {
-    match prot {
-        Prot::Read => PteFlags::user_ro(),
-        Prot::ReadWrite => PteFlags::user_rw(),
-        Prot::ReadExec => PteFlags::user_ro().union(PteFlags::EXEC),
-    }
 }
 
 /// COW marker for a private mapping that will become writable.

@@ -59,12 +59,11 @@ impl<P> KernelCore<P> {
         config: MachineConfig,
         ranges: bool,
         tlb: Option<(usize, usize)>,
-        rtlb: Option<usize>,
     ) -> Result<KernelCore<P>, VmError> {
         if config.cpus == 0 || config.cpus > o1_hw::MAX_CPUS {
             return Err(VmError::InvalidConfig);
         }
-        let mmu = Mmu::smp(ranges, config.cpus, tlb, rtlb);
+        let mmu = Mmu::smp(ranges, config.cpus, tlb);
         Ok(KernelCore {
             machine: Machine::from_config(config),
             pt: PageTables::new(),

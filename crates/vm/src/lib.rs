@@ -28,7 +28,7 @@ pub use api::{MemSys, OnCpu};
 pub use proc_table::ProcTable;
 pub use runs::AccessRun;
 pub use kernel::{
-    BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
+    span_end, BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
 };
 pub use kernel_core::{CoreProc, KernelCore, KernelHooks};
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};

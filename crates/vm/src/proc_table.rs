@@ -1,10 +1,11 @@
 //! Dense, arena-backed process table shared by both kernels.
 //!
-//! Pids are issued monotonically and never reused (the 16-bit ASID
-//! space bounds them to 65536 ever), so `pid → process` is a dense
-//! mapping: a `Vec` of handles into a generational [`Arena`] replaces
-//! the old `HashMap<Pid, Proc>`. A lookup — one per simulated kernel
-//! call — is two bounds-checked indexes instead of a SipHash probe.
+//! Pids are issued monotonically and never reused, so `pid → process`
+//! is a dense mapping: a `Vec` of handles into a generational
+//! [`Arena`] replaces the old `HashMap<Pid, Proc>`. A lookup — one per
+//! simulated kernel call — is two bounds-checked indexes instead of a
+//! SipHash probe. The `Vec` keeps one slot per pid ever issued; the
+//! recycled 16-bit ASIDs bound the *live* processes, not the pids.
 //!
 //! The arena's generations keep destroyed pids *stale*: a `Pid` held
 //! across `destroy_process` misses (`VmError::NoProcess` at the

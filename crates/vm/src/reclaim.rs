@@ -122,11 +122,6 @@ impl LruLists {
         }
     }
 
-    /// Policy in effect.
-    pub fn policy(&self) -> ReclaimPolicy {
-        self.policy
-    }
-
     /// Frames currently tracked.
     pub fn len(&self) -> usize {
         self.member_inactive.len() + self.member_active.len()

@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use o1_hw::PteFlags;
 use o1_memfs::FsError;
 
 /// Identifies one simulated CPU. Typed so CPU ids never travel as
@@ -28,6 +29,15 @@ impl Prot {
     /// True if stores are allowed.
     pub fn writable(self) -> bool {
         matches!(self, Prot::ReadWrite)
+    }
+
+    /// User PTE (and range-entry) flags for this protection.
+    pub fn pte_flags(self) -> PteFlags {
+        match self {
+            Prot::Read => PteFlags::user_ro(),
+            Prot::ReadWrite => PteFlags::user_rw(),
+            Prot::ReadExec => PteFlags::user_ro().union(PteFlags::EXEC),
+        }
     }
 }
 

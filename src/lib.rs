@@ -61,7 +61,7 @@ pub mod workloads {
     pub use o1_workloads::*;
 }
 
-pub use o1_core::{ErasePolicy, FomConfig, FomKernel, MapMech};
+pub use o1_core::{FomConfig, FomKernel, MapMech};
 pub use o1_hw::{Machine, PerfCounters, SimNs, VirtAddr, PAGE_SIZE};
 pub use o1_memfs::FileClass;
 pub use o1_vm::{BaselineKernel, MemSys, Pid, Prot, VmError};

@@ -1,8 +1,8 @@
 //! Integration tests for the extension features: translation depth,
-//! THP interactions, DMA, file growth, class changes, and the
-//! background-zero pool — exercised end-to-end across crates.
+//! THP interactions, DMA, file growth, class changes, and erase
+//! across a crash — exercised end-to-end across crates.
 
-use o1mem::core::{ErasePolicy, FomConfig, FomKernel, MapMech};
+use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{DmaEngine, WalkMode};
 use o1mem::memfs::FileClass;
 use o1mem::vm::{
@@ -183,32 +183,36 @@ fn fgrow_end_to_end_with_persistence() {
 }
 
 #[test]
-fn background_pool_is_crash_safe() {
-    let mut k = FomKernel::new(FomConfig {
-        erase: ErasePolicy::BackgroundPool,
-        nvm_bytes: 512 * PAGE_SIZE,
-        ..FomConfig::default()
-    });
-    let pid = k.create_process().unwrap();
-    let (_, va) = k.falloc(pid, 256 * PAGE_SIZE, FileClass::Volatile).unwrap();
+fn volatile_data_is_unreadable_after_crash_and_reuse() {
+    // The secret's file is either still mapped at the crash or was
+    // freed before it; either way, a file that reuses its frames after
+    // recovery must read zeros.
     let secret = 0x5ec2e7u64;
-    for p in 0..256u64 {
-        k.store(pid, va + p * PAGE_SIZE, secret).unwrap();
-    }
-    // Crash with the secret still live: the freed space is queued
-    // dirty, and any reuse must scrub before handing it out.
-    k.crash_and_recover();
-    let pid = k.create_process().unwrap();
-    let free = k.free_frames();
-    let (_, scan) = k
-        .falloc(pid, free * PAGE_SIZE, FileClass::Volatile)
-        .unwrap();
-    for p in 0..free {
-        assert_ne!(
-            k.load(pid, scan + p * PAGE_SIZE).unwrap(),
-            secret,
-            "secret must not survive crash + reuse (page {p})"
-        );
+    for mech in MapMech::ALL {
+        for freed_before_crash in [false, true] {
+            let mut k = FomKernel::builder().mech(mech).nvm(512 * PAGE_SIZE).build();
+            let pid = k.create_process().unwrap();
+            let (_, va) = k.falloc(pid, 256 * PAGE_SIZE, FileClass::Volatile).unwrap();
+            for p in 0..256u64 {
+                k.store(pid, va + p * PAGE_SIZE, secret).unwrap();
+            }
+            if freed_before_crash {
+                k.unmap(pid, va).unwrap();
+            }
+            k.crash_and_recover();
+            let pid = k.create_process().unwrap();
+            let free = k.free_frames();
+            let (_, scan) = k
+                .falloc(pid, free * PAGE_SIZE, FileClass::Volatile)
+                .unwrap();
+            for p in 0..free {
+                assert_eq!(
+                    k.load(pid, scan + p * PAGE_SIZE).unwrap(),
+                    0,
+                    "{mech:?}, freed before crash: {freed_before_crash}: page {p}"
+                );
+            }
+        }
     }
 }
 

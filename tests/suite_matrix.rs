@@ -419,27 +419,30 @@ mod checks {
     }
 }
 
-/// A fom kernel with [`ErasePolicy::Eager`] zeroes volatile extents on
-/// the allocation path, and its data tier is NVM — the one way to
-/// charge `zero_page_nvm`.
+/// [`EagerZero`] zeroes every extent it hands out on the allocation
+/// path; over an NVM span that is the one way to charge
+/// `zero_page_nvm`.
 ///
-/// [`ErasePolicy::Eager`]: o1mem::core::ErasePolicy::Eager
+/// [`EagerZero`]: o1mem::palloc::EagerZero
 fn eager_nvm_zero_trace() -> o1_obs::MachineReport {
-    use o1mem::core::ErasePolicy;
-    use o1mem::vm::MemSys;
-    let mut k = o1mem::core::FomKernel::builder()
-        .erase(ErasePolicy::Eager)
-        .obs(o1mem::hw::ObsMode::On)
-        .build();
-    let pid = MemSys::create_process(&mut k).unwrap();
-    MemSys::alloc(&mut k, pid, 16 * o1mem::PAGE_SIZE, true).unwrap();
-    let report = k.machine_mut().take_trace().unwrap();
+    use o1mem::palloc::{EagerZero, ExtentAllocator, FrameSource, PhysExtent};
+    let mut m = o1mem::hw::MachineConfig {
+        nvm_bytes: 64 * o1mem::PAGE_SIZE,
+        obs: o1mem::hw::ObsMode::On,
+        ..Default::default()
+    }
+    .build();
+    let nvm = PhysExtent::new(m.phys.nvm_base(), m.phys.nvm_frames());
+    EagerZero::new(ExtentAllocator::new(nvm))
+        .alloc(&mut m, 16)
+        .unwrap();
+    let report = m.take_trace().unwrap();
     assert!(
         report
             .rows
             .iter()
             .any(|r| r.kind == CostKind::ZeroPageNvm && r.count > 0),
-        "eager erase on the NVM tier charges zero_page_nvm"
+        "eager zeroing on the NVM tier charges zero_page_nvm"
     );
     report
 }
