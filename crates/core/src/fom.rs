@@ -304,13 +304,6 @@ impl FomKernel {
         )
     }
 
-    /// Wall-clock test budget for growing a mapped file to 64 MiB
-    /// under this mechanism (chunk pre-creation and 4 KiB-grained
-    /// mechanisms pay more up front than extent-grained ones).
-    pub fn fgrow_limit_ns(&self) -> u64 {
-        self.mech.fgrow_limit_ns()
-    }
-
     /// One mechanism housekeeping pass with a page budget — under
     /// [`MapMech::Obase`] this is the background migration daemon.
     /// Returns pages moved between tiers.
@@ -467,19 +460,10 @@ impl FomKernel {
         }
         // Crypto-erase: a fresh key per file, so the old ciphertext in
         // its extents reads as zeros.
-        let extents: Vec<PhysExtent> = self
-            .pmfs
-            .inode(id)
-            .map_err(VmError::from)?
-            .extents
-            .iter()
-            .map(|fe| fe.phys)
-            .collect();
+        let extents = self.extents_from(id, 0)?;
         self.core.machine.charge_kind(CostKind::KeyGen);
         self.keys_live += 1;
-        for e in &extents {
-            self.core.machine.phys.zero_frames(e.start, e.frames);
-        }
+        self.zero_extents(&extents);
         let va = self.map_file_internal(pid, id, name, bytes, Prot::ReadWrite, auto_unlink)?;
         self.core.machine.op_end(t0, OpKind::Alloc, self.label());
         self.poll_timeline();
@@ -550,10 +534,46 @@ impl FomKernel {
 
     // ---- unmap / reclaim ---------------------------------------------------------
 
+    /// Physical extents of file `id` from file page `from_page` on, in
+    /// file order: the one reader of a file's extent list. A whole-file
+    /// read collects an exact-size `Vec` (the host-heap figures count
+    /// its bytes); a filtered one cannot know its length up front.
+    fn extents_from(&self, id: FileId, from_page: u64) -> Result<Vec<PhysExtent>, VmError> {
+        let extents = self.pmfs.inode(id).map_err(VmError::from)?.extents.iter();
+        Ok(if from_page == 0 {
+            extents.map(|fe| fe.phys).collect()
+        } else {
+            extents
+                .filter(|fe| fe.file_page >= from_page)
+                .map(|fe| fe.phys)
+                .collect()
+        })
+    }
+
+    /// `pid`'s mapping based at `base`.
+    fn mapping(&self, pid: Pid, base: VirtAddr) -> Result<&Mapping, VmError> {
+        let maps = &self.core.proc(pid)?.maps;
+        maps.get(&base.0).ok_or(VmError::BadRange)
+    }
+
+    /// Zero the frames of `extents`: how the simulator shows data under
+    /// a dropped or fresh crypto-erase key.
+    fn zero_extents(&mut self, extents: &[PhysExtent]) {
+        for e in extents {
+            self.core.machine.phys.zero_frames(e.start, e.frames);
+        }
+    }
+
     /// Unmap the file mapping based at `base`. O(extents), never
     /// O(pages) except for small per-page tails. If the mapping was a
     /// volatile scratch file, the file itself is deleted and erased.
     pub fn unmap(&mut self, pid: Pid, base: VirtAddr) -> Result<(), VmError> {
+        self.unmap_mapping(pid, base, true)
+    }
+
+    /// [`unmap`](Self::unmap), unlinking a volatile scratch file's name
+    /// only if `unlink` (a remap keeps it).
+    fn unmap_mapping(&mut self, pid: Pid, base: VirtAddr, unlink: bool) -> Result<(), VmError> {
         let t0 = self.core.machine.op_start();
         self.core.machine.charge_syscall();
         let mapping = {
@@ -573,24 +593,16 @@ impl FomKernel {
         self.mech.on_flush_asid(asid);
 
         // Drop the file reference; delete volatile scratch files.
-        let extents: Vec<PhysExtent> = self
-            .pmfs
-            .inode(mapping.file)
-            .map_err(VmError::from)?
-            .extents
-            .iter()
-            .map(|fe| fe.phys)
-            .collect();
-        if mapping.auto_unlink {
-            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
+        let extents = self.extents_from(mapping.file, 0)?;
+        if unlink && mapping.auto_unlink {
             // May already be unlinked if mapped twice; ignore.
-            let _ = pmfs.unlink(machine, &mapping.name);
+            let _ = self.pmfs.unlink(&mut self.core.machine, &mapping.name);
         }
-        let destroyed = {
-            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-            pmfs.dec_ref(machine, mapping.file).map_err(VmError::from)?
-        };
-        if destroyed {
+        if self
+            .pmfs
+            .dec_ref(&mut self.core.machine, mapping.file)
+            .map_err(VmError::from)?
+        {
             self.on_file_destroyed(mapping.file, &extents);
         }
         self.core.machine.op_end(t0, OpKind::Free, self.label());
@@ -603,9 +615,7 @@ impl FomKernel {
     fn on_file_destroyed(&mut self, id: FileId, extents: &[PhysExtent]) {
         self.core.machine.charge_kind(CostKind::KeyDrop);
         self.keys_live = self.keys_live.saturating_sub(1);
-        for e in extents {
-            self.core.machine.phys.zero_frames(e.start, e.frames);
-        }
+        self.zero_extents(extents);
         let (mech, mut ctx) = self.seam();
         mech.on_file_destroyed(&mut ctx, id);
     }
@@ -615,21 +625,15 @@ impl FomKernel {
     /// erased now (O(1) per extent).
     pub fn delete(&mut self, name: &str) -> Result<(), VmError> {
         self.core.machine.charge_syscall();
-        let id = {
-            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-            pmfs.lookup(machine, name).map_err(VmError::from)?
-        };
-        let (extents, refs): (Vec<PhysExtent>, u32) = {
-            let inode = self.pmfs.inode(id).map_err(VmError::from)?;
-            (
-                inode.extents.iter().map(|fe| fe.phys).collect(),
-                inode.refs(),
-            )
-        };
-        {
-            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-            pmfs.unlink(machine, name).map_err(VmError::from)?;
-        }
+        let id = self
+            .pmfs
+            .lookup(&mut self.core.machine, name)
+            .map_err(VmError::from)?;
+        let extents = self.extents_from(id, 0)?;
+        let refs = self.pmfs.inode(id).map_err(VmError::from)?.refs();
+        self.pmfs
+            .unlink(&mut self.core.machine, name)
+            .map_err(VmError::from)?;
         if refs == 0 {
             self.on_file_destroyed(id, &extents);
         }
@@ -646,55 +650,50 @@ impl FomKernel {
             return Err(VmError::BadRange);
         }
         self.core.machine.charge_syscall();
-        let (id, name, old_bytes, auto) = {
-            let proc = self.core.proc(pid)?;
-            let m = proc.maps.get(&base.0).ok_or(VmError::BadRange)?;
-            (m.file, m.name.clone(), m.bytes, m.auto_unlink)
+        let (id, old_bytes) = {
+            let m = self.mapping(pid, base)?;
+            (m.file, m.bytes)
         };
         if new_bytes <= old_bytes {
             return Ok(base);
         }
         // Allocate before unmapping: a failed allocation rolls itself
         // back and leaves the mapping and the file's references alone.
-        {
-            let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-            pmfs.allocate(machine, id, new_bytes)
-                .map_err(VmError::from)?;
-        }
-        // Keep the file alive across the remap.
-        self.pmfs.inc_ref(id).map_err(VmError::from)?;
-        self.unmap_keep_file(pid, base)?;
-        // Fresh extents read as zeros under the file's key.
-        let new_extents: Vec<PhysExtent> = self
-            .pmfs
-            .inode(id)
-            .map_err(VmError::from)?
-            .extents
-            .iter()
-            .filter(|fe| fe.file_page * PAGE_SIZE >= old_bytes)
-            .map(|fe| fe.phys)
-            .collect();
-        for e in &new_extents {
-            self.core.machine.phys.zero_frames(e.start, e.frames);
-        }
-        let new_base = self.map_file_internal(pid, id, &name, new_bytes, Prot::ReadWrite, auto)?;
-        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-        pmfs.dec_ref(machine, id).map_err(VmError::from)?;
+        self.pmfs
+            .allocate(&mut self.core.machine, id, new_bytes)
+            .map_err(VmError::from)?;
+        let new_base = self.remap(pid, base, new_bytes, Prot::ReadWrite)?;
         self.poll_timeline();
         Ok(new_base)
     }
 
-    /// Unmap without triggering auto-unlink (internal: remap paths).
-    fn unmap_keep_file(&mut self, pid: Pid, base: VirtAddr) -> Result<(), VmError> {
-        // Temporarily clear the auto_unlink flag so unmap() keeps the
-        // name; restore behaviour is the caller's job.
-        {
-            let proc = self.core.proc_mut(pid)?;
-            if let Some(m) = proc.maps.get_mut(&base.0) {
-                m.auto_unlink = false;
-            }
+    /// The remap both [`fgrow`](Self::fgrow) and
+    /// [`mprotect_file`](Self::mprotect_file) run: unmap the mapping at
+    /// `base` and map its file again whole, `bytes` long, with `prot`.
+    /// A file reference is held across the gap and the name is never
+    /// unlinked, so the file and its name survive. Returns the new
+    /// base.
+    fn remap(
+        &mut self,
+        pid: Pid,
+        base: VirtAddr,
+        bytes: u64,
+        prot: Prot,
+    ) -> Result<VirtAddr, VmError> {
+        let (id, name, old_bytes, auto_unlink) = {
+            let m = self.mapping(pid, base)?;
+            (m.file, m.name.clone(), m.bytes, m.auto_unlink)
+        };
+        self.pmfs.inc_ref(id).map_err(VmError::from)?;
+        self.unmap_mapping(pid, base, false)?;
+        if bytes > old_bytes {
+            // Grown: the fresh extents read as zeros under the file's key.
+            self.zero_extents(&self.extents_from(id, o1_hw::pages_for(old_bytes))?);
         }
-        self.unmap(pid, base)
+        let new_base = self.map_file_internal(pid, id, &name, bytes, prot, auto_unlink)?;
+        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
+        pmfs.dec_ref(machine, id).map_err(VmError::from)?;
+        Ok(new_base)
     }
 
     /// Re-mark a named file's class at runtime — §3.1: files "can be
@@ -723,11 +722,7 @@ impl FomKernel {
         new_name: &str,
     ) -> Result<(), VmError> {
         self.core.machine.charge_syscall();
-        let old_name = {
-            let proc = self.core.proc(pid)?;
-            let m = proc.maps.get(&base.0).ok_or(VmError::BadRange)?;
-            m.name.clone()
-        };
+        let old_name = self.mapping(pid, base)?.name.clone();
         let id = {
             let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
             pmfs.rename(machine, &old_name, new_name)
@@ -761,34 +756,21 @@ impl FomKernel {
 
     /// Whole-file permission change — the fom replacement for
     /// `mprotect`. Cost is per extent/chunk, independent of file size.
-    pub fn mprotect_file(&mut self, pid: Pid, base: VirtAddr, prot: Prot) -> Result<(), VmError> {
+    /// The file is remapped whole, so it returns the new base, as
+    /// [`fgrow`](Self::fgrow) does (PBM remaps at the same
+    /// physically-derived address by construction).
+    pub fn mprotect_file(
+        &mut self,
+        pid: Pid,
+        base: VirtAddr,
+        prot: Prot,
+    ) -> Result<VirtAddr, VmError> {
         self.core.machine.charge_syscall();
-        let mapping = {
-            let proc = self.core.proc(pid)?;
-            proc.maps.get(&base.0).ok_or(VmError::BadRange)?
-        };
-        let (id, name, bytes, auto) = (
-            mapping.file,
-            mapping.name.clone(),
-            mapping.bytes,
-            mapping.auto_unlink,
-        );
-        // Keep the file alive across the remap.
-        self.pmfs.inc_ref(id).map_err(VmError::from)?;
-        self.unmap(pid, base)?;
-        // Remap at a fresh base with the new protection. (PBM remaps
-        // at the same physically-derived address by construction.)
-        let _new_base = self.map_file_internal(pid, id, &name, bytes, prot, auto)?;
-        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-        pmfs.dec_ref(machine, id).map_err(VmError::from)?;
-        // For non-PBM mechanisms the base address changes; callers
-        // retrieve the new base with `mapping_base(pid, name)`.
-        Ok(())
+        let bytes = self.mapping(pid, base)?.bytes;
+        self.remap(pid, base, bytes, prot)
     }
 
-    /// Address of the mapping based at `base` after
-    /// [`mprotect_file`](Self::mprotect_file)-style remaps: fetch by
-    /// file name instead.
+    /// Base address of `pid`'s mapping of the file called `name`.
     pub fn mapping_base(&self, pid: Pid, name: &str) -> Option<VirtAddr> {
         self.core
             .procs
@@ -841,9 +823,7 @@ impl FomKernel {
         // DRAM and are lost now, which erases their contents in O(1)
         // per file.
         let (volatile_count, volatile_extents) = self.pmfs.non_persistent_extents();
-        for e in &volatile_extents {
-            self.core.machine.phys.zero_frames(e.start, e.frames);
-        }
+        self.zero_extents(&volatile_extents);
         self.core.machine.phys.crash();
         // Processes and their page tables are DRAM state: gone.
         for pid in self.core.procs.pids() {
@@ -1318,10 +1298,27 @@ mod tests {
             .create_named(pid, "/ro/data", 1 << 20, FileClass::Persistent)
             .unwrap();
         k.store(pid, va, 1).unwrap();
-        k.mprotect_file(pid, va, Prot::Read).unwrap();
-        let new_va = k.mapping_base(pid, "/ro/data").unwrap();
+        let new_va = k.mprotect_file(pid, va, Prot::Read).unwrap();
+        assert_eq!(k.mapping_base(pid, "/ro/data"), Some(new_va));
         assert_eq!(k.load(pid, new_va).unwrap(), 1);
         assert_eq!(k.store(pid, new_va, 2), Err(VmError::ProtectionFault));
+
+        // A volatile scratch mapping keeps its file's name across the
+        // remap, so it can still be persisted, and survives a crash.
+        for mech in MECHS {
+            let mut k = FomKernel::builder().mech(mech).build();
+            let pid = k.create_process().unwrap();
+            let names = k.pmfs.file_names().len();
+            let (_, va) = k.falloc(pid, 1 << 20, FileClass::Volatile).unwrap();
+            k.store(pid, va, 0x5ca1e).unwrap();
+            let new_va = k.mprotect_file(pid, va, Prot::Read).unwrap();
+            assert_eq!(k.pmfs.file_names().len(), names + 1, "{mech:?}: name kept");
+            k.persist_mapping(pid, new_va, "/kept").unwrap();
+            k.crash_and_recover();
+            let pid = k.create_process().unwrap();
+            let (_, va) = k.open_map(pid, "/kept", Prot::Read).unwrap();
+            assert_eq!(k.load(pid, va).unwrap(), 0x5ca1e, "{mech:?}");
+        }
     }
 
     #[test]
@@ -1386,7 +1383,11 @@ mod tests {
             // mechanism declares its own envelope. Either way it is
             // far below the ~50 ms a fault-per-page grow of 64 MiB
             // would cost on the baseline.
-            let limit = k.fgrow_limit_ns();
+            // The budget is in simulated ns.
+            let limit = match mech {
+                MapMech::PageTables | MapMech::Ranges => 300_000,
+                MapMech::SharedPt | MapMech::Pbm | MapMech::Utopia | MapMech::Obase => 2_000_000,
+            };
             assert!(grow_ns < limit, "mech {mech:?}: fgrow took {grow_ns} ns");
             k.unmap(pid, new_va2).unwrap();
         }

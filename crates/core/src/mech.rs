@@ -159,13 +159,6 @@ pub(crate) trait MapMechanism: std::fmt::Debug + Send {
         Ok(None)
     }
 
-    /// Wall-clock envelope for growing a mapped file to 64 MiB (test
-    /// budget): mechanisms that pre-create per-chunk page tables or
-    /// map at 4 KiB granularity pay more up front.
-    fn fgrow_limit_ns(&self) -> u64 {
-        300_000
-    }
-
     /// Called after every ASID shootdown the kernel issues (unmap,
     /// process teardown, ASID recycling, crash).
     fn on_flush_asid(&mut self, asid: Asid) {
@@ -283,8 +276,7 @@ fn translate_run_default(
     len: u64,
     access: Access,
 ) -> Option<(PhysAddr, u64)> {
-    let proc = ctx.procs.get(pid).expect("kernel verified the pid");
-    let (root, asid) = (proc.root, proc.asid);
+    let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
     ctx.mmu
         .translate_run(ctx.machine, ctx.pt, root, asid, va, stride, len, access)
 }
@@ -296,10 +288,7 @@ fn teardown_pieces_default(
     pid: Pid,
     pieces: &[Piece],
 ) -> Result<(), VmError> {
-    let (root, asid) = {
-        let p = ctx.procs.get(pid).ok_or(VmError::NoProcess)?;
-        (p.root, p.asid)
-    };
+    let (root, asid) = ctx.procs.space(pid)?;
     for piece in pieces {
         match *piece {
             Piece::Range { base } => {
@@ -540,10 +529,6 @@ impl MapMechanism for SharedPtMech {
         map_extent_shared(&mut self.chunks, ctx, pid, id, fe, va, prot, pieces)
     }
 
-    fn fgrow_limit_ns(&self) -> u64 {
-        2_000_000
-    }
-
     fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
         drop_file_chunks(&mut self.chunks, ctx, id);
     }
@@ -594,10 +579,6 @@ impl MapMechanism for PbmMech {
     ) -> Result<(), VmError> {
         let va = VirtAddr(PBM_BASE + fe.phys.base().0);
         map_extent_shared(&mut self.chunks, ctx, pid, id, fe, va, prot, pieces)
-    }
-
-    fn fgrow_limit_ns(&self) -> u64 {
-        2_000_000
     }
 
     fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
@@ -804,10 +785,7 @@ impl MapMechanism for UtopiaMech {
         va: VirtAddr,
         access: Access,
     ) -> Result<PhysAddr, TranslateError> {
-        let (root, asid) = {
-            let p = ctx.procs.get(pid).expect("kernel verified the pid");
-            (p.root, p.asid)
-        };
+        let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
         let vpage = va.0 >> PAGE_SHIFT;
         if let Some((frame, flags)) = self.fast.lookup(asid, vpage) {
             let allowed = match access {
@@ -866,10 +844,6 @@ impl MapMechanism for UtopiaMech {
         // TLB-only span proof would charge differently than the
         // interpreter. Always interpret; refusal is charge-free.
         None
-    }
-
-    fn fgrow_limit_ns(&self) -> u64 {
-        2_000_000
     }
 
     fn on_flush_asid(&mut self, asid: Asid) {
@@ -1007,10 +981,9 @@ impl ObaseMech {
         let installs = self.records[idx].installs.clone();
         let mut flushed: Vec<Asid> = Vec::new();
         for ins in &installs {
-            let Some(p) = ctx.procs.get(ins.pid) else {
+            let Ok((root, asid)) = ctx.procs.space(ins.pid) else {
                 continue;
             };
-            let (root, asid) = (p.root, p.asid);
             for i in 0..frames {
                 ctx.pt.unmap(ctx.machine, root, ins.va + i * PAGE_SIZE);
             }
@@ -1199,10 +1172,6 @@ impl MapMechanism for ObaseMech {
             self.note(pa, span);
         }
         r
-    }
-
-    fn fgrow_limit_ns(&self) -> u64 {
-        2_000_000
     }
 
     fn on_file_destroyed(&mut self, _ctx: &mut MechCtx<'_>, id: FileId) {

@@ -18,8 +18,8 @@ use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
     span_within, Access, Asid, FastMap, FrameNo, Machine, MachineConfig, MemTier, Mmu, PageSize,
-    PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError, VirtAddr, HUGE_2M,
-    PAGE_SIZE, PT_LEVELS,
+    PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError, Translation, VirtAddr,
+    HUGE_2M, PAGE_SIZE, PT_LEVELS,
 };
 use o1_memfs::{FileId, Tmpfs};
 use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
@@ -294,21 +294,50 @@ impl BaselineKernel {
         Ok(self.core.proc(pid)?.vmas.len())
     }
 
+    /// Check the `struct page` bookkeeping against the page tables and
+    /// the swap map (test and fuzzer support; O(frames + swapped
+    /// pages)): every frame's map count equals its reverse-map length,
+    /// every reverse-map entry names a live process whose page tables
+    /// map that address to that frame (the head frame of a huge leaf),
+    /// and no page is both mapped and in swap.
+    ///
+    /// # Errors
+    /// A description of the first violation found.
+    pub fn check_consistency(&self) -> Result<(), String> {
+        for frame in (0..self.meta.len()).map(FrameNo) {
+            let meta = self.meta.get(frame);
+            let (count, rmap) = (meta.mapcount, &meta.rmap);
+            if count as usize != rmap.len() {
+                return Err(format!("{frame:?}: mapcount {count} but rmap {rmap:?}"));
+            }
+            for &(pid, va) in rmap {
+                let root = self.core.procs.space(pid).ok().map(|(root, _)| root);
+                let leaf = root.and_then(|r| self.core.pt.lookup(r, va));
+                if leaf.map(|t| t.pa.frame()) != Some(frame) {
+                    return Err(format!("{frame:?}: rmap ({pid:?}, {va:?}) but {leaf:?}"));
+                }
+            }
+        }
+        for pid in self.core.procs.pids() {
+            let p = self.core.proc(pid).map_err(|e| e.to_string())?;
+            let mapped = |vpage: &&u64| self.core.pt.lookup(p.root, VirtAddr(*vpage * PAGE_SIZE));
+            if let Some(vpage) = p.swapped.keys().find(|v| mapped(v).is_some()) {
+                return Err(format!("{pid:?}: page {vpage:#x} both mapped and in swap"));
+            }
+        }
+        Ok(())
+    }
+
     // ---- process lifecycle ------------------------------------------------
 
     /// Fork: duplicate the address space with copy-on-write. Linear in
     /// the number of *mapped* pages, as on real hardware.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, VmError> {
         self.core.machine.charge_syscall();
-        let (p_root, p_asid, vmas, swapped): (PtNodeId, Asid, Vec<Vma>, Vec<(u64, SwapSlot)>) = {
-            let p = self.core.proc(parent)?;
-            (
-                p.root,
-                p.asid,
-                p.vmas.iter().copied().collect(),
-                p.swapped.iter().map(|(&k, &v)| (k, v)).collect(),
-            )
-        };
+        let (p_root, p_asid) = self.core.procs.space(parent)?;
+        let p = self.core.proc(parent)?;
+        let vmas: Vec<Vma> = p.vmas.iter().copied().collect();
+        let swapped: Vec<(u64, SwapSlot)> = p.swapped.iter().map(|(&k, &v)| (k, v)).collect();
         let (child, grant) = self.core.alloc_pid()?;
         let c_root = self.core.pt.create_root(&mut self.core.machine);
         let mut c_vmas = VmaMap::new();
@@ -316,15 +345,12 @@ impl BaselineKernel {
             self.core.machine.charge_kind(CostKind::VmaCreate);
             c_vmas.insert(*v);
         }
-        let mut c_swapped = FastMap::default();
-        // Swap slots cannot be shared in this model; fault them back
-        // in lazily in the parent is complex — simplest correct model:
-        // swapped pages are brought in on fork (charged).
+        // Swap slots are not shared: the parent's swapped pages come
+        // back in (charged) so the child can share them copy-on-write.
         for (vpage, slot) in swapped {
             let va = VirtAddr(vpage * PAGE_SIZE);
             self.swap_in_page(parent, va, slot)?;
             self.core.proc_mut(parent)?.swapped.remove(&vpage);
-            let _ = &mut c_swapped;
         }
         // Huge mappings are split before COW-sharing (as Linux did for
         // years): the paper's "2MB pages are expensive... Linux instead
@@ -348,37 +374,19 @@ impl BaselineKernel {
             while va < v.end {
                 if let Some(t) = self.core.pt.lookup(p_root, va) {
                     let frame = t.pa.frame();
-                    // Downgrade parent to COW (skip shared mappings).
-                    if !v.shared {
-                        self.core.pt.unmap(&mut self.core.machine, p_root, va);
-                        let flags = v.prot.pte_flags()
+                    let flags = if v.shared {
+                        v.prot.pte_flags()
+                    } else {
+                        // Downgrade the parent to COW.
+                        let cow = v
+                            .prot
+                            .pte_flags()
                             .difference(PteFlags::WRITE)
                             .union(cow_bit(v.prot));
-                        let core = &mut self.core;
-                        core.pt
-                            .map(&mut core.machine, p_root, va, frame, PageSize::Base, flags)
-                            .expect("remapping just-unmapped page");
-                        core.pt
-                            .map(&mut core.machine, c_root, va, frame, PageSize::Base, flags)
-                            .expect("child slot empty");
-                    } else {
-                        self.core
-                            .pt
-                            .map(
-                                &mut self.core.machine,
-                                c_root,
-                                va,
-                                frame,
-                                PageSize::Base,
-                                v.prot.pte_flags(),
-                            )
-                            .expect("child slot empty");
-                    }
-                    let meta = self.meta.get_mut(frame);
-                    meta.mapcount += 1;
-                    meta.rmap.push((child, va));
-                    self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-                    self.core.machine.perf.page_meta_updates += 1;
+                        self.remap_leaf(p_root, va, |f, _| (f, cow));
+                        cow
+                    };
+                    self.install_page(child, c_root, va, frame, flags, &[]);
                 }
                 va += PAGE_SIZE;
             }
@@ -392,7 +400,7 @@ impl BaselineKernel {
                 asid: grant.asid,
                 root: c_root,
                 vmas: c_vmas,
-                swapped: c_swapped,
+                swapped: FastMap::default(),
             },
         );
         self.poll_timeline();
@@ -465,11 +473,10 @@ impl BaselineKernel {
         let Some(next) = proc.vmas.next_above(va) else {
             return Ok(None);
         };
-        let (old_start, limit) = match next.grow_limit {
-            Some(limit) if va >= limit && va < next.start => (next.start, limit),
+        let old_start = match next.grow_limit {
+            Some(limit) if va >= limit && va < next.start => next.start,
             _ => return Ok(None),
         };
-        let _ = limit;
         let new_start = va.align_down(PAGE_SIZE);
         proc.vmas.grow_down(old_start, new_start);
         let grown = proc.vmas.find(va).copied();
@@ -588,31 +595,35 @@ impl BaselineKernel {
             proc.vmas.remove_range(va, len)
         };
         self.core.machine.charge_kind(CostKind::VmaDestroy);
-        let (root, asid) = {
-            let p = self.core.proc(pid)?;
-            (p.root, p.asid)
-        };
+        let (_, asid) = self.core.procs.space(pid)?;
         for piece in removed {
             if let Backing::File { id, .. } = piece.backing {
                 let (machine, tmpfs, alloc) =
                     (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
                 tmpfs.dec_ref(machine, alloc, id).map_err(VmError::from)?;
             }
-            // Huge leaves straddling the piece boundaries must be
-            // split first (Linux "fragments them into 4KB pages").
-            self.split_huge_covering(pid, root, asid, piece.start);
-            self.split_huge_covering(pid, root, asid, piece.end);
-            let mut page_va = piece.start;
-            while page_va < piece.end {
-                self.drop_page_mapping(pid, root, asid, page_va);
-                let vpage = page_va.page().0;
-                if let Some(slot) = self.core.proc_mut(pid)?.swapped.remove(&vpage) {
-                    self.swap.discard(slot);
-                }
-                page_va += PAGE_SIZE;
-            }
+            self.drop_range(pid, piece.start, piece.end)?;
         }
         self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
+        Ok(())
+    }
+
+    /// Drop every page of `[start, end)`, both kinds of residence: its
+    /// mapping and its swap slot. Huge leaves straddling either edge
+    /// are split first (Linux "fragments them into 4KB pages").
+    #[inline]
+    fn drop_range(&mut self, pid: Pid, start: VirtAddr, end: VirtAddr) -> Result<(), VmError> {
+        let (root, asid) = self.core.procs.space(pid)?;
+        self.split_huge_covering(pid, root, asid, start);
+        self.split_huge_covering(pid, root, asid, end);
+        let mut va = start;
+        while va < end {
+            self.drop_page_mapping(pid, root, asid, va);
+            if let Some(slot) = self.core.proc_mut(pid)?.swapped.remove(&va.page().0) {
+                self.swap.discard(slot);
+            }
+            va += PAGE_SIZE;
+        }
         Ok(())
     }
 
@@ -643,83 +654,117 @@ impl BaselineKernel {
         core.mmu.invalidate_page(&mut core.machine, asid, leaf_va);
         let pages = size.bytes() / PAGE_SIZE;
         self.huge_parts.insert(head.0, pages as u32);
-        // Head-frame metadata dissolves into per-frame records.
-        let (head_rmap_cleared, was_swapbacked) = {
-            let m = self.meta.get_mut(head);
-            m.rmap.clear();
-            m.clear(PageFlag::Head);
-            (true, m.test(PageFlag::Swapbacked))
+        // The head record dissolves into one record per fragment.
+        self.meta.remove_mapping(head, pid, leaf_va);
+        self.meta.get_mut(head).clear(PageFlag::Head);
+        let page_flags: &[PageFlag] = if self.meta.get(head).test(PageFlag::Swapbacked) {
+            &[PageFlag::Swapbacked, PageFlag::Uptodate]
+        } else {
+            &[PageFlag::Uptodate]
         };
-        debug_assert!(head_rmap_cleared);
         for i in 0..pages {
             let frame = head + i;
             let va = leaf_va + i * PAGE_SIZE;
-            let core = &mut self.core;
-            core.pt
-                .map(&mut core.machine, root, va, frame, PageSize::Base, flags)
-                .expect("fresh base slot inside split leaf");
-            self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-            self.core.machine.perf.page_meta_updates += 1;
-            let meta = self.meta.get_mut(frame);
-            meta.mapcount = 1;
-            meta.rmap.push((pid, va));
-            if was_swapbacked {
-                meta.set(PageFlag::Swapbacked);
-            }
-            meta.set(PageFlag::Uptodate);
-            if self.swap_enabled && was_swapbacked {
-                self.lru.insert(frame);
-            }
+            self.install_page(pid, root, va, frame, flags, page_flags);
         }
         self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
     }
 
-    /// Return one base frame to the allocator, honouring split huge
-    /// blocks: a fragment frees its parent order-9 block only when the
-    /// last fragment dies.
-    fn free_frame(&mut self, frame: FrameNo) {
+    /// Release a frame whose last mapping went away (see
+    /// [`PageMetaTable::remove_mapping`]): reset its `struct page`,
+    /// drop it from the reclaim lists and return it to the allocator.
+    /// A fragment of a split huge block frees its parent order-9 block
+    /// only when the last fragment dies; a whole huge leaf was never
+    /// split, so it returns to the buddy in one piece.
+    #[inline]
+    fn release_frame(&mut self, frame: FrameNo, size: PageSize) {
+        self.meta.reset(frame);
+        self.lru.remove(frame);
         let block = frame.0 & !511;
-        if let Some(live) = self.huge_parts.get_mut(&block) {
-            *live -= 1;
-            if *live == 0 {
+        let ext = match self.huge_parts.get_mut(&block) {
+            Some(live) if size == PageSize::Base => {
+                *live -= 1;
+                if *live > 0 {
+                    return;
+                }
                 self.huge_parts.remove(&block);
-                self.alloc
-                    .free_block(&mut self.core.machine, PhysExtent::new(FrameNo(block), 512));
+                PhysExtent::new(FrameNo(block), 512)
             }
-            return;
-        }
-        self.alloc
-            .free_block(&mut self.core.machine, PhysExtent::new(frame, 1));
+            _ => PhysExtent::new(frame, size.bytes() / PAGE_SIZE),
+        };
+        self.alloc.free_block(&mut self.core.machine, ext);
     }
 
     /// Unmap the mapping covering `va` (any size) and release the
     /// frame(s) if this was the last mapping and they are
     /// process-owned (not file pages).
+    #[inline]
     fn drop_page_mapping(&mut self, pid: Pid, root: PtNodeId, asid: Asid, va: VirtAddr) {
-        let Some((frame, _flags, size)) = self.core.pt.unmap(&mut self.core.machine, root, va)
-        else {
+        let core = &mut self.core;
+        let Some((frame, _flags, size)) = core.pt.unmap(&mut core.machine, root, va) else {
             return;
         };
-        let core = &mut self.core;
         core.mmu.invalidate_page(&mut core.machine, asid, va);
+        core.machine.charge_kind(CostKind::PageMetaUpdate);
+        core.machine.perf.page_meta_updates += 1;
+        if self.meta.remove_mapping(frame, pid, va) {
+            self.release_frame(frame, size);
+        }
+    }
+
+    /// Rewrite the leaf mapping `va` in place: unmap it, then map
+    /// `with(old frame, old flags)` at the same size. Returns that size,
+    /// or `None` (nothing charged) when nothing is mapped there.
+    #[inline]
+    fn remap_leaf(
+        &mut self,
+        root: PtNodeId,
+        va: VirtAddr,
+        with: impl FnOnce(FrameNo, PteFlags) -> (FrameNo, PteFlags),
+    ) -> Option<PageSize> {
+        let core = &mut self.core;
+        let (old, old_flags, size) = core.pt.unmap(&mut core.machine, root, va)?;
+        let (frame, flags) = with(old, old_flags);
+        core.pt
+            .map(&mut core.machine, root, va, frame, size, flags)
+            .expect("remap after unmap");
+        Some(size)
+    }
+
+    /// Map `frame` at `va` in an empty slot of `pid`'s page tables
+    /// with leaf `flags` (a 2 MiB leaf for a [`PageFlag::Head`] page),
+    /// then [`meta_map`](Self::meta_map) it with `page_flags`.
+    #[inline]
+    fn install_page(
+        &mut self,
+        pid: Pid,
+        root: PtNodeId,
+        va: VirtAddr,
+        frame: FrameNo,
+        flags: PteFlags,
+        page_flags: &[PageFlag],
+    ) {
+        let size = if page_flags.contains(&PageFlag::Head) {
+            PageSize::Huge2M
+        } else {
+            PageSize::Base
+        };
+        let core = &mut self.core;
+        core.pt
+            .map(&mut core.machine, root, va, frame, size, flags)
+            .expect("install into an empty slot");
+        self.meta_map(frame, pid, va, page_flags);
+    }
+
+    /// Record a new mapping of `frame` at `(pid, va)` in its
+    /// `struct page` and charge the update. A reclaimable frame joins
+    /// the reclaim lists when swap is on.
+    #[inline]
+    fn meta_map(&mut self, frame: FrameNo, pid: Pid, va: VirtAddr, flags: &[PageFlag]) {
         self.core.machine.charge_kind(CostKind::PageMetaUpdate);
         self.core.machine.perf.page_meta_updates += 1;
-        let meta = self.meta.get_mut(frame);
-        meta.mapcount = meta.mapcount.saturating_sub(1);
-        meta.rmap.retain(|&(p, v)| !(p == pid && v == va));
-        let file_owned = meta.test(PageFlag::Mappedtodisk);
-        if meta.mapcount == 0 && !file_owned {
-            self.meta.reset(frame);
-            self.lru.remove(frame);
-            match size {
-                PageSize::Base => self.free_frame(frame),
-                // A whole huge leaf: the block was never split, so it
-                // returns to the buddy in one piece.
-                _ => self.alloc.free_block(
-                    &mut self.core.machine,
-                    PhysExtent::new(frame, size.bytes() / PAGE_SIZE),
-                ),
-            }
+        if self.meta.add_mapping(frame, pid, va, flags) && self.swap_enabled {
+            self.lru.insert(frame);
         }
     }
 
@@ -735,10 +780,7 @@ impl BaselineKernel {
         let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let len = end - va;
-        let (root, asid) = {
-            let p = self.core.proc(pid)?;
-            (p.root, p.asid)
-        };
+        let (root, asid) = self.core.procs.space(pid)?;
         {
             let proc = self.core.proc_mut(pid)?;
             if !proc.vmas.set_prot(va, len, prot) {
@@ -751,43 +793,27 @@ impl BaselineKernel {
         self.split_huge_covering(pid, root, asid, end);
         let mut page_va = va;
         while page_va < end {
-            if let Some((frame, old, size)) =
-                self.core.pt.unmap(&mut self.core.machine, root, page_va)
-            {
-                let keep_cow = old.contains(PteFlags::COW);
+            let size = self.remap_leaf(root, page_va, |frame, old| {
                 let mut flags = prot.pte_flags();
-                if keep_cow {
+                if old.contains(PteFlags::COW) {
                     flags = flags.difference(PteFlags::WRITE).union(PteFlags::COW);
                 }
-                self.core
-                    .pt
-                    .map(&mut self.core.machine, root, page_va, frame, size, flags)
-                    .expect("remap after unmap");
-                page_va += size.bytes();
-            } else {
-                page_va += PAGE_SIZE;
-            }
+                (frame, flags)
+            });
+            page_va += size.map_or(PAGE_SIZE, PageSize::bytes);
         }
         self.core.mmu.flush_asid(&mut self.core.machine, asid);
         self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
         Ok(())
     }
 
-    /// `madvise(MADV_DONTNEED)`: drop anonymous pages in the range.
+    /// `madvise(MADV_DONTNEED)`: drop the pages in the range, resident
+    /// or swapped out; anonymous pages read zero on the next touch.
     pub fn madvise_dontneed(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
         let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
-        let (root, asid) = {
-            let p = self.core.proc(pid)?;
-            (p.root, p.asid)
-        };
-        self.split_huge_covering(pid, root, asid, va);
-        self.split_huge_covering(pid, root, asid, end);
-        let mut page_va = va;
-        while page_va < end {
-            self.drop_page_mapping(pid, root, asid, page_va);
-            page_va += PAGE_SIZE;
-        }
+        let (_, asid) = self.core.procs.space(pid)?;
+        self.drop_range(pid, va, end)?;
         self.core.mmu.charge_shootdown(&mut self.core.machine, asid);
         Ok(())
     }
@@ -795,43 +821,18 @@ impl BaselineKernel {
     // ---- page population & faults ------------------------------------------
 
     fn populate_page(&mut self, pid: Pid, va: VirtAddr, vma: Vma) -> Result<(), VmError> {
-        let (root, _asid) = {
-            let p = self.core.proc(pid)?;
-            (p.root, p.asid)
-        };
+        let (root, _) = self.core.procs.space(pid)?;
         if self.core.pt.lookup(root, va).is_some() {
             return Ok(());
         }
-        match vma.backing {
+        let (frame, flags, page_flags) = match vma.backing {
             Backing::Anon => {
                 // Transparent huge page: map 2 MiB at once when policy
                 // and alignment allow.
                 if self.thp != ThpMode::Never && self.try_populate_huge(pid, root, va, &vma)? {
                     return Ok(());
                 }
-                let frame = self.alloc_frame()?;
-                self.core
-                    .pt
-                    .map(
-                        &mut self.core.machine,
-                        root,
-                        va,
-                        frame,
-                        PageSize::Base,
-                        vma.prot.pte_flags(),
-                    )
-                    .expect("fresh anon slot");
-                let meta = self.meta.get_mut(frame);
-                meta.mapcount = 1;
-                meta.rmap.push((pid, va));
-                meta.set(PageFlag::Swapbacked);
-                meta.set(PageFlag::Lru);
-                meta.set(PageFlag::Uptodate);
-                self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-                self.core.machine.perf.page_meta_updates += 1;
-                if self.swap_enabled {
-                    self.lru.insert(frame);
-                }
+                (self.alloc_frame()?, vma.prot.pte_flags(), &ANON_FAULTED[..])
             }
             Backing::File { id, .. } => {
                 let file_off = vma.file_offset_of(va).expect("va inside file vma");
@@ -850,19 +851,10 @@ impl BaselineKernel {
                         .difference(PteFlags::WRITE)
                         .union(cow_bit(vma.prot))
                 };
-                let core = &mut self.core;
-                core.pt
-                    .map(&mut core.machine, root, va, frame, PageSize::Base, flags)
-                    .expect("fresh file slot");
-                let meta = self.meta.get_mut(frame);
-                meta.mapcount += 1;
-                meta.rmap.push((pid, va));
-                meta.set(PageFlag::Mappedtodisk);
-                meta.set(PageFlag::Uptodate);
-                self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-                self.core.machine.perf.page_meta_updates += 1;
+                (frame, flags, &FILE_MAPPED[..])
             }
-        }
+        };
+        self.install_page(pid, root, va, frame, flags, page_flags);
         Ok(())
     }
 
@@ -964,13 +956,7 @@ impl BaselineKernel {
                     .map_uncharged(root, page, frame, PageSize::Base, flags)
                     .expect("absence proven for the whole run");
                 nodes_total += nodes;
-                let pm = meta.get_mut(frame);
-                pm.mapcount = 1;
-                pm.rmap.push((pid, page));
-                pm.set(PageFlag::Swapbacked);
-                pm.set(PageFlag::Lru);
-                pm.set(PageFlag::Uptodate);
-                if swap_on {
+                if meta.add_mapping(frame, pid, page, &ANON_FAULTED) && swap_on {
                     lru.insert(frame);
                 }
                 per_page(m, mmu, frame, VirtAddr(at), splits, nodes);
@@ -1016,48 +1002,38 @@ impl BaselineKernel {
         };
         self.core.machine.charge_zero_fg(MemTier::Dram, HUGE_2M);
         self.core.machine.phys.zero_frames(ext.start, ext.frames);
-        self.core
-            .pt
-            .map(
-                &mut self.core.machine,
-                root,
-                leaf_va,
-                ext.start,
-                PageSize::Huge2M,
-                vma.prot.pte_flags(),
-            )
-            .expect("checked region empty");
-        let meta = self.meta.get_mut(ext.start);
-        meta.mapcount = 1;
-        meta.rmap.push((pid, leaf_va));
-        meta.set(PageFlag::Head);
-        meta.set(PageFlag::Swapbacked);
-        meta.set(PageFlag::Uptodate);
-        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.core.machine.perf.page_meta_updates += 1;
         // Huge pages are not on the reclaim lists (they would need a
-        // split first); splitting re-inserts the fragments.
+        // split first); splitting inserts the fragments.
+        let head = [PageFlag::Head, PageFlag::Swapbacked, PageFlag::Uptodate];
+        self.install_page(pid, root, leaf_va, ext.start, vma.prot.pte_flags(), &head);
         Ok(true)
     }
 
-    fn page_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<(), VmError> {
-        self.core.machine.charge_kind(CostKind::FaultTrap);
-        self.core.machine.charge_kind(CostKind::FaultHandlerBase);
-        self.core.machine.charge_kind(CostKind::VmaFind);
-        let vma = match self.core.proc(pid)?.vmas.find(va) {
-            Some(v) => *v,
-            None => {
-                // Stack growth: a fault just below a grow-down VMA
-                // (and above its limit) extends the region.
-                match self.try_grow_stack(pid, va)? {
-                    Some(grown) => grown,
-                    None => {
-                        self.core.machine.perf.prot_faults += 1;
-                        return Err(VmError::BadAddress);
-                    }
-                }
+    /// The entry both fault kinds share: the trap, handler and
+    /// VMA-lookup charges, then the VMA covering `va`. On a miss a
+    /// page fault (`grow_stack`) may grow a stack: a fault just below
+    /// a grow-down VMA (and above its limit) extends the region.
+    /// Anything else is a SIGSEGV.
+    #[inline]
+    fn fault_vma(&mut self, pid: Pid, va: VirtAddr, grow_stack: bool) -> Result<Vma, VmError> {
+        let machine = &mut self.core.machine;
+        machine.charge_kind(CostKind::FaultTrap);
+        machine.charge_kind(CostKind::FaultHandlerBase);
+        machine.charge_kind(CostKind::VmaFind);
+        if let Some(v) = self.core.proc(pid)?.vmas.find(va) {
+            return Ok(*v);
+        }
+        if grow_stack {
+            if let Some(grown) = self.try_grow_stack(pid, va)? {
+                return Ok(grown);
             }
-        };
+        }
+        self.core.machine.perf.prot_faults += 1;
+        Err(VmError::BadAddress)
+    }
+
+    fn page_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<(), VmError> {
+        let vma = self.fault_vma(pid, va, true)?;
         if access == Access::Write && !vma.prot.writable() {
             self.core.machine.perf.prot_faults += 1;
             return Err(VmError::ProtectionFault);
@@ -1091,137 +1067,54 @@ impl BaselineKernel {
 
     /// Handle a protection fault: break COW if applicable.
     fn protection_fault(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<(), VmError> {
-        self.core.machine.charge_kind(CostKind::FaultTrap);
-        self.core.machine.charge_kind(CostKind::FaultHandlerBase);
-        self.core.machine.charge_kind(CostKind::VmaFind);
-        let vma = match self.core.proc(pid)?.vmas.find(va) {
-            Some(v) => *v,
-            None => {
-                self.core.machine.perf.prot_faults += 1;
-                return Err(VmError::BadAddress);
-            }
-        };
-        let (root, asid) = {
-            let p = self.core.proc(pid)?;
-            (p.root, p.asid)
-        };
+        let vma = self.fault_vma(pid, va, false)?;
+        let (root, asid) = self.core.procs.space(pid)?;
         let page_va = va.page().base();
-        let Some(t) = self.core.pt.lookup(root, page_va) else {
+        let cow_write = |t: &Translation| {
+            access == Access::Write && t.flags.contains(PteFlags::COW) && vma.prot.writable()
+        };
+        let Some(t) = self.core.pt.lookup(root, page_va).filter(cow_write) else {
             self.core.machine.perf.prot_faults += 1;
             return Err(VmError::ProtectionFault);
         };
-        let is_cow_write =
-            access == Access::Write && t.flags.contains(PteFlags::COW) && vma.prot.writable();
-        if !is_cow_write {
-            self.core.machine.perf.prot_faults += 1;
-            return Err(VmError::ProtectionFault);
-        }
         self.core.machine.perf.minor_faults += 1;
         let old_frame = t.pa.frame();
-        // If we are the only mapper of a non-file page, just upgrade.
-        let (sole_owner, file_owned) = {
+        // The only mapper of a non-file page just upgrades in place;
+        // anyone else gets a copy.
+        let sole_owner = {
             let meta = self.meta.get(old_frame);
-            (meta.mapcount == 1, meta.test(PageFlag::Mappedtodisk))
+            meta.mapcount == 1 && !meta.test(PageFlag::Mappedtodisk)
         };
-        if sole_owner && !file_owned {
-            self.core.pt.unmap(&mut self.core.machine, root, page_va);
-            self.core
-                .pt
-                .map(
-                    &mut self.core.machine,
-                    root,
-                    page_va,
-                    old_frame,
-                    PageSize::Base,
-                    vma.prot.pte_flags(),
-                )
-                .expect("remap upgraded page");
-            let core = &mut self.core;
-            core.mmu.invalidate_page(&mut core.machine, asid, page_va);
-            return Ok(());
-        }
-        // Copy the page.
-        let new_frame = self.alloc_frame()?;
-        self.core.machine.charge_kind(CostKind::CopyPage);
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        self.core.machine.phys.read(old_frame.base(), &mut buf);
-        self.core.machine.phys.write(new_frame.base(), &buf);
-        // Swing the PTE.
-        self.core.pt.unmap(&mut self.core.machine, root, page_va);
-        self.core
-            .pt
-            .map(
-                &mut self.core.machine,
-                root,
-                page_va,
-                new_frame,
-                PageSize::Base,
-                vma.prot.pte_flags(),
-            )
-            .expect("remap copied page");
+        let frame = if sole_owner {
+            old_frame
+        } else {
+            let new_frame = self.alloc_frame()?;
+            self.core.machine.charge_kind(CostKind::CopyPage);
+            let mut buf = vec![0u8; PAGE_SIZE as usize];
+            self.core.machine.phys.read(old_frame.base(), &mut buf);
+            self.core.machine.phys.write(new_frame.base(), &buf);
+            new_frame
+        };
+        self.remap_leaf(root, page_va, |_, _| (frame, vma.prot.pte_flags()));
         let core = &mut self.core;
         core.mmu.invalidate_page(&mut core.machine, asid, page_va);
-        // Old frame bookkeeping.
-        {
-            let meta = self.meta.get_mut(old_frame);
-            meta.mapcount = meta.mapcount.saturating_sub(1);
-            meta.rmap.retain(|&(p, v)| !(p == pid && v == page_va));
-        }
-        let drop_old = {
-            let meta = self.meta.get(old_frame);
-            meta.mapcount == 0 && !meta.test(PageFlag::Mappedtodisk)
-        };
-        if drop_old {
-            self.meta.reset(old_frame);
-            self.lru.remove(old_frame);
-            self.free_frame(old_frame);
-        }
-        // New frame bookkeeping.
-        let meta = self.meta.get_mut(new_frame);
-        meta.mapcount = 1;
-        meta.rmap.push((pid, page_va));
-        meta.set(PageFlag::Swapbacked);
-        meta.set(PageFlag::Uptodate);
-        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.core.machine.perf.page_meta_updates += 1;
-        if self.swap_enabled {
-            self.lru.insert(new_frame);
+        if !sole_owner {
+            // The old frame's update is not charged; the new one's is.
+            if self.meta.remove_mapping(old_frame, pid, page_va) {
+                self.release_frame(old_frame, PageSize::Base);
+            }
+            self.meta_map(frame, pid, page_va, &ANON_COPIED);
         }
         Ok(())
     }
 
     fn swap_in_page(&mut self, pid: Pid, va: VirtAddr, slot: SwapSlot) -> Result<(), VmError> {
-        let vma = *self
-            .core
-            .proc(pid)?
-            .vmas
-            .find(va)
-            .ok_or(VmError::BadAddress)?;
+        let p = self.core.proc(pid)?;
+        let (root, vma) = (p.root, *p.vmas.find(va).ok_or(VmError::BadAddress)?);
         let frame = self.alloc_frame()?;
         let data = self.swap.swap_in(&mut self.core.machine, slot);
         self.core.machine.phys.put_frame_image(frame, data);
-        let root = self.core.proc(pid)?.root;
-        self.core
-            .pt
-            .map(
-                &mut self.core.machine,
-                root,
-                va,
-                frame,
-                PageSize::Base,
-                vma.prot.pte_flags(),
-            )
-            .expect("swapped page slot empty");
-        let meta = self.meta.get_mut(frame);
-        meta.mapcount = 1;
-        meta.rmap.push((pid, va));
-        meta.set(PageFlag::Swapbacked);
-        meta.set(PageFlag::Uptodate);
-        self.core.machine.charge_kind(CostKind::PageMetaUpdate);
-        self.core.machine.perf.page_meta_updates += 1;
-        if self.swap_enabled {
-            self.lru.insert(frame);
-        }
+        self.install_page(pid, root, va, frame, vma.prot.pte_flags(), &ANON_COPIED);
         Ok(())
     }
 
@@ -1272,8 +1165,7 @@ impl BaselineKernel {
             // Referenced anywhere → second chance.
             let mut referenced = false;
             for &(pid, va) in &rmap {
-                if let Ok(p) = self.core.proc(pid) {
-                    let root = p.root;
+                if let Ok((root, _)) = self.core.procs.space(pid) {
                     if self.core.pt.test_and_clear_accessed(root, va) == Some(true) {
                         referenced = true;
                     }
@@ -1289,8 +1181,9 @@ impl BaselineKernel {
             let slot = self.swap.swap_out(&mut self.core.machine, data);
             let mut round_asid = None;
             for (pid, va) in rmap {
-                let Ok(p) = self.core.proc(pid) else { continue };
-                let (root, asid) = (p.root, p.asid);
+                let Ok((root, asid)) = self.core.procs.space(pid) else {
+                    continue;
+                };
                 round_asid.get_or_insert(asid);
                 self.core.pt.unmap(&mut self.core.machine, root, va);
                 let core = &mut self.core;
@@ -1307,8 +1200,7 @@ impl BaselineKernel {
                 Some(asid) => self.core.mmu.charge_shootdown(&mut self.core.machine, asid),
                 None => self.core.machine.charge_shootdown(0),
             }
-            self.meta.reset(frame);
-            self.free_frame(frame);
+            self.release_frame(frame, PageSize::Base);
             evicted += 1;
         }
         self.poll_timeline();
@@ -1428,10 +1320,7 @@ impl KernelHooks for BaselineKernel {
     #[inline]
     fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
         for _ in 0..4 {
-            let (root, asid) = {
-                let p = self.core.proc(pid)?;
-                (p.root, p.asid)
-            };
+            let (root, asid) = self.core.procs.space(pid)?;
             match self.core.mmu.translate(
                 &mut self.core.machine,
                 &mut self.core.pt,
@@ -1499,8 +1388,7 @@ impl KernelHooks for BaselineKernel {
         len: u64,
         access: Access,
     ) -> Result<Option<(PhysAddr, u64)>, VmError> {
-        let p = self.core.proc(pid)?;
-        let (root, asid) = (p.root, p.asid);
+        let (root, asid) = self.core.procs.space(pid)?;
         let core = &mut self.core;
         Ok(core.mmu.translate_run(
             &mut core.machine,
@@ -1742,6 +1630,16 @@ pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
         .map(VirtAddr)
         .ok_or(VmError::BadRange)
 }
+
+/// `struct page` flags of an anonymous page faulted or populated fresh.
+const ANON_FAULTED: [PageFlag; 3] = [PageFlag::Swapbacked, PageFlag::Lru, PageFlag::Uptodate];
+
+/// `struct page` flags of an anonymous page filled from a copy: a COW
+/// break or a swap-in.
+const ANON_COPIED: [PageFlag; 2] = [PageFlag::Swapbacked, PageFlag::Uptodate];
+
+/// `struct page` flags of a file page mapped from the page cache.
+const FILE_MAPPED: [PageFlag; 2] = [PageFlag::Mappedtodisk, PageFlag::Uptodate];
 
 /// COW marker for a private mapping that will become writable.
 fn cow_bit(prot: Prot) -> PteFlags {
@@ -2101,6 +1999,59 @@ mod tests {
         assert_eq!(k.machine().perf.major_faults, major_before);
     }
 
+    /// Copy-on-write breaks while reclaim swaps shared frames out: the
+    /// `struct page` records stay consistent and no data is lost.
+    #[test]
+    fn cow_break_under_memory_pressure() {
+        let mut k = BaselineKernel::new(BaselineConfig {
+            dram_bytes: 96 * PAGE_SIZE,
+            reclaim: ReclaimPolicy::Clock,
+            low_watermark_frames: 8,
+            swap_enabled: true,
+            thp: ThpMode::Never,
+            fault_around: 1,
+        });
+        let parent = k.create_process().unwrap();
+        let len = 80 * PAGE_SIZE;
+        let va = k
+            .mmap(
+                parent,
+                len,
+                Prot::ReadWrite,
+                Backing::Anon,
+                MapFlags::private(),
+            )
+            .unwrap();
+        for i in 0..80u64 {
+            k.store(parent, va + i * PAGE_SIZE, 100 + i).unwrap();
+        }
+        let child = k.fork(parent).unwrap();
+        for i in 0..80u64 {
+            k.store(child, va + i * PAGE_SIZE, 500 + i).unwrap();
+            k.check_consistency().unwrap();
+        }
+        for i in 0..80u64 {
+            assert_eq!(
+                k.load(parent, va + i * PAGE_SIZE).unwrap(),
+                100 + i,
+                "parent {i}"
+            );
+            assert_eq!(
+                k.load(child, va + i * PAGE_SIZE).unwrap(),
+                500 + i,
+                "child {i}"
+            );
+        }
+        assert!(
+            k.machine().perf.pages_swapped_out > 0,
+            "pressure forced swap"
+        );
+        k.check_consistency().unwrap();
+        k.destroy_process(child).unwrap();
+        k.destroy_process(parent).unwrap();
+        k.check_consistency().unwrap();
+    }
+
     #[test]
     fn mprotect_changes_permissions() {
         let mut k = kernel();
@@ -2142,6 +2093,39 @@ mod tests {
         assert_eq!(k.free_frames(), free_before + 1);
         // Next touch demand-zero-faults a fresh page.
         assert_eq!(k.load(pid, va).unwrap(), 0);
+
+        // Under pressure most of the pages sit in swap: DONTNEED drops
+        // those too, and returns their slots.
+        let mut k = BaselineKernel::new(BaselineConfig {
+            dram_bytes: 96 * PAGE_SIZE,
+            reclaim: ReclaimPolicy::Clock,
+            low_watermark_frames: 8,
+            swap_enabled: true,
+            thp: ThpMode::Never,
+            fault_around: 1,
+        });
+        let pid = k.create_process().unwrap();
+        let len = 180 * PAGE_SIZE;
+        let va = k
+            .mmap(
+                pid,
+                len,
+                Prot::ReadWrite,
+                Backing::Anon,
+                MapFlags::private(),
+            )
+            .unwrap();
+        for i in 0..180u64 {
+            k.store(pid, va + i * PAGE_SIZE, 1000 + i).unwrap();
+        }
+        assert!(k.swap.used_slots() > 0, "pressure forced swap");
+        k.madvise_dontneed(pid, va, len).unwrap();
+        assert_eq!(k.swap.used_slots(), 0, "swap slots discarded");
+        k.check_consistency().unwrap();
+        for i in 0..180u64 {
+            assert_eq!(k.load(pid, va + i * PAGE_SIZE).unwrap(), 0, "page {i}");
+        }
+        k.check_consistency().unwrap();
     }
 
     #[test]

@@ -122,6 +122,39 @@ impl PageMetaTable {
         self.table[frame.0 as usize] = PageMeta::default();
     }
 
+    /// Record a mapping of `frame` at `(pid, va)`: one more map count,
+    /// one reverse-map entry, and `flags` set. The only writer of
+    /// [`PageMeta::rmap`] entries. Returns true when `flags` make the
+    /// frame reclaimable: a swap-backed base page (a huge head becomes
+    /// reclaimable only once split).
+    #[inline]
+    pub(crate) fn add_mapping(
+        &mut self,
+        frame: FrameNo,
+        pid: Pid,
+        va: VirtAddr,
+        flags: &[PageFlag],
+    ) -> bool {
+        let meta = self.get_mut(frame);
+        meta.mapcount += 1;
+        meta.rmap.push((pid, va));
+        for &f in flags {
+            meta.set(f);
+        }
+        flags.contains(&PageFlag::Swapbacked) && !flags.contains(&PageFlag::Head)
+    }
+
+    /// Remove the mapping of `frame` at `(pid, va)`. Returns true when
+    /// the frame is now unmapped and not file-owned, so its caller
+    /// must release it.
+    #[inline]
+    pub(crate) fn remove_mapping(&mut self, frame: FrameNo, pid: Pid, va: VirtAddr) -> bool {
+        let meta = self.get_mut(frame);
+        meta.mapcount = meta.mapcount.saturating_sub(1);
+        meta.rmap.retain(|&(p, v)| !(p == pid && v == va));
+        meta.mapcount == 0 && !meta.test(PageFlag::Mappedtodisk)
+    }
+
     /// Total metadata footprint in bytes: the linear cost the paper
     /// calls out (64 bytes per 4 KiB frame ⇒ 1.5% of all memory).
     pub fn metadata_bytes(&self) -> u64 {
@@ -201,6 +234,23 @@ mod tests {
         let t = PageMetaTable::new((1 << 30) / 4096);
         assert_eq!(t.metadata_bytes(), (1 << 30) / 4096 * 64);
         assert_eq!(t.metadata_bytes() * 100 / (1 << 30), 1, "~1.5% of memory");
+    }
+
+    #[test]
+    fn mapping_pair_tracks_mapcount_and_rmap() {
+        let mut t = PageMetaTable::new(4);
+        let (f, va) = (FrameNo(1), VirtAddr(0x1000));
+        assert!(t.add_mapping(f, Pid(1), va, &[PageFlag::Swapbacked]));
+        assert!(!t.add_mapping(f, Pid(2), va, &[]), "flags say nothing new");
+        assert_eq!(t.get(f).mapcount, 2);
+        assert!(t.get(f).test(PageFlag::Swapbacked));
+        assert!(!t.remove_mapping(f, Pid(1), va), "still mapped by pid 2");
+        assert_eq!(t.get(f).rmap, vec![(Pid(2), va)]);
+        assert!(t.remove_mapping(f, Pid(2), va), "last anonymous mapping");
+        // A file page stays owned by its file after the last unmap.
+        assert!(!t.add_mapping(f, Pid(3), va, &[PageFlag::Mappedtodisk]));
+        assert!(!t.remove_mapping(f, Pid(3), va));
+        assert_eq!(t.get(f).mapcount, 0);
     }
 
     #[test]

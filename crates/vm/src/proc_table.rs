@@ -11,9 +11,10 @@
 //! across `destroy_process` misses (`VmError::NoProcess` at the
 //! caller) even if its slot has been recycled for a newer process.
 
-use o1_hw::{Arena, Handle};
+use o1_hw::{Arena, Asid, Handle, PtNodeId};
 
-use crate::types::Pid;
+use crate::kernel_core::CoreProc;
+use crate::types::{Pid, VmError};
 
 /// Process table keyed by [`Pid`].
 #[derive(Debug, Default)]
@@ -58,6 +59,19 @@ impl<P> ProcTable<P> {
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut P> {
         let h = self.handle(pid)?;
         self.arena.get_mut(h)
+    }
+
+    /// Page-table root and ASID of `pid`'s address space.
+    ///
+    /// # Errors
+    /// [`VmError::NoProcess`] when `pid` is not live.
+    #[inline]
+    pub fn space(&self, pid: Pid) -> Result<(PtNodeId, Asid), VmError>
+    where
+        P: CoreProc,
+    {
+        let p = self.get(pid).ok_or(VmError::NoProcess)?;
+        Ok((p.root(), p.asid()))
     }
 
     /// Register a newly created process under `pid`.

@@ -49,7 +49,8 @@ fn generate(seed: u64, n: usize) -> Vec<Op> {
 
 /// Run the stream against one kernel, returning the sequence of
 /// successfully-loaded values (misses/errors recorded as None).
-fn run(sys: &mut impl MemSys, ops: &[Op]) -> Vec<Option<u64>> {
+/// `after_op` inspects the kernel after every op.
+fn run<S: MemSys>(sys: &mut S, ops: &[Op], mut after_op: impl FnMut(&S)) -> Vec<Option<u64>> {
     let mut pid = sys.create_process().unwrap();
     // region slot -> (va, pages)
     let mut regions: Vec<Option<(VirtAddr, u64)>> = vec![None; 8];
@@ -95,6 +96,7 @@ fn run(sys: &mut impl MemSys, ops: &[Op]) -> Vec<Option<u64>> {
                 pid = sys.create_process().unwrap();
             }
         }
+        after_op(sys);
     }
     for r in regions.iter_mut() {
         if let Some((va, pages)) = r.take() {
@@ -152,15 +154,16 @@ fn all_kernels_agree_with_the_oracle() {
         let expected = run_oracle(&ops);
         let mut base = BaselineKernel::builder().dram(256 << 20).build();
         assert_eq!(
-            run(&mut base, &ops),
+            run(&mut base, &ops, |_| {}),
             expected,
             "baseline diverged, seed {seed}"
         );
+        base.check_consistency().unwrap();
         for mech in MapMech::ALL {
             let mut fom = FomKernel::builder().mech(mech).build();
             let free0 = fom.free_frames();
             assert_eq!(
-                run(&mut fom, &ops),
+                run(&mut fom, &ops, |_| {}),
                 expected,
                 "{mech:?} diverged, seed {seed}"
             );
@@ -187,11 +190,13 @@ fn long_run_with_memory_pressure_on_baseline() {
             thp: ThpMode::Never,
             fault_around: 1,
         });
+        let check = |k: &BaselineKernel| k.check_consistency().unwrap();
         assert_eq!(
-            run(&mut k, &ops),
+            run(&mut k, &ops, check),
             expected,
             "{policy:?} diverged under pressure"
         );
+        k.check_consistency().unwrap();
         assert!(
             k.stats().counters.pages_swapped_out > 0,
             "{policy:?} never swapped"
@@ -199,8 +204,8 @@ fn long_run_with_memory_pressure_on_baseline() {
     }
 }
 
-/// fom-specific lifecycle fuzz: falloc / store / fgrow / persist /
-/// crash, against an oracle of what must survive. Runs on every
+/// fom-specific lifecycle fuzz: falloc / store / fgrow / mprotect /
+/// persist / crash, against an oracle of what must survive. Runs on every
 /// mechanism; verifies no leaks and fs consistency throughout.
 #[test]
 fn fom_lifecycle_fuzz_with_crashes() {
@@ -218,7 +223,7 @@ fn fom_lifecycle_fuzz_with_crashes() {
             let mut persisted: HashMap<String, u64> = HashMap::new();
             let mut next_name = 0u32;
             for _ in 0..300 {
-                match rng.random_range(0..10u32) {
+                match rng.random_range(0..11u32) {
                     0..=3 => {
                         let pages = rng.random_range(1..64u64);
                         let va = MemSys::alloc(&mut k, pid, pages * PAGE_SIZE, false).unwrap();
@@ -264,6 +269,18 @@ fn fom_lifecycle_fuzz_with_crashes() {
                             let (_, va) = k.open_map(pid, &name, Prot::Read).unwrap();
                             assert_eq!(k.load(pid, va).unwrap(), tag, "{mech:?} {name}");
                             k.unmap(pid, va).unwrap();
+                        }
+                    }
+                    10 => {
+                        // Remap a random scratch mapping whole; its
+                        // file keeps its name, so it can still be
+                        // persisted.
+                        if !scratch.is_empty() {
+                            let i = rng.random_range(0..scratch.len());
+                            let va = scratch[i].0;
+                            let new_va = k.mprotect_file(pid, va, Prot::ReadWrite).unwrap();
+                            scratch[i].0 = new_va;
+                            assert_eq!(k.load(pid, new_va).unwrap(), 0xaaaa, "{mech:?}");
                         }
                     }
                     _ => {
