@@ -32,15 +32,22 @@ pub const FIG1_SIZES_KB: [u64; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 204
 /// Page counts used by Figure 2/7, matching the paper's x-axis.
 pub const FIG2_PAGES: [u64; 9] = [1, 2, 16, 64, 256, 1024, 4096, 12288, 16384];
 
-fn baseline(dram_bytes: u64) -> BaselineKernel {
-    BaselineKernel::new(BaselineConfig {
+/// The baseline config every figure starts from: clock reclaim with
+/// no free-memory watermark (no reclaim interference in figures), no
+/// swap, no THP, no fault-around.
+fn figure_config(dram_bytes: u64) -> BaselineConfig {
+    BaselineConfig {
         dram_bytes,
         reclaim: ReclaimPolicy::Clock,
-        low_watermark_frames: 0, // no reclaim interference in figures
+        low_watermark_frames: 0,
         swap_enabled: false,
         thp: ThpMode::Never,
         fault_around: 1,
-    })
+    }
+}
+
+fn baseline(dram_bytes: u64) -> BaselineKernel {
+    BaselineKernel::new(figure_config(dram_bytes))
 }
 
 fn fom(mech: MapMech, nvm_bytes: u64) -> FomKernel {
@@ -57,7 +64,7 @@ fn mmap_cost(pages: u64, flags: MapFlags, cost: CostModel) -> u64 {
     let mut k = baseline((pages * PAGE_SIZE * 2).max(64 << 20));
     k.machine_mut().cost = cost;
     let id = k.create_file("f", pages * PAGE_SIZE).unwrap();
-    let pid = Pid0::pid(&mut k);
+    let pid = k.create_process().unwrap();
     let t0 = k.machine().now();
     k.mmap(
         pid,
@@ -68,14 +75,6 @@ fn mmap_cost(pages: u64, flags: MapFlags, cost: CostModel) -> u64 {
     )
     .unwrap();
     k.machine().now().since(t0)
-}
-
-/// Helper: create one process on a baseline kernel.
-struct Pid0;
-impl Pid0 {
-    fn pid(k: &mut BaselineKernel) -> o1_vm::Pid {
-        MemSys::create_process(k).unwrap()
-    }
 }
 
 /// **Figure 1a / 6a** — time of one `mmap()` of a tmpfs file,
@@ -138,14 +137,10 @@ pub fn fig1b() -> Figure {
             (&mut s_pop, MapFlags::private_populate(), 1),
         ] {
             let mut k = BaselineKernel::new(BaselineConfig {
-                dram_bytes: (pages * PAGE_SIZE * 2).max(64 << 20),
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
-                swap_enabled: false,
-                thp: ThpMode::Never,
                 fault_around,
+                ..figure_config((pages * PAGE_SIZE * 2).max(64 << 20))
             });
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let id = k.create_file("f", pages * PAGE_SIZE).unwrap();
             let va = k
                 .mmap(
@@ -185,7 +180,7 @@ pub fn fig2() -> Figure {
         // Anonymous.
         {
             let mut k = baseline((bytes * 2).max(256 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let t0 = k.machine().now();
             let va = k
                 .mmap(
@@ -207,7 +202,7 @@ pub fn fig2() -> Figure {
         // at fallocate time, so the measured faults only map them.
         {
             let mut k = baseline((bytes * 2).max(256 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let id = k.create_file("f", bytes).unwrap();
             // fallocate-style setup: same frames in the same order as a
             // streaming write of zeros, without materializing the
@@ -266,7 +261,7 @@ pub fn fig3() -> Figure {
         // mapping cost, not first-touch allocation.
         k.file_write(id, 0, &vec![1u8; bytes as usize]).unwrap();
         for i in 1..=nprocs {
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let t0 = k.machine().now();
             k.mmap(
                 pid,
@@ -394,7 +389,7 @@ pub fn fig_faults() -> Figure {
             (&mut s_pop, MapFlags::private_populate()),
         ] {
             let mut k = baseline((bytes * 2).max(256 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = k
                 .mmap(pid, bytes, Prot::ReadWrite, Backing::Anon, flags)
                 .unwrap();
@@ -447,7 +442,7 @@ pub fn fig_read16k() -> Figure {
             (&mut s_map_demand, MapFlags::shared()),
         ] {
             let mut k = baseline(64 << 20);
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let id = k.create_file("f", file_bytes).unwrap();
             k.file_write(id, 0, &vec![7u8; file_bytes as usize])
                 .unwrap();
@@ -558,14 +553,10 @@ pub fn fig_reclaim() -> Figure {
         // reclaim pass of `target` frames.
         {
             let mut k = BaselineKernel::new(BaselineConfig {
-                dram_bytes: (resident + 64) * PAGE_SIZE,
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
                 swap_enabled: true,
-                thp: ThpMode::Never,
-                fault_around: 1,
+                ..figure_config((resident + 64) * PAGE_SIZE)
             });
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = k
                 .mmap(
                     pid,
@@ -795,14 +786,10 @@ pub fn fig_thp() -> Figure {
             (&mut s_greedy, ThpMode::GreedyHuge, Some(&mut s_waste)),
         ] {
             let mut k = BaselineKernel::new(BaselineConfig {
-                dram_bytes: (bytes * 4).max(64 << 20),
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
-                swap_enabled: false,
                 thp,
-                fault_around: 1,
+                ..figure_config((bytes * 4).max(64 << 20))
             });
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let t0 = k.machine().now();
             let va = k
                 .mmap(
@@ -843,7 +830,7 @@ pub fn fig_teardown() -> Figure {
         let bytes = kb * 1024;
         {
             let mut k = baseline((bytes * 2).max(256 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = k
                 .mmap(
                     pid,
@@ -941,7 +928,7 @@ pub fn fig_churn() -> Figure {
         let trace = Trace::server_churn(2026, 5000, 32, max_pages);
         {
             let mut k = baseline(1 << 30);
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let (m, _) = trace.replay(&mut k, pid).unwrap();
             s_base.push(max_pages, m.ns as f64);
         }
@@ -976,7 +963,7 @@ pub fn fig_dma() -> Figure {
         let bytes = kb * 1024;
         {
             let mut k = baseline((bytes * 2).max(128 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = k
                 .mmap(
                     pid,
@@ -993,7 +980,7 @@ pub fn fig_dma() -> Figure {
         }
         {
             let mut k = baseline((bytes * 2).max(128 << 20));
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = k
                 .mmap(
                     pid,
@@ -1051,14 +1038,10 @@ pub fn fig_sweep() -> Figure {
         let bytes = pages * PAGE_SIZE;
         {
             let mut k = BaselineKernel::new(BaselineConfig {
-                dram_bytes: (bytes * 2).max(256 << 20),
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
-                swap_enabled: false,
                 thp: ThpMode::Aligned2M,
-                fault_around: 1,
+                ..figure_config((bytes * 2).max(256 << 20))
             });
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let va = MemSys::alloc(&mut k, pid, bytes, true).unwrap();
             let m = drive_access(&mut k, pid, va, pages, &pattern, 0, false).unwrap();
             s_thp.push(pages, m.ns as f64);
@@ -1109,19 +1092,12 @@ pub fn fig_smp() -> Figure {
     for cpus in [1u32, 2, 4, 8, 16, 32, 64] {
         {
             let mut k = BaselineKernel::builder()
-                .config(BaselineConfig {
-                    dram_bytes: 1 << 30,
-                    reclaim: ReclaimPolicy::Clock,
-                    low_watermark_frames: 0,
-                    swap_enabled: false,
-                    thp: ThpMode::Never,
-                    fault_around: 1,
-                })
+                .config(figure_config(1 << 30))
                 .cpus(cpus)
                 .build();
             let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
             s_base_storm.push(u64::from(cpus), m.ns as f64);
-            let pid = Pid0::pid(&mut k);
+            let pid = k.create_process().unwrap();
             let m = drive_churn(&mut k, pid, CHURN_ROUNDS, CHURN_REGIONS, CHURN_PAGES).unwrap();
             s_base_churn.push(u64::from(cpus), m.ns as f64);
         }
@@ -1262,17 +1238,10 @@ pub fn fig_tiering() -> Figure {
     };
     let base_dram = {
         let mut k = BaselineKernel::builder()
-            .config(BaselineConfig {
-                dram_bytes: 64 << 20,
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
-                swap_enabled: false,
-                thp: ThpMode::Never,
-                fault_around: 1,
-            })
+            .config(figure_config(64 << 20))
             .tlb(tlb.0, tlb.1)
             .build();
-        let pid = Pid0::pid(&mut k);
+        let pid = k.create_process().unwrap();
         let vas: Vec<VirtAddr> = (0..TIER_OBJECTS)
             .map(|_| MemSys::alloc(&mut k, pid, TIER_OBJ_PAGES * PAGE_SIZE, true).unwrap())
             .collect();
@@ -1429,14 +1398,7 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
     }
     let service_baseline = |cpus: u32| {
         BaselineKernel::builder()
-            .config(BaselineConfig {
-                dram_bytes: 64 << 20,
-                reclaim: ReclaimPolicy::Clock,
-                low_watermark_frames: 0,
-                swap_enabled: false,
-                thp: ThpMode::Never,
-                fault_around: 1,
-            })
+            .config(figure_config(64 << 20))
             .cpus(cpus)
             .build()
     };

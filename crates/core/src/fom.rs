@@ -11,8 +11,8 @@
 //!   physically based mappings (§4.2), hardware range translations
 //!   (§4.3), a Utopia-style hashed fast region over flexible page
 //!   tables (arXiv:2211.12205), or OBASE-style DRAM↔NVM extent
-//!   tiering with background migration (arXiv:2603.00378). Each lives
-//!   behind the `MapMechanism` strategy seam.
+//!   tiering with background migration (arXiv:2603.00378). Each is a
+//!   variant of the crate's one mechanism enum, in `mech.rs`.
 //! * **Permissions** are per file; **reclamation** is per file
 //!   (`munmap`/exit, plus LRU deletion of discardable files under
 //!   pressure); **no demand paging, no reclaim scanning, no dirty
@@ -38,7 +38,7 @@ use o1_palloc::PhysExtent;
 use o1_vm::runs::AccessRun;
 use o1_vm::{span_end, CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError, MAX_MAP_BYTES};
 
-use crate::mech::{make_mechanism, MapMechanism, MechCtx, MechParams, Piece};
+use crate::mech::{MechCtx, Mechanism, Piece, DEFAULT_FAST_REGION_SLOTS};
 
 /// Base of the per-process bump region for file mappings.
 pub const FOM_MMAP_BASE: u64 = 0x2000_0000;
@@ -48,8 +48,8 @@ pub const FOM_MMAP_BASE: u64 = 0x2000_0000;
 /// shareable (§4.2).
 pub const PBM_BASE: u64 = 0x4000_0000_0000;
 
-/// How file mappings are installed. Each tag names a strategy object
-/// behind the `MapMechanism` strategy seam.
+/// How file mappings are installed. Each tag names one variant of the
+/// crate's mechanism enum, which carries that mechanism's state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MapMech {
     /// Conventional page tables, one entry per (huge) page — the
@@ -161,10 +161,9 @@ pub struct FomKernel {
     core: KernelCore<FomProc>,
     /// The persistent-memory file system backing all memory.
     pub pmfs: Pmfs,
-    /// The mapping-mechanism strategy object; owns per-mechanism state
-    /// (shared-subtree registries, the Utopia fast region, OBASE
-    /// residency records).
-    mech: Box<dyn MapMechanism>,
+    /// The mapping mechanism with its state (shared-subtree
+    /// registries, the Utopia fast region, OBASE residency records).
+    mech: Mechanism,
     next_vol: u64,
     keys_live: u64,
 }
@@ -238,16 +237,13 @@ impl FomBuilder {
             nvm_bytes: self.config.nvm_bytes,
             ..self.machine
         };
-        let mechanism = make_mechanism(
+        let mechanism = Mechanism::new(
             self.config.mech,
-            MechParams {
-                fast_region_slots: self
-                    .fast_region
-                    .unwrap_or(crate::mech::DEFAULT_FAST_REGION_SLOTS),
-                dram_frames: self.config.dram_bytes / PAGE_SIZE,
-            },
+            self.fast_region.unwrap_or(DEFAULT_FAST_REGION_SLOTS),
+            self.config.dram_bytes / PAGE_SIZE,
         );
-        let core = KernelCore::boot(config, mechanism.ranges_enabled(), self.tlb)?;
+        let ranges = self.config.mech == MapMech::Ranges;
+        let core = KernelCore::boot(config, ranges, self.tlb)?;
         Ok(FomKernel::boot(core, mechanism))
     }
 }
@@ -266,7 +262,7 @@ impl FomKernel {
         FomBuilder::default()
     }
 
-    fn boot(core: KernelCore<FomProc>, mech: Box<dyn MapMechanism>) -> FomKernel {
+    fn boot(core: KernelCore<FomProc>, mech: Mechanism) -> FomKernel {
         let span = PhysExtent::new(core.machine.phys.nvm_base(), core.machine.phys.nvm_frames());
         FomKernel {
             core,
@@ -282,9 +278,9 @@ impl FomKernel {
         self.mech.kind()
     }
 
-    /// Split-borrow the kernel into the mechanism object and a context
-    /// over everything else — the only way mechanism code runs.
-    fn seam(&mut self) -> (&mut dyn MapMechanism, MechCtx<'_>) {
+    /// Split-borrow the kernel into the mechanism and a context over
+    /// everything else — the only way mechanism code runs.
+    fn seam(&mut self) -> (&mut Mechanism, MechCtx<'_>) {
         let KernelCore {
             machine,
             pt,
@@ -293,7 +289,7 @@ impl FomKernel {
             ..
         } = &mut self.core;
         (
-            self.mech.as_mut(),
+            &mut self.mech,
             MechCtx {
                 machine,
                 pt,
@@ -498,9 +494,6 @@ impl FomKernel {
         prot: Prot,
         auto_unlink: bool,
     ) -> Result<VirtAddr, VmError> {
-        self.pmfs.inc_ref(id).map_err(VmError::from)?;
-        // One map record per file — the whole-file analogue of a VMA.
-        self.core.machine.charge_kind(CostKind::VmaCreate);
         let extents: Vec<o1_memfs::FileExtent> = self
             .pmfs
             .inode(id)
@@ -508,16 +501,19 @@ impl FomKernel {
             .extents
             .iter()
             .collect();
-        let total_pages: u64 = extents.iter().map(|e| e.phys.frames).sum();
+        // One map record per file — the whole-file analogue of a VMA.
+        self.core.machine.charge_kind(CostKind::VmaCreate);
         let mut pieces = Vec::new();
         let base = {
             let (mech, mut ctx) = self.seam();
-            let base = mech.base_va(&mut ctx, pid, &extents, total_pages)?;
-            for fe in &extents {
-                mech.install_extent(&mut ctx, pid, id, *fe, base, prot, &mut pieces)?;
+            let mapped = mech.map(&mut ctx, pid, id, &extents, prot, &mut pieces);
+            if mapped.is_err() {
+                mech.teardown_pieces(&mut ctx, pid, &pieces)?;
             }
-            base
+            mapped?
         };
+        // Only a mapping that exists holds a file reference.
+        self.pmfs.inc_ref(id).map_err(VmError::from)?;
         let proc = self.core.proc_mut(pid)?;
         proc.maps.insert(
             base.0,
@@ -593,20 +589,27 @@ impl FomKernel {
         self.mech.on_flush_asid(asid);
 
         // Drop the file reference; delete volatile scratch files.
-        let extents = self.extents_from(mapping.file, 0)?;
         if unlink && mapping.auto_unlink {
             // May already be unlinked if mapped twice; ignore.
             let _ = self.pmfs.unlink(&mut self.core.machine, &mapping.name);
         }
-        if self
-            .pmfs
-            .dec_ref(&mut self.core.machine, mapping.file)
-            .map_err(VmError::from)?
-        {
-            self.on_file_destroyed(mapping.file, &extents);
-        }
+        self.drop_file_ref(mapping.file)?;
         self.core.machine.op_end(t0, OpKind::Free, self.label());
         self.poll_timeline();
+        Ok(())
+    }
+
+    /// Drop one reference to file `id`. The last reference to an
+    /// unlinked file destroys it.
+    fn drop_file_ref(&mut self, id: FileId) -> Result<(), VmError> {
+        let extents = self.extents_from(id, 0)?;
+        if self
+            .pmfs
+            .dec_ref(&mut self.core.machine, id)
+            .map_err(VmError::from)?
+        {
+            self.on_file_destroyed(id, &extents);
+        }
         Ok(())
     }
 
@@ -690,10 +693,9 @@ impl FomKernel {
             // Grown: the fresh extents read as zeros under the file's key.
             self.zero_extents(&self.extents_from(id, o1_hw::pages_for(old_bytes))?);
         }
-        let new_base = self.map_file_internal(pid, id, &name, bytes, prot, auto_unlink)?;
-        let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
-        pmfs.dec_ref(machine, id).map_err(VmError::from)?;
-        Ok(new_base)
+        let new_base = self.map_file_internal(pid, id, &name, bytes, prot, auto_unlink);
+        self.drop_file_ref(id)?;
+        new_base
     }
 
     /// Re-mark a named file's class at runtime — §3.1: files "can be
@@ -914,7 +916,7 @@ impl KernelHooks for FomKernel {
 
     #[inline]
     fn label(&self) -> &'static str {
-        self.mech.label()
+        self.mech.kind().label()
     }
 
     /// Translate an address. There is *no fault path*: file-only
@@ -1151,6 +1153,7 @@ mod tests {
     #[test]
     fn pbm_gives_identical_addresses() {
         let mut k = FomKernel::builder().mech(MapMech::Pbm).build();
+        let free0 = k.free_frames();
         let p1 = k.create_process().unwrap();
         let p2 = k.create_process().unwrap();
         k.create_named(p1, "/pbm/file", 4 << 20, FileClass::Persistent)
@@ -1161,6 +1164,18 @@ mod tests {
         assert!(va1.0 >= PBM_BASE);
         // And the page tables are shared.
         assert!(k.machine().perf.pt_shares > 0);
+        // The same address twice in one process cannot be mapped, and
+        // the failed map holds no reference: once the processes exit
+        // and the name is deleted, the file and its key are gone.
+        assert_eq!(
+            k.open_map(p1, "/pbm/file", Prot::Read),
+            Err(VmError::BadRange)
+        );
+        k.destroy_process(p1).unwrap();
+        k.destroy_process(p2).unwrap();
+        k.delete("/pbm/file").unwrap();
+        assert_eq!(k.free_frames(), free0);
+        assert_eq!(k.keys_live(), 0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! The mechanism seam: every mapping-mechanism decision behind one
-//! trait.
+//! The mechanism seam: every mapping-mechanism decision in one enum.
 //!
 //! [`FomKernel`](crate::fom::FomKernel) owns the machinery every
 //! mechanism shares — syscall charging, file lifetime, crypto-erase,
 //! op spans — and delegates the per-mechanism decisions (where a file
 //! lands in the address space, how each extent is installed and torn
 //! down, how a VA translates, whether a run batch can be bulk-proven)
-//! to a boxed [`MapMechanism`]. Mechanism state (shared-subtree
-//! registries, the Utopia fast region, OBASE residency) lives in the
-//! mechanism object, not the kernel.
+//! to a [`Mechanism`]: one variant per [`MapMech`], each carrying that
+//! mechanism's state (shared-subtree registries, the Utopia fast
+//! region, OBASE residency). This module is the only one that matches
+//! on it.
 //!
 //! ## Contract
 //!
@@ -18,7 +18,7 @@
 //!   return a span whose charges are identical to interpreting each
 //!   access, or refuse **without charging or mutating simulated
 //!   state** (the interpreter fallback is charge-identical).
-//! * `install_extent` needs no prover: page-table installs go through
+//! * `map` needs no prover: page-table installs go through
 //!   [`PageTables::map_extent`](o1_hw::PageTables::map_extent) and
 //!   [`share`](o1_hw::PageTables::share), which charge a whole install
 //!   in one block — identical to per-entry charging for every extent
@@ -34,20 +34,21 @@ use o1_hw::{
     PteFlags, RangeEntry, Satisfied, TranslateError, VirtAddr, HUGE_2M, PAGE_SHIFT, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileExtent, FileId};
+use o1_palloc::PhysExtent;
 use o1_vm::runs::{bulk_memory, AccessRun};
 use o1_vm::{Pid, Prot, VmError};
 
 use crate::fom::{FomProc, MapMech, PBM_BASE};
 
 /// Pages per 2 MiB page-table chunk.
-pub(crate) const CHUNK_PAGES: u64 = 512;
+const CHUNK_PAGES: u64 = 512;
 
 /// Default Utopia fast-region capacity (slots) when the builder does
 /// not override it.
 pub(crate) const DEFAULT_FAST_REGION_SLOTS: usize = 4096;
 
 /// Split-borrow view of the kernel the mechanism works through:
-/// every field the kernel owns except the mechanism object itself.
+/// every field the kernel owns except the mechanism itself.
 pub(crate) struct MechCtx<'a> {
     pub machine: &'a mut o1_hw::Machine,
     pub pt: &'a mut o1_hw::PageTables,
@@ -67,72 +68,169 @@ pub(crate) enum Piece {
     Pages { va: VirtAddr, bytes: u64 },
 }
 
-/// Strategy object for one mapping mechanism. See the module docs for
-/// the fast-forward and teardown obligations.
-pub(crate) trait MapMechanism: std::fmt::Debug + Send {
-    /// The config-surface tag this mechanism was built from.
-    fn kind(&self) -> MapMech;
-
+impl MapMech {
     /// Label used for experiment output and latency-ledger keys.
-    fn label(&self) -> &'static str;
+    pub fn label(self) -> &'static str {
+        match self {
+            MapMech::PageTables => "fom-pt",
+            MapMech::SharedPt => "fom-shared",
+            MapMech::Pbm => "fom-pbm",
+            MapMech::Ranges => "fom-ranges",
+            MapMech::Utopia => "fom-utopia",
+            MapMech::Obase => "fom-obase",
+        }
+    }
+}
 
-    /// Whether the MMU's range-translation extension is wired up.
-    fn ranges_enabled(&self) -> bool {
-        false
+/// One mapping mechanism and its state: a variant per [`MapMech`].
+/// See the module docs for the fast-forward and teardown obligations.
+#[derive(Debug)]
+pub(crate) enum Mechanism {
+    /// Conventional page tables, one entry per (huge) page.
+    PageTables,
+    /// Pre-created page-table subtrees shared by pointer swing.
+    SharedPt(ChunkRegistry),
+    /// Physically based mappings: `va = PBM_BASE + pa`, shared
+    /// subtrees keyed by physical address.
+    Pbm(ChunkRegistry),
+    /// Hardware range translations: one `(base, limit, offset)` entry
+    /// per extent.
+    Ranges,
+    /// Utopia hybrid (arXiv:2211.12205): a hashed direct-mapped
+    /// restrictive fast region backed by flexible 4 KiB page tables.
+    /// A probe that hits skips the TLB and walker entirely (one
+    /// [`CostKind::HybridFastHit`]); a miss pays the normal paging
+    /// path, and a completed *walk* fills the region
+    /// ([`CostKind::HybridFastFill`]) — fills are skipped on TLB hits
+    /// so warm TLB workloads never pay twice. Direct-mapped conflict
+    /// eviction is the residency policy between the regions.
+    Utopia(FastRegion),
+    /// OBASE extent tiering (arXiv:2603.00378); see [`ObaseMech`].
+    Obase(ObaseMech),
+}
+
+impl Mechanism {
+    /// The mechanism a config tag names, with empty state.
+    pub(crate) fn new(kind: MapMech, fast_region_slots: usize, dram_frames: u64) -> Mechanism {
+        match kind {
+            MapMech::PageTables => Mechanism::PageTables,
+            MapMech::SharedPt => Mechanism::SharedPt(ChunkRegistry::default()),
+            MapMech::Pbm => Mechanism::Pbm(ChunkRegistry::default()),
+            MapMech::Ranges => Mechanism::Ranges,
+            MapMech::Utopia => Mechanism::Utopia(FastRegion::new(fast_region_slots)),
+            MapMech::Obase => Mechanism::Obase(ObaseMech::new(dram_frames)),
+        }
     }
 
-    /// Pick the base VA for a whole-file mapping.
-    fn base_va(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        extents: &[FileExtent],
-        total_pages: u64,
-    ) -> Result<VirtAddr, VmError> {
-        let _ = extents;
-        bump_base(ctx, pid, total_pages)
+    /// The config tag this mechanism was built from.
+    pub(crate) fn kind(&self) -> MapMech {
+        match self {
+            Mechanism::PageTables => MapMech::PageTables,
+            Mechanism::SharedPt(_) => MapMech::SharedPt,
+            Mechanism::Pbm(_) => MapMech::Pbm,
+            Mechanism::Ranges => MapMech::Ranges,
+            Mechanism::Utopia(_) => MapMech::Utopia,
+            Mechanism::Obase(_) => MapMech::Obase,
+        }
     }
 
-    /// Install one file extent of the mapping based at `base`,
-    /// appending the pieces it created.
-    #[allow(clippy::too_many_arguments)]
-    fn install_extent(
+    /// Map file `id`, whose extents in file order are `extents`, whole
+    /// into `pid` and return its base VA. Every piece installed is
+    /// appended to `pieces`, also when a later extent fails.
+    pub(crate) fn map(
         &mut self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
         id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
+        extents: &[FileExtent],
         prot: Prot,
         pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError>;
+    ) -> Result<VirtAddr, VmError> {
+        // Under PBM the va is a pure function of the pa: identical
+        // everywhere.
+        let pbm = |pa: PhysAddr| VirtAddr(PBM_BASE + pa.0);
+        let base = match self {
+            Mechanism::Pbm(_) => pbm(extents.first().map_or(PhysAddr(0), |e| e.phys.base())),
+            _ => bump_base(ctx, pid, extents.iter().map(|e| e.phys.frames).sum())?,
+        };
+        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
+        let flags = prot.pte_flags();
+        for &fe in extents {
+            let va = match self {
+                Mechanism::Pbm(_) => pbm(fe.phys.base()),
+                _ => base + fe.file_page * PAGE_SIZE,
+            };
+            match self {
+                Mechanism::PageTables => {
+                    install_pages(ctx, root, va, fe.phys, flags, true, pieces)?
+                }
+                Mechanism::SharedPt(chunks) | Mechanism::Pbm(chunks) => {
+                    map_extent_shared(chunks, ctx, root, id, fe, va, prot, pieces)?
+                }
+                Mechanism::Ranges => {
+                    let entry = RangeEntry::new(va, fe.phys.bytes(), fe.phys.base(), flags);
+                    let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
+                    proc.ranges.insert(entry).map_err(|_| VmError::BadRange)?;
+                    ctx.machine.charge_kind(CostKind::PteWrite);
+                    ctx.machine.perf.range_installs += 1;
+                    pieces.push(Piece::Range { base: va });
+                }
+                // The flexible backing is 4 KiB-grained: the fast
+                // region caches base-page translations, so the two
+                // views agree.
+                Mechanism::Utopia(_) => {
+                    install_pages(ctx, root, va, fe.phys, flags, false, pieces)?
+                }
+                Mechanism::Obase(o) => {
+                    o.install_extent(ctx, root, pid, id, fe, va, flags, pieces)?
+                }
+            }
+        }
+        Ok(base)
+    }
 
     /// Tear down the pieces of one unmapped mapping (called before the
     /// kernel's single ASID shootdown).
-    fn teardown_pieces(
+    pub(crate) fn teardown_pieces(
         &mut self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
         pieces: &[Piece],
     ) -> Result<(), VmError> {
-        teardown_pieces_default(ctx, pid, pieces)
+        teardown_pieces_default(ctx, pid, pieces)?;
+        if let Mechanism::Obase(o) = self {
+            for piece in pieces {
+                if let Piece::Pages { va, .. } = *piece {
+                    o.drop_install(ctx, pid, va);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Translate one access, charging hardware costs. The kernel has
     /// already verified `pid` exists.
-    fn translate(
+    pub(crate) fn translate(
         &mut self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
         va: VirtAddr,
         access: Access,
     ) -> Result<PhysAddr, TranslateError> {
-        translate_default(ctx, pid, va, access)
+        match self {
+            Mechanism::Utopia(fast) => utopia_translate(fast, ctx, pid, va, access),
+            Mechanism::Obase(o) => {
+                let pa = translate_default(ctx, pid, va, access)?;
+                o.note(pa, 1);
+                Ok(pa)
+            }
+            _ => translate_default(ctx, pid, va, access),
+        }
     }
 
     /// Fast-forward prover for an arithmetic run; see
     /// [`o1_hw::Mmu::translate_run`] for the uniformity obligations.
-    fn translate_run(
+    pub(crate) fn translate_run(
         &mut self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
@@ -141,13 +239,30 @@ pub(crate) trait MapMechanism: std::fmt::Debug + Send {
         len: u64,
         access: Access,
     ) -> Option<(PhysAddr, u64)> {
-        translate_run_default(ctx, pid, va, stride, len, access)
+        if let Mechanism::Utopia(_) = self {
+            // The fast region participates in every translation, so a
+            // TLB-only span proof would charge differently than the
+            // interpreter. Always interpret; refusal is charge-free.
+            return None;
+        }
+        let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
+        let r = ctx
+            .mmu
+            .translate_run(ctx.machine, ctx.pt, root, asid, va, stride, len, access);
+        if let (Mechanism::Obase(o), Some((pa, span))) = (self, r) {
+            // A proven span stays inside one base page (extents map
+            // 4 KiB-grained), so its heat lands on one record —
+            // exactly what `span` interpreted accesses would do.
+            o.note(pa, span);
+        }
+        r
     }
 
-    /// Whole-batch fast-forward prover. Refusing (`Ok(None)`) must be
-    /// charge-free; the per-run fallback is charge-identical.
-    fn try_bulk_runs(
-        &mut self,
+    /// Whole-batch fast-forward prover: only range translations have
+    /// one. Refusing (`Ok(None)`) must be charge-free; the per-run
+    /// fallback is charge-identical.
+    pub(crate) fn try_bulk_runs(
+        &self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
         base: VirtAddr,
@@ -155,77 +270,97 @@ pub(crate) trait MapMechanism: std::fmt::Debug + Send {
         write: bool,
         first_value: u64,
     ) -> Result<Option<u64>, VmError> {
-        let _ = (ctx, pid, base, runs, write, first_value);
-        Ok(None)
+        match self {
+            Mechanism::Ranges => ranges_bulk_runs(ctx, pid, base, runs, write, first_value),
+            _ => Ok(None),
+        }
     }
 
     /// Called after every ASID shootdown the kernel issues (unmap,
     /// process teardown, ASID recycling, crash).
-    fn on_flush_asid(&mut self, asid: Asid) {
-        let _ = asid;
+    pub(crate) fn on_flush_asid(&mut self, asid: Asid) {
+        if let Mechanism::Utopia(fast) = self {
+            fast.remove_asid(asid);
+        }
     }
 
-    /// Called when a file's last reference drops (after the erase
-    /// policy ran): release any per-file mechanism state.
-    fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
-        let _ = (ctx, id);
+    /// Called when a file's last reference drops (after its key was
+    /// dropped): release any per-file mechanism state.
+    pub(crate) fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
+        match self {
+            Mechanism::SharedPt(chunks) | Mechanism::Pbm(chunks) => {
+                if let Some(fpt) = chunks.remove(&id) {
+                    for (_, node) in fpt.chunks {
+                        ctx.pt.release(ctx.machine, node);
+                    }
+                }
+            }
+            // By the drop-on-last-unmap invariant nothing should
+            // remain; sweep defensively so a stale record can never
+            // alias frames pmfs hands to someone else.
+            Mechanism::Obase(o) => o.records.retain(|r| r.file != id),
+            _ => {}
+        }
     }
 
     /// Called after a file's class changed (e.g. volatile data
     /// promoted to persistent).
-    fn on_set_class(&mut self, ctx: &mut MechCtx<'_>, id: FileId, class: FileClass) {
-        let _ = (ctx, id, class);
+    pub(crate) fn on_set_class(&mut self, ctx: &mut MechCtx<'_>, id: FileId, class: FileClass) {
+        if let Mechanism::Obase(o) = self {
+            o.set_class(ctx, id, class);
+        }
     }
 
     /// Called on power failure, after processes and their page tables
     /// are gone: drop all mechanism state (it was DRAM-resident).
-    fn on_crash(&mut self, ctx: &mut MechCtx<'_>) {
-        let _ = ctx;
+    pub(crate) fn on_crash(&mut self, ctx: &mut MechCtx<'_>) {
+        match self {
+            Mechanism::SharedPt(chunks) | Mechanism::Pbm(chunks) => {
+                for (_, fpt) in chunks.drain() {
+                    for (_, node) in fpt.chunks {
+                        ctx.pt.release(ctx.machine, node);
+                    }
+                }
+            }
+            // DRAM died with the machine; persistent extents were
+            // never promoted, so nothing needs copying back.
+            Mechanism::Obase(o) => {
+                o.records.clear();
+                o.free_dram = ObaseMech::new(o.dram_frames).free_dram;
+            }
+            _ => {}
+        }
     }
 
     /// One background housekeeping pass with a page budget (OBASE
     /// migration). Returns pages moved.
-    fn background_tick(&mut self, ctx: &mut MechCtx<'_>, budget_pages: u64) -> u64 {
-        let _ = (ctx, budget_pages);
-        0
+    pub(crate) fn background_tick(&mut self, ctx: &mut MechCtx<'_>, budget_pages: u64) -> u64 {
+        match self {
+            Mechanism::Obase(o) => o.tick(ctx, budget_pages),
+            _ => 0,
+        }
     }
 
     /// Total pages this mechanism has migrated between tiers.
-    fn migrated_pages(&self) -> u64 {
-        0
+    pub(crate) fn migrated_pages(&self) -> u64 {
+        match self {
+            Mechanism::Obase(o) => o.migrated,
+            _ => 0,
+        }
     }
 
     /// Append this mechanism's gauge readings for the timeline
     /// sampler (fast-region fill, DRAM-pool occupancy, heat summary,
     /// …). Mechanisms without interesting live state append nothing.
-    fn gauges(&self, out: &mut Vec<(&'static str, u64)>) {
-        let _ = out;
-    }
-}
-
-/// Construction-time parameters not derivable from [`MapMech`] alone.
-pub(crate) struct MechParams {
-    /// Utopia fast-region capacity in slots.
-    pub fast_region_slots: usize,
-    /// DRAM tier size in frames (the OBASE fast-tier pool).
-    pub dram_frames: u64,
-}
-
-/// Build the mechanism object for a config tag.
-pub(crate) fn make_mechanism(kind: MapMech, params: MechParams) -> Box<dyn MapMechanism> {
-    match kind {
-        MapMech::PageTables => Box::new(PageTablesMech),
-        MapMech::SharedPt => Box::new(SharedPtMech {
-            chunks: FastMap::default(),
-        }),
-        MapMech::Pbm => Box::new(PbmMech {
-            chunks: FastMap::default(),
-        }),
-        MapMech::Ranges => Box::new(RangesMech),
-        MapMech::Utopia => Box::new(UtopiaMech {
-            fast: FastRegion::new(params.fast_region_slots),
-        }),
-        MapMech::Obase => Box::new(ObaseMech::new(params.dram_frames)),
+    pub(crate) fn gauges(&self, out: &mut Vec<(&'static str, u64)>) {
+        match self {
+            Mechanism::Utopia(fast) => {
+                out.push(("utopia.fast_occupied", fast.occupied() as u64));
+                out.push(("utopia.fast_capacity", fast.capacity() as u64));
+            }
+            Mechanism::Obase(o) => o.gauges(out),
+            _ => {}
+        }
     }
 }
 
@@ -243,6 +378,36 @@ fn bump_base(ctx: &mut MechCtx<'_>, pid: Pid, total_pages: u64) -> Result<VirtAd
     let start = VirtAddr(proc.next_va).align_up(align);
     proc.next_va = start.0 + total_pages * PAGE_SIZE + PAGE_SIZE; // guard gap
     Ok(start)
+}
+
+/// Map `span` at `va` as one run of page-table leaves (2 MiB and
+/// 1 GiB leaves where alignment allows, if `use_huge`) and record it
+/// as a piece.
+fn install_pages(
+    ctx: &mut MechCtx<'_>,
+    root: PtNodeId,
+    va: VirtAddr,
+    span: PhysExtent,
+    flags: PteFlags,
+    use_huge: bool,
+    pieces: &mut Vec<Piece>,
+) -> Result<(), VmError> {
+    ctx.pt
+        .map_extent(
+            ctx.machine,
+            root,
+            va,
+            span.start,
+            span.frames,
+            flags,
+            use_huge,
+        )
+        .map_err(|_| VmError::BadRange)?;
+    pieces.push(Piece::Pages {
+        va,
+        bytes: span.bytes(),
+    });
+    Ok(())
 }
 
 /// Default translate: hand the access to the MMU (range TLB, page
@@ -265,20 +430,6 @@ fn translate_default(
             access,
         )
         .map(|t| t.pa)
-}
-
-/// Default run prover: the MMU's TLB-resident span proof.
-fn translate_run_default(
-    ctx: &mut MechCtx<'_>,
-    pid: Pid,
-    va: VirtAddr,
-    stride: i64,
-    len: u64,
-    access: Access,
-) -> Option<(PhysAddr, u64)> {
-    let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
-    ctx.mmu
-        .translate_run(ctx.machine, ctx.pt, root, asid, va, stride, len, access)
 }
 
 /// Default teardown: ranges are removed and invalidated, shared
@@ -326,7 +477,7 @@ pub(crate) struct FilePts {
     chunks: FastMap<(u64, bool), PtNodeId>,
 }
 
-type ChunkRegistry = FastMap<FileId, FilePts>;
+pub(crate) type ChunkRegistry = FastMap<FileId, FilePts>;
 
 /// Map one extent using pre-created shared subtrees where 2 MiB
 /// alignment allows, falling back to per-page mapping for the
@@ -337,14 +488,13 @@ type ChunkRegistry = FastMap<FileId, FilePts>;
 fn map_extent_shared(
     registry: &mut ChunkRegistry,
     ctx: &mut MechCtx<'_>,
-    pid: Pid,
+    root: PtNodeId,
     id: FileId,
     fe: FileExtent,
     va: VirtAddr,
     prot: Prot,
     pieces: &mut Vec<Piece>,
 ) -> Result<(), VmError> {
-    let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
     let mut page = 0u64; // page index within this extent
     while page < fe.phys.frames {
         let cur_va = va + page * PAGE_SIZE;
@@ -370,21 +520,8 @@ fn map_extent_shared(
             // space (or the end of the extent).
             let to_boundary = CHUNK_PAGES - file_page % CHUNK_PAGES;
             let n = to_boundary.min(fe.phys.frames - page);
-            ctx.pt
-                .map_extent(
-                    ctx.machine,
-                    root,
-                    cur_va,
-                    fe.phys.start + page,
-                    n,
-                    prot.pte_flags(),
-                    false,
-                )
-                .map_err(|_| VmError::BadRange)?;
-            pieces.push(Piece::Pages {
-                va: cur_va,
-                bytes: n * PAGE_SIZE,
-            });
+            let span = PhysExtent::new(fe.phys.start + page, n);
+            install_pages(ctx, root, cur_va, span, prot.pte_flags(), false, pieces)?;
             page += n;
         }
     }
@@ -435,425 +572,155 @@ fn get_or_build_chunk(
     Ok(node)
 }
 
-/// Release a destroyed file's pre-created subtrees.
-fn drop_file_chunks(registry: &mut ChunkRegistry, ctx: &mut MechCtx<'_>, id: FileId) {
-    if let Some(fpt) = registry.remove(&id) {
-        for (_, node) in fpt.chunks {
-            ctx.pt.release(ctx.machine, node);
-        }
+// ---- range translations ------------------------------------------------------
+
+/// Whole-batch fast-forward for range translations: when *every*
+/// access of a run batch lands inside one resident range-TLB entry
+/// (checked via the bounding box of the batch's page indexes, in
+/// O(runs)), with uniform protection outcome and memory tier, the
+/// entire batch — arbitrary access order included, e.g. a random
+/// pattern — is one uniform run: charge `total × (RtlbHit + mem)` in
+/// O(runs) charge calls. Returns `Ok(None)` without charging or
+/// mutating anything when the proof fails, and the caller falls back
+/// to per-run spans.
+fn ranges_bulk_runs(
+    ctx: &mut MechCtx<'_>,
+    pid: Pid,
+    base: VirtAddr,
+    runs: &[AccessRun],
+    write: bool,
+    first_value: u64,
+) -> Result<Option<u64>, VmError> {
+    let total: u64 = runs.iter().map(|r| r.len).sum();
+    if total < 2 {
+        return Ok(None);
     }
-}
-
-/// Release every pre-created subtree (crash: they were DRAM state).
-fn drop_all_chunks(registry: &mut ChunkRegistry, ctx: &mut MechCtx<'_>) {
-    let stale: Vec<FilePts> = registry.drain().map(|(_, v)| v).collect();
-    for fpt in stale {
-        for (_, node) in fpt.chunks {
-            ctx.pt.release(ctx.machine, node);
-        }
-    }
-}
-
-// ---- the four legacy mechanisms ---------------------------------------------
-
-/// Conventional page tables, one entry per (huge) page.
-#[derive(Debug)]
-struct PageTablesMech;
-
-impl MapMechanism for PageTablesMech {
-    fn kind(&self) -> MapMech {
-        MapMech::PageTables
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-pt"
-    }
-
-    fn install_extent(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        _id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError> {
-        let va = base + fe.file_page * PAGE_SIZE;
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
-        ctx.pt
-            .map_extent(
-                ctx.machine,
-                root,
-                va,
-                fe.phys.start,
-                fe.phys.frames,
-                prot.pte_flags(),
-                true,
-            )
-            .map_err(|_| VmError::BadRange)?;
-        pieces.push(Piece::Pages {
-            va,
-            bytes: fe.phys.bytes(),
-        });
-        Ok(())
-    }
-}
-
-/// Pre-created page-table subtrees shared by pointer swing.
-#[derive(Debug)]
-struct SharedPtMech {
-    chunks: ChunkRegistry,
-}
-
-impl MapMechanism for SharedPtMech {
-    fn kind(&self) -> MapMech {
-        MapMech::SharedPt
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-shared"
-    }
-
-    fn install_extent(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError> {
-        let va = base + fe.file_page * PAGE_SIZE;
-        map_extent_shared(&mut self.chunks, ctx, pid, id, fe, va, prot, pieces)
-    }
-
-    fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
-        drop_file_chunks(&mut self.chunks, ctx, id);
-    }
-
-    fn on_crash(&mut self, ctx: &mut MechCtx<'_>) {
-        drop_all_chunks(&mut self.chunks, ctx);
-    }
-}
-
-/// Physically based mappings: `va = PBM_BASE + pa`, shared subtrees
-/// keyed by physical address.
-#[derive(Debug)]
-struct PbmMech {
-    chunks: ChunkRegistry,
-}
-
-impl MapMechanism for PbmMech {
-    fn kind(&self) -> MapMech {
-        MapMech::Pbm
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-pbm"
-    }
-
-    fn base_va(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        extents: &[FileExtent],
-        _total_pages: u64,
-    ) -> Result<VirtAddr, VmError> {
-        // va is a pure function of pa: identical everywhere.
-        Ok(VirtAddr(
-            PBM_BASE + extents.first().map_or(0, |e| e.phys.base().0),
-        ))
-    }
-
-    fn install_extent(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        id: FileId,
-        fe: FileExtent,
-        _base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError> {
-        let va = VirtAddr(PBM_BASE + fe.phys.base().0);
-        map_extent_shared(&mut self.chunks, ctx, pid, id, fe, va, prot, pieces)
-    }
-
-    fn on_file_destroyed(&mut self, ctx: &mut MechCtx<'_>, id: FileId) {
-        drop_file_chunks(&mut self.chunks, ctx, id);
-    }
-
-    fn on_crash(&mut self, ctx: &mut MechCtx<'_>) {
-        drop_all_chunks(&mut self.chunks, ctx);
-    }
-}
-
-/// Hardware range translations: one `(base, limit, offset)` entry per
-/// extent.
-#[derive(Debug)]
-struct RangesMech;
-
-impl MapMechanism for RangesMech {
-    fn kind(&self) -> MapMech {
-        MapMech::Ranges
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-ranges"
-    }
-
-    fn ranges_enabled(&self) -> bool {
-        true
-    }
-
-    fn install_extent(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        _id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError> {
-        let va = base + fe.file_page * PAGE_SIZE;
-        let entry = RangeEntry::new(va, fe.phys.bytes(), fe.phys.base(), prot.pte_flags());
-        let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
-        proc.ranges.insert(entry).map_err(|_| VmError::BadRange)?;
-        ctx.machine.charge_kind(CostKind::PteWrite);
-        ctx.machine.perf.range_installs += 1;
-        pieces.push(Piece::Range { base: va });
-        Ok(())
-    }
-
-    /// Whole-batch fast-forward for range translations: when *every*
-    /// access of a run batch lands inside one resident range-TLB entry
-    /// (checked via the bounding box of the batch's page indexes, in
-    /// O(runs)), with uniform protection outcome and memory tier, the
-    /// entire batch — arbitrary access order included, e.g. a random
-    /// pattern — is one uniform run: charge `total × (RtlbHit + mem)`
-    /// in O(runs) charge calls. Returns `Ok(None)` without charging or
-    /// mutating anything when the proof fails, and the caller falls
-    /// back to per-run spans.
-    fn try_bulk_runs(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<Option<u64>, VmError> {
-        let total: u64 = runs.iter().map(|r| r.len).sum();
-        if total < 2 {
+    // Bounding box over accessed page indexes.
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for r in runs.iter().filter(|r| r.len > 0) {
+        let Ok(steps) = i64::try_from(r.len - 1) else {
             return Ok(None);
-        }
-        // Bounding box over accessed page indexes.
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for r in runs.iter().filter(|r| r.len > 0) {
-            let Ok(steps) = i64::try_from(r.len - 1) else {
-                return Ok(None);
-            };
-            let Some(delta) = r.stride.checked_mul(steps) else {
-                return Ok(None);
-            };
-            let Some(last) = i64::try_from(r.start_page)
-                .ok()
-                .and_then(|start| start.checked_add(delta))
-            else {
-                return Ok(None);
-            };
-            if last < 0 {
-                return Ok(None);
-            }
-            let (a, b) = if r.stride >= 0 {
-                (r.start_page, last as u64)
-            } else {
-                (last as u64, r.start_page)
-            };
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
-        let asid = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.asid;
-        // Prover obligation: no invalidation broadcast may have raced
-        // this CPU since it last synced, or the whole-batch proof is
-        // not sound. Refusing is charge-free; the per-run fallback is
-        // charge-identical and re-arms the prover.
-        if !ctx.mmu.run_prover_ready() {
+        };
+        let Some(delta) = r.stride.checked_mul(steps) else {
             return Ok(None);
-        }
-        let Some(va_hi) = hi
-            .checked_mul(PAGE_SIZE)
-            .and_then(|off| base.0.checked_add(off))
-            .map(VirtAddr)
+        };
+        let Some(last) = i64::try_from(r.start_page)
+            .ok()
+            .and_then(|start| start.checked_add(delta))
         else {
             return Ok(None);
         };
-        let va_lo = base + lo * PAGE_SIZE;
-        let Some(entry) = ctx.mmu.rtlb().peek(asid, va_lo) else {
+        if last < 0 {
             return Ok(None);
+        }
+        let (a, b) = if r.stride >= 0 {
+            (r.start_page, last as u64)
+        } else {
+            (last as u64, r.start_page)
         };
-        if !entry.covers(va_hi) || (write && !entry.prot.contains(PteFlags::WRITE)) {
-            return Ok(None);
-        }
-        let (pa_lo, pa_hi) = (entry.translate(va_lo), entry.translate(va_hi));
-        if ctx.machine.phys.tier(pa_lo.frame()) != ctx.machine.phys.tier(pa_hi.frame()) {
-            return Ok(None);
-        }
-        // Commit: one LRU refresh of the hit entry stands in for
-        // `total` refreshes of the same entry (relative stamp order,
-        // and therefore future evictions, are unchanged).
-        let t0 = ctx.machine.op_start();
-        let looked = ctx.mmu.rtlb_mut().lookup(asid, va_lo);
-        debug_assert_eq!(looked, Some(entry));
-        ctx.machine.perf.rtlb_hits += total;
-        ctx.machine.charge_opn(CostKind::RtlbHit, total);
-        let mut value = first_value;
-        for r in runs.iter().filter(|r| r.len > 0) {
-            let pa = entry.translate(base + r.start_page * PAGE_SIZE);
-            let stride_bytes = r.stride.wrapping_mul(PAGE_SIZE as i64);
-            bulk_memory(ctx.machine, pa, stride_bytes, r.len, write, value);
-            value += r.len;
-        }
-        ctx.machine
-            .op_end_n(t0, OpKind::AccessHit, self.label(), total);
-        Ok(Some(value))
+        lo = lo.min(a);
+        hi = hi.max(b);
     }
+    let asid = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.asid;
+    // Prover obligation: no invalidation broadcast may have raced
+    // this CPU since it last synced, or the whole-batch proof is
+    // not sound. Refusing is charge-free; the per-run fallback is
+    // charge-identical and re-arms the prover.
+    if !ctx.mmu.run_prover_ready() {
+        return Ok(None);
+    }
+    let Some(va_hi) = hi
+        .checked_mul(PAGE_SIZE)
+        .and_then(|off| base.0.checked_add(off))
+        .map(VirtAddr)
+    else {
+        return Ok(None);
+    };
+    let va_lo = base + lo * PAGE_SIZE;
+    let Some(entry) = ctx.mmu.rtlb().peek(asid, va_lo) else {
+        return Ok(None);
+    };
+    if !entry.covers(va_hi) || (write && !entry.prot.contains(PteFlags::WRITE)) {
+        return Ok(None);
+    }
+    let (pa_lo, pa_hi) = (entry.translate(va_lo), entry.translate(va_hi));
+    if ctx.machine.phys.tier(pa_lo.frame()) != ctx.machine.phys.tier(pa_hi.frame()) {
+        return Ok(None);
+    }
+    // Commit: one LRU refresh of the hit entry stands in for
+    // `total` refreshes of the same entry (relative stamp order,
+    // and therefore future evictions, are unchanged).
+    let t0 = ctx.machine.op_start();
+    let looked = ctx.mmu.rtlb_mut().lookup(asid, va_lo);
+    debug_assert_eq!(looked, Some(entry));
+    ctx.machine.perf.rtlb_hits += total;
+    ctx.machine.charge_opn(CostKind::RtlbHit, total);
+    let mut value = first_value;
+    for r in runs.iter().filter(|r| r.len > 0) {
+        let pa = entry.translate(base + r.start_page * PAGE_SIZE);
+        let stride_bytes = r.stride.wrapping_mul(PAGE_SIZE as i64);
+        bulk_memory(ctx.machine, pa, stride_bytes, r.len, write, value);
+        value += r.len;
+    }
+    ctx.machine
+        .op_end_n(t0, OpKind::AccessHit, MapMech::Ranges.label(), total);
+    Ok(Some(value))
 }
 
 // ---- Utopia hybrid (arXiv:2211.12205) ---------------------------------------
 
-/// Hashed direct-mapped restrictive fast region backed by flexible
-/// 4 KiB page tables. A probe that hits skips the TLB and walker
-/// entirely (one [`CostKind::HybridFastHit`]); a miss pays the normal
-/// paging path, and a completed *walk* fills the region
-/// ([`CostKind::HybridFastFill`]) — fills are skipped on TLB hits so
-/// warm TLB workloads never pay twice. Direct-mapped conflict
-/// eviction is the residency policy between the regions.
-#[derive(Debug)]
-struct UtopiaMech {
-    fast: FastRegion,
-}
-
-impl MapMechanism for UtopiaMech {
-    fn kind(&self) -> MapMech {
-        MapMech::Utopia
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-utopia"
-    }
-
-    fn install_extent(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        _id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), VmError> {
-        // The flexible backing is 4 KiB-grained: the fast region
-        // caches base-page translations, so the two views agree.
-        let va = base + fe.file_page * PAGE_SIZE;
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
-        ctx.pt
-            .map_extent(
-                ctx.machine,
-                root,
-                va,
-                fe.phys.start,
-                fe.phys.frames,
-                prot.pte_flags(),
-                false,
-            )
-            .map_err(|_| VmError::BadRange)?;
-        pieces.push(Piece::Pages {
-            va,
-            bytes: fe.phys.bytes(),
-        });
-        Ok(())
-    }
-
-    fn translate(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        va: VirtAddr,
-        access: Access,
-    ) -> Result<PhysAddr, TranslateError> {
-        let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
-        let vpage = va.0 >> PAGE_SHIFT;
-        if let Some((frame, flags)) = self.fast.lookup(asid, vpage) {
-            let allowed = match access {
-                Access::Read => true,
-                Access::Write => flags.contains(PteFlags::WRITE),
-            };
-            if allowed {
-                ctx.machine.charge_kind(CostKind::HybridFastHit);
-                if access == Access::Write {
-                    // Hardware sets the dirty bit through the backing
-                    // tables, as the TLB-hit path does.
-                    ctx.pt.mark_accessed(root, va, true);
-                }
-                return Ok(PhysAddr(frame.base().0 + va.page_offset()));
-            }
-            // Wrong-permission entry: fall through to the walker,
-            // which raises the fault with ordinary charges.
-        }
-        let t = {
-            let proc = ctx.procs.get(pid).expect("kernel verified the pid");
-            ctx.mmu.translate(
-                ctx.machine,
-                ctx.pt,
-                proc.root,
-                &proc.ranges,
-                proc.asid,
-                va,
-                access,
-            )?
+/// Utopia translate: probe the fast region, else walk and fill it.
+fn utopia_translate(
+    fast: &mut FastRegion,
+    ctx: &mut MechCtx<'_>,
+    pid: Pid,
+    va: VirtAddr,
+    access: Access,
+) -> Result<PhysAddr, TranslateError> {
+    let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
+    let vpage = va.0 >> PAGE_SHIFT;
+    if let Some((frame, flags)) = fast.lookup(asid, vpage) {
+        let allowed = match access {
+            Access::Read => true,
+            Access::Write => flags.contains(PteFlags::WRITE),
         };
-        // Fill only when a walk actually happened — a TLB-resident
-        // translation is already cheap, and filling on it would make
-        // the hybrid strictly slower warm. The walker just filled the
-        // TLB, so an uncharged peek recovers the frame and flags.
-        if matches!(t.by, Satisfied::PageWalk) {
-            if let Some((frame, size, flags)) = ctx.mmu.tlb().peek(asid, va) {
-                if size == PageSize::Base {
-                    ctx.machine.charge_kind(CostKind::HybridFastFill);
-                    self.fast.insert(asid, vpage, frame, flags);
-                }
+        if allowed {
+            ctx.machine.charge_kind(CostKind::HybridFastHit);
+            if access == Access::Write {
+                // Hardware sets the dirty bit through the backing
+                // tables, as the TLB-hit path does.
+                ctx.pt.mark_accessed(root, va, true);
+            }
+            return Ok(PhysAddr(frame.base().0 + va.page_offset()));
+        }
+        // Wrong-permission entry: fall through to the walker,
+        // which raises the fault with ordinary charges.
+    }
+    let t = {
+        let proc = ctx.procs.get(pid).expect("kernel verified the pid");
+        ctx.mmu.translate(
+            ctx.machine,
+            ctx.pt,
+            proc.root,
+            &proc.ranges,
+            proc.asid,
+            va,
+            access,
+        )?
+    };
+    // Fill only when a walk actually happened — a TLB-resident
+    // translation is already cheap, and filling on it would make
+    // the hybrid strictly slower warm. The walker just filled the
+    // TLB, so an uncharged peek recovers the frame and flags.
+    if matches!(t.by, Satisfied::PageWalk) {
+        if let Some((frame, size, flags)) = ctx.mmu.tlb().peek(asid, va) {
+            if size == PageSize::Base {
+                ctx.machine.charge_kind(CostKind::HybridFastFill);
+                fast.insert(asid, vpage, frame, flags);
             }
         }
-        Ok(t.pa)
     }
-
-    fn translate_run(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        _va: VirtAddr,
-        _stride: i64,
-        _len: u64,
-        _access: Access,
-    ) -> Option<(PhysAddr, u64)> {
-        // The fast region participates in every translation, so a
-        // TLB-only span proof would charge differently than the
-        // interpreter. Always interpret; refusal is charge-free.
-        None
-    }
-
-    fn on_flush_asid(&mut self, asid: Asid) {
-        self.fast.remove_asid(asid);
-    }
-
-    fn gauges(&self, out: &mut Vec<(&'static str, u64)>) {
-        out.push(("utopia.fast_occupied", self.fast.occupied() as u64));
-        out.push(("utopia.fast_capacity", self.fast.capacity() as u64));
-    }
+    Ok(t.pa)
 }
 
 // ---- OBASE tiering (arXiv:2603.00378) ---------------------------------------
@@ -886,13 +753,13 @@ struct Install {
 
 /// Object/extent-granular DRAM↔NVM tiering over the two-tier
 /// [`o1_hw::PhysicalMemory`]: extents are born in NVM (the pmfs
-/// volume), accesses accrue heat, and [`MapMechanism::background_tick`]
+/// volume), accesses accrue heat, and [`Mechanism::background_tick`]
 /// promotes the hottest extents into a DRAM pool — whole extents, not
 /// pages — demoting colder residents to make room. Every page moved is
 /// charged as [`CostKind::PageMigrate`] plus the remap/shootdown costs,
 /// so the ledger shows exactly what tiering spends.
 #[derive(Debug)]
-struct ObaseMech {
+pub(crate) struct ObaseMech {
     dram_frames: u64,
     /// Free DRAM spans `(start, frames)`, sorted by start, coalesced.
     free_dram: Vec<(u64, u64)>,
@@ -1056,29 +923,21 @@ impl ObaseMech {
             self.records.swap_remove(idx);
         }
     }
-}
 
-impl MapMechanism for ObaseMech {
-    fn kind(&self) -> MapMech {
-        MapMech::Obase
-    }
-
-    fn label(&self) -> &'static str {
-        "fom-obase"
-    }
-
+    /// Install extent `fe` of file `id` at `va`, mapping the extent
+    /// where its data currently lives and recording the install.
+    #[allow(clippy::too_many_arguments)]
     fn install_extent(
         &mut self,
         ctx: &mut MechCtx<'_>,
+        root: PtNodeId,
         pid: Pid,
         id: FileId,
         fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
+        va: VirtAddr,
+        flags: PteFlags,
         pieces: &mut Vec<Piece>,
     ) -> Result<(), VmError> {
-        let va = base + fe.file_page * PAGE_SIZE;
-        let flags = prot.pte_flags();
         let home = fe.phys.start.0;
         let idx = match self.records.iter().position(|r| r.nvm_start == home) {
             Some(i) => {
@@ -1108,80 +967,14 @@ impl MapMechanism for ObaseMech {
             }
         };
         let cur = self.records[idx].dram_start.unwrap_or(home);
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
-        ctx.pt
-            .map_extent(
-                ctx.machine,
-                root,
-                va,
-                FrameNo(cur),
-                fe.phys.frames,
-                flags,
-                false,
-            )
-            .map_err(|_| VmError::BadRange)?;
+        let span = PhysExtent::new(FrameNo(cur), fe.phys.frames);
+        install_pages(ctx, root, va, span, flags, false, pieces)?;
         self.records[idx].installs.push(Install { pid, va, flags });
-        pieces.push(Piece::Pages {
-            va,
-            bytes: fe.phys.bytes(),
-        });
         Ok(())
     }
 
-    fn teardown_pieces(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        pieces: &[Piece],
-    ) -> Result<(), VmError> {
-        teardown_pieces_default(ctx, pid, pieces)?;
-        for piece in pieces {
-            if let Piece::Pages { va, .. } = *piece {
-                self.drop_install(ctx, pid, va);
-            }
-        }
-        Ok(())
-    }
-
-    fn translate(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        va: VirtAddr,
-        access: Access,
-    ) -> Result<PhysAddr, TranslateError> {
-        let pa = translate_default(ctx, pid, va, access)?;
-        self.note(pa, 1);
-        Ok(pa)
-    }
-
-    fn translate_run(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        access: Access,
-    ) -> Option<(PhysAddr, u64)> {
-        // A proven span stays inside one base page (extents map
-        // 4 KiB-grained), so its heat lands on one record — exactly
-        // what `span` interpreted accesses would do.
-        let r = translate_run_default(ctx, pid, va, stride, len, access);
-        if let Some((pa, span)) = r {
-            self.note(pa, span);
-        }
-        r
-    }
-
-    fn on_file_destroyed(&mut self, _ctx: &mut MechCtx<'_>, id: FileId) {
-        // By the drop-on-last-unmap invariant nothing should remain;
-        // sweep defensively so a stale record can never alias frames
-        // pmfs hands to someone else.
-        self.records.retain(|r| r.file != id);
-    }
-
-    fn on_set_class(&mut self, ctx: &mut MechCtx<'_>, id: FileId, class: FileClass) {
+    /// Freeze or thaw file `id`'s extents after its class changed.
+    fn set_class(&mut self, ctx: &mut MechCtx<'_>, id: FileId, class: FileClass) {
         let persistent = class == FileClass::Persistent;
         for idx in 0..self.records.len() {
             if self.records[idx].file != id {
@@ -1196,18 +989,9 @@ impl MapMechanism for ObaseMech {
         }
     }
 
-    fn on_crash(&mut self, _ctx: &mut MechCtx<'_>) {
-        // DRAM died with the machine; persistent extents were never
-        // promoted, so nothing needs copying back.
-        self.records.clear();
-        self.free_dram = if self.dram_frames > 0 {
-            vec![(0, self.dram_frames)]
-        } else {
-            Vec::new()
-        };
-    }
-
-    fn background_tick(&mut self, ctx: &mut MechCtx<'_>, budget_pages: u64) -> u64 {
+    /// One migration pass: promote the hottest extents that fit the
+    /// page budget, demoting strictly-colder residents to make room.
+    fn tick(&mut self, ctx: &mut MechCtx<'_>, budget_pages: u64) -> u64 {
         let mut budget = budget_pages;
         let mut moved = 0u64;
         'outer: loop {
@@ -1256,10 +1040,6 @@ impl MapMechanism for ObaseMech {
             r.heat /= 2;
         }
         moved
-    }
-
-    fn migrated_pages(&self) -> u64 {
-        self.migrated
     }
 
     fn gauges(&self, out: &mut Vec<(&'static str, u64)>) {

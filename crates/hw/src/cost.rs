@@ -129,7 +129,7 @@ pub struct CostModel {
     pub mmap_fixed: u64,
     /// Touching one page's `struct page` metadata (flags, LRU, counts).
     pub page_meta_update: u64,
-    /// Examining one page during a reclaim scan (clock/2Q).
+    /// Examining one page during a reclaim scan (clock).
     pub reclaim_scan_page: u64,
     /// Writing one page to the swap device.
     pub swap_out_page: u64,

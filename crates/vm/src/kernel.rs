@@ -8,7 +8,7 @@
 //! * demand faults pay the trap + handler cost per page (Figure 1b);
 //! * per-frame [`PageMeta`](crate::page_meta::PageMeta) records with
 //!   the 25 Linux page flags;
-//! * clock / 2Q reclaim with a swap device, triggered below a free-
+//! * clock reclaim with a swap device, triggered below a free-
 //!   memory watermark (A-RECLAIM);
 //! * copy-on-write (fork and `MAP_PRIVATE` file mappings) and page
 //!   pinning — the page-granular features the paper concedes are hard
@@ -250,7 +250,7 @@ impl BaselineKernel {
             tmpfs: Tmpfs::new(),
             meta: PageMetaTable::new(frames),
             swap: SwapDevice::new(),
-            lru: LruLists::new(config.reclaim),
+            lru: LruLists::default(),
             low_watermark: config.low_watermark_frames,
             swap_enabled: config.swap_enabled,
             thp: config.thp,
@@ -528,11 +528,11 @@ impl BaselineKernel {
             self.space_overhead += rounded - len;
             len = rounded;
         }
+        let huge_align = anon && self.thp != ThpMode::Never && len >= HUGE_2M;
+        let proc = self.core.proc_mut(pid)?;
         if let Backing::File { id, .. } = backing {
             self.tmpfs.inc_ref(id).map_err(VmError::from)?;
         }
-        let huge_align = anon && self.thp != ThpMode::Never && len >= HUGE_2M;
-        let proc = self.core.proc_mut(pid)?;
         // Leave a one-page guard gap before the region, as real mmap
         // layouts do (also keeps stacks from silently merging into
         // heaps). Huge-eligible regions are 2 MiB-aligned so the
@@ -1840,6 +1840,25 @@ mod tests {
         let mut buf = [0u8; 8];
         k.file_read(id, 8, &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 99);
+    }
+
+    #[test]
+    fn failed_file_mmap_takes_no_reference() {
+        let mut k = kernel();
+        let free0 = k.free_frames();
+        let gone = k.create_process().unwrap();
+        k.destroy_process(gone).unwrap();
+        let id = k.create_file("data", 4 * PAGE_SIZE).unwrap();
+        k.file_allocate(id, 0, 4 * PAGE_SIZE).unwrap();
+        assert!(k.free_frames() < free0);
+        let backing = Backing::File { id, offset: 0 };
+        let mapped = k.mmap(gone, PAGE_SIZE, Prot::Read, backing, MapFlags::shared());
+        assert_eq!(mapped, Err(VmError::NoProcess));
+        // Unlinking an unreferenced file destroys it at once.
+        let (machine, tmpfs, alloc) = (&mut k.core.machine, &mut k.tmpfs, &mut k.alloc);
+        tmpfs.unlink(machine, alloc, "data").unwrap();
+        assert!(k.tmpfs.file(id).is_err());
+        assert_eq!(k.free_frames(), free0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   vs `MAP_POPULATE`, COW (fork and private file mappings), page
 //!   pinning, per-page teardown;
 //! * [`page_meta`] — the `struct page` model (25 flags, 64 B/frame);
-//! * [`reclaim`] — clock and 2Q scanning plus a swap device;
+//! * [`reclaim`] — clock scanning plus a swap device;
 //! * [`api`] — the [`api::MemSys`] trait shared with the file-only
 //!   memory kernel so workloads drive both identically;
 //! * [`kernel_core`] — the state and code both kernels embed: process

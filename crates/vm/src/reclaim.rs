@@ -3,9 +3,9 @@
 //! The paper's point (§3.1): with ample persistent memory "there is no
 //! need to track the clean/dirty/referenced status of most memory,
 //! which avoids the need for page reclamation algorithms (e.g., clock,
-//! 2-queue)". To *measure* what is avoided, the baseline implements
-//! both: a clock list and a simplified 2Q (active/inactive). The
-//! A-RECLAIM ablation charges every page the scan examines.
+//! 2-queue)". To *measure* what is avoided, the baseline implements a
+//! clock list. The A-RECLAIM ablation charges every page the scan
+//! examines.
 
 use o1_hw::CostKind;
 use std::collections::VecDeque;
@@ -77,13 +77,14 @@ impl SwapDevice {
     }
 }
 
-/// Which LRU approximation the kernel runs.
+/// Which LRU approximation the kernel runs. Clock is the only one;
+/// the enum and [`BaselineConfig::reclaim`](crate::BaselineConfig::reclaim)
+/// stay because the host benchmark (`hostbench/src/kernels.rs`) names
+/// both.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReclaimPolicy {
     /// Single clock list with a second-chance hand.
     Clock,
-    /// Active/inactive lists (simplified 2Q).
-    TwoQueue,
 }
 
 /// What the kernel should do with a scanned candidate.
@@ -95,36 +96,21 @@ pub enum ScanDecision {
     Evict,
 }
 
-/// LRU bookkeeping over frames. Membership is tracked with a set so
-/// removal is O(1) amortised (dead entries are skipped lazily).
-#[derive(Debug)]
+/// LRU bookkeeping over frames: one clock list. Membership is tracked
+/// with a set so removal is O(1) amortised (dead entries are skipped
+/// lazily).
+#[derive(Debug, Default)]
 pub struct LruLists {
-    policy: ReclaimPolicy,
-    /// Clock list, or the *inactive* list under 2Q.
-    inactive: VecDeque<FrameNo>,
-    /// Active list (2Q only).
-    active: VecDeque<FrameNo>,
+    clock: VecDeque<FrameNo>,
     /// Keyed by frame number — trusted fixed-width hardware ids,
     /// probed once per scanned candidate, so the fast hasher is safe.
-    member_inactive: FastSet<FrameNo>,
-    member_active: FastSet<FrameNo>,
+    member: FastSet<FrameNo>,
 }
 
 impl LruLists {
-    /// Empty lists for the given policy.
-    pub fn new(policy: ReclaimPolicy) -> LruLists {
-        LruLists {
-            policy,
-            inactive: VecDeque::new(),
-            active: VecDeque::new(),
-            member_inactive: FastSet::default(),
-            member_active: FastSet::default(),
-        }
-    }
-
     /// Frames currently tracked.
     pub fn len(&self) -> usize {
-        self.member_inactive.len() + self.member_active.len()
+        self.member.len()
     }
 
     /// True if nothing is tracked.
@@ -132,64 +118,40 @@ impl LruLists {
         self.len() == 0
     }
 
-    /// A newly-mapped frame enters the (in)active list tail.
+    /// A newly-mapped frame enters the list tail.
     pub fn insert(&mut self, frame: FrameNo) {
-        if self.member_inactive.contains(&frame) || self.member_active.contains(&frame) {
-            return;
+        if !self.member.contains(&frame) {
+            self.clock.push_back(frame);
+            self.member.insert(frame);
         }
-        self.inactive.push_back(frame);
-        self.member_inactive.insert(frame);
     }
 
     /// Remove a frame (freed or evicted). Lazy: the queue entry is
     /// skipped when it surfaces.
     pub fn remove(&mut self, frame: FrameNo) {
-        self.member_inactive.remove(&frame);
-        self.member_active.remove(&frame);
+        self.member.remove(&frame);
     }
 
-    /// Next candidate frame to examine, or `None` if all lists are
+    /// Next candidate frame to examine, or `None` if the list is
     /// empty. The caller decides (based on referenced bits) and feeds
     /// the verdict back via [`LruLists::verdict`].
     pub fn next_candidate(&mut self) -> Option<FrameNo> {
-        // 2Q scans the inactive list first, refilling from active.
-        loop {
-            if let Some(f) = self.inactive.pop_front() {
-                if self.member_inactive.remove(&f) {
-                    return Some(f);
-                }
-                continue; // dead entry
+        while let Some(f) = self.clock.pop_front() {
+            if self.member.remove(&f) {
+                return Some(f);
             }
-            match self.policy {
-                ReclaimPolicy::Clock => return None,
-                ReclaimPolicy::TwoQueue => {
-                    // Demote the whole active list head-to-tail once.
-                    let f = self.active.pop_front()?;
-                    if self.member_active.remove(&f) {
-                        self.inactive.push_back(f);
-                        self.member_inactive.insert(f);
-                    }
-                }
-            }
+            // A dead entry: skip it.
         }
+        None
     }
 
     /// Report the decision for a candidate from
-    /// [`LruLists::next_candidate`]. `Rotate` re-queues it (clock) or
-    /// promotes it to the active list (2Q); `Evict` drops it.
+    /// [`LruLists::next_candidate`]. `Rotate` re-queues it at the
+    /// tail; `Evict` drops it.
     pub fn verdict(&mut self, frame: FrameNo, d: ScanDecision) {
-        match d {
-            ScanDecision::Evict => {}
-            ScanDecision::Rotate => match self.policy {
-                ReclaimPolicy::Clock => {
-                    self.inactive.push_back(frame);
-                    self.member_inactive.insert(frame);
-                }
-                ReclaimPolicy::TwoQueue => {
-                    self.active.push_back(frame);
-                    self.member_active.insert(frame);
-                }
-            },
+        if d == ScanDecision::Rotate {
+            self.clock.push_back(frame);
+            self.member.insert(frame);
         }
     }
 }
@@ -239,7 +201,7 @@ mod tests {
 
     #[test]
     fn clock_rotation_gives_second_chance() {
-        let mut l = LruLists::new(ReclaimPolicy::Clock);
+        let mut l = LruLists::default();
         l.insert(FrameNo(1));
         l.insert(FrameNo(2));
         let c = l.next_candidate().unwrap();
@@ -255,7 +217,7 @@ mod tests {
 
     #[test]
     fn removal_is_lazy_but_effective() {
-        let mut l = LruLists::new(ReclaimPolicy::Clock);
+        let mut l = LruLists::default();
         l.insert(FrameNo(1));
         l.insert(FrameNo(2));
         l.remove(FrameNo(1));
@@ -265,40 +227,9 @@ mod tests {
 
     #[test]
     fn duplicate_insert_ignored() {
-        let mut l = LruLists::new(ReclaimPolicy::Clock);
+        let mut l = LruLists::default();
         l.insert(FrameNo(1));
         l.insert(FrameNo(1));
         assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn two_queue_promotes_referenced() {
-        let mut l = LruLists::new(ReclaimPolicy::TwoQueue);
-        l.insert(FrameNo(1));
-        l.insert(FrameNo(2));
-        // Frame 1 referenced → promoted to active.
-        let c = l.next_candidate().unwrap();
-        l.verdict(c, ScanDecision::Rotate);
-        // Frame 2 unreferenced → evicted.
-        let c2 = l.next_candidate().unwrap();
-        assert_eq!(c2, FrameNo(2));
-        l.verdict(c2, ScanDecision::Evict);
-        // Inactive empty: the active list is demoted and rescanned.
-        assert_eq!(l.next_candidate().unwrap(), FrameNo(1));
-    }
-
-    #[test]
-    fn two_queue_drains_fully() {
-        let mut l = LruLists::new(ReclaimPolicy::TwoQueue);
-        for i in 0..10 {
-            l.insert(FrameNo(i));
-        }
-        let mut evicted = 0;
-        while let Some(c) = l.next_candidate() {
-            l.verdict(c, ScanDecision::Evict);
-            evicted += 1;
-        }
-        assert_eq!(evicted, 10);
-        assert!(l.is_empty());
     }
 }

@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{Arena, DmaEngine, Handle};
+use o1mem::memfs::FileClass;
 use o1mem::vm::{AccessRun, BaselineKernel, MemSys, Pid, Prot, VmError};
 use o1mem::{VirtAddr, PAGE_SIZE};
 
@@ -198,5 +199,17 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
             k.dma_transfer(p, va, u64::MAX, &mut dma)
         });
         k.destroy_process(p).unwrap();
+        // Mapping a file into the dead pid fails without taking a
+        // file reference, so deleting the name frees the file.
+        let (free0, keys0) = (k.free_frames(), k.keys_live());
+        let owner = k.create_process().unwrap();
+        let (_, base) = k
+            .create_named(owner, "/f", 1 << 20, FileClass::Persistent)
+            .unwrap();
+        k.unmap(owner, base).unwrap();
+        assert_eq!(k.open_map(p, "/f", Prot::Read), Err(VmError::NoProcess));
+        k.delete("/f").unwrap();
+        assert_eq!(k.free_frames(), free0, "{mech:?} leaked frames");
+        assert_eq!(k.keys_live(), keys0, "{mech:?} leaked a key");
     }
 }

@@ -140,39 +140,33 @@ fn baseline_pinning_blocks_eviction_fom_needs_none() {
 #[test]
 fn baseline_survives_heavy_overcommit_via_swap() {
     use o1mem::vm::{BaselineConfig, ReclaimPolicy, ThpMode};
-    for policy in [ReclaimPolicy::Clock, ReclaimPolicy::TwoQueue] {
-        let mut k = BaselineKernel::new(BaselineConfig {
-            dram_bytes: 128 * PAGE_SIZE,
-            reclaim: policy,
-            low_watermark_frames: 16,
-            swap_enabled: true,
-            thp: ThpMode::Never,
-            fault_around: 1,
-        });
-        let pid = MemSys::create_process(&mut k).unwrap();
-        let pages = 400u64;
-        let va = k
-            .mmap(
-                pid,
-                pages * PAGE_SIZE,
-                Prot::ReadWrite,
-                Backing::Anon,
-                MapFlags::private(),
-            )
-            .unwrap();
-        for p in 0..pages {
-            k.store(pid, va + p * PAGE_SIZE, p * 3).unwrap();
-        }
-        for p in 0..pages {
-            assert_eq!(
-                k.load(pid, va + p * PAGE_SIZE).unwrap(),
-                p * 3,
-                "{policy:?} p{p}"
-            );
-        }
-        assert!(k.stats().counters.pages_swapped_out > 0, "{policy:?}");
-        assert!(k.stats().counters.major_faults > 0, "{policy:?}");
+    let mut k = BaselineKernel::new(BaselineConfig {
+        dram_bytes: 128 * PAGE_SIZE,
+        reclaim: ReclaimPolicy::Clock,
+        low_watermark_frames: 16,
+        swap_enabled: true,
+        thp: ThpMode::Never,
+        fault_around: 1,
+    });
+    let pid = MemSys::create_process(&mut k).unwrap();
+    let pages = 400u64;
+    let va = k
+        .mmap(
+            pid,
+            pages * PAGE_SIZE,
+            Prot::ReadWrite,
+            Backing::Anon,
+            MapFlags::private(),
+        )
+        .unwrap();
+    for p in 0..pages {
+        k.store(pid, va + p * PAGE_SIZE, p * 3).unwrap();
     }
+    for p in 0..pages {
+        assert_eq!(k.load(pid, va + p * PAGE_SIZE).unwrap(), p * 3, "p{p}");
+    }
+    assert!(k.stats().counters.pages_swapped_out > 0);
+    assert!(k.stats().counters.major_faults > 0);
 }
 
 #[test]

@@ -181,27 +181,22 @@ fn long_run_with_memory_pressure_on_baseline() {
     use o1mem::vm::{BaselineConfig, ReclaimPolicy, ThpMode};
     let ops = generate(77, 300);
     let expected = run_oracle(&ops);
-    for policy in [ReclaimPolicy::Clock, ReclaimPolicy::TwoQueue] {
-        let mut k = BaselineKernel::new(BaselineConfig {
-            dram_bytes: 160 * PAGE_SIZE,
-            reclaim: policy,
-            low_watermark_frames: 16,
-            swap_enabled: true,
-            thp: ThpMode::Never,
-            fault_around: 1,
-        });
-        let check = |k: &BaselineKernel| k.check_consistency().unwrap();
-        assert_eq!(
-            run(&mut k, &ops, check),
-            expected,
-            "{policy:?} diverged under pressure"
-        );
-        k.check_consistency().unwrap();
-        assert!(
-            k.stats().counters.pages_swapped_out > 0,
-            "{policy:?} never swapped"
-        );
-    }
+    let mut k = BaselineKernel::new(BaselineConfig {
+        dram_bytes: 160 * PAGE_SIZE,
+        reclaim: ReclaimPolicy::Clock,
+        low_watermark_frames: 16,
+        swap_enabled: true,
+        thp: ThpMode::Never,
+        fault_around: 1,
+    });
+    let check = |k: &BaselineKernel| k.check_consistency().unwrap();
+    assert_eq!(
+        run(&mut k, &ops, check),
+        expected,
+        "diverged under pressure"
+    );
+    k.check_consistency().unwrap();
+    assert!(k.stats().counters.pages_swapped_out > 0, "never swapped");
 }
 
 /// fom-specific lifecycle fuzz: falloc / store / fgrow / mprotect /
@@ -212,7 +207,7 @@ fn fom_lifecycle_fuzz_with_crashes() {
     use o1mem::core::MapMech;
     use o1mem::vm::Prot;
 
-    for mech in [MapMech::SharedPt, MapMech::Ranges, MapMech::PageTables] {
+    for mech in MapMech::ALL {
         for seed in [3u64, 11, 2026] {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut k = FomKernel::builder().mech(mech).build();
