@@ -39,19 +39,31 @@ pub fn attribution_table_with(trace: &FigureTrace, a: &Attribution) -> String {
         trace.machines.len(),
         a.total_ns
     );
-    let _ = writeln!(out, "{:>14}  {:>12}  {:>16}  {:>7}", "subsystem", "count", "ns", "share");
+    let _ = writeln!(
+        out,
+        "{:>14}  {:>12}  {:>16}  {:>7}",
+        "subsystem", "count", "ns", "share"
+    );
     for &(sub, count, ns) in &a.by_subsystem {
         let _ = write!(out, "{:>14}  {count:>12}  {ns:>16}  ", sub.name());
         push_pct(&mut out, ns, a.total_ns);
         let _ = writeln!(out);
     }
-    let _ = writeln!(out, "{:>14}  {:>12}  {:>16}  {:>7}", "phase", "", "ns", "share");
+    let _ = writeln!(
+        out,
+        "{:>14}  {:>12}  {:>16}  {:>7}",
+        "phase", "", "ns", "share"
+    );
     for &(phase, ns) in &a.by_phase {
         let _ = write!(out, "{phase:>14}  {:>12}  {ns:>16}  ", "");
         push_pct(&mut out, ns, a.total_ns);
         let _ = writeln!(out);
     }
-    let _ = writeln!(out, "{:>24}  {:>12}  {:>16}  {:>7}", "kind", "count", "ns", "share");
+    let _ = writeln!(
+        out,
+        "{:>24}  {:>12}  {:>16}  {:>7}",
+        "kind", "count", "ns", "share"
+    );
     for &(kind, count, ns) in &a.by_kind {
         let _ = write!(out, "{:>24}  {count:>12}  {ns:>16}  ", kind.name());
         push_pct(&mut out, ns, a.total_ns);
@@ -121,9 +133,11 @@ pub(crate) fn write_attribution_json(out: &mut String, a: &Attribution, level: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{figure_extras, figures_to_json_pretty, figures_to_json_pretty_with_extras, Figure};
-    use o1_obs::attribute;
     use crate::runner::{figure_fn, run_figures, RunnerOptions};
+    use crate::{
+        figure_extras, figures_to_json_pretty, figures_to_json_pretty_with_extras, Figure,
+    };
+    use o1_obs::attribute;
 
     fn traced_fig2() -> (Vec<Figure>, Vec<FigureTrace>) {
         let fns = vec![figure_fn("fig2").unwrap()];

@@ -131,7 +131,11 @@ fn main() {
     for r in &report.regressions {
         println!("REGRESSION: {r}");
     }
-    let verdict = if report.passed() { "within budget" } else { "REGRESSED" };
+    let verdict = if report.passed() {
+        "within budget"
+    } else {
+        "REGRESSED"
+    };
     println!(
         "bench-diff: {} figures, {} comparisons, {} regressions — {verdict}",
         old.len(),

@@ -349,11 +349,16 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        None => ALL_IDS.iter().map(|id| figure_fn(id).expect("known id")).collect(),
+        None => ALL_IDS
+            .iter()
+            .map(|id| figure_fn(id).expect("known id"))
+            .collect(),
     };
 
     let threads = cli.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     });
     let tracing =
         cli.trace_dir.is_some() || cli.timeline_dir.is_some() || cli.attrib || cli.latency;
@@ -365,7 +370,13 @@ fn main() {
     };
 
     let (reports, identical): (Vec<RunReport>, Option<bool>) = if cli.profile {
-        let seq = run_figures(&fns, &RunnerOptions { threads: 1, ..opts.clone() });
+        let seq = run_figures(
+            &fns,
+            &RunnerOptions {
+                threads: 1,
+                ..opts.clone()
+            },
+        );
         let par = run_figures(&fns, &opts);
         let same = figures_to_json_pretty(&seq.figures()) == figures_to_json_pretty(&par.figures());
         eprintln!(
@@ -438,9 +449,7 @@ fn main() {
 
     if cli.attrib {
         for (f, e) in figures.iter().zip(&extras) {
-            if let (Some(t), Some(a)) =
-                (traces.iter().find(|t| t.id == f.id), &e.attribution)
-            {
+            if let (Some(t), Some(a)) = (traces.iter().find(|t| t.id == f.id), &e.attribution) {
                 println!("{}", attribution_table_with(t, a));
             }
         }
@@ -459,8 +468,7 @@ fn main() {
         let jsonl = format!("{dir}/trace.jsonl");
         std::fs::write(&jsonl, o1_obs::export_jsonl(&traces)).expect("write trace jsonl");
         let chrome = format!("{dir}/chrome_trace.json");
-        std::fs::write(&chrome, o1_obs::export_chrome_trace(&traces))
-            .expect("write chrome trace");
+        std::fs::write(&chrome, o1_obs::export_chrome_trace(&traces)).expect("write chrome trace");
         eprintln!("wrote {jsonl} and {chrome}");
     }
 

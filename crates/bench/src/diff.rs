@@ -369,13 +369,16 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
     let mut r = DiffReport::default();
     for of in old {
         let Some(nf) = new.iter().find(|nf| nf.id == of.id) else {
-            r.regressions.push(format!("{}: figure missing from new run", of.id));
+            r.regressions
+                .push(format!("{}: figure missing from new run", of.id));
             continue;
         };
         for os in &of.series {
             let Some(ns) = nf.series.iter().find(|ns| ns.label == os.label) else {
-                r.regressions
-                    .push(format!("{}/{}: series missing from new run", of.id, os.label));
+                r.regressions.push(format!(
+                    "{}/{}: series missing from new run",
+                    of.id, os.label
+                ));
                 continue;
             };
             r.comparisons += 2;
@@ -407,7 +410,10 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
             }
         }
         for ol in &of.latency {
-            let key = format!("{}/{}[{} {} {}]", of.id, "latency", ol.mech, ol.op, ol.phase);
+            let key = format!(
+                "{}/{}[{} {} {}]",
+                of.id, "latency", ol.mech, ol.op, ol.phase
+            );
             let Some(nl) = nf
                 .latency
                 .iter()
@@ -418,7 +424,8 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
                     // regression per row (the gate should trace).
                     continue;
                 }
-                r.regressions.push(format!("{key}: latency row missing from new run"));
+                r.regressions
+                    .push(format!("{key}: latency row missing from new run"));
                 continue;
             };
             r.comparisons += 5;
@@ -442,8 +449,10 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
             }
         }
         if of.latency.is_empty() && !nf.latency.is_empty() {
-            r.notes
-                .push(format!("{}: new run adds latency rows (old was untraced)", of.id));
+            r.notes.push(format!(
+                "{}: new run adds latency rows (old was untraced)",
+                of.id
+            ));
         }
         if !of.latency.is_empty() && nf.latency.is_empty() {
             r.notes.push(format!(
@@ -455,7 +464,8 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
     }
     for nf in new {
         if !old.iter().any(|of| of.id == nf.id) {
-            r.notes.push(format!("{}: new figure (not in old run)", nf.id));
+            r.notes
+                .push(format!("{}: new figure (not in old run)", nf.id));
         }
     }
     r
@@ -513,12 +523,24 @@ pub fn full_suite_ms(doc: &Value, old: &[FigMetrics]) -> Option<f64> {
     let runs = doc.get("runs")?.as_arr()?;
     let mut best: Vec<(&str, f64)> = Vec::new();
     for run in runs {
-        for fig in run.get("figures").and_then(Value::as_arr).into_iter().flatten() {
-            let Some(id) = fig.get("id").and_then(Value::as_str) else { continue };
+        for fig in run
+            .get("figures")
+            .and_then(Value::as_arr)
+            .into_iter()
+            .flatten()
+        {
+            let Some(id) = fig.get("id").and_then(Value::as_str) else {
+                continue;
+            };
             if !old.iter().any(|f| f.id == id) {
                 continue;
             }
-            for w in fig.get("wall_ms").and_then(Value::as_arr).into_iter().flatten() {
+            for w in fig
+                .get("wall_ms")
+                .and_then(Value::as_arr)
+                .into_iter()
+                .flatten()
+            {
                 let Some(ms) = w.as_f64() else { continue };
                 match best.iter_mut().find(|(b, _)| *b == id) {
                     Some((_, b)) => *b = b.min(ms),
@@ -539,8 +561,7 @@ pub fn full_suite_ms(doc: &Value, old: &[FigMetrics]) -> Option<f64> {
 /// other members round-trip through the parser untouched — numbers
 /// keep their exact source text.
 pub fn append_trajectory(path: &str, entry: &TrajectoryEntry) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let mut doc = crate::jsonval::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let Value::Obj(members) = &mut doc else {
         return Err(format!("{path}: not a JSON object"));
@@ -548,10 +569,7 @@ pub fn append_trajectory(path: &str, entry: &TrajectoryEntry) -> Result<(), Stri
     match members.iter_mut().find(|(k, _)| k == "trajectory") {
         Some((_, Value::Arr(items))) => items.push(entry.to_value()),
         Some(_) => return Err(format!("{path}: \"trajectory\" is not an array")),
-        None => members.push((
-            "trajectory".into(),
-            Value::Arr(vec![entry.to_value()]),
-        )),
+        None => members.push(("trajectory".into(), Value::Arr(vec![entry.to_value()]))),
     }
     let mut out = String::new();
     write_bench_value(&mut out, &doc);
@@ -686,8 +704,16 @@ mod tests {
         new[0].latency.pop();
         let bad = diff_metrics(&old, &new, &thr);
         assert!(!bad.passed());
-        assert!(bad.regressions.iter().any(|l| l.contains("mean")), "{:?}", bad.regressions);
-        assert!(bad.regressions.iter().any(|l| l.contains("p99 ")), "{:?}", bad.regressions);
+        assert!(
+            bad.regressions.iter().any(|l| l.contains("mean")),
+            "{:?}",
+            bad.regressions
+        );
+        assert!(
+            bad.regressions.iter().any(|l| l.contains("p99 ")),
+            "{:?}",
+            bad.regressions
+        );
         assert!(
             bad.regressions.iter().any(|l| l.contains("missing")),
             "{:?}",
@@ -752,8 +778,14 @@ mod tests {
         append_trajectory(path, &entry).unwrap();
         append_trajectory(path, &entry).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.contains("\"schema\": \"o1mem/bench-figures/v2\""), "{text}");
-        assert!(text.contains("\"total_wall_ms\":1.5"), "exact number kept: {text}");
+        assert!(
+            text.contains("\"schema\": \"o1mem/bench-figures/v2\""),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"total_wall_ms\":1.5"),
+            "exact number kept: {text}"
+        );
         let doc = parse(&text).unwrap();
         let traj = doc.get("trajectory").unwrap().as_arr().unwrap();
         assert_eq!(traj.len(), 2);

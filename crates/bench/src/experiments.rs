@@ -1328,10 +1328,7 @@ pub fn fig_hostmem() -> Figure {
     let mut s_ranges = Series::new("fom extent ranges");
     for mib in HOSTMEM_SIZES_MIB {
         let bytes = mib << 20;
-        s_base.push(
-            mib,
-            peak_during(|| drive(&mut baseline(bytes * 2), bytes)),
-        );
+        s_base.push(mib, peak_during(|| drive(&mut baseline(bytes * 2), bytes)));
         s_pt.push(
             mib,
             peak_during(|| drive(&mut fom(MapMech::PageTables, bytes * 2), bytes)),
@@ -1475,22 +1472,40 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
         let mut k = service_baseline(4);
         let live0 = o1_obs::hostmem::snapshot().live_bytes;
         let mut i = 0u64;
-        drive_service_fleet(&mut k, t_gauge, SERVICE_LIVE_CAP, APPS, THETA, SEED, true, |_| {
-            i += 1;
-            let live = o1_obs::hostmem::snapshot().live_bytes;
-            s.push(i, live.saturating_sub(live0) as f64 / 1024.0);
-        })
+        drive_service_fleet(
+            &mut k,
+            t_gauge,
+            SERVICE_LIVE_CAP,
+            APPS,
+            THETA,
+            SEED,
+            true,
+            |_| {
+                i += 1;
+                let live = o1_obs::hostmem::snapshot().live_bytes;
+                s.push(i, live.saturating_sub(live0) as f64 / 1024.0);
+            },
+        )
         .unwrap();
     });
     let s_gauge_ranges = gauge_series("fom-ranges host live over churn (KiB)", |s| {
         let mut k = service_fom(MapMech::Ranges, 4);
         let live0 = o1_obs::hostmem::snapshot().live_bytes;
         let mut i = 0u64;
-        drive_service_fleet(&mut k, t_gauge, SERVICE_LIVE_CAP, APPS, THETA, SEED, true, |_| {
-            i += 1;
-            let live = o1_obs::hostmem::snapshot().live_bytes;
-            s.push(i, live.saturating_sub(live0) as f64 / 1024.0);
-        })
+        drive_service_fleet(
+            &mut k,
+            t_gauge,
+            SERVICE_LIVE_CAP,
+            APPS,
+            THETA,
+            SEED,
+            true,
+            |_| {
+                i += 1;
+                let live = o1_obs::hostmem::snapshot().live_bytes;
+                s.push(i, live.saturating_sub(live0) as f64 / 1024.0);
+            },
+        )
         .unwrap();
     });
     // Storm-migration contrast over the CPU count.

@@ -229,8 +229,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Surrogate pairs never appear in our documents;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));

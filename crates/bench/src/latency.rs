@@ -13,7 +13,9 @@
 
 use std::fmt::Write as _;
 
-use o1_obs::{attribute, latency_rows, merge_series, Attribution, FigureTrace, GaugeSeries, LatencyRow};
+use o1_obs::{
+    attribute, latency_rows, merge_series, Attribution, FigureTrace, GaugeSeries, LatencyRow,
+};
 
 use crate::attrib::write_attribution_json;
 use crate::json;
@@ -213,7 +215,10 @@ pub fn figures_to_json_pretty_enriched(
     attrib: bool,
     latency: bool,
 ) -> String {
-    figures_to_json_pretty_with_extras(figures, &figure_extras(figures, traces, attrib, latency, false))
+    figures_to_json_pretty_with_extras(
+        figures,
+        &figure_extras(figures, traces, attrib, latency, false),
+    )
 }
 
 #[cfg(test)]

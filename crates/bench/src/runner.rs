@@ -272,8 +272,21 @@ mod tests {
             .iter()
             .map(|id| figure_fn(id).unwrap())
             .collect();
-        let seq = run_figures(&fns, &RunnerOptions { threads: 1, ..Default::default() });
-        let par = run_figures(&fns, &RunnerOptions { threads: 3, repeat: 2, ..Default::default() });
+        let seq = run_figures(
+            &fns,
+            &RunnerOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        let par = run_figures(
+            &fns,
+            &RunnerOptions {
+                threads: 3,
+                repeat: 2,
+                ..Default::default()
+            },
+        );
         assert_eq!(seq.threads, 1);
         assert_eq!(par.threads, 3);
         assert_eq!(par.runs[0].wall_ns.len(), 2, "repeats all timed");

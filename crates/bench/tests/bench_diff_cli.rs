@@ -33,7 +33,10 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn run(args: &[&str]) -> (i32, String) {
-    let out = Command::new(BIN).args(args).output().expect("spawn bench-diff");
+    let out = Command::new(BIN)
+        .args(args)
+        .output()
+        .expect("spawn bench-diff");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     (out.status.code().expect("exit code"), stdout)
 }

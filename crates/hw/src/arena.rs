@@ -91,14 +91,14 @@ impl<T> Arena<T> {
                 let slot = &mut self.slots[idx as usize];
                 debug_assert!(slot.val.is_none(), "free list points at a live slot");
                 slot.val = Some(val);
-                Handle {
-                    idx,
-                    gen: slot.gen,
-                }
+                Handle { idx, gen: slot.gen }
             }
             None => {
                 let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
-                self.slots.push(Slot { gen: 0, val: Some(val) });
+                self.slots.push(Slot {
+                    gen: 0,
+                    val: Some(val),
+                });
                 Handle { idx, gen: 0 }
             }
         }

@@ -112,10 +112,7 @@ mod tests {
         assert_eq!(fr.capacity(), 64);
         let (a1, a2) = (Asid(1), Asid(2));
         fr.insert(a1, 7, FrameNo(100), PteFlags::user_rw());
-        assert_eq!(
-            fr.lookup(a1, 7),
-            Some((FrameNo(100), PteFlags::user_rw()))
-        );
+        assert_eq!(fr.lookup(a1, 7), Some((FrameNo(100), PteFlags::user_rw())));
         assert_eq!(fr.lookup(a2, 7), None, "tags include the ASID");
         fr.remove_asid(a1);
         assert_eq!(fr.lookup(a1, 7), None);

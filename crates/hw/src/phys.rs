@@ -69,8 +69,7 @@ impl FrameBacking {
                     let s = eo.max(off);
                     let e = (eo + 8).min(off + out.len());
                     if s < e {
-                        out[s - off..e - off]
-                            .copy_from_slice(&v.to_le_bytes()[s - eo..e - eo]);
+                        out[s - off..e - off].copy_from_slice(&v.to_le_bytes()[s - eo..e - eo]);
                     }
                 }
             }
@@ -159,7 +158,11 @@ impl FrameImage {
     /// # Panics
     /// Panics unless `bytes` is exactly one page.
     pub fn from_page(bytes: Box<[u8]>) -> FrameImage {
-        assert_eq!(bytes.len() as u64, PAGE_SIZE, "frame images are whole pages");
+        assert_eq!(
+            bytes.len() as u64,
+            PAGE_SIZE,
+            "frame images are whole pages"
+        );
         FrameImage(Some(FrameBacking::Full(bytes)))
     }
 
@@ -218,16 +221,17 @@ impl PhysicalMemory {
     /// Borrow the backing of `frame`, if any.
     #[inline]
     fn frame_backing(&self, frame: u64) -> Option<&FrameBacking> {
-        self.chunks
-            .get(&(frame >> CHUNK_SHIFT))?
-            .frames[(frame & (CHUNK_FRAMES - 1)) as usize]
+        self.chunks.get(&(frame >> CHUNK_SHIFT))?.frames[(frame & (CHUNK_FRAMES - 1)) as usize]
             .as_ref()
     }
 
     /// Fully materialized backing bytes of `frame`, allocated (zeroed)
     /// on first touch; word-entry backing is promoted to a page.
     fn frame_bytes_mut(&mut self, frame: u64) -> &mut Box<[u8]> {
-        let chunk = self.chunks.entry(frame >> CHUNK_SHIFT).or_insert_with(Chunk::new);
+        let chunk = self
+            .chunks
+            .entry(frame >> CHUNK_SHIFT)
+            .or_insert_with(Chunk::new);
         let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
         match slot {
             None => {
@@ -252,7 +256,10 @@ impl PhysicalMemory {
     /// Drop the backing of `frame`, releasing its chunk when empty.
     fn drop_frame(&mut self, frame: u64) {
         if let Some(chunk) = self.chunks.get_mut(&(frame >> CHUNK_SHIFT)) {
-            if chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize].take().is_some() {
+            if chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize]
+                .take()
+                .is_some()
+            {
                 chunk.backed -= 1;
                 self.backed -= 1;
                 if chunk.backed == 0 {
@@ -429,7 +436,10 @@ impl PhysicalMemory {
         if v == 0 && self.frame_backing(frame).is_none() {
             return;
         }
-        let chunk = self.chunks.entry(frame >> CHUNK_SHIFT).or_insert_with(Chunk::new);
+        let chunk = self
+            .chunks
+            .entry(frame >> CHUNK_SHIFT)
+            .or_insert_with(Chunk::new);
         let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
         if write_word_slot(slot, off as u16, v) {
             chunk.backed += 1;

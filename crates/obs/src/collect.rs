@@ -36,7 +36,10 @@ pub fn collector_active() -> bool {
 pub fn install_collector() {
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        assert!(c.is_none(), "trace collector already installed on this thread");
+        assert!(
+            c.is_none(),
+            "trace collector already installed on this thread"
+        );
         *c = Some(Vec::new());
     });
 }

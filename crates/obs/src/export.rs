@@ -222,7 +222,9 @@ mod tests {
             lines[0],
             "{\"fig\":\"fig1a\",\"machines\":1,\"total_ns\":510,\"conserved\":true}"
         );
-        assert!(lines[1].contains("\"subsystem\":\"cpu\",\"kind\":\"syscall\",\"count\":1,\"ns\":500"));
+        assert!(
+            lines[1].contains("\"subsystem\":\"cpu\",\"kind\":\"syscall\",\"count\":1,\"ns\":500")
+        );
         assert!(lines[2].contains("\"phase\":\"access\""));
     }
 

@@ -225,7 +225,22 @@ mod tests {
     #[test]
     fn buckets_are_monotone_and_cover_u64() {
         let mut prev = 0;
-        for v in [0u64, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 1000, 1 << 20, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            2,
+            3,
+            4,
+            5,
+            6,
+            7,
+            8,
+            12,
+            16,
+            1000,
+            1 << 20,
+            u64::MAX,
+        ] {
             let b = bucket_of(v);
             assert!(b >= prev, "bucket_of not monotone at {v}");
             assert!(v <= bucket_hi(b), "{v} above its bucket bound");
@@ -359,7 +374,9 @@ mod tests {
         // Deterministic LCG so the property test needs no rng crate.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state
         };
         for _ in 0..200 {

@@ -93,7 +93,10 @@ impl MachineTrace {
     /// Record `count` primitives of `kind` costing `ns` total.
     #[inline]
     pub fn record(&mut self, kind: CostKind, count: u64, ns: u64) {
-        let row = self.rows.entry((self.current, kind as u8)).or_insert((0, 0));
+        let row = self
+            .rows
+            .entry((self.current, kind as u8))
+            .or_insert((0, 0));
         row.0 += count;
         row.1 += ns;
         self.charged_ns += ns;
@@ -183,7 +186,10 @@ impl MachineTrace {
             spans: self.spans,
             rows,
             ops,
-            timeline: self.timeline.map(TimelineSampler::finish).unwrap_or_default(),
+            timeline: self
+                .timeline
+                .map(TimelineSampler::finish)
+                .unwrap_or_default(),
             clock_ns,
             charged_ns: self.charged_ns,
         }
@@ -405,8 +411,16 @@ mod tests {
         assert_eq!(
             r.spans,
             vec![
-                PhaseSpan { label: INITIAL_PHASE, start_ns: 0, end_ns: 1050 },
-                PhaseSpan { label: "access", start_ns: 1050, end_ns: 1065 },
+                PhaseSpan {
+                    label: INITIAL_PHASE,
+                    start_ns: 0,
+                    end_ns: 1050
+                },
+                PhaseSpan {
+                    label: "access",
+                    start_ns: 1050,
+                    end_ns: 1065
+                },
             ]
         );
     }
@@ -417,7 +431,10 @@ mod tests {
         t.record(CostKind::Syscall, 1, 500);
         let r = t.finish(501); // one ns advanced without being recorded
         assert!(!r.conserves());
-        let trace = FigureTrace { id: "figX".into(), machines: vec![r] };
+        let trace = FigureTrace {
+            id: "figX".into(),
+            machines: vec![r],
+        };
         let errs = conservation_errors(&[trace]);
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("figX"), "{errs:?}");
@@ -425,14 +442,20 @@ mod tests {
 
     #[test]
     fn attribution_groups_by_subsystem_and_phase() {
-        let trace = FigureTrace { id: "f".into(), machines: vec![report(), report()] };
+        let trace = FigureTrace {
+            id: "f".into(),
+            machines: vec![report(), report()],
+        };
         let a = attribute(&trace);
         assert_eq!(a.total_ns, 2 * 1065);
         let (s, count, ns) = a.by_subsystem[0];
         assert_eq!(s, Subsystem::Cpu);
         assert_eq!((count, ns), (2, 1000));
         assert_eq!(a.by_phase, vec![(INITIAL_PHASE, 2100), ("access", 30)]);
-        assert!(a.by_kind.iter().any(|&(k, c, _)| k == CostKind::PteWrite && c == 20));
+        assert!(a
+            .by_kind
+            .iter()
+            .any(|&(k, c, _)| k == CostKind::PteWrite && c == 20));
     }
 
     #[test]
@@ -450,14 +473,20 @@ mod tests {
         assert_eq!(a.ops[0].phase, INITIAL_PHASE);
         assert_eq!(a.ops[0].op, OpKind::Mmap);
         assert_eq!(a.ops[0].mech, "baseline");
-        let trace = FigureTrace { id: "f".into(), machines: vec![mk(1), mk(2)] };
+        let trace = FigureTrace {
+            id: "f".into(),
+            machines: vec![mk(1), mk(2)],
+        };
         let rows = latency_rows(&trace);
         assert_eq!(rows.len(), 3, "same keys merge");
         let mmap = rows.iter().find(|r| r.op == OpKind::Mmap).unwrap();
         assert_eq!(mmap.hist.count(), 2);
         assert_eq!(mmap.hist.max(), 200);
         // Merge order never matters: reversing machines is identical.
-        let rev = FigureTrace { id: "f".into(), machines: vec![mk(2), mk(1)] };
+        let rev = FigureTrace {
+            id: "f".into(),
+            machines: vec![mk(2), mk(1)],
+        };
         let rows_rev = latency_rows(&rev);
         for (x, y) in rows.iter().zip(&rows_rev) {
             assert_eq!((x.mech, x.op, x.phase), (y.mech, y.op, y.phase));

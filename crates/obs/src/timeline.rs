@@ -60,7 +60,10 @@ pub fn merge_series(groups: &[&[GaugeSeries]]) -> Vec<GaugeSeries> {
     let mut merged: BTreeMap<&'static str, Vec<(u64, u64)>> = BTreeMap::new();
     for group in groups {
         for s in *group {
-            merged.entry(s.name).or_default().extend_from_slice(&s.points);
+            merged
+                .entry(s.name)
+                .or_default()
+                .extend_from_slice(&s.points);
         }
     }
     merged
@@ -140,8 +143,8 @@ mod tests {
         s.sample(50, &[("g", 2)]); // not due: dropped
         s.sample(120, &[("g", 3)]);
         s.sample(130, &[("g", 4)]); // not due until 200
-        // A run-compressed jump across many intervals records one
-        // point at the actual clock, not one per crossed boundary.
+                                    // A run-compressed jump across many intervals records one
+                                    // point at the actual clock, not one per crossed boundary.
         s.sample(10_000, &[("g", 5)]);
         let out = s.finish();
         assert_eq!(out.len(), 1);
@@ -163,7 +166,10 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent() {
-        let a = vec![GaugeSeries { name: "g", points: vec![(0, 1), (20, 3)] }];
+        let a = vec![GaugeSeries {
+            name: "g",
+            points: vec![(0, 1), (20, 3)],
+        }];
         let b = vec![GaugeSeries {
             name: "g",
             points: vec![(10, 2)],

@@ -847,7 +847,8 @@ impl BaselineKernel {
                 } else {
                     // MAP_PRIVATE: share the file page read-only; a
                     // write will copy (COW).
-                    vma.prot.pte_flags()
+                    vma.prot
+                        .pte_flags()
                         .difference(PteFlags::WRITE)
                         .union(cow_bit(vma.prot))
                 };

@@ -25,13 +25,13 @@ pub mod types;
 pub mod vma;
 
 pub use api::{MemSys, OnCpu};
-pub use proc_table::ProcTable;
-pub use runs::AccessRun;
 pub use kernel::{
     span_end, BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
 };
 pub use kernel_core::{CoreProc, KernelCore, KernelHooks};
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
+pub use proc_table::ProcTable;
 pub use reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
+pub use runs::AccessRun;
 pub use types::{Backing, CpuId, MapFlags, Pid, Prot, VmError};
 pub use vma::{Vma, VmaMap};

@@ -174,8 +174,10 @@ mod tests {
         assert_eq!(m.perf.pages_swapped_out, 1);
         assert_eq!(m.perf.pages_swapped_in, 1);
         // Slot numbers are recycled.
-        let slot2 =
-            s.swap_out(&mut m, FrameImage::from_page(vec![1u8; PAGE_SIZE as usize].into_boxed_slice()));
+        let slot2 = s.swap_out(
+            &mut m,
+            FrameImage::from_page(vec![1u8; PAGE_SIZE as usize].into_boxed_slice()),
+        );
         assert_eq!(slot2, slot);
     }
 
@@ -183,8 +185,7 @@ mod tests {
     fn swap_io_has_device_costs() {
         let mut m = Machine::dram_only(1 << 20);
         let mut s = SwapDevice::new();
-        let (slot, out_ns) =
-            m.timed(|m| s.swap_out(m, FrameImage::default()));
+        let (slot, out_ns) = m.timed(|m| s.swap_out(m, FrameImage::default()));
         assert_eq!(out_ns, m.cost.swap_out_page);
         let (_, in_ns) = m.timed(|m| s.swap_in(m, slot));
         assert_eq!(in_ns, m.cost.swap_in_page);

@@ -243,7 +243,10 @@ pub struct RunIter {
 enum RunIterKind {
     /// `OnePerPage` (one pass) and `Sweep` (n passes): one full
     /// sequential run per remaining pass.
-    Sweep { pages: u64, remaining: u64 },
+    Sweep {
+        pages: u64,
+        remaining: u64,
+    },
     Strided(StridedRuns),
     Rle(Rle<IndexSource>),
 }
@@ -356,7 +359,9 @@ impl Iterator for StridedRuns {
             self.remaining = 0;
             return Some(run);
         }
-        let len = (self.pages - self.cur).div_ceil(self.eff).min(self.remaining);
+        let len = (self.pages - self.cur)
+            .div_ceil(self.eff)
+            .min(self.remaining);
         let run = AccessRun {
             start_page: self.cur,
             stride: self.eff as i64,

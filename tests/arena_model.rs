@@ -120,10 +120,7 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
         // The stale pid is rejected by every entry point.
         assert_eq!(sys.load(victim, va), Err(VmError::NoProcess));
         assert_eq!(sys.store(victim, va, 9), Err(VmError::NoProcess));
-        assert_eq!(
-            sys.alloc(victim, PAGE_SIZE, false),
-            Err(VmError::NoProcess)
-        );
+        assert_eq!(sys.alloc(victim, PAGE_SIZE, false), Err(VmError::NoProcess));
         assert_eq!(sys.destroy_process(victim), Err(VmError::NoProcess));
         // Overflowing lengths and addresses are errors on a live pid,
         // and a rejected alloc charges nothing.

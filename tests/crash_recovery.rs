@@ -167,8 +167,13 @@ fn checkpointed_journal_recovers_identically() {
     let pid = k.create_process().unwrap();
     // Build up history: creates, growth, deletes, renames.
     for i in 0..20 {
-        k.create_named(pid, &format!("/ckpt/{i}"), 64 * PAGE_SIZE, FileClass::Persistent)
-            .unwrap();
+        k.create_named(
+            pid,
+            &format!("/ckpt/{i}"),
+            64 * PAGE_SIZE,
+            FileClass::Persistent,
+        )
+        .unwrap();
         let va = k.mapping_base(pid, &format!("/ckpt/{i}")).unwrap();
         k.store(pid, va, 7000 + i).unwrap();
     }

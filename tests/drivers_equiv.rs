@@ -8,9 +8,7 @@
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::PerfSnapshot;
 use o1mem::vm::{BaselineKernel, MemSys};
-use o1mem::workloads::{
-    drive_access, drive_alloc, drive_churn, drive_launch_storm, AccessPattern,
-};
+use o1mem::workloads::{drive_access, drive_alloc, drive_churn, drive_launch_storm, AccessPattern};
 use o1mem::PAGE_SIZE;
 
 /// One representative pass over every driver, returning the simulated
@@ -21,9 +19,15 @@ fn scenario<S: MemSys + ?Sized>(sys: &mut S) -> (PerfSnapshot, Vec<u64>) {
     for pat in [
         AccessPattern::Sweep { sweeps: 2 },
         AccessPattern::OnePerPage,
-        AccessPattern::Strided { stride: 3, count: 300 },
+        AccessPattern::Strided {
+            stride: 3,
+            count: 300,
+        },
         AccessPattern::RandomUniform { count: 500 },
-        AccessPattern::Zipf { count: 500, theta: 0.9 },
+        AccessPattern::Zipf {
+            count: 500,
+            theta: 0.9,
+        },
         AccessPattern::HotCold {
             count: 500,
             hot_pct: 90,

@@ -50,16 +50,28 @@ fn jsonl_round_trips_counts_and_cycle_sums() {
         .flat_map(|t| &t.machines)
         .map(|m| m.rows.len())
         .sum();
-    assert_eq!(lines.len(), traces.len() + expected_rows, "one summary line per figure plus one line per ledger row");
+    assert_eq!(
+        lines.len(),
+        traces.len() + expected_rows,
+        "one summary line per figure plus one line per ledger row"
+    );
 
     for t in &traces {
         // The summary line mirrors the in-memory totals.
         let summary = lines
             .iter()
-            .find(|l| l.get("fig").and_then(Value::as_str) == Some(&t.id) && l.get("machines").is_some())
+            .find(|l| {
+                l.get("fig").and_then(Value::as_str) == Some(&t.id) && l.get("machines").is_some()
+            })
             .expect("summary line present");
-        assert_eq!(summary.get("machines").unwrap().as_u64(), Some(t.machines.len() as u64));
-        assert_eq!(summary.get("total_ns").unwrap().as_u64(), Some(t.total_ns()));
+        assert_eq!(
+            summary.get("machines").unwrap().as_u64(),
+            Some(t.machines.len() as u64)
+        );
+        assert_eq!(
+            summary.get("total_ns").unwrap().as_u64(),
+            Some(t.total_ns())
+        );
         assert_eq!(summary.get("conserved"), Some(&Value::Bool(true)));
 
         // Row lines reproduce every ledger entry: equal event counts
@@ -72,16 +84,31 @@ fn jsonl_round_trips_counts_and_cycle_sums() {
             .collect();
         let ledger_rows: usize = t.machines.iter().map(|m| m.rows.len()).sum();
         assert_eq!(rows.len(), ledger_rows);
-        let ns_sum: u64 = rows.iter().map(|r| r.get("ns").unwrap().as_u64().unwrap()).sum();
-        assert_eq!(ns_sum, t.total_ns(), "{}: exported ns sum == simulated clock", t.id);
-        let count_sum: u64 = rows.iter().map(|r| r.get("count").unwrap().as_u64().unwrap()).sum();
+        let ns_sum: u64 = rows
+            .iter()
+            .map(|r| r.get("ns").unwrap().as_u64().unwrap())
+            .sum();
+        assert_eq!(
+            ns_sum,
+            t.total_ns(),
+            "{}: exported ns sum == simulated clock",
+            t.id
+        );
+        let count_sum: u64 = rows
+            .iter()
+            .map(|r| r.get("count").unwrap().as_u64().unwrap())
+            .sum();
         let ledger_count: u64 = t
             .machines
             .iter()
             .flat_map(|m| &m.rows)
             .map(|r| r.count)
             .sum();
-        assert_eq!(count_sum, ledger_count, "{}: exported event counts match", t.id);
+        assert_eq!(
+            count_sum, ledger_count,
+            "{}: exported event counts match",
+            t.id
+        );
     }
 }
 
@@ -100,7 +127,11 @@ fn chrome_trace_round_trips_spans_exactly() {
         .flat_map(|t| &t.machines)
         .map(|m| m.spans.len())
         .sum();
-    assert_eq!(spans.len(), expected_spans, "one complete event per phase span");
+    assert_eq!(
+        spans.len(),
+        expected_spans,
+        "one complete event per phase span"
+    );
 
     // Metadata maps pid -> figure id; check it covers every figure.
     for (pid, t) in traces.iter().enumerate() {

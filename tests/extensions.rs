@@ -94,7 +94,10 @@ fn thp_and_swap_coexist() {
     for p in 0..900u64 {
         k.store(pid, base + p * PAGE_SIZE, p).unwrap();
     }
-    assert!(k.stats().counters.pages_swapped_out > 0, "base pages swapped");
+    assert!(
+        k.stats().counters.pages_swapped_out > 0,
+        "base pages swapped"
+    );
     // Everything still reads correctly.
     assert_eq!(k.load(pid, huge).unwrap(), 0x4242);
     for p in 0..900u64 {

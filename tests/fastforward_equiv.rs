@@ -137,8 +137,7 @@ fn access_patterns_match_the_interpreter_on_every_kernel() {
         for populate in [false, true] {
             for write in [false, true] {
                 for (name, (a, b)) in all_kernel_pairs() {
-                    let what =
-                        format!("{name} {pattern:?} populate={populate} write={write}");
+                    let what = format!("{name} {pattern:?} populate={populate} write={write}");
                     let p = pattern.clone();
                     assert_equivalent(a, b, &what, &move |sys: &mut dyn MemSys| {
                         let pid = sys.create_process().unwrap();

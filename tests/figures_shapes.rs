@@ -504,7 +504,10 @@ fn fig_tiering_obase_crosses_toward_dram_bound() {
             y < static_nvm,
             "at {pct}%: obase {y} beats static NVM {static_nvm}"
         );
-        assert!(y > floor, "at {pct}%: obase {y} above the DRAM bound {floor}");
+        assert!(
+            y > floor,
+            "at {pct}%: obase {y} above the DRAM bound {floor}"
+        );
         if pct >= 6 {
             assert!(
                 y < 2.0 * floor,

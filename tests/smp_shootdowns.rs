@@ -45,10 +45,7 @@ fn fom_ranges_unmap_broadcasts_once_per_range() {
 #[test]
 fn remote_cpus_pay_ipis_only_when_they_cached_the_asid() {
     let run = |cpus: u32, touch_remote: bool| -> u64 {
-        let mut k = BaselineKernel::builder()
-            .dram(64 << 20)
-            .cpus(cpus)
-            .build();
+        let mut k = BaselineKernel::builder().dram(64 << 20).cpus(cpus).build();
         let pid = MemSys::create_process(&mut k).unwrap();
         let va = MemSys::alloc(&mut k, pid, PAGES * PAGE_SIZE, true).unwrap();
         if touch_remote {
