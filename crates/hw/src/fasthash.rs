@@ -1,8 +1,8 @@
 //! A minimal multiply-xor hasher for the simulator's host-side lookup
-//! structures (TLB index, software page-walk cache).
+//! structures (software page-walk cache, TLB set masks, kernel tables).
 //!
-//! These maps are keyed by small fixed-width ids and probed on every
-//! simulated memory access, so SipHash's DoS resistance buys nothing
+//! These maps are keyed by small fixed-width ids and probed on hot
+//! paths, so SipHash's DoS resistance buys nothing
 //! and costs a measurable fraction of the whole figure suite. The mix
 //! function is the classic rotate-xor-multiply used by many fast
 //! non-cryptographic hashers, with the 64-bit golden-ratio constant.

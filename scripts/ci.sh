@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification: exactly what CI runs, runnable locally.
 #
-#   scripts/ci.sh           # build + test + figure smoke
+#   scripts/ci.sh           # fmt check + build + test + figure smoke
 #   scripts/ci.sh --full    # also regenerate every figure (slow)
 #   scripts/ci.sh --gate    # release gates only:
 #                           # - bench-diff a fresh `figures --latency`
@@ -114,6 +114,9 @@ if [ "${1:-}" = "--gate" ]; then
     echo "ci.sh: perf gate OK"
     exit 0
 fi
+
+echo "==> cargo fmt --check (the workspace; hostbench is its own)"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
