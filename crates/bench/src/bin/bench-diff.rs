@@ -2,20 +2,18 @@
 //!
 //! ```text
 //! bench-diff old.json new.json              # exact gate (exit 1 on any drift for the worse)
-//! bench-diff old.json new.json --lat-permille 50
 //! bench-diff BENCH_figures.json fresh.json --append BENCH_figures.json
 //! ```
 //!
 //! Either side may be a `figures --json` array or a
 //! `BENCH_figures.json` self-profile; the shared metric set (series
 //! means, point counts, latency percentiles, event counts) is
-//! extracted from both and compared under per-metric permille
-//! budgets. Exit status: 0 = within budget, 1 = regression, 2 = bad
-//! usage or unreadable input.
+//! extracted from both and compared with no budget: any worse mean or
+//! percentile and any changed count is a regression. Exit status: 0 =
+//! no regression, 1 = regression, 2 = bad usage or unreadable input.
 
 use o1_bench::diff::{
-    append_trajectory, diff_metrics, full_suite_ms, metrics_from_value, today_utc, Thresholds,
-    TrajectoryEntry,
+    append_trajectory, diff_metrics, full_suite_ms, metrics_from_value, today_utc, TrajectoryEntry,
 };
 use o1_bench::jsonval;
 
@@ -23,10 +21,9 @@ const USAGE: &str = "\
 usage: bench-diff <old.json> <new.json> [options]
 
 Inputs may be `figures --json` arrays or BENCH_figures.json profiles.
+Any worse series mean or latency percentile, and any changed event or
+point count, is a regression.
 
-  --mean-permille N    allowed worsening of a series mean (default 0)
-  --lat-permille N     allowed worsening of a latency percentile (default 0)
-  --count-permille N   allowed event/point count drift, either way (default 0)
   --append <path>      append a dated entry to <path>'s \"trajectory\"
   --date YYYY-MM-DD    date for that entry (default: today, UTC)
   --note <text>        note for that entry (default: gate verdict)
@@ -38,7 +35,6 @@ Exit status: 0 within budget, 1 regression, 2 usage/input error.";
 struct Cli {
     old: String,
     new: String,
-    thr: Thresholds,
     append: Option<String>,
     date: Option<String>,
     note: Option<String>,
@@ -47,7 +43,6 @@ struct Cli {
 
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut paths: Vec<String> = Vec::new();
-    let mut thr = Thresholds::default();
     let mut append = None;
     let mut date = None;
     let mut note = None;
@@ -59,20 +54,12 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             .cloned()
             .ok_or_else(|| format!("{flag} needs a value"))
     };
-    let permille = |args: &[String], i: &mut usize, flag: &str| -> Result<u64, String> {
-        let v = value(args, i, flag)?;
-        v.parse()
-            .map_err(|_| format!("{flag} expects a non-negative integer, got '{v}'"))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(None);
             }
-            "--mean-permille" => thr.mean_permille = permille(args, &mut i, "--mean-permille")?,
-            "--lat-permille" => thr.lat_permille = permille(args, &mut i, "--lat-permille")?,
-            "--count-permille" => thr.count_permille = permille(args, &mut i, "--count-permille")?,
             "--append" => append = Some(value(args, &mut i, "--append")?),
             "--date" => date = Some(value(args, &mut i, "--date")?),
             "--note" => note = Some(value(args, &mut i, "--note")?),
@@ -87,7 +74,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     Ok(Some(Cli {
         old,
         new,
-        thr,
         append,
         date,
         note,
@@ -122,7 +108,7 @@ fn main() {
         }
     };
 
-    let report = diff_metrics(&old, &new, &cli.thr);
+    let report = diff_metrics(&old, &new);
     if !cli.quiet {
         for n in &report.notes {
             println!("note: {n}");

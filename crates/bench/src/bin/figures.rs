@@ -333,14 +333,6 @@ fn main() {
         }
     };
 
-    // Machines snapshot this default at construction, so setting it
-    // before any figure runs covers every kernel the suite builds.
-    o1_hw::set_fastforward_default(cli.fastforward);
-    // Likewise for the gauge-timeline sampling interval (0 = off).
-    if cli.timeline_dir.is_some() {
-        o1_obs::set_timeline_default(cli.timeline_interval);
-    }
-
     let fns: Vec<o1_bench::runner::FigureEntry> = match &cli.want {
         Some(id) => match figure_fn(id) {
             Some(entry) => vec![entry],
@@ -367,6 +359,11 @@ fn main() {
         repeat: cli.repeat,
         trace: tracing,
         scale: SuiteScale::Full,
+        fastforward: cli.fastforward,
+        timeline_ns: cli
+            .timeline_dir
+            .as_ref()
+            .map_or(0, |_| cli.timeline_interval),
     };
 
     let (reports, identical): (Vec<RunReport>, Option<bool>) = if cli.profile {

@@ -15,9 +15,9 @@
 //! `BENCH_figures.json` self-profile (whose `"metrics"` section
 //! [`write_metrics_json`] produces from the same code) — so
 //! `bench-diff` can compare any old/new pairing. [`diff_metrics`]
-//! applies per-metric permille thresholds: means and percentiles gate
-//! on the *worse* direction only, counts on any drift, and a figure,
-//! series, or latency row that disappears is always a regression.
+//! allows no drift: means and percentiles fail when they get worse at
+//! all, counts on any change, and a figure, series, or latency row
+//! that disappears is always a regression.
 
 use std::fmt::Write as _;
 
@@ -306,20 +306,7 @@ pub fn metrics_from_value(doc: &Value) -> Result<Vec<FigMetrics>, String> {
     }
 }
 
-/// Allowed drift per metric, in permille of the old value. The
-/// defaults are all zero: simulated numbers are deterministic, so any
-/// drift is a behavioural change until a human raises the budget.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Thresholds {
-    /// Allowed *worsening* of a series mean.
-    pub mean_permille: u64,
-    /// Allowed *worsening* of a latency percentile (p50/p99/p999/max).
-    pub lat_permille: u64,
-    /// Allowed drift of an event or point count, either direction.
-    pub count_permille: u64,
-}
-
-/// Outcome of a diff: every violated budget, one line each.
+/// Outcome of a diff: every regression, one line each.
 #[derive(Clone, Debug, Default)]
 pub struct DiffReport {
     /// Individual metric comparisons performed.
@@ -331,22 +318,10 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// True iff no budget was violated.
+    /// True iff nothing regressed.
     pub fn passed(&self) -> bool {
         self.regressions.is_empty()
     }
-}
-
-/// `new` worsened past `old` by more than `permille` thousandths.
-fn worse_u64(old: u64, new: u64, permille: u64) -> bool {
-    u128::from(new) * 1000 > u128::from(old) * u128::from(1000 + permille)
-}
-
-/// `new` drifted from `old` (either direction) by more than
-/// `permille` thousandths.
-fn drifted_u64(old: u64, new: u64, permille: u64) -> bool {
-    let delta = old.abs_diff(new);
-    u128::from(delta) * 1000 > u128::from(old) * u128::from(permille)
 }
 
 fn permille_change(old: f64, new: f64) -> i64 {
@@ -361,11 +336,13 @@ fn permille_change(old: f64, new: f64) -> i64 {
     }
 }
 
-/// Compare `new` against `old` under `thr`. Every figure, series, and
+/// Compare `new` against `old`. Simulated numbers are deterministic,
+/// so any drift is a behavioural change: no metric may get worse and
+/// no count may move. Every figure, series, and
 /// latency row of `old` must still exist in `new`; items only in
 /// `new` are reported as notes, never as regressions (growth is fine,
 /// silent loss of coverage is not).
-pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) -> DiffReport {
+pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics]) -> DiffReport {
     let mut r = DiffReport::default();
     for of in old {
         let Some(nf) = new.iter().find(|nf| nf.id == of.id) else {
@@ -382,21 +359,20 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
                 continue;
             };
             r.comparisons += 2;
-            if drifted_u64(os.points, ns.points, thr.count_permille) {
+            if os.points != ns.points {
                 r.regressions.push(format!(
                     "{}/{}: point count {} -> {}",
                     of.id, os.label, os.points, ns.points
                 ));
             }
-            if ns.mean > os.mean * (1000 + thr.mean_permille) as f64 / 1000.0 {
+            if ns.mean > os.mean {
                 r.regressions.push(format!(
-                    "{}/{}: mean {} -> {} ({:+}‰ > {}‰ budget)",
+                    "{}/{}: mean {} -> {} ({:+}‰)",
                     of.id,
                     os.label,
                     os.mean,
                     ns.mean,
-                    permille_change(os.mean, ns.mean),
-                    thr.mean_permille
+                    permille_change(os.mean, ns.mean)
                 ));
             } else if ns.mean < os.mean {
                 r.notes.push(format!(
@@ -429,7 +405,7 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
                 continue;
             };
             r.comparisons += 5;
-            if drifted_u64(ol.count, nl.count, thr.count_permille) {
+            if ol.count != nl.count {
                 r.regressions
                     .push(format!("{key}: event count {} -> {}", ol.count, nl.count));
             }
@@ -439,11 +415,10 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
                 ("p999", ol.p999, nl.p999),
                 ("max", ol.max, nl.max),
             ] {
-                if worse_u64(o, n, thr.lat_permille) {
+                if n > o {
                     r.regressions.push(format!(
-                        "{key}: {name} {o} -> {n} ns ({:+}‰ > {}‰ budget)",
-                        permille_change(o as f64, n as f64),
-                        thr.lat_permille
+                        "{key}: {name} {o} -> {n} ns ({:+}‰)",
+                        permille_change(o as f64, n as f64)
                     ));
                 }
             }
@@ -692,8 +667,7 @@ mod tests {
     #[test]
     fn identical_runs_pass_and_injected_regressions_fail() {
         let old = fig_metrics("fig2", true);
-        let thr = Thresholds::default();
-        let same = diff_metrics(&old, &old, &thr);
+        let same = diff_metrics(&old, &old);
         assert!(same.passed(), "{:?}", same.regressions);
         assert!(same.comparisons > 0);
 
@@ -702,7 +676,7 @@ mod tests {
         new[0].series[0].mean *= 1.10;
         new[0].latency[0].p99 += new[0].latency[0].p99 / 2 + 1;
         new[0].latency.pop();
-        let bad = diff_metrics(&old, &new, &thr);
+        let bad = diff_metrics(&old, &new);
         assert!(!bad.passed());
         assert!(
             bad.regressions.iter().any(|l| l.contains("mean")),
@@ -725,32 +699,34 @@ mod tests {
         for s in &mut faster[0].series {
             s.mean *= 0.5;
         }
-        let good = diff_metrics(&old, &faster, &thr);
+        let good = diff_metrics(&old, &faster);
         assert!(good.passed());
         assert!(good.notes.iter().any(|l| l.contains("improved")));
     }
 
     #[test]
-    fn thresholds_allow_budgeted_drift() {
-        let old = fig_metrics("fig1a", false);
-        let mut new = old.clone();
-        for s in &mut new[0].series {
-            s.mean *= 1.004; // +4‰
-        }
-        assert!(!diff_metrics(&old, &new, &Thresholds::default()).passed());
-        let lax = Thresholds {
-            mean_permille: 10,
-            ..Thresholds::default()
-        };
-        assert!(diff_metrics(&old, &new, &lax).passed());
+    fn any_worsening_or_count_drift_fails() {
+        let old = fig_metrics("fig2", true);
+        let mut slower = old.clone();
+        slower[0].series[0].mean *= 1.0001;
+        assert!(!diff_metrics(&old, &slower).passed());
+        let mut fewer = old.clone();
+        fewer[0].series[0].points -= 1;
+        assert!(
+            !diff_metrics(&old, &fewer).passed(),
+            "counts gate both ways"
+        );
+        let mut more = old.clone();
+        more[0].latency[0].count += 1;
+        assert!(!diff_metrics(&old, &more).passed());
     }
 
     #[test]
     fn missing_figure_is_a_regression_and_new_figure_is_a_note() {
         let old = fig_metrics("fig1a", false);
-        let r = diff_metrics(&old, &[], &Thresholds::default());
+        let r = diff_metrics(&old, &[]);
         assert!(!r.passed());
-        let r = diff_metrics(&[], &old, &Thresholds::default());
+        let r = diff_metrics(&[], &old);
         assert!(r.passed());
         assert_eq!(r.notes.len(), 1);
     }

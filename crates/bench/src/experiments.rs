@@ -18,8 +18,7 @@ use o1_vm::{
     Backing, BaselineConfig, BaselineKernel, MapFlags, MemSys, Prot, ReclaimPolicy, ThpMode,
 };
 use o1_workloads::{
-    drive_access, drive_churn, drive_launch_storm, drive_launch_storm_migrating,
-    drive_service_fleet, AccessPattern, Trace,
+    drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm, Trace,
 };
 
 use crate::runner::SuiteScale;
@@ -1095,7 +1094,7 @@ pub fn fig_smp() -> Figure {
                 .config(figure_config(1 << 30))
                 .cpus(cpus)
                 .build();
-            let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
+            let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES, Storm::HomeCpu).unwrap();
             s_base_storm.push(u64::from(cpus), m.ns as f64);
             let pid = k.create_process().unwrap();
             let m = drive_churn(&mut k, pid, CHURN_ROUNDS, CHURN_REGIONS, CHURN_PAGES).unwrap();
@@ -1107,7 +1106,7 @@ pub fn fig_smp() -> Figure {
                 .nvm(1 << 30)
                 .cpus(cpus)
                 .build();
-            let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
+            let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES, Storm::HomeCpu).unwrap();
             s_fom_storm.push(u64::from(cpus), m.ns as f64);
             let pid = MemSys::create_process(&mut k).unwrap();
             let m = drive_churn(&mut k, pid, CHURN_ROUNDS, CHURN_REGIONS, CHURN_PAGES).unwrap();
@@ -1516,13 +1515,13 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
     let mut s_storm_mig_fom = Series::new("fom-ranges storm, migrating (total ns)");
     for cpus in [1u32, 2, 4, 8, 16] {
         let mut k = service_baseline(cpus);
-        let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
+        let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES, Storm::HomeCpu).unwrap();
         s_storm_home.push(u64::from(cpus), m.ns as f64);
         let mut k = service_baseline(cpus);
-        let m = drive_launch_storm_migrating(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
+        let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES, Storm::Migrating).unwrap();
         s_storm_mig.push(u64::from(cpus), m.ns as f64);
         let mut k = service_fom(MapMech::Ranges, cpus);
-        let m = drive_launch_storm_migrating(&mut k, STORM_PROCS, STORM_PAGES).unwrap();
+        let m = drive_launch_storm(&mut k, STORM_PROCS, STORM_PAGES, Storm::Migrating).unwrap();
         s_storm_mig_fom.push(u64::from(cpus), m.ns as f64);
     }
     fig.series = vec![

@@ -19,7 +19,7 @@ pub mod runner;
 pub mod series;
 
 pub use attrib::attribution_table_with;
-pub use diff::{diff_metrics, figure_metrics, metrics_from_value, DiffReport, Thresholds};
+pub use diff::{diff_metrics, figure_metrics, metrics_from_value, DiffReport};
 pub use latency::{
     figure_extras, figures_to_json_pretty_enriched, figures_to_json_pretty_with_extras,
     latency_table_with, FigureExtras,

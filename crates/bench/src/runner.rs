@@ -8,6 +8,11 @@
 //! **output order never depends on completion order**, and records a
 //! host wall-clock profile per figure for `BENCH_figures.json`.
 //!
+//! Each figure task runs inside an [`o1_obs::RunContext`] built from
+//! its [`RunnerOptions`]: whether to collect ledgers, the timeline
+//! interval, and fast-forward. The context is thread-scoped, so two
+//! runs with different options may proceed side by side.
+//!
 //! Parallelism here is pure host-side mechanics: each experiment's
 //! simulated clock, perf counters, and series are computed exactly as
 //! in a sequential run, so emitted figures are byte-identical for any
@@ -115,6 +120,14 @@ pub struct RunnerOptions {
     pub trace: bool,
     /// Suite scale, passed to every figure function.
     pub scale: SuiteScale,
+    /// Let kernels fast-forward provably uniform access runs (false:
+    /// interpret every access). Never changes a figure or trace byte;
+    /// it changes only the timeline's sample count, since a fused
+    /// run is one op boundary.
+    pub fastforward: bool,
+    /// Gauge-timeline sampling interval of traced machines, in
+    /// simulated ns (0 = no timeline).
+    pub timeline_ns: u64,
 }
 
 impl Default for RunnerOptions {
@@ -126,6 +139,8 @@ impl Default for RunnerOptions {
             repeat: 1,
             trace: false,
             scale: SuiteScale::Full,
+            fastforward: true,
+            timeline_ns: 0,
         }
     }
 }
@@ -201,21 +216,22 @@ pub fn run_figures(fns: &[FigureEntry], opts: &RunnerOptions) -> RunReport {
                 // cover the whole suite and load-balance well.
                 let (fi, rep) = (task % fns.len(), task / fns.len());
                 let started = Instant::now();
-                // A figure runs wholly on this worker, and machines
-                // flush their ledgers on drop in program order — so
-                // the collected trace is deterministic regardless of
-                // thread count.
+                // A figure runs wholly on this worker, inside one run
+                // context that every machine it builds reads at
+                // construction. Machines flush their ledgers on drop in
+                // program order, so the collected trace is
+                // deterministic regardless of thread count.
                 let (id, figure_fn) = fns[fi];
-                let (figure, trace) = if opts.trace && rep == 0 {
-                    let (figure, machines) = o1_obs::with_collector(|| figure_fn(opts.scale));
-                    let trace = o1_obs::FigureTrace {
-                        id: id.to_string(),
-                        machines,
-                    };
-                    (figure, Some(trace))
-                } else {
-                    (figure_fn(opts.scale), None)
+                let run = o1_obs::RunContext {
+                    collect: opts.trace && rep == 0,
+                    timeline_ns: opts.timeline_ns,
+                    fastforward: opts.fastforward,
                 };
+                let (figure, machines) = o1_obs::with_run_context(run, || figure_fn(opts.scale));
+                let trace = run.collect.then(|| o1_obs::FigureTrace {
+                    id: id.to_string(),
+                    machines,
+                });
                 let ns = started.elapsed().as_nanos() as u64;
                 let mut slot = slots[fi].lock().unwrap_or_else(|e| e.into_inner());
                 slot.2.push((rep, ns));

@@ -958,7 +958,16 @@ impl KernelHooks for FomKernel {
             .map(|(_, va)| va)
     }
 
-    fn release_region(&mut self, pid: Pid, va: VirtAddr, _bytes: u64) -> Result<(), VmError> {
+    /// Memory is reclaimed only in the unit of a file: a length that
+    /// does not round up to exactly the mapping's pages is refused
+    /// before any charge, leaving the mapping whole.
+    fn release_region(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError> {
+        let mapping = self.core.proc(pid).ok().and_then(|p| p.maps.get(&va.0));
+        if mapping
+            .is_some_and(|m| bytes == 0 || o1_hw::pages_for(bytes) != o1_hw::pages_for(m.bytes))
+        {
+            return Err(VmError::BadRange);
+        }
         self.unmap(pid, va)
     }
 
@@ -1056,6 +1065,41 @@ mod tests {
             }
             assert_eq!(k.machine().perf.minor_faults, 0, "no demand paging");
             assert_eq!(k.machine().perf.major_faults, 0);
+        }
+    }
+
+    #[test]
+    fn release_takes_exactly_the_whole_mapping_all_mechs() {
+        for mech in MECHS {
+            let mut k = FomKernel::builder().mech(mech).build();
+            let pid = k.create_process().unwrap();
+            let va = k.alloc(pid, 4 * PAGE_SIZE, true).unwrap();
+            for i in 0..4u64 {
+                k.store(pid, va + i * PAGE_SIZE, 100 + i).unwrap();
+            }
+            for bytes in [0, 2 * PAGE_SIZE, 4 * PAGE_SIZE + 1, 8 * PAGE_SIZE] {
+                let t0 = k.machine().now();
+                assert_eq!(
+                    k.release(pid, va, bytes),
+                    Err(VmError::BadRange),
+                    "mech {mech:?} bytes {bytes}"
+                );
+                assert_eq!(
+                    k.machine().now(),
+                    t0,
+                    "mech {mech:?}: refused before any charge"
+                );
+                for i in 0..4u64 {
+                    assert_eq!(
+                        k.load(pid, va + i * PAGE_SIZE),
+                        Ok(100 + i),
+                        "mech {mech:?}"
+                    );
+                }
+            }
+            // A length that rounds up to the mapping's pages is exact.
+            k.release(pid, va, 4 * PAGE_SIZE - 100).unwrap();
+            assert_eq!(k.load(pid, va), Err(VmError::BadAddress), "mech {mech:?}");
         }
     }
 

@@ -44,10 +44,7 @@ pub use addr::{
 pub use cost::CostModel;
 pub use dma::{DmaEngine, DmaMode, DMA_PAGE_NS, IOMMU_FAULT_NS, IOTLB_ENTRIES};
 pub use hybrid::FastRegion;
-pub use machine::{
-    fastforward_default, set_fastforward_default, CpuId, Machine, MachineConfig, ObsMode, SimNs,
-    MAX_CPUS,
-};
+pub use machine::{CpuId, Machine, MachineConfig, ObsMode, SimNs, MAX_CPUS};
 pub use mmu::{span_within, Access, Mmu, Satisfied, TranslateError, Translated, WalkMode};
 pub use o1_obs::{CostKind, OpKind, Subsystem};
 pub use pagetable::{Entry, MapError, PageTables, PtNodeId, PteFlags, Translation};

@@ -8,8 +8,8 @@
 //! after an operation; because the simulation is deterministic, the
 //! same workload always yields the same duration.
 //!
-//! When observability is enabled (an `o1-obs` collector is installed
-//! on the thread, or [`ObsMode::On`] was configured), every charge
+//! When observability is enabled (the thread's `o1-obs` run context
+//! collects, or [`ObsMode::On`] was configured), every charge
 //! additionally records `(cost kind, count, ns)` under the current
 //! phase label into a per-machine ledger. The *only* way to advance
 //! the clock is through the charge methods, and every charge method
@@ -19,30 +19,11 @@
 //! disabled the machine carries no ledger, allocates nothing, and
 //! behaves bit-identically.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use o1_obs::{CostKind, MachineTrace, OpKind};
 
 use crate::cost::CostModel;
 use crate::perf::PerfCounters;
 use crate::phys::{MemTier, PhysicalMemory};
-
-/// Process-wide default for the run-compressed fast-forward engine.
-/// Snapshotted into each [`Machine`] at construction, so flipping it
-/// mid-run never changes a live machine's behaviour.
-static FASTFORWARD_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide fast-forward default (what `figures
-/// --no-fastforward` flips before any machine is built). Affects only
-/// machines constructed afterwards.
-pub fn set_fastforward_default(enabled: bool) {
-    FASTFORWARD_DEFAULT.store(enabled, Ordering::SeqCst);
-}
-
-/// Current process-wide fast-forward default.
-pub fn fastforward_default() -> bool {
-    FASTFORWARD_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// Largest CPU count a simulated machine supports. Responder sets are
 /// tracked as 64-bit presence masks, so the cap is architectural, not
@@ -85,14 +66,15 @@ impl SimNs {
 /// Whether a machine carries the cost-attribution ledger.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ObsMode {
-    /// Carry a ledger iff an `o1-obs` collector is installed on the
-    /// constructing thread (what the figure runner arranges).
+    /// Carry a ledger iff the constructing thread's `o1-obs` run
+    /// context collects (what the figure runner arranges).
     #[default]
     Auto,
-    /// Never carry a ledger, even under a collector.
+    /// Never carry a ledger, even in a collecting run.
     Off,
     /// Always carry a ledger; read it back with
-    /// [`Machine::take_trace`] (or let `Drop` flush it to a collector).
+    /// [`Machine::take_trace`] (or let `Drop` flush it to a collecting
+    /// run).
     On,
 }
 
@@ -170,8 +152,12 @@ impl Machine {
             config.cpus <= MAX_CPUS,
             "machine supports at most {MAX_CPUS} CPUs"
         );
+        // The one reader of the run context: what the machine reads
+        // here it keeps for life, so a scope never changes a live
+        // machine.
+        let run = o1_obs::run_context();
         let traced = match config.obs {
-            ObsMode::Auto => o1_obs::collector_active(),
+            ObsMode::Auto => run.collect,
             ObsMode::Off => false,
             ObsMode::On => true,
         };
@@ -181,8 +167,8 @@ impl Machine {
             perf: PerfCounters::default(),
             clock_ns: 0,
             cpus: config.cpus,
-            trace: traced.then(|| Box::new(MachineTrace::new())),
-            fastforward: fastforward_default(),
+            trace: traced.then(|| Box::new(MachineTrace::with_timeline(run.timeline_ns))),
+            fastforward: run.fastforward,
             ffwd_runs: 0,
             ffwd_accesses: 0,
         }
@@ -195,7 +181,7 @@ impl Machine {
     }
 
     /// Enable or disable fast-forwarding on this machine only (tests
-    /// compare the two modes without touching the process default).
+    /// compare the two modes on machines built side by side).
     pub fn set_fastforward(&mut self, enabled: bool) {
         self.fastforward = enabled;
     }
@@ -494,8 +480,8 @@ impl Machine {
 }
 
 impl Drop for Machine {
-    /// Flush the closed ledger to the thread's `o1-obs` collector (if
-    /// one is installed). Drop order is program order, so collected
+    /// Flush the closed ledger to the thread's `o1-obs` run (kept only
+    /// if the run collects). Drop order is program order, so collected
     /// reports are as deterministic as the simulation.
     fn drop(&mut self) {
         if let Some(trace) = self.trace.take() {
@@ -581,7 +567,7 @@ mod tests {
     #[test]
     fn untraced_by_default_traced_when_forced() {
         let m = Machine::dram_only(1 << 20);
-        assert!(!m.traced(), "no collector, no ledger");
+        assert!(!m.traced(), "no collecting run, no ledger");
         let mut m = Machine::from_config(MachineConfig {
             obs: ObsMode::On,
             ..MachineConfig::default()
@@ -606,10 +592,14 @@ mod tests {
     }
 
     #[test]
-    fn collector_gathers_machine_on_drop() {
-        let ((), reports) = o1_obs::with_collector(|| {
+    fn collecting_run_gathers_machine_on_drop() {
+        let run = o1_obs::RunContext {
+            collect: true,
+            ..o1_obs::RunContext::default()
+        };
+        let ((), reports) = o1_obs::with_run_context(run, || {
             let mut m = Machine::dram_only(1 << 20);
-            assert!(m.traced(), "collector enables the ledger");
+            assert!(m.traced(), "a collecting run enables the ledger");
             m.charge_zero_fg(MemTier::Dram, 3 * PAGE_SIZE);
             m.charge_syscall();
         });
@@ -621,6 +611,35 @@ mod tests {
             .find(|r| r.kind == o1_obs::CostKind::ZeroPageDram)
             .expect("zeroing recorded");
         assert_eq!(zero.count, 3, "counted in pages");
+    }
+
+    #[test]
+    fn machines_keep_the_run_context_they_were_built_in() {
+        let run = o1_obs::RunContext {
+            collect: false,
+            timeline_ns: 100,
+            fastforward: false,
+        };
+        let (m, _) = o1_obs::with_run_context(run, || {
+            Machine::from_config(MachineConfig {
+                obs: ObsMode::On,
+                ..MachineConfig::default()
+            })
+        });
+        assert!(!m.fastforward(), "the run's fast-forward setting");
+        let trace = m.trace.as_ref().expect("forced ledger");
+        assert!(trace.timeline_due(0), "the run's timeline interval");
+        let plain = Machine::dram_only(1 << 20);
+        assert!(plain.fastforward(), "outside a run: fast-forward on");
+        assert!(!plain.traced());
+        let forced = Machine::from_config(MachineConfig {
+            obs: ObsMode::On,
+            ..MachineConfig::default()
+        });
+        assert!(
+            !forced.trace.as_ref().unwrap().timeline_due(0),
+            "outside a run: no timeline"
+        );
     }
 
     #[test]

@@ -726,37 +726,47 @@ impl Mmu {
         Some((t, frame, slot))
     }
 
+    /// One SMP broadcast for `asid`: `charge` the initiator's cost
+    /// with the responding CPU count, bump the invalidation epoch,
+    /// apply `on_cpu` to every CPU that may hold the ASID's entries,
+    /// and mark the current CPU synced. Only CPUs whose presence bit
+    /// is set can hold them (set on translate, cleared with the
+    /// entries by a full flush), so the broadcast walks just those.
+    #[inline]
+    fn broadcast(
+        &mut self,
+        m: &mut Machine,
+        asid: Asid,
+        charge: impl FnOnce(&mut Machine, u64),
+        on_cpu: impl Fn(&mut CpuMmu),
+    ) {
+        charge(m, self.responders(asid));
+        self.inval_epoch += 1;
+        let mut bits = self.present_cpus(asid);
+        while bits != 0 {
+            let c = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            on_cpu(&mut self.cpus[c]);
+        }
+        self.cpus[self.current.index()].synced_epoch = self.inval_epoch;
+    }
+
     /// Broadcast a single-page invalidation (INVLPG): drop the entry
     /// on every CPU, charging the local `invlpg` plus one IPI per
     /// responding remote CPU. On a one-CPU machine this is exactly
     /// the historical local invalidation.
     pub fn invalidate_page(&mut self, m: &mut Machine, asid: Asid, va: VirtAddr) {
-        m.charge_invlpg_broadcast(self.responders(asid));
-        self.inval_epoch += 1;
-        // Only CPUs whose presence bit is set can hold entries for the
-        // ASID (set on translate, cleared with the entries by a full
-        // flush), so the broadcast walks just those TLBs.
-        let mut bits = self.present_cpus(asid);
-        while bits != 0 {
-            let c = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.cpus[c].tlb.invalidate_page(asid, va);
-        }
-        self.cpus[self.current.index()].synced_epoch = self.inval_epoch;
+        self.broadcast(m, asid, Machine::charge_invlpg_broadcast, |cpu| {
+            cpu.tlb.invalidate_page(asid, va)
+        });
     }
 
     /// Broadcast one cached-range invalidation — the O(1) unmap path:
     /// one shootdown per *range*, however many pages it spans.
     pub fn invalidate_range(&mut self, m: &mut Machine, asid: Asid, base: VirtAddr) {
-        m.charge_invlpg_broadcast(self.responders(asid));
-        self.inval_epoch += 1;
-        let mut bits = self.present_cpus(asid);
-        while bits != 0 {
-            let c = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.cpus[c].rtlb.invalidate(asid, base);
-        }
-        self.cpus[self.current.index()].synced_epoch = self.inval_epoch;
+        self.broadcast(m, asid, Machine::charge_invlpg_broadcast, |cpu| {
+            cpu.rtlb.invalidate(asid, base)
+        });
     }
 
     /// Broadcast a full ASID flush: drop every translation for the
@@ -764,20 +774,14 @@ impl Mmu {
     /// per responding CPU, and clear the ASID's presence mask (no CPU
     /// holds it any more).
     pub fn flush_asid(&mut self, m: &mut Machine, asid: Asid) {
-        m.charge_shootdown(self.responders(asid));
-        self.inval_epoch += 1;
-        let mut bits = self.present_cpus(asid);
-        while bits != 0 {
-            let c = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.cpus[c].tlb.flush_asid(asid);
-            self.cpus[c].rtlb.flush_asid(asid);
-        }
+        self.broadcast(m, asid, Machine::charge_shootdown, |cpu| {
+            cpu.tlb.flush_asid(asid);
+            cpu.rtlb.flush_asid(asid);
+        });
         let (words, bit) = self.presence_words(asid);
         for w in self.presence.get_mut(words).unwrap_or_default() {
             *w &= !bit;
         }
-        self.cpus[self.current.index()].synced_epoch = self.inval_epoch;
     }
 
     /// Charge (only) an end-of-operation shootdown round for `asid`:

@@ -1,12 +1,16 @@
-//! Scoped, thread-local trace collection.
+//! Scoped, thread-local run context: the settings of one run plus
+//! the ledgers it collects.
 //!
 //! Figure functions are plain `fn() -> Figure`: they build kernels,
 //! run workloads, and drop everything before returning. Rather than
-//! thread an observer through every constructor, the runner installs a
-//! *collector* on the worker thread, runs the figure, and takes the
-//! collector back out. While one is installed, every `Machine` built
-//! on that thread carries a ledger and flushes its
-//! [`MachineReport`](crate::MachineReport) here when dropped.
+//! thread settings and an observer through every constructor, the
+//! runner installs a [`RunContext`] on the worker thread, runs the
+//! figure, and takes the collected ledgers back out. Every `Machine`
+//! built on that thread reads the context once, at construction: it
+//! fast-forwards or interprets, carries a ledger (flushing its
+//! [`MachineReport`](crate::MachineReport) here when dropped) or not,
+//! and arms a gauge timeline at the context's interval. Outside any
+//! scope a machine sees [`RunContext::default`].
 //!
 //! Flush order equals drop order equals program order, and each figure
 //! runs wholly on one worker thread — so collected traces are as
@@ -17,62 +21,77 @@ use std::cell::RefCell;
 
 use crate::ledger::MachineReport;
 
+/// The settings a run hands every machine built inside it. None of
+/// them may change a simulated number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunContext {
+    /// Give every machine that does not opt out a ledger, and collect
+    /// each ledger when its machine drops.
+    pub collect: bool,
+    /// Gauge-timeline sampling interval of each ledger, in simulated
+    /// ns (0 = no timeline).
+    pub timeline_ns: u64,
+    /// Let kernels fast-forward provably uniform access runs.
+    pub fastforward: bool,
+}
+
+impl Default for RunContext {
+    /// Outside any run: fast-forward on, no collection, no timeline.
+    fn default() -> RunContext {
+        RunContext {
+            collect: false,
+            timeline_ns: 0,
+            fastforward: true,
+        }
+    }
+}
+
 thread_local! {
-    static COLLECTOR: RefCell<Option<Vec<MachineReport>>> = const { RefCell::new(None) };
+    static RUN: RefCell<Option<(RunContext, Vec<MachineReport>)>> = const { RefCell::new(None) };
 }
 
-/// True while a collector is installed on this thread. `Machine::new`
-/// consults this to decide whether to carry a ledger.
-pub fn collector_active() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
-}
-
-/// Install a fresh collector on this thread.
-///
-/// # Panics
-/// Panics if one is already installed — collection scopes must not
-/// nest, because a machine flushes to whichever collector is live when
-/// it drops.
-pub fn install_collector() {
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        assert!(
-            c.is_none(),
-            "trace collector already installed on this thread"
-        );
-        *c = Some(Vec::new());
-    });
-}
-
-/// Remove this thread's collector and return everything it gathered.
-///
-/// # Panics
-/// Panics if no collector is installed.
-pub fn take_collector() -> Vec<MachineReport> {
-    COLLECTOR.with(|c| {
-        c.borrow_mut()
-            .take()
-            .expect("no trace collector installed on this thread")
+/// The context installed on this thread, or the default outside any
+/// run. `Machine::from_config` reads it once per machine.
+pub fn run_context() -> RunContext {
+    RUN.with(|r| {
+        r.borrow()
+            .as_ref()
+            .map_or_else(RunContext::default, |r| r.0)
     })
 }
 
-/// Flush one machine's closed ledger to this thread's collector, if
-/// any. Machines call this from `Drop`; without a collector the report
-/// is discarded (the machine should not have had a ledger then anyway).
-pub fn submit(report: MachineReport) {
-    COLLECTOR.with(|c| {
-        if let Some(reports) = c.borrow_mut().as_mut() {
-            reports.push(report);
-        }
+/// Run `f` with `ctx` installed on this thread and return its result
+/// plus every machine ledger flushed while it ran (none unless
+/// `ctx.collect`).
+///
+/// # Panics
+/// Panics if a context is already installed — run scopes must not
+/// nest, because a machine flushes to whichever scope is live when it
+/// drops.
+pub fn with_run_context<T>(ctx: RunContext, f: impl FnOnce() -> T) -> (T, Vec<MachineReport>) {
+    RUN.with(|r| {
+        let mut r = r.borrow_mut();
+        assert!(r.is_none(), "run context already installed on this thread");
+        *r = Some((ctx, Vec::new()));
     });
+    let out = f();
+    let (_, reports) = RUN
+        .with(|r| r.borrow_mut().take())
+        .expect("run context removed while it ran");
+    (out, reports)
 }
 
-/// Run `f` with a collector installed and return its result plus every
-/// machine ledger flushed while it ran.
-pub fn with_collector<T>(f: impl FnOnce() -> T) -> (T, Vec<MachineReport>) {
-    install_collector();
-    let out = f();
-    (out, take_collector())
+/// Flush one machine's closed ledger to this thread's run, if it
+/// collects. Machines call this from `Drop`; otherwise the report is
+/// discarded.
+pub fn submit(report: MachineReport) {
+    RUN.with(|r| {
+        if let Some((ctx, reports)) = r.borrow_mut().as_mut() {
+            if ctx.collect {
+                reports.push(report);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -80,25 +99,41 @@ mod tests {
     use super::*;
     use crate::ledger::MachineTrace;
 
+    const COLLECT: RunContext = RunContext {
+        collect: true,
+        timeline_ns: 0,
+        fastforward: true,
+    };
+
     #[test]
     fn scoped_collection_gathers_submissions_in_order() {
-        assert!(!collector_active());
-        let ((), reports) = with_collector(|| {
-            assert!(collector_active());
-            let mut t = MachineTrace::new();
+        assert_eq!(run_context(), RunContext::default());
+        let ((), reports) = with_run_context(COLLECT, || {
+            assert_eq!(run_context(), COLLECT);
+            let mut t = MachineTrace::with_timeline(0);
             t.record(crate::CostKind::Syscall, 1, 500);
             submit(t.finish(500));
-            submit(MachineTrace::new().finish(0));
+            submit(MachineTrace::with_timeline(0).finish(0));
         });
-        assert!(!collector_active());
+        assert_eq!(run_context(), RunContext::default());
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].clock_ns, 500);
         assert_eq!(reports[1].clock_ns, 0);
     }
 
     #[test]
-    fn submit_without_collector_is_a_noop() {
-        submit(MachineTrace::new().finish(0));
-        assert!(!collector_active());
+    fn submit_outside_a_collecting_run_is_a_noop() {
+        submit(MachineTrace::with_timeline(0).finish(0));
+        let ctx = RunContext {
+            collect: false,
+            timeline_ns: 250,
+            fastforward: false,
+        };
+        let ((), reports) = with_run_context(ctx, || {
+            assert_eq!(run_context(), ctx);
+            submit(MachineTrace::with_timeline(0).finish(0));
+        });
+        assert!(reports.is_empty());
+        assert_eq!(run_context(), RunContext::default());
     }
 }

@@ -200,7 +200,7 @@ mod tests {
     use crate::ledger::MachineTrace;
 
     fn sample() -> Vec<FigureTrace> {
-        let mut t = MachineTrace::new();
+        let mut t = MachineTrace::with_timeline(0);
         t.record(CostKind::Syscall, 1, 500);
         t.set_phase("access", 500);
         t.record(CostKind::TlbFill, 2, 10);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use crate::hist::{Histogram, OpKind};
 use crate::kind::{CostKind, Subsystem};
-use crate::timeline::{timeline_default, GaugeSeries, TimelineSampler};
+use crate::timeline::{GaugeSeries, TimelineSampler};
 
 /// Phase label a machine starts in before anyone calls `set_phase`.
 pub const INITIAL_PHASE: &str = "main";
@@ -48,30 +48,19 @@ pub struct MachineTrace {
     charged_ns: u64,
     /// `(phase index, op discriminant, mechanism) → latency histogram`.
     ops: BTreeMap<(usize, u8, &'static str), Histogram>,
-    /// Gauge timeline sampler; present only when the process-global
-    /// timeline interval was nonzero at construction.
+    /// Gauge timeline sampler; present only when the ledger was built
+    /// with a nonzero interval ([`MachineTrace::with_timeline`]).
     timeline: Option<TimelineSampler>,
 }
 
 impl MachineTrace {
-    /// Fresh ledger: clock 0, phase [`INITIAL_PHASE`]. Snapshots the
-    /// process-global [`timeline_default`] interval: a nonzero value
-    /// arms a gauge sampler for this machine's lifetime.
-    pub fn new() -> MachineTrace {
-        let interval = timeline_default();
-        MachineTrace {
-            phases: vec![INITIAL_PHASE],
-            timeline: (interval > 0).then(|| TimelineSampler::new(interval)),
-            ..MachineTrace::default()
-        }
-    }
-
-    /// Fresh ledger with a gauge sampler armed at `interval_ns`
-    /// regardless of the process-global default (0 = no sampler).
+    /// Fresh ledger: clock 0, phase [`INITIAL_PHASE`], and a gauge
+    /// sampler armed at `interval_ns` (0 = no sampler).
     pub fn with_timeline(interval_ns: u64) -> MachineTrace {
         MachineTrace {
+            phases: vec![INITIAL_PHASE],
             timeline: (interval_ns > 0).then(|| TimelineSampler::new(interval_ns)),
-            ..MachineTrace::new()
+            ..MachineTrace::default()
         }
     }
 
@@ -222,7 +211,7 @@ pub struct OpRow {
     pub hist: Histogram,
 }
 
-/// A machine's closed ledger, as flushed to the collector on drop.
+/// A machine's closed ledger, as flushed to its run on drop.
 #[derive(Clone, Debug)]
 pub struct MachineReport {
     /// Phase timeline.
@@ -385,7 +374,7 @@ mod tests {
     use super::*;
 
     fn report() -> MachineReport {
-        let mut t = MachineTrace::new();
+        let mut t = MachineTrace::with_timeline(0);
         t.record(CostKind::Syscall, 1, 500);
         t.record(CostKind::PteWrite, 10, 550);
         t.set_phase("access", 1050);
@@ -427,7 +416,7 @@ mod tests {
 
     #[test]
     fn unaccounted_time_breaks_conservation() {
-        let mut t = MachineTrace::new();
+        let mut t = MachineTrace::with_timeline(0);
         t.record(CostKind::Syscall, 1, 500);
         let r = t.finish(501); // one ns advanced without being recorded
         assert!(!r.conserves());
@@ -461,7 +450,7 @@ mod tests {
     #[test]
     fn ops_key_by_phase_op_and_mech_and_merge_across_machines() {
         let mk = |n: u64| {
-            let mut t = MachineTrace::new();
+            let mut t = MachineTrace::with_timeline(0);
             t.record_op(OpKind::Mmap, "baseline", 100 * n);
             t.set_phase("access", 0);
             t.record_op(OpKind::AccessHit, "baseline", 7);
@@ -496,8 +485,8 @@ mod tests {
 
     #[test]
     fn record_op_n_equals_n_record_ops() {
-        let mut bulk = MachineTrace::new();
-        let mut looped = MachineTrace::new();
+        let mut bulk = MachineTrace::with_timeline(0);
+        let mut looped = MachineTrace::with_timeline(0);
         for t in [&mut bulk, &mut looped] {
             t.record_op(OpKind::Mmap, "baseline", 50);
             t.set_phase("access", 0);
@@ -517,7 +506,7 @@ mod tests {
 
     #[test]
     fn reentering_current_phase_is_noop() {
-        let mut t = MachineTrace::new();
+        let mut t = MachineTrace::with_timeline(0);
         t.set_phase(INITIAL_PHASE, 0);
         t.record(CostKind::Syscall, 1, 500);
         t.set_phase("a", 500);

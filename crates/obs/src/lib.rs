@@ -14,10 +14,12 @@
 //!   ledger *conserves time*: the sum of its entries equals the
 //!   simulated-clock delta, checked by [`conservation_errors`] and
 //!   enforced as a test across the whole figure suite;
-//! * a scoped, thread-local [collector](install_collector) gathers the
-//!   traces of every machine built while it is installed, so the
-//!   figure runner attributes whole experiments without changing a
-//!   single figure-function signature;
+//! * a scoped, thread-local [`RunContext`] carries a run's settings
+//!   (collect ledgers or not, the timeline interval, fast-forward) to
+//!   every machine built inside it and gathers the ledgers those
+//!   machines flush, so the figure runner configures and attributes
+//!   whole experiments without changing a single figure-function
+//!   signature;
 //! * [`export_jsonl`] and [`export_chrome_trace`] serialize collected
 //!   traces deterministically — byte-identical across runs and thread
 //!   counts — for grepping and for `chrome://tracing` / Perfetto;
@@ -29,16 +31,16 @@
 //! * [`TimelineSampler`] records gauge readings (TLB occupancy, live
 //!   ASIDs, DRAM-pool bytes, …) against the *simulated* clock into
 //!   order-independent, mergeable [`GaugeSeries`] — the temporal view
-//!   (`figures --timeline`), off unless [`set_timeline_default`] arms
-//!   it;
+//!   (`figures --timeline`), off unless the run context's
+//!   `timeline_ns` arms it;
 //! * [`hostmem`] counts the harness's own heap through a wrapping
 //!   `#[global_allocator]`, so the O(1)-host-metadata claim is a
 //!   measured number ([`HostMemSnapshot`], `fig_hostmem`) instead of
 //!   prose.
 //!
-//! The ledger is strictly opt-in: a machine built while no collector
-//! is installed (and not forced on) carries no ledger at all, records
-//! nothing, allocates nothing, and emits nothing.
+//! The ledger is strictly opt-in: a machine built outside a
+//! collecting run (and not forced on) carries no ledger at all,
+//! records nothing, allocates nothing, and emits nothing.
 //!
 //! [`CostModel`]: https://docs.rs/o1-hw
 
@@ -50,7 +52,7 @@ mod kind;
 mod ledger;
 mod timeline;
 
-pub use collect::{collector_active, install_collector, submit, take_collector, with_collector};
+pub use collect::{run_context, submit, with_run_context, RunContext};
 pub use export::{
     export_chrome_trace, export_jsonl, export_timeline_chrome, export_timeline_jsonl, json_escape,
 };
@@ -61,6 +63,4 @@ pub use ledger::{
     attribute, conservation_errors, latency_rows, Attribution, FigureTrace, LatencyRow,
     MachineReport, MachineTrace, OpRow, PhaseSpan, TraceRow, INITIAL_PHASE,
 };
-pub use timeline::{
-    merge_series, set_timeline_default, timeline_default, GaugeSeries, TimelineSampler,
-};
+pub use timeline::{merge_series, GaugeSeries, TimelineSampler};

@@ -17,28 +17,6 @@
 //! by the number of operations, not by clock span / interval.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-global default sampling interval in simulated ns, consulted
-/// once per ledger at [`MachineTrace::new`] time. Zero (the initial
-/// value) means timelines are off and machines carry no sampler at
-/// all — the same snapshot-at-construction pattern as the
-/// fast-forward default, so flipping it mid-run never changes a live
-/// machine.
-///
-/// [`MachineTrace::new`]: crate::MachineTrace::new
-static TIMELINE_DEFAULT: AtomicU64 = AtomicU64::new(0);
-
-/// Set the process-global timeline sampling interval (simulated ns;
-/// 0 disables). Affects ledgers created *after* the call.
-pub fn set_timeline_default(interval_ns: u64) {
-    TIMELINE_DEFAULT.store(interval_ns, Ordering::Relaxed);
-}
-
-/// Current process-global timeline sampling interval (0 = off).
-pub fn timeline_default() -> u64 {
-    TIMELINE_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// One gauge's sampled time series: `(simulated ns, value)` points in
 /// strictly increasing clock order.
@@ -178,15 +156,5 @@ mod tests {
         let ba = merge_series(&[&b, &a]);
         assert_eq!(ab, ba);
         assert_eq!(ab[0].points, vec![(0, 1), (10, 2), (20, 3)]);
-    }
-
-    #[test]
-    fn default_interval_round_trips() {
-        // Other tests never touch the global (machines snapshot it at
-        // construction), so this brief flip is safe.
-        assert_eq!(timeline_default(), 0);
-        set_timeline_default(250);
-        assert_eq!(timeline_default(), 250);
-        set_timeline_default(0);
     }
 }

@@ -115,6 +115,12 @@ pub trait MemSys {
     fn alloc(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError>;
 
     /// Release memory previously obtained from [`alloc`](Self::alloc).
+    ///
+    /// # Errors
+    /// [`VmError::BadRange`] on file-only memory, with nothing changed
+    /// or charged, unless `bytes` is nonzero and rounds up to exactly
+    /// the pages of the mapping at `va`: memory is reclaimed only in
+    /// the unit of a file.
     fn release(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError>;
 
     /// 8-byte load at `va`.

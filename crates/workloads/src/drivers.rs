@@ -152,22 +152,44 @@ pub fn drive_churn<S: MemSys + ?Sized>(
     })
 }
 
+/// Where each process of a [`drive_launch_storm`] touches its
+/// working set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Storm {
+    /// Each process launches, touches and dies on its own CPU,
+    /// round-robin. Its private ASID is therefore cached on exactly
+    /// one CPU, so teardown never broadcasts IPIs — the SMP-free
+    /// contrast to `drive_churn`, where one address space spans every
+    /// CPU.
+    HomeCpu,
+    /// The scheduler migrates each process across every CPU while it
+    /// touches its working set, so its address space ends up cached
+    /// machine-wide and teardown pays one remote shootdown per CPU
+    /// instead of the home-CPU storm's free local flush. The contrast
+    /// closes the gap where the home-CPU series is flat in the CPU
+    /// count *by construction*: here the teardown tax grows with the
+    /// machine.
+    Migrating,
+}
+
 /// Process-launch storm: create `n` processes each with a working set
-/// of `pages` pages fully touched, then destroy them. The build-up
-/// runs under the `"launch"` phase and the destruction under
+/// of `pages` pages fully touched, then destroy them, each on its home
+/// CPU (round-robin) except where `storm` migrates the touch. The
+/// build-up runs under the `"launch"` phase and the destruction under
 /// `"teardown"`, so a traced run splits the two halves in both the
 /// attribution and the per-op latency views (`figures --latency`).
 pub fn drive_launch_storm<S: MemSys + ?Sized>(
     sys: &mut S,
     n: u32,
     pages: u64,
+    storm: Storm,
 ) -> Result<Measurement, VmError> {
     sys.phase("launch");
-    // Each process launches, touches and dies on its own CPU,
-    // round-robin. Its private ASID is therefore cached on exactly one
-    // CPU, so teardown never broadcasts IPIs — the SMP-free contrast
-    // to `drive_churn`, where one address space spans every CPU.
     let cpus = sys.cpu_count();
+    let legs = match storm {
+        Storm::HomeCpu => 1,
+        Storm::Migrating => u64::from(cpus),
+    };
     measure(sys, |s| {
         let mut procs = Vec::new();
         for i in 0..n {
@@ -176,58 +198,19 @@ pub fn drive_launch_storm<S: MemSys + ?Sized>(
             let va = s.alloc(pid, pages * PAGE_SIZE, true)?;
             // Touch every 8th page as one stride-8 run. The stored
             // values become the run index k instead of the page index
-            // 8k; nothing ever reads them back, and the charges and
-            // counters are identical to the old per-page store loop.
-            let touch = [AccessRun {
-                start_page: 0,
-                stride: 8,
-                len: pages.div_ceil(8),
-            }];
-            s.access_runs(pid, va, &touch, true, 0)?;
-            procs.push(pid);
-        }
-        s.phase("teardown");
-        for (i, pid) in procs.into_iter().enumerate() {
-            s.set_cpu(CpuId(i as u32 % cpus));
-            s.destroy_process(pid)?;
-        }
-        Ok(())
-    })
-}
-
-/// Migration-heavy launch storm: like [`drive_launch_storm`], but the
-/// scheduler migrates each process across every CPU while it touches
-/// its working set, so its address space ends up cached machine-wide
-/// and teardown pays one remote shootdown per CPU instead of the
-/// home-CPU storm's free local flush. The contrast closes the gap
-/// where the home-CPU storm series is flat in the CPU count *by
-/// construction*: here the teardown tax grows with the machine.
-pub fn drive_launch_storm_migrating<S: MemSys + ?Sized>(
-    sys: &mut S,
-    n: u32,
-    pages: u64,
-) -> Result<Measurement, VmError> {
-    sys.phase("launch");
-    let cpus = sys.cpu_count();
-    measure(sys, |s| {
-        let mut procs = Vec::new();
-        for i in 0..n {
-            s.set_cpu(CpuId(i % cpus));
-            let pid = s.create_process()?;
-            let va = s.alloc(pid, pages * PAGE_SIZE, true)?;
-            // Same every-8th-page touch as the home-CPU storm, but the
-            // stride-8 run is sliced into one leg per CPU, issued
-            // round-robin — the deterministic stand-in for a scheduler
+            // 8k; nothing ever reads them back. A migrating storm
+            // slices the run into one leg per CPU, issued round-robin
+            // from CPU 0 — the deterministic stand-in for a scheduler
             // migrating the process mid-warmup. Identical accesses in
             // identical order; only the issuing CPU differs.
             let total = pages.div_ceil(8);
-            let per = total.div_ceil(u64::from(cpus));
-            let mut done = 0u64;
-            let mut value = 0u64;
-            let mut leg = 0u32;
+            let per = total.div_ceil(legs);
+            let (mut done, mut value, mut leg) = (0u64, 0u64, 0u32);
             while done < total {
                 let len = per.min(total - done);
-                s.set_cpu(CpuId(leg % cpus));
+                if storm == Storm::Migrating {
+                    s.set_cpu(CpuId(leg % cpus));
+                }
                 let touch = [AccessRun {
                     start_page: done * 8,
                     stride: 8,
@@ -391,9 +374,9 @@ mod tests {
     #[test]
     fn launch_storm_runs_on_both() {
         let mut base = BaselineKernel::builder().dram(64 << 20).build();
-        let m1 = drive_launch_storm(&mut base, 4, 32).unwrap();
+        let m1 = drive_launch_storm(&mut base, 4, 32, Storm::HomeCpu).unwrap();
         let mut fom = FomKernel::builder().mech(MapMech::SharedPt).build();
-        let m2 = drive_launch_storm(&mut fom, 4, 32).unwrap();
+        let m2 = drive_launch_storm(&mut fom, 4, 32, Storm::HomeCpu).unwrap();
         assert!(m1.ns > 0 && m2.ns > 0);
         assert!(m2.ns < m1.ns, "fom launches faster: {} vs {}", m2.ns, m1.ns);
     }

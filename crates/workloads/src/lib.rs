@@ -13,8 +13,8 @@ pub mod trace;
 pub mod zipf;
 
 pub use drivers::{
-    drive_access, drive_alloc, drive_churn, drive_launch_storm, drive_launch_storm_migrating,
-    drive_service_fleet, measure, FleetReport, Measurement,
+    drive_access, drive_alloc, drive_churn, drive_launch_storm, drive_service_fleet, measure,
+    FleetReport, Measurement, Storm,
 };
 pub use patterns::AccessPattern;
 pub use trace::{Trace, TraceOp};

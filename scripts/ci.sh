@@ -31,7 +31,7 @@ if [ "${1:-}" = "--gate" ]; then
         --latency --json "$out/fresh.json" --no-bench >/dev/null
     # The committed self-profile carries the reference metrics (series
     # means, latency percentiles, event counts); the simulator is
-    # deterministic, so the budgets are zero: any drift for the worse
+    # deterministic, so there is no budget: any drift for the worse
     # is a real behavioural change someone must re-baseline on purpose
     # (rerun `figures --latency` and commit BENCH_figures.json).
     cargo run --release -p o1-bench --bin bench-diff -- \
@@ -134,7 +134,16 @@ echo "==> hostbench smoke (every workload small; digests vs fast-forward off)"
 # The benchmark package has its own workspace. Its tests replay the
 # first rounds with fast-forward off and fail on any digest mismatch,
 # so host-side changes are checked against the interpreter here too.
-cargo test -q --offline --manifest-path hostbench/Cargo.toml
+# Building it rewrites hostbench/Cargo.lock (the committed lock still
+# lists a deleted shim), so the step puts back the copy it found and
+# a passing run leaves the tree clean.
+lock="$(mktemp)"
+cp hostbench/Cargo.lock "$lock"
+status=0
+cargo test -q --offline --manifest-path hostbench/Cargo.toml || status=$?
+cp "$lock" hostbench/Cargo.lock
+rm -f "$lock"
+[ "$status" -eq 0 ]
 
 echo "==> figures smoke (--fig fig1a --json, deterministic output)"
 out="$(mktemp -d)"

@@ -8,7 +8,9 @@
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::PerfSnapshot;
 use o1mem::vm::{BaselineKernel, MemSys};
-use o1mem::workloads::{drive_access, drive_alloc, drive_churn, drive_launch_storm, AccessPattern};
+use o1mem::workloads::{
+    drive_access, drive_alloc, drive_churn, drive_launch_storm, AccessPattern, Storm,
+};
 use o1mem::PAGE_SIZE;
 
 /// One representative pass over every driver, returning the simulated
@@ -38,7 +40,7 @@ fn scenario<S: MemSys + ?Sized>(sys: &mut S) -> (PerfSnapshot, Vec<u64>) {
         drive_access(sys, pid, va, 128, &pat, 42, false).unwrap();
     }
     drive_churn(sys, pid, 2, 4, 16).unwrap();
-    drive_launch_storm(sys, 4, 32).unwrap();
+    drive_launch_storm(sys, 4, 32, Storm::HomeCpu).unwrap();
     let witness: Vec<u64> = (0..128)
         .map(|p| sys.load(pid, va + p * PAGE_SIZE).unwrap())
         .collect();

@@ -173,11 +173,11 @@ fn baseline_survives_heavy_overcommit_via_swap() {
 fn mixed_kernels_drive_same_workload_module() {
     // The MemSys abstraction end-to-end: identical results, wildly
     // different charges.
-    use o1mem::workloads::{drive_launch_storm, measure};
+    use o1mem::workloads::{drive_launch_storm, measure, Storm};
     let mut base = BaselineKernel::builder().dram(256 << 20).build();
     let mut fom = FomKernel::builder().mech(MapMech::SharedPt).build();
-    let b = drive_launch_storm(&mut base, 8, 128).unwrap();
-    let f = drive_launch_storm(&mut fom, 8, 128).unwrap();
+    let b = drive_launch_storm(&mut base, 8, 128, Storm::HomeCpu).unwrap();
+    let f = drive_launch_storm(&mut fom, 8, 128, Storm::HomeCpu).unwrap();
     assert!(b.ns > f.ns);
     // And both kernels are still functional afterwards — driven as
     // trait objects, since a heterogeneous list needs type erasure.

@@ -7,9 +7,8 @@
 //! an *execution* optimisation, never a *semantics* change.
 //!
 //! Each comparison builds two identical kernels, drives the identical
-//! workload, and diffs the closed ledgers field by field. Per-machine
-//! toggling keeps this file safe to run in parallel with other tests:
-//! the process-global default is never touched here.
+//! workload, and diffs the closed ledgers field by field. Toggling is
+//! per machine, so no run context is involved.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +17,7 @@ use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::ObsMode;
 use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, ThpMode};
 use o1mem::workloads::{
-    drive_access, drive_churn, drive_launch_storm, drive_launch_storm_migrating,
-    drive_service_fleet, AccessPattern,
+    drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm,
 };
 use o1mem::PAGE_SIZE;
 
@@ -276,7 +274,7 @@ fn smp_machines_match_the_interpreter() {
                 }
                 sys.set_cpu(CpuId(0));
                 sys.destroy_process(pid).unwrap();
-                drive_launch_storm(sys, 4, 32).unwrap();
+                drive_launch_storm(sys, 4, 32, Storm::HomeCpu).unwrap();
             });
         }
     }
@@ -295,7 +293,7 @@ fn churn_and_launch_storm_drivers_match_the_interpreter() {
     for (name, (a, b)) in all_kernel_pairs() {
         let what = format!("{name} launch storm");
         assert_equivalent(a, b, &what, &|sys: &mut dyn MemSys| {
-            drive_launch_storm(sys, 3, 64).unwrap();
+            drive_launch_storm(sys, 3, 64, Storm::HomeCpu).unwrap();
         });
     }
 }
@@ -373,7 +371,7 @@ fn migrating_storms_match_the_interpreter() {
     }
     for (name, (a, b)) in pairs {
         assert_equivalent(a, b, &name, &|sys: &mut dyn MemSys| {
-            drive_launch_storm_migrating(sys, 6, 96).unwrap();
+            drive_launch_storm(sys, 6, 96, Storm::Migrating).unwrap();
         });
     }
 }

@@ -23,23 +23,22 @@
 //! The `#[test]`s below check one shared [`SuiteScale::Smoke`] matrix.
 //! `full_scale_matrix` runs every one of the same checks at
 //! [`SuiteScale::Full`]; it is ignored here and run in release by
-//! `scripts/ci.sh --gate`. The fast-forward and timeline defaults are
-//! process-global and every machine snapshots them at construction,
-//! so one lock serializes the matrix builds: `--include-ignored`
-//! cannot race them.
+//! `scripts/ci.sh --gate`. Runs differ only in their
+//! [`RunnerOptions`]: the runner installs each figure's settings as a
+//! thread-scoped `o1-obs` run context, so matrices built side by side
+//! (`--include-ignored`) cannot see each other's settings.
 
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 use o1_bench::runner::{figure_fn, run_figures, RunnerOptions, SuiteScale, ALL_IDS};
 use o1_bench::{figure_extras, figures_to_json_pretty, figures_to_json_pretty_with_extras, Figure};
 use o1_obs::{
     conservation_errors, export_chrome_trace, export_jsonl, export_timeline_chrome,
-    export_timeline_jsonl, latency_rows, set_timeline_default, CostKind, FigureTrace, OpKind,
+    export_timeline_jsonl, latency_rows, CostKind, FigureTrace, OpKind,
 };
-use o1mem::hw::set_fastforward_default;
 
 /// Figures whose host-live gauges read the host heap, and so see the
 /// ledger's own allocations when traced.
@@ -59,17 +58,11 @@ struct Run {
 }
 
 impl Run {
-    fn new(scale: SuiteScale, threads: usize, repeat: usize, trace: bool) -> Run {
+    fn new(opts: RunnerOptions) -> Run {
         let fns: Vec<_> = ALL_IDS
             .iter()
             .map(|id| figure_fn(id).expect("known id"))
             .collect();
-        let opts = RunnerOptions {
-            threads,
-            repeat,
-            trace,
-            scale,
-        };
         let mut run = Run {
             ids: Vec::new(),
             timed: Vec::new(),
@@ -109,19 +102,20 @@ struct Matrix {
 
 impl Matrix {
     fn build(scale: SuiteScale) -> Matrix {
-        static DEFAULTS: Mutex<()> = Mutex::new(());
-        let _defaults = DEFAULTS.lock().unwrap_or_else(PoisonError::into_inner);
-        // One run at a time, so a figure that wrongly reads state its
-        // runner set (a thread count, say) sees only its own run's.
-        set_timeline_default(TIMELINE_NS);
-        set_fastforward_default(true);
-        let a = Run::new(scale, 1, 1, true);
-        let b = Run::new(scale, 4, 2, true);
-        set_fastforward_default(false);
-        let c = Run::new(scale, 2, 1, true);
-        set_fastforward_default(true);
-        let d = Run::new(scale, 2, 1, false);
-        set_timeline_default(0);
+        let run = |threads, repeat, trace, fastforward| {
+            Run::new(RunnerOptions {
+                threads,
+                repeat,
+                trace,
+                scale,
+                fastforward,
+                timeline_ns: TIMELINE_NS,
+            })
+        };
+        let a = run(1, 1, true, true);
+        let b = run(4, 2, true, true);
+        let c = run(2, 1, true, false);
+        let d = run(2, 1, false, true);
         Matrix { scale, a, b, c, d }
     }
 }
