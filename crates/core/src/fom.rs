@@ -974,9 +974,12 @@ impl KernelHooks for FomKernel {
     /// Unmap every file. Cost is per *mapping*, not per page —
     /// "memory is only reclaimed in the unit of a file... or when the
     /// process terminates".
+    ///
+    /// Mappings go in the map's iteration order. Removing a key moves
+    /// no other entry, so taking the first key each time visits them
+    /// in the order one pass over the map would.
     fn teardown(&mut self, pid: Pid) -> Result<(), VmError> {
-        let bases: Vec<u64> = self.core.proc(pid)?.maps.keys().copied().collect();
-        for base in bases {
+        while let Some(&base) = self.core.proc(pid)?.maps.keys().next() {
             self.unmap(pid, VirtAddr(base))?;
         }
         Ok(())

@@ -47,7 +47,7 @@ pub use hybrid::FastRegion;
 pub use machine::{CpuId, Machine, MachineConfig, ObsMode, SimNs, MAX_CPUS};
 pub use mmu::{span_within, Access, Mmu, Satisfied, TranslateError, Translated, WalkMode};
 pub use o1_obs::{CostKind, OpKind, Subsystem};
-pub use pagetable::{Entry, MapError, PageTables, PtNodeId, PteFlags, Translation};
+pub use pagetable::{ClearedLeaves, Entry, MapError, PageTables, PtNodeId, PteFlags, Translation};
 pub use perf::{PerfCounters, PerfSnapshot};
 pub use phys::{FrameImage, MemTier, PhysicalMemory};
 pub use range::{RangeEntry, RangeError, RangeTable, RangeTlb};

@@ -460,13 +460,13 @@ impl Machine {
         self.charge_opn(CostKind::TlbShootdownPercpu, responders);
     }
 
-    /// Charge a single-page (or single-range) invalidation broadcast:
-    /// a local `invlpg` plus one IPI + invalidation per responding
-    /// remote CPU.
-    pub fn charge_invlpg_broadcast(&mut self, responders: u64) {
-        self.perf.tlb_shootdowns += 1;
-        self.charge_kind(CostKind::TlbInvlpg);
-        self.charge_opn(CostKind::TlbShootdownPercpu, responders);
+    /// Charge `rounds` single-page (or single-range) invalidation
+    /// broadcasts: per round, a local `invlpg` plus one IPI +
+    /// invalidation per responding remote CPU.
+    pub fn charge_invlpg_broadcast(&mut self, rounds: u64, responders: u64) {
+        self.perf.tlb_shootdowns += rounds;
+        self.charge_opn(CostKind::TlbInvlpg, rounds);
+        self.charge_opn(CostKind::TlbShootdownPercpu, rounds * responders);
     }
 
     /// Run `f` and return its result along with the simulated
@@ -539,7 +539,7 @@ mod tests {
         let (_, alone) = m.timed(|m| m.charge_shootdown(0));
         let (_, seven) = m.timed(|m| m.charge_shootdown(7));
         assert_eq!(seven - alone, 7 * m.cost.tlb_shootdown_percpu);
-        let (_, pg) = m.timed(|m| m.charge_invlpg_broadcast(3));
+        let (_, pg) = m.timed(|m| m.charge_invlpg_broadcast(1, 3));
         assert_eq!(pg, m.cost.tlb_invlpg + 3 * m.cost.tlb_shootdown_percpu);
         assert_eq!(m.perf.tlb_shootdowns, 3);
     }

@@ -210,6 +210,12 @@ pub struct Mmu {
     /// Bumped by every broadcast invalidation; per-CPU `synced_epoch`
     /// trails it until the CPU next observes the world.
     inval_epoch: u64,
+    /// VA extent `[lo, hi)` of the entry behind the most recent
+    /// successful translation (a range entry's bounds, or the leaf's
+    /// page-size-aligned region), emptied by every broadcast. A hint
+    /// for the run engine, never a proof: see
+    /// [`last_extent`](Self::last_extent).
+    last_extent: (u64, u64),
 }
 
 impl Default for Mmu {
@@ -240,6 +246,7 @@ impl Mmu {
             walk_mode: WalkMode::Native4,
             presence: Vec::new(),
             inval_epoch: 0,
+            last_extent: (0, 0),
         }
     }
 
@@ -374,6 +381,28 @@ impl Mmu {
         }
     }
 
+    /// VA extent of the entry behind the most recent successful
+    /// [`translate`](Self::translate) or [`translate_run`](Self::translate_run),
+    /// on whichever CPU; empty after any broadcast invalidation.
+    ///
+    /// The run engine reads it to pick which prover can pay at an
+    /// access `a` of a run: the hit prover only when `a` and the next
+    /// access both lie inside it, the miss prover only when `a` lies
+    /// outside it (inside, `a` is mapped). It is a hint, not a proof:
+    /// a stale extent costs one refusal or one access interpreted
+    /// instead of fused, never a different simulated result.
+    #[inline]
+    pub fn last_extent(&self) -> core::ops::Range<u64> {
+        self.last_extent.0..self.last_extent.1
+    }
+
+    /// Note the extent `[lo, lo + bytes)` behind a successful
+    /// translation.
+    #[inline]
+    fn note_extent(&mut self, lo: u64, bytes: u64) {
+        self.last_extent = (lo, lo.saturating_add(bytes));
+    }
+
     /// Translate `va` for `asid`, charging all hardware costs.
     ///
     /// `root` is the address space's page-table root; `ranges` its
@@ -403,6 +432,7 @@ impl Mmu {
                 m.perf.rtlb_hits += 1;
                 m.charge_kind(CostKind::RtlbHit);
                 check_prot(entry.prot, access)?;
+                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
                 return Ok(Translated {
                     pa: entry.translate(va),
                     by: Satisfied::RangeTlb,
@@ -421,6 +451,7 @@ impl Mmu {
             if access == Access::Write {
                 pt.mark_accessed(root, va, true);
             }
+            self.note_extent(va.align_down(size.bytes()).0, size.bytes());
             let off = va.0 & (size.bytes() - 1);
             return Ok(Translated {
                 pa: PhysAddr(frame.base().0 + off),
@@ -436,6 +467,7 @@ impl Mmu {
                 check_prot(entry.prot, access)?;
                 m.charge_kind(CostKind::RtlbFill);
                 self.cpus[cur].rtlb.insert(asid, entry);
+                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
                 return Ok(Translated {
                     pa: entry.translate(va),
                     by: Satisfied::RangeWalk,
@@ -455,6 +487,7 @@ impl Mmu {
                 m.charge_kind(CostKind::TlbFill);
                 self.cpus[cur].tlb.insert(asid, va, frame, t.size, t.flags);
                 pt.mark_slot_accessed(slot.node, slot.index.into(), access == Access::Write);
+                self.note_extent(va.align_down(t.size.bytes()).0, t.size.bytes());
                 Ok(Translated {
                     pa: t.pa,
                     by: Satisfied::PageWalk,
@@ -492,6 +525,12 @@ impl Mmu {
     /// protection fault, tier boundary, entry boundary, or an
     /// unobserved concurrent invalidation): the caller falls back to
     /// the per-access interpreter for at least one access.
+    ///
+    /// A refusal is cheap but not free on the host (a set probe per
+    /// page size), so the run engine calls this only when `va` and
+    /// `va + stride` lie in [`last_extent`](Self::last_extent), the
+    /// one place a span can start; a success moves the extent to the
+    /// entry it proved against.
     #[allow(clippy::too_many_arguments)] // mirrors `translate`
     pub fn translate_run(
         &mut self,
@@ -540,6 +579,7 @@ impl Mmu {
                 debug_assert_eq!(looked, Some(entry));
                 m.perf.rtlb_hits += span;
                 m.charge_opn(CostKind::RtlbHit, span);
+                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
                 return Some((pa0, span));
             }
             // Every fast-forwarded page-TLB hit below would first miss
@@ -572,6 +612,7 @@ impl Mmu {
             // per run is the identical outcome.
             pt.mark_accessed(root, va, true);
         }
+        self.note_extent(region, size.bytes());
         Some((pa0, span))
     }
 
@@ -726,22 +767,26 @@ impl Mmu {
         Some((t, frame, slot))
     }
 
-    /// One SMP broadcast for `asid`: `charge` the initiator's cost
-    /// with the responding CPU count, bump the invalidation epoch,
-    /// apply `on_cpu` to every CPU that may hold the ASID's entries,
-    /// and mark the current CPU synced. Only CPUs whose presence bit
-    /// is set can hold them (set on translate, cleared with the
-    /// entries by a full flush), so the broadcast walks just those.
+    /// `rounds` SMP broadcasts for `asid`, delivered as one: `charge`
+    /// the initiator's cost with the responding CPU count, bump the
+    /// invalidation epoch once per round, apply `on_cpu` (the union of
+    /// the rounds' invalidations) to every CPU that may hold the
+    /// ASID's entries, forget the last translation's extent, and mark
+    /// the current CPU synced. Only CPUs whose presence bit is set can
+    /// hold the entries (set on translate, cleared with the entries by
+    /// a full flush), so the broadcast walks just those.
     #[inline]
     fn broadcast(
         &mut self,
         m: &mut Machine,
         asid: Asid,
+        rounds: u64,
         charge: impl FnOnce(&mut Machine, u64),
         on_cpu: impl Fn(&mut CpuMmu),
     ) {
         charge(m, self.responders(asid));
-        self.inval_epoch += 1;
+        self.inval_epoch += rounds;
+        self.last_extent = (0, 0);
         let mut bits = self.present_cpus(asid);
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
@@ -756,17 +801,46 @@ impl Mmu {
     /// responding remote CPU. On a one-CPU machine this is exactly
     /// the historical local invalidation.
     pub fn invalidate_page(&mut self, m: &mut Machine, asid: Asid, va: VirtAddr) {
-        self.broadcast(m, asid, Machine::charge_invlpg_broadcast, |cpu| {
-            cpu.tlb.invalidate_page(asid, va)
-        });
+        self.broadcast(
+            m,
+            asid,
+            1,
+            |m, r| m.charge_invlpg_broadcast(1, r),
+            |cpu| cpu.tlb.invalidate_page(asid, va),
+        );
+    }
+
+    /// [`invalidate_page`](Self::invalidate_page) at each of `vas`
+    /// (ascending), as one aggregated broadcast: the charges, the
+    /// shootdown count and the epoch of one broadcast per page, and on
+    /// each responding CPU the same entries dropped
+    /// ([`Tlb::invalidate_pages`]). Nothing reads TLB state between
+    /// the per-page broadcasts it stands for, so the outcome is
+    /// theirs.
+    pub fn invalidate_pages(&mut self, m: &mut Machine, asid: Asid, vas: &[VirtAddr]) {
+        let rounds = vas.len() as u64;
+        if rounds == 0 {
+            return;
+        }
+        self.broadcast(
+            m,
+            asid,
+            rounds,
+            |m, r| m.charge_invlpg_broadcast(rounds, r),
+            |cpu| cpu.tlb.invalidate_pages(asid, vas),
+        );
     }
 
     /// Broadcast one cached-range invalidation — the O(1) unmap path:
     /// one shootdown per *range*, however many pages it spans.
     pub fn invalidate_range(&mut self, m: &mut Machine, asid: Asid, base: VirtAddr) {
-        self.broadcast(m, asid, Machine::charge_invlpg_broadcast, |cpu| {
-            cpu.rtlb.invalidate(asid, base)
-        });
+        self.broadcast(
+            m,
+            asid,
+            1,
+            |m, r| m.charge_invlpg_broadcast(1, r),
+            |cpu| cpu.rtlb.invalidate(asid, base),
+        );
     }
 
     /// Broadcast a full ASID flush: drop every translation for the
@@ -774,7 +848,7 @@ impl Mmu {
     /// per responding CPU, and clear the ASID's presence mask (no CPU
     /// holds it any more).
     pub fn flush_asid(&mut self, m: &mut Machine, asid: Asid) {
-        self.broadcast(m, asid, Machine::charge_shootdown, |cpu| {
+        self.broadcast(m, asid, 1, Machine::charge_shootdown, |cpu| {
             cpu.tlb.flush_asid(asid);
             cpu.rtlb.flush_asid(asid);
         });

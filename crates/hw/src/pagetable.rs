@@ -21,7 +21,7 @@
 use core::fmt;
 use o1_obs::CostKind;
 
-use crate::addr::{FrameNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE, PT_ENTRIES};
+use crate::addr::{FrameNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE, PT_ENTRIES, PT_LEVELS};
 use crate::machine::Machine;
 use crate::mmu::span_within;
 
@@ -173,6 +173,48 @@ pub struct Translation {
     pub size: PageSize,
     /// Number of node references the walk touched (for cost charging).
     pub levels_touched: u8,
+}
+
+/// The leaves one [`PageTables::unmap_leaves`] step cleared: a run
+/// from one node, so all of one page size, in VA order. Held inline
+/// (one node's worth), so a range unmap allocates nothing on the host.
+#[derive(Clone, Debug)]
+pub struct ClearedLeaves {
+    size: PageSize,
+    len: usize,
+    vas: [VirtAddr; PT_ENTRIES],
+    frames: [FrameNo; PT_ENTRIES],
+}
+
+impl Default for ClearedLeaves {
+    fn default() -> Self {
+        ClearedLeaves {
+            size: PageSize::Base,
+            len: 0,
+            vas: [VirtAddr(0); PT_ENTRIES],
+            frames: [FrameNo(0); PT_ENTRIES],
+        }
+    }
+}
+
+impl ClearedLeaves {
+    /// Page size of every leaf in the run.
+    pub fn size(&self) -> PageSize {
+        self.size
+    }
+
+    /// Where each leaf was met, ascending.
+    pub fn vas(&self) -> &[VirtAddr] {
+        &self.vas[..self.len]
+    }
+
+    /// `(va, first frame)` of each leaf, in VA order.
+    pub fn iter(&self) -> impl Iterator<Item = (VirtAddr, FrameNo)> + '_ {
+        self.vas()
+            .iter()
+            .copied()
+            .zip(self.frames[..self.len].iter().copied())
+    }
 }
 
 /// Arena of refcounted page-table nodes shared by all address spaces.
@@ -581,7 +623,7 @@ impl PageTables {
         va: VirtAddr,
     ) -> Option<(FrameNo, PteFlags, PageSize)> {
         // Record the walk path so empty nodes can be pruned.
-        let mut path = [(root, 0usize); crate::addr::PT_LEVELS as usize];
+        let mut path = [(root, 0usize); PT_LEVELS as usize];
         let mut depth = 0;
         let mut cur = root;
         let mut level = self.node(cur).level;
@@ -602,9 +644,22 @@ impl PageTables {
                 }
             }
         };
-        // Prune empty, unshared nodes bottom-up.
-        let mut child = cur;
-        for &(parent, idx) in path[..depth].iter().rev() {
+        self.prune(m, root, &path[..depth], cur);
+        Some((frame, flags, size))
+    }
+
+    /// Free `node` if it is empty and unshared, then each ancestor on
+    /// `path` (root first, as recorded by a descent) that this leaves
+    /// empty and unshared, bottom-up. The root itself is never freed.
+    fn prune(
+        &mut self,
+        m: &mut Machine,
+        root: PtNodeId,
+        path: &[(PtNodeId, usize)],
+        node: PtNodeId,
+    ) {
+        let mut child = node;
+        for &(parent, idx) in path.iter().rev() {
             if child == root || self.node(child).live > 0 || self.node(child).refs > 1 {
                 break;
             }
@@ -612,7 +667,92 @@ impl PageTables {
             self.release(m, child);
             child = parent;
         }
-        Some((frame, flags, size))
+    }
+
+    /// One step of a range unmap: clear the next run of leaves that
+    /// overlap `[*cursor, end)`, report them in `out`, advance
+    /// `*cursor` past them, and return false once none is left.
+    ///
+    /// A run is the leaves of one node, in VA order, up to the range
+    /// end or the node's next interior entry. A step descends from
+    /// `root`, and an absent entry at any level skips its whole
+    /// region, so a range unmap visits each node holding its leaves
+    /// once instead of descending per page. Nodes a run empties are
+    /// pruned as [`unmap`](Self::unmap) prunes them, and the run's
+    /// entry writes are charged as one block.
+    ///
+    /// Calling it until it returns false is equivalent to `unmap` at
+    /// every page of the range in VA order: the same entries, epoch,
+    /// node-recycle order, clock and ledger rows. Each reported VA is
+    /// the page at which that loop would have met the leaf: its base,
+    /// or the range start for a huge leaf straddling it.
+    pub fn unmap_leaves(
+        &mut self,
+        m: &mut Machine,
+        root: PtNodeId,
+        cursor: &mut VirtAddr,
+        end: VirtAddr,
+        out: &mut ClearedLeaves,
+    ) -> bool {
+        out.len = 0;
+        // The root's entries cover the whole 48-bit space once; a VA
+        // past it would alias low addresses.
+        let end = end.0.min(Self::node_span(PT_LEVELS - 1));
+        let mut at = cursor.0;
+        'descend: while at < end {
+            let mut path = [(root, 0usize); PT_LEVELS as usize];
+            let mut depth = 0;
+            let mut cur = root;
+            let mut level = self.node(cur).level;
+            loop {
+                let entry_bytes = PAGE_SIZE << (9 * u32::from(level));
+                let node_lo = at & !(Self::node_span(level) - 1);
+                let stop = end.min(node_lo + Self::node_span(level));
+                let last = VirtAddr(stop - 1).pt_index(level);
+                let entries = &self.node(cur).entries;
+                let Some(idx) = (VirtAddr(at).pt_index(level)..=last)
+                    .find(|&i| !matches!(entries[i], Entry::None))
+                else {
+                    at = stop;
+                    continue 'descend;
+                };
+                at = at.max(node_lo + idx as u64 * entry_bytes);
+                if let Entry::Table(child) = entries[idx] {
+                    path[depth] = (cur, idx);
+                    depth += 1;
+                    cur = child;
+                    level -= 1;
+                    continue;
+                }
+                out.size = PageSize::at_leaf_level(level);
+                let mut i = idx;
+                while i <= last {
+                    match self.entry(cur, i) {
+                        Entry::Table(_) => break,
+                        Entry::Leaf { frame, .. } => {
+                            self.set_entry_uncharged(cur, i, Entry::None);
+                            out.vas[out.len] = VirtAddr(at.max(node_lo + i as u64 * entry_bytes));
+                            out.frames[out.len] = frame;
+                            out.len += 1;
+                        }
+                        Entry::None => {}
+                    }
+                    i += 1;
+                }
+                at = if i <= last {
+                    node_lo + i as u64 * entry_bytes
+                } else {
+                    stop
+                };
+                m.charge_opn(CostKind::PteWrite, out.len as u64);
+                m.perf.pte_writes += out.len as u64;
+                self.prune(m, root, &path[..depth], cur);
+                *cursor = VirtAddr(at);
+                return true;
+            }
+        }
+        *cursor = VirtAddr(at);
+        false
     }
 
     /// Pure lookup without cost charging (for assertions and kernel

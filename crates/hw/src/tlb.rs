@@ -250,9 +250,38 @@ impl Tlb {
     /// Invalidate the entry covering `va` in `asid` (INVLPG).
     pub fn invalidate_page(&mut self, asid: Asid, va: VirtAddr) {
         for size in [PageSize::Base, PageSize::Huge2M, PageSize::Huge1G] {
-            if let Some((set, way)) = self.find(asid, va, size) {
-                self.sets[set].remove(way);
+            self.remove(asid, va, size);
+        }
+    }
+
+    /// [`invalidate_page`](Self::invalidate_page) at each of `vas`
+    /// (ascending): the union of what those calls drop, probing each
+    /// 2M and 1G region once instead of once per page. Removing a way
+    /// keeps the others' order, so every set ends as the per-page
+    /// loop leaves it.
+    pub fn invalidate_pages(&mut self, asid: Asid, vas: &[VirtAddr]) {
+        debug_assert!(vas.windows(2).all(|w| w[0] <= w[1]), "VAs not ascending");
+        let (mut last_2m, mut last_1g) = (None, None);
+        for &va in vas {
+            self.remove(asid, va, PageSize::Base);
+            for (size, last) in [
+                (PageSize::Huge2M, &mut last_2m),
+                (PageSize::Huge1G, &mut last_1g),
+            ] {
+                let region = Some(Self::region_vpn(va, size));
+                if *last != region {
+                    *last = region;
+                    self.remove(asid, va, size);
+                }
             }
+        }
+    }
+
+    /// Drop the entry for `(asid, va)` of `size`, if resident.
+    #[inline]
+    fn remove(&mut self, asid: Asid, va: VirtAddr, size: PageSize) {
+        if let Some((set, way)) = self.find(asid, va, size) {
+            self.sets[set].remove(way);
         }
     }
 

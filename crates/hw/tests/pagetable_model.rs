@@ -1,14 +1,16 @@
 //! Model-based property tests: the page-table arena must agree with a
 //! simple `HashMap<page, frame>` oracle under arbitrary interleavings
 //! of map / unmap / share / unshare / absence probes across multiple
-//! address spaces, and never leak or double-free nodes.
+//! address spaces, and never leak or double-free nodes; and a range
+//! unmap must leave exactly what `unmap` at every page leaves.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use o1_hw::{
-    FrameNo, Machine, PageSize, PageTables, PtNodeId, PteFlags, VirtAddr, HUGE_2M, PAGE_SIZE,
+    ClearedLeaves, FrameNo, Machine, MachineConfig, ObsMode, PageSize, PageTables, PtNodeId,
+    PteFlags, VirtAddr, HUGE_2M, PAGE_SIZE,
 };
 
 #[derive(Clone, Debug)]
@@ -247,5 +249,135 @@ proptest! {
             }
         });
         prop_assert_eq!(got, want);
+    }
+}
+
+/// What one chunk of the range-unmap window holds: nothing, base
+/// pages at a density, or one 2 MiB leaf.
+#[derive(Clone, Copy, Debug)]
+enum Chunk {
+    Empty,
+    Base { seed: u64, density: u64 },
+    Huge,
+}
+
+fn chunk_strategy() -> impl Strategy<Value = Chunk> {
+    prop_oneof![
+        1 => Just(Chunk::Empty),
+        3 => (any::<u64>(), 1u64..8).prop_map(|(seed, density)| Chunk::Base { seed, density }),
+        1 => Just(Chunk::Huge),
+    ]
+}
+
+/// First page of the four-chunk window a range unmap works in: at 0,
+/// or straddling 1 GiB, where a 1 GiB leaf covers the upper half.
+const WINDOWS: [u64; 2] = [0, (1 << 18) - 1024];
+
+/// One twin of the range-unmap comparison: an `ObsMode::On` machine
+/// and two address spaces laid out by `chunks`. Space 0 maps the
+/// window; space 1 shares space 0's `shared` chunk (refs 2) and maps
+/// base pages of its own in the other chunks.
+fn range_twin(
+    window: u64,
+    chunks: &[Chunk; 4],
+    shared: Option<usize>,
+) -> (Machine, PageTables, [PtNodeId; 2]) {
+    let mut m = MachineConfig {
+        dram_bytes: 64 << 20,
+        obs: ObsMode::On,
+        ..MachineConfig::default()
+    }
+    .build();
+    let mut pt = PageTables::new();
+    let roots = [pt.create_root(&mut m), pt.create_root(&mut m)];
+    let map = |m: &mut Machine, pt: &mut PageTables, root, page: u64, size| {
+        let va = VirtAddr(page * PAGE_SIZE);
+        pt.map(m, root, va, FrameNo(page), size, PteFlags::user_rw())
+            .unwrap();
+    };
+    let giant = WINDOWS[1] + 1024;
+    if window == WINDOWS[1] {
+        map(&mut m, &mut pt, roots[0], giant, PageSize::Huge1G);
+    }
+    for (c, chunk) in chunks.iter().enumerate() {
+        let first = window + c as u64 * 512;
+        if first >= giant && window == WINDOWS[1] {
+            break;
+        }
+        match *chunk {
+            Chunk::Empty => {}
+            Chunk::Huge => map(&mut m, &mut pt, roots[0], first, PageSize::Huge2M),
+            Chunk::Base { seed, density } => {
+                for i in 0..512u64 {
+                    let h = (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+                    if h < density {
+                        map(&mut m, &mut pt, roots[0], first + i, PageSize::Base);
+                    }
+                    // Space 1's own pages, in the chunks it does not share.
+                    if shared != Some(c) && h == 15 {
+                        map(&mut m, &mut pt, roots[1], first + i, PageSize::Base);
+                    }
+                }
+            }
+        }
+    }
+    if let Some(c) = shared {
+        let va = VirtAddr((window + c as u64 * 512) * PAGE_SIZE);
+        if let Some(node) = pt.subtree(roots[0], va, 0) {
+            if pt.subtree(roots[1], va, 0).is_none() {
+                pt.share(&mut m, roots[1], va, node).unwrap();
+            }
+        }
+    }
+    (m, pt, roots)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    /// A range unmap — `unmap_leaves` until it returns false — is
+    /// `unmap` at every page of the range in VA order: the same leaves
+    /// reported, and the same entries, node-recycle order and epoch
+    /// (the arena's whole state), clock, counters and ledger rows.
+    /// Ranges start and end mid-node, cover sparse and dense leaf
+    /// nodes, 2 MiB leaves and a 1 GiB leaf, and cut through a
+    /// subtree two address spaces share.
+    #[test]
+    fn range_unmap_matches_per_page_unmap(
+        window in 0usize..2,
+        chunks in (chunk_strategy(), chunk_strategy(), chunk_strategy(), chunk_strategy()),
+        shared in 0usize..6,
+        space in 0usize..2,
+        start in 0u64..2048,
+        len in 1u64..2048,
+    ) {
+        let window = WINDOWS[window];
+        let chunks = [chunks.0, chunks.1, chunks.2, chunks.3];
+        let shared = (shared < 4).then_some(shared);
+        let (mut m_ref, mut pt_ref, roots) = range_twin(window, &chunks, shared);
+        let (mut m, mut pt, _) = range_twin(window, &chunks, shared);
+        let root = roots[space];
+        let start = window + start;
+        let end = (start + len).min(window + 2048);
+
+        let mut want = Vec::new();
+        for page in start..end {
+            let va = VirtAddr(page * PAGE_SIZE);
+            if let Some((frame, _, size)) = pt_ref.unmap(&mut m_ref, root, va) {
+                want.push((va, frame, size));
+            }
+        }
+        let mut got = Vec::new();
+        let mut leaves = ClearedLeaves::default();
+        let mut at = VirtAddr(start * PAGE_SIZE);
+        while pt.unmap_leaves(&mut m, root, &mut at, VirtAddr(end * PAGE_SIZE), &mut leaves) {
+            got.extend(leaves.iter().map(|(va, frame)| (va, frame, leaves.size())));
+        }
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(format!("{pt:?}"), format!("{pt_ref:?}"), "arena state");
+        prop_assert!(pt.check_consistency());
+        prop_assert_eq!(m.now(), m_ref.now());
+        prop_assert_eq!(format!("{:?}", m.perf), format!("{:?}", m_ref.perf));
+        let rows = |m: &mut Machine| format!("{:?}", m.take_trace().unwrap().rows);
+        prop_assert_eq!(rows(&mut m), rows(&mut m_ref), "ledger rows");
     }
 }

@@ -340,3 +340,85 @@ proptest! {
         }
     }
 }
+
+#[derive(Clone, Debug)]
+enum BatchOp {
+    Insert {
+        asid: u16,
+        page: u64,
+        frame: u64,
+        size: u8,
+    },
+    Lookup {
+        asid: u16,
+        page: u64,
+    },
+    /// Invalidate every page of `pages` (sorted and deduplicated
+    /// before use) for `asid`.
+    Invalidate {
+        asid: u16,
+        pages: Vec<u64>,
+    },
+}
+
+/// A page in one of two 1 GiB regions, near its start, so base, 2M
+/// and 1G entries of one ASID overlap.
+fn batch_page() -> impl Strategy<Value = u64> {
+    (0u64..2, 0u64..2048).prop_map(|(giant, page)| giant * (1 << 18) + page)
+}
+
+fn batch_op() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        4 => (0u16..3, batch_page(), 0u64..512, 0u8..3).prop_map(|(asid, page, frame, size)| {
+            BatchOp::Insert { asid, page, frame, size }
+        }),
+        2 => (0u16..3, batch_page()).prop_map(|(asid, page)| BatchOp::Lookup { asid, page }),
+        1 => (0u16..3, proptest::collection::vec(batch_page(), 0..24))
+            .prop_map(|(asid, pages)| BatchOp::Invalidate { asid, pages }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// `Tlb::invalidate_pages` leaves the TLB exactly as
+    /// `invalidate_page` at each page would: the whole state (every
+    /// set's ways in order, stamps, set masks and the last-translation
+    /// cache) compares equal after every step, over 1–256 sets and
+    /// base, 2M and 1G entries.
+    #[test]
+    fn batched_invalidation_matches_per_page(
+        ops in proptest::collection::vec(batch_op(), 1..200),
+        sets in 0usize..9,
+        assoc in 1usize..5,
+    ) {
+        let mut batched = Tlb::new(1 << sets, assoc);
+        let mut per_page = Tlb::new(1 << sets, assoc);
+        for op in ops {
+            match op {
+                BatchOp::Insert { asid, page, frame, size } => {
+                    let size = eq_size(size);
+                    let va = VirtAddr(page * PAGE_SIZE).align_down(size.bytes());
+                    let frame = FrameNo(frame * (size.bytes() / PAGE_SIZE));
+                    for tlb in [&mut batched, &mut per_page] {
+                        tlb.insert(Asid(asid), va, frame, size, PteFlags::user_rw());
+                    }
+                }
+                BatchOp::Lookup { asid, page } => {
+                    let va = VirtAddr(page * PAGE_SIZE);
+                    prop_assert_eq!(batched.lookup(Asid(asid), va), per_page.lookup(Asid(asid), va));
+                }
+                BatchOp::Invalidate { asid, mut pages } => {
+                    pages.sort_unstable();
+                    pages.dedup();
+                    let vas: Vec<VirtAddr> = pages.iter().map(|&p| VirtAddr(p * PAGE_SIZE)).collect();
+                    batched.invalidate_pages(Asid(asid), &vas);
+                    for &va in &vas {
+                        per_page.invalidate_page(Asid(asid), va);
+                    }
+                }
+            }
+            prop_assert_eq!(format!("{batched:?}"), format!("{per_page:?}"));
+            prop_assert!(batched.check_consistency(), "accelerators out of sync with ways");
+        }
+    }
+}

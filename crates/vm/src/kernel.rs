@@ -17,9 +17,9 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    span_within, Access, Asid, FastMap, FrameNo, Machine, MachineConfig, MemTier, Mmu, PageSize,
-    PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError, Translation, VirtAddr,
-    HUGE_2M, PAGE_SIZE, PT_LEVELS,
+    span_within, Access, Asid, ClearedLeaves, FastMap, FrameNo, Machine, MachineConfig, MemTier,
+    Mmu, PageSize, PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError,
+    Translation, VirtAddr, HUGE_2M, PAGE_SIZE, PT_LEVELS,
 };
 use o1_memfs::{FileId, Tmpfs};
 use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
@@ -611,18 +611,50 @@ impl BaselineKernel {
     /// Drop every page of `[start, end)`, both kinds of residence: its
     /// mapping and its swap slot. Huge leaves straddling either edge
     /// are split first (Linux "fragments them into 4KB pages").
-    #[inline]
+    ///
+    /// Simulated time is per page, as on Linux; host time is per
+    /// node. The page tables give up one node's run of leaves per step
+    /// ([`PageTables::unmap_leaves`]), which costs one INVLPG
+    /// broadcast per leaf, delivered as one
+    /// ([`Mmu::invalidate_pages`](o1_hw::Mmu::invalidate_pages)).
+    /// Each leaf's `struct page` update is charged in one block, and
+    /// its frame is released in VA order, so the allocators see the
+    /// per-page sequence. The swap map is walked only if it holds
+    /// anything.
     fn drop_range(&mut self, pid: Pid, start: VirtAddr, end: VirtAddr) -> Result<(), VmError> {
         let (root, asid) = self.core.procs.space(pid)?;
         self.split_huge_covering(pid, root, asid, start);
         self.split_huge_covering(pid, root, asid, end);
-        let mut va = start;
-        while va < end {
-            self.drop_page_mapping(pid, root, asid, va);
-            if let Some(slot) = self.core.proc_mut(pid)?.swapped.remove(&va.page().0) {
-                self.swap.discard(slot);
+        let mut leaves = ClearedLeaves::default();
+        let (mut at, mut dropped) = (start, 0u64);
+        while self
+            .core
+            .pt
+            .unmap_leaves(&mut self.core.machine, root, &mut at, end, &mut leaves)
+        {
+            let core = &mut self.core;
+            core.mmu
+                .invalidate_pages(&mut core.machine, asid, leaves.vas());
+            dropped += leaves.vas().len() as u64;
+            for (va, frame) in leaves.iter() {
+                if self.meta.remove_mapping(frame, pid, va) {
+                    self.release_frame(frame, leaves.size());
+                }
             }
-            va += PAGE_SIZE;
+        }
+        self.core
+            .machine
+            .charge_opn(CostKind::PageMetaUpdate, dropped);
+        self.core.machine.perf.page_meta_updates += dropped;
+        let swapped = &mut self.core.proc_mut(pid)?.swapped;
+        if !swapped.is_empty() {
+            let mut va = start;
+            while va < end {
+                if let Some(slot) = swapped.remove(&va.page().0) {
+                    self.swap.discard(slot);
+                }
+                va += PAGE_SIZE;
+            }
         }
         Ok(())
     }
@@ -693,23 +725,6 @@ impl BaselineKernel {
             _ => PhysExtent::new(frame, size.bytes() / PAGE_SIZE),
         };
         self.alloc.free_block(&mut self.core.machine, ext);
-    }
-
-    /// Unmap the mapping covering `va` (any size) and release the
-    /// frame(s) if this was the last mapping and they are
-    /// process-owned (not file pages).
-    #[inline]
-    fn drop_page_mapping(&mut self, pid: Pid, root: PtNodeId, asid: Asid, va: VirtAddr) {
-        let core = &mut self.core;
-        let Some((frame, _flags, size)) = core.pt.unmap(&mut core.machine, root, va) else {
-            return;
-        };
-        core.mmu.invalidate_page(&mut core.machine, asid, va);
-        core.machine.charge_kind(CostKind::PageMetaUpdate);
-        core.machine.perf.page_meta_updates += 1;
-        if self.meta.remove_mapping(frame, pid, va) {
-            self.release_frame(frame, size);
-        }
     }
 
     /// Rewrite the leaf mapping `va` in place: unmap it, then map
@@ -1353,16 +1368,13 @@ impl KernelHooks for BaselineKernel {
     }
 
     /// Unmap everything (page by page — the baseline's linear exit
-    /// cost) and drop the process's swap slots.
+    /// cost), lowest VMA first, and drop the process's swap slots.
     fn teardown(&mut self, pid: Pid) -> Result<(), VmError> {
-        let regions: Vec<(VirtAddr, u64)> = self
-            .core
-            .proc(pid)?
-            .vmas
-            .iter()
-            .map(|v| (v.start, v.len()))
-            .collect();
-        for (start, len) in regions {
+        loop {
+            let vmas = &self.core.proc(pid)?.vmas;
+            let Some((start, len)) = vmas.iter().next().map(|v| (v.start, v.len())) else {
+                break;
+            };
             self.unmap_region(pid, start, len)?;
         }
         let swapped = std::mem::take(&mut self.core.proc_mut(pid)?.swapped);

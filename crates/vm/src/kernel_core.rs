@@ -172,7 +172,11 @@ pub trait KernelHooks {
     /// Hit-run prover: prove the next `len` accesses of the run all
     /// hit one resident translation, charge their translation half and
     /// return the first physical address and the proven span (≥ 2).
-    /// `None` interprets at least one access instead.
+    /// `None` interprets at least one access instead, and must charge
+    /// and mutate nothing an interpreted access would not. The run
+    /// engine calls it only when `va` and `va + stride` lie in the
+    /// extent of the MMU's last successful translation, since a span
+    /// cannot start anywhere else.
     fn hit_run(
         &mut self,
         pid: Pid,
@@ -185,8 +189,11 @@ pub trait KernelHooks {
     /// Miss-run prover: prove the next `len` accesses all demand-fault
     /// fresh pages, then perform them, record their latencies from
     /// `t0` and return the span. `None` (the default) interprets, and
-    /// must charge and mutate nothing. Only the baseline proves miss
-    /// runs: absence comes from `PageTables::absent_run` (through
+    /// must charge and mutate nothing. The run engine calls it only
+    /// when `va` lies outside the extent of the MMU's last successful
+    /// translation: inside it, `va` is mapped and the absence proof
+    /// would refuse. Only the baseline proves miss runs: absence
+    /// comes from `PageTables::absent_run` (through
     /// `Mmu::translate_miss_run`), and the pages go in through the
     /// fresh-page installer its bulk-populate prover also uses. The
     /// fom kernel has none: it installs whole extents when a file is
@@ -369,6 +376,13 @@ impl<K: KernelHooks> MemSys for K {
     /// the plain loop. Gauge timelines are not: a fused prefix is one
     /// op boundary, where the interpreter has one per access, so
     /// fast-forward can take fewer timeline samples.
+    ///
+    /// At access `a`, a prover is tried only where it can pay, going
+    /// by the MMU's [`last_extent`](o1_hw::Mmu::last_extent): the hit
+    /// prover when `a` and `a + stride` both lie inside it, the miss
+    /// prover when `a` lies outside it. The extent is a hint; a stale
+    /// one costs a refusal or one interpreted access, never a
+    /// different result.
     fn access_span(
         &mut self,
         pid: Pid,
@@ -384,22 +398,27 @@ impl<K: KernelHooks> MemSys for K {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
             if self.core().machine.fastforward() && len - k >= 2 {
                 let t0 = self.core().machine.op_start();
-                if let Some((pa, span)) = self.hit_run(pid, a, stride, len - k, access)? {
-                    let label = self.label();
-                    let m = &mut self.core_mut().machine;
-                    bulk_memory(m, pa, stride, span, write, first_value + k);
-                    // Every access in the span hit — `span` AccessHit
-                    // latencies, each of the identical per-access cost.
-                    m.op_end_n(t0, OpKind::AccessHit, label, span);
-                    self.poll_timeline();
-                    k += span;
-                    continue;
-                }
-                if let Some(span) =
-                    self.miss_run(pid, a, stride, len - k, write, first_value + k, t0)
-                {
-                    k += span;
-                    continue;
+                let extent = self.core().mmu.last_extent();
+                let inside = extent.contains(&a.0);
+                if inside && extent.contains(&a.0.wrapping_add_signed(stride)) {
+                    if let Some((pa, span)) = self.hit_run(pid, a, stride, len - k, access)? {
+                        let label = self.label();
+                        let m = &mut self.core_mut().machine;
+                        bulk_memory(m, pa, stride, span, write, first_value + k);
+                        // Every access in the span hit — `span` AccessHit
+                        // latencies, each of the identical per-access cost.
+                        m.op_end_n(t0, OpKind::AccessHit, label, span);
+                        self.poll_timeline();
+                        k += span;
+                        continue;
+                    }
+                } else if !inside {
+                    if let Some(span) =
+                        self.miss_run(pid, a, stride, len - k, write, first_value + k, t0)
+                    {
+                        k += span;
+                        continue;
+                    }
                 }
             }
             if write {

@@ -435,3 +435,48 @@ fn tenant_churn_keeps_host_heap_bounded_by_live_processes() {
         );
     }
 }
+
+/// The run engine tries the hit prover at an access only when it and
+/// the next access lie in the extent of the MMU's last successful
+/// translation. Every equivalence test above would still pass with a
+/// gate that never tried it, and `fig_sweep` would run far slower, so
+/// the fusions that pay are pinned here by count.
+#[test]
+fn the_prover_gate_keeps_the_fusions_that_pay() {
+    // Four 2 MiB regions, so a warm pass hits four resident 2M TLB
+    // entries.
+    const PAGES: u64 = 2048;
+    let warm_sweep = |sys: &mut dyn MemSys| {
+        let pid = sys.create_process().unwrap();
+        let va = sys.alloc(pid, PAGES * PAGE_SIZE, false).unwrap();
+        let sweep = AccessRun {
+            start_page: 0,
+            stride: 1,
+            len: PAGES,
+        };
+        // The cold pass faults the region in.
+        sys.access_runs(pid, va, &[sweep], true, 0).unwrap();
+        let before = sys.machine().ffwd_accesses;
+        sys.access_runs(pid, va, &[sweep], false, 0).unwrap();
+        sys.machine().ffwd_accesses - before
+    };
+    // Per region, the first access interprets (the extent still holds
+    // the previous region's entry) and sets the extent to this
+    // region's 2M entry; the other 511 fuse.
+    let fused = PAGES - PAGES / 512;
+    let (mut baseline, _) = baseline_pair(ThpMode::Aligned2M);
+    assert_eq!(warm_sweep(baseline.as_mut()), fused, "baseline THP sweep");
+    let (mut fom_pt, _) = fom_pair(MapMech::PageTables);
+    assert_eq!(warm_sweep(fom_pt.as_mut()), fused, "fom page-table sweep");
+
+    // A stride-0 span on the page the last access translated fuses
+    // whole.
+    let (mut sys, _) = baseline_pair(ThpMode::Never);
+    let pid = sys.create_process().unwrap();
+    let va = sys.alloc(pid, PAGE_SIZE, true).unwrap();
+    sys.load(pid, va).unwrap();
+    let before = sys.machine().ffwd_accesses;
+    sys.access_span(pid, va, 0, 100, true, 7).unwrap();
+    assert_eq!(sys.machine().ffwd_accesses - before, 100, "stride-0 span");
+    assert_eq!(sys.load(pid, va), Ok(106));
+}

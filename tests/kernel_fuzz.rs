@@ -303,3 +303,133 @@ fn fom_lifecycle_fuzz_with_crashes() {
         }
     }
 }
+
+/// Baseline-only range-drop fuzz: regions lose page-aligned
+/// sub-ranges to partial `munmap` and `madvise(MADV_DONTNEED)` on a
+/// THP kernel, so range edges split 2 MiB leaves, with 4 CPUs and CPU
+/// hops between ops. The oracle maps each mapped virtual page to its
+/// value: an unmapped page faults with `BadAddress`, a dontneed'd page
+/// reads 0, everything else reads what was last stored, including
+/// stores made by access spans. A new region may land in a hole an
+/// earlier partial `munmap` left. `check_consistency` runs after every
+/// op, and every frame comes back at the end.
+#[test]
+fn baseline_range_drops_agree_with_the_oracle() {
+    use o1mem::vm::{CpuId, ThpMode, VmError};
+
+    for seed in [5u64, 23, 99, 2024] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut k = BaselineKernel::builder()
+            .dram(96 << 20)
+            .cpus(4)
+            .thp(ThpMode::Aligned2M)
+            .build();
+        let free0 = k.free_frames();
+        let pid = k.create_process().unwrap();
+        // Live regions as (first virtual page, pages), and the value of
+        // every mapped virtual page.
+        let mut regions: Vec<Option<(u64, u64)>> = vec![None; 6];
+        let mut mapped: HashMap<u64, u64> = HashMap::new();
+        let va = |vpage: u64| VirtAddr(vpage * PAGE_SIZE);
+        for op in 0..300 {
+            let slot = rng.random_range(0..regions.len());
+            // A page of the chosen region (mapped or not), or None.
+            let pick = |rng: &mut StdRng| {
+                regions[slot]
+                    .map(|(first, pages)| (first, pages, first + rng.random_range(0..pages)))
+            };
+            match rng.random_range(0..12u32) {
+                0 | 1 => {
+                    if regions[slot].is_none() {
+                        let pages = rng.random_range(1..1536u64);
+                        let base = k.alloc(pid, pages * PAGE_SIZE, rng.random()).unwrap();
+                        let first = base.0 / PAGE_SIZE;
+                        mapped.extend((first..first + pages).map(|p| (p, 0)));
+                        regions[slot] = Some((first, pages));
+                    }
+                }
+                2 => {
+                    if let Some((first, pages)) = regions[slot].take() {
+                        k.release(pid, va(first), pages * PAGE_SIZE).unwrap();
+                        for p in first..first + pages {
+                            mapped.remove(&p);
+                        }
+                    }
+                }
+                n @ (3 | 4) => {
+                    let Some((_, pages, from)) = pick(&mut rng) else {
+                        continue;
+                    };
+                    let first = regions[slot].unwrap().0;
+                    let len = rng.random_range(1..=first + pages - from);
+                    let bytes = len * PAGE_SIZE;
+                    if n == 3 {
+                        k.munmap(pid, va(from), bytes).unwrap();
+                        for p in from..from + len {
+                            mapped.remove(&p);
+                        }
+                    } else {
+                        k.madvise_dontneed(pid, va(from), bytes).unwrap();
+                        for p in from..from + len {
+                            if let Some(v) = mapped.get_mut(&p) {
+                                *v = 0;
+                            }
+                        }
+                    }
+                }
+                5..=7 => {
+                    let Some((_, _, page)) = pick(&mut rng) else {
+                        continue;
+                    };
+                    let val: u64 = rng.random();
+                    let got = k.store(pid, va(page), val);
+                    match mapped.get_mut(&page) {
+                        Some(v) => {
+                            assert_eq!(got, Ok(()), "seed {seed} op {op}");
+                            *v = val;
+                        }
+                        None => assert_eq!(got, Err(VmError::BadAddress), "seed {seed} op {op}"),
+                    }
+                }
+                8 | 9 => {
+                    let Some((_, _, page)) = pick(&mut rng) else {
+                        continue;
+                    };
+                    let want = mapped.get(&page).copied().ok_or(VmError::BadAddress);
+                    assert_eq!(k.load(pid, va(page)), want, "seed {seed} op {op}");
+                }
+                10 => {
+                    // An access span over mapped pages, stride 0–2
+                    // pages, through the fast-forward engine.
+                    let Some((_, _, from)) = pick(&mut rng) else {
+                        continue;
+                    };
+                    let stride = rng.random_range(0..3u64);
+                    let len = rng.random_range(1..64u64);
+                    let touched: Vec<u64> = (0..len).map(|i| from + i * stride).collect();
+                    if touched.iter().any(|p| !mapped.contains_key(p)) {
+                        continue;
+                    }
+                    let write = rng.random();
+                    let value: u64 = rng.random();
+                    let step = (stride * PAGE_SIZE) as i64;
+                    k.access_span(pid, va(from), step, len, write, value)
+                        .unwrap();
+                    if write {
+                        for (i, p) in touched.iter().enumerate() {
+                            mapped.insert(*p, value + i as u64);
+                        }
+                    }
+                }
+                _ => k.set_cpu(CpuId(rng.random_range(0..4))),
+            }
+            k.check_consistency()
+                .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
+        }
+        for (first, pages) in regions.iter_mut().filter_map(Option::take) {
+            k.release(pid, va(first), pages * PAGE_SIZE).unwrap();
+        }
+        k.destroy_process(pid).unwrap();
+        assert_eq!(k.free_frames(), free0, "leaked frames, seed {seed}");
+    }
+}
