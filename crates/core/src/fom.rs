@@ -1448,7 +1448,7 @@ mod tests {
             (pa, k.machine().now().since(t0))
         };
         // Compare against the baseline's per-page pinning cost.
-        let per_page_pin = k.machine().cost.pin_page * 256;
+        let per_page_pin = k.machine().cost.unit(CostKind::PinPage) * 256;
         assert!(
             ns < per_page_pin,
             "implicit pinning beats per-page: {ns} ns"

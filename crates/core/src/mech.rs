@@ -30,8 +30,9 @@
 //!   alive for the unmapped pieces.
 
 use o1_hw::{
-    Access, Asid, CostKind, FastMap, FastRegion, FrameNo, OpKind, PageSize, PhysAddr, PtNodeId,
-    PteFlags, RangeEntry, Satisfied, TranslateError, VirtAddr, HUGE_2M, PAGE_SHIFT, PAGE_SIZE,
+    Access, Asid, ClearedLeaves, CostKind, FastMap, FastRegion, FrameNo, OpKind, PageSize,
+    PhysAddr, PtNodeId, PteFlags, RangeEntry, Satisfied, TranslateError, VirtAddr, HUGE_2M,
+    PAGE_SHIFT, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileExtent, FileId};
 use o1_palloc::PhysExtent;
@@ -442,13 +443,15 @@ fn translate_default(
 }
 
 /// Default teardown: ranges are removed and invalidated, shared
-/// subtrees unshared, page spans unmapped entry by entry.
+/// subtrees unshared, page spans unmapped one node's run of leaves at
+/// a time ([`o1_hw::PageTables::unmap_leaves`]).
 fn teardown_pieces_default(
     ctx: &mut MechCtx<'_>,
     pid: Pid,
     pieces: &[Piece],
 ) -> Result<(), VmError> {
     let (root, asid) = ctx.procs.space(pid)?;
+    let mut leaves = ClearedLeaves::default();
     for piece in pieces {
         match *piece {
             Piece::Range { base } => {
@@ -461,13 +464,8 @@ fn teardown_pieces_default(
                 ctx.pt.unshare(ctx.machine, root, va, 0);
             }
             Piece::Pages { va, bytes } => {
-                let mut at = va;
-                while at < va + bytes {
-                    match ctx.pt.unmap(ctx.machine, root, at) {
-                        Some((_, _, size)) => at += size.bytes(),
-                        None => at += PAGE_SIZE,
-                    }
-                }
+                let (pt, mut at, end) = (&mut *ctx.pt, va, va + bytes);
+                while pt.unmap_leaves(ctx.machine, root, &mut at, end, &mut leaves) {}
             }
         }
     }

@@ -14,13 +14,11 @@
 //! mapped file extents never move; the baseline must pin explicitly
 //! (per page) or eat IOMMU faults.
 
+use o1_obs::CostKind;
+
 use crate::addr::{PhysAddr, PAGE_SIZE};
 use crate::machine::Machine;
 
-/// Per-page DMA streaming cost at device rate (ns) — ~8 GB/s.
-pub const DMA_PAGE_NS: u64 = 500;
-/// IOMMU page-fault penalty (device stall + fault report + resume).
-pub const IOMMU_FAULT_NS: u64 = 10_000;
 /// IOTLB capacity in entries.
 pub const IOTLB_ENTRIES: usize = 64;
 
@@ -52,8 +50,8 @@ impl DmaEngine {
     }
 
     /// Transfer `bytes` from physical memory starting at `pa` into the
-    /// device (or vice versa — costs are symmetric). Charges streaming
-    /// cost per page, plus IOMMU fault penalties in
+    /// device (or vice versa — costs are symmetric). Charges one
+    /// [`CostKind::DmaPage`] per page, plus one [`CostKind::IommuFault`] in
     /// [`DmaMode::IommuFaulting`] for every IOTLB miss.
     ///
     /// Returns the number of pages transferred.
@@ -64,13 +62,13 @@ impl DmaEngine {
             let page = (pa.0 + i * PAGE_SIZE) >> crate::addr::PAGE_SHIFT;
             if mode == DmaMode::IommuFaulting && !self.iotlb.contains(&page) {
                 self.iommu_faults += 1;
-                m.charge_tagged(o1_obs::CostKind::IommuFault, 1, IOMMU_FAULT_NS);
+                m.charge_kind(CostKind::IommuFault);
                 if self.iotlb.len() >= IOTLB_ENTRIES {
                     self.iotlb.pop_front();
                 }
                 self.iotlb.push_back(page);
             }
-            m.charge_tagged(o1_obs::CostKind::DmaPage, 1, DMA_PAGE_NS);
+            m.charge_kind(CostKind::DmaPage);
         }
         pages
     }
@@ -95,7 +93,7 @@ mod tests {
             (p, m.now().since(t0))
         };
         assert_eq!(pages, 256);
-        assert_eq!(ns, 256 * DMA_PAGE_NS);
+        assert_eq!(ns, 256 * m.cost.unit(CostKind::DmaPage));
         assert_eq!(dma.iommu_faults, 0);
     }
 
@@ -107,7 +105,8 @@ mod tests {
         dma.transfer(&mut m, PhysAddr(0), 1 << 20, DmaMode::IommuFaulting);
         let cold = m.now().since(t0);
         assert_eq!(dma.iommu_faults, 256);
-        assert!(cold > 20 * 256 * DMA_PAGE_NS / 2, "faults dominate: {cold}");
+        let page = m.cost.unit(CostKind::DmaPage);
+        assert!(cold > 20 * 256 * page / 2, "faults dominate: {cold}");
         // A second pass over a small (IOTLB-resident) window is fast.
         dma.flush_iotlb();
         let small = 32 * PAGE_SIZE; // fits the 64-entry IOTLB
@@ -115,7 +114,7 @@ mod tests {
         let t0 = m.now();
         dma.transfer(&mut m, PhysAddr(0), small, DmaMode::IommuFaulting);
         let warm = m.now().since(t0);
-        assert_eq!(warm, 32 * DMA_PAGE_NS, "warm IOTLB = device rate");
+        assert_eq!(warm, 32 * page, "warm IOTLB = device rate");
     }
 
     #[test]

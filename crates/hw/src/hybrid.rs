@@ -6,9 +6,9 @@
 //! conventional page tables. This module models the restrictive side:
 //! a direct-mapped array of `(asid, vpage) → frame` slots indexed by a
 //! multiplicative hash. A probe either hits (one tag compare, priced
-//! as [`crate::cost::CostModel::hybrid_fast_hit`]) or misses and falls
+//! as [`o1_obs::CostKind::HybridFastHit`]) or misses and falls
 //! back to the page-table walker; a fill after a successful walk
-//! writes tag + payload ([`crate::cost::CostModel::hybrid_fast_fill`])
+//! writes tag + payload ([`o1_obs::CostKind::HybridFastFill`])
 //! and evicts whatever the slot held — the direct-mapped conflict
 //! eviction *is* the residency policy.
 //!

@@ -42,7 +42,7 @@ pub use addr::{
     PAGE_SHIFT, PAGE_SIZE, PT_ENTRIES, PT_LEVELS,
 };
 pub use cost::CostModel;
-pub use dma::{DmaEngine, DmaMode, DMA_PAGE_NS, IOMMU_FAULT_NS, IOTLB_ENTRIES};
+pub use dma::{DmaEngine, DmaMode, IOTLB_ENTRIES};
 pub use hybrid::FastRegion;
 pub use machine::{CpuId, Machine, MachineConfig, ObsMode, SimNs, MAX_CPUS};
 pub use mmu::{span_within, Access, Mmu, Satisfied, TranslateError, Translated, WalkMode};

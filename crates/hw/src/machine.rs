@@ -2,9 +2,9 @@
 //! performance counters + the cost-attribution ledger.
 //!
 //! Everything that "takes time" in the simulation charges nanoseconds
-//! to the machine clock through [`Machine::charge`] or one of the
-//! tagged variants ([`Machine::charge_kind`], [`Machine::charge_opn`],
-//! [`Machine::charge_tagged`]). Experiments read the clock before and
+//! to the machine clock as a count of one [`CostKind`] at its price in
+//! the machine's [`CostModel`] ([`Machine::charge_kind`],
+//! [`Machine::charge_opn`]). Experiments read the clock before and
 //! after an operation; because the simulation is deterministic, the
 //! same workload always yields the same duration.
 //!
@@ -14,10 +14,9 @@
 //! phase label into a per-machine ledger. The *only* way to advance
 //! the clock is through the charge methods, and every charge method
 //! records exactly what it added — so the ledger always sums to the
-//! simulated-clock delta (conservation), with [`CostKind::Untagged`]
-//! absorbing any charge nobody has attributed yet. With observability
-//! disabled the machine carries no ledger, allocates nothing, and
-//! behaves bit-identically.
+//! simulated-clock delta (conservation), and every row is its count
+//! times the kind's price. With observability disabled the machine
+//! carries no ledger, allocates nothing, and behaves bit-identically.
 
 use o1_obs::{CostKind, MachineTrace, OpKind};
 
@@ -78,8 +77,9 @@ pub enum ObsMode {
     On,
 }
 
-/// Shared machine configuration: memory geometry, cost model, CPU
-/// count, and the observability sink. Kernel builders in `o1-vm` and
+/// Shared machine configuration: memory geometry, CPU count, and the
+/// observability sink. Every machine starts with the
+/// [`CostModel::tmpfs_dram`] prices. Kernel builders in `o1-vm` and
 /// `o1-core` embed one of these.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
@@ -87,8 +87,6 @@ pub struct MachineConfig {
     pub dram_bytes: u64,
     /// NVM tier size in bytes (0 = no persistent tier).
     pub nvm_bytes: u64,
-    /// Per-operation cost table.
-    pub cost: CostModel,
     /// Number of CPUs, `1..=MAX_CPUS`. Each CPU owns private
     /// translation state in the MMU; invalidations broadcast to the
     /// CPUs that hold the target ASID.
@@ -102,7 +100,6 @@ impl Default for MachineConfig {
         MachineConfig {
             dram_bytes: 256 << 20,
             nvm_bytes: 0,
-            cost: CostModel::tmpfs_dram(),
             cpus: 1,
             obs: ObsMode::Auto,
         }
@@ -162,7 +159,7 @@ impl Machine {
             ObsMode::On => true,
         };
         Machine {
-            cost: config.cost,
+            cost: CostModel::tmpfs_dram(),
             phys: PhysicalMemory::new(config.dram_bytes, config.nvm_bytes),
             perf: PerfCounters::default(),
             clock_ns: 0,
@@ -186,26 +183,20 @@ impl Machine {
         self.fastforward = enabled;
     }
 
-    /// Build a machine with the given memory geometry and cost model.
-    pub fn new(dram_bytes: u64, nvm_bytes: u64, cost: CostModel) -> Self {
-        Machine::from_config(MachineConfig {
-            dram_bytes,
-            nvm_bytes,
-            cost,
-            ..MachineConfig::default()
-        })
-    }
-
     /// Convenience constructor matching the paper's tmpfs testbed:
     /// DRAM only, default cost model.
     pub fn dram_only(dram_bytes: u64) -> Self {
-        Machine::new(dram_bytes, 0, CostModel::tmpfs_dram())
+        Machine::with_nvm(dram_bytes, 0)
     }
 
     /// Convenience constructor for a persistent-memory machine: a small
     /// DRAM tier plus a large NVM tier.
     pub fn with_nvm(dram_bytes: u64, nvm_bytes: u64) -> Self {
-        Machine::new(dram_bytes, nvm_bytes, CostModel::tmpfs_dram())
+        Machine::from_config(MachineConfig {
+            dram_bytes,
+            nvm_bytes,
+            ..MachineConfig::default()
+        })
     }
 
     /// Current simulated time.
@@ -214,64 +205,29 @@ impl Machine {
         SimNs(self.clock_ns)
     }
 
-    /// Advance the clock. The single mutation point for `clock_ns`:
-    /// every public charge method funnels through here *and* records
-    /// the same amount in the ledger, which is what makes the ledger
-    /// conserve simulated time.
-    #[inline]
-    fn advance(&mut self, ns: u64) {
-        self.clock_ns = self
-            .clock_ns
-            .checked_add(ns)
-            .expect("simulated clock overflow");
-    }
-
-    /// Record a ledger entry (no clock effect).
-    #[inline]
-    fn note(&mut self, kind: CostKind, count: u64, ns: u64) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(kind, count, ns);
-        }
-    }
-
-    /// Advance the clock by `ns` nanoseconds, attributed to
-    /// [`CostKind::Untagged`]. Prefer the tagged variants; this exists
-    /// so unattributed charges still conserve.
-    #[inline]
-    pub fn charge(&mut self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        self.advance(ns);
-        self.note(CostKind::Untagged, 1, ns);
-    }
-
-    /// Charge one primitive of `kind` at its model unit cost.
+    /// Charge one primitive of `kind` at its price in [`Machine::cost`].
     #[inline]
     pub fn charge_kind(&mut self, kind: CostKind) {
-        let ns = self.cost.unit(kind);
-        self.advance(ns);
-        self.note(kind, 1, ns);
+        self.charge_opn(kind, 1);
     }
 
-    /// Charge `count` primitives of `kind` at the model unit cost.
+    /// Charge `count` primitives of `kind` at its price in
+    /// [`Machine::cost`]. The single mutation point for `clock_ns`:
+    /// it records in the ledger exactly what it adds to the clock,
+    /// which is what makes the ledger conserve simulated time.
     #[inline]
     pub fn charge_opn(&mut self, kind: CostKind, count: u64) {
         if count == 0 {
             return;
         }
         let ns = self.cost.unit(kind) * count;
-        self.advance(ns);
-        self.note(kind, count, ns);
-    }
-
-    /// Charge `count` primitives of `kind` costing `ns` in total, for
-    /// primitives whose cost does not come from the model table (DMA
-    /// constants, crypto-erase key drops).
-    #[inline]
-    pub fn charge_tagged(&mut self, kind: CostKind, count: u64, ns: u64) {
-        self.advance(ns);
-        self.note(kind, count, ns);
+        self.clock_ns = self
+            .clock_ns
+            .checked_add(ns)
+            .expect("simulated clock overflow");
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(kind, count, ns);
+        }
     }
 
     /// Enter ledger phase `label` (driver boundaries set these). No
@@ -499,10 +455,10 @@ mod tests {
     fn clock_advances_monotonically() {
         let mut m = Machine::dram_only(1 << 20);
         assert_eq!(m.now(), SimNs(0));
-        m.charge(100);
-        m.charge(50);
-        assert_eq!(m.now(), SimNs(150));
-        assert_eq!(m.now().since(SimNs(100)), 50);
+        m.charge_opn(CostKind::PteWrite, 2);
+        m.charge_kind(CostKind::PteWrite);
+        assert_eq!(m.now(), SimNs(3 * 55));
+        assert_eq!(m.now().since(SimNs(100)), 65);
     }
 
     #[test]
@@ -526,7 +482,7 @@ mod tests {
     fn zeroing_fg_charges_bg_does_not() {
         let mut m = Machine::dram_only(1 << 20);
         let (_, fg) = m.timed(|m| m.charge_zero_fg(MemTier::Dram, 4 * PAGE_SIZE));
-        assert_eq!(fg, 4 * m.cost.zero_page_dram);
+        assert_eq!(fg, 4 * m.cost.unit(CostKind::ZeroPageDram));
         let (_, bg) = m.timed(|m| m.note_zero_bg(4 * PAGE_SIZE));
         assert_eq!(bg, 0);
         assert_eq!(m.perf.bytes_zeroed_fg, 4 * PAGE_SIZE);
@@ -538,9 +494,10 @@ mod tests {
         let mut m = Machine::dram_only(1 << 20);
         let (_, alone) = m.timed(|m| m.charge_shootdown(0));
         let (_, seven) = m.timed(|m| m.charge_shootdown(7));
-        assert_eq!(seven - alone, 7 * m.cost.tlb_shootdown_percpu);
+        let ipi = m.cost.unit(CostKind::TlbShootdownPercpu);
+        assert_eq!(seven - alone, 7 * ipi);
         let (_, pg) = m.timed(|m| m.charge_invlpg_broadcast(1, 3));
-        assert_eq!(pg, m.cost.tlb_invlpg + 3 * m.cost.tlb_shootdown_percpu);
+        assert_eq!(pg, m.cost.unit(CostKind::TlbInvlpg) + 3 * ipi);
         assert_eq!(m.perf.tlb_shootdowns, 3);
     }
 
@@ -548,11 +505,11 @@ mod tests {
     fn timed_reports_elapsed() {
         let mut m = Machine::dram_only(1 << 20);
         let (v, ns) = m.timed(|m| {
-            m.charge(123);
+            m.charge_kind(CostKind::Syscall);
             "done"
         });
         assert_eq!(v, "done");
-        assert_eq!(ns, 123);
+        assert_eq!(ns, m.cost.unit(CostKind::Syscall));
     }
 
     #[test]
@@ -561,7 +518,7 @@ mod tests {
         m.charge_syscall();
         m.charge_syscall();
         assert_eq!(m.perf.syscalls, 2);
-        assert_eq!(m.now().0, 2 * m.cost.syscall);
+        assert_eq!(m.now().0, 2 * m.cost.unit(CostKind::Syscall));
     }
 
     #[test]
@@ -576,15 +533,10 @@ mod tests {
         m.charge_syscall();
         m.set_phase("work");
         m.charge_shootdown(0);
-        m.charge(77); // untagged
         let report = m.take_trace().expect("forced ledger");
         assert!(report.conserves(), "every charge path records its ns");
         assert_eq!(report.clock_ns, m.now().0);
         assert!(!m.traced(), "ledger is gone after take_trace");
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.kind == o1_obs::CostKind::Untagged && r.ns == 77));
         assert!(report
             .rows
             .iter()
@@ -643,16 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn tagged_charges_match_model_units() {
+    fn charges_are_priced_by_the_machines_table() {
         let mut m = Machine::dram_only(1 << 20);
+        m.cost = m.cost.clone().with(CostKind::DmaPage, 7);
         let t0 = m.now();
-        m.charge_kind(o1_obs::CostKind::PteWrite);
-        assert_eq!(m.now().since(t0), m.cost.pte_write);
+        m.charge_kind(CostKind::PteWrite);
+        assert_eq!(m.now().since(t0), m.cost.unit(CostKind::PteWrite));
         let t1 = m.now();
-        m.charge_opn(o1_obs::CostKind::PtwLevelRef, 4);
-        assert_eq!(m.now().since(t1), m.cost.walk(4));
+        m.charge_opn(CostKind::PtwLevelRef, 4);
+        assert_eq!(m.now().since(t1), 4 * m.cost.unit(CostKind::PtwLevelRef));
         let t2 = m.now();
-        m.charge_tagged(o1_obs::CostKind::DmaPage, 2, 500);
-        assert_eq!(m.now().since(t2), 500);
+        m.charge_opn(CostKind::DmaPage, 2);
+        assert_eq!(
+            m.now().since(t2),
+            14,
+            "a repriced kind charges its new price"
+        );
     }
 }

@@ -149,14 +149,13 @@ struct CpuMmu {
     rtlb: RangeTlb,
     /// Software page-walk cache: `(root, base page)` → leaf slot. A
     /// pure host-side accelerator — hits charge exactly what the full
-    /// walk would ([`CostModel::walk`] of the cached level count plus
+    /// walk would (one [`CostKind::PtwLevelRef`] per cached level plus
     /// one [`PerfCounters::page_walks`]), so simulated time and
     /// counters are unchanged. Valid only while the page tables'
     /// structural [`PageTables::epoch`] matches `walk_epoch`; any
     /// map/unmap/share/free empties it on the next walk. An `Mmu` must
     /// always be driven with the same [`PageTables`] arena.
     ///
-    /// [`CostModel::walk`]: crate::cost::CostModel::walk
     /// [`PerfCounters::page_walks`]: crate::perf::PerfCounters
     walk_cache: FastMap<(PtNodeId, PageNo), WalkSlot>,
     /// Epoch the walk-cache contents were built at.
@@ -721,7 +720,7 @@ impl Mmu {
     /// would produce, plus the leaf's frame (what the TLB fill needs)
     /// and its slot (where the A/D update lands, with no second
     /// descent), while charging the identical cost: one page-walk
-    /// count and `cost.walk(levels_touched)`. On a cache hit the host
+    /// count and one `PtwLevelRef` per level touched. On a cache hit the host
     /// skips the tree traversal and re-reads the live leaf PTE
     /// directly, so A/D-bit updates done in place remain visible.
     /// Structural page-table changes bump [`PageTables::epoch`], which
@@ -1227,7 +1226,7 @@ mod tests {
         mmu.invalidate_page(&mut m, A, va);
         assert_eq!(
             m.now().since(t0),
-            m.cost.tlb_invlpg + 2 * m.cost.tlb_shootdown_percpu,
+            m.cost.unit(CostKind::TlbInvlpg) + 2 * m.cost.unit(CostKind::TlbShootdownPercpu),
             "local invlpg + one IPI per responding CPU"
         );
         // The broadcast dropped the entry everywhere.
@@ -1241,7 +1240,11 @@ mod tests {
         mmu.flush_asid(&mut m, A);
         let t1 = m.now();
         mmu.flush_asid(&mut m, A);
-        assert_eq!(m.now().since(t1), m.cost.tlb_flush_asid, "mask cleared");
+        assert_eq!(
+            m.now().since(t1),
+            m.cost.unit(CostKind::TlbFlushAsid),
+            "mask cleared"
+        );
     }
 
     #[test]
@@ -1444,7 +1447,7 @@ mod tests {
             .translate_run(&mut f.m, &mut f.pt, f.root, A, va, 8, 1, Access::Read)
             .is_none());
         // Refusals charge nothing (the successful span charged 2 hits).
-        assert_eq!(f.m.now().since(t0), 2 * f.m.cost.tlb_hit);
+        assert_eq!(f.m.now().since(t0), 2 * f.m.cost.unit(CostKind::TlbHit));
     }
 
     #[test]
@@ -1525,7 +1528,7 @@ mod tests {
         f.m.timed(|m| mmu.translate(m, pt, root, rt, A, va, Access::Read).unwrap());
         let (_, hit) =
             f.m.timed(|m| mmu.translate(m, pt, root, rt, A, va, Access::Read).unwrap());
-        assert_eq!(hit, f.m.cost.tlb_hit);
+        assert_eq!(hit, f.m.cost.unit(CostKind::TlbHit));
     }
 
     #[test]

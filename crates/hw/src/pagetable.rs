@@ -1487,7 +1487,7 @@ mod tests {
         .unwrap();
         let (t, ns) = m.timed(|m| pt.walk(m, root, va));
         assert!(t.is_some());
-        assert_eq!(ns, m.cost.walk(4));
+        assert_eq!(ns, 4 * m.cost.unit(CostKind::PtwLevelRef));
         assert_eq!(m.perf.page_walks, 1);
     }
 

@@ -231,7 +231,10 @@ mod tests {
             j.append(m, Record::Begin { tx: 1 });
             j.commit(m, 1);
         });
-        assert_eq!(ns, m.cost.journal_record + m.cost.journal_commit);
+        assert_eq!(
+            ns,
+            m.cost.unit(CostKind::JournalRecord) + m.cost.unit(CostKind::JournalCommit)
+        );
         assert_eq!(m.perf.journal_records, 2);
     }
 

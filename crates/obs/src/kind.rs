@@ -1,13 +1,12 @@
 //! Cost kinds and the subsystems that charge them.
 //!
-//! [`CostKind`] mirrors the cost model one-to-one: every `CostKind`
-//! field has a kind, plus the genuinely-external primitives whose unit
-//! cost lives outside the model (device DMA constants) and the
-//! [`CostKind::Untagged`] catch-all that keeps conservation exact even
-//! for charges nobody has attributed yet.
+//! [`CostKind`] lists every primitive the simulated machine charges,
+//! each with its meaning; `o1-hw`'s `CostModel` is a table with one
+//! price per kind. Adding a primitive is one row here plus one price
+//! row there.
 
-/// The subsystem a charge is attributed to. Groups match the cost
-/// model's field grouping (and DESIGN.md's inventory).
+/// The subsystem a charge is attributed to. Groups match the price
+/// table's grouping (and DESIGN.md's inventory).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 #[repr(u8)]
 pub enum Subsystem {
@@ -27,13 +26,11 @@ pub enum Subsystem {
     Fs,
     /// Device DMA and the IOMMU.
     Dma,
-    /// Charges not yet attributed to a subsystem.
-    Other,
 }
 
 impl Subsystem {
     /// All subsystems, in display order.
-    pub const ALL: [Subsystem; 9] = [
+    pub const ALL: [Subsystem; 8] = [
         Subsystem::Cpu,
         Subsystem::Mem,
         Subsystem::Translation,
@@ -42,7 +39,6 @@ impl Subsystem {
         Subsystem::Vm,
         Subsystem::Fs,
         Subsystem::Dma,
-        Subsystem::Other,
     ];
 
     /// Stable lowercase name used in exports and tables.
@@ -56,18 +52,17 @@ impl Subsystem {
             Subsystem::Vm => "vm",
             Subsystem::Fs => "fs",
             Subsystem::Dma => "dma",
-            Subsystem::Other => "other",
         }
     }
 }
 
 macro_rules! cost_kinds {
-    ($($variant:ident => ($name:literal, $subsystem:ident)),* $(,)?) => {
+    ($($(#[$doc:meta])* $variant:ident => ($name:literal, $subsystem:ident)),* $(,)?) => {
         /// One charged primitive operation.
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
         #[repr(u8)]
         pub enum CostKind {
-            $(#[doc = $name] $variant),*
+            $($(#[$doc])* $variant),*
         }
 
         impl CostKind {
@@ -75,7 +70,7 @@ macro_rules! cost_kinds {
             pub const ALL: [CostKind; cost_kinds!(@count $($variant)*)] =
                 [$(CostKind::$variant),*];
 
-            /// Stable snake_case name matching the cost-model field.
+            /// Stable snake_case name used in exports and tables.
             pub const fn name(self) -> &'static str {
                 match self { $(CostKind::$variant => $name),* }
             }
@@ -92,66 +87,129 @@ macro_rules! cost_kinds {
 
 cost_kinds! {
     // ---- CPU / privilege crossings ----
+    /// One user→kernel→user system-call round trip.
     Syscall => ("syscall", Cpu),
+    /// Page-fault exception entry + IRET, excluding the handler body.
     FaultTrap => ("fault_trap", Cpu),
+    /// Fixed handler-body overhead per fault (VMA lookup, bookkeeping).
     FaultHandlerBase => ("fault_handler_base", Cpu),
     // ---- Memory device ----
+    /// One cache-line-granularity DRAM read performed by a program.
     MemReadDram => ("mem_read_dram", Mem),
+    /// One cache-line-granularity DRAM write performed by a program.
     MemWriteDram => ("mem_write_dram", Mem),
+    /// One NVM read (3D XPoint-class persistent memory).
     MemReadNvm => ("mem_read_nvm", Mem),
+    /// One NVM write (persistent memory; includes write-queue effects).
     MemWriteNvm => ("mem_write_nvm", Mem),
+    /// Zeroing one 4 KiB page in DRAM.
     ZeroPageDram => ("zero_page_dram", Mem),
+    /// Zeroing one 4 KiB page in NVM.
     ZeroPageNvm => ("zero_page_nvm", Mem),
+    /// Copying one 4 KiB page (e.g., user↔kernel copy in `read()`).
     CopyPage => ("copy_page", Mem),
     // ---- Address translation ----
+    /// TLB hit (effectively free; charged so counters stay honest).
     TlbHit => ("tlb_hit", Translation),
+    /// One memory reference of the hardware page-table walker. A full
+    /// 4-level walk costs 4 of these plus the TLB fill.
     PtwLevelRef => ("ptw_level_ref", Translation),
+    /// Inserting a translation into the TLB after a walk.
     TlbFill => ("tlb_fill", Translation),
+    /// Flushing one TLB entry locally (INVLPG-class).
     TlbInvlpg => ("tlb_invlpg", Translation),
+    /// Flushing an entire address space's TLB entries.
     TlbFlushAsid => ("tlb_flush_asid", Translation),
+    /// Remote-TLB shootdown cost per remote CPU (IPI + ack).
     TlbShootdownPercpu => ("tlb_shootdown_percpu", Translation),
+    /// Range-TLB hit.
     RtlbHit => ("rtlb_hit", Translation),
+    /// Walking the in-memory range table on a range-TLB miss
+    /// (binary search over a compact table: ~2 memory references).
     RangeWalk => ("range_walk", Translation),
+    /// Inserting an entry into the range TLB.
     RtlbFill => ("rtlb_fill", Translation),
+    /// Hit in a hybrid mechanism's hashed, direct-mapped fast region:
+    /// one probe of a flat in-memory table (single cache-line read +
+    /// tag compare). Slightly above a TLB hit because the table lives
+    /// in memory, far below a multi-level walk.
     HybridFastHit => ("hybrid_fast_hit", Translation),
+    /// Installing a translation into the fast region after a page walk
+    /// resolved it: one tag + PTE-sized payload write into the
+    /// direct-mapped slot (possibly evicting the conflicting entry).
     HybridFastFill => ("hybrid_fast_fill", Translation),
     // ---- Page tables ----
+    /// Writing one page-table entry.
     PteWrite => ("pte_write", PageTable),
+    /// Allocating and initialising one page-table node (a 4 KiB frame).
     PtNodeAlloc => ("pt_node_alloc", PageTable),
+    /// Freeing one page-table node.
     PtNodeFree => ("pt_node_free", PageTable),
     // ---- Physical allocators ----
+    /// Buddy allocator: one order-0 allocation (fast path).
     BuddyAlloc => ("buddy_alloc", Alloc),
+    /// Buddy allocator: extra cost per split/coalesce level.
     BuddyLevel => ("buddy_level", Alloc),
+    /// Buddy allocator: one free.
     BuddyFree => ("buddy_free", Alloc),
+    /// Extent/bitmap allocator: one allocation, independent of length.
     ExtentAlloc => ("extent_alloc", Alloc),
+    /// Extent/bitmap allocator: one free, independent of length.
     ExtentFree => ("extent_free", Alloc),
+    /// Slab allocator: one object allocation or free (fast path).
     SlabOp => ("slab_op", Alloc),
+    /// Generating a fresh per-file encryption key (crypto-erase).
     KeyGen => ("key_gen", Alloc),
+    /// Dropping a per-file encryption key on erase: zeroizing the key
+    /// material and unhooking it from the keyring. O(1) regardless of
+    /// file size — the whole point of crypto-erase.
     KeyDrop => ("key_drop", Alloc),
     // ---- VM bookkeeping ----
+    /// Creating a VMA and linking it into the address-space tree.
     VmaCreate => ("vma_create", Vm),
+    /// Looking up the VMA covering an address.
     VmaFind => ("vma_find", Vm),
+    /// Removing a VMA.
     VmaDestroy => ("vma_destroy", Vm),
+    /// Fixed `mmap` path cost beyond the syscall (fd/file resolution,
+    /// accounting, security hooks).
     MmapFixed => ("mmap_fixed", Vm),
+    /// Touching one page's `struct page` metadata (flags, LRU, counts).
     PageMetaUpdate => ("page_meta_update", Vm),
+    /// Examining one page during a reclaim scan (clock).
     ReclaimScanPage => ("reclaim_scan_page", Vm),
+    /// Writing one page to the swap device.
     SwapOutPage => ("swap_out_page", Vm),
+    /// Reading one page back from the swap device (major-fault I/O).
     SwapInPage => ("swap_in_page", Vm),
+    /// Pinning or unpinning one page for device access.
     PinPage => ("pin_page", Vm),
+    /// Migrating one 4 KiB page between memory tiers: a streamed read
+    /// of the source plus a streamed write of the destination, plus the
+    /// PTE rewrite and tiering bookkeeping.
     PageMigrate => ("page_migrate", Vm),
     // ---- File system ----
+    /// Path lookup of one name component.
     FsLookup => ("fs_lookup", Fs),
+    /// Creating an inode.
     FsCreateInode => ("fs_create_inode", Fs),
+    /// Removing an inode.
     FsRemoveInode => ("fs_remove_inode", Fs),
+    /// Reading or updating one extent-tree entry.
     FsExtentOp => ("fs_extent_op", Fs),
+    /// Appending one record to the metadata journal (NVM write + fence).
     JournalRecord => ("journal_record", Fs),
+    /// Journal commit (fence + commit record).
     JournalCommit => ("journal_commit", Fs),
+    /// Fixed `read()`/`write()` syscall body beyond the copy itself.
     FileIoFixed => ("file_io_fixed", Fs),
     // ---- Device DMA ----
+    /// Streaming one 4 KiB page between memory and a device at device
+    /// rate.
     DmaPage => ("dma_page", Dma),
+    /// An IOMMU page fault: the device touched a page with no IOTLB
+    /// entry (device stall + fault report + resume).
     IommuFault => ("iommu_fault", Dma),
-    // ---- Fallback ----
-    Untagged => ("untagged", Other),
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! The ledger never computes a cost itself — it only observes what the
 //! machine charges. That is what makes conservation (`Σ entries ==
 //! clock delta`) hold *by construction*: every path that advances the
-//! simulated clock records exactly what it added, and the catch-all
-//! [`CostKind::Untagged`] covers charges nobody has attributed yet.
+//! simulated clock records exactly what it added, tagged with the
+//! [`CostKind`] it priced.
 
 use std::collections::BTreeMap;
 

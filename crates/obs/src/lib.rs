@@ -4,13 +4,14 @@
 //! *operation counts × unit costs*. This crate makes that decomposition
 //! a first-class, verifiable artifact instead of a claim:
 //!
-//! * [`CostKind`] tags every primitive the simulated machine charges
-//!   (one kind per [`CostModel`] field plus a few fixed-cost
-//!   primitives), and [`Subsystem`] groups kinds the way DESIGN.md
-//!   groups the cost model;
+//! * [`CostKind`] tags every primitive the simulated machine charges,
+//!   and documents what each one is; [`CostModel`] prices each kind
+//!   once, in one table indexed by kind, and [`Subsystem`] groups
+//!   kinds the way DESIGN.md groups that table;
 //! * [`MachineTrace`] is the per-machine ledger: simulated nanoseconds
 //!   aggregated by `(phase label, cost kind)`, plus the phase spans
-//!   themselves. Because it only ever observes `Machine::charge`, the
+//!   themselves. Because it observes every clock advance (each one a
+//!   `Machine::charge_kind`/`charge_opn` at a table price), the
 //!   ledger *conserves time*: the sum of its entries equals the
 //!   simulated-clock delta, checked by [`conservation_errors`] and
 //!   enforced as a test across the whole figure suite;

@@ -296,7 +296,7 @@ mod tests {
         let (_, first) = m.timed(|m| b.alloc_one(m).unwrap());
         let (_, second) = m.timed(|m| b.alloc_one(m).unwrap());
         assert!(first > second, "first alloc splits many levels");
-        assert_eq!(second, m.cost.buddy_alloc);
+        assert_eq!(second, m.cost.unit(CostKind::BuddyAlloc));
     }
 
     #[test]

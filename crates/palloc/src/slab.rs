@@ -307,7 +307,7 @@ mod tests {
         let first = m.timed(|m| c.alloc(m, &mut p).unwrap()).1;
         let second = m.timed(|m| c.alloc(m, &mut p).unwrap()).1;
         assert!(first > second, "first alloc pays slab creation");
-        assert_eq!(second, m.cost.slab_op);
+        assert_eq!(second, m.cost.unit(CostKind::SlabOp));
     }
 
     #[test]

@@ -197,9 +197,6 @@ pub struct CryptoZero<P: FrameSource> {
     keys_dropped: u64,
 }
 
-/// Constant cost of dropping a key (ns).
-const KEY_DROP_NS: u64 = 90;
-
 impl<P: FrameSource> CryptoZero<P> {
     /// Wrap `parent`.
     pub fn new(parent: P) -> Self {
@@ -242,7 +239,7 @@ impl<P: FrameSource> FrameSource for CryptoZero<P> {
     }
 
     fn free(&mut self, m: &mut Machine, ext: PhysExtent) {
-        m.charge_tagged(CostKind::KeyDrop, 1, KEY_DROP_NS);
+        m.charge_kind(CostKind::KeyDrop);
         self.keys_live = self.keys_live.saturating_sub(1);
         self.keys_dropped += 1;
         // Old contents are ciphertext under a dropped key: unreadable.
@@ -373,7 +370,10 @@ mod tests {
         let mut m = machine();
         let mut a = CryptoZero::new(parent(1024));
         let (_, ns) = m.timed(|m| a.alloc(m, 512).unwrap());
-        assert_eq!(ns, m.cost.extent_alloc + m.cost.key_gen);
+        assert_eq!(
+            ns,
+            m.cost.unit(CostKind::ExtentAlloc) + m.cost.unit(CostKind::KeyGen)
+        );
         assert_eq!(a.keys_live(), 1);
     }
 

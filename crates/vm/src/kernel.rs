@@ -589,14 +589,12 @@ impl BaselineKernel {
         Ok(())
     }
 
+    /// Remove the VMAs of `[va, va+len)` one at a time, each with its
+    /// pages, then send one shootdown.
     fn unmap_region(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        let removed = {
-            let proc = self.core.proc_mut(pid)?;
-            proc.vmas.remove_range(va, len)
-        };
-        self.core.machine.charge_kind(CostKind::VmaDestroy);
         let (_, asid) = self.core.procs.space(pid)?;
-        for piece in removed {
+        self.core.machine.charge_kind(CostKind::VmaDestroy);
+        while let Some(piece) = self.core.proc_mut(pid)?.vmas.remove_first(va, len) {
             if let Backing::File { id, .. } = piece.backing {
                 let (machine, tmpfs, alloc) =
                     (&mut self.core.machine, &mut self.tmpfs, &mut self.alloc);
@@ -2169,10 +2167,10 @@ mod tests {
         let t0 = k.machine().now();
         k.file_read(id, 0, &mut buf).unwrap();
         let ns = k.machine().now().since(t0);
-        let c = &k.machine().cost;
+        let u = |kind| k.machine().cost.unit(kind);
         assert_eq!(
             ns,
-            c.syscall + c.file_io_fixed + 4 * c.copy_page,
+            u(CostKind::Syscall) + u(CostKind::FileIoFixed) + 4 * u(CostKind::CopyPage),
             "16KB = 4 page copies"
         );
     }

@@ -186,9 +186,9 @@ mod tests {
         let mut m = Machine::dram_only(1 << 20);
         let mut s = SwapDevice::new();
         let (slot, out_ns) = m.timed(|m| s.swap_out(m, FrameImage::default()));
-        assert_eq!(out_ns, m.cost.swap_out_page);
+        assert_eq!(out_ns, m.cost.unit(CostKind::SwapOutPage));
         let (_, in_ns) = m.timed(|m| s.swap_in(m, slot));
-        assert_eq!(in_ns, m.cost.swap_in_page);
+        assert_eq!(in_ns, m.cost.unit(CostKind::SwapInPage));
     }
 
     #[test]

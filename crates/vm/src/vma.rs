@@ -67,6 +67,24 @@ impl Vma {
         }
     }
 
+    /// The part of this VMA in `[start, end)`, with the file offset
+    /// moved to match.
+    fn clipped(&self, start: VirtAddr, end: VirtAddr) -> Vma {
+        let backing = match self.backing {
+            Backing::File { id, offset } => Backing::File {
+                id,
+                offset: offset + (start - self.start),
+            },
+            b => b,
+        };
+        Vma {
+            start,
+            end,
+            backing,
+            ..*self
+        }
+    }
+
     /// True if `self` (ending where `next` starts) can merge with it:
     /// same protection, sharing, pinning, and compatible backing
     /// (anon–anon, or same file with contiguous offsets).
@@ -227,58 +245,33 @@ impl VmaMap {
     /// Remove `[start, start+len)`, splitting VMAs that straddle the
     /// boundaries. Returns the removed pieces (clipped to the range).
     pub fn remove_range(&mut self, start: VirtAddr, len: u64) -> Vec<Vma> {
+        std::iter::from_fn(|| self.remove_first(start, len)).collect()
+    }
+
+    /// One step of [`remove_range`](Self::remove_range): remove the
+    /// lowest VMA overlapping `[start, start+len)`, put back the
+    /// fragments outside the range unmerged, and return the clipped
+    /// middle. `None` once nothing overlaps, so looping until then
+    /// removes the range without allocating.
+    pub(crate) fn remove_first(&mut self, start: VirtAddr, len: u64) -> Option<Vma> {
         let end = VirtAddr(start.0 + len);
-        let mut removed = Vec::new();
-        // Collect keys of affected VMAs.
-        let mut affected: Vec<u64> = Vec::new();
-        if let Some((&p, prev)) = self.map.range(..start.0).next_back() {
-            if prev.end.0 > start.0 {
-                affected.push(p);
-            }
+        let straddling = self
+            .map
+            .range(..start.0)
+            .next_back()
+            .filter(|(_, prev)| prev.end > start);
+        let (&k, _) = straddling.or_else(|| self.map.range(start.0..end.0).next())?;
+        let v = self.map.remove(&k).expect("key found above");
+        // Left fragment stays.
+        if v.start < start {
+            self.map.insert(v.start.0, Vma { end: start, ..v });
         }
-        affected.extend(self.map.range(start.0..end.0).map(|(&k, _)| k));
-        for k in affected {
-            let v = self.map.remove(&k).expect("key listed above");
-            // Left fragment stays.
-            if v.start < start {
-                self.map.insert(v.start.0, Vma { end: start, ..v });
-            }
-            // Right fragment stays (with adjusted file offset).
-            if v.end > end {
-                let backing = match v.backing {
-                    Backing::File { id, offset } => Backing::File {
-                        id,
-                        offset: offset + (end - v.start),
-                    },
-                    b => b,
-                };
-                self.map.insert(
-                    end.0,
-                    Vma {
-                        start: end,
-                        backing,
-                        ..v
-                    },
-                );
-            }
-            // The clipped middle is what was removed.
-            let clip_start = v.start.max(start);
-            let clip_end = v.end.min(end);
-            let backing = match v.backing {
-                Backing::File { id, offset } => Backing::File {
-                    id,
-                    offset: offset + (clip_start - v.start),
-                },
-                b => b,
-            };
-            removed.push(Vma {
-                start: clip_start,
-                end: clip_end,
-                backing,
-                ..v
-            });
+        // Right fragment stays (with adjusted file offset).
+        if v.end > end {
+            self.map.insert(end.0, v.clipped(end, v.end));
         }
-        removed
+        // The clipped middle is what was removed.
+        Some(v.clipped(v.start.max(start), v.end.min(end)))
     }
 
     /// Change the protection of `[start, start+len)`, splitting and
@@ -479,20 +472,30 @@ mod tests {
 
     proptest! {
         /// After arbitrary insert/remove sequences the map is sorted,
-        /// non-overlapping, and maximally merged.
+        /// non-overlapping, and maximally merged; and removing a range
+        /// one VMA at a time ([`VmaMap::remove_first`]) yields the same
+        /// pieces and leaves the same map as [`VmaMap::remove_range`].
         #[test]
         fn invariants_hold(ops in proptest::collection::vec(
             (0u64..64, 1u64..8, any::<bool>(), any::<bool>()), 1..60)
         ) {
-            let mut m = VmaMap::new();
+            let (mut m, mut stepped) = (VmaMap::new(), VmaMap::new());
             for (page, len, do_remove, rw) in ops {
                 let start = VirtAddr(page * PAGE_SIZE);
                 let bytes = len * PAGE_SIZE;
                 if do_remove {
-                    m.remove_range(start, bytes);
+                    let pieces = m.remove_range(start, bytes);
+                    let mut steps = Vec::new();
+                    while let Some(v) = stepped.remove_first(start, bytes) {
+                        steps.push(v);
+                    }
+                    prop_assert_eq!(pieces, steps);
                 } else if m.is_free(start, bytes) {
-                    m.insert(anon(start.0, len, if rw { Prot::ReadWrite } else { Prot::Read }));
+                    let v = anon(start.0, len, if rw { Prot::ReadWrite } else { Prot::Read });
+                    m.insert(v);
+                    stepped.insert(v);
                 }
+                prop_assert!(m.iter().eq(stepped.iter()), "step loop left a different map");
                 // Non-overlap + sorted.
                 let vmas: Vec<&Vma> = m.iter().collect();
                 for w in vmas.windows(2) {

@@ -16,12 +16,41 @@
 #                           #   conservation, and GOLDEN bytes;
 #                           # - the fig_hostmem shape.
 #
+# Either way the run must leave the worktree as it found it: the
+# script records `git status --porcelain` and a hash of every changed
+# path at the start, compares at the end, and fails naming each path
+# whose state changed. Uncommitted edits made before the run are fine.
+#
 # The repo builds offline: its only external dependencies, `rand` and
 # `proptest`, resolve to the in-tree shims under crates/shims/, so no
 # network access is needed.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# One line per changed or untracked path: its status and a hash of its
+# contents ("-" once deleted), plus the hash of the whole `git diff`.
+worktree_state() {
+    git status --porcelain --untracked-files=all | while IFS= read -r line; do
+        path="${line#???}"
+        path="${path#* -> }"
+        sum="$(cksum <"$path" 2>/dev/null || echo -)"
+        printf '%s %s\n' "$line" "$sum"
+    done
+    printf 'git diff %s\n' "$(git diff --no-ext-diff | cksum)"
+}
+worktree_before="$(worktree_state)"
+check_worktree() {
+    worktree_after="$(worktree_state)"
+    if [ "$worktree_before" != "$worktree_after" ]; then
+        echo "ci.sh: the run changed the worktree:" >&2
+        printf '%s\n' "$worktree_before" >"${TMPDIR:-/tmp}/ci_worktree_before.$$"
+        printf '%s\n' "$worktree_after" | diff "${TMPDIR:-/tmp}/ci_worktree_before.$$" - \
+            | sed -n 's/^[<>] //p' | grep -v '^git diff ' | sort -u >&2 || true
+        rm -f "${TMPDIR:-/tmp}/ci_worktree_before.$$"
+        exit 1
+    fi
+}
 
 if [ "${1:-}" = "--gate" ]; then
     echo "==> perf gate (figures --latency vs committed BENCH_figures.json)"
@@ -111,6 +140,7 @@ if [ "${1:-}" = "--gate" ]; then
                 exit 1
             }
         }' "$out/hostmem.txt"
+    check_worktree
     echo "ci.sh: perf gate OK"
     exit 0
 fi
@@ -173,4 +203,5 @@ if [ "${1:-}" = "--full" ]; then
     grep -q '"fig_churn"' "$out/all.json"
 fi
 
+check_worktree
 echo "ci.sh: OK"

@@ -120,7 +120,7 @@ fn baseline_pinning_blocks_eviction_fom_needs_none() {
     let t0 = base.machine().now();
     base.pin_range(pid, va, 64 * PAGE_SIZE).unwrap();
     let pin_ns = base.machine().now().since(t0);
-    assert!(pin_ns >= 64 * base.machine().cost.pin_page);
+    assert!(pin_ns >= 64 * base.machine().cost.unit(o1mem::hw::CostKind::PinPage));
 
     // fom: DMA prep is O(1) because nothing ever moves.
     let mut fom = FomKernel::builder().mech(MapMech::SharedPt).build();

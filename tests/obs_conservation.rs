@@ -1,7 +1,8 @@
 //! Conservation property over randomized workloads: whatever a seeded
 //! op stream does to a kernel — allocs, frees, stores, loads, phase
 //! switches, process churn — the machine's ledger must account for
-//! every simulated nanosecond. The figure-suite gate
+//! every simulated nanosecond, and every ledger row must be its count
+//! times the kind's price in that machine's table. The figure-suite gate
 //! (`suite_matrix.rs`) checks the paths the paper exercises; this
 //! one walks the op space at random so new charge paths can't dodge
 //! the ledger by staying off the figure suite.
@@ -10,9 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::hw::ObsMode;
+use o1mem::hw::{DmaEngine, DmaMode, MachineConfig, ObsMode, PhysAddr};
+use o1mem::palloc::{CryptoZero, ExtentAllocator, FrameSource, PhysExtent};
 use o1mem::vm::{BaselineKernel, CpuId, MemSys};
-use o1mem::{VirtAddr, PAGE_SIZE};
+use o1mem::{Machine, VirtAddr, PAGE_SIZE};
 
 /// Drive one kernel through a seeded random workload, switching
 /// ledger phases along the way and hopping between CPUs so every
@@ -66,13 +68,11 @@ fn churn(sys: &mut impl MemSys, seed: u64, ops: usize) {
     }
 }
 
-/// Close the kernel's ledger and assert it conserves the clock.
-fn assert_conserves(sys: &mut impl MemSys, what: &str) {
-    let clock = sys.machine().now().0;
-    let report = sys
-        .machine_mut()
-        .take_trace()
-        .expect("ObsMode::On forces a ledger");
+/// Close the machine's ledger and assert it conserves the clock and
+/// that every row is priced by the machine's own table.
+fn assert_conserves(m: &mut Machine, what: &str) {
+    let clock = m.now().0;
+    let report = m.take_trace().expect("ObsMode::On forces a ledger");
     assert_eq!(report.clock_ns, clock, "{what}: ledger closed at the clock");
     assert!(clock > 0, "{what}: the workload advanced simulated time");
     assert!(
@@ -81,6 +81,15 @@ fn assert_conserves(sys: &mut impl MemSys, what: &str) {
         report.charged_ns,
         report.clock_ns
     );
+    for r in &report.rows {
+        assert_eq!(
+            r.ns,
+            r.count * m.cost.unit(r.kind),
+            "{what}: {} row in phase {} is not count x price",
+            r.kind.name(),
+            r.phase
+        );
+    }
 }
 
 #[test]
@@ -91,7 +100,7 @@ fn randomized_workloads_conserve_on_the_baseline_kernel() {
             .obs(ObsMode::On)
             .build();
         churn(&mut k, seed, 600);
-        assert_conserves(&mut k, &format!("baseline seed {seed}"));
+        assert_conserves(k.machine_mut(), &format!("baseline seed {seed}"));
     }
 }
 
@@ -106,7 +115,7 @@ fn randomized_workloads_conserve_on_every_fom_mechanism() {
                 .obs(ObsMode::On)
                 .build();
             churn(&mut k, seed, 400);
-            assert_conserves(&mut k, &format!("{mech:?} seed {seed}"));
+            assert_conserves(k.machine_mut(), &format!("{mech:?} seed {seed}"));
         }
     }
 }
@@ -177,7 +186,7 @@ fn multi_cpu_workloads_conserve_on_both_kernels() {
             .obs(ObsMode::On)
             .build();
         churn(&mut k, 7 + u64::from(cpus), 600);
-        assert_conserves(&mut k, &format!("baseline cpus {cpus}"));
+        assert_conserves(k.machine_mut(), &format!("baseline cpus {cpus}"));
         for mech in MapMech::ALL {
             let mut k = FomKernel::builder()
                 .dram(128 << 20)
@@ -187,7 +196,45 @@ fn multi_cpu_workloads_conserve_on_both_kernels() {
                 .obs(ObsMode::On)
                 .build();
             churn(&mut k, 11 + u64::from(cpus), 400);
-            assert_conserves(&mut k, &format!("{mech:?} cpus {cpus}"));
+            assert_conserves(k.machine_mut(), &format!("{mech:?} cpus {cpus}"));
         }
+    }
+}
+
+/// Device DMA and crypto-erase are charged outside the kernels' op
+/// funnel; their rows must come from the same price table as every
+/// other charge, on a machine whose table was repriced as well.
+#[test]
+fn dma_and_crypto_erase_are_priced_by_the_table() {
+    use o1mem::hw::CostKind;
+
+    for repriced in [false, true] {
+        let mut m = MachineConfig {
+            obs: ObsMode::On,
+            ..MachineConfig::default()
+        }
+        .build();
+        if repriced {
+            m.cost = m
+                .cost
+                .clone()
+                .with(CostKind::DmaPage, 3)
+                .with(CostKind::IommuFault, 5)
+                .with(CostKind::KeyDrop, 7);
+        }
+        let mut dma = DmaEngine::new();
+        dma.transfer(&mut m, PhysAddr(0), 8 * PAGE_SIZE, DmaMode::Pinned);
+        dma.transfer(&mut m, PhysAddr(0), 8 * PAGE_SIZE, DmaMode::IommuFaulting);
+        assert_eq!(dma.iommu_faults, 8);
+        let mut crypto = CryptoZero::new(ExtentAllocator::new(PhysExtent::new(
+            o1mem::hw::FrameNo(0),
+            64,
+        )));
+        let ext = crypto.alloc(&mut m, 4).unwrap();
+        crypto.free(&mut m, ext);
+        assert_conserves(
+            &mut m,
+            &format!("dma and crypto-erase, repriced {repriced}"),
+        );
     }
 }

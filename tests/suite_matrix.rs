@@ -338,9 +338,7 @@ mod checks {
         }
         let missing: Vec<&str> = CostKind::ALL
             .iter()
-            // Untagged is the fallback for clock advances outside any
-            // charge path; a fully-attributed suite never emits it.
-            .filter(|k| !seen.contains(k) && **k != CostKind::Untagged)
+            .filter(|k| !seen.contains(k))
             .map(|k| k.name())
             .collect();
         assert!(
