@@ -798,7 +798,7 @@ impl FomKernel {
         let mut off = 0usize;
         while off < data.len() {
             let at = va + off as u64;
-            let pa = self.resolve(pid, at, Access::Write)?;
+            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Write)?;
             let take = usize::min(data.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
             self.core.machine.charge_kind(CostKind::CopyPage);
             self.core.machine.phys.write(pa, &data[off..off + take]);
@@ -812,7 +812,7 @@ impl FomKernel {
         let mut off = 0usize;
         while off < buf.len() {
             let at = va + off as u64;
-            let pa = self.resolve(pid, at, Access::Read)?;
+            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
             let take = usize::min(buf.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
             self.core.machine.charge_kind(CostKind::CopyPage);
             self.core.machine.phys.read(pa, &mut buf[off..off + take]);
@@ -881,7 +881,7 @@ impl FomKernel {
         let mut pages = 0;
         let mut at = va;
         while at < end {
-            let pa = self.resolve(pid, at, Access::Read)?;
+            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
             pages += dma.transfer(
                 &mut self.core.machine,
                 pa,
@@ -900,11 +900,11 @@ impl FomKernel {
     /// verifies the address resolves.
     pub fn dma_prepare(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<PhysAddr, VmError> {
         span_end(va, len)?;
-        let pa = self.resolve(pid, va, Access::Read)?;
+        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Read)?;
         // Verify the whole span is mapped (constant per extent in
         // practice; we check the last byte).
         if len > 1 {
-            self.resolve(pid, va + (len - 1), Access::Read)?;
+            self.resolve(pid, va + (len - 1), 0, 1, Access::Read)?;
         }
         Ok(pa)
     }
@@ -932,14 +932,21 @@ impl KernelHooks for FomKernel {
     /// memory maps files whole at map time, so an unmapped access is
     /// a program error (SIGSEGV), never demand paging.
     #[inline]
-    fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
+    fn resolve(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        stride: i64,
+        len: u64,
+        access: Access,
+    ) -> Result<(PhysAddr, u64), VmError> {
         self.core.proc(pid)?;
         let result = {
             let (mech, mut ctx) = self.seam();
-            mech.translate(&mut ctx, pid, va, access)
+            mech.translate(&mut ctx, pid, va, stride, len, access)
         };
         match result {
-            Ok(pa) => Ok(pa),
+            Ok(hit) => Ok(hit),
             Err(TranslateError::NotMapped) => {
                 self.core.machine.perf.prot_faults += 1;
                 Err(VmError::BadAddress)
@@ -993,20 +1000,6 @@ impl KernelHooks for FomKernel {
         g.push(("kernel.keys_live", self.keys_live));
         g.push(("kernel.free_frames", self.pmfs.free_frames()));
         self.mech.gauges(g);
-    }
-
-    #[inline]
-    fn hit_run(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        access: Access,
-    ) -> Result<Option<(PhysAddr, u64)>, VmError> {
-        self.core.proc(pid)?;
-        let (mech, mut ctx) = self.seam();
-        Ok(mech.translate_run(&mut ctx, pid, va, stride, len, access))
     }
 
     /// Range translations can often swallow a whole batch — even a
@@ -1367,7 +1360,7 @@ mod tests {
         let pid = k.create_process().unwrap();
         let (_, va) = k.falloc(pid, 64 * PAGE_SIZE, FileClass::Volatile).unwrap();
         k.store(pid, va, 0x5ec2e7).unwrap();
-        let pa = k.resolve(pid, va, Access::Read).unwrap();
+        let (pa, _) = k.resolve(pid, va, 0, 1, Access::Read).unwrap();
         k.crash_and_recover();
         assert!(
             k.machine().phys.frame_is_zero(pa.frame()),

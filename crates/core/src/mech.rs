@@ -13,11 +13,13 @@
 //! ## Contract
 //!
 //! * `translate` must charge exactly what the simulated hardware
-//!   would; the kernel has already verified the process exists.
-//! * `translate_run` / `try_bulk_runs` are *provers*: they either
-//!   return a span whose charges are identical to interpreting each
-//!   access, or refuse **without charging or mutating simulated
-//!   state** (the interpreter fallback is charge-identical).
+//!   would for every access of the span it returns (1 unless the MMU
+//!   proved a TLB-hit span); the kernel has already verified the
+//!   process exists.
+//! * `try_bulk_runs` is a *prover*: it either performs the whole
+//!   batch with charges identical to interpreting each access, or
+//!   refuses **without charging or mutating simulated state** (the
+//!   span-by-span fallback is charge-identical).
 //! * `map` needs no prover: page-table installs go through
 //!   [`PageTables::map_extent`](o1_hw::PageTables::map_extent) and
 //!   [`share`](o1_hw::PageTables::share), which charge a whole install
@@ -209,29 +211,12 @@ impl Mechanism {
         Ok(())
     }
 
-    /// Translate one access, charging hardware costs. The kernel has
-    /// already verified `pid` exists.
+    /// Translate the first access of a run of `len ≥ 1` by byte
+    /// `stride`, charging hardware costs, and return its physical
+    /// address and the span of accesses the translation covered (see
+    /// [`o1_hw::Mmu::translate`]). The kernel has already verified
+    /// `pid` exists.
     pub(crate) fn translate(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        va: VirtAddr,
-        access: Access,
-    ) -> Result<PhysAddr, TranslateError> {
-        match self {
-            Mechanism::Utopia(fast) => utopia_translate(fast, ctx, pid, va, access),
-            Mechanism::Obase(o) => {
-                let pa = translate_default(ctx, pid, va, access)?;
-                o.note(pa, 1);
-                Ok(pa)
-            }
-            _ => translate_default(ctx, pid, va, access),
-        }
-    }
-
-    /// Fast-forward prover for an arithmetic run; see
-    /// [`o1_hw::Mmu::translate_run`] for the uniformity obligations.
-    pub(crate) fn translate_run(
         &mut self,
         ctx: &mut MechCtx<'_>,
         pid: Pid,
@@ -239,24 +224,22 @@ impl Mechanism {
         stride: i64,
         len: u64,
         access: Access,
-    ) -> Option<(PhysAddr, u64)> {
-        if let Mechanism::Utopia(_) = self {
-            // The fast region participates in every translation, so a
-            // TLB-only span proof would charge differently than the
-            // interpreter. Always interpret; refusal is charge-free.
-            return None;
+    ) -> Result<(PhysAddr, u64), TranslateError> {
+        match self {
+            // The fast region takes part in every translation, so a
+            // TLB-only span would charge differently than one access
+            // at a time: Utopia always covers 1.
+            Mechanism::Utopia(fast) => Ok((utopia_translate(fast, ctx, pid, va, access)?, 1)),
+            Mechanism::Obase(o) => {
+                let (pa, span) = translate_default(ctx, pid, va, stride, len, access)?;
+                // A span stays inside one base page (extents map
+                // 4 KiB-grained), so its heat lands on one record —
+                // exactly what `span` single accesses would do.
+                o.note(pa, span);
+                Ok((pa, span))
+            }
+            _ => translate_default(ctx, pid, va, stride, len, access),
         }
-        let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
-        let r = ctx
-            .mmu
-            .translate_run(ctx.machine, ctx.pt, root, asid, va, stride, len, access);
-        if let (Mechanism::Obase(o), Some((pa, span))) = (self, r) {
-            // A proven span stays inside one base page (extents map
-            // 4 KiB-grained), so its heat lands on one record —
-            // exactly what `span` interpreted accesses would do.
-            o.note(pa, span);
-        }
-        r
     }
 
     /// Whole-batch fast-forward prover: only range translations have
@@ -420,14 +403,16 @@ fn install_pages(
     Ok(())
 }
 
-/// Default translate: hand the access to the MMU (range TLB, page
-/// TLB, range walk, page walk — whatever is wired up).
+/// Default translate: hand the run to the MMU (range TLB, page TLB,
+/// range walk, page walk — whatever is wired up).
 fn translate_default(
     ctx: &mut MechCtx<'_>,
     pid: Pid,
     va: VirtAddr,
+    stride: i64,
+    len: u64,
     access: Access,
-) -> Result<PhysAddr, TranslateError> {
+) -> Result<(PhysAddr, u64), TranslateError> {
     let proc = ctx.procs.get(pid).expect("kernel verified the pid");
     ctx.mmu
         .translate(
@@ -437,9 +422,11 @@ fn translate_default(
             &proc.ranges,
             proc.asid,
             va,
+            stride,
+            len,
             access,
         )
-        .map(|t| t.pa)
+        .map(|(t, span)| (t.pa, span))
 }
 
 /// Default teardown: ranges are removed and invalidated, shared
@@ -698,7 +685,7 @@ fn utopia_translate(
         // Wrong-permission entry: fall through to the walker,
         // which raises the fault with ordinary charges.
     }
-    let t = {
+    let (t, _) = {
         let proc = ctx.procs.get(pid).expect("kernel verified the pid");
         ctx.mmu.translate(
             ctx.machine,
@@ -707,6 +694,8 @@ fn utopia_translate(
             &proc.ranges,
             proc.asid,
             va,
+            0,
+            1,
             access,
         )?
     };

@@ -161,8 +161,8 @@ struct CpuMmu {
     /// Epoch the walk-cache contents were built at.
     walk_epoch: u64,
     /// Broadcast-invalidation epoch this CPU last synchronised with.
-    /// Every interpreted translate syncs; the fast-forward prover
-    /// refuses to span an invalidation the CPU has not yet observed.
+    /// Every translate syncs; the provers that do not translate refuse
+    /// to span an invalidation the CPU has not yet observed.
     synced_epoch: u64,
 }
 
@@ -209,12 +209,6 @@ pub struct Mmu {
     /// Bumped by every broadcast invalidation; per-CPU `synced_epoch`
     /// trails it until the CPU next observes the world.
     inval_epoch: u64,
-    /// VA extent `[lo, hi)` of the entry behind the most recent
-    /// successful translation (a range entry's bounds, or the leaf's
-    /// page-size-aligned region), emptied by every broadcast. A hint
-    /// for the run engine, never a proof: see
-    /// [`last_extent`](Self::last_extent).
-    last_extent: (u64, u64),
 }
 
 impl Default for Mmu {
@@ -245,7 +239,6 @@ impl Mmu {
             walk_mode: WalkMode::Native4,
             presence: Vec::new(),
             inval_epoch: 0,
-            last_extent: (0, 0),
         }
     }
 
@@ -364,12 +357,14 @@ impl Mmu {
         (start..start + self.cpus.len(), 1u64 << (asid.0 % 64))
     }
 
-    /// Fast-forward obligation check: true when the current CPU has
-    /// observed every broadcast invalidation, i.e. the prover may
-    /// assume "no concurrent invalidation overlaps this span". When
-    /// false the CPU syncs (so the *next* probe may pass) and the
-    /// caller must interpret — which is charge-identical, merely
-    /// slower on the host.
+    /// Fast-forward obligation check for the provers that do not
+    /// translate (the whole-batch and miss provers): true when the
+    /// current CPU has observed every broadcast invalidation, i.e. the
+    /// prover may assume "no concurrent invalidation overlaps this
+    /// span". When false the CPU syncs (so the *next* probe may pass)
+    /// and the caller must interpret — which is charge-identical,
+    /// merely slower on the host. [`translate`](Self::translate) syncs
+    /// on entry, so its hit span needs no such check.
     pub fn run_prover_ready(&mut self) -> bool {
         let cur = &mut self.cpus[self.current.index()];
         if cur.synced_epoch == self.inval_epoch {
@@ -380,32 +375,29 @@ impl Mmu {
         }
     }
 
-    /// VA extent of the entry behind the most recent successful
-    /// [`translate`](Self::translate) or [`translate_run`](Self::translate_run),
-    /// on whichever CPU; empty after any broadcast invalidation.
-    ///
-    /// The run engine reads it to pick which prover can pay at an
-    /// access `a` of a run: the hit prover only when `a` and the next
-    /// access both lie inside it, the miss prover only when `a` lies
-    /// outside it (inside, `a` is mapped). It is a hint, not a proof:
-    /// a stale extent costs one refusal or one access interpreted
-    /// instead of fused, never a different simulated result.
-    #[inline]
-    pub fn last_extent(&self) -> core::ops::Range<u64> {
-        self.last_extent.0..self.last_extent.1
-    }
-
-    /// Note the extent `[lo, lo + bytes)` behind a successful
-    /// translation.
-    #[inline]
-    fn note_extent(&mut self, lo: u64, bytes: u64) {
-        self.last_extent = (lo, lo.saturating_add(bytes));
-    }
-
-    /// Translate `va` for `asid`, charging all hardware costs.
+    /// Translate `va` for `asid`, charging all hardware costs, and
+    /// return how many accesses of the run starting at `va` the
+    /// translation covers.
     ///
     /// `root` is the address space's page-table root; `ranges` its
-    /// range table (ignored unless the extension is enabled).
+    /// range table (ignored unless the extension is enabled). The run
+    /// is `len ≥ 1` accesses at `va`, `va + stride`, … (byte stride),
+    /// all of kind `access`. On a range-TLB or page-TLB hit, the
+    /// leading accesses that hit the same entry with the same
+    /// protection outcome and land on one memory tier are charged
+    /// here too, exactly as many hits as an access-by-access loop
+    /// would charge: `span ×` the hit cost and counters, one LRU
+    /// refresh of the entry (the relative stamp order, and so every
+    /// later eviction, is that of `span` refreshes), and for a
+    /// page-TLB write the one idempotent A/D update. The second
+    /// access is tested against the entry first, so a hit whose run
+    /// leaves the entry costs one compare. A walk, a fill, a fault or
+    /// a one-access run covers 1. The caller owes the memory half of
+    /// every covered access.
+    ///
+    /// No broadcast can land between the covered accesses: this call
+    /// syncs the CPU with every invalidation so far, as each of them
+    /// would, and nothing else runs until it returns.
     #[allow(clippy::too_many_arguments)] // one parameter per hardware structure
     pub fn translate(
         &mut self,
@@ -415,8 +407,10 @@ impl Mmu {
         ranges: &RangeTable,
         asid: Asid,
         va: VirtAddr,
+        stride: i64,
+        len: u64,
         access: Access,
-    ) -> Result<Translated, TranslateError> {
+    ) -> Result<(Translated, u64), TranslateError> {
         // An interpreted translate observes the world as it is: the
         // CPU is synchronised with every broadcast so far, becomes a
         // responder for this ASID, and revalidates against live TLB
@@ -428,34 +422,44 @@ impl Mmu {
         // 1. Range TLB.
         if self.ranges_enabled {
             if let Some(entry) = self.cpus[cur].rtlb.lookup(asid, va) {
-                m.perf.rtlb_hits += 1;
-                m.charge_kind(CostKind::RtlbHit);
-                check_prot(entry.prot, access)?;
-                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
-                return Ok(Translated {
-                    pa: entry.translate(va),
-                    by: Satisfied::RangeTlb,
-                });
+                let pa = entry.translate(va);
+                let allowed = check_prot(entry.prot, access);
+                let span = match allowed {
+                    Ok(()) => hit_span(m, va.0, pa, stride, len, entry.base.0, entry.limit.0),
+                    Err(_) => 1,
+                };
+                m.perf.rtlb_hits += span;
+                m.charge_opn(CostKind::RtlbHit, span);
+                allowed?;
+                let by = Satisfied::RangeTlb;
+                return Ok((Translated { pa, by }, span));
             }
             m.perf.rtlb_misses += 1;
         }
 
         // 2. Page TLB.
         if let Some((frame, size, flags)) = self.cpus[cur].tlb.lookup(asid, va) {
-            m.perf.tlb_hits += 1;
-            m.charge_kind(CostKind::TlbHit);
-            check_prot(flags, access)?;
+            let region = va.align_down(size.bytes()).0;
+            let pa = PhysAddr(frame.base().0 + (va.0 - region));
+            let allowed = check_prot(flags, access);
+            let span = match allowed {
+                Ok(()) => hit_span(m, va.0, pa, stride, len, region, region + size.bytes()),
+                Err(_) => 1,
+            };
+            if self.ranges_enabled {
+                // Each covered access first missed the range TLB.
+                m.perf.rtlb_misses += span - 1;
+            }
+            m.perf.tlb_hits += span;
+            m.charge_opn(CostKind::TlbHit, span);
+            allowed?;
             // Hardware sets the dirty bit on the first write through a
             // clean TLB entry; modelling that requires a PT update.
             if access == Access::Write {
                 pt.mark_accessed(root, va, true);
             }
-            self.note_extent(va.align_down(size.bytes()).0, size.bytes());
-            let off = va.0 & (size.bytes() - 1);
-            return Ok(Translated {
-                pa: PhysAddr(frame.base().0 + off),
-                by: Satisfied::PageTlb,
-            });
+            let by = Satisfied::PageTlb;
+            return Ok((Translated { pa, by }, span));
         }
         m.perf.tlb_misses += 1;
 
@@ -466,11 +470,14 @@ impl Mmu {
                 check_prot(entry.prot, access)?;
                 m.charge_kind(CostKind::RtlbFill);
                 self.cpus[cur].rtlb.insert(asid, entry);
-                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
-                return Ok(Translated {
-                    pa: entry.translate(va),
-                    by: Satisfied::RangeWalk,
-                });
+                let by = Satisfied::RangeWalk;
+                return Ok((
+                    Translated {
+                        pa: entry.translate(va),
+                        by,
+                    },
+                    1,
+                ));
             }
         }
 
@@ -486,11 +493,13 @@ impl Mmu {
                 m.charge_kind(CostKind::TlbFill);
                 self.cpus[cur].tlb.insert(asid, va, frame, t.size, t.flags);
                 pt.mark_slot_accessed(slot.node, slot.index.into(), access == Access::Write);
-                self.note_extent(va.align_down(t.size.bytes()).0, t.size.bytes());
-                Ok(Translated {
-                    pa: t.pa,
-                    by: Satisfied::PageWalk,
-                })
+                Ok((
+                    Translated {
+                        pa: t.pa,
+                        by: Satisfied::PageWalk,
+                    },
+                    1,
+                ))
             }
             None => {
                 m.charge_opn(
@@ -502,121 +511,8 @@ impl Mmu {
         }
     }
 
-    /// Fast-forward probe + commit: try to prove that the next `len`
-    /// accesses of an arithmetic run (`va`, `va + stride`, …, byte
-    /// stride) are *uniform* — every one hits the same resident
-    /// range-TLB entry or the same resident page-TLB entry, with the
-    /// same protection outcome and the same memory tier — and, if at
-    /// least 2 qualify, charge them all in one step.
-    ///
-    /// On success returns `(translation of va, span)` where `span ≥ 2`
-    /// is how many leading accesses were charged: `span ×` the exact
-    /// per-access hit cost (`RtlbHit` or `TlbHit`), the matching
-    /// hit/miss counters bumped by `span`, one LRU refresh of the hit
-    /// entry (relative stamp order — and therefore every future
-    /// eviction — is identical to `span` refreshes of the same entry),
-    /// and for page-TLB writes the single idempotent A/D update the
-    /// interpreter would redo per access. The caller still owes the
-    /// per-access memory charge for each of the `span` accesses.
-    ///
-    /// Returns `None` — charging nothing and mutating no simulated
-    /// state — when the run cannot be proven uniform (TLB miss,
-    /// protection fault, tier boundary, entry boundary, or an
-    /// unobserved concurrent invalidation): the caller falls back to
-    /// the per-access interpreter for at least one access.
-    ///
-    /// A refusal is cheap but not free on the host (a set probe per
-    /// page size), so the run engine calls this only when `va` and
-    /// `va + stride` lie in [`last_extent`](Self::last_extent), the
-    /// one place a span can start; a success moves the extent to the
-    /// entry it proved against.
-    #[allow(clippy::too_many_arguments)] // mirrors `translate`
-    pub fn translate_run(
-        &mut self,
-        m: &mut Machine,
-        pt: &mut PageTables,
-        root: PtNodeId,
-        asid: Asid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        access: Access,
-    ) -> Option<(PhysAddr, u64)> {
-        if len < 2 {
-            return None;
-        }
-        // Obligation: no broadcast invalidation the current CPU has
-        // not observed may overlap the span. Refusing costs nothing —
-        // the interpreter is charge-identical — and the refusal syncs
-        // the CPU, so the next run fast-forwards again.
-        if !self.run_prover_ready() {
-            return None;
-        }
-        // The prover translates for `asid` on this CPU exactly as the
-        // interpreter would, so presence (and thus future responder
-        // counts) must not depend on which execution mode ran.
-        self.note_presence(asid);
-        let cur = self.current.index();
-        // Range-TLB-resident span (only reachable when the extension
-        // is enabled; a resident entry always wins over the page TLB,
-        // exactly as in `translate`).
-        if self.ranges_enabled {
-            if let Some(entry) = self.cpus[cur].rtlb.peek(asid, va) {
-                check_prot(entry.prot, access).ok()?;
-                let span = span_within(va.0, stride, len, entry.base.0, entry.limit.0);
-                if span < 2 {
-                    return None;
-                }
-                let pa0 = entry.translate(va);
-                let pa_last = run_end(pa0, stride, span)?;
-                if m.phys.tier(pa0.frame()) != m.phys.tier(pa_last.frame()) {
-                    return None;
-                }
-                // Commit. One real lookup refreshes the entry's LRU
-                // stamp to the newest tick, as `span` hits would.
-                let looked = self.cpus[cur].rtlb.lookup(asid, va);
-                debug_assert_eq!(looked, Some(entry));
-                m.perf.rtlb_hits += span;
-                m.charge_opn(CostKind::RtlbHit, span);
-                self.note_extent(entry.base.0, entry.limit.0 - entry.base.0);
-                return Some((pa0, span));
-            }
-            // Every fast-forwarded page-TLB hit below would first miss
-            // the range TLB, which costs nothing but is counted.
-        }
-        // Page-TLB-resident span, confined to one mapping region.
-        let (frame, size, flags) = self.cpus[cur].tlb.peek(asid, va)?;
-        check_prot(flags, access).ok()?;
-        let region = va.align_down(size.bytes()).0;
-        let span = span_within(va.0, stride, len, region, region + size.bytes());
-        if span < 2 {
-            return None;
-        }
-        let pa0 = PhysAddr(frame.base().0 + (va.0 & (size.bytes() - 1)));
-        let pa_last = run_end(pa0, stride, span)?;
-        if m.phys.tier(pa0.frame()) != m.phys.tier(pa_last.frame()) {
-            return None;
-        }
-        // Commit.
-        let looked = self.cpus[cur].tlb.lookup(asid, va);
-        debug_assert!(looked.is_some());
-        if self.ranges_enabled {
-            m.perf.rtlb_misses += span;
-        }
-        m.perf.tlb_hits += span;
-        m.charge_opn(CostKind::TlbHit, span);
-        if access == Access::Write {
-            // The interpreter re-marks A/D on every write through the
-            // TLB entry; the update is idempotent and free, so once
-            // per run is the identical outcome.
-            pt.mark_accessed(root, va, true);
-        }
-        self.note_extent(region, size.bytes());
-        Some((pa0, span))
-    }
-
-    /// Fast-forward **miss** probe — the dual of
-    /// [`translate_run`](Self::translate_run): prove that none of the
+    /// Fast-forward **miss** probe — the dual of the hit span
+    /// [`translate`](Self::translate) proves: prove that none of the
     /// next `len` accesses of the arithmetic run (`va`, `va + stride`,
     /// …) has any translation installed, so every one would miss the
     /// TLB, walk to an absent entry, and fault. Charges nothing and
@@ -770,8 +666,7 @@ impl Mmu {
     /// the initiator's cost with the responding CPU count, bump the
     /// invalidation epoch once per round, apply `on_cpu` (the union of
     /// the rounds' invalidations) to every CPU that may hold the
-    /// ASID's entries, forget the last translation's extent, and mark
-    /// the current CPU synced. Only CPUs whose presence bit is set can
+    /// ASID's entries, and mark the current CPU synced. Only CPUs whose presence bit is set can
     /// hold the entries (set on translate, cleared with the entries by
     /// a full flush), so the broadcast walks just those.
     #[inline]
@@ -785,7 +680,6 @@ impl Mmu {
     ) {
         charge(m, self.responders(asid));
         self.inval_epoch += rounds;
-        self.last_extent = (0, 0);
         let mut bits = self.present_cpus(asid);
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
@@ -892,6 +786,22 @@ fn run_end(start: PhysAddr, stride: i64, span: u64) -> Option<PhysAddr> {
     Some(PhysAddr(start.0.wrapping_add_signed(delta)))
 }
 
+/// How many leading accesses of the run (`len` accesses from `va` by
+/// `stride`) hit the TLB entry covering VA `[lo, hi)` that maps `va`
+/// to `pa`, all on `pa`'s memory tier. 1 unless the second access
+/// stays in the entry and the whole prefix lands on one tier.
+#[inline]
+fn hit_span(m: &Machine, va: u64, pa: PhysAddr, stride: i64, len: u64, lo: u64, hi: u64) -> u64 {
+    if len < 2 || !(lo..hi).contains(&va.wrapping_add_signed(stride)) {
+        return 1;
+    }
+    let span = span_within(va, stride, len, lo, hi);
+    match run_end(pa, stride, span) {
+        Some(last) if m.phys.tier(pa.frame()) == m.phys.tier(last.frame()) => span,
+        _ => 1,
+    }
+}
+
 fn check_prot(flags: PteFlags, access: Access) -> Result<(), TranslateError> {
     match access {
         Access::Read => Ok(()),
@@ -907,6 +817,25 @@ mod tests {
     use crate::range::RangeEntry;
 
     const A: Asid = Asid(1);
+
+    impl Mmu {
+        /// [`Mmu::translate`] of a one-access run.
+        #[allow(clippy::too_many_arguments)]
+        fn translate_one(
+            &mut self,
+            m: &mut Machine,
+            pt: &mut PageTables,
+            root: PtNodeId,
+            ranges: &RangeTable,
+            asid: Asid,
+            va: VirtAddr,
+            access: Access,
+        ) -> Result<Translated, TranslateError> {
+            let (t, span) = self.translate(m, pt, root, ranges, asid, va, 0, 1, access)?;
+            assert_eq!(span, 1, "a one-access run covers one access");
+            Ok(t)
+        }
+    }
 
     struct Fix {
         m: Machine,
@@ -944,13 +873,13 @@ mod tests {
         .unwrap();
         let t1 = f
             .mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
             .unwrap();
         assert_eq!(t1.by, Satisfied::PageWalk);
         assert_eq!(t1.pa, PhysAddr(77 * PAGE_SIZE));
         let t2 = f
             .mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va + 8, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va + 8, Access::Read)
             .unwrap();
         assert_eq!(t2.by, Satisfied::PageTlb);
         assert_eq!(t2.pa, PhysAddr(77 * PAGE_SIZE + 8));
@@ -964,7 +893,7 @@ mod tests {
         let mut f = fix(false);
         let err = f
             .mmu
-            .translate(
+            .translate_one(
                 &mut f.m,
                 &mut f.pt,
                 f.root,
@@ -992,18 +921,18 @@ mod tests {
         .unwrap();
         assert!(f
             .mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
             .is_ok());
         assert_eq!(
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
                 .unwrap_err(),
             TranslateError::Protection
         );
         // Protection also enforced on the TLB-hit path.
         assert_eq!(
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
                 .unwrap_err(),
             TranslateError::Protection
         );
@@ -1023,14 +952,14 @@ mod tests {
         )
         .unwrap();
         f.mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
             .unwrap();
         let flags = f.pt.lookup(f.root, va).unwrap().flags;
         assert!(flags.contains(PteFlags::ACCESSED));
         assert!(!flags.contains(PteFlags::DIRTY));
         // A write through the now-cached TLB entry sets DIRTY.
         f.mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
             .unwrap();
         assert!(f
             .pt
@@ -1054,7 +983,7 @@ mod tests {
         // First access: range-table walk.
         let t1 = f
             .mmu
-            .translate(
+            .translate_one(
                 &mut f.m,
                 &mut f.pt,
                 f.root,
@@ -1069,7 +998,7 @@ mod tests {
         // Second access anywhere in the megabyte: range-TLB hit.
         let t2 = f
             .mmu
-            .translate(
+            .translate_one(
                 &mut f.m,
                 &mut f.pt,
                 f.root,
@@ -1101,7 +1030,7 @@ mod tests {
         .unwrap();
         let t = f
             .mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
             .unwrap();
         assert_eq!(t.by, Satisfied::PageWalk);
     }
@@ -1119,7 +1048,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Write)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Write)
                 .unwrap_err(),
             TranslateError::Protection
         );
@@ -1137,13 +1066,13 @@ mod tests {
         ))
         .unwrap();
         f.mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
             .unwrap();
         f.mmu.invalidate_range(&mut f.m, A, base);
         f.rt.remove(base).unwrap();
         assert_eq!(
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
                 .unwrap_err(),
             TranslateError::NotMapped
         );
@@ -1170,10 +1099,10 @@ mod tests {
         ))
         .unwrap();
         f.mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
             .unwrap();
         f.mmu
-            .translate(
+            .translate_one(
                 &mut f.m,
                 &mut f.pt,
                 f.root,
@@ -1208,14 +1137,14 @@ mod tests {
 
         // CPU 0 walks and fills its private TLB.
         mmu.set_cpu(CpuId(0));
-        mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
+        mmu.translate_one(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
         assert_eq!(mmu.tlb().occupancy(), 1);
         // CPU 1's TLB is cold: same address walks again.
         mmu.set_cpu(CpuId(1));
         assert_eq!(mmu.tlb().occupancy(), 0);
         let t = mmu
-            .translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
+            .translate_one(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
         assert_eq!(t.by, Satisfied::PageWalk, "private caches: cold on CPU 1");
         assert_eq!(m.perf.page_walks, 2);
@@ -1255,6 +1184,8 @@ mod tests {
         let rt = RangeTable::new();
         let mut mmu = Mmu::smp(false, 2, None);
         let va = VirtAddr(0x10_0000);
+        let absent = VirtAddr(0x40_0000);
+        let page = PAGE_SIZE as i64;
         pt.map(
             &mut m,
             root,
@@ -1264,34 +1195,41 @@ mod tests {
             PteFlags::user_rw(),
         )
         .unwrap();
-        mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
+        mmu.translate_one(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
-        // Warm: the run fast-forwards on CPU 0.
+        assert!(mmu.run_prover_ready());
         assert!(mmu
-            .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
+            .translate_miss_run(&pt, root, A, absent, page, 4)
             .is_some());
         // CPU 1 invalidates a *different* page. CPU 0 has not observed
-        // the broadcast, so its next run must refuse once (falling
-        // back to the charge-identical interpreter)...
+        // the broadcast, so the provers that do not translate refuse
+        // once (falling back to the charge-identical interpreter)...
         mmu.set_cpu(CpuId(1));
         mmu.invalidate_page(&mut m, A, VirtAddr(0x20_0000));
         mmu.set_cpu(CpuId(0));
         assert!(mmu
-            .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
+            .translate_miss_run(&pt, root, A, absent, page, 4)
             .is_none());
-        // ...and the refusal synced CPU 0, so the run proves again.
+        // ...and the refusal synced CPU 0, so they prove again.
+        assert!(mmu.run_prover_ready());
         assert!(mmu
-            .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
+            .translate_miss_run(&pt, root, A, absent, page, 4)
             .is_some());
-        // The *initiating* CPU observes its own broadcast: CPU 1 can
-        // fast-forward immediately after invalidating.
         mmu.set_cpu(CpuId(1));
-        mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
-            .unwrap();
         mmu.invalidate_page(&mut m, A, VirtAddr(0x30_0000));
-        assert!(mmu
-            .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
-            .is_some());
+        mmu.set_cpu(CpuId(0));
+        assert!(!mmu.run_prover_ready(), "whole-batch check refuses once");
+        assert!(mmu.run_prover_ready());
+        // A translate syncs on entry, so it proves its hit span at
+        // once across a broadcast it has not yet observed.
+        mmu.set_cpu(CpuId(1));
+        mmu.invalidate_page(&mut m, A, VirtAddr(0x30_0000));
+        mmu.set_cpu(CpuId(0));
+        let (t, span) = mmu
+            .translate(&mut m, &mut pt, root, &rt, A, va, 8, 10, Access::Read)
+            .unwrap();
+        assert_eq!((t.by, span), (Satisfied::PageTlb, 10));
+        assert!(mmu.run_prover_ready(), "the translate synced CPU 0");
     }
 
     #[test]
@@ -1309,16 +1247,16 @@ mod tests {
                 PteFlags::user_rw(),
             )
             .unwrap();
-            // Warm the TLB (a cold entry can never fast-forward).
+            // Warm the TLB (a walk covers one access).
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
                 .unwrap();
         }
         let n = 100u64;
         for k in 0..n {
             interp
                 .mmu
-                .translate(
+                .translate_one(
                     &mut interp.m,
                     &mut interp.pt,
                     interp.root,
@@ -1329,12 +1267,22 @@ mod tests {
                 )
                 .unwrap();
         }
-        let (pa, span) = ff
+        let (t, span) = ff
             .mmu
-            .translate_run(&mut ff.m, &mut ff.pt, ff.root, A, va, 8, n, Access::Write)
+            .translate(
+                &mut ff.m,
+                &mut ff.pt,
+                ff.root,
+                &ff.rt,
+                A,
+                va,
+                8,
+                n,
+                Access::Write,
+            )
             .unwrap();
         assert_eq!(span, n, "whole run fits the one base page");
-        assert_eq!(pa, PhysAddr(77 * PAGE_SIZE));
+        assert_eq!(t.pa, PhysAddr(77 * PAGE_SIZE));
         assert_eq!(ff.m.now(), interp.m.now(), "identical simulated cost");
         assert_eq!(ff.m.perf.tlb_hits, interp.m.perf.tlb_hits);
         assert_eq!(ff.m.perf.tlb_misses, interp.m.perf.tlb_misses);
@@ -1360,7 +1308,7 @@ mod tests {
             ))
             .unwrap();
             f.mmu
-                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
+                .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, base, Access::Read)
                 .unwrap();
         }
         let n = 200u64;
@@ -1368,7 +1316,7 @@ mod tests {
         for k in 1..=n {
             interp
                 .mmu
-                .translate(
+                .translate_one(
                     &mut interp.m,
                     &mut interp.pt,
                     interp.root,
@@ -1379,12 +1327,13 @@ mod tests {
                 )
                 .unwrap();
         }
-        let (pa, span) = ff
+        let (t, span) = ff
             .mmu
-            .translate_run(
+            .translate(
                 &mut ff.m,
                 &mut ff.pt,
                 ff.root,
+                &ff.rt,
                 A,
                 base + PAGE_SIZE,
                 stride,
@@ -1393,7 +1342,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(span, n, "megabyte entry covers the whole run");
-        assert_eq!(pa, PhysAddr(0x40_0000 + PAGE_SIZE));
+        assert_eq!(t.pa, PhysAddr(0x40_0000 + PAGE_SIZE));
         assert_eq!(ff.m.now(), interp.m.now());
         assert_eq!(ff.m.perf.rtlb_hits, interp.m.perf.rtlb_hits);
         assert_eq!(ff.m.perf.rtlb_misses, interp.m.perf.rtlb_misses);
@@ -1403,11 +1352,6 @@ mod tests {
     fn fast_forward_refuses_what_it_cannot_prove() {
         let mut f = fix(false);
         let va = VirtAddr(0x10_0000);
-        // Cold TLB: nothing resident, no fast-forward.
-        assert!(f
-            .mmu
-            .translate_run(&mut f.m, &mut f.pt, f.root, A, va, 8, 10, Access::Read)
-            .is_none());
         f.pt.map(
             &mut f.m,
             f.root,
@@ -1417,37 +1361,94 @@ mod tests {
             PteFlags::user_ro(),
         )
         .unwrap();
-        f.mmu
-            .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
-            .unwrap();
-        let t0 = f.m.now();
-        // Write through a read-only entry: protection is not uniform-ok.
-        assert!(f
+        // Cold TLB: the walk covers one access.
+        let (t, span) = f
             .mmu
-            .translate_run(&mut f.m, &mut f.pt, f.root, A, va, 8, 10, Access::Write)
-            .is_none());
-        // Page-crossing stride: only the in-page prefix fast-forwards.
-        let (_, span) = f
-            .mmu
-            .translate_run(
+            .translate(
                 &mut f.m,
                 &mut f.pt,
                 f.root,
+                &f.rt,
                 A,
                 va,
-                (PAGE_SIZE / 2) as i64,
+                8,
+                10,
+                Access::Read,
+            )
+            .unwrap();
+        assert_eq!((t.by, span), (Satisfied::PageWalk, 1));
+        let hit = f.m.cost.unit(CostKind::TlbHit);
+        let t0 = f.m.now();
+        // Write through a read-only entry: one hit, then the fault.
+        assert_eq!(
+            f.mmu
+                .translate(
+                    &mut f.m,
+                    &mut f.pt,
+                    f.root,
+                    &f.rt,
+                    A,
+                    va,
+                    8,
+                    10,
+                    Access::Write
+                )
+                .unwrap_err(),
+            TranslateError::Protection
+        );
+        assert_eq!(f.m.now().since(t0), hit);
+        // Page-crossing stride: only the in-page prefix is covered.
+        let half = (PAGE_SIZE / 2) as i64;
+        let (_, span) = f
+            .mmu
+            .translate(
+                &mut f.m,
+                &mut f.pt,
+                f.root,
+                &f.rt,
+                A,
+                va,
+                half,
                 10,
                 Access::Read,
             )
             .unwrap();
         assert_eq!(span, 2, "third access leaves the page");
-        // A single-access remainder is not worth a fast-forward.
-        assert!(f
+        // A run whose second access leaves the entry covers 1.
+        let (_, span) = f
             .mmu
-            .translate_run(&mut f.m, &mut f.pt, f.root, A, va, 8, 1, Access::Read)
-            .is_none());
-        // Refusals charge nothing (the successful span charged 2 hits).
-        assert_eq!(f.m.now().since(t0), 2 * f.m.cost.unit(CostKind::TlbHit));
+            .translate(
+                &mut f.m,
+                &mut f.pt,
+                f.root,
+                &f.rt,
+                A,
+                va + half as u64,
+                half,
+                10,
+                Access::Read,
+            )
+            .unwrap();
+        assert_eq!(span, 1);
+        // So does a single-access remainder.
+        let (_, span) = f
+            .mmu
+            .translate(
+                &mut f.m,
+                &mut f.pt,
+                f.root,
+                &f.rt,
+                A,
+                va,
+                8,
+                1,
+                Access::Read,
+            )
+            .unwrap();
+        assert_eq!(span, 1);
+        // Every covered access charged one hit: 1 + 2 + 1 + 1.
+        assert_eq!(f.m.now().since(t0), 5 * hit);
+        assert_eq!(f.m.perf.tlb_hits, 5);
     }
 
     #[test]
@@ -1504,8 +1505,11 @@ mod tests {
             )
             .unwrap();
             let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
-            f.m.timed(|m| mmu.translate(m, pt, root, rt, A, va, Access::Read).unwrap())
-                .1
+            f.m.timed(|m| {
+                mmu.translate_one(m, pt, root, rt, A, va, Access::Read)
+                    .unwrap()
+            })
+            .1
         };
         let native = cost(WalkMode::Native4);
         let virt = cost(WalkMode::Virtualized5);
@@ -1525,9 +1529,14 @@ mod tests {
         )
         .unwrap();
         let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
-        f.m.timed(|m| mmu.translate(m, pt, root, rt, A, va, Access::Read).unwrap());
-        let (_, hit) =
-            f.m.timed(|m| mmu.translate(m, pt, root, rt, A, va, Access::Read).unwrap());
+        f.m.timed(|m| {
+            mmu.translate_one(m, pt, root, rt, A, va, Access::Read)
+                .unwrap()
+        });
+        let (_, hit) = f.m.timed(|m| {
+            mmu.translate_one(m, pt, root, rt, A, va, Access::Read)
+                .unwrap()
+        });
         assert_eq!(hit, f.m.cost.unit(CostKind::TlbHit));
     }
 
@@ -1557,28 +1566,28 @@ mod tests {
         let (_, walk_ns) = {
             let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
             f.m.timed(|m| {
-                mmu.translate(m, pt, root, rt, A, va_pt, Access::Read)
+                mmu.translate_one(m, pt, root, rt, A, va_pt, Access::Read)
                     .unwrap()
             })
         };
         let (_, tlb_ns) = {
             let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
             f.m.timed(|m| {
-                mmu.translate(m, pt, root, rt, A, va_pt, Access::Read)
+                mmu.translate_one(m, pt, root, rt, A, va_pt, Access::Read)
                     .unwrap()
             })
         };
         let (_, rwalk_ns) = {
             let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
             f.m.timed(|m| {
-                mmu.translate(m, pt, root, rt, A, base, Access::Read)
+                mmu.translate_one(m, pt, root, rt, A, base, Access::Read)
                     .unwrap()
             })
         };
         let (_, rtlb_ns) = {
             let (pt, rt, root, mmu) = (&mut f.pt, &f.rt, f.root, &mut f.mmu);
             f.m.timed(|m| {
-                mmu.translate(m, pt, root, rt, A, base, Access::Read)
+                mmu.translate_one(m, pt, root, rt, A, base, Access::Read)
                     .unwrap()
             })
         };

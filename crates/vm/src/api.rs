@@ -134,11 +134,10 @@ pub trait MemSys {
     /// `write`, else a [`load`](Self::load). This per-access loop is
     /// the *semantics of record*; kernels override it with the
     /// run-compressed fast-forward engine, which is proven to produce
-    /// identical charges, counters and data. That engine tries a run
-    /// prover at an access only where the MMU's last translation says
-    /// the prover can succeed, so how many accesses it fuses, and with
-    /// them the gauge-timeline sample points, depends on that hint;
-    /// the simulated results do not.
+    /// identical charges, counters and data. How many accesses that
+    /// engine fuses, and with them the gauge-timeline sample points,
+    /// depends on where it tries its provers; the simulated results
+    /// do not.
     fn access_span(
         &mut self,
         pid: Pid,

@@ -575,14 +575,12 @@ impl BaselineKernel {
     }
 
     /// `munmap`: remove `[va, va+len)`. Per-page teardown, as on
-    /// Linux.
+    /// Linux. An unaligned `va` or a zero `len` is `BadRange`, before
+    /// anything is charged.
     pub fn munmap(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        let end = span_end(va, len)?;
+        let end = range_end(va, len)?;
         let t0 = self.core.machine.op_start();
         self.core.machine.charge_syscall();
-        if len == 0 || !va.is_aligned(PAGE_SIZE) {
-            return Err(VmError::BadRange);
-        }
         self.unmap_region(pid, va, end - va)?;
         self.core.machine.op_end(t0, OpKind::Munmap, MECH);
         self.poll_timeline();
@@ -782,7 +780,8 @@ impl BaselineKernel {
     }
 
     /// `mprotect`: change protection; splits VMAs and rewrites every
-    /// present PTE in the range (linear, as on Linux).
+    /// present PTE in the range (linear, as on Linux). An unaligned
+    /// `va` or a zero `len` is `BadRange`, before anything is charged.
     pub fn mprotect(
         &mut self,
         pid: Pid,
@@ -790,7 +789,7 @@ impl BaselineKernel {
         len: u64,
         prot: Prot,
     ) -> Result<(), VmError> {
-        let end = span_end(va, len)?;
+        let end = range_end(va, len)?;
         self.core.machine.charge_syscall();
         let len = end - va;
         let (root, asid) = self.core.procs.space(pid)?;
@@ -822,7 +821,11 @@ impl BaselineKernel {
 
     /// `madvise(MADV_DONTNEED)`: drop the pages in the range, resident
     /// or swapped out; anonymous pages read zero on the next touch.
+    /// An unaligned `va` is `BadRange`, before anything is charged.
     pub fn madvise_dontneed(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
+        if !va.is_aligned(PAGE_SIZE) {
+            return Err(VmError::BadRange);
+        }
         let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let (_, asid) = self.core.procs.space(pid)?;
@@ -1281,7 +1284,7 @@ impl BaselineKernel {
         self.core.machine.charge_syscall();
         let mut page_va = va;
         while page_va < end {
-            let pa = self.resolve(pid, page_va, Access::Read)?;
+            let (pa, _) = self.resolve(pid, page_va, 0, 1, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
             meta.pins += 1;
@@ -1298,7 +1301,7 @@ impl BaselineKernel {
         self.core.machine.charge_syscall();
         let mut page_va = va;
         while page_va < end {
-            let pa = self.resolve(pid, page_va, Access::Read)?;
+            let (pa, _) = self.resolve(pid, page_va, 0, 1, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
             meta.pins = meta.pins.saturating_sub(1);
@@ -1331,8 +1334,17 @@ impl KernelHooks for BaselineKernel {
     }
 
     /// Translate `va`, handling faults (demand paging, COW, swap-in).
+    /// A faulted access covers itself only: the retry after the fault
+    /// translates a one-access run.
     #[inline]
-    fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
+    fn resolve(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        stride: i64,
+        mut len: u64,
+        access: Access,
+    ) -> Result<(PhysAddr, u64), VmError> {
         for _ in 0..4 {
             let (root, asid) = self.core.procs.space(pid)?;
             match self.core.mmu.translate(
@@ -1342,12 +1354,15 @@ impl KernelHooks for BaselineKernel {
                 &self.no_ranges,
                 asid,
                 va,
+                stride,
+                len,
                 access,
             ) {
-                Ok(t) => return Ok(t.pa),
+                Ok((t, span)) => return Ok((t.pa, span)),
                 Err(TranslateError::NotMapped) => self.page_fault(pid, va, access)?,
                 Err(TranslateError::Protection) => self.protection_fault(pid, va, access)?,
             }
+            len = 1;
         }
         unreachable!("fault handler did not make progress at {va:?}")
     }
@@ -1388,33 +1403,8 @@ impl KernelHooks for BaselineKernel {
         g.push(("kernel.lru_tracked", self.lru.len() as u64));
     }
 
-    /// The MMU proves the run hits one resident TLB entry
-    /// ([`Mmu::translate_run`](o1_hw::Mmu::translate_run)).
-    #[inline]
-    fn hit_run(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        access: Access,
-    ) -> Result<Option<(PhysAddr, u64)>, VmError> {
-        let (root, asid) = self.core.procs.space(pid)?;
-        let core = &mut self.core;
-        Ok(core.mmu.translate_run(
-            &mut core.machine,
-            &mut core.pt,
-            root,
-            asid,
-            va,
-            stride,
-            len,
-            access,
-        ))
-    }
-
-    /// Bulk-fault fast-forward — the dual of [`Mmu::translate_run`](o1_hw::Mmu::translate_run)'s
-    /// hit span: prove that the next `len` accesses of the run all
+    /// Bulk-fault fast-forward — the dual of
+    /// [`Mmu::translate`](o1_hw::Mmu::translate)'s hit span: prove that the next `len` accesses of the run all
     /// miss translation and demand-fault fresh anonymous base pages
     /// with a uniform outcome, then install every mapping through the
     /// installer it shares with bulk populate (`install_fresh_run`)
@@ -1616,7 +1606,7 @@ impl BaselineKernel {
         let mut pages = 0;
         let mut at = va;
         while at < end {
-            let pa = self.resolve(pid, at, Access::Read)?;
+            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
             let pinned = self.meta.get(pa.frame()).pins > 0;
             let mode = if pinned {
                 o1_hw::DmaMode::Pinned
@@ -1640,6 +1630,16 @@ pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
     va.0.checked_add(o1_hw::round_up_pages(len))
         .map(VirtAddr)
         .ok_or(VmError::BadRange)
+}
+
+/// [`span_end`] for the calls that take an existing range of pages
+/// (`munmap`, `mprotect`): the start must be page-aligned and the
+/// length nonzero.
+fn range_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
+    if len == 0 || !va.is_aligned(PAGE_SIZE) {
+        return Err(VmError::BadRange);
+    }
+    span_end(va, len)
 }
 
 /// `struct page` flags of an anonymous page faulted or populated fresh.

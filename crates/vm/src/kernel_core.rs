@@ -111,11 +111,7 @@ impl<P> KernelCore<P> {
     #[inline]
     fn access_op_start(&self) -> Option<(SimNs, u64)> {
         if self.machine.traced() {
-            let perf = &self.machine.perf;
-            Some((
-                self.machine.op_start(),
-                perf.minor_faults + perf.major_faults,
-            ))
+            Some((self.machine.op_start(), faults(&self.machine)))
         } else {
             None
         }
@@ -143,8 +139,20 @@ pub trait KernelHooks {
     /// [`MemSys::sys_name`].
     fn label(&self) -> &'static str;
 
-    /// Translate `va`, handling whatever faults the design has.
-    fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError>;
+    /// Translate `va`, handling whatever faults the design has, as
+    /// the first of a run of `len ≥ 1` accesses by byte `stride`.
+    /// Returns the physical address and the span: how many leading
+    /// accesses of the run the translation covered and charged
+    /// (`Mmu::translate`'s hit span), 1 whenever it walked, filled or
+    /// faulted. The caller owes the memory half of each.
+    fn resolve(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        stride: i64,
+        len: u64,
+        access: Access,
+    ) -> Result<(PhysAddr, u64), VmError>;
 
     /// [`MemSys::alloc`].
     fn alloc_region(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError>;
@@ -169,30 +177,12 @@ pub trait KernelHooks {
     /// Kernel-specific timeline gauges, appended after the base ones.
     fn gauges(&self, g: &mut Vec<(&'static str, u64)>);
 
-    /// Hit-run prover: prove the next `len` accesses of the run all
-    /// hit one resident translation, charge their translation half and
-    /// return the first physical address and the proven span (≥ 2).
-    /// `None` interprets at least one access instead, and must charge
-    /// and mutate nothing an interpreted access would not. The run
-    /// engine calls it only when `va` and `va + stride` lie in the
-    /// extent of the MMU's last successful translation, since a span
-    /// cannot start anywhere else.
-    fn hit_run(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        access: Access,
-    ) -> Result<Option<(PhysAddr, u64)>, VmError>;
-
     /// Miss-run prover: prove the next `len` accesses all demand-fault
     /// fresh pages, then perform them, record their latencies from
     /// `t0` and return the span. `None` (the default) interprets, and
-    /// must charge and mutate nothing. The run engine calls it only
-    /// when `va` lies outside the extent of the MMU's last successful
-    /// translation: inside it, `va` is mapped and the absence proof
-    /// would refuse. Only the baseline proves miss runs: absence
+    /// must charge and mutate nothing. The run engine calls it only at
+    /// a run's first access and right after an access or fused span
+    /// that faulted. Only the baseline proves miss runs: absence
     /// comes from `PageTables::absent_run` (through
     /// `Mmu::translate_miss_run`), and the pages go in through the
     /// fresh-page installer its bulk-populate prover also uses. The
@@ -253,6 +243,12 @@ pub trait KernelHooks {
     }
 }
 
+/// Demand faults taken so far, minor and major.
+#[inline]
+fn faults(m: &Machine) -> u64 {
+    m.perf.minor_faults + m.perf.major_faults
+}
+
 /// Close an access op span opened by `access_op_start`: classify by
 /// whether [`KernelHooks::resolve`] took any demand fault and record
 /// the latency under the current phase.
@@ -261,7 +257,7 @@ fn access_op_end<K: KernelHooks>(k: &mut K, started: Option<(SimNs, u64)>) {
     if let Some((t0, faults0)) = started {
         let label = k.label();
         let m = &mut k.core_mut().machine;
-        let op = if m.perf.minor_faults + m.perf.major_faults > faults0 {
+        let op = if faults(m) > faults0 {
             OpKind::AccessFault
         } else {
             OpKind::AccessHit
@@ -343,7 +339,7 @@ impl<K: KernelHooks> MemSys for K {
 
     fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
         let op = self.core().access_op_start();
-        let pa = self.resolve(pid, va, Access::Read)?;
+        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Read)?;
         let m = &mut self.core_mut().machine;
         let tier = m.phys.tier(pa.frame());
         m.charge_load(tier);
@@ -354,7 +350,7 @@ impl<K: KernelHooks> MemSys for K {
 
     fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
         let op = self.core().access_op_start();
-        let pa = self.resolve(pid, va, Access::Write)?;
+        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Write)?;
         let m = &mut self.core_mut().machine;
         let tier = m.phys.tier(pa.frame());
         m.charge_store(tier);
@@ -363,26 +359,22 @@ impl<K: KernelHooks> MemSys for K {
         Ok(())
     }
 
-    /// Run-compressed span execution. Translation-uniform prefixes
-    /// are fast-forwarded: the [hit-run prover](KernelHooks::hit_run)
-    /// proves every access in the prefix hits the same resident
-    /// translation with the same outcome, the whole prefix is charged
-    /// in O(1) charge calls, and only data stores run per element;
-    /// the [miss-run prover](KernelHooks::miss_run) covers the dual,
-    /// all-faulting case. Anything neither can prove (cold TLB,
-    /// faults, boundaries) is interpreted one access at a time through
-    /// [`load`](MemSys::load) / [`store`](MemSys::store), so simulated
-    /// clock, counters, ledger and memory contents are identical to
-    /// the plain loop. Gauge timelines are not: a fused prefix is one
-    /// op boundary, where the interpreter has one per access, so
-    /// fast-forward can take fewer timeline samples.
-    ///
-    /// At access `a`, a prover is tried only where it can pay, going
-    /// by the MMU's [`last_extent`](o1_hw::Mmu::last_extent): the hit
-    /// prover when `a` and `a + stride` both lie inside it, the miss
-    /// prover when `a` lies outside it. The extent is a hint; a stale
-    /// one costs a refusal or one interpreted access, never a
-    /// different result.
+    /// Run-compressed span execution: one
+    /// [`resolve`](KernelHooks::resolve) per translation, not per
+    /// access. On a TLB hit the MMU proves and charges the uniform
+    /// prefix itself (`o1_hw::Mmu::translate`'s hit span: same entry,
+    /// same protection outcome, one memory tier), the memory half of
+    /// the prefix is charged in one step and only data stores run per
+    /// element; a walk, fill or fault covers one access, exactly as
+    /// [`load`](MemSys::load) / [`store`](MemSys::store) would. The
+    /// [miss-run prover](KernelHooks::miss_run) covers the dual,
+    /// all-faulting case; it is tried at the run's first access and
+    /// right after an access or fused span that faulted, where a fault
+    /// run is likely to go on. Simulated clock, counters, ledger and
+    /// memory contents are identical to the plain loop. Gauge
+    /// timelines are not: a fused prefix is one op boundary, where the
+    /// interpreter has one per access, so fast-forward can take fewer
+    /// timeline samples.
     fn access_span(
         &mut self,
         pid: Pid,
@@ -393,40 +385,34 @@ impl<K: KernelHooks> MemSys for K {
         first_value: u64,
     ) -> Result<(), VmError> {
         let access = if write { Access::Write } else { Access::Read };
-        let mut k = 0u64;
+        let fastforward = self.core().machine.fastforward();
+        let (mut k, mut faulted) = (0u64, true);
         while k < len {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            if self.core().machine.fastforward() && len - k >= 2 {
-                let t0 = self.core().machine.op_start();
-                let extent = self.core().mmu.last_extent();
-                let inside = extent.contains(&a.0);
-                if inside && extent.contains(&a.0.wrapping_add_signed(stride)) {
-                    if let Some((pa, span)) = self.hit_run(pid, a, stride, len - k, access)? {
-                        let label = self.label();
-                        let m = &mut self.core_mut().machine;
-                        bulk_memory(m, pa, stride, span, write, first_value + k);
-                        // Every access in the span hit — `span` AccessHit
-                        // latencies, each of the identical per-access cost.
-                        m.op_end_n(t0, OpKind::AccessHit, label, span);
-                        self.poll_timeline();
-                        k += span;
-                        continue;
-                    }
-                } else if !inside {
-                    if let Some(span) =
-                        self.miss_run(pid, a, stride, len - k, write, first_value + k, t0)
-                    {
-                        k += span;
-                        continue;
-                    }
+            let (rest, value) = (if fastforward { len - k } else { 1 }, first_value + k);
+            let t0 = self.core().machine.op_start();
+            if faulted && rest >= 2 {
+                if let Some(span) = self.miss_run(pid, a, stride, rest, write, value, t0) {
+                    k += span;
+                    continue;
                 }
             }
-            if write {
-                self.store(pid, a, first_value + k)?;
+            let op = self.core().access_op_start();
+            let faults0 = faults(&self.core().machine);
+            let (pa, span) = self.resolve(pid, a, stride, rest, access)?;
+            let label = self.label();
+            let m = &mut self.core_mut().machine;
+            faulted = faults(m) > faults0;
+            bulk_memory(m, pa, stride, span, write, value);
+            if span >= 2 {
+                // Every access in the span hit — `span` AccessHit
+                // latencies, each of the identical per-access cost.
+                m.op_end_n(t0, OpKind::AccessHit, label, span);
+                self.poll_timeline();
             } else {
-                self.load(pid, a)?;
+                access_op_end(self, op);
             }
-            k += 1;
+            k += span;
         }
         Ok(())
     }

@@ -1,11 +1,12 @@
 //! Shared pieces of the run-compressed execution engine.
 //!
-//! Both kernels fast-forward a translation-uniform access run the same
-//! way: the MMU proves the run uniform and charges the translation
-//! half ([`o1_hw::Mmu::translate_run`]); the helper here charges the
-//! memory half and performs the data stores. Splitting it this way
-//! keeps the cost knowledge in one place per layer — neither half
-//! duplicates the other's cost table.
+//! Both kernels execute an access run the same way: the MMU's one
+//! translation path proves how many leading accesses share the
+//! translation and charges their translation half
+//! ([`o1_hw::Mmu::translate`]'s span); the helper here charges the
+//! memory half of that span and performs the data stores. Splitting
+//! it this way keeps the cost knowledge in one place per layer —
+//! neither half duplicates the other's cost table.
 
 use o1_hw::{CostKind, Machine, MemTier, PhysAddr};
 
@@ -32,7 +33,7 @@ impl AccessRun {
     }
 }
 
-/// Charge the memory half of `span` fast-forwarded accesses starting
+/// Charge the memory half of `span` translated accesses starting
 /// at physical address `pa` with byte stride `stride`: bump the
 /// load/store counter by `span`, charge `span ×` the tier's per-access
 /// cost (the run is tier-uniform by the MMU's proof), and for writes

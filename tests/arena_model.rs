@@ -167,6 +167,23 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
     rejects(&mut k, VmError::BadRange, |k| {
         k.madvise_dontneed(p, va, u64::MAX)
     });
+    // An unaligned start, and for munmap and mprotect a zero length,
+    // are rejected before the syscall is charged, with nothing
+    // dropped: the warm run left `k` in page `k`.
+    rejects(&mut k, VmError::BadRange, |k| k.munmap(p, va, 0));
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.munmap(p, va + 1, PAGE_SIZE)
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.mprotect(p, va, 0, Prot::Read)
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.mprotect(p, va + 1, PAGE_SIZE, Prot::Read)
+    });
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.madvise_dontneed(p, va + 1, PAGE_SIZE)
+    });
+    assert_eq!(k.load(p, va + PAGE_SIZE), Ok(1));
     rejects(&mut k, VmError::BadRange, |k| k.pin_range(p, va, u64::MAX));
     rejects(&mut k, VmError::BadRange, |k| {
         k.unpin_range(p, va, u64::MAX)

@@ -436,13 +436,13 @@ fn tenant_churn_keeps_host_heap_bounded_by_live_processes() {
     }
 }
 
-/// The run engine tries the hit prover at an access only when it and
-/// the next access lie in the extent of the MMU's last successful
-/// translation. Every equivalence test above would still pass with a
-/// gate that never tried it, and `fig_sweep` would run far slower, so
-/// the fusions that pay are pinned here by count.
+/// The run engine fuses every hit span the MMU can prove: one
+/// translate per span, wherever the run starts. Every equivalence test
+/// above would still pass with an engine that never fused, and
+/// `fig_sweep` would run far slower, so the fusions are pinned here by
+/// count.
 #[test]
-fn the_prover_gate_keeps_the_fusions_that_pay() {
+fn the_engine_fuses_every_provable_hit_span() {
     // Four 2 MiB regions, so a warm pass hits four resident 2M TLB
     // entries.
     const PAGES: u64 = 2048;
@@ -460,14 +460,12 @@ fn the_prover_gate_keeps_the_fusions_that_pay() {
         sys.access_runs(pid, va, &[sweep], false, 0).unwrap();
         sys.machine().ffwd_accesses - before
     };
-    // Per region, the first access interprets (the extent still holds
-    // the previous region's entry) and sets the extent to this
-    // region's 2M entry; the other 511 fuse.
-    let fused = PAGES - PAGES / 512;
+    // Each region's first access hits its resident 2M entry, so the
+    // span starts there: all 2,048 accesses fuse.
     let (mut baseline, _) = baseline_pair(ThpMode::Aligned2M);
-    assert_eq!(warm_sweep(baseline.as_mut()), fused, "baseline THP sweep");
+    assert_eq!(warm_sweep(baseline.as_mut()), PAGES, "baseline THP sweep");
     let (mut fom_pt, _) = fom_pair(MapMech::PageTables);
-    assert_eq!(warm_sweep(fom_pt.as_mut()), fused, "fom page-table sweep");
+    assert_eq!(warm_sweep(fom_pt.as_mut()), PAGES, "fom page-table sweep");
 
     // A stride-0 span on the page the last access translated fuses
     // whole.
@@ -479,4 +477,22 @@ fn the_prover_gate_keeps_the_fusions_that_pay() {
     sys.access_span(pid, va, 0, 100, true, 7).unwrap();
     assert_eq!(sys.machine().ffwd_accesses - before, 100, "stride-0 span");
     assert_eq!(sys.load(pid, va), Ok(106));
+
+    // A short run on a TLB-resident page that the last translation
+    // did not touch fuses from its first access.
+    let (baseline, _) = baseline_pair(ThpMode::Never);
+    let (fom_pt, _) = fom_pair(MapMech::PageTables);
+    for (name, mut sys) in [("baseline", baseline), ("fom_pt", fom_pt)] {
+        let pid = sys.create_process().unwrap();
+        let va = sys.alloc(pid, 2 * PAGE_SIZE, true).unwrap();
+        sys.load(pid, va).unwrap();
+        sys.load(pid, va + PAGE_SIZE).unwrap();
+        let before = sys.machine().ffwd_accesses;
+        sys.access_span(pid, va, 8, 4, false, 0).unwrap();
+        assert_eq!(
+            sys.machine().ffwd_accesses - before,
+            4,
+            "{name}: resident page"
+        );
+    }
 }
