@@ -191,7 +191,7 @@ pub fn fig2() -> Figure {
                 )
                 .unwrap();
             // Same accesses as the old per-page store loop; the cold
-            // anonymous faults compress through the bulk-fault prover.
+            // anonymous faults compress through the fault-run prover.
             k.access_span(pid, va, PAGE_SIZE as i64, pages, true, 0)
                 .unwrap();
             s_anon.push(pages, k.machine().now().since(t0) as f64);
@@ -567,7 +567,7 @@ pub fn fig_reclaim() -> Figure {
                 .unwrap();
             // One sequential write run per page (value p at page p),
             // identical to a per-page store loop; the cold faults
-            // fast-forward through the bulk-fault prover.
+            // fast-forward through the fault-run prover.
             k.access_span(pid, va, PAGE_SIZE as i64, resident, true, 0)
                 .unwrap();
             let t0 = k.machine().now();
@@ -1405,7 +1405,7 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
             .cpus(cpus)
             .build()
     };
-    // Latency fleets: the faulting path the bulk-fault prover
+    // Latency fleets: the faulting path the fault-run prover
     // compresses; per-tenant ns are simulated clock deltas, so the
     // suite matrix's fast-forward-off run holds them byte-identical.
     let t_base = tenants / 5;

@@ -37,7 +37,8 @@ use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
 use o1_palloc::PhysExtent;
 use o1_vm::runs::AccessRun;
 use o1_vm::{
-    span_end, CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, VmError, MAX_MAP_BYTES,
+    span_end, CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, Resolved, VmError,
+    MAX_MAP_BYTES,
 };
 
 use crate::mech::{MechCtx, Mechanism, Piece, DEFAULT_FAST_REGION_SLOTS};
@@ -798,7 +799,7 @@ impl FomKernel {
         let mut off = 0usize;
         while off < data.len() {
             let at = va + off as u64;
-            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Write)?;
+            let pa = self.resolve_one(pid, at, Access::Write)?;
             let take = usize::min(data.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
             self.core.machine.charge_kind(CostKind::CopyPage);
             self.core.machine.phys.write(pa, &data[off..off + take]);
@@ -812,7 +813,7 @@ impl FomKernel {
         let mut off = 0usize;
         while off < buf.len() {
             let at = va + off as u64;
-            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
+            let pa = self.resolve_one(pid, at, Access::Read)?;
             let take = usize::min(buf.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
             self.core.machine.charge_kind(CostKind::CopyPage);
             self.core.machine.phys.read(pa, &mut buf[off..off + take]);
@@ -868,7 +869,8 @@ impl FomKernel {
 
     /// Device DMA from `[va, va+len)`: always at full device rate —
     /// mapped file extents never move, so every page is implicitly
-    /// pinned. No per-page pinning, no IOMMU faults.
+    /// pinned. No per-page pinning, no IOMMU faults. A zero `len` is
+    /// `BadRange`, before anything is charged.
     pub fn dma_transfer(
         &mut self,
         pid: Pid,
@@ -876,12 +878,12 @@ impl FomKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
-        let end = span_end(va, len.max(1))?;
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
         while at < end {
-            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
+            let pa = self.resolve_one(pid, at, Access::Read)?;
             pages += dma.transfer(
                 &mut self.core.machine,
                 pa,
@@ -897,14 +899,14 @@ impl FomKernel {
     /// implicitly pinned — frames never move or get reclaimed while
     /// mapped ("data is implicitly pinned in memory", §3.1/§4.1). The
     /// device-DMA preparation is therefore free; this method only
-    /// verifies the address resolves.
+    /// verifies the address resolves. A zero `len` is `BadRange`.
     pub fn dma_prepare(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<PhysAddr, VmError> {
         span_end(va, len)?;
-        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Read)?;
+        let pa = self.resolve_one(pid, va, Access::Read)?;
         // Verify the whole span is mapped (constant per extent in
         // practice; we check the last byte).
         if len > 1 {
-            self.resolve(pid, va + (len - 1), 0, 1, Access::Read)?;
+            self.resolve_one(pid, va + (len - 1), Access::Read)?;
         }
         Ok(pa)
     }
@@ -939,14 +941,15 @@ impl KernelHooks for FomKernel {
         stride: i64,
         len: u64,
         access: Access,
-    ) -> Result<(PhysAddr, u64), VmError> {
+        _first_value: u64,
+    ) -> Result<Resolved, VmError> {
         self.core.proc(pid)?;
         let result = {
             let (mech, mut ctx) = self.seam();
             mech.translate(&mut ctx, pid, va, stride, len, access)
         };
         match result {
-            Ok(hit) => Ok(hit),
+            Ok((pa, span)) => Ok(Resolved::Translated { pa, span }),
             Err(TranslateError::NotMapped) => {
                 self.core.machine.perf.prot_faults += 1;
                 Err(VmError::BadAddress)
@@ -1360,7 +1363,7 @@ mod tests {
         let pid = k.create_process().unwrap();
         let (_, va) = k.falloc(pid, 64 * PAGE_SIZE, FileClass::Volatile).unwrap();
         k.store(pid, va, 0x5ec2e7).unwrap();
-        let (pa, _) = k.resolve(pid, va, 0, 1, Access::Read).unwrap();
+        let pa = k.resolve_one(pid, va, Access::Read).unwrap();
         k.crash_and_recover();
         assert!(
             k.machine().phys.frame_is_zero(pa.frame()),

@@ -831,19 +831,20 @@ impl ObaseMech {
         ctx.machine.charge_opn(CostKind::PageMigrate, frames);
     }
 
-    /// Re-point every live mapping of record `idx` at `new_start`,
-    /// with one shootdown per affected address space.
+    /// Re-point every live mapping of record `idx` at `new_start`
+    /// (unmapped one node's run of leaves at a time), with one
+    /// shootdown per affected address space.
     fn remap_installs(&mut self, ctx: &mut MechCtx<'_>, idx: usize, new_start: u64) {
         let frames = self.records[idx].frames;
         let installs = self.records[idx].installs.clone();
         let mut flushed: Vec<Asid> = Vec::new();
+        let mut leaves = ClearedLeaves::default();
         for ins in &installs {
             let Ok((root, asid)) = ctx.procs.space(ins.pid) else {
                 continue;
             };
-            for i in 0..frames {
-                ctx.pt.unmap(ctx.machine, root, ins.va + i * PAGE_SIZE);
-            }
+            let (pt, mut at, end) = (&mut *ctx.pt, ins.va, ins.va + frames * PAGE_SIZE);
+            while pt.unmap_leaves(ctx.machine, root, &mut at, end, &mut leaves) {}
             ctx.pt
                 .map_extent(
                     ctx.machine,

@@ -286,7 +286,7 @@ impl Machine {
     }
 
     /// Bump the fast-forward counters for one fused run of `count`
-    /// accesses, without recording any latency. The bulk-fault path
+    /// accesses, without recording any latency. The fault-run path
     /// uses this together with [`op_record_n`](Self::op_record_n):
     /// fault latencies within one run are *not* uniform (buddy splits
     /// and page-table creation vary page to page), so the run cannot

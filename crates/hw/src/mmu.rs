@@ -161,8 +161,9 @@ struct CpuMmu {
     /// Epoch the walk-cache contents were built at.
     walk_epoch: u64,
     /// Broadcast-invalidation epoch this CPU last synchronised with.
-    /// Every translate syncs; the provers that do not translate refuse
-    /// to span an invalidation the CPU has not yet observed.
+    /// Every translate syncs; the whole-batch prover, which does not
+    /// translate, refuses to span an invalidation the CPU has not yet
+    /// observed.
     synced_epoch: u64,
 }
 
@@ -357,14 +358,15 @@ impl Mmu {
         (start..start + self.cpus.len(), 1u64 << (asid.0 % 64))
     }
 
-    /// Fast-forward obligation check for the provers that do not
-    /// translate (the whole-batch and miss provers): true when the
-    /// current CPU has observed every broadcast invalidation, i.e. the
-    /// prover may assume "no concurrent invalidation overlaps this
-    /// span". When false the CPU syncs (so the *next* probe may pass)
-    /// and the caller must interpret — which is charge-identical,
-    /// merely slower on the host. [`translate`](Self::translate) syncs
-    /// on entry, so its hit span needs no such check.
+    /// Fast-forward obligation check for the one prover that does not
+    /// translate (the whole-batch prover): true when the current CPU
+    /// has observed every broadcast invalidation, i.e. the prover may
+    /// assume "no concurrent invalidation overlaps this span". When
+    /// false the CPU syncs (so the *next* probe may pass) and the
+    /// caller must interpret — which is charge-identical, merely
+    /// slower on the host. [`translate`](Self::translate) syncs on
+    /// entry, so neither its hit span nor a fault run the kernel
+    /// enters from its failed walk needs such a check.
     pub fn run_prover_ready(&mut self) -> bool {
         let cur = &mut self.cpus[self.current.index()];
         if cur.synced_epoch == self.inval_epoch {
@@ -511,105 +513,6 @@ impl Mmu {
         }
     }
 
-    /// Fast-forward **miss** probe — the dual of the hit span
-    /// [`translate`](Self::translate) proves: prove that none of the
-    /// next `len` accesses of the arithmetic run (`va`, `va + stride`,
-    /// …) has any translation installed, so every one would miss the
-    /// TLB, walk to an absent entry, and fault. Charges nothing and
-    /// mutates no simulated state beyond the same presence note an
-    /// interpreted translate would make; the caller (the kernel's
-    /// bulk-fault path) replays the aggregate miss/fault charges.
-    ///
-    /// Proof obligations:
-    ///
-    /// * the current CPU has observed every broadcast invalidation
-    ///   ([`run_prover_ready`](Self::run_prover_ready); refusal syncs,
-    ///   so the next probe may pass);
-    /// * range translations are **disabled** — a range entry could
-    ///   satisfy an access the page tables know nothing about;
-    /// * `|stride| ≥ PAGE_SIZE`, so successive accesses touch
-    ///   strictly monotone, pairwise-distinct pages (a mapping the
-    ///   caller installs for access *k* can never satisfy access
-    ///   *k+1* of the same run);
-    /// * absence is proven from the page tables
-    ///   ([`PageTables::absent_run`]);
-    /// * page-TLB absence follows from the invariant TLB ⊆ page
-    ///   tables (every unmap path invalidates eagerly), re-checked
-    ///   per page in debug builds.
-    ///
-    /// Returns `Some(span)` with `span ≥ 2` — a shorter provable
-    /// prefix is not worth fusing — or `None`.
-    pub fn translate_miss_run(
-        &mut self,
-        pt: &PageTables,
-        root: PtNodeId,
-        asid: Asid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-    ) -> Option<u64> {
-        if len < 2 || stride.unsigned_abs() < crate::addr::PAGE_SIZE || self.ranges_enabled {
-            return None;
-        }
-        if !self.run_prover_ready() {
-            return None;
-        }
-        let span = pt.absent_run(root, va, stride, len);
-        if span < 2 {
-            return None;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let c = self.current.index();
-            let mut a = va.0;
-            for _ in 0..span {
-                debug_assert!(
-                    self.cpus[c].tlb.peek(asid, VirtAddr(a)).is_none(),
-                    "TLB ⊄ page tables: resident entry for an unmapped page"
-                );
-                a = a.wrapping_add_signed(stride);
-            }
-        }
-        // The interpreter's faulting translates would note presence on
-        // this CPU; the fused replay must leave the same mask.
-        self.note_presence(asid);
-        Some(span)
-    }
-
-    /// Leave the current CPU's software page-walk cache exactly as an
-    /// interpreted bulk-fault run would have. Per faulted page the
-    /// interpreter walks once to prove absence (caching nothing),
-    /// installs the mapping (bumping the page-table epoch), and walks
-    /// again successfully — so each page's cache fill is flushed by
-    /// the next page's install, and the run ends with precisely one
-    /// slot cached: the final page's. The cache is a pure host-side
-    /// accelerator, but its occupancy is a timeline gauge
-    /// (`mmu.walk_cache_entries`), so the fused replay must converge
-    /// to the same contents. Charge-free by construction.
-    pub fn replay_fault_run_walk_cache(
-        &mut self,
-        pt: &PageTables,
-        root: PtNodeId,
-        last_va: VirtAddr,
-    ) {
-        let Some(slot) = WalkSlot::find(pt, root, last_va) else {
-            debug_assert!(false, "bulk-fault replay: final page must be mapped");
-            return;
-        };
-        self.walk_cache(pt).insert((root, last_va.page()), slot);
-    }
-
-    /// The current CPU's software page-walk cache, emptied first if
-    /// the page tables changed structure since it was filled.
-    fn walk_cache(&mut self, pt: &PageTables) -> &mut FastMap<(PtNodeId, PageNo), WalkSlot> {
-        let cpu = &mut self.cpus[self.current.index()];
-        if cpu.walk_epoch != pt.epoch() {
-            cpu.walk_cache.clear();
-            cpu.walk_epoch = pt.epoch();
-        }
-        &mut cpu.walk_cache
-    }
-
     /// Hardware page walk through the software page-walk cache.
     ///
     /// Returns the same [`Translation`] the raw [`PageTables::walk`]
@@ -628,7 +531,12 @@ impl Mmu {
         root: PtNodeId,
         va: VirtAddr,
     ) -> Option<(Translation, FrameNo, WalkSlot)> {
-        let cache = self.walk_cache(pt);
+        let cpu = &mut self.cpus[self.current.index()];
+        if cpu.walk_epoch != pt.epoch() {
+            cpu.walk_cache.clear();
+            cpu.walk_epoch = pt.epoch();
+        }
+        let cache = &mut cpu.walk_cache;
         let key = (root, va.page());
         let slot = match cache.get(&key) {
             Some(&slot) => slot,
@@ -1184,8 +1092,6 @@ mod tests {
         let rt = RangeTable::new();
         let mut mmu = Mmu::smp(false, 2, None);
         let va = VirtAddr(0x10_0000);
-        let absent = VirtAddr(0x40_0000);
-        let page = PAGE_SIZE as i64;
         pt.map(
             &mut m,
             root,
@@ -1197,28 +1103,15 @@ mod tests {
         .unwrap();
         mmu.translate_one(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
-        assert!(mmu.run_prover_ready());
-        assert!(mmu
-            .translate_miss_run(&pt, root, A, absent, page, 4)
-            .is_some());
+        assert!(mmu.run_prover_ready(), "the translate synced CPU 0");
         // CPU 1 invalidates a *different* page. CPU 0 has not observed
-        // the broadcast, so the provers that do not translate refuse
-        // once (falling back to the charge-identical interpreter)...
+        // the broadcast, so the whole-batch check refuses once (the
+        // caller falls back to the charge-identical interpreter)...
         mmu.set_cpu(CpuId(1));
         mmu.invalidate_page(&mut m, A, VirtAddr(0x20_0000));
         mmu.set_cpu(CpuId(0));
-        assert!(mmu
-            .translate_miss_run(&pt, root, A, absent, page, 4)
-            .is_none());
-        // ...and the refusal synced CPU 0, so they prove again.
-        assert!(mmu.run_prover_ready());
-        assert!(mmu
-            .translate_miss_run(&pt, root, A, absent, page, 4)
-            .is_some());
-        mmu.set_cpu(CpuId(1));
-        mmu.invalidate_page(&mut m, A, VirtAddr(0x30_0000));
-        mmu.set_cpu(CpuId(0));
         assert!(!mmu.run_prover_ready(), "whole-batch check refuses once");
+        // ...and the refusal synced CPU 0, so it proves again.
         assert!(mmu.run_prover_ready());
         // A translate syncs on entry, so it proves its hit span at
         // once across a broadcast it has not yet observed.

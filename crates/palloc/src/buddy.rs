@@ -110,7 +110,7 @@ impl BuddyAllocator {
     /// charge block instead of per-call charges (the ledger sums
     /// `(phase, kind)` rows, so the bytes are identical). `sink` is
     /// called once per allocation, in allocation order, with the
-    /// frame, its split count (so the bulk-fault path can group
+    /// frame, its split count (so the fault-run path can group
     /// equal-latency pages when recording histograms) and the machine
     /// on loan so the caller can zero/map/write each frame as it
     /// appears. No frame vector is built, which keeps the

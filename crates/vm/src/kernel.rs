@@ -29,7 +29,7 @@ use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
 const MECH: &str = "baseline";
 
 use crate::api::MemSys;
-use crate::kernel_core::{CoreProc, KernelCore, KernelHooks};
+use crate::kernel_core::{CoreProc, KernelCore, KernelHooks, Resolved};
 use crate::page_meta::{PageFlag, PageMetaTable};
 use crate::reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
 use crate::types::{Backing, MapFlags, Pid, Prot, VmError};
@@ -821,12 +821,10 @@ impl BaselineKernel {
 
     /// `madvise(MADV_DONTNEED)`: drop the pages in the range, resident
     /// or swapped out; anonymous pages read zero on the next touch.
-    /// An unaligned `va` is `BadRange`, before anything is charged.
+    /// An unaligned `va` or a zero `len` is `BadRange`, before
+    /// anything is charged.
     pub fn madvise_dontneed(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        if !va.is_aligned(PAGE_SIZE) {
-            return Err(VmError::BadRange);
-        }
-        let end = span_end(va, len)?;
+        let end = range_end(va, len)?;
         self.core.machine.charge_syscall();
         let (_, asid) = self.core.procs.space(pid)?;
         self.drop_range(pid, va, end)?;
@@ -881,7 +879,7 @@ impl BaselineKernel {
     /// would have. Proof obligations — anonymous backing, every page
     /// provably absent from the page tables
     /// ([`PageTables::absent_run`]), and the budget shared with the
-    /// bulk-fault prover ([`fresh_run_budget`](Self::fresh_run_budget):
+    /// fault-run prover ([`fresh_run_budget`](Self::fresh_run_budget):
     /// no THP, DRAM-only placement, and enough free frames that no
     /// allocation would have triggered reclaim or failed mid-run).
     /// The pages go in through
@@ -942,7 +940,7 @@ impl BaselineKernel {
     /// address, the buddy split count and the page-table nodes
     /// created. Then charge the zeroing, page-table and `struct page`
     /// work of all `span` pages in one block — committed state, no
-    /// refusal past this point. Returns the last page installed.
+    /// refusal past this point.
     #[allow(clippy::too_many_arguments)]
     fn install_fresh_run(
         &mut self,
@@ -953,9 +951,9 @@ impl BaselineKernel {
         span: u64,
         flags: PteFlags,
         mut per_page: impl FnMut(&mut Machine, &mut Mmu, FrameNo, VirtAddr, u32, u64),
-    ) -> VirtAddr {
+    ) {
         let swap_on = self.swap_enabled;
-        let (mut at, mut last, mut nodes_total) = (va.0, va, 0u64);
+        let (mut at, mut nodes_total) = (va.0, 0u64);
         let BaselineKernel {
             core: KernelCore {
                 machine, pt, mmu, ..
@@ -977,7 +975,6 @@ impl BaselineKernel {
                     lru.insert(frame);
                 }
                 per_page(m, mmu, frame, VirtAddr(at), splits, nodes);
-                last = page;
                 at = at.wrapping_add_signed(stride);
             })
             .expect("span clamped to free frames");
@@ -986,7 +983,6 @@ impl BaselineKernel {
         machine.charge_opn(CostKind::PageMetaUpdate, span);
         machine.perf.page_meta_updates += span;
         machine.note_ffwd_run(span);
-        last
     }
 
     /// Allocate and map one 2 MiB huge page covering `va`, if the VMA
@@ -1278,13 +1274,13 @@ impl BaselineKernel {
     /// Pin `[va, va+len)` for device access: faults everything in and
     /// marks each page unevictable. Linear per-page cost (the paper's
     /// "expensive per-page operations to ensure data remains in
-    /// place").
+    /// place"). A zero `len` is `BadRange`, before anything is charged.
     pub fn pin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
         let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut page_va = va;
         while page_va < end {
-            let (pa, _) = self.resolve(pid, page_va, 0, 1, Access::Read)?;
+            let pa = self.resolve_one(pid, page_va, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
             meta.pins += 1;
@@ -1295,13 +1291,13 @@ impl BaselineKernel {
         Ok(())
     }
 
-    /// Undo [`pin_range`](Self::pin_range).
+    /// Undo [`pin_range`](Self::pin_range), with the same length rule.
     pub fn unpin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
         let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut page_va = va;
         while page_va < end {
-            let (pa, _) = self.resolve(pid, page_va, 0, 1, Access::Read)?;
+            let pa = self.resolve_one(pid, page_va, Access::Read)?;
             self.core.machine.charge_kind(CostKind::PinPage);
             let meta = self.meta.get_mut(pa.frame());
             meta.pins = meta.pins.saturating_sub(1);
@@ -1334,6 +1330,8 @@ impl KernelHooks for BaselineKernel {
     }
 
     /// Translate `va`, handling faults (demand paging, COW, swap-in).
+    /// When the first access of a run of two or more is not mapped,
+    /// try the fault run (`fault_run`) before the one-page fault.
     /// A faulted access covers itself only: the retry after the fault
     /// translates a one-access run.
     #[inline]
@@ -1344,7 +1342,9 @@ impl KernelHooks for BaselineKernel {
         stride: i64,
         mut len: u64,
         access: Access,
-    ) -> Result<(PhysAddr, u64), VmError> {
+        first_value: u64,
+    ) -> Result<Resolved, VmError> {
+        let t0 = self.core.machine.now();
         for _ in 0..4 {
             let (root, asid) = self.core.procs.space(pid)?;
             match self.core.mmu.translate(
@@ -1358,8 +1358,15 @@ impl KernelHooks for BaselineKernel {
                 len,
                 access,
             ) {
-                Ok((t, span)) => return Ok((t.pa, span)),
-                Err(TranslateError::NotMapped) => self.page_fault(pid, va, access)?,
+                Ok((t, span)) => return Ok(Resolved::Translated { pa: t.pa, span }),
+                Err(TranslateError::NotMapped) => {
+                    let write = access == Access::Write;
+                    if let Some(span) = self.fault_run(pid, va, stride, len, write, first_value, t0)
+                    {
+                        return Ok(Resolved::FaultRun(span));
+                    }
+                    self.page_fault(pid, va, access)?;
+                }
                 Err(TranslateError::Protection) => self.protection_fault(pid, va, access)?,
             }
             len = 1;
@@ -1402,18 +1409,25 @@ impl KernelHooks for BaselineKernel {
         g.push(("kernel.swap_used_slots", self.swap.used_slots() as u64));
         g.push(("kernel.lru_tracked", self.lru.len() as u64));
     }
+}
 
-    /// Bulk-fault fast-forward — the dual of
-    /// [`Mmu::translate`](o1_hw::Mmu::translate)'s hit span: prove that the next `len` accesses of the run all
-    /// miss translation and demand-fault fresh anonymous base pages
-    /// with a uniform outcome, then install every mapping through the
-    /// installer it shares with bulk populate (`install_fresh_run`)
-    /// and replay the aggregate charges of `span` interpreted faults
-    /// in O(1) charge calls (plus the O(span) state writes the
-    /// interpreter would also make).
+impl BaselineKernel {
+    /// Fault-run fast-forward — the dual of
+    /// [`Mmu::translate`](o1_hw::Mmu::translate)'s hit span, entered
+    /// from [`resolve`](KernelHooks::resolve) once the walk for `va`,
+    /// the first of `len ≥ 2` accesses, found no mapping. Prove that
+    /// the following accesses demand-fault fresh anonymous base pages
+    /// with a uniform outcome too, then install every mapping through
+    /// the installer it shares with bulk populate (`install_fresh_run`)
+    /// and replay the aggregate charges of `span` interpreted faults in
+    /// O(1) charge calls (plus the O(span) state writes the interpreter
+    /// would also make).
     ///
-    /// Proof obligations, checked before anything is charged or
-    /// mutated:
+    /// The failed walk already proved the first page absent, synced
+    /// the CPU with every broadcast and noted its presence, and nothing
+    /// runs between it and this call (the baseline boots its MMU
+    /// without range translations, so that walk is the whole miss).
+    /// What is left to prove, before anything is charged or mutated:
     ///
     /// * no fault-around;
     /// * no THP, one memory tier, and no allocation that would
@@ -1425,20 +1439,23 @@ impl KernelHooks for BaselineKernel {
     ///   prefix (clamped via [`span_within`]), and a write run is
     ///   permitted by it — a protection error falls back so the
     ///   interpreter raises it with exact charges;
-    /// * no translation is installed anywhere in the run
-    ///   ([`PageTables::absent_run`], shared with bulk populate) and
-    ///   no unobserved invalidation overlaps it
-    ///   ([`Mmu::translate_miss_run`](o1_hw::Mmu::translate_miss_run)).
+    /// * `|stride| ≥ PAGE_SIZE`, so every access touches its own page
+    ///   and no page installed for one access can satisfy a later one;
+    /// * no translation is installed for the second access onwards
+    ///   ([`PageTables::absent_run`], shared with bulk populate). The
+    ///   page TLB holds none either, since every unmap invalidates
+    ///   eagerly (re-checked per page in debug builds).
     ///
     /// Fault latencies within a run are *not* uniform — buddy splits
     /// and page-table node creation vary page to page — so the ledger
     /// records groups of equal-latency `AccessFault` ops
     /// ([`Machine::op_record_n`](o1_hw::Machine::op_record_n)) whose
     /// per-op cost is reconstructed from the cost model; a debug
-    /// assertion checks the records sum exactly to the clock advance.
-    /// Returns the fused access count (`≥ 2`), or `None` to interpret
-    /// at least one access.
-    fn miss_run(
+    /// assertion checks the records sum exactly to the clock advance
+    /// since `t0`, the clock before the failed walk. Returns the fused
+    /// access count (`≥ 2`), or `None` to fault the first page alone.
+    #[allow(clippy::too_many_arguments)] // one parameter per proof input
+    fn fault_run(
         &mut self,
         pid: Pid,
         va: VirtAddr,
@@ -1448,7 +1465,7 @@ impl KernelHooks for BaselineKernel {
         first_value: u64,
         t0: o1_hw::SimNs,
     ) -> Option<u64> {
-        if self.fault_around != 1 {
+        if len < 2 || stride.unsigned_abs() < PAGE_SIZE || self.fault_around != 1 {
             return None;
         }
         let budget = self.fresh_run_budget()?;
@@ -1470,17 +1487,20 @@ impl KernelHooks for BaselineKernel {
         if len < 2 {
             return None;
         }
-        let span = self
-            .core
-            .mmu
-            .translate_miss_run(&self.core.pt, root, asid, va, stride, len)?;
+        let second = VirtAddr(va.0.wrapping_add_signed(stride));
+        let span = 1 + self.core.pt.absent_run(root, second, stride, len - 1);
+        if span < 2 {
+            return None;
+        }
         // Committed: everything below is infallible. Per page, the
         // interpreter's sequence is: two failing translates (each one
         // TLB-aging lookup and one full-depth walk), the fault-handler
         // entry charges, a buddy allocation + zero, the page-table
         // install, the `struct page` update, the TLB fill of the
-        // walked (pre-A/D) flags, and the data access itself. State
-        // writes happen per page below; charges land once, after.
+        // walked (pre-A/D) flags, and the data access itself. The
+        // first page's first translate has happened; the rest happen
+        // here. State writes happen per page below; charges land once,
+        // after.
         let walk_flags = prot.pte_flags();
         let leaf_flags = if write {
             // `map` writes the PTE, then `mark_accessed` sets A/D in
@@ -1520,7 +1540,7 @@ impl KernelHooks for BaselineKernel {
         // ledger record — scalar accumulators only, no host heap.
         let mut grp = (u32::MAX, u64::MAX);
         let (mut grp_ns, mut grp_cnt, mut recorded) = (0u64, 0u64, 0u64);
-        let last_page = self.install_fresh_run(
+        self.install_fresh_run(
             pid,
             root,
             va,
@@ -1529,9 +1549,14 @@ impl KernelHooks for BaselineKernel {
             leaf_flags,
             |m, mmu, frame, a, splits, nodes| {
                 // Two failing lookups age the whole TLB before the
-                // fill's own tick stamps the new entry.
+                // fill's own tick stamps the new entry; the failed
+                // walk made the first page's first.
                 let tlb = mmu.tlb_mut();
-                tlb.advance_ticks(2);
+                debug_assert!(
+                    tlb.peek(asid, a).is_none(),
+                    "TLB ⊄ page tables: resident entry for an unmapped page"
+                );
+                tlb.advance_ticks(if idx == 0 { 1 } else { 2 });
                 tlb.insert(asid, a, frame, PageSize::Base, walk_flags);
                 if write {
                     let pa = PhysAddr(frame.base().0 + (a.0 & (PAGE_SIZE - 1)));
@@ -1554,19 +1579,19 @@ impl KernelHooks for BaselineKernel {
                 idx += 1;
             },
         );
-        let KernelCore {
-            machine, pt, mmu, ..
-        } = &mut self.core;
+        let machine = &mut self.core.machine;
         if traced && grp_cnt > 0 {
             machine.op_record_n(OpKind::AccessFault, MECH, grp_ns, grp_cnt);
             recorded += grp_ns * grp_cnt;
         }
-        // Aggregate replay of the interpreter's per-fault charges (the
-        // buddy charges landed inside the installer's allocation, the
-        // zeroing, page-table and `struct page` charges at its end).
-        machine.perf.tlb_misses += 2 * span;
-        machine.perf.page_walks += 2 * span;
-        machine.charge_opn(CostKind::PtwLevelRef, 2 * span * refs);
+        // Aggregate replay of the interpreter's per-fault charges but
+        // the failed walk's (the buddy charges landed inside the
+        // installer's allocation, the zeroing, page-table and `struct
+        // page` charges at its end).
+        let misses = 2 * span - 1;
+        machine.perf.tlb_misses += misses;
+        machine.perf.page_walks += misses;
+        machine.charge_opn(CostKind::PtwLevelRef, misses * refs);
         machine.charge_opn(CostKind::FaultTrap, span);
         machine.charge_opn(CostKind::FaultHandlerBase, span);
         machine.charge_opn(CostKind::VmaFind, span);
@@ -1579,21 +1604,19 @@ impl KernelHooks for BaselineKernel {
             machine.perf.loads += span;
             machine.charge_opn(CostKind::MemReadDram, span);
         }
-        mmu.replay_fault_run_walk_cache(pt, root, last_page);
         debug_assert!(
             !traced || recorded == machine.now().since(t0),
-            "bulk-fault replay must conserve the clock"
+            "fault-run replay must conserve the clock"
         );
         self.poll_timeline();
         Some(span)
     }
-}
 
-impl BaselineKernel {
     /// Device DMA from `[va, va+len)`. Pages the caller pinned stream
     /// at device rate; unpinned pages go through the faulting IOMMU
     /// path — "even devices that support page faults through an IOMMU
-    /// incur high penalties" (§3.1). Returns pages transferred.
+    /// incur high penalties" (§3.1). Returns pages transferred; a zero
+    /// `len` is `BadRange`, before anything is charged.
     pub fn dma_transfer(
         &mut self,
         pid: Pid,
@@ -1601,12 +1624,12 @@ impl BaselineKernel {
         len: u64,
         dma: &mut o1_hw::DmaEngine,
     ) -> Result<u64, VmError> {
-        let end = span_end(va, len.max(1))?;
+        let end = span_end(va, len)?;
         self.core.machine.charge_syscall();
         let mut pages = 0;
         let mut at = va;
         while at < end {
-            let (pa, _) = self.resolve(pid, at, 0, 1, Access::Read)?;
+            let pa = self.resolve_one(pid, at, Access::Read)?;
             let pinned = self.meta.get(pa.frame()).pins > 0;
             let mode = if pinned {
                 o1_hw::DmaMode::Pinned
@@ -1621,10 +1644,10 @@ impl BaselineKernel {
 }
 
 /// End of `[va, va+len)` rounded out to whole pages, or
-/// [`VmError::BadRange`] when `len` exceeds [`MAX_MAP_BYTES`] or the end
-/// does not fit in the address space.
+/// [`VmError::BadRange`] when `len` is zero, exceeds [`MAX_MAP_BYTES`]
+/// or the end does not fit in the address space.
 pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
-    if len > MAX_MAP_BYTES {
+    if len == 0 || len > MAX_MAP_BYTES {
         return Err(VmError::BadRange);
     }
     va.0.checked_add(o1_hw::round_up_pages(len))
@@ -1633,10 +1656,10 @@ pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
 }
 
 /// [`span_end`] for the calls that take an existing range of pages
-/// (`munmap`, `mprotect`): the start must be page-aligned and the
-/// length nonzero.
+/// (`munmap`, `mprotect`, `madvise_dontneed`): the start must be
+/// page-aligned too.
 fn range_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
-    if len == 0 || !va.is_aligned(PAGE_SIZE) {
+    if !va.is_aligned(PAGE_SIZE) {
         return Err(VmError::BadRange);
     }
     span_end(va, len)
@@ -2353,6 +2376,29 @@ mod tests {
         k.munmap(pid, va + 256 * PAGE_SIZE, 256 * PAGE_SIZE)
             .unwrap();
         assert_eq!(k.free_frames(), free_before + 512);
+    }
+
+    #[test]
+    fn zero_length_madvise_leaves_huge_leaf_whole() {
+        let mut k = thp_kernel(ThpMode::Aligned2M);
+        let pid = k.create_process().unwrap();
+        let va = k
+            .mmap(
+                pid,
+                HUGE_2M,
+                Prot::ReadWrite,
+                Backing::Anon,
+                MapFlags::private_populate(),
+            )
+            .unwrap();
+        let root = k.core.proc(pid).unwrap().root;
+        let inner = va + 64 * PAGE_SIZE;
+        let (t0, perf0) = (k.machine().now(), k.machine().perf);
+        assert_eq!(k.madvise_dontneed(pid, inner, 0), Err(VmError::BadRange));
+        assert_eq!(k.machine().now(), t0, "a zero-length madvise charged");
+        assert_eq!(k.machine().perf, perf0);
+        let leaf = k.core.pt.lookup(root, inner).unwrap();
+        assert_eq!(leaf.size, PageSize::Huge2M, "the leaf was split");
     }
 
     #[test]

@@ -118,6 +118,24 @@ impl<P> KernelCore<P> {
     }
 }
 
+/// What [`KernelHooks::resolve`] did with the first accesses of a run.
+#[derive(Clone, Copy, Debug)]
+pub enum Resolved {
+    /// The first `span` accesses translate to `pa`, `pa + stride`, …,
+    /// with their translation half charged; the caller owes the memory
+    /// half of each.
+    Translated {
+        /// Physical address of the first access.
+        pa: PhysAddr,
+        /// Accesses covered.
+        span: u64,
+    },
+    /// A fault run of this many accesses (at least two), performed
+    /// whole: pages installed, every charge made, values stored,
+    /// latencies recorded and the timeline polled.
+    FaultRun(u64),
+}
+
 /// What a kernel plugs into its [`KernelCore`]. Every type
 /// implementing it is a [`MemSys`] through the blanket impl below.
 ///
@@ -140,11 +158,15 @@ pub trait KernelHooks {
     fn label(&self) -> &'static str;
 
     /// Translate `va`, handling whatever faults the design has, as
-    /// the first of a run of `len ≥ 1` accesses by byte `stride`.
-    /// Returns the physical address and the span: how many leading
-    /// accesses of the run the translation covered and charged
-    /// (`Mmu::translate`'s hit span), 1 whenever it walked, filled or
-    /// faulted. The caller owes the memory half of each.
+    /// the first of a run of `len ≥ 1` accesses by byte `stride`, the
+    /// `k`-th of which stores `first_value + k` when `access` writes.
+    /// Returns either a translation of the leading accesses
+    /// (`Mmu::translate`'s hit span, 1 whenever it walked, filled or
+    /// faulted), whose memory half the caller owes, or a fault run the
+    /// kernel performed whole: when the first access of a run of two
+    /// or more misses every translation, the baseline proves that the
+    /// following accesses demand-fault fresh pages too and installs,
+    /// charges, stores and records them all at once.
     fn resolve(
         &mut self,
         pid: Pid,
@@ -152,7 +174,18 @@ pub trait KernelHooks {
         stride: i64,
         len: u64,
         access: Access,
-    ) -> Result<(PhysAddr, u64), VmError>;
+        first_value: u64,
+    ) -> Result<Resolved, VmError>;
+
+    /// [`resolve`](Self::resolve) of a one-access run, which is always
+    /// a translation: the physical address the caller then accesses.
+    #[inline]
+    fn resolve_one(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
+        match self.resolve(pid, va, 0, 1, access, 0)? {
+            Resolved::Translated { pa, .. } => Ok(pa),
+            Resolved::FaultRun(_) => unreachable!("a one-access run never fuses"),
+        }
+    }
 
     /// [`MemSys::alloc`].
     fn alloc_region(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError>;
@@ -176,33 +209,6 @@ pub trait KernelHooks {
 
     /// Kernel-specific timeline gauges, appended after the base ones.
     fn gauges(&self, g: &mut Vec<(&'static str, u64)>);
-
-    /// Miss-run prover: prove the next `len` accesses all demand-fault
-    /// fresh pages, then perform them, record their latencies from
-    /// `t0` and return the span. `None` (the default) interprets, and
-    /// must charge and mutate nothing. The run engine calls it only at
-    /// a run's first access and right after an access or fused span
-    /// that faulted. Only the baseline proves miss runs: absence
-    /// comes from `PageTables::absent_run` (through
-    /// `Mmu::translate_miss_run`), and the pages go in through the
-    /// fresh-page installer its bulk-populate prover also uses. The
-    /// fom kernel has none: it installs whole extents when a file is
-    /// mapped, and `PageTables::map_extent` charges each install in
-    /// one block without a proof.
-    #[allow(clippy::too_many_arguments)] // one parameter per proof input
-    fn miss_run(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        write: bool,
-        first_value: u64,
-        t0: SimNs,
-    ) -> Option<u64> {
-        let _ = (pid, va, stride, len, write, first_value, t0);
-        None
-    }
 
     /// Whole-batch prover for [`MemSys::access_runs`]: perform every
     /// run at once and return the value counter after the last
@@ -339,7 +345,7 @@ impl<K: KernelHooks> MemSys for K {
 
     fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
         let op = self.core().access_op_start();
-        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Read)?;
+        let pa = self.resolve_one(pid, va, Access::Read)?;
         let m = &mut self.core_mut().machine;
         let tier = m.phys.tier(pa.frame());
         m.charge_load(tier);
@@ -350,7 +356,7 @@ impl<K: KernelHooks> MemSys for K {
 
     fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
         let op = self.core().access_op_start();
-        let (pa, _) = self.resolve(pid, va, 0, 1, Access::Write)?;
+        let pa = self.resolve_one(pid, va, Access::Write)?;
         let m = &mut self.core_mut().machine;
         let tier = m.phys.tier(pa.frame());
         m.charge_store(tier);
@@ -367,12 +373,11 @@ impl<K: KernelHooks> MemSys for K {
     /// the prefix is charged in one step and only data stores run per
     /// element; a walk, fill or fault covers one access, exactly as
     /// [`load`](MemSys::load) / [`store`](MemSys::store) would. The
-    /// [miss-run prover](KernelHooks::miss_run) covers the dual,
-    /// all-faulting case; it is tried at the run's first access and
-    /// right after an access or fused span that faulted, where a fault
-    /// run is likely to go on. Simulated clock, counters, ledger and
-    /// memory contents are identical to the plain loop. Gauge
-    /// timelines are not: a fused prefix is one op boundary, where the
+    /// dual, all-faulting case comes back from `resolve` as a fault run
+    /// the kernel already performed, entered where the run's first
+    /// access failed to translate. Simulated clock, counters, ledger
+    /// and memory contents are identical to the plain loop. Gauge
+    /// timelines are not: a fused span is one op boundary, where the
     /// interpreter has one per access, so fast-forward can take fewer
     /// timeline samples.
     fn access_span(
@@ -386,23 +391,21 @@ impl<K: KernelHooks> MemSys for K {
     ) -> Result<(), VmError> {
         let access = if write { Access::Write } else { Access::Read };
         let fastforward = self.core().machine.fastforward();
-        let (mut k, mut faulted) = (0u64, true);
+        let mut k = 0u64;
         while k < len {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
             let (rest, value) = (if fastforward { len - k } else { 1 }, first_value + k);
             let t0 = self.core().machine.op_start();
-            if faulted && rest >= 2 {
-                if let Some(span) = self.miss_run(pid, a, stride, rest, write, value, t0) {
+            let op = self.core().access_op_start();
+            let (pa, span) = match self.resolve(pid, a, stride, rest, access, value)? {
+                Resolved::Translated { pa, span } => (pa, span),
+                Resolved::FaultRun(span) => {
                     k += span;
                     continue;
                 }
-            }
-            let op = self.core().access_op_start();
-            let faults0 = faults(&self.core().machine);
-            let (pa, span) = self.resolve(pid, a, stride, rest, access)?;
+            };
             let label = self.label();
             let m = &mut self.core_mut().machine;
-            faulted = faults(m) > faults0;
             bulk_memory(m, pa, stride, span, write, value);
             if span >= 2 {
                 // Every access in the span hit — `span` AccessHit

@@ -28,7 +28,7 @@ pub use api::{MemSys, OnCpu};
 pub use kernel::{
     span_end, BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
 };
-pub use kernel_core::{CoreProc, KernelCore, KernelHooks};
+pub use kernel_core::{CoreProc, KernelCore, KernelHooks, Resolved};
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
 pub use proc_table::ProcTable;
 pub use reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};

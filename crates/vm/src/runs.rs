@@ -6,7 +6,10 @@
 //! ([`o1_hw::Mmu::translate`]'s span); the helper here charges the
 //! memory half of that span and performs the data stores. Splitting
 //! it this way keeps the cost knowledge in one place per layer —
-//! neither half duplicates the other's cost table.
+//! neither half duplicates the other's cost table. The one exception
+//! is the baseline's fault run, which `KernelHooks::resolve` enters
+//! where a run's first access fails to translate: it installs the
+//! pages it proves absent and charges both halves itself.
 
 use o1_hw::{CostKind, Machine, MemTier, PhysAddr};
 

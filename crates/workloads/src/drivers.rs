@@ -247,7 +247,7 @@ pub struct FleetReport {
 /// Serverless-style tenant fleet: stream `tenants` short-lived
 /// processes through the kernel with at most `live_cap` alive at once
 /// — each tenant is created, mmaps a small working set, faults it in
-/// (one sequential store run, the shape the bulk-fault fast-forward
+/// (one sequential store run, the shape the fault-run fast-forward
 /// path proves), and is torn down when it becomes the oldest of a full
 /// fleet. Pids are monotonic (the kernel never recycles them), tenant
 /// popularity is Zipf(θ)-skewed over `apps` distinct applications, and

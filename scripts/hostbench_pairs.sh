@@ -14,6 +14,12 @@
 # Per metric it prints each side's median and quartiles (Q1–Q3), the
 # change of the median, and in how many pairs NEW beat OLD, reading
 # which way is better from BENCHMARK.json ("-" where it does not say).
+# For each end-to-end metric (one with a `bound` there) it also prints
+# a verdict: `worse` when NEW's median is worse than OLD's by more than
+# the bound (a fraction of OLD's median); otherwise `unresolved` when
+# OLD's interquartile range exceeds the bound and not every NEW run
+# beats every OLD run, since such a spread hides a change of that size;
+# otherwise `ok`. Per-layer metrics print "-".
 # It exits 1 if a run fails, reports `"correct": false`, or prints any
 # `# digest` line that differs from the other side's for the same seed.
 set -eu
@@ -83,11 +89,14 @@ while [ "$i" -lt "$pairs" ]; do
     i=$((i + 1))
 done >"$out/values"
 
-# Which way is better, per metric name, from BENCHMARK.json.
+# Which way is better, and the bound of an end-to-end metric ("-" for
+# none), per metric name, from BENCHMARK.json.
 awk '/"name":/ && /"better":/ {
     name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
     better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
-    print "better", name, better
+    bound = "-"
+    if ($0 ~ /"bound":/) { bound = $0; sub(/.*"bound": */, "", bound); sub(/[^-+0-9.eE].*/, "", bound) }
+    print "better", name, better, bound
 }' "$root/BENCHMARK.json" >"$out/better"
 
 echo "workload $workload, seeds $seed0..$((seed0 + pairs - 1)), $pairs pairs of ${seconds} s"
@@ -109,19 +118,26 @@ function stats(s, k,    a, i, n, h) {
     for (i = 0; i < pairs; i++) if ((s, k, i) in v) a[++n] = v[s, k, i]
     if (n == 0) return ""
     sort(a, n)
+    least[s] = a[1]; most[s] = a[n]
     h = int(n / 2)
     mid[s] = med(a, 1, n)
     q1[s] = n > 1 ? med(a, 1, h) : a[1]
     q3[s] = n > 1 ? med(a, n - h + 1, n) : a[1]
     return sprintf("%.6g [%.6g, %.6g]", mid[s], q1[s], q3[s])
 }
-$1 == "better" { better[$2] = $3; next }
+# Is `n` worse than `o` by more than `b` times |o|, the way
+# metric k counts worse?
+function worse(k, o, n, b) {
+    return better[k] == "lower" ? n - o > b * abs(o) : o - n > b * abs(o)
+}
+function abs(x) { return x < 0 ? -x : x }
+$1 == "better" { better[$2] = $3; if ($4 != "-") bound[$2] = $4; next }
 {
     v[$1, $3, $2] = $4
     if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 }
 }
 END {
-    printf "%-48s %-38s %-38s %8s %6s\n", "metric", "old median [Q1, Q3]", "new median [Q1, Q3]", "delta", "wins"
+    printf "%-48s %-38s %-38s %8s %6s %s\n", "metric", "old median [Q1, Q3]", "new median [Q1, Q3]", "delta", "wins", "verdict"
     for (m = 1; m <= metrics; m++) {
         k = order[m]
         so = stats("old", k); sn = stats("new", k)
@@ -136,6 +152,15 @@ END {
             }
             wins = w "/" pairs
         }
-        printf "%-48s %-38s %-38s %8s %6s\n", k, so, sn, delta, wins
+        verdict = "-"
+        if ((k in bound) && so != "" && sn != "") {
+            b = bound[k]
+            # Every NEW run beats every OLD run.
+            apart = better[k] == "lower" ? most["new"] < least["old"] : least["new"] > most["old"]
+            if (worse(k, mid["old"], mid["new"], b)) verdict = "worse"
+            else if (q3["old"] - q1["old"] > b * abs(mid["old"]) && !apart) verdict = "unresolved"
+            else verdict = "ok"
+        }
+        printf "%-48s %-38s %-38s %8s %6s %s\n", k, so, sn, delta, wins, verdict
     }
 }' "$out/better" "$out/values"

@@ -183,6 +183,14 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
     rejects(&mut k, VmError::BadRange, |k| {
         k.madvise_dontneed(p, va + 1, PAGE_SIZE)
     });
+    // A zero length is rejected the same way by every call that
+    // takes a range.
+    rejects(&mut k, VmError::BadRange, |k| k.madvise_dontneed(p, va, 0));
+    rejects(&mut k, VmError::BadRange, |k| k.pin_range(p, va, 0));
+    rejects(&mut k, VmError::BadRange, |k| k.unpin_range(p, va, 0));
+    rejects(&mut k, VmError::BadRange, |k| {
+        k.dma_transfer(p, va, 0, &mut dma)
+    });
     assert_eq!(k.load(p, va + PAGE_SIZE), Ok(1));
     rejects(&mut k, VmError::BadRange, |k| k.pin_range(p, va, u64::MAX));
     rejects(&mut k, VmError::BadRange, |k| {
@@ -211,6 +219,10 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
         });
         rejects(&mut k, VmError::BadRange, |k| {
             k.dma_transfer(p, va, u64::MAX, &mut dma)
+        });
+        rejects(&mut k, VmError::BadRange, |k| k.dma_prepare(p, va, 0));
+        rejects(&mut k, VmError::BadRange, |k| {
+            k.dma_transfer(p, va, 0, &mut dma)
         });
         k.destroy_process(p).unwrap();
         // Mapping a file into the dead pid fails without taking a

@@ -10,16 +10,18 @@
 //! workload, and diffs the closed ledgers field by field. Toggling is
 //! per machine, so no run context is involved.
 
+use std::cell::Cell;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::ObsMode;
-use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, ThpMode};
+use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, Pid, ThpMode};
 use o1mem::workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm,
 };
-use o1mem::PAGE_SIZE;
+use o1mem::{VirtAddr, PAGE_SIZE};
 
 fn patterns() -> Vec<(AccessPattern, u64)> {
     vec![
@@ -298,7 +300,7 @@ fn churn_and_launch_storm_drivers_match_the_interpreter() {
     }
 }
 
-/// The bulk-fault fast-forward path proves whole missing spans and
+/// The fault-run fast-forward path proves whole missing spans and
 /// charges N faults analytically. A cold-start tenant fleet is its
 /// worst case: every launch's first touch is a miss span over fresh,
 /// unbacked memory, and the tenant is torn down moments later so
@@ -495,4 +497,67 @@ fn the_engine_fuses_every_provable_hit_span() {
             "{name}: resident page"
         );
     }
+}
+
+/// A fault run starts at the access whose walk failed, whatever came
+/// before it in the run, and is checked against its interpreting twin.
+#[test]
+fn fault_runs_start_at_the_failed_walk() {
+    const PAGES: u64 = 64;
+    let stride = PAGE_SIZE as i64;
+    // Fuse a cold strided write of `PAGES` after `setup`, on a
+    // fast-forwarding kernel and its interpreting twin; return how
+    // many of its accesses the fast-forwarding one fused.
+    let fused_after =
+        |what: &str, (a, b): KernelPair, setup: &dyn Fn(&mut dyn MemSys, Pid, VirtAddr)| {
+            let fused = Cell::new(0);
+            assert_equivalent(a, b, what, &|sys: &mut dyn MemSys| {
+                let pid = sys.create_process().unwrap();
+                let va = sys.alloc(pid, PAGES * PAGE_SIZE, false).unwrap();
+                setup(sys, pid, va);
+                let before = sys.machine().ffwd_accesses;
+                sys.access_span(pid, va, stride, PAGES, true, 100).unwrap();
+                if sys.machine().fastforward() {
+                    fused.set(sys.machine().ffwd_accesses - before);
+                }
+                for k in 0..PAGES {
+                    assert_eq!(sys.load(pid, va + k * PAGE_SIZE), Ok(100 + k), "{what}");
+                }
+            });
+            fused.get()
+        };
+    // Right after the other CPU broadcast for the same ASID: the
+    // failed walk syncs CPU 0 with it, so every access fuses.
+    let smp = || {
+        Box::new(
+            BaselineKernel::builder()
+                .dram(256 << 20)
+                .cpus(2)
+                .obs(ObsMode::On)
+                .build(),
+        ) as Box<dyn MemSys>
+    };
+    let broadcast = |sys: &mut dyn MemSys, pid: Pid, _: VirtAddr| {
+        sys.set_cpu(CpuId(1));
+        let other = sys.alloc(pid, 4 * PAGE_SIZE, true).unwrap();
+        sys.release(pid, other, 4 * PAGE_SIZE).unwrap();
+        sys.set_cpu(CpuId(0));
+    };
+    assert_eq!(
+        fused_after("after a broadcast", (smp(), smp()), &broadcast),
+        PAGES
+    );
+    // The first page is mapped: its access hits, and the run fuses
+    // from the second access, whose walk fails.
+    let first_mapped = |sys: &mut dyn MemSys, pid: Pid, va: VirtAddr| {
+        sys.store(pid, va, 7).unwrap();
+    };
+    assert_eq!(
+        fused_after(
+            "first page mapped",
+            baseline_pair(ThpMode::Never),
+            &first_mapped
+        ),
+        PAGES - 1
+    );
 }
