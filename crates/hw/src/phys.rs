@@ -11,7 +11,7 @@
 //! survive. This is the substrate for the paper's §"Persistence
 //! management" experiments.
 
-use crate::addr::{FrameNo, PhysAddr, PAGE_SIZE};
+use crate::addr::{FrameNo, PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 use crate::fasthash::FastMap;
 
 /// Frames per sparse chunk (must be a power of two). One chunk groups
@@ -20,6 +20,9 @@ use crate::fasthash::FastMap;
 /// per frame.
 const CHUNK_FRAMES: u64 = 64;
 const CHUNK_SHIFT: u32 = CHUNK_FRAMES.trailing_zeros();
+/// Bytes of simulated memory one chunk covers.
+const CHUNK_BYTES: u64 = CHUNK_FRAMES * PAGE_SIZE;
+const CHUNK_BYTES_SHIFT: u32 = CHUNK_BYTES.trailing_zeros();
 
 /// Reference page of zeros for the sparse zero-write fast path.
 static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0u8; PAGE_SIZE as usize];
@@ -82,7 +85,7 @@ impl FrameBacking {
 #[derive(Debug)]
 struct Chunk {
     /// Backing for frame `chunk_base + i`; `None` reads as zero.
-    frames: Box<[Option<FrameBacking>]>,
+    frames: Box<[Option<FrameBacking>; CHUNK_FRAMES as usize]>,
     /// Number of `Some` entries (chunk is dropped at zero).
     backed: u32,
 }
@@ -90,9 +93,21 @@ struct Chunk {
 impl Chunk {
     fn new() -> Chunk {
         Chunk {
-            frames: (0..CHUNK_FRAMES).map(|_| None).collect(),
+            frames: Box::new([const { None }; CHUNK_FRAMES as usize]),
             backed: 0,
         }
+    }
+
+    /// Store `v` at chunk byte offset `off` (inside one frame).
+    /// Returns `true` iff the frame went from unbacked to backed.
+    #[inline]
+    fn store(&mut self, off: u64, v: u64) -> bool {
+        let slot = &mut self.frames[(off >> PAGE_SHIFT) as usize];
+        let newly_backed = write_word_slot(slot, (off & (PAGE_SIZE - 1)) as u16, v);
+        if newly_backed {
+            self.backed += 1;
+        }
+        newly_backed
     }
 }
 
@@ -253,22 +268,6 @@ impl PhysicalMemory {
         }
     }
 
-    /// Drop the backing of `frame`, releasing its chunk when empty.
-    fn drop_frame(&mut self, frame: u64) {
-        if let Some(chunk) = self.chunks.get_mut(&(frame >> CHUNK_SHIFT)) {
-            if chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize]
-                .take()
-                .is_some()
-            {
-                chunk.backed -= 1;
-                self.backed -= 1;
-                if chunk.backed == 0 {
-                    self.chunks.remove(&(frame >> CHUNK_SHIFT));
-                }
-            }
-        }
-    }
-
     /// Total number of physical frames.
     #[inline]
     pub fn total_frames(&self) -> u64 {
@@ -348,7 +347,7 @@ impl PhysicalMemory {
     pub fn put_frame_image(&mut self, frame: FrameNo, img: FrameImage) {
         assert!(frame.0 < self.total_frames, "frame {frame:?} out of range");
         let Some(backing) = img.0 else {
-            self.drop_frame(frame.0);
+            self.take_frame_image(frame);
             return;
         };
         let chunk = self
@@ -421,43 +420,111 @@ impl PhysicalMemory {
         u64::from_le_bytes(b)
     }
 
-    /// Write a single `u64` at `pa` (little-endian). A word into an
-    /// otherwise-untouched frame is stored as a sparse word entry, not
-    /// a materialized page.
+    /// Write a single `u64` at `pa` (little-endian): the one-access
+    /// case of [`write_run_u64`](Self::write_run_u64).
     pub fn write_u64(&mut self, pa: PhysAddr, v: u64) {
-        let off = (pa.0 & (PAGE_SIZE - 1)) as usize;
-        if off > (PAGE_SIZE - 8) as usize {
-            // Frame-crossing word: the general path handles it.
+        self.write_run_u64(pa, 0, 1, v);
+    }
+
+    /// Store `count` words: `first + k` at `pa + k·stride` bytes, in
+    /// order of `k`, little-endian. Leaves exactly the backing (and
+    /// `backed_frames`) that `count` single-word stores leave: a word
+    /// into an otherwise-untouched frame is a sparse word entry, not a
+    /// materialized page, a zero into an unbacked frame allocates
+    /// nothing, and a frame already holding that word is updated in
+    /// place. Each sparse chunk is looked up once for the stretch of
+    /// accesses inside it; a stretch ends where the run leaves the
+    /// chunk, reaches the end of memory, or has a word cross a frame
+    /// edge.
+    ///
+    /// # Panics
+    /// Panics at the first word that extends past the end of physical
+    /// memory, with the words before it stored, as single-word stores
+    /// would.
+    pub fn write_run_u64(&mut self, pa: PhysAddr, stride: i64, count: u64, first: u64) {
+        let end = self.total_frames * PAGE_SIZE;
+        let mut k = 0;
+        while k < count {
+            let addr = PhysAddr(pa.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
+            let chunk = if addr.0 <= end - 8 && addr.0 & (PAGE_SIZE - 1) <= PAGE_SIZE - 8 {
+                self.chunks.get_mut(&(addr.0 >> CHUNK_BYTES_SHIFT))
+            } else {
+                None
+            };
+            let Some(chunk) = chunk else {
+                self.write_word_outside_chunks(addr, first + k);
+                k += 1;
+                continue;
+            };
+            // The stretch: this word, then each next one that stays in
+            // this chunk, below the end of memory and inside one frame.
+            // An offset that wraps below zero fails the `last` bound.
+            let chunk_base = addr.0 & !(CHUNK_BYTES - 1);
+            let last = (end - chunk_base).min(CHUNK_BYTES) - 8;
+            let mut off = addr.0 - chunk_base;
+            loop {
+                if chunk.store(off, first + k) {
+                    self.backed += 1;
+                }
+                k += 1;
+                off = off.wrapping_add_signed(stride);
+                if k == count || off > last || off & (PAGE_SIZE - 1) > PAGE_SIZE - 8 {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A word that no chunk stretch stores: one that crosses a frame
+    /// edge, lies past the end of memory (a panic), or goes to a frame
+    /// whose chunk holds no backing yet.
+    #[cold]
+    #[inline(never)]
+    fn write_word_outside_chunks(&mut self, pa: PhysAddr, v: u64) {
+        if pa.0 & (PAGE_SIZE - 1) > PAGE_SIZE - 8 {
             self.write(pa, &v.to_le_bytes());
             return;
         }
         self.check_range(pa, 8);
-        let frame = pa.0 >> crate::addr::PAGE_SHIFT;
-        if v == 0 && self.frame_backing(frame).is_none() {
-            return;
-        }
-        let chunk = self
-            .chunks
-            .entry(frame >> CHUNK_SHIFT)
-            .or_insert_with(Chunk::new);
-        let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
-        if write_word_slot(slot, off as u16, v) {
-            chunk.backed += 1;
-            self.backed += 1;
+        // A zero into an unbacked frame is already there.
+        if v != 0 {
+            let chunk = self
+                .chunks
+                .entry(pa.0 >> CHUNK_BYTES_SHIFT)
+                .or_insert_with(Chunk::new);
+            if chunk.store(pa.0 & (CHUNK_BYTES - 1), v) {
+                self.backed += 1;
+            }
         }
     }
 
     /// Zero `frames` whole frames starting at `start`. Implemented by
-    /// dropping backing (sparse zero), so it is cheap on the host; the
-    /// *simulated* cost is charged by the caller's zeroing policy.
+    /// dropping backing (sparse zero) a chunk at a time, so it is cheap
+    /// on the host; the *simulated* cost is charged by the caller's
+    /// zeroing policy.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
     pub fn zero_frames(&mut self, start: FrameNo, frames: u64) {
         let end = start.0.checked_add(frames).expect("frame range overflow");
         assert!(end <= self.total_frames, "zero_frames out of range");
-        for f in start.0..end {
-            self.drop_frame(f);
+        let mut f = start.0;
+        while f < end {
+            let chunk_no = f >> CHUNK_SHIFT;
+            let base = chunk_no << CHUNK_SHIFT;
+            let stop = end.min(base + CHUNK_FRAMES);
+            if let Some(chunk) = self.chunks.get_mut(&chunk_no) {
+                for slot in &mut chunk.frames[(f - base) as usize..(stop - base) as usize] {
+                    if slot.take().is_some() {
+                        chunk.backed -= 1;
+                        self.backed -= 1;
+                    }
+                }
+                if chunk.backed == 0 {
+                    self.chunks.remove(&chunk_no);
+                }
+            }
+            f = stop;
         }
     }
 
@@ -594,6 +661,267 @@ mod tests {
         m.write_u64(last, 7);
         assert_eq!(m.read_u64(last), 7);
         assert_eq!(m.backed_frames(), 1);
+    }
+
+    /// A backed frame's word entries, or its page bytes.
+    type Contents = Result<Vec<(u16, u64)>, Box<[u8]>>;
+
+    /// Every backed frame, in frame order: its word entries or its
+    /// page bytes. Also checks each chunk's count and that no chunk is
+    /// empty.
+    fn backing(m: &PhysicalMemory) -> Vec<(u64, Contents)> {
+        let mut out = Vec::new();
+        let mut chunk_nos: Vec<u64> = m.chunks.keys().copied().collect();
+        chunk_nos.sort_unstable();
+        for no in chunk_nos {
+            let chunk = &m.chunks[&no];
+            let some = chunk.frames.iter().filter(|s| s.is_some()).count();
+            assert_eq!(chunk.backed as usize, some, "chunk {no} miscounts");
+            assert!(some > 0, "chunk {no} is empty but kept");
+            for (i, slot) in chunk.frames.iter().enumerate() {
+                let frame = (no << CHUNK_SHIFT) + i as u64;
+                match slot {
+                    None => {}
+                    Some(FrameBacking::Words(n, w)) => {
+                        out.push((frame, Ok(w[..*n as usize].to_vec())))
+                    }
+                    Some(FrameBacking::Full(b)) => out.push((frame, Err(b.clone()))),
+                }
+            }
+        }
+        assert_eq!(m.backed_frames(), out.len(), "backed_frames miscounts");
+        out
+    }
+
+    /// Every byte of `[lo, hi)`.
+    fn bytes(m: &PhysicalMemory, lo: u64, hi: u64) -> Vec<u8> {
+        let mut b = vec![0u8; (hi - lo) as usize];
+        m.read(PhysAddr(lo), &mut b);
+        b
+    }
+
+    /// Prior contents: frame `f` of the first `frames` holds `f % 6`
+    /// words (0 = unbacked, 5 = a full page), at offsets that some
+    /// runs below hit exactly, overlap, or miss.
+    fn populated(dram: u64, nvm: u64, frames: u64) -> PhysicalMemory {
+        let mut m = PhysicalMemory::new(dram, nvm);
+        for f in 0..frames {
+            let base = f * PAGE_SIZE;
+            match f % 6 {
+                0 => {}
+                5 => m.write(PhysAddr(base + 100), &[0xa5; 300]),
+                n => {
+                    for w in 0..n {
+                        m.write_u64(PhysAddr(base + w * 24), 0x1000 + f * 8 + w);
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    /// A run store leaves the backing that `count` single-word stores
+    /// leave, and the bytes the byte path leaves.
+    fn check_run(m: &PhysicalMemory, pa: u64, stride: i64, count: u64, first: u64) {
+        let (mut run, mut per_word, mut per_byte) = (copy(m), copy(m), copy(m));
+        run.write_run_u64(PhysAddr(pa), stride, count, first);
+        for k in 0..count {
+            let a = PhysAddr(pa.wrapping_add_signed(stride * k as i64));
+            per_word.write_u64(a, first + k);
+            per_byte.write(a, &(first + k).to_le_bytes());
+        }
+        let what = format!("run at {pa:#x} stride {stride} x {count} from {first}");
+        assert_eq!(backing(&run), backing(&per_word), "{what}");
+        assert_eq!(run.backed_frames(), per_byte.backed_frames(), "{what}");
+        let end = m.total_frames() * PAGE_SIZE;
+        assert!(
+            bytes(&run, 0, end) == bytes(&per_byte, 0, end),
+            "{what}: bytes differ"
+        );
+        run.crash();
+        per_word.crash();
+        assert_eq!(backing(&run), backing(&per_word), "{what}, after a crash");
+    }
+
+    /// A deep copy of `m`, backing included.
+    fn copy(m: &PhysicalMemory) -> PhysicalMemory {
+        let chunks = m
+            .chunks
+            .iter()
+            .map(|(&no, c)| {
+                let frames = Box::new(c.frames.each_ref().map(|slot| match slot {
+                    None => None,
+                    Some(FrameBacking::Words(n, w)) => Some(FrameBacking::Words(*n, *w)),
+                    Some(FrameBacking::Full(b)) => Some(FrameBacking::Full(b.clone())),
+                }));
+                let backed = c.backed;
+                (no, Chunk { frames, backed })
+            })
+            .collect();
+        PhysicalMemory { chunks, ..*m }
+    }
+
+    #[test]
+    fn run_store_matches_single_word_stores() {
+        let m = populated(1 << 20, 4 << 20, 400);
+        let p = PAGE_SIZE;
+        let p_i = PAGE_SIZE as i64;
+        for (pa, stride, count, first) in [
+            // Page strides over unbacked, 1-4-word and full frames,
+            // hitting existing entries exactly (offset 0, 24, 48, 72).
+            (0, p_i, 300, 1),
+            (24, p_i, 300, 9),
+            (48, p_i, 300, 1 << 40),
+            (72, p_i, 300, 5),
+            // Offsets that overlap existing entries (materialize).
+            (20, p_i, 120, 3),
+            (104, p_i, 30, 3),
+            // Zero values: the first word, into every kind of frame.
+            (0, p_i, 12, 0),
+            (8, 2 * p_i, 12, 0),
+            // Zero stride: one word, rewritten.
+            (p * 7 + 16, 0, 9, 1),
+            (p * 6 + 16, 0, 3, 0),
+            // Negative strides, across chunk edges.
+            (p * 300 + 40, -p_i, 300, 2),
+            (p * 130 + 8, -3 * p_i, 40, 0),
+            // Sub-page strides: many words per frame, some crossing.
+            (0, 8, 1200, 1),
+            (4, 24, 700, 1),
+            (3, 12, 900, 0),
+            (p * 64 - 40, 4093, 20, 1),
+            // Every word crosses a frame edge.
+            (p - 4, p_i, 100, 1),
+            (p * 64 - 1, p_i, 3, 0),
+            // Chunk edges: the last word of one chunk and the first of
+            // the next, both ways.
+            (p * 64 - 8, 8, 2, 1),
+            (p * 64, -8, 2, 1),
+            (p * 63 + 4088, p_i, 3, 1),
+            // The DRAM/NVM edge (frame 256) and the end of memory.
+            (p * 250 + 64, p_i, 12, 1),
+            (p * 1280 - 8, -p_i, 10, 1),
+            (p * 1279 + 4088, 0, 1, 5),
+            // A large stride: one word per chunk.
+            (16, 64 * p_i, 20, 1),
+        ] {
+            check_run(&m, pa, stride, count, first);
+        }
+    }
+
+    #[test]
+    fn run_store_matches_single_word_stores_off_the_chunk_grid() {
+        // The DRAM/NVM edge at frame 100 sits inside a chunk, and the
+        // last chunk is partial.
+        let m = populated(100 * PAGE_SIZE, 230 * PAGE_SIZE, 330);
+        let p_i = PAGE_SIZE as i64;
+        for (pa, stride, count, first) in [
+            (90 * PAGE_SIZE, p_i, 30, 1),
+            (110 * PAGE_SIZE + 8, -p_i, 25, 0),
+            (99 * PAGE_SIZE + 4090, 8, 3, 1),
+            (329 * PAGE_SIZE, 8, 512, 1),
+            (0, 33 * p_i, 10, 1),
+        ] {
+            check_run(&m, pa, stride, count, first);
+        }
+    }
+
+    #[test]
+    fn random_runs_match_single_word_stores() {
+        let mut m = populated(1 << 20, 1 << 20, 512);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let end = m.total_frames() * PAGE_SIZE;
+        for _ in 0..300 {
+            let stride = match next(4) {
+                0 => (next(3) as i64 - 1) * PAGE_SIZE as i64,
+                1 => next(64) as i64 * 8 - 256,
+                2 => next(9000) as i64 - 4500,
+                _ => 0,
+            };
+            let count = 1 + next(40);
+            let reach = stride.unsigned_abs() * (count - 1);
+            let pa = if stride < 0 {
+                reach + next(end - reach - 8)
+            } else {
+                next(end - reach - 8)
+            };
+            let first = if next(5) == 0 { 0 } else { next(1 << 20) };
+            check_run(&m, pa, stride, count, first);
+            m.write_run_u64(PhysAddr(pa), stride, count, first);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond end of memory")]
+    fn run_past_the_end_panics() {
+        let mut m = mem();
+        let last = (m.total_frames() - 1) * PAGE_SIZE;
+        m.write_run_u64(PhysAddr(last), 8, 513, 1);
+    }
+
+    #[test]
+    fn a_run_past_the_end_stores_the_words_before_it() {
+        // The end of memory (frame 100) falls inside a backed chunk.
+        let m = populated(100 * PAGE_SIZE, 0, 100);
+        let last = 99 * PAGE_SIZE + 64;
+        let (mut run, mut per_word) = (copy(&m), copy(&m));
+        let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run.write_run_u64(PhysAddr(last), 8, 600, 1);
+        }));
+        let word_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for k in 0..600 {
+                per_word.write_u64(PhysAddr(last + 8 * k), 1 + k);
+            }
+        }));
+        assert!(run_result.is_err() && word_result.is_err());
+        assert_eq!(backing(&run), backing(&per_word));
+        assert_eq!(run.read_u64(PhysAddr(100 * PAGE_SIZE - 8)), 1 + 503);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond end of memory")]
+    fn run_below_zero_panics() {
+        let mut m = mem();
+        m.write_run_u64(PhysAddr(PAGE_SIZE), -(PAGE_SIZE as i64), 3, 1);
+    }
+
+    #[test]
+    fn chunk_zeroing_matches_frame_by_frame() {
+        let m = populated(100 * PAGE_SIZE, 400 * PAGE_SIZE, 500);
+        for (start, frames) in [
+            (0, 500),
+            (0, 64),
+            (64, 64),
+            (10, 1),
+            (63, 2),
+            (5, 59),
+            (37, 200),
+            (99, 3),
+            (448, 52),
+            (200, 0),
+        ] {
+            let (mut chunked, mut framewise) = (copy(&m), copy(&m));
+            chunked.zero_frames(FrameNo(start), frames);
+            for f in start..start + frames {
+                framewise.take_frame_image(FrameNo(f));
+            }
+            assert_eq!(
+                backing(&chunked),
+                backing(&framewise),
+                "zero {start}+{frames}"
+            );
+            assert_eq!(
+                chunked.chunks.len(),
+                framewise.chunks.len(),
+                "zero {start}+{frames}"
+            );
+        }
     }
 
     #[test]

@@ -43,18 +43,15 @@ impl BitmapAllocator {
         (self.words.len() * 8) as u64
     }
 
-    #[inline]
-    fn bit(&self, idx: u64) -> bool {
-        self.words[(idx / 64) as usize] >> (idx % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn set_bit(&mut self, idx: u64, v: bool) {
-        let w = &mut self.words[(idx / 64) as usize];
-        if v {
-            *w |= 1 << (idx % 64);
-        } else {
-            *w &= !(1 << (idx % 64));
+    /// Set (`allocated`) or clear every bit of `[start, start + len)`,
+    /// one masked 64-bit word per step.
+    fn fill(&mut self, start: u64, len: u64, allocated: bool) {
+        for (w, mask) in masked_words(start, len) {
+            if allocated {
+                self.words[w] |= mask;
+            } else {
+                self.words[w] &= !mask;
+            }
         }
     }
 
@@ -64,7 +61,8 @@ impl BitmapAllocator {
             frame.0 >= self.base && frame.0 < self.base + self.frames,
             "frame out of span"
         );
-        self.bit(frame.0 - self.base)
+        let idx = frame.0 - self.base;
+        self.words[(idx / 64) as usize] >> (idx % 64) & 1 == 1
     }
 
     /// Allocate a *specific* extent (journal replay / recovery path).
@@ -75,16 +73,12 @@ impl BitmapAllocator {
             "extent {ext:?} outside span"
         );
         let start = ext.start.0 - self.base;
-        for i in 0..ext.frames {
-            if self.bit(start + i) {
-                return Err(AllocError::OutOfMemory {
-                    requested: ext.frames,
-                });
-            }
+        if self.first_in(start, ext.frames, true).is_some() {
+            return Err(AllocError::OutOfMemory {
+                requested: ext.frames,
+            });
         }
-        for i in 0..ext.frames {
-            self.set_bit(start + i, true);
-        }
+        self.fill(start, ext.frames, true);
         self.free -= ext.frames;
         m.charge_kind(CostKind::ExtentAlloc);
         m.perf.alloc_calls += 1;
@@ -112,7 +106,7 @@ impl BitmapAllocator {
             if idx + len > self.frames {
                 return None;
             }
-            match self.first_allocated_in(idx, len) {
+            match self.first_in(idx, len, true) {
                 None => return Some(idx),
                 Some(p) => idx = self.next_free_after(p),
             }
@@ -120,44 +114,41 @@ impl BitmapAllocator {
         None
     }
 
-    /// First allocated frame index in `[start, start + len)`, if any,
-    /// probing a 64-bit word per step.
-    fn first_allocated_in(&self, start: u64, len: u64) -> Option<u64> {
-        let end = start + len;
-        let mut i = start;
-        while i < end {
-            let bit = i % 64;
-            let window = u64::min(64 - bit, end - i);
-            let mut w = self.words[(i / 64) as usize] >> bit;
-            if window < 64 {
-                w &= (1u64 << window) - 1;
-            }
-            if w != 0 {
-                return Some(i + w.trailing_zeros() as u64);
-            }
-            i += window;
-        }
-        None
+    /// First frame index in `[start, start + len)` whose bit is
+    /// `allocated`, if any, probing a 64-bit word per step.
+    fn first_in(&self, start: u64, len: u64, allocated: bool) -> Option<u64> {
+        masked_words(start, len).find_map(|(w, mask)| {
+            let bits = if allocated {
+                self.words[w]
+            } else {
+                !self.words[w]
+            } & mask;
+            (bits != 0).then(|| w as u64 * 64 + u64::from(bits.trailing_zeros()))
+        })
     }
 
-    /// Index of the first free frame strictly after `p`, skipping
-    /// fully-allocated words; `self.frames` when none remain.
+    /// Index of the first free frame strictly after `p`; `self.frames`
+    /// when none remain.
     fn next_free_after(&self, p: u64) -> u64 {
-        let mut i = p + 1;
-        while i < self.frames {
-            let bit = i % 64;
-            let window = 64 - bit;
-            let mut w = !(self.words[(i / 64) as usize] >> bit);
-            if window < 64 {
-                w &= (1u64 << window) - 1;
-            }
-            if w != 0 {
-                return u64::min(i + w.trailing_zeros() as u64, self.frames);
-            }
-            i += window;
-        }
-        self.frames
+        self.first_in(p + 1, self.frames - (p + 1), false)
+            .unwrap_or(self.frames)
     }
+}
+
+/// The bitmap words covering bits `[start, start + len)`, each with the
+/// mask of its bits inside that range.
+fn masked_words(start: u64, len: u64) -> impl Iterator<Item = (usize, u64)> {
+    let end = start + len;
+    let words = if len == 0 {
+        0..0
+    } else {
+        start / 64..end.div_ceil(64)
+    };
+    words.map(move |w| {
+        let lo = start.max(w * 64) - w * 64;
+        let hi = end.min(w * 64 + 64) - w * 64;
+        (w as usize, u64::MAX >> (64 - (hi - lo)) << lo)
+    })
 }
 
 impl FrameSource for BitmapAllocator {
@@ -186,9 +177,7 @@ impl FrameSource for BitmapAllocator {
         let Some(start) = found else {
             return Err(AllocError::OutOfMemory { requested: frames });
         };
-        for i in 0..frames {
-            self.set_bit(start + i, true);
-        }
+        self.fill(start, frames, true);
         self.cursor = start + frames;
         self.free -= frames;
         m.charge_kind(CostKind::ExtentAlloc);
@@ -203,14 +192,10 @@ impl FrameSource for BitmapAllocator {
             "extent {ext:?} outside span"
         );
         let start = ext.start.0 - self.base;
-        for i in 0..ext.frames {
-            assert!(
-                self.bit(start + i),
-                "double free at frame {}",
-                ext.start.0 + i
-            );
-            self.set_bit(start + i, false);
+        if let Some(i) = self.first_in(start, ext.frames, false) {
+            panic!("double free at frame {}", self.base + i);
         }
+        self.fill(start, ext.frames, false);
         self.free += ext.frames;
         m.charge_kind(CostKind::ExtentFree);
         m.perf.frames_freed += ext.frames;
@@ -310,6 +295,142 @@ mod tests {
         let (_, small) = m.timed(|m| a.alloc(m, 1).unwrap());
         let (_, large) = m.timed(|m| a.alloc(m, 1 << 16).unwrap());
         assert_eq!(small, large, "simulated cost is size-independent");
+    }
+
+    /// The allocator as it was written bit by bit: one bit per frame,
+    /// next-fit that steps one frame at a time, and a free that names
+    /// the first frame already free.
+    struct PerBit {
+        bits: Vec<bool>,
+        base: u64,
+        free: u64,
+        cursor: u64,
+    }
+
+    impl PerBit {
+        fn find(&self, from: u64, len: u64, align: u64) -> Option<u64> {
+            let frames = self.bits.len() as u64;
+            let mut idx = from;
+            while idx + len <= frames {
+                idx = (self.base + idx).next_multiple_of(align) - self.base;
+                if idx + len > frames {
+                    return None;
+                }
+                if (idx..idx + len).all(|i| !self.bits[i as usize]) {
+                    return Some(idx);
+                }
+                idx += 1;
+            }
+            None
+        }
+
+        fn alloc_aligned(&mut self, len: u64, align: u64) -> Option<PhysExtent> {
+            if len > self.free {
+                return None;
+            }
+            let start = self
+                .find(self.cursor, len, align)
+                .or_else(|| self.find(0, len, align))?;
+            self.set(start, len, true);
+            self.cursor = start + len;
+            self.free -= len;
+            Some(PhysExtent::new(FrameNo(self.base + start), len))
+        }
+
+        fn alloc_at(&mut self, ext: PhysExtent) -> bool {
+            let start = ext.start.0 - self.base;
+            if (start..start + ext.frames).any(|i| self.bits[i as usize]) {
+                return false;
+            }
+            self.set(start, ext.frames, true);
+            self.free -= ext.frames;
+            true
+        }
+
+        /// The frame a free of `ext` must name as double-freed.
+        fn first_free(&self, ext: PhysExtent) -> Option<u64> {
+            (ext.start.0..ext.end().0).find(|&f| !self.bits[(f - self.base) as usize])
+        }
+
+        fn free(&mut self, ext: PhysExtent) {
+            self.set(ext.start.0 - self.base, ext.frames, false);
+            self.free += ext.frames;
+        }
+
+        fn set(&mut self, start: u64, len: u64, v: bool) {
+            for i in start..start + len {
+                self.bits[i as usize] = v;
+            }
+        }
+    }
+
+    proptest! {
+        /// Word-wise bit operations make every decision, charge,
+        /// counter and panic of the per-bit allocator.
+        #[test]
+        fn matches_per_bit_allocator(ops in proptest::collection::vec((0u64..5, 1u64..150, 0u64..1000, 0usize..16), 1..120)) {
+            let (base, frames) = (37u64, 1000u64);
+            let mut m = machine();
+            let mut a = BitmapAllocator::new(PhysExtent::new(FrameNo(base), frames));
+            let mut r = PerBit { bits: vec![false; frames as usize], base, free: frames, cursor: 0 };
+            let mut live: Vec<PhysExtent> = Vec::new();
+            let (mut calls, mut alloced, mut freed) = (0u64, 0u64, 0u64);
+            for (op, len, at, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let align = if op == 0 { 1 } else { 1 << (pick % 8) };
+                        let got = a.alloc_aligned(&mut m, len, align).ok();
+                        prop_assert_eq!(got, r.alloc_aligned(len, align));
+                        if let Some(e) = got {
+                            live.push(e);
+                            calls += 1;
+                            alloced += len;
+                        }
+                    }
+                    2 => {
+                        let len = len.min(frames - at);
+                        let ext = PhysExtent::new(FrameNo(base + at), len);
+                        let ok = a.alloc_at(&mut m, ext).is_ok();
+                        prop_assert_eq!(ok, r.alloc_at(ext));
+                        if ok {
+                            live.push(ext);
+                            calls += 1;
+                            alloced += len;
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let e = live.swap_remove(pick % live.len());
+                        a.free(&mut m, e);
+                        r.free(e);
+                        freed += e.frames;
+                    }
+                    _ => {
+                        // A free over frames that may be free already.
+                        let len = len.min(frames - at);
+                        let ext = PhysExtent::new(FrameNo(base + at), len);
+                        let mut probe = a.clone();
+                        let mut pm = machine();
+                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            probe.free(&mut pm, ext);
+                        }));
+                        match r.first_free(ext) {
+                            Some(f) => {
+                                let msg = outcome.expect_err("double free must panic");
+                                let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+                                prop_assert_eq!(msg, format!("double free at frame {f}"));
+                            }
+                            None => prop_assert!(outcome.is_ok()),
+                        }
+                    }
+                }
+                prop_assert_eq!(a.free_frames(), r.free);
+                prop_assert_eq!(a.cursor, r.cursor);
+                prop_assert_eq!((m.perf.alloc_calls, m.perf.frames_alloced, m.perf.frames_freed), (calls, alloced, freed));
+            }
+            for f in 0..frames {
+                prop_assert_eq!(a.is_allocated(FrameNo(base + f)), r.bits[f as usize]);
+            }
+        }
     }
 
     proptest! {

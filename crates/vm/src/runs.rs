@@ -59,10 +59,7 @@ pub fn bulk_memory(
             MemTier::Nvm => CostKind::MemWriteNvm,
         };
         m.charge_opn(kind, span);
-        for k in 0..span {
-            let p = PhysAddr(pa.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            m.phys.write_u64(p, first_value + k);
-        }
+        m.phys.write_run_u64(pa, stride, span, first_value);
     } else {
         m.perf.loads += span;
         let kind = match tier {

@@ -10,7 +10,7 @@
 //! workload, and diffs the closed ledgers field by field. Toggling is
 //! per machine, so no run context is involved.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -560,4 +560,127 @@ fn fault_runs_start_at_the_failed_walk() {
         ),
         PAGES - 1
     );
+}
+
+/// The three kernels `hostbench` measures, booted as it boots them
+/// (4 CPUs; the baseline on 2 MiB pages for `sweep`), with the ledger
+/// on.
+fn hostbench_pairs(sweep: bool) -> Vec<(String, KernelPair)> {
+    let baseline = || {
+        Box::new(
+            BaselineKernel::builder()
+                .dram(256 << 20)
+                .thp(if sweep {
+                    ThpMode::Aligned2M
+                } else {
+                    ThpMode::Never
+                })
+                .cpus(4)
+                .obs(ObsMode::On)
+                .build(),
+        ) as Box<dyn MemSys>
+    };
+    let fom = |mech| {
+        Box::new(
+            FomKernel::builder()
+                .mech(mech)
+                .nvm(256 << 20)
+                .cpus(4)
+                .obs(ObsMode::On)
+                .build(),
+        ) as Box<dyn MemSys>
+    };
+    vec![
+        ("baseline".into(), (baseline(), baseline())),
+        (
+            "fom_pt".into(),
+            (fom(MapMech::PageTables), fom(MapMech::PageTables)),
+        ),
+        (
+            "fom_ranges".into(),
+            (fom(MapMech::Ranges), fom(MapMech::Ranges)),
+        ),
+    ]
+}
+
+/// Store runs go through the run store in one call per span when
+/// fast-forward is on and one word per call when it is off: both must
+/// leave the same clock, counters, ledger, stored words and host
+/// backing. `sweep` is shaped like `hostbench`'s (whole-region passes
+/// on rotating CPUs, every fourth one a store pass), and `scatter`
+/// like its store batches (random runs of one or two accesses).
+#[test]
+fn sweep_and_scatter_store_batches_match_the_interpreter() {
+    const PAGES: u64 = 1024;
+    let sweep_batch = |sys: &mut dyn MemSys, pid: Pid, va: VirtAddr| {
+        let pass = AccessRun {
+            start_page: 0,
+            stride: 1,
+            len: PAGES,
+        };
+        for p in 0..8u64 {
+            sys.set_cpu(CpuId((p % 4) as u32));
+            // Pass 0 stores a zero into the first page.
+            sys.access_runs(pid, va, &[pass], p % 4 == 0, p * PAGES)
+                .unwrap();
+        }
+    };
+    let scatter_batch = |sys: &mut dyn MemSys, pid: Pid, va: VirtAddr| {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut value = 0;
+        for c in 0..8u32 {
+            // One or two accesses, the second up to 64 pages either
+            // side of the first, or on the same page.
+            let batch: Vec<AccessRun> = (0..256)
+                .map(|_| {
+                    let start_page = rng.random_range(64..PAGES - 64);
+                    let (stride, len) = match rng.random_range(0..4) {
+                        0 => (0, 1),
+                        1 => (0, 2),
+                        _ => (rng.random_range(0..129u64) as i64 - 64, 2),
+                    };
+                    AccessRun {
+                        start_page,
+                        stride,
+                        len,
+                    }
+                })
+                .collect();
+            sys.set_cpu(CpuId(c % 4));
+            let write = c % 4 >= 2;
+            let end = sys.access_runs(pid, va, &batch, write, value).unwrap();
+            if write {
+                value = end;
+            }
+        }
+    };
+    for (shape, sweep) in [("sweep", true), ("scatter", false)] {
+        let batch: &dyn Fn(&mut dyn MemSys, Pid, VirtAddr) =
+            if sweep { &sweep_batch } else { &scatter_batch };
+        for (name, (a, b)) in hostbench_pairs(sweep) {
+            let what = format!("{name} {shape}");
+            let seen = RefCell::new(Vec::new());
+            assert_equivalent(a, b, &what, &|sys: &mut dyn MemSys| {
+                let pid = sys.create_process().unwrap();
+                let va = sys.alloc(pid, PAGES * PAGE_SIZE, false).unwrap();
+                batch(sys, pid, va);
+                let words: Vec<u64> = (0..PAGES)
+                    .map(|k| sys.load(pid, va + k * PAGE_SIZE).unwrap())
+                    .collect();
+                seen.borrow_mut()
+                    .push((words, sys.machine().phys.backed_frames()));
+            });
+            let seen = seen.into_inner();
+            assert_eq!(seen[0], seen[1], "{what}: stored words, backed frames");
+            let (words, backed) = &seen[0];
+            assert!(*backed > 0, "{what}: the batch stored nothing");
+            if sweep {
+                // The last store pass wrote 4·PAGES + k at page k.
+                assert!(
+                    words.iter().zip(4 * PAGES..).all(|(&w, v)| w == v),
+                    "{what}"
+                );
+            }
+        }
+    }
 }
