@@ -149,7 +149,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        (report.figures(), report.traces())
+        (report.figures, report.traces)
     }
 
     #[test]

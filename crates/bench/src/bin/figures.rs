@@ -20,7 +20,9 @@
 //! PRs. Simulated results are independent of `--threads`/`--repeat`:
 //! the emitted tables, CSV, and JSON are byte-identical for any value.
 
-use std::io::Write as _;
+use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write as _};
 
 use o1_bench::diff::{figure_metrics, write_metrics_json};
 use o1_bench::jsonval;
@@ -105,9 +107,10 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
+        match args.get(*i) {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{flag} needs a value")),
+        }
     };
     while i < args.len() {
         match args[i].as_str() {
@@ -185,15 +188,15 @@ fn report_json(out: &mut String, r: &RunReport, level: usize) {
     out.push(',');
     json::push_indent(out, level + 1);
     out.push_str("\"figures\": [");
-    for (i, run) in r.runs.iter().enumerate() {
+    for (i, (f, wall_ns)) in r.figures.iter().zip(&r.wall_ns).enumerate() {
         if i > 0 {
             out.push(',');
         }
         json::push_indent(out, level + 2);
         out.push_str("{\"id\": ");
-        json::push_str_escaped(out, run.id);
+        json::push_str_escaped(out, &f.id);
         out.push_str(", \"wall_ms\": [");
-        for (j, &ns) in run.wall_ns.iter().enumerate() {
+        for (j, &ns) in wall_ns.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
@@ -285,12 +288,12 @@ fn write_bench_file(
     }
     out.push(']');
     out.push_str("\n}\n");
-    std::fs::write(path, out).expect("write bench profile");
+    or_exit(path, fs::write(path, out));
     eprintln!("wrote self-profile to {path}");
 }
 
 fn write_csvs(dir: &str, figures: &[Figure]) {
-    std::fs::create_dir_all(dir).expect("create csv dir");
+    or_exit(dir, fs::create_dir_all(dir));
     for f in figures {
         let path = format!("{dir}/{}.csv", f.id);
         let mut out = String::new();
@@ -317,9 +320,48 @@ fn write_csvs(dir: &str, figures: &[Figure]) {
             }
             out.push('\n');
         }
-        std::fs::write(&path, out).expect("write csv");
+        or_exit(&path, fs::write(&path, out));
     }
     eprintln!("wrote CSVs to {dir}/");
+}
+
+/// End the run on a failed output write: one line naming the path and
+/// the io error, exit 1.
+fn or_exit<T>(path: &str, result: io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1)
+    })
+}
+
+type Exporter = fn(&mut dyn fmt::Write, &[o1_obs::FigureTrace]) -> fmt::Result;
+
+/// Every export file and its exporter: `--trace <dir>` writes the
+/// first two, `--timeline <dir>` the last two.
+const EXPORTS: [(&str, Exporter); 4] = [
+    ("trace.jsonl", o1_obs::export_jsonl),
+    ("chrome_trace.json", o1_obs::export_chrome_trace),
+    ("timeline.jsonl", o1_obs::export_timeline_jsonl),
+    ("timeline_chrome.json", o1_obs::export_timeline_chrome),
+];
+
+/// Stream one export of `traces` into a new file at `path` through a
+/// buffer, so the export is never held whole in memory.
+fn write_export(path: &str, export: Exporter, traces: &[o1_obs::FigureTrace]) -> io::Result<()> {
+    /// A buffered file as the exporters' sink, keeping the io error
+    /// that the `fmt::Error` it returns cannot carry.
+    struct Sink(BufWriter<File>, io::Result<()>);
+    impl fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.1 = self.0.write_all(s.as_bytes());
+            self.1.as_ref().map_err(|_| fmt::Error).copied()
+        }
+    }
+    let mut sink = Sink(BufWriter::new(File::create(path)?), Ok(()));
+    match export(&mut sink, traces) {
+        Ok(()) => sink.0.flush(),
+        Err(fmt::Error) => sink.1.and(Err(io::Error::other("export failed"))),
+    }
 }
 
 fn main() {
@@ -375,7 +417,7 @@ fn main() {
             },
         );
         let par = run_figures(&fns, &opts);
-        let same = figures_to_json_pretty(&seq.figures()) == figures_to_json_pretty(&par.figures());
+        let same = figures_to_json_pretty(&seq.figures) == figures_to_json_pretty(&par.figures);
         eprintln!(
             "profile: {} figures, 1 thread = {:.1} ms, {} threads = {:.1} ms, speedup {:.2}x, byte-identical: {same}",
             fns.len(),
@@ -394,14 +436,13 @@ fn main() {
     };
 
     let last = reports.last().expect("at least one run");
-    let figures = last.figures();
-    let traces = last.traces();
+    let (figures, traces) = (&last.figures, &last.traces);
 
     if tracing {
         // The ledger must account for every simulated nanosecond: a
         // mismatch means a charge path bypassed the trace, which would
         // make every attribution table a lie. Fail loudly.
-        let errors = o1_obs::conservation_errors(&traces);
+        let errors = o1_obs::conservation_errors(traces);
         if !errors.is_empty() {
             for e in &errors {
                 eprintln!("conservation error: {e}");
@@ -419,85 +460,67 @@ fn main() {
     // derive from the same `traces`, with attribution and latency rows
     // computed exactly once.
     let extras = figure_extras(
-        &figures,
-        &traces,
+        figures,
+        traces,
         cli.attrib,
         cli.latency,
         cli.timeline_dir.is_some(),
     );
-    for (f, e) in figures.iter().zip(&extras) {
-        // The attribution and the raw trace are two projections of one
-        // ledger; their clock totals agreeing is the cheap invariant
-        // that catches the views drifting onto different runs.
-        if let (Some(t), Some(a)) = (traces.iter().find(|t| t.id == f.id), &e.attribution) {
+
+    println!("# Towards O(1) Memory — regenerated figures (simulated ns, deterministic)\n");
+    for f in figures {
+        println!("{}", f.to_table());
+    }
+
+    // A traced run holds one trace per figure, in figure order.
+    for (t, e) in traces.iter().zip(&extras) {
+        if let Some(a) = &e.attribution {
+            // The attribution and the raw trace are two projections of
+            // one ledger; their clock totals agreeing is the cheap
+            // invariant that catches the views drifting onto different
+            // runs.
             assert_eq!(
                 a.total_ns,
                 t.total_ns(),
                 "{}: attribution and trace disagree on total simulated ns",
                 t.id
             );
+            println!("{}", attribution_table_with(t, a));
+        }
+    }
+    for (t, e) in traces.iter().zip(&extras) {
+        if let Some(rows) = &e.latency {
+            println!("{}", latency_table_with(t, rows));
         }
     }
 
-    println!("# Towards O(1) Memory — regenerated figures (simulated ns, deterministic)\n");
-    for f in &figures {
-        println!("{}", f.to_table());
-    }
-
-    if cli.attrib {
-        for (f, e) in figures.iter().zip(&extras) {
-            if let (Some(t), Some(a)) = (traces.iter().find(|t| t.id == f.id), &e.attribution) {
-                println!("{}", attribution_table_with(t, a));
-            }
+    for (dir, files) in [&cli.trace_dir, &cli.timeline_dir]
+        .iter()
+        .zip(EXPORTS.chunks(2))
+    {
+        let Some(dir) = dir else { continue };
+        or_exit(dir, fs::create_dir_all(dir));
+        for &(name, export) in files {
+            let path = format!("{dir}/{name}");
+            or_exit(&path, write_export(&path, export, traces));
+            eprintln!("wrote {path}");
         }
-    }
-
-    if cli.latency {
-        for (f, e) in figures.iter().zip(&extras) {
-            if let (Some(t), Some(rows)) = (traces.iter().find(|t| t.id == f.id), &e.latency) {
-                println!("{}", latency_table_with(t, rows));
-            }
-        }
-    }
-
-    if let Some(dir) = &cli.trace_dir {
-        std::fs::create_dir_all(dir).expect("create trace dir");
-        let jsonl = format!("{dir}/trace.jsonl");
-        std::fs::write(&jsonl, o1_obs::export_jsonl(&traces)).expect("write trace jsonl");
-        let chrome = format!("{dir}/chrome_trace.json");
-        std::fs::write(&chrome, o1_obs::export_chrome_trace(&traces)).expect("write chrome trace");
-        eprintln!("wrote {jsonl} and {chrome}");
-    }
-
-    if let Some(dir) = &cli.timeline_dir {
-        std::fs::create_dir_all(dir).expect("create timeline dir");
-        let jsonl = format!("{dir}/timeline.jsonl");
-        std::fs::write(&jsonl, o1_obs::export_timeline_jsonl(&traces))
-            .expect("write timeline jsonl");
-        let chrome = format!("{dir}/timeline_chrome.json");
-        std::fs::write(&chrome, o1_obs::export_timeline_chrome(&traces))
-            .expect("write timeline chrome trace");
-        eprintln!("wrote {jsonl} and {chrome}");
     }
 
     if let Some(dir) = &cli.csv_dir {
-        write_csvs(dir, &figures);
+        write_csvs(dir, figures);
     }
 
     if let Some(path) = &cli.json_path {
-        let json = if cli.attrib || cli.latency || cli.timeline_dir.is_some() {
-            figures_to_json_pretty_with_extras(&figures, &extras)
-        } else {
-            figures_to_json_pretty(&figures)
-        };
-        let mut file = std::fs::File::create(path).expect("create json output");
-        file.write_all(json.as_bytes()).expect("write json output");
+        // Extras that are all empty give the plain (schema v1) bytes.
+        let json = figures_to_json_pretty_with_extras(figures, &extras);
+        or_exit(path, fs::write(path, json));
         eprintln!("wrote {path}");
     }
 
     if cli.write_bench {
         let path = cli.bench_out.as_deref().unwrap_or("BENCH_figures.json");
         let refs: Vec<&RunReport> = reports.iter().collect();
-        write_bench_file(path, cli.repeat, &refs, identical, &figures, &traces);
+        write_bench_file(path, cli.repeat, &refs, identical, figures, traces);
     }
 }

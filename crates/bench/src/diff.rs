@@ -632,7 +632,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        figure_metrics(&report.figures(), &report.traces())
+        figure_metrics(&report.figures, &report.traces)
     }
 
     #[test]
@@ -646,7 +646,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (figures, traces) = (report.figures(), report.traces());
+        let (figures, traces) = (report.figures, report.traces);
         let direct = figure_metrics(&figures, &traces);
 
         // Through the figure-array shape.

@@ -88,7 +88,7 @@
 /// [`o1_obs::json_escape`] so the figure JSON, the trace exporters,
 /// and the [`jsonval`](crate::jsonval) writer can never drift apart.
 pub fn push_str_escaped(out: &mut String, s: &str) {
-    o1_obs::json_escape(out, s);
+    o1_obs::json_escape(out, s).expect("writing to a String cannot fail");
 }
 
 /// Append an `f64` as a JSON number (finite values only).

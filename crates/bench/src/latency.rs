@@ -237,7 +237,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        (report.figures(), report.traces())
+        (report.figures, report.traces)
     }
 
     #[test]

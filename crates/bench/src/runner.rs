@@ -145,20 +145,9 @@ impl Default for RunnerOptions {
     }
 }
 
-/// One figure's result plus its host wall-clock samples.
-pub struct FigureRun {
-    /// Canonical figure id.
-    pub id: &'static str,
-    /// The generated figure (identical across repeats and threads).
-    pub figure: Figure,
-    /// Host nanoseconds per repeat, in repeat order.
-    pub wall_ns: Vec<u64>,
-    /// Cost-attribution trace from the first repeat, when
-    /// [`RunnerOptions::trace`] was set.
-    pub trace: Option<o1_obs::FigureTrace>,
-}
-
-/// A full suite run: figures in request order plus the profile.
+/// A full suite run: per-figure results in the order the ids were
+/// requested, plus the profile. Callers borrow or move the figures and
+/// traces out; the report never copies them.
 pub struct RunReport {
     /// Worker threads actually used.
     pub threads: usize,
@@ -166,20 +155,13 @@ pub struct RunReport {
     pub repeat: usize,
     /// Whole-suite host wall-clock (includes scheduling overhead).
     pub total_wall_ns: u64,
-    /// Per-figure results, in the order the ids were requested.
-    pub runs: Vec<FigureRun>,
-}
-
-impl RunReport {
-    /// Figures only, in request order.
-    pub fn figures(&self) -> Vec<Figure> {
-        self.runs.iter().map(|r| r.figure.clone()).collect()
-    }
-
-    /// Traces only, in request order (empty unless the run traced).
-    pub fn traces(&self) -> Vec<o1_obs::FigureTrace> {
-        self.runs.iter().filter_map(|r| r.trace.clone()).collect()
-    }
+    /// The generated figures (identical across repeats and threads).
+    pub figures: Vec<Figure>,
+    /// Host nanoseconds per repeat of each figure, in repeat order.
+    pub wall_ns: Vec<Vec<u64>>,
+    /// Cost-attribution traces from the first repeat, one per figure
+    /// when [`RunnerOptions::trace`] was set, else empty.
+    pub traces: Vec<o1_obs::FigureTrace>,
 }
 
 /// Run `fns` (id + generator pairs from [`figure_fn`]) across a
@@ -244,26 +226,21 @@ pub fn run_figures(fns: &[FigureEntry], opts: &RunnerOptions) -> RunReport {
     });
     let total_wall_ns = t0.elapsed().as_nanos() as u64;
 
-    let runs = fns
-        .iter()
-        .zip(slots)
-        .map(|(&(id, _), slot)| {
-            let (figure, trace, mut timings) = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            timings.sort_unstable_by_key(|&(rep, _)| rep);
-            FigureRun {
-                id,
-                figure: figure.expect("every figure ran at least once"),
-                wall_ns: timings.into_iter().map(|(_, ns)| ns).collect(),
-                trace,
-            }
-        })
-        .collect();
-
+    let (mut figures, mut wall_ns, mut traces) = (Vec::new(), Vec::new(), Vec::new());
+    for slot in slots {
+        let (figure, trace, mut timings) = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+        timings.sort_unstable_by_key(|&(rep, _)| rep);
+        figures.push(figure.expect("every figure ran at least once"));
+        wall_ns.push(timings.into_iter().map(|(_, ns)| ns).collect());
+        traces.extend(trace);
+    }
     RunReport {
         threads,
         repeat,
         total_wall_ns,
-        runs,
+        figures,
+        wall_ns,
+        traces,
     }
 }
 
@@ -305,13 +282,13 @@ mod tests {
         );
         assert_eq!(seq.threads, 1);
         assert_eq!(par.threads, 3);
-        assert_eq!(par.runs[0].wall_ns.len(), 2, "repeats all timed");
-        let a = crate::figures_to_json_pretty(&seq.figures());
-        let b = crate::figures_to_json_pretty(&par.figures());
+        assert_eq!(par.wall_ns[0].len(), 2, "repeats all timed");
+        let a = crate::figures_to_json_pretty(&seq.figures);
+        let b = crate::figures_to_json_pretty(&par.figures);
         assert_eq!(a, b, "thread count never changes figure bytes");
-        for (i, r) in seq.runs.iter().enumerate() {
-            assert_eq!(r.id, fns[i].0, "request order preserved");
-            assert!(r.wall_ns.iter().min().is_some_and(|&ns| ns > 0));
+        for (i, (f, wall_ns)) in seq.figures.iter().zip(&seq.wall_ns).enumerate() {
+            assert_eq!(f.id, fns[i].0, "request order preserved");
+            assert!(wall_ns.iter().min().is_some_and(|&ns| ns > 0));
         }
     }
 }

@@ -23,7 +23,7 @@ fn traced_fig2() -> (Vec<Figure>, Vec<FigureTrace>) {
             ..Default::default()
         },
     );
-    (report.figures(), report.traces())
+    (report.figures, report.traces)
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -21,9 +21,10 @@
 //!   machines flush, so the figure runner configures and attributes
 //!   whole experiments without changing a single figure-function
 //!   signature;
-//! * [`export_jsonl`] and [`export_chrome_trace`] serialize collected
-//!   traces deterministically — byte-identical across runs and thread
-//!   counts — for grepping and for `chrome://tracing` / Perfetto;
+//! * [`export_jsonl`] and [`export_chrome_trace`] stream traces into a
+//!   [`std::fmt::Write`] sink, byte-identical across runs and threads;
+//!   a Chrome span's args are its machine's whole-run per-kind totals
+//!   for the span's phase, the same on every span of that phase;
 //! * every top-level kernel operation additionally records its
 //!   simulated latency into an integer-only, log-bucketed
 //!   [`Histogram`] keyed by `(phase, [`OpKind`], mechanism)`, merged

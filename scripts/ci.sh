@@ -187,14 +187,23 @@ cargo run --release -p o1-bench --bin figures -- \
 grep -q '"fig1a"' "$out/fig1a.json"
 grep -q '"schema": "o1mem/bench-figures/v2"' "$out/bench.json"
 
-echo "==> figures trace smoke (--fig fig2 --trace, conservation enforced)"
+echo "==> figures trace smoke (--fig fig2 --trace --timeline, conservation enforced)"
 # The binary exits nonzero if any machine's ledger fails to account
 # for every simulated nanosecond, so this line IS the conservation
-# check; the greps just confirm both exports landed.
+# check; the greps confirm all four exports landed, and each Chrome
+# document must end with its closing `]}` line, so a stream cut short
+# fails here.
 cargo run --release -p o1-bench --bin figures -- \
-    --fig fig2 --trace "$out/trace" --no-bench >/dev/null
+    --fig fig2 --trace "$out/trace" --timeline "$out/timeline" --no-bench >/dev/null
 grep -q '"fig":"fig2"' "$out/trace/trace.jsonl"
-grep -q '"traceEvents"' "$out/trace/chrome_trace.json"
+grep -q '"fig":"fig2"' "$out/timeline/timeline.jsonl"
+for doc in "$out/trace/chrome_trace.json" "$out/timeline/timeline_chrome.json"; do
+    grep -q '"traceEvents"' "$doc"
+    [ "$(tail -n 1 "$doc")" = "]}" ] || {
+        echo "ci.sh: $doc does not end with its closing ]} line" >&2
+        exit 1
+    }
+done
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> full figure suite"

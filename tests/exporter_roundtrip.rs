@@ -1,18 +1,24 @@
-//! Round-trip gate for the trace exporters: `trace.jsonl` and
-//! `chrome_trace.json` were write-only until now, so a formatting bug
-//! could silently corrupt every downstream analysis. Parse both
-//! documents back (with the bench crate's own JSON reader) and check
-//! them against the in-memory ledger: event counts, per-figure cost
-//! sums, and per-machine span coverage must all survive the trip
-//! exactly — including the sub-microsecond digits Chrome timestamps
-//! split off.
+//! Round-trip gate for the trace and timeline exporters: a formatting
+//! bug in a write-only file could silently corrupt every downstream
+//! analysis. Parse all four documents back (with the bench crate's
+//! own JSON reader) and check them against the in-memory ledger:
+//! event counts, per-figure cost sums, per-machine span coverage and
+//! every gauge point must survive the trip exactly — including the
+//! sub-microsecond digits Chrome timestamps split off.
+
+use std::collections::BTreeSet;
+use std::fmt;
 
 use o1_bench::jsonval::{parse, Value};
 use o1_bench::runner::{figure_fn, run_figures, RunnerOptions};
-use o1_obs::{export_chrome_trace, export_jsonl, FigureTrace};
+use o1_obs::{
+    export_chrome_trace, export_jsonl, export_timeline_chrome, export_timeline_jsonl, FigureTrace,
+};
 
-fn traced_subset() -> Vec<FigureTrace> {
-    let fns: Vec<_> = ["fig1b", "fig2"]
+/// Trace `ids` with gauge timelines sampled every `timeline_ns`
+/// simulated ns (0 = none).
+fn traced(ids: &[&str], timeline_ns: u64) -> Vec<FigureTrace> {
+    let fns: Vec<_> = ids
         .iter()
         .map(|id| figure_fn(id).expect("known id"))
         .collect();
@@ -21,10 +27,25 @@ fn traced_subset() -> Vec<FigureTrace> {
         &RunnerOptions {
             threads: 2,
             trace: true,
+            timeline_ns,
             ..Default::default()
         },
     )
-    .traces()
+    .traces
+}
+
+fn traced_subset() -> Vec<FigureTrace> {
+    traced(&["fig1b", "fig2"], 0)
+}
+
+/// What `export` writes for `traces`, collected in a `String`.
+fn render(
+    export: fn(&mut dyn fmt::Write, &[FigureTrace]) -> fmt::Result,
+    traces: &[FigureTrace],
+) -> String {
+    let mut out = String::new();
+    export(&mut out, traces).expect("a String sink never fails");
+    out
 }
 
 /// Parse a Chrome microsecond timestamp (`"12.345"` = 12345 ns) back
@@ -38,7 +59,7 @@ fn chrome_us_to_ns(raw: &str) -> u64 {
 #[test]
 fn jsonl_round_trips_counts_and_cycle_sums() {
     let traces = traced_subset();
-    let text = export_jsonl(&traces);
+    let text = render(export_jsonl, &traces);
 
     // Every line is a standalone JSON object.
     let lines: Vec<Value> = text
@@ -115,7 +136,7 @@ fn jsonl_round_trips_counts_and_cycle_sums() {
 #[test]
 fn chrome_trace_round_trips_spans_exactly() {
     let traces = traced_subset();
-    let doc = parse(&export_chrome_trace(&traces)).expect("chrome trace is valid JSON");
+    let doc = parse(&render(export_chrome_trace, &traces)).expect("chrome trace is valid JSON");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
 
     let spans: Vec<&Value> = events
@@ -168,5 +189,115 @@ fn chrome_trace_round_trips_spans_exactly() {
                 t.id
             );
         }
+    }
+}
+
+/// The pid each `process_name` record in a Chrome document gives a
+/// figure id.
+fn process_pids(events: &[Value]) -> Vec<(String, u64)> {
+    events
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
+        .map(|e| {
+            let id = e
+                .get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Value::as_str);
+            let pid = e.get("pid").and_then(Value::as_u64);
+            (id.unwrap().to_string(), pid.unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn timeline_exports_round_trip_every_point() {
+    // `fig_meta` builds no machines, so it samples nothing and has no
+    // process in the timeline's Chrome document; `fig_churn` after it
+    // keeps pid 1 there, as in the trace's.
+    let traces = traced(&["fig_meta", "fig_churn"], 100_000);
+    let series: Vec<_> = traces
+        .iter()
+        .flat_map(|t| {
+            t.machines.iter().enumerate().flat_map(move |(mi, m)| {
+                m.timeline
+                    .iter()
+                    .map(move |g| (t.id.as_str(), mi as u64, g))
+            })
+        })
+        .collect();
+    assert!(series.len() > 1, "fig_churn samples its gauges");
+
+    // timeline.jsonl: one line per (figure, machine, gauge), in ledger
+    // order, carrying every point exactly.
+    let text = render(export_timeline_jsonl, &traces);
+    let lines: Vec<Value> = text
+        .lines()
+        .map(|l| parse(l).expect("each JSONL line parses"))
+        .collect();
+    assert_eq!(lines.len(), series.len(), "one line per series");
+    let mut keys = BTreeSet::new();
+    for (line, &(fig, mi, g)) in lines.iter().zip(&series) {
+        let key = (
+            line.get("fig").and_then(Value::as_str).unwrap(),
+            line.get("machine").and_then(Value::as_u64).unwrap(),
+            line.get("gauge").and_then(Value::as_str).unwrap(),
+        );
+        assert_eq!(key, (fig, mi, g.name));
+        assert!(keys.insert(key), "{key:?} has one line");
+        let points: Vec<(u64, u64)> = line
+            .get("points")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .map(|p| match p.as_arr().unwrap() {
+                [ns, v] => (ns.as_u64().unwrap(), v.as_u64().unwrap()),
+                other => panic!("a point is [ns, value], got {other:?}"),
+            })
+            .collect();
+        assert_eq!(points, g.points, "{key:?}: every point exact");
+    }
+
+    // timeline_chrome.json: one counter event per point, in the same
+    // order, whose µs timestamp converts back to the point's ns.
+    let doc = parse(&render(export_timeline_chrome, &traces)).expect("valid JSON");
+    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+    let counters: Vec<&Value> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("C"))
+        .collect();
+    let expected = series.iter().flat_map(|&(fig, mi, g)| {
+        let pid = traces.iter().position(|t| t.id == fig).unwrap() as u64;
+        g.points
+            .iter()
+            .map(move |&(ns, v)| (pid, mi, g.name, ns, v))
+    });
+    let mut n = 0;
+    for (e, (pid, tid, name, ns, v)) in counters.iter().zip(expected) {
+        let Some(Value::Num { raw, .. }) = e.get("ts") else {
+            panic!("counter event without ts");
+        };
+        let got = (
+            e.get("pid").and_then(Value::as_u64).unwrap(),
+            e.get("tid").and_then(Value::as_u64).unwrap(),
+            e.get("name").and_then(Value::as_str).unwrap(),
+            chrome_us_to_ns(raw),
+            e.get("args")
+                .and_then(|a| a.get("value"))
+                .and_then(Value::as_u64)
+                .unwrap(),
+        );
+        assert_eq!(got, (pid, tid, name, ns, v));
+        n += 1;
+    }
+    let points: usize = series.iter().map(|(_, _, g)| g.points.len()).sum();
+    assert_eq!((counters.len(), n), (points, points), "one event per point");
+
+    // Each figure with a timeline has the pid it has in the trace.
+    let trace_doc = parse(&render(export_chrome_trace, &traces)).expect("valid JSON");
+    let trace_pids = process_pids(trace_doc.get("traceEvents").unwrap().as_arr().unwrap());
+    let timeline_pids = process_pids(events);
+    assert_eq!(timeline_pids, [("fig_churn".to_string(), 1)]);
+    for p in &timeline_pids {
+        assert!(trace_pids.contains(p), "{p:?} is the trace's pid too");
     }
 }

@@ -29,7 +29,8 @@
 //! (`--include-ignored`) cannot see each other's settings.
 
 use std::collections::BTreeSet;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::fmt::{self, Write};
+use std::hash::{DefaultHasher, Hasher};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -49,7 +50,7 @@ const TIMELINE_NS: u64 = 100_000;
 
 /// One run of the whole suite, in request order.
 struct Run {
-    ids: Vec<&'static str>,
+    ids: Vec<String>,
     /// Host timing samples taken per figure.
     timed: Vec<usize>,
     figures: Vec<Figure>,
@@ -63,19 +64,13 @@ impl Run {
             .iter()
             .map(|id| figure_fn(id).expect("known id"))
             .collect();
-        let mut run = Run {
-            ids: Vec::new(),
-            timed: Vec::new(),
-            figures: Vec::new(),
-            traces: Vec::new(),
-        };
-        for r in run_figures(&fns, &opts).runs {
-            run.ids.push(r.id);
-            run.timed.push(r.wall_ns.len());
-            run.figures.push(r.figure);
-            run.traces.extend(r.trace);
+        let report = run_figures(&fns, &opts);
+        Run {
+            ids: report.figures.iter().map(|f| f.id.clone()).collect(),
+            timed: report.wall_ns.iter().map(Vec::len).collect(),
+            figures: report.figures,
+            traces: report.traces,
         }
-        run
     }
 
     /// Plain figure JSON of the figures in `at`.
@@ -125,25 +120,67 @@ fn smoke() -> &'static Matrix {
     SMOKE.get_or_init(|| Matrix::build(SuiteScale::Smoke))
 }
 
-/// Assert that runs `x` and `y` export the same bytes through
-/// `export`, which renders the figures in a range of request
-/// positions. Each side is hashed before the other is rendered, so a
-/// full-scale export (the suite's Chrome trace is about 1 GB) is never
-/// held twice. A mismatch names the first figure that differs.
-fn assert_same(what: &str, x: &Run, y: &Run, export: impl Fn(&Run, Range<usize>) -> String) {
-    fn digest(s: String) -> (usize, u64) {
-        let mut h = DefaultHasher::new();
-        s.hash(&mut h);
-        (s.len(), h.finish())
+/// A sink that keeps only the length and a hash of the bytes written
+/// to it, so an export is compared without ever being held in memory
+/// (the full suite's Chrome trace is about 0.9 GB).
+#[derive(Default)]
+struct Digest {
+    len: usize,
+    hash: DefaultHasher,
+}
+
+impl Write for Digest {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.len += s.len();
+        self.hash.write(s.as_bytes());
+        Ok(())
     }
+}
+
+/// Assert that runs `x` and `y` export the same bytes through
+/// `export`, which writes the figures in a range of request positions
+/// into a sink. Both sides stream through a [`Digest`]. A mismatch
+/// names the first figure that differs.
+fn assert_same(
+    what: &str,
+    x: &Run,
+    y: &Run,
+    export: impl Fn(&mut dyn Write, &Run, Range<usize>) -> fmt::Result,
+) {
+    let digest = |r: &Run, at: Range<usize>| {
+        let mut d = Digest::default();
+        export(&mut d, r, at).expect("a Digest never fails");
+        (d.len, d.hash.finish())
+    };
     let all = 0..x.ids.len();
-    if digest(export(x, all.clone())) != digest(export(y, all.clone())) {
+    if digest(x, all.clone()) != digest(y, all.clone()) {
         let first = all
             .map(|i| i..i + 1)
-            .find(|at| export(x, at.clone()) != export(y, at.clone()))
-            .map(|at| x.ids[at.start]);
+            .find(|at| digest(x, at.clone()) != digest(y, at.clone()))
+            .map(|at| &x.ids[at.start]);
         panic!("{what} diverged (first differing figure: {first:?})");
     }
+}
+
+/// The digest comparison sees a one-byte change and names the figure
+/// it is in.
+#[test]
+#[should_panic(expected = "trace JSONL diverged (first differing figure: Some(\"fig2\"))")]
+fn assert_same_names_the_first_differing_figure() {
+    let run = |second: &str| Run {
+        ids: vec!["fig1a".into(), "fig2".into()],
+        timed: Vec::new(),
+        figures: Vec::new(),
+        traces: ["fig1a", second]
+            .map(|id| FigureTrace {
+                id: id.to_string(),
+                machines: Vec::new(),
+            })
+            .into(),
+    };
+    assert_same("trace JSONL", &run("fig2"), &run("fig3"), |out, r, at| {
+        export_jsonl(out, &r.traces[at])
+    });
 }
 
 /// Every check, run once on the shared Smoke matrix by its own
@@ -189,7 +226,12 @@ mod checks {
         }
         assert!(m.a.timed.iter().all(|&n| n == 1));
         assert!(m.b.timed.iter().all(|&n| n == 2), "every repeat is timed");
-        assert_same("plain figure JSON across threads", &m.a, &m.b, Run::plain);
+        assert_same(
+            "plain figure JSON across threads",
+            &m.a,
+            &m.b,
+            |out, r, at| out.write_str(&r.plain(at)),
+        );
     }
 
     /// Traces are as deterministic as the figures, and every machine's
@@ -213,11 +255,11 @@ mod checks {
         let machines: usize = m.a.traces.iter().map(|t| t.machines.len()).sum();
         assert!(machines > 100, "suite built {machines} traced machines");
 
-        assert_same("trace JSONL across threads", &m.a, &m.b, |r, at| {
-            export_jsonl(&r.traces[at])
+        assert_same("trace JSONL across threads", &m.a, &m.b, |out, r, at| {
+            export_jsonl(out, &r.traces[at])
         });
-        assert_same("Chrome trace across threads", &m.a, &m.b, |r, at| {
-            export_chrome_trace(&r.traces[at])
+        assert_same("Chrome trace across threads", &m.a, &m.b, |out, r, at| {
+            export_chrome_trace(out, &r.traces[at])
         });
         let doc = m.a.enriched(0..ALL_IDS.len(), true);
         assert!(doc.contains("\"schema_version\": 3,"));
@@ -229,8 +271,8 @@ mod checks {
         ] {
             assert!(doc.contains(section), "enriched JSON lacks {section}");
         }
-        assert_same("enriched JSON across threads", &m.a, &m.b, |r, at| {
-            r.enriched(at, true)
+        assert_same("enriched JSON across threads", &m.a, &m.b, |out, r, at| {
+            out.write_str(&r.enriched(at, true))
         });
 
         // The suite exercises both kernels' op paths, and only the
@@ -283,14 +325,14 @@ mod checks {
         ] {
             assert!(names.contains(want), "gauge {want} missing from suite");
         }
-        assert_same("timeline JSONL across threads", &m.a, &m.b, |r, at| {
-            export_timeline_jsonl(&r.traces[at])
+        assert_same("timeline JSONL across threads", &m.a, &m.b, |out, r, at| {
+            export_timeline_jsonl(out, &r.traces[at])
         });
         assert_same(
             "timeline Chrome track across threads",
             &m.a,
             &m.b,
-            |r, at| export_timeline_chrome(&r.traces[at]),
+            |out, r, at| export_timeline_chrome(out, &r.traces[at]),
         );
     }
 
@@ -355,20 +397,26 @@ mod checks {
             "plain figure JSON with fast-forward off",
             &m.a,
             &m.c,
-            Run::plain,
+            |out, r, at| out.write_str(&r.plain(at)),
         );
         assert_same(
             "enriched JSON with fast-forward off",
             &m.a,
             &m.c,
-            |r, at| r.enriched(at, false),
+            |out, r, at| out.write_str(&r.enriched(at, false)),
         );
-        assert_same("trace JSONL with fast-forward off", &m.a, &m.c, |r, at| {
-            export_jsonl(&r.traces[at])
-        });
-        assert_same("Chrome trace with fast-forward off", &m.a, &m.c, |r, at| {
-            export_chrome_trace(&r.traces[at])
-        });
+        assert_same(
+            "trace JSONL with fast-forward off",
+            &m.a,
+            &m.c,
+            |out, r, at| export_jsonl(out, &r.traces[at]),
+        );
+        assert_same(
+            "Chrome trace with fast-forward off",
+            &m.a,
+            &m.c,
+            |out, r, at| export_chrome_trace(out, &r.traces[at]),
+        );
     }
 
     /// The ledger observes charges; it must never alter them.
