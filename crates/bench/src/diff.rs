@@ -650,8 +650,8 @@ mod tests {
         let direct = figure_metrics(&figures, &traces);
 
         // Through the figure-array shape.
-        let fig_json =
-            crate::latency::figures_to_json_pretty_enriched(&figures, &traces, false, true);
+        let extras = crate::latency::figure_extras(&figures, &traces, false, true, false);
+        let fig_json = crate::latency::figures_to_json_pretty_with_extras(&figures, &extras);
         let from_array = metrics_from_value(&parse(&fig_json).unwrap()).unwrap();
         assert_eq!(direct, from_array);
 

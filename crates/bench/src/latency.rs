@@ -205,22 +205,6 @@ pub fn figures_to_json_pretty_with_extras(figures: &[Figure], extras: &[FigureEx
     })
 }
 
-/// [`figures_to_json_pretty_with_extras`] over freshly computed
-/// attribution/latency extras (the stable schema-v2 surface; use
-/// [`figure_extras`] directly to add the v3 timeline section or to
-/// share the computation with the stdout tables).
-pub fn figures_to_json_pretty_enriched(
-    figures: &[Figure],
-    traces: &[FigureTrace],
-    attrib: bool,
-    latency: bool,
-) -> String {
-    figures_to_json_pretty_with_extras(
-        figures,
-        &figure_extras(figures, traces, attrib, latency, false),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,22 +264,20 @@ mod tests {
     fn enriched_json_is_plain_json_plus_sections() {
         let (figures, traces) = traced("fig2");
         let plain = figures_to_json_pretty(&figures);
-        let enriched = figures_to_json_pretty_enriched(&figures, &traces, true, true);
+        let enriched_json = |traces: &[FigureTrace], attrib: bool, latency: bool| {
+            let extras = figure_extras(&figures, traces, attrib, latency, false);
+            figures_to_json_pretty_with_extras(&figures, &extras)
+        };
+        let enriched = enriched_json(&traces, true, true);
         assert!(enriched.contains("\"schema_version\": 2,"));
         assert!(enriched.contains("\"attribution\": {"));
         assert!(enriched.contains("\"latency\": ["));
         assert!(enriched.contains("\"p999\": "));
-        let latency_only = figures_to_json_pretty_enriched(&figures, &traces, false, true);
+        let latency_only = enriched_json(&traces, false, true);
         assert!(latency_only.contains("\"schema_version\": 2,"));
         assert!(!latency_only.contains("\"attribution\""));
         // Both flags off, or no matching traces: bytes equal plain.
-        assert_eq!(
-            figures_to_json_pretty_enriched(&figures, &traces, false, false),
-            plain
-        );
-        assert_eq!(
-            figures_to_json_pretty_enriched(&figures, &[], true, true),
-            plain
-        );
+        assert_eq!(enriched_json(&traces, false, false), plain);
+        assert_eq!(enriched_json(&[], true, true), plain);
     }
 }

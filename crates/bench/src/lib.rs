@@ -21,8 +21,7 @@ pub mod series;
 pub use attrib::attribution_table_with;
 pub use diff::{diff_metrics, figure_metrics, metrics_from_value, DiffReport};
 pub use latency::{
-    figure_extras, figures_to_json_pretty_enriched, figures_to_json_pretty_with_extras,
-    latency_table_with, FigureExtras,
+    figure_extras, figures_to_json_pretty_with_extras, latency_table_with, FigureExtras,
 };
 pub use runner::{run_figures, RunnerOptions, SuiteScale};
 pub use series::{figures_to_json_pretty, Figure, Series};

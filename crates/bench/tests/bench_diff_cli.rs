@@ -8,7 +8,7 @@ use std::process::Command;
 
 use o1_bench::diff::write_metrics_json;
 use o1_bench::runner::{figure_fn, run_figures, RunnerOptions};
-use o1_bench::{figure_metrics, figures_to_json_pretty_enriched, Figure};
+use o1_bench::{figure_extras, figure_metrics, figures_to_json_pretty_with_extras, Figure};
 use o1_obs::FigureTrace;
 
 const BIN: &str = env!("CARGO_BIN_EXE_bench-diff");
@@ -24,6 +24,12 @@ fn traced_fig2() -> (Vec<Figure>, Vec<FigureTrace>) {
         },
     );
     (report.figures, report.traces)
+}
+
+/// The figure-array JSON with latency sections, as `figures --latency
+/// --json` writes it.
+fn latency_json(figures: &[Figure], traces: &[FigureTrace]) -> String {
+    figures_to_json_pretty_with_extras(figures, &figure_extras(figures, traces, false, true, false))
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -44,7 +50,7 @@ fn run(args: &[&str]) -> (i32, String) {
 #[test]
 fn identical_runs_pass_and_injected_regression_fails() {
     let (mut figures, traces) = traced_fig2();
-    let json = figures_to_json_pretty_enriched(&figures, &traces, false, true);
+    let json = latency_json(&figures, &traces);
     let old = tmp("old.json");
     let new_same = tmp("new_same.json");
     std::fs::write(&old, &json).unwrap();
@@ -59,7 +65,7 @@ fn identical_runs_pass_and_injected_regression_fails() {
     // again: the mean regresses, the gate must fail.
     let slow = &mut figures[0].series[0].points[0];
     slow.1 *= 1.10;
-    let regressed = figures_to_json_pretty_enriched(&figures, &traces, false, true);
+    let regressed = latency_json(&figures, &traces);
     let new_bad = tmp("new_bad.json");
     std::fs::write(&new_bad, regressed).unwrap();
 
@@ -82,11 +88,7 @@ fn bench_file_shape_diffs_and_append_records_trajectory() {
 
     // A figure-array-shaped new side from the same run.
     let fresh = tmp("fresh.json");
-    std::fs::write(
-        &fresh,
-        figures_to_json_pretty_enriched(&figures, &traces, false, true),
-    )
-    .unwrap();
+    std::fs::write(&fresh, latency_json(&figures, &traces)).unwrap();
 
     let (code, stdout) = run(&[
         bench_path.to_str().unwrap(),

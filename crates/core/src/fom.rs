@@ -30,12 +30,11 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    Access, Asid, FastMap, MachineConfig, PhysAddr, PtNodeId, RangeTable, TranslateError, VirtAddr,
-    PAGE_SIZE,
+    Access, AccessRun, Asid, FastMap, MachineConfig, PhysAddr, PtNodeId, RangeTable,
+    TranslateError, VirtAddr, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
 use o1_palloc::PhysExtent;
-use o1_vm::runs::AccessRun;
 use o1_vm::{
     span_end, CoreProc, KernelCore, KernelHooks, MemSys, Pid, Prot, Resolved, VmError,
     MAX_MAP_BYTES,
@@ -940,13 +939,15 @@ impl KernelHooks for FomKernel {
         va: VirtAddr,
         stride: i64,
         len: u64,
+        base: VirtAddr,
+        rest: &[AccessRun],
         access: Access,
         _first_value: u64,
     ) -> Result<Resolved, VmError> {
         self.core.proc(pid)?;
         let result = {
             let (mech, mut ctx) = self.seam();
-            mech.translate(&mut ctx, pid, va, stride, len, access)
+            mech.translate(&mut ctx, pid, va, stride, len, base, rest, access)
         };
         match result {
             Ok((pa, span)) => Ok(Resolved::Translated { pa, span }),
@@ -1003,21 +1004,6 @@ impl KernelHooks for FomKernel {
         g.push(("kernel.keys_live", self.keys_live));
         g.push(("kernel.free_frames", self.pmfs.free_frames()));
         self.mech.gauges(g);
-    }
-
-    /// Range translations can often swallow a whole batch — even a
-    /// random one — in one uniformity proof.
-    #[inline]
-    fn bulk_runs(
-        &mut self,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<Option<u64>, VmError> {
-        let (mech, mut ctx) = self.seam();
-        mech.try_bulk_runs(&mut ctx, pid, base, runs, write, first_value)
     }
 }
 

@@ -4,22 +4,19 @@
 //! mechanism shares — syscall charging, file lifetime, crypto-erase,
 //! op spans — and delegates the per-mechanism decisions (where a file
 //! lands in the address space, how each extent is installed and torn
-//! down, how a VA translates, whether a run batch can be bulk-proven)
-//! to a [`Mechanism`]: one variant per [`MapMech`], each carrying that
-//! mechanism's state (shared-subtree registries, the Utopia fast
-//! region, OBASE residency). This module is the only one that matches
-//! on it.
+//! down, how a VA translates) to a [`Mechanism`]: one variant per
+//! [`MapMech`], each carrying that mechanism's state (shared-subtree
+//! registries, the Utopia fast region, OBASE residency). This module
+//! is the only one that matches on it.
 //!
 //! ## Contract
 //!
 //! * `translate` must charge exactly what the simulated hardware
 //!   would for every access of the span it returns (1 unless the MMU
-//!   proved a TLB-hit span); the kernel has already verified the
-//!   process exists.
-//! * `try_bulk_runs` is a *prover*: it either performs the whole
-//!   batch with charges identical to interpreting each access, or
-//!   refuses **without charging or mutating simulated state** (the
-//!   span-by-span fallback is charge-identical).
+//!   proved a TLB-hit span, which may cross into the batch's
+//!   following runs); the kernel has already verified the process
+//!   exists. A range-TLB hit is one such span: a random batch inside
+//!   one range is one translation.
 //! * `map` needs no prover: page-table installs go through
 //!   [`PageTables::map_extent`](o1_hw::PageTables::map_extent) and
 //!   [`share`](o1_hw::PageTables::share), which charge a whole install
@@ -32,13 +29,12 @@
 //!   alive for the unmapped pieces.
 
 use o1_hw::{
-    Access, Asid, ClearedLeaves, CostKind, FastMap, FastRegion, FrameNo, OpKind, PageSize,
+    Access, AccessRun, Asid, ClearedLeaves, CostKind, FastMap, FastRegion, FrameNo, PageSize,
     PhysAddr, PtNodeId, PteFlags, RangeEntry, Satisfied, TranslateError, VirtAddr, HUGE_2M,
     PAGE_SHIFT, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileExtent, FileId};
 use o1_palloc::PhysExtent;
-use o1_vm::runs::{bulk_memory, AccessRun};
 use o1_vm::{Pid, Prot, VmError, MAX_MAP_BYTES};
 
 use crate::fom::{FomProc, MapMech, PBM_BASE};
@@ -212,10 +208,12 @@ impl Mechanism {
     }
 
     /// Translate the first access of a run of `len ≥ 1` by byte
-    /// `stride`, charging hardware costs, and return its physical
+    /// `stride`, followed in its batch by `rest` (page-indexed from
+    /// `base`), charging hardware costs, and return its physical
     /// address and the span of accesses the translation covered (see
     /// [`o1_hw::Mmu::translate`]). The kernel has already verified
     /// `pid` exists.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn translate(
         &mut self,
         ctx: &mut MechCtx<'_>,
@@ -223,6 +221,8 @@ impl Mechanism {
         va: VirtAddr,
         stride: i64,
         len: u64,
+        base: VirtAddr,
+        rest: &[AccessRun],
         access: Access,
     ) -> Result<(PhysAddr, u64), TranslateError> {
         match self {
@@ -231,32 +231,15 @@ impl Mechanism {
             // at a time: Utopia always covers 1.
             Mechanism::Utopia(fast) => Ok((utopia_translate(fast, ctx, pid, va, access)?, 1)),
             Mechanism::Obase(o) => {
-                let (pa, span) = translate_default(ctx, pid, va, stride, len, access)?;
+                let (pa, span) = translate_default(ctx, pid, va, stride, len, base, rest, access)?;
                 // A span stays inside one base page (extents map
-                // 4 KiB-grained), so its heat lands on one record —
-                // exactly what `span` single accesses would do.
+                // 4 KiB-grained), also when it crosses runs, so its
+                // heat lands on one record — exactly what `span`
+                // single accesses would do.
                 o.note(pa, span);
                 Ok((pa, span))
             }
-            _ => translate_default(ctx, pid, va, stride, len, access),
-        }
-    }
-
-    /// Whole-batch fast-forward prover: only range translations have
-    /// one. Refusing (`Ok(None)`) must be charge-free; the per-run
-    /// fallback is charge-identical.
-    pub(crate) fn try_bulk_runs(
-        &self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<Option<u64>, VmError> {
-        match self {
-            Mechanism::Ranges => ranges_bulk_runs(ctx, pid, base, runs, write, first_value),
-            _ => Ok(None),
+            _ => translate_default(ctx, pid, va, stride, len, base, rest, access),
         }
     }
 
@@ -405,12 +388,15 @@ fn install_pages(
 
 /// Default translate: hand the run to the MMU (range TLB, page TLB,
 /// range walk, page walk — whatever is wired up).
+#[allow(clippy::too_many_arguments)]
 fn translate_default(
     ctx: &mut MechCtx<'_>,
     pid: Pid,
     va: VirtAddr,
     stride: i64,
     len: u64,
+    base: VirtAddr,
+    rest: &[AccessRun],
     access: Access,
 ) -> Result<(PhysAddr, u64), TranslateError> {
     let proc = ctx.procs.get(pid).expect("kernel verified the pid");
@@ -424,6 +410,8 @@ fn translate_default(
             va,
             stride,
             len,
+            base,
+            rest,
             access,
         )
         .map(|(t, span)| (t.pa, span))
@@ -561,101 +549,6 @@ fn get_or_build_chunk(
     Ok(node)
 }
 
-// ---- range translations ------------------------------------------------------
-
-/// Whole-batch fast-forward for range translations: when *every*
-/// access of a run batch lands inside one resident range-TLB entry
-/// (checked via the bounding box of the batch's page indexes, in
-/// O(runs)), with uniform protection outcome and memory tier, the
-/// entire batch — arbitrary access order included, e.g. a random
-/// pattern — is one uniform run: charge `total × (RtlbHit + mem)` in
-/// O(runs) charge calls. Returns `Ok(None)` without charging or
-/// mutating anything when the proof fails, and the caller falls back
-/// to per-run spans.
-fn ranges_bulk_runs(
-    ctx: &mut MechCtx<'_>,
-    pid: Pid,
-    base: VirtAddr,
-    runs: &[AccessRun],
-    write: bool,
-    first_value: u64,
-) -> Result<Option<u64>, VmError> {
-    let total: u64 = runs.iter().map(|r| r.len).sum();
-    if total < 2 {
-        return Ok(None);
-    }
-    // Bounding box over accessed page indexes.
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
-    for r in runs.iter().filter(|r| r.len > 0) {
-        let Ok(steps) = i64::try_from(r.len - 1) else {
-            return Ok(None);
-        };
-        let Some(delta) = r.stride.checked_mul(steps) else {
-            return Ok(None);
-        };
-        let Some(last) = i64::try_from(r.start_page)
-            .ok()
-            .and_then(|start| start.checked_add(delta))
-        else {
-            return Ok(None);
-        };
-        if last < 0 {
-            return Ok(None);
-        }
-        let (a, b) = if r.stride >= 0 {
-            (r.start_page, last as u64)
-        } else {
-            (last as u64, r.start_page)
-        };
-        lo = lo.min(a);
-        hi = hi.max(b);
-    }
-    let asid = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.asid;
-    // Prover obligation: no invalidation broadcast may have raced
-    // this CPU since it last synced, or the whole-batch proof is
-    // not sound. Refusing is charge-free; the per-run fallback is
-    // charge-identical and re-arms the prover.
-    if !ctx.mmu.run_prover_ready() {
-        return Ok(None);
-    }
-    let Some(va_hi) = hi
-        .checked_mul(PAGE_SIZE)
-        .and_then(|off| base.0.checked_add(off))
-        .map(VirtAddr)
-    else {
-        return Ok(None);
-    };
-    let va_lo = base + lo * PAGE_SIZE;
-    let Some(entry) = ctx.mmu.rtlb().peek(asid, va_lo) else {
-        return Ok(None);
-    };
-    if !entry.covers(va_hi) || (write && !entry.prot.contains(PteFlags::WRITE)) {
-        return Ok(None);
-    }
-    let (pa_lo, pa_hi) = (entry.translate(va_lo), entry.translate(va_hi));
-    if ctx.machine.phys.tier(pa_lo.frame()) != ctx.machine.phys.tier(pa_hi.frame()) {
-        return Ok(None);
-    }
-    // Commit: one LRU refresh of the hit entry stands in for
-    // `total` refreshes of the same entry (relative stamp order,
-    // and therefore future evictions, are unchanged).
-    let t0 = ctx.machine.op_start();
-    let looked = ctx.mmu.rtlb_mut().lookup(asid, va_lo);
-    debug_assert_eq!(looked, Some(entry));
-    ctx.machine.perf.rtlb_hits += total;
-    ctx.machine.charge_opn(CostKind::RtlbHit, total);
-    let mut value = first_value;
-    for r in runs.iter().filter(|r| r.len > 0) {
-        let pa = entry.translate(base + r.start_page * PAGE_SIZE);
-        let stride_bytes = r.stride.wrapping_mul(PAGE_SIZE as i64);
-        bulk_memory(ctx.machine, pa, stride_bytes, r.len, write, value);
-        value += r.len;
-    }
-    ctx.machine
-        .op_end_n(t0, OpKind::AccessHit, MapMech::Ranges.label(), total);
-    Ok(Some(value))
-}
-
 // ---- Utopia hybrid (arXiv:2211.12205) ---------------------------------------
 
 /// Utopia translate: probe the fast region, else walk and fill it.
@@ -696,6 +589,8 @@ fn utopia_translate(
             va,
             0,
             1,
+            VirtAddr(0),
+            &[],
             access,
         )?
     };

@@ -45,7 +45,9 @@ pub use cost::CostModel;
 pub use dma::{DmaEngine, DmaMode, IOTLB_ENTRIES};
 pub use hybrid::FastRegion;
 pub use machine::{CpuId, Machine, MachineConfig, ObsMode, SimNs, MAX_CPUS};
-pub use mmu::{span_within, Access, Mmu, Satisfied, TranslateError, Translated, WalkMode};
+pub use mmu::{
+    span_within, Access, AccessRun, Mmu, Satisfied, TranslateError, Translated, WalkMode,
+};
 pub use o1_obs::{CostKind, OpKind, Subsystem};
 pub use pagetable::{ClearedLeaves, Entry, MapError, PageTables, PtNodeId, PteFlags, Translation};
 pub use perf::{PerfCounters, PerfSnapshot};

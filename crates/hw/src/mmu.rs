@@ -14,7 +14,7 @@
 //! Every step charges its modelled cost and bumps the perf counters,
 //! so experiments can attribute time to translation machinery exactly.
 
-use crate::addr::{FrameNo, PageNo, PageSize, PhysAddr, VirtAddr};
+use crate::addr::{FrameNo, PageNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE};
 use crate::fasthash::FastMap;
 use crate::machine::{CpuId, Machine};
 use crate::pagetable::{Entry, PageTables, PtNodeId, PteFlags, Translation};
@@ -161,9 +161,11 @@ struct CpuMmu {
     /// Epoch the walk-cache contents were built at.
     walk_epoch: u64,
     /// Broadcast-invalidation epoch this CPU last synchronised with.
-    /// Every translate syncs; the whole-batch prover, which does not
-    /// translate, refuses to span an invalidation the CPU has not yet
-    /// observed.
+    /// Every translate syncs, and since the whole-batch prover's
+    /// deletion only [`Mmu::run_prover_ready`] reads it. It stays
+    /// because `fig_hostmem`'s committed host-heap bytes pin this
+    /// struct's size (`tlb_and_cpu_mmu_sizes_are_pinned`); it goes
+    /// with the walk cache, in the change that may move those bytes.
     synced_epoch: u64,
 }
 
@@ -358,15 +360,18 @@ impl Mmu {
         (start..start + self.cpus.len(), 1u64 << (asid.0 % 64))
     }
 
-    /// Fast-forward obligation check for the one prover that does not
-    /// translate (the whole-batch prover): true when the current CPU
-    /// has observed every broadcast invalidation, i.e. the prover may
-    /// assume "no concurrent invalidation overlaps this span". When
-    /// false the CPU syncs (so the *next* probe may pass) and the
-    /// caller must interpret — which is charge-identical, merely
-    /// slower on the host. [`translate`](Self::translate) syncs on
-    /// entry, so neither its hit span nor a fault run the kernel
-    /// enters from its failed walk needs such a check.
+    /// Fast-forward obligation check for a prover that does not
+    /// translate: true when the current CPU has observed every
+    /// broadcast invalidation, i.e. the prover may assume "no
+    /// concurrent invalidation overlaps this span". When false the CPU
+    /// syncs (so the *next* probe may pass) and the caller must
+    /// interpret — which is charge-identical, merely slower on the
+    /// host. No such prover is left: [`translate`](Self::translate)
+    /// syncs on entry, so neither its hit span (across runs too) nor
+    /// a fault run the kernel enters from its failed walk needs this
+    /// check. It stays with `CpuMmu`'s `synced_epoch`, whose size is
+    /// pinned by `fig_hostmem`'s host-heap bytes, and both go with the
+    /// walk cache.
     pub fn run_prover_ready(&mut self) -> bool {
         let cur = &mut self.cpus[self.current.index()];
         if cur.synced_epoch == self.inval_epoch {
@@ -378,24 +383,30 @@ impl Mmu {
     }
 
     /// Translate `va` for `asid`, charging all hardware costs, and
-    /// return how many accesses of the run starting at `va` the
+    /// return how many accesses of the batch from `va` on the
     /// translation covers.
     ///
     /// `root` is the address space's page-table root; `ranges` its
-    /// range table (ignored unless the extension is enabled). The run
-    /// is `len ≥ 1` accesses at `va`, `va + stride`, … (byte stride),
-    /// all of kind `access`. On a range-TLB or page-TLB hit, the
-    /// leading accesses that hit the same entry with the same
-    /// protection outcome and land on one memory tier are charged
-    /// here too, exactly as many hits as an access-by-access loop
-    /// would charge: `span ×` the hit cost and counters, one LRU
-    /// refresh of the entry (the relative stamp order, and so every
-    /// later eviction, is that of `span` refreshes), and for a
-    /// page-TLB write the one idempotent A/D update. The second
-    /// access is tested against the entry first, so a hit whose run
-    /// leaves the entry costs one compare. A walk, a fill, a fault or
-    /// a one-access run covers 1. The caller owes the memory half of
-    /// every covered access.
+    /// range table (ignored unless the extension is enabled). The
+    /// current run is `len ≥ 1` accesses at `va`, `va + stride`, …
+    /// (byte stride), all of kind `access`; `rest` holds the runs that
+    /// follow it in its batch, page-indexed from `base`. On a range-TLB
+    /// or page-TLB hit, the leading accesses that hit the same entry
+    /// with the same protection outcome and land on one memory tier
+    /// are charged here too, exactly as many hits as an
+    /// access-by-access loop would charge: `span ×` the hit cost and
+    /// counters, one LRU refresh of the entry (the relative stamp
+    /// order, and so every later eviction, is that of `span`
+    /// refreshes), and for a page-TLB write the one idempotent A/D
+    /// update. A hit that covers the whole current run goes on to
+    /// cover each following whole run that lies inside the entry,
+    /// stopping at the first that does not, so `span` may exceed
+    /// `len`. The second access is tested against the entry first, so
+    /// a hit whose run leaves the entry costs one compare. A walk, a
+    /// fill, a fault or a lone access outside the entry covers 1. The
+    /// caller owes the memory half of every covered access: the entry
+    /// maps VA to PA in order, so a covered access at `a` lands at
+    /// `pa + (a − va)`.
     ///
     /// No broadcast can land between the covered accesses: this call
     /// syncs the CPU with every invalidation so far, as each of them
@@ -411,6 +422,8 @@ impl Mmu {
         va: VirtAddr,
         stride: i64,
         len: u64,
+        base: VirtAddr,
+        rest: &[AccessRun],
         access: Access,
     ) -> Result<(Translated, u64), TranslateError> {
         // An interpreted translate observes the world as it is: the
@@ -427,7 +440,10 @@ impl Mmu {
                 let pa = entry.translate(va);
                 let allowed = check_prot(entry.prot, access);
                 let span = match allowed {
-                    Ok(()) => hit_span(m, va.0, pa, stride, len, entry.base.0, entry.limit.0),
+                    Ok(()) => {
+                        let bounds = entry.base.0..entry.limit.0;
+                        hit_span(m, va.0, pa, stride, len, base.0, rest, bounds)
+                    }
                     Err(_) => 1,
                 };
                 m.perf.rtlb_hits += span;
@@ -445,7 +461,10 @@ impl Mmu {
             let pa = PhysAddr(frame.base().0 + (va.0 - region));
             let allowed = check_prot(flags, access);
             let span = match allowed {
-                Ok(()) => hit_span(m, va.0, pa, stride, len, region, region + size.bytes()),
+                Ok(()) => {
+                    let page = region..region + size.bytes();
+                    hit_span(m, va.0, pa, stride, len, base.0, rest, page)
+                }
                 Err(_) => 1,
             };
             if self.ranges_enabled {
@@ -669,6 +688,51 @@ impl Mmu {
     }
 }
 
+/// One run-length-encoded chunk of an access sequence: `len` accesses
+/// at page indexes `start_page + k·stride` for `k in 0..len`, relative
+/// to some region base. `stride` is in pages and may be zero (repeated
+/// touches of one page) or negative.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AccessRun {
+    /// Page index of the first access.
+    pub start_page: u64,
+    /// Pages between consecutive accesses (signed).
+    pub stride: i64,
+    /// Number of accesses; 0 makes the run a no-op.
+    pub len: u64,
+}
+
+impl AccessRun {
+    /// Page index of access `k` (must be `< len`).
+    #[inline]
+    pub fn page(&self, k: u64) -> u64 {
+        debug_assert!(k < self.len);
+        (self.start_page as i64 + self.stride.wrapping_mul(k as i64)) as u64
+    }
+
+    /// Address of the first access when page-indexed from `base`, or
+    /// `None` if it overflows the address space.
+    #[inline]
+    pub fn start(&self, base: VirtAddr) -> Option<VirtAddr> {
+        let off = self.start_page.checked_mul(PAGE_SIZE)?;
+        base.0.checked_add(off).map(VirtAddr)
+    }
+
+    /// Lowest and highest address the run touches when page-indexed
+    /// from `base` (`len ≥ 1`), or `None` if its arithmetic overflows.
+    #[inline]
+    fn bounds(&self, base: u64) -> Option<(u64, u64)> {
+        let first = self.start(VirtAddr(base))?.0;
+        let steps = i64::try_from(self.len - 1).ok()?;
+        let delta = self
+            .stride
+            .checked_mul(steps)?
+            .checked_mul(PAGE_SIZE as i64)?;
+        let last = first.checked_add_signed(delta)?;
+        Some((first.min(last), first.max(last)))
+    }
+}
+
 /// How many leading accesses of the arithmetic run `va, va+stride, …`
 /// (at most `len`) stay inside `[lo, hi)`. `va` itself must be inside.
 /// Public because the kernels' fast-forward paths clamp provable runs
@@ -686,27 +750,57 @@ pub fn span_within(va: u64, stride: i64, len: u64, lo: u64, hi: u64) -> u64 {
     steps.saturating_add(1).min(len)
 }
 
-/// Address of the run's last access: `start + stride·(span−1)`, or
-/// `None` if the offset arithmetic would overflow (no such run can be
-/// uniform, so the caller just falls back).
-fn run_end(start: PhysAddr, stride: i64, span: u64) -> Option<PhysAddr> {
-    let delta = stride.checked_mul(i64::try_from(span - 1).ok()?)?;
-    Some(PhysAddr(start.0.wrapping_add_signed(delta)))
-}
-
-/// How many leading accesses of the run (`len` accesses from `va` by
-/// `stride`) hit the TLB entry covering VA `[lo, hi)` that maps `va`
-/// to `pa`, all on `pa`'s memory tier. 1 unless the second access
-/// stays in the entry and the whole prefix lands on one tier.
+/// How many accesses in a row hit the TLB entry covering VA `entry`,
+/// which maps `va` to `pa`, all on `pa`'s memory tier: the leading
+/// accesses of the current run (`len` from `va` by `stride`) that stay
+/// inside the entry and, once it holds the whole run, each following
+/// whole run of `rest` (page-indexed from `base`) up to the first that
+/// leaves it, at two bound compares per run. Zero-length runs are
+/// passed over. The entry maps VA to PA in order, so the tier check
+/// runs once, on the lowest and highest covered address; if it fails,
+/// the span keeps the current run's prefix.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn hit_span(m: &Machine, va: u64, pa: PhysAddr, stride: i64, len: u64, lo: u64, hi: u64) -> u64 {
-    if len < 2 || !(lo..hi).contains(&va.wrapping_add_signed(stride)) {
+fn hit_span(
+    m: &Machine,
+    va: u64,
+    pa: PhysAddr,
+    stride: i64,
+    len: u64,
+    base: u64,
+    rest: &[AccessRun],
+    entry: core::ops::Range<u64>,
+) -> u64 {
+    let span = if len < 2 {
+        1
+    } else if entry.contains(&va.wrapping_add_signed(stride)) {
+        span_within(va, stride, len, entry.start, entry.end)
+    } else {
         return 1;
+    };
+    let last = va.wrapping_add_signed(stride.wrapping_mul(span as i64 - 1));
+    let (mut low, mut high, mut covered) = (va.min(last), va.max(last), span);
+    if span == len {
+        for r in rest.iter().filter(|r| r.len > 0) {
+            match r.bounds(base) {
+                Some((a, b)) if entry.start <= a && b < entry.end => {
+                    (low, high) = (low.min(a), high.max(b));
+                    covered += r.len;
+                }
+                _ => break,
+            }
+        }
     }
-    let span = span_within(va, stride, len, lo, hi);
-    match run_end(pa, stride, span) {
-        Some(last) if m.phys.tier(pa.frame()) == m.phys.tier(last.frame()) => span,
-        _ => 1,
+    let tier = |x: u64| {
+        m.phys
+            .tier(PhysAddr(pa.0.wrapping_add(x.wrapping_sub(va))).frame())
+    };
+    if covered > span && tier(low) == tier(high) {
+        covered
+    } else if span > 1 && tier(va) == tier(last) {
+        span
+    } else {
+        1
     }
 }
 
@@ -739,7 +833,19 @@ mod tests {
             va: VirtAddr,
             access: Access,
         ) -> Result<Translated, TranslateError> {
-            let (t, span) = self.translate(m, pt, root, ranges, asid, va, 0, 1, access)?;
+            let (t, span) = self.translate(
+                m,
+                pt,
+                root,
+                ranges,
+                asid,
+                va,
+                0,
+                1,
+                VirtAddr(0),
+                &[],
+                access,
+            )?;
             assert_eq!(span, 1, "a one-access run covers one access");
             Ok(t)
         }
@@ -1105,12 +1211,12 @@ mod tests {
             .unwrap();
         assert!(mmu.run_prover_ready(), "the translate synced CPU 0");
         // CPU 1 invalidates a *different* page. CPU 0 has not observed
-        // the broadcast, so the whole-batch check refuses once (the
-        // caller falls back to the charge-identical interpreter)...
+        // the broadcast, so the check refuses once (a prover's caller
+        // would fall back to the charge-identical interpreter)...
         mmu.set_cpu(CpuId(1));
         mmu.invalidate_page(&mut m, A, VirtAddr(0x20_0000));
         mmu.set_cpu(CpuId(0));
-        assert!(!mmu.run_prover_ready(), "whole-batch check refuses once");
+        assert!(!mmu.run_prover_ready(), "the check refuses once");
         // ...and the refusal synced CPU 0, so it proves again.
         assert!(mmu.run_prover_ready());
         // A translate syncs on entry, so it proves its hit span at
@@ -1119,7 +1225,19 @@ mod tests {
         mmu.invalidate_page(&mut m, A, VirtAddr(0x30_0000));
         mmu.set_cpu(CpuId(0));
         let (t, span) = mmu
-            .translate(&mut m, &mut pt, root, &rt, A, va, 8, 10, Access::Read)
+            .translate(
+                &mut m,
+                &mut pt,
+                root,
+                &rt,
+                A,
+                va,
+                8,
+                10,
+                VirtAddr(0),
+                &[],
+                Access::Read,
+            )
             .unwrap();
         assert_eq!((t.by, span), (Satisfied::PageTlb, 10));
         assert!(mmu.run_prover_ready(), "the translate synced CPU 0");
@@ -1171,6 +1289,8 @@ mod tests {
                 va,
                 8,
                 n,
+                VirtAddr(0),
+                &[],
                 Access::Write,
             )
             .unwrap();
@@ -1231,6 +1351,8 @@ mod tests {
                 base + PAGE_SIZE,
                 stride,
                 n,
+                VirtAddr(0),
+                &[],
                 Access::Read,
             )
             .unwrap();
@@ -1266,6 +1388,8 @@ mod tests {
                 va,
                 8,
                 10,
+                VirtAddr(0),
+                &[],
                 Access::Read,
             )
             .unwrap();
@@ -1284,7 +1408,9 @@ mod tests {
                     va,
                     8,
                     10,
-                    Access::Write
+                    VirtAddr(0),
+                    &[],
+                    Access::Write,
                 )
                 .unwrap_err(),
             TranslateError::Protection
@@ -1303,6 +1429,8 @@ mod tests {
                 va,
                 half,
                 10,
+                VirtAddr(0),
+                &[],
                 Access::Read,
             )
             .unwrap();
@@ -1319,6 +1447,8 @@ mod tests {
                 va + half as u64,
                 half,
                 10,
+                VirtAddr(0),
+                &[],
                 Access::Read,
             )
             .unwrap();
@@ -1335,6 +1465,8 @@ mod tests {
                 va,
                 8,
                 1,
+                VirtAddr(0),
+                &[],
                 Access::Read,
             )
             .unwrap();
@@ -1342,6 +1474,134 @@ mod tests {
         // Every covered access charged one hit: 1 + 2 + 1 + 1.
         assert_eq!(f.m.now().since(t0), 5 * hit);
         assert_eq!(f.m.perf.tlb_hits, 5);
+    }
+
+    /// `f.mmu.translate` of the run `len` from `va` by `stride`,
+    /// followed by `rest` page-indexed from `base`.
+    fn batch(
+        f: &mut Fix,
+        (va, stride, len): (VirtAddr, i64, u64),
+        base: VirtAddr,
+        rest: &[AccessRun],
+        access: Access,
+    ) -> Result<(Translated, u64), TranslateError> {
+        let (m, pt, rt) = (&mut f.m, &mut f.pt, &f.rt);
+        f.mmu
+            .translate(m, pt, f.root, rt, A, va, stride, len, base, rest, access)
+    }
+
+    fn run(start_page: u64, stride: i64, len: u64) -> AccessRun {
+        AccessRun {
+            start_page,
+            stride,
+            len,
+        }
+    }
+
+    #[test]
+    fn hit_span_crosses_whole_runs_inside_the_entry() {
+        // Range TLB. A 1 MiB range (pages 0..256 from `base`) on DRAM,
+        // a 2 MiB range whose upper half lies on NVM, and a read-only
+        // range.
+        let mut f = fix(true);
+        f.m = Machine::with_nvm(4 << 20, 4 << 20);
+        let (base, split, ro) = (
+            VirtAddr(0x100_0000),
+            VirtAddr(0x200_0000),
+            VirtAddr(0x400_0000),
+        );
+        for (va, bytes, pa, flags) in [
+            (base, 1 << 20, 1 << 20, PteFlags::user_rw()),
+            (split, 2 << 20, 3 << 20, PteFlags::user_rw()),
+            (ro, 1 << 16, 2 << 20, PteFlags::user_ro()),
+        ] {
+            f.rt.insert(RangeEntry::new(va, bytes, PhysAddr(pa), flags))
+                .unwrap();
+        }
+        // A fill covers 1 whatever follows it.
+        let rest = [run(1, 0, 1), run(2, 0, 1)];
+        for va in [base, split, ro] {
+            let (t, span) = batch(&mut f, (va, 0, 1), va, &rest, Access::Read).unwrap();
+            assert_eq!((t.by, span), (Satisfied::RangeWalk, 1));
+        }
+        let hit = f.m.cost.unit(CostKind::RtlbHit);
+        let t0 = f.m.now();
+        // The whole current run, then a single access, a zero-length
+        // run (passed over, however far away), a strided and a
+        // backward run; the next run leaves the entry at page 256, so
+        // the span stops there although a later run is back inside.
+        let rest = [
+            run(3, 0, 1),
+            run(1 << 40, 1, 0),
+            run(10, 5, 4),
+            run(200, -2, 3),
+            run(250, 1, 7),
+            run(5, 0, 1),
+        ];
+        let (t, span) = batch(&mut f, (base, 8, 2), base, &rest, Access::Write).unwrap();
+        assert_eq!((t.by, span), (Satisfied::RangeTlb, 2 + 1 + 4 + 3));
+        assert_eq!(f.m.perf.rtlb_hits, 10);
+        assert_eq!(f.m.now().since(t0), 10 * hit);
+        // A current run that leaves the entry covers no following run.
+        let last = base + 254 * PAGE_SIZE;
+        let (_, span) = batch(
+            &mut f,
+            (last, PAGE_SIZE as i64, 3),
+            base,
+            &rest,
+            Access::Read,
+        )
+        .unwrap();
+        assert_eq!(span, 2);
+        // Following runs on both sides of the DRAM/NVM edge inside one
+        // range: none is covered, and the current run keeps its span.
+        let (on_dram, across) = (
+            [run(10, 0, 1), run(20, 1, 5)],
+            [run(10, 0, 1), run(300, 0, 1)],
+        );
+        let (_, span) = batch(&mut f, (split, 0, 1), split, &on_dram, Access::Read).unwrap();
+        assert_eq!(span, 1 + 1 + 5);
+        let (_, span) = batch(&mut f, (split, 0, 1), split, &across, Access::Read).unwrap();
+        assert_eq!(span, 1);
+        let (_, span) = batch(&mut f, (split, 8, 2), split, &across, Access::Read).unwrap();
+        assert_eq!(span, 2);
+        // A protection fault covers 1: one hit is charged, then the
+        // fault.
+        let (hits, t0) = (f.m.perf.rtlb_hits, f.m.now());
+        let err = batch(&mut f, (ro, 8, 2), ro, &rest, Access::Write).unwrap_err();
+        assert_eq!(err, TranslateError::Protection);
+        assert_eq!(f.m.perf.rtlb_hits, hits + 1);
+        assert_eq!(f.m.now().since(t0), hit);
+
+        // Page TLB: a warm base page covers the single accesses on it
+        // and stops at the first run on the next page.
+        let mut f = fix(false);
+        let va = VirtAddr(0x10_0000);
+        f.pt.map(
+            &mut f.m,
+            f.root,
+            va,
+            FrameNo(77),
+            PageSize::Base,
+            PteFlags::user_rw(),
+        )
+        .unwrap();
+        f.mmu
+            .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Read)
+            .unwrap();
+        let hit = f.m.cost.unit(CostKind::TlbHit);
+        let t0 = f.m.now();
+        let rest = [
+            run(0, 0, 1),
+            run(0, 0, 0),
+            run(0, 0, 2),
+            run(1, 0, 1),
+            run(0, 0, 1),
+        ];
+        let (t, span) = batch(&mut f, (va + 8, 8, 2), va, &rest, Access::Write).unwrap();
+        assert_eq!((t.by, span), (Satisfied::PageTlb, 2 + 1 + 2));
+        assert_eq!(f.m.perf.tlb_hits, 5);
+        assert_eq!(f.m.now().since(t0), 5 * hit);
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl MachineTrace {
         self.span_start_ns = now_ns;
     }
 
-    /// Total simulated ns recorded so far.
-    pub fn charged_ns(&self) -> u64 {
-        self.charged_ns
-    }
-
     /// Close the ledger at final clock value `clock_ns`.
     pub fn finish(mut self, clock_ns: u64) -> MachineReport {
         if clock_ns > self.span_start_ns {

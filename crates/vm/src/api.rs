@@ -5,9 +5,8 @@
 //! and the file-only-memory kernel and differs only in what the two
 //! designs charge.
 
-use o1_hw::{CpuId, Machine, PerfSnapshot, VirtAddr, PAGE_SIZE};
+use o1_hw::{AccessRun, CpuId, Machine, PerfSnapshot, VirtAddr, PAGE_SIZE};
 
-use crate::runs::AccessRun;
 use crate::types::{Pid, VmError};
 
 /// Generates the [`MachineConfig`](o1_hw::MachineConfig)-backed setters every kernel
@@ -163,9 +162,10 @@ pub trait MemSys {
     /// at `base + page·PAGE_SIZE`, stores writing a running sequence
     /// value starting at `first_value`. Returns the value counter
     /// after the last access, so chunked callers can stream runs
-    /// without materialising the sequence. Routed through
-    /// [`access_span`](Self::access_span), which kernels override
-    /// with the fast-forward engine.
+    /// without materialising the sequence. By default one
+    /// [`access_span`](Self::access_span) per run; kernels override
+    /// both with one fast-forward run loop, whose spans may cross run
+    /// boundaries.
     fn access_runs(
         &mut self,
         pid: Pid,
@@ -174,34 +174,15 @@ pub trait MemSys {
         write: bool,
         first_value: u64,
     ) -> Result<u64, VmError> {
-        span_runs(self, pid, base, runs, write, first_value)
+        let mut value = first_value;
+        for r in runs.iter().filter(|r| r.len > 0) {
+            let va = r.start(base).ok_or(VmError::BadAddress)?;
+            let stride = r.stride.wrapping_mul(PAGE_SIZE as i64);
+            self.access_span(pid, va, stride, r.len, write, value)?;
+            value += r.len;
+        }
+        Ok(value)
     }
-}
-
-/// The per-run loop behind [`MemSys::access_runs`]: one
-/// [`access_span`](MemSys::access_span) per run, the value counter
-/// running on across runs.
-pub(crate) fn span_runs<S: MemSys + ?Sized>(
-    sys: &mut S,
-    pid: Pid,
-    base: VirtAddr,
-    runs: &[AccessRun],
-    write: bool,
-    first_value: u64,
-) -> Result<u64, VmError> {
-    let mut value = first_value;
-    for r in runs.iter().filter(|r| r.len > 0) {
-        let va = r
-            .start_page
-            .checked_mul(PAGE_SIZE)
-            .and_then(|off| base.0.checked_add(off))
-            .map(VirtAddr)
-            .ok_or(VmError::BadAddress)?;
-        let stride = r.stride.wrapping_mul(PAGE_SIZE as i64);
-        sys.access_span(pid, va, stride, r.len, write, value)?;
-        value += r.len;
-    }
-    Ok(value)
 }
 
 /// Scoped CPU pin over a [`MemSys`], created by [`MemSys::on_cpu`]:

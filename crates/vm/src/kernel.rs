@@ -17,8 +17,8 @@
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    span_within, Access, Asid, ClearedLeaves, FastMap, FrameNo, Machine, MachineConfig, MemTier,
-    Mmu, PageSize, PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError,
+    span_within, Access, AccessRun, Asid, ClearedLeaves, FastMap, FrameNo, Machine, MachineConfig,
+    MemTier, Mmu, PageSize, PageTables, PhysAddr, PtNodeId, PteFlags, RangeTable, TranslateError,
     Translation, VirtAddr, HUGE_2M, PAGE_SIZE, PT_LEVELS,
 };
 use o1_memfs::{FileId, Tmpfs};
@@ -517,6 +517,7 @@ impl BaselineKernel {
         }
         let t0 = self.core.machine.op_start();
         self.core.machine.charge_syscall();
+        self.core.proc(pid)?;
         self.core.machine.charge_kind(CostKind::MmapFixed);
         self.core.machine.charge_kind(CostKind::VmaCreate);
         let mut len = o1_hw::round_up_pages(len);
@@ -1341,6 +1342,8 @@ impl KernelHooks for BaselineKernel {
         va: VirtAddr,
         stride: i64,
         mut len: u64,
+        base: VirtAddr,
+        mut rest: &[AccessRun],
         access: Access,
         first_value: u64,
     ) -> Result<Resolved, VmError> {
@@ -1356,6 +1359,8 @@ impl KernelHooks for BaselineKernel {
                 va,
                 stride,
                 len,
+                base,
+                rest,
                 access,
             ) {
                 Ok((t, span)) => return Ok(Resolved::Translated { pa: t.pa, span }),
@@ -1369,7 +1374,7 @@ impl KernelHooks for BaselineKernel {
                 }
                 Err(TranslateError::Protection) => self.protection_fault(pid, va, access)?,
             }
-            len = 1;
+            (len, rest) = (1, &[]);
         }
         unreachable!("fault handler did not make progress at {va:?}")
     }

@@ -5,18 +5,20 @@
 //! [`KernelCore`] owns the state every kernel has — machine, page
 //! tables, MMU, process table and ASID allocator — and the blanket
 //! [`MemSys`] impl over [`KernelHooks`] holds, once, the code around
-//! it: process lifecycle, the access-op latency funnel, the
-//! fast-forward run loops and the base timeline gauges. A kernel
-//! supplies only what differs, through statically dispatched hooks.
+//! it: process lifecycle, the access-op latency funnel, the one
+//! fast-forward run loop behind `access_span` and `access_runs` (a
+//! hit span may cross run boundaries, so a batch needs no prover of
+//! its own) and the base timeline gauges. A kernel supplies only what
+//! differs, through statically dispatched hooks.
 
 use o1_hw::{
-    Access, Asid, AsidAllocator, AsidGrant, CpuId, Machine, MachineConfig, Mmu, OpKind, PageTables,
-    PhysAddr, PtNodeId, SimNs, VirtAddr,
+    Access, AccessRun, Asid, AsidAllocator, AsidGrant, CpuId, Machine, MachineConfig, Mmu, OpKind,
+    PageTables, PhysAddr, PtNodeId, SimNs, VirtAddr, PAGE_SIZE,
 };
 
-use crate::api::{span_runs, MemSys};
+use crate::api::MemSys;
 use crate::proc_table::ProcTable;
-use crate::runs::{bulk_memory, AccessRun};
+use crate::runs::bulk_memory;
 use crate::types::{Pid, VmError};
 
 /// State every kernel owns, shared field-for-field so kernel code can
@@ -121,13 +123,16 @@ impl<P> KernelCore<P> {
 /// What [`KernelHooks::resolve`] did with the first accesses of a run.
 #[derive(Clone, Copy, Debug)]
 pub enum Resolved {
-    /// The first `span` accesses translate to `pa`, `pa + stride`, …,
-    /// with their translation half charged; the caller owes the memory
-    /// half of each.
+    /// The next `span` accesses of the batch translate through one
+    /// entry, with their translation half charged; the caller owes the
+    /// memory half of each. A span longer than the current run's
+    /// remaining length covers whole following runs of the batch too.
+    /// The entry maps VA to PA in order, so a covered access at `a`
+    /// lands at `pa + (a − va)`.
     Translated {
         /// Physical address of the first access.
         pa: PhysAddr,
-        /// Accesses covered.
+        /// Accesses covered, across run boundaries.
         span: u64,
     },
     /// A fault run of this many accesses (at least two), performed
@@ -159,20 +164,25 @@ pub trait KernelHooks {
 
     /// Translate `va`, handling whatever faults the design has, as
     /// the first of a run of `len ≥ 1` accesses by byte `stride`, the
-    /// `k`-th of which stores `first_value + k` when `access` writes.
-    /// Returns either a translation of the leading accesses
-    /// (`Mmu::translate`'s hit span, 1 whenever it walked, filled or
-    /// faulted), whose memory half the caller owes, or a fault run the
-    /// kernel performed whole: when the first access of a run of two
-    /// or more misses every translation, the baseline proves that the
-    /// following accesses demand-fault fresh pages too and installs,
+    /// `k`-th of which stores `first_value + k` when `access` writes;
+    /// `rest` holds the runs that follow in the batch, page-indexed
+    /// from `base`. Returns either a translation of the leading
+    /// accesses (`Mmu::translate`'s hit span, which may run on into
+    /// `rest`; 1 whenever it walked, filled or faulted), whose memory
+    /// half the caller owes, or a fault run the kernel performed
+    /// whole: when the first access of a run of two or more misses
+    /// every translation, the baseline proves that the following
+    /// accesses of the run demand-fault fresh pages too and installs,
     /// charges, stores and records them all at once.
+    #[allow(clippy::too_many_arguments)]
     fn resolve(
         &mut self,
         pid: Pid,
         va: VirtAddr,
         stride: i64,
         len: u64,
+        base: VirtAddr,
+        rest: &[AccessRun],
         access: Access,
         first_value: u64,
     ) -> Result<Resolved, VmError>;
@@ -181,7 +191,7 @@ pub trait KernelHooks {
     /// a translation: the physical address the caller then accesses.
     #[inline]
     fn resolve_one(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
-        match self.resolve(pid, va, 0, 1, access, 0)? {
+        match self.resolve(pid, va, 0, 1, VirtAddr(0), &[], access, 0)? {
             Resolved::Translated { pa, .. } => Ok(pa),
             Resolved::FaultRun(_) => unreachable!("a one-access run never fuses"),
         }
@@ -209,21 +219,6 @@ pub trait KernelHooks {
 
     /// Kernel-specific timeline gauges, appended after the base ones.
     fn gauges(&self, g: &mut Vec<(&'static str, u64)>);
-
-    /// Whole-batch prover for [`MemSys::access_runs`]: perform every
-    /// run at once and return the value counter after the last
-    /// access, or `None` (the default) to run span by span.
-    fn bulk_runs(
-        &mut self,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<Option<u64>, VmError> {
-        let _ = (pid, base, runs, write, first_value);
-        Ok(None)
-    }
 
     /// Sample the gauge timeline if the machine's sampler is due.
     ///
@@ -270,6 +265,99 @@ fn access_op_end<K: KernelHooks>(k: &mut K, started: Option<(SimNs, u64)>) {
         };
         m.op_end(t0, op, label);
         k.poll_timeline();
+    }
+}
+
+/// Pop the next run of `rest` that has accesses: its first address
+/// (page-indexed from `base`), byte stride and length.
+#[inline]
+fn next_run(
+    rest: &mut &[AccessRun],
+    base: VirtAddr,
+) -> Result<Option<(VirtAddr, i64, u64)>, VmError> {
+    while let Some((r, tail)) = rest.split_first() {
+        *rest = tail;
+        if r.len > 0 {
+            let va = r.start(base).ok_or(VmError::BadAddress)?;
+            return Ok(Some((va, r.stride.wrapping_mul(PAGE_SIZE as i64), r.len)));
+        }
+    }
+    Ok(None)
+}
+
+/// The one run loop behind [`MemSys::access_span`] and
+/// [`MemSys::access_runs`]: the current run `(va, stride, len)` (byte
+/// stride), then each run of `rest`, page-indexed from `base`, with
+/// one [`resolve`](KernelHooks::resolve) per translation, not per
+/// access. On a TLB hit the MMU proves and charges the uniform span
+/// itself (`o1_hw::Mmu::translate`: same entry, same protection
+/// outcome, one memory tier), which may run on through whole
+/// following runs; the memory half of each covered run is charged in
+/// one step and only data stores run per element. A walk, fill or
+/// fault covers one access, exactly as [`load`](MemSys::load) /
+/// [`store`](MemSys::store) would. The dual, all-faulting case comes
+/// back from `resolve` as a fault run the kernel already performed,
+/// entered where the run's first access failed to translate.
+/// Simulated clock, counters, ledger and memory contents are identical
+/// to the plain loop. Gauge timelines are not: a fused span is one op
+/// boundary, where the interpreter has one per access, so
+/// fast-forward can take fewer timeline samples. Returns the value
+/// counter after the last access.
+#[inline]
+fn run_loop<K: KernelHooks>(
+    k: &mut K,
+    pid: Pid,
+    (mut va, mut stride, mut len): (VirtAddr, i64, u64),
+    base: VirtAddr,
+    mut rest: &[AccessRun],
+    write: bool,
+    mut value: u64,
+) -> Result<u64, VmError> {
+    let access = if write { Access::Write } else { Access::Read };
+    let fastforward = k.core().machine.fastforward();
+    loop {
+        if len == 0 {
+            match next_run(&mut rest, base)? {
+                Some(run) => (va, stride, len) = run,
+                None => return Ok(value),
+            }
+        }
+        let (n, after) = if fastforward {
+            (len, rest)
+        } else {
+            (1, &[][..])
+        };
+        let t0 = k.core().machine.op_start();
+        let op = k.core().access_op_start();
+        let (here, span) = match k.resolve(pid, va, stride, n, base, after, access, value)? {
+            Resolved::FaultRun(span) => (span, span),
+            Resolved::Translated { pa, span } => {
+                let here = span.min(len);
+                let label = k.label();
+                let m = &mut k.core_mut().machine;
+                bulk_memory(m, pa, stride, here, write, value);
+                // The covered following runs, each at its offset from
+                // `va` through the one entry.
+                let mut v = value + here;
+                while v < value + span {
+                    let (at, s, n) = next_run(&mut rest, base)?.expect("a span covers whole runs");
+                    let pa_run = PhysAddr(pa.0.wrapping_add(at.0.wrapping_sub(va.0)));
+                    bulk_memory(m, pa_run, s, n, write, v);
+                    v += n;
+                }
+                if span >= 2 {
+                    // Every access in the span hit: `span` AccessHit
+                    // latencies, each of the identical per-access cost.
+                    m.op_end_n(t0, OpKind::AccessHit, label, span);
+                    k.poll_timeline();
+                } else {
+                    access_op_end(k, op);
+                }
+                (here, span)
+            }
+        };
+        va = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(here as i64)));
+        (len, value) = (len - here, value + span);
     }
 }
 
@@ -365,21 +453,6 @@ impl<K: KernelHooks> MemSys for K {
         Ok(())
     }
 
-    /// Run-compressed span execution: one
-    /// [`resolve`](KernelHooks::resolve) per translation, not per
-    /// access. On a TLB hit the MMU proves and charges the uniform
-    /// prefix itself (`o1_hw::Mmu::translate`'s hit span: same entry,
-    /// same protection outcome, one memory tier), the memory half of
-    /// the prefix is charged in one step and only data stores run per
-    /// element; a walk, fill or fault covers one access, exactly as
-    /// [`load`](MemSys::load) / [`store`](MemSys::store) would. The
-    /// dual, all-faulting case comes back from `resolve` as a fault run
-    /// the kernel already performed, entered where the run's first
-    /// access failed to translate. Simulated clock, counters, ledger
-    /// and memory contents are identical to the plain loop. Gauge
-    /// timelines are not: a fused span is one op boundary, where the
-    /// interpreter has one per access, so fast-forward can take fewer
-    /// timeline samples.
     fn access_span(
         &mut self,
         pid: Pid,
@@ -389,35 +462,7 @@ impl<K: KernelHooks> MemSys for K {
         write: bool,
         first_value: u64,
     ) -> Result<(), VmError> {
-        let access = if write { Access::Write } else { Access::Read };
-        let fastforward = self.core().machine.fastforward();
-        let mut k = 0u64;
-        while k < len {
-            let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            let (rest, value) = (if fastforward { len - k } else { 1 }, first_value + k);
-            let t0 = self.core().machine.op_start();
-            let op = self.core().access_op_start();
-            let (pa, span) = match self.resolve(pid, a, stride, rest, access, value)? {
-                Resolved::Translated { pa, span } => (pa, span),
-                Resolved::FaultRun(span) => {
-                    k += span;
-                    continue;
-                }
-            };
-            let label = self.label();
-            let m = &mut self.core_mut().machine;
-            bulk_memory(m, pa, stride, span, write, value);
-            if span >= 2 {
-                // Every access in the span hit — `span` AccessHit
-                // latencies, each of the identical per-access cost.
-                m.op_end_n(t0, OpKind::AccessHit, label, span);
-                self.poll_timeline();
-            } else {
-                access_op_end(self, op);
-            }
-            k += span;
-        }
-        Ok(())
+        run_loop(self, pid, (va, stride, len), va, &[], write, first_value).map(drop)
     }
 
     fn access_runs(
@@ -428,13 +473,6 @@ impl<K: KernelHooks> MemSys for K {
         write: bool,
         first_value: u64,
     ) -> Result<u64, VmError> {
-        // A whole-batch prover can swallow even a random batch in one
-        // uniformity proof; a kernel without one refuses charge-free.
-        if self.core().machine.fastforward() && !runs.is_empty() {
-            if let Some(value) = self.bulk_runs(pid, base, runs, write, first_value)? {
-                return Ok(value);
-            }
-        }
-        span_runs(self, pid, base, runs, write, first_value)
+        run_loop(self, pid, (base, 0, 0), base, runs, write, first_value)
     }
 }

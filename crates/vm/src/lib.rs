@@ -12,7 +12,7 @@
 //! * [`api`] — the [`api::MemSys`] trait shared with the file-only
 //!   memory kernel so workloads drive both identically;
 //! * [`kernel_core`] — the state and code both kernels embed: process
-//!   lifecycle, the access-op funnel and the fast-forward run loops.
+//!   lifecycle, the access-op funnel and the fast-forward run loop.
 
 pub mod api;
 pub mod kernel;
@@ -29,9 +29,9 @@ pub use kernel::{
     span_end, BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
 };
 pub use kernel_core::{CoreProc, KernelCore, KernelHooks, Resolved};
+pub use o1_hw::AccessRun;
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
 pub use proc_table::ProcTable;
 pub use reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
-pub use runs::AccessRun;
 pub use types::{Backing, CpuId, MapFlags, Pid, Prot, VmError};
 pub use vma::{Vma, VmaMap};

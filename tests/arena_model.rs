@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::hw::{Arena, DmaEngine, Handle};
+use o1mem::hw::{Arena, CostKind, DmaEngine, Handle};
 use o1mem::memfs::FileClass;
-use o1mem::vm::{AccessRun, BaselineKernel, MemSys, Pid, Prot, VmError};
+use o1mem::vm::{AccessRun, BaselineKernel, MemSys, Pid, Prot, ThpMode, VmError};
 use o1mem::{VirtAddr, PAGE_SIZE};
 
 #[test]
@@ -103,6 +103,14 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
         assert_eq!(call(sys).err(), Some(err));
         assert_eq!(sys.machine().now(), t0, "rejected call charged");
     }
+    /// An alloc on the dead pid `victim` fails with `NoProcess` after
+    /// one syscall crossing, charging nothing else, as on every kernel.
+    fn dead_alloc_costs_one_syscall(sys: &mut impl MemSys, victim: Pid) {
+        let t0 = sys.machine().now();
+        assert_eq!(sys.alloc(victim, PAGE_SIZE, false), Err(VmError::NoProcess));
+        let syscall = sys.machine().cost.unit(CostKind::Syscall);
+        assert_eq!(sys.machine().now().since(t0), syscall, "dead-pid alloc");
+    }
     /// Leaves a live process with four populated pages for the
     /// kernel-specific calls.
     fn scenario(sys: &mut impl MemSys) -> (Pid, VirtAddr) {
@@ -120,7 +128,7 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
         // The stale pid is rejected by every entry point.
         assert_eq!(sys.load(victim, va), Err(VmError::NoProcess));
         assert_eq!(sys.store(victim, va, 9), Err(VmError::NoProcess));
-        assert_eq!(sys.alloc(victim, PAGE_SIZE, false), Err(VmError::NoProcess));
+        dead_alloc_costs_one_syscall(sys, victim);
         assert_eq!(sys.destroy_process(victim), Err(VmError::NoProcess));
         // Overflowing lengths and addresses are errors on a live pid,
         // and a rejected alloc charges nothing.
@@ -209,6 +217,16 @@ fn destroyed_pid_stays_dead_after_slot_reuse_on_both_kernels() {
     });
     rejects(&mut k, VmError::BadRange, |k| k.file_allocate(id, off, 8));
     k.destroy_process(p).unwrap();
+    // Under greedy THP a dead-pid alloc pads no length to 2 MiB either.
+    let mut k = BaselineKernel::builder().thp(ThpMode::GreedyHuge).build();
+    let victim = k.create_process().unwrap();
+    k.destroy_process(victim).unwrap();
+    dead_alloc_costs_one_syscall(&mut k, victim);
+    assert_eq!(
+        k.space_overhead_bytes(),
+        0,
+        "dead-pid alloc padded a length"
+    );
     // The lifecycle is shared kernel-core code, so every mechanism
     // must agree.
     for mech in MapMech::ALL {

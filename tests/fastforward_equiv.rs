@@ -192,8 +192,8 @@ fn random_spans_match_the_interpreter() {
                 sys.access_span(pid, va + start, stride, len, write, i * 1000)
                     .unwrap();
             }
-            // An empty run is a no-op, also inside a batch the
-            // whole-batch prover takes on.
+            // An empty run is a no-op, also inside a batch whose hit
+            // span crosses run boundaries.
             let runs = [
                 AccessRun {
                     start_page: 0,
@@ -214,12 +214,12 @@ fn random_spans_match_the_interpreter() {
     }
 }
 
-/// On a multi-CPU machine the whole-batch fast-forward proof carries
-/// one more obligation — no invalidation broadcast may have raced the
-/// proving CPU — and its refusals must be charge-free. This drives
-/// CPU-hopping accesses interleaved with broadcasting frees on both
-/// kernels and asserts the fast path still cannot be told apart from
-/// the interpreter.
+/// On a multi-CPU machine a hit span must not outlive an invalidation
+/// broadcast from another CPU: `Mmu::translate` syncs the proving CPU
+/// with every broadcast before it proves a span, across runs too. This
+/// drives CPU-hopping accesses interleaved with broadcasting frees on
+/// both kernels and asserts the fast path still cannot be told apart
+/// from the interpreter.
 #[test]
 fn smp_machines_match_the_interpreter() {
     for cpus in [2u32, 8, 64] {
@@ -266,9 +266,8 @@ fn smp_machines_match_the_interpreter() {
                 // Churn broadcasts invalidations from round-robin
                 // CPUs, staling every other CPU's proof window.
                 drive_churn(sys, pid, 2, 5, 16).unwrap();
-                // Post-broadcast accesses: the first batch per CPU
-                // must refuse the fast path (charge-identically),
-                // then fast-forward again once re-proved.
+                // Post-broadcast accesses: each CPU re-walks what the
+                // broadcasts dropped, then fuses its hit spans again.
                 for cpu in 0..cpus.min(4) {
                     sys.set_cpu(CpuId(cpu));
                     sys.access_span(pid, va, PAGE_SIZE as i64, pages, true, 7)
@@ -496,6 +495,68 @@ fn the_engine_fuses_every_provable_hit_span() {
             4,
             "{name}: resident page"
         );
+    }
+}
+
+/// A hit span runs on through the following whole runs of its batch
+/// while they stay inside its translation entry: one 4 KiB page, one
+/// 2 MiB THP leaf, one range. Batches of single-access and strided
+/// runs, read and then written, on every kernel against its
+/// interpreting twin, with the fused access counts pinned per kernel.
+#[test]
+fn hit_spans_cross_run_boundaries_inside_one_entry() {
+    let run = |start_page, stride, len| AccessRun {
+        start_page,
+        stride,
+        len,
+    };
+    for (name, (a, b)) in all_kernel_pairs() {
+        let fused = RefCell::new(Vec::new());
+        assert_equivalent(a, b, &name, &|sys: &mut dyn MemSys| {
+            let pid = sys.create_process().unwrap();
+            let va = sys.alloc(pid, 512 * PAGE_SIZE, true).unwrap();
+            let other = sys.alloc(pid, PAGE_SIZE, true).unwrap();
+            assert!(other.0 > va.0, "{name}: the second region lies above");
+            let away = (other.0 - va.0) / PAGE_SIZE;
+            let batches = [
+                // Eight single accesses on one page.
+                vec![run(0, 0, 1); 8],
+                // Repeated touches of that page, with an empty run.
+                vec![run(0, 0, 3), run(0, 0, 0), run(0, 0, 2), run(0, 0, 1)],
+                // Forward and backward strides across the first 2 MiB.
+                vec![
+                    run(5, 0, 1),
+                    run(100, 3, 10),
+                    run(400, -7, 5),
+                    run(511, 0, 1),
+                ],
+                // The third run leaves for the other region.
+                vec![run(0, 0, 1), run(0, 0, 2), run(away, 0, 1), run(0, 0, 1)],
+            ];
+            for write in [false, true] {
+                for batch in &batches {
+                    // The first page's entry is resident.
+                    sys.load(pid, va).unwrap();
+                    let before = sys.machine().ffwd_accesses;
+                    sys.access_runs(pid, va, batch, write, 0).unwrap();
+                    if sys.machine().fastforward() {
+                        fused
+                            .borrow_mut()
+                            .push(sys.machine().ffwd_accesses - before);
+                    }
+                }
+            }
+            sys.destroy_process(pid).unwrap();
+        });
+        // Fused accesses per batch, alike in the read and write pass.
+        // A 4 KiB entry covers no strided run, and Utopia's fast region
+        // takes part in every translation, so it always covers 1.
+        let pass = match name.as_str() {
+            "fom-Utopia" => [0; 4],
+            "baseline-thp" | "fom-PageTables" | "fom-Ranges" => [8, 6, 1 + 10 + 5 + 1, 3],
+            _ => [8, 6, 0, 3],
+        };
+        assert_eq!(fused.into_inner(), [pass, pass].concat(), "{name}");
     }
 }
 
