@@ -1299,9 +1299,10 @@ pub const HOSTMEM_SIZES_MIB: [u64; 4] = [16, 64, 256, 512];
 /// just in simulated ns. Every series is zero when the `hostmem`
 /// feature (and with it the counting allocator) is disabled.
 ///
-/// The drive is populate-only — no loads or stores — so the numbers
-/// cannot depend on the fast-forward engine and the figure stays
-/// byte-identical under `--no-fastforward`.
+/// The drive is populate-only — no loads or stores, which it asserts —
+/// so the numbers cannot depend on the fast-forward engine or on how
+/// physical memory stores data, and the figure stays byte-identical
+/// under `--no-fastforward`.
 pub fn fig_hostmem() -> Figure {
     let mut fig = Figure::new(
         "fig_hostmem",
@@ -1312,6 +1313,7 @@ pub fn fig_hostmem() -> Figure {
     fn drive(k: &mut impl MemSys, bytes: u64) {
         let pid = MemSys::create_process(k).unwrap();
         MemSys::alloc(k, pid, bytes, true).unwrap();
+        assert_populate_only(k, "fig_hostmem");
     }
     /// Peak additional live host bytes while `run` executes, measured
     /// against the live level at entry (the kernel is built *and*
@@ -1339,6 +1341,18 @@ pub fn fig_hostmem() -> Figure {
     }
     fig.series = vec![s_base, s_pt, s_ranges];
     fig
+}
+
+/// Panic unless `k` has neither loaded nor stored: a host-heap series
+/// reads the simulator's own heap, so its drive must not depend on how
+/// physical memory stores data.
+fn assert_populate_only(k: &impl MemSys, what: &str) {
+    let perf = &k.machine().perf;
+    assert_eq!(
+        (perf.loads, perf.stores),
+        (0, 0),
+        "{what}: a host-heap drive loaded or stored"
+    );
 }
 
 /// Tenant lifecycles the `fig_service` latency fleets stream at
@@ -1457,8 +1471,9 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
         latency_series("fom-sharedpt launch latency (ns)", r.launch_ns)
     };
     // Host-live gauges over populate-only fleets (no loads or stores,
-    // so the sampled host bytes cannot depend on the fast-forward
-    // engine — the fig_hostmem rule). A flat line is the claim: the
+    // asserted, so the sampled host bytes cannot depend on the
+    // fast-forward engine or on how physical memory stores data — the
+    // fig_hostmem rule). A flat line is the claim: the
     // kernel's host heap tracks the ≤SERVICE_LIVE_CAP live tenants,
     // not the ever-growing total streamed through.
     fn gauge_series(label: &str, run: impl FnOnce(&mut Series)) -> Series {
@@ -1486,6 +1501,7 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
             },
         )
         .unwrap();
+        assert_populate_only(&k, "fig_service baseline host live");
     });
     let s_gauge_ranges = gauge_series("fom-ranges host live over churn (KiB)", |s| {
         let mut k = service_fom(MapMech::Ranges, 4);
@@ -1506,6 +1522,7 @@ pub fn fig_service(scale: SuiteScale) -> Figure {
             },
         )
         .unwrap();
+        assert_populate_only(&k, "fig_service fom-ranges host live");
     });
     // Storm-migration contrast over the CPU count.
     const STORM_PROCS: u32 = 16;

@@ -6,6 +6,15 @@
 //! multi-terabyte physical address space can be simulated on a laptop:
 //! a frame consumes host memory only once it is written.
 //!
+//! A page-stride store run that rewrites one word in every frame of a
+//! fully backed 64-frame chunk is kept as one pending *column* on the
+//! chunk (in-frame offset, value at the chunk's first frame) instead
+//! of 64 word stores; a later such run at the same offset replaces it
+//! in O(1). Reads overlay the column, and any other operation on the
+//! chunk first writes it into its frames ("settles" it). Its values are
+//! never zero, so the settled backing is exactly what storing every
+//! column word by word leaves.
+//!
 //! Persistence semantics: on a simulated power failure
 //! ([`PhysicalMemory::crash`]), DRAM contents are lost; NVM contents
 //! survive. This is the substrate for the paper's §"Persistence
@@ -68,16 +77,22 @@ impl FrameBacking {
             FrameBacking::Words(n, words) => {
                 out.fill(0);
                 for &(eo, v) in &words[..*n as usize] {
-                    let eo = eo as usize;
-                    let s = eo.max(off);
-                    let e = (eo + 8).min(off + out.len());
-                    if s < e {
-                        out[s - off..e - off].copy_from_slice(&v.to_le_bytes()[s - eo..e - eo]);
-                    }
+                    overlay_word(out, off, eo, v);
                 }
             }
             FrameBacking::Full(bytes) => out.copy_from_slice(&bytes[off..off + out.len()]),
         }
+    }
+}
+
+/// Copy the bytes of word `v` at frame offset `eo` that fall inside
+/// `out`, which holds the frame's bytes from offset `off` on.
+fn overlay_word(out: &mut [u8], off: usize, eo: u16, v: u64) {
+    let eo = eo as usize;
+    let s = eo.max(off);
+    let e = (eo + 8).min(off + out.len());
+    if s < e {
+        out[s - off..e - off].copy_from_slice(&v.to_le_bytes()[s - eo..e - eo]);
     }
 }
 
@@ -88,6 +103,11 @@ struct Chunk {
     frames: Box<[Option<FrameBacking>; CHUNK_FRAMES as usize]>,
     /// Number of `Some` entries (chunk is dropped at zero).
     backed: u32,
+    /// Pending column `(off, first)`: frame `i` holds the word
+    /// `first + i` at in-frame offset `off`, not yet written into
+    /// `frames`. Only set while every frame is backed, and none of its
+    /// 64 values is zero.
+    column: Option<(u16, u64)>,
 }
 
 impl Chunk {
@@ -95,6 +115,38 @@ impl Chunk {
         Chunk {
             frames: Box::new([const { None }; CHUNK_FRAMES as usize]),
             backed: 0,
+            column: None,
+        }
+    }
+
+    /// Write the pending column, if any, into its frames.
+    #[inline]
+    fn settle(&mut self) {
+        if let Some((off, first)) = self.column.take() {
+            self.write_column(off, first);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_column(&mut self, off: u16, first: u64) {
+        for (v, slot) in (0..)
+            .map(|i| first.wrapping_add(i))
+            .zip(self.frames.iter_mut())
+        {
+            let fresh = write_word_slot(slot, off, v);
+            debug_assert!(!fresh, "a column covers backed frames only");
+        }
+    }
+
+    /// Bytes `[off, off + out.len())` of frame `i`, column included.
+    fn read_into(&self, i: usize, off: usize, out: &mut [u8]) {
+        match &self.frames[i] {
+            Some(backing) => backing.read_into(off, out),
+            None => out.fill(0),
+        }
+        if let Some((eo, first)) = self.column {
+            overlay_word(out, off, eo, first.wrapping_add(i as u64));
         }
     }
 
@@ -158,6 +210,16 @@ fn write_word_slot(slot: &mut Option<FrameBacking>, off: u16, v: u64) -> bool {
             false
         }
     }
+}
+
+/// The chunk holding `frame`, created if absent, with its column
+/// settled.
+fn settled_chunk(chunks: &mut FastMap<u64, Chunk>, frame: u64) -> &mut Chunk {
+    let chunk = chunks
+        .entry(frame >> CHUNK_SHIFT)
+        .or_insert_with(Chunk::new);
+    chunk.settle();
+    chunk
 }
 
 /// A frame's backing moved out of physical memory — the page image a
@@ -233,20 +295,16 @@ impl PhysicalMemory {
         }
     }
 
-    /// Borrow the backing of `frame`, if any.
+    /// The chunk holding `frame`, if any of its frames is backed.
     #[inline]
-    fn frame_backing(&self, frame: u64) -> Option<&FrameBacking> {
-        self.chunks.get(&(frame >> CHUNK_SHIFT))?.frames[(frame & (CHUNK_FRAMES - 1)) as usize]
-            .as_ref()
+    fn chunk_of(&self, frame: u64) -> Option<&Chunk> {
+        self.chunks.get(&(frame >> CHUNK_SHIFT))
     }
 
     /// Fully materialized backing bytes of `frame`, allocated (zeroed)
     /// on first touch; word-entry backing is promoted to a page.
     fn frame_bytes_mut(&mut self, frame: u64) -> &mut Box<[u8]> {
-        let chunk = self
-            .chunks
-            .entry(frame >> CHUNK_SHIFT)
-            .or_insert_with(Chunk::new);
+        let chunk = settled_chunk(&mut self.chunks, frame);
         let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
         match slot {
             None => {
@@ -328,6 +386,7 @@ impl PhysicalMemory {
         let Some(chunk) = self.chunks.get_mut(&(frame.0 >> CHUNK_SHIFT)) else {
             return FrameImage(None);
         };
+        chunk.settle();
         let img = chunk.frames[(frame.0 & (CHUNK_FRAMES - 1)) as usize].take();
         if img.is_some() {
             chunk.backed -= 1;
@@ -350,10 +409,7 @@ impl PhysicalMemory {
             self.take_frame_image(frame);
             return;
         };
-        let chunk = self
-            .chunks
-            .entry(frame.0 >> CHUNK_SHIFT)
-            .or_insert_with(Chunk::new);
+        let chunk = settled_chunk(&mut self.chunks, frame.0);
         let slot = &mut chunk.frames[(frame.0 & (CHUNK_FRAMES - 1)) as usize];
         if slot.replace(backing).is_none() {
             chunk.backed += 1;
@@ -374,9 +430,10 @@ impl PhysicalMemory {
             let frame = addr >> crate::addr::PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let take = usize::min(buf.len() - done, (PAGE_SIZE as usize) - off);
-            match self.frame_backing(frame) {
-                Some(backing) => backing.read_into(off, &mut buf[done..done + take]),
-                None => buf[done..done + take].fill(0),
+            let out = &mut buf[done..done + take];
+            match self.chunk_of(frame) {
+                Some(chunk) => chunk.read_into((frame & (CHUNK_FRAMES - 1)) as usize, off, out),
+                None => out.fill(0),
             }
             done += take;
             addr += take as u64;
@@ -400,7 +457,11 @@ impl PhysicalMemory {
             // memory already reads as zero, so skipping the backing
             // allocation leaves every future read identical while a
             // zero-fill streaming write stays sparse on the host.
-            if src == &ZERO_PAGE[..take] && self.frame_backing(frame).is_none() {
+            if src == &ZERO_PAGE[..take]
+                && self
+                    .chunk_of(frame)
+                    .is_none_or(|c| c.frames[(frame & (CHUNK_FRAMES - 1)) as usize].is_none())
+            {
                 done += take;
                 addr += take as u64;
                 continue;
@@ -426,16 +487,21 @@ impl PhysicalMemory {
         self.write_run_u64(pa, 0, 1, v);
     }
 
-    /// Store `count` words: `first + k` at `pa + k·stride` bytes, in
-    /// order of `k`, little-endian. Leaves exactly the backing (and
-    /// `backed_frames`) that `count` single-word stores leave: a word
-    /// into an otherwise-untouched frame is a sparse word entry, not a
-    /// materialized page, a zero into an unbacked frame allocates
-    /// nothing, and a frame already holding that word is updated in
-    /// place. Each sparse chunk is looked up once for the stretch of
-    /// accesses inside it; a stretch ends where the run leaves the
-    /// chunk, reaches the end of memory, or has a word cross a frame
-    /// edge.
+    /// Store `count` words: `first + k` (wrapping) at `pa + k·stride`
+    /// bytes, in order of `k`, little-endian. Leaves exactly the
+    /// backing (and `backed_frames`) that `count` single-word stores
+    /// leave: a word into an otherwise-untouched frame is a sparse word
+    /// entry, not a materialized page, a zero into an unbacked frame
+    /// allocates nothing, and a frame already holding that word is
+    /// updated in place. Each sparse chunk is looked up once for the
+    /// stretch of accesses inside it; a stretch ends where the run
+    /// leaves the chunk, reaches the end of memory, or has a word cross
+    /// a frame edge.
+    ///
+    /// A stretch with stride `+PAGE_SIZE` that covers all 64 frames of
+    /// a chunk whose frames are all backed, with no zero among its
+    /// values, becomes the chunk's column in O(1) (see the module
+    /// docs); any other stretch settles the chunk's column first.
     ///
     /// # Panics
     /// Panics at the first word that extends past the end of physical
@@ -452,18 +518,35 @@ impl PhysicalMemory {
                 None
             };
             let Some(chunk) = chunk else {
-                self.write_word_outside_chunks(addr, first + k);
+                self.write_word_outside_chunks(addr, first.wrapping_add(k));
                 k += 1;
                 continue;
             };
+            let chunk_base = addr.0 & !(CHUNK_BYTES - 1);
+            let mut off = addr.0 - chunk_base;
+            // One word in every frame of a full chunk, none of them zero:
+            // the chunk's column.
+            let v0 = first.wrapping_add(k);
+            if stride == PAGE_SIZE as i64
+                && off < PAGE_SIZE
+                && count - k >= CHUNK_FRAMES
+                && chunk.backed == CHUNK_FRAMES as u32
+                && v0.wrapping_neg() >= CHUNK_FRAMES
+            {
+                if chunk.column.is_some_and(|(o, _)| u64::from(o) != off) {
+                    chunk.settle();
+                }
+                chunk.column = Some((off as u16, v0));
+                k += CHUNK_FRAMES;
+                continue;
+            }
+            chunk.settle();
             // The stretch: this word, then each next one that stays in
             // this chunk, below the end of memory and inside one frame.
             // An offset that wraps below zero fails the `last` bound.
-            let chunk_base = addr.0 & !(CHUNK_BYTES - 1);
             let last = (end - chunk_base).min(CHUNK_BYTES) - 8;
-            let mut off = addr.0 - chunk_base;
             loop {
-                if chunk.store(off, first + k) {
+                if chunk.store(off, first.wrapping_add(k)) {
                     self.backed += 1;
                 }
                 k += 1;
@@ -477,7 +560,7 @@ impl PhysicalMemory {
 
     /// A word that no chunk stretch stores: one that crosses a frame
     /// edge, lies past the end of memory (a panic), or goes to a frame
-    /// whose chunk holds no backing yet.
+    /// whose chunk holds no backing yet (and so no column).
     #[cold]
     #[inline(never)]
     fn write_word_outside_chunks(&mut self, pa: PhysAddr, v: u64) {
@@ -500,8 +583,9 @@ impl PhysicalMemory {
 
     /// Zero `frames` whole frames starting at `start`. Implemented by
     /// dropping backing (sparse zero) a chunk at a time, so it is cheap
-    /// on the host; the *simulated* cost is charged by the caller's
-    /// zeroing policy.
+    /// on the host: a whole chunk goes with its column, part of one
+    /// settles the column first. The *simulated* cost is charged by the
+    /// caller's zeroing policy.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
@@ -513,7 +597,12 @@ impl PhysicalMemory {
             let chunk_no = f >> CHUNK_SHIFT;
             let base = chunk_no << CHUNK_SHIFT;
             let stop = end.min(base + CHUNK_FRAMES);
-            if let Some(chunk) = self.chunks.get_mut(&chunk_no) {
+            if stop - f == CHUNK_FRAMES {
+                if let Some(chunk) = self.chunks.remove(&chunk_no) {
+                    self.backed -= chunk.backed as usize;
+                }
+            } else if let Some(chunk) = self.chunks.get_mut(&chunk_no) {
+                chunk.settle();
                 for slot in &mut chunk.frames[(f - base) as usize..(stop - base) as usize] {
                     if slot.take().is_some() {
                         chunk.backed -= 1;
@@ -532,7 +621,14 @@ impl PhysicalMemory {
     /// policies and persistence tests).
     pub fn frame_is_zero(&self, frame: FrameNo) -> bool {
         assert!(self.contains(frame), "frame out of range");
-        match self.frame_backing(frame.0) {
+        let Some(chunk) = self.chunk_of(frame.0) else {
+            return true;
+        };
+        if chunk.column.is_some() {
+            // A column word is never zero.
+            return false;
+        }
+        match &chunk.frames[(frame.0 & (CHUNK_FRAMES - 1)) as usize] {
             None => true,
             Some(FrameBacking::Words(n, words)) => {
                 words[..*n as usize].iter().all(|&(_, v)| v == 0)
@@ -542,6 +638,7 @@ impl PhysicalMemory {
     }
 
     /// Simulate a power failure: DRAM contents are lost, NVM survives.
+    /// A chunk that straddles the tiers settles its column first.
     pub fn crash(&mut self) {
         let dram = self.dram_frames;
         let mut dropped = 0usize;
@@ -554,6 +651,7 @@ impl PhysicalMemory {
             }
             if base < dram {
                 // Straddles the tier boundary: lose the DRAM part.
+                chunk.settle();
                 for slot in &mut chunk.frames[..(dram - base) as usize] {
                     if slot.take().is_some() {
                         chunk.backed -= 1;
@@ -666,10 +764,21 @@ mod tests {
     /// A backed frame's word entries, or its page bytes.
     type Contents = Result<Vec<(u16, u64)>, Box<[u8]>>;
 
-    /// Every backed frame, in frame order: its word entries or its
-    /// page bytes. Also checks each chunk's count and that no chunk is
-    /// empty.
+    /// Every backed frame, in frame order, with its column settled: its
+    /// word entries or its page bytes. Also checks each chunk's count,
+    /// that no chunk is empty and that a column covers a full chunk.
     fn backing(m: &PhysicalMemory) -> Vec<(u64, Contents)> {
+        let mut m = copy(m);
+        for chunk in m.chunks.values_mut() {
+            if let Some((_, first)) = chunk.column {
+                assert_eq!(
+                    chunk.backed as u64, CHUNK_FRAMES,
+                    "column on a partial chunk"
+                );
+                assert!(first.wrapping_neg() >= CHUNK_FRAMES, "column holds a zero");
+            }
+            chunk.settle();
+        }
         let mut out = Vec::new();
         let mut chunk_nos: Vec<u64> = m.chunks.keys().copied().collect();
         chunk_nos.sort_unstable();
@@ -727,8 +836,8 @@ mod tests {
         run.write_run_u64(PhysAddr(pa), stride, count, first);
         for k in 0..count {
             let a = PhysAddr(pa.wrapping_add_signed(stride * k as i64));
-            per_word.write_u64(a, first + k);
-            per_byte.write(a, &(first + k).to_le_bytes());
+            per_word.write_u64(a, first.wrapping_add(k));
+            per_byte.write(a, &first.wrapping_add(k).to_le_bytes());
         }
         let what = format!("run at {pa:#x} stride {stride} x {count} from {first}");
         assert_eq!(backing(&run), backing(&per_word), "{what}");
@@ -754,8 +863,15 @@ mod tests {
                     Some(FrameBacking::Words(n, w)) => Some(FrameBacking::Words(*n, *w)),
                     Some(FrameBacking::Full(b)) => Some(FrameBacking::Full(b.clone())),
                 }));
-                let backed = c.backed;
-                (no, Chunk { frames, backed })
+                let (backed, column) = (c.backed, c.column);
+                (
+                    no,
+                    Chunk {
+                        frames,
+                        backed,
+                        column,
+                    },
+                )
             })
             .collect();
         PhysicalMemory { chunks, ..*m }
@@ -922,6 +1038,142 @@ mod tests {
                 "zero {start}+{frames}"
             );
         }
+    }
+
+    /// Column runs against word-by-word stores: random ops on two
+    /// memories, one storing page-stride runs through `write_run_u64`
+    /// (so full chunks take columns) and one a word at a time. The
+    /// DRAM/NVM edge at frame 100 splits the second of four chunks.
+    /// After every op both read the same bytes, back the same frames
+    /// and agree on which frames are zero; at the end their settled
+    /// backing is the same.
+    #[test]
+    fn column_runs_match_word_by_word_stores() {
+        let (dram, nvm) = (100, 156);
+        let frames = dram + nvm;
+        let mut run = PhysicalMemory::new(dram * PAGE_SIZE, nvm * PAGE_SIZE);
+        let mut per_word = PhysicalMemory::new(dram * PAGE_SIZE, nvm * PAGE_SIZE);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut columns = 0;
+        for op in 0..1500 {
+            let what = match next(20) {
+                // Page-stride runs over one or more whole chunks, mostly
+                // at a few offsets, so columns form and are replaced.
+                0..=9 => {
+                    let chunk = next(frames / CHUNK_FRAMES);
+                    let off = match next(4) {
+                        0 => 0,
+                        1 => 24,
+                        2 => PAGE_SIZE - 8,
+                        _ => next(PAGE_SIZE - 7),
+                    };
+                    let pa = chunk * CHUNK_BYTES + off;
+                    let reach = frames - chunk * CHUNK_FRAMES;
+                    let count = match next(3) {
+                        0 => CHUNK_FRAMES,
+                        1 => reach,
+                        _ => 1 + next(reach),
+                    };
+                    // Some runs hold a zero, some wrap past `u64::MAX`.
+                    let first = match next(6) {
+                        0 => 0u64.wrapping_sub(next(80)),
+                        1 => u64::MAX - 70 + next(8),
+                        _ => 1 + next(1 << 30),
+                    };
+                    let before = run.chunks.values().filter(|c| c.column.is_some()).count();
+                    run.write_run_u64(PhysAddr(pa), PAGE_SIZE as i64, count, first);
+                    for k in 0..count {
+                        per_word.write_u64(PhysAddr(pa + k * PAGE_SIZE), first.wrapping_add(k));
+                    }
+                    let after = run.chunks.values().filter(|c| c.column.is_some()).count();
+                    columns += usize::from(after > before);
+                    format!("run at {pa:#x} x {count} from {first:#x}")
+                }
+                // A single word, possibly across a frame edge.
+                10 | 11 => {
+                    let pa = next(frames * PAGE_SIZE - 8);
+                    let v = if next(4) == 0 { 0 } else { next(1 << 40) };
+                    run.write_u64(PhysAddr(pa), v);
+                    per_word.write_u64(PhysAddr(pa), v);
+                    format!("word {v:#x} at {pa:#x}")
+                }
+                // A few bytes.
+                12 => {
+                    let pa = next(frames * PAGE_SIZE - 16);
+                    let data: Vec<u8> = (0..1 + next(15)).map(|_| next(256) as u8).collect();
+                    run.write(PhysAddr(pa), &data);
+                    per_word.write(PhysAddr(pa), &data);
+                    format!("{} bytes at {pa:#x}", data.len())
+                }
+                // Zeroing: part of a chunk, or whole chunks.
+                13 | 14 => {
+                    let (start, n) = if next(2) == 0 {
+                        let start = next(frames);
+                        (start, 1 + next((frames - start).min(70)))
+                    } else {
+                        let c = next(frames / CHUNK_FRAMES);
+                        (
+                            c * CHUNK_FRAMES,
+                            CHUNK_FRAMES * (1 + next(frames / CHUNK_FRAMES - c)),
+                        )
+                    };
+                    let n = n.min(frames - start);
+                    run.zero_frames(FrameNo(start), n);
+                    per_word.zero_frames(FrameNo(start), n);
+                    format!("zero {start}+{n}")
+                }
+                // A frame image moved to another frame, or dropped.
+                15 | 16 => {
+                    let (from, to) = (FrameNo(next(frames)), FrameNo(next(frames)));
+                    let (a, b) = (run.take_frame_image(from), per_word.take_frame_image(from));
+                    assert_eq!(a.to_page(), b.to_page(), "op {op}: image of {from:?}");
+                    if next(3) > 0 {
+                        run.put_frame_image(to, a);
+                        per_word.put_frame_image(to, b);
+                    }
+                    format!("image {from:?} -> {to:?}")
+                }
+                17 => {
+                    run.crash();
+                    per_word.crash();
+                    "crash".to_string()
+                }
+                // A whole-page write backs every frame of a chunk.
+                _ => {
+                    let chunk = next(frames / CHUNK_FRAMES);
+                    let page = [1 + next(255) as u8; PAGE_SIZE as usize];
+                    for f in 0..CHUNK_FRAMES {
+                        let pa = PhysAddr((chunk * CHUNK_FRAMES + f) * PAGE_SIZE);
+                        run.write(pa, &page);
+                        per_word.write(pa, &page);
+                    }
+                    format!("fill chunk {chunk}")
+                }
+            };
+            let what = format!("op {op}: {what}");
+            assert_eq!(run.backed_frames(), per_word.backed_frames(), "{what}");
+            let end = frames * PAGE_SIZE;
+            assert!(
+                bytes(&run, 0, end) == bytes(&per_word, 0, end),
+                "{what}: bytes differ"
+            );
+            for f in 0..frames {
+                assert_eq!(
+                    run.frame_is_zero(FrameNo(f)),
+                    per_word.frame_is_zero(FrameNo(f)),
+                    "{what}: frame {f}"
+                );
+            }
+        }
+        assert!(columns > 50, "only {columns} runs formed a column");
+        assert!(per_word.chunks.values().all(|c| c.column.is_none()));
+        assert_eq!(backing(&run), backing(&per_word));
     }
 
     #[test]

@@ -129,14 +129,14 @@ pub trait MemSys {
     fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError>;
 
     /// Drive `len` accesses at `va, va+stride, …` (byte stride): at
-    /// access `k`, a [`store`](Self::store) of `first_value + k` when
-    /// `write`, else a [`load`](Self::load). This per-access loop is
-    /// the *semantics of record*; kernels override it with the
-    /// run-compressed fast-forward engine, which is proven to produce
-    /// identical charges, counters and data. How many accesses that
-    /// engine fuses, and with them the gauge-timeline sample points,
-    /// depends on where it tries its provers; the simulated results
-    /// do not.
+    /// access `k`, a [`store`](Self::store) of `first_value + k`
+    /// (wrapping) when `write`, else a [`load`](Self::load). This
+    /// per-access loop is the *semantics of record*; kernels override
+    /// it with the run-compressed fast-forward engine, which is proven
+    /// to produce identical charges, counters and data. How many
+    /// accesses that engine fuses, and with them the gauge-timeline
+    /// sample points, depends on where it tries its provers; the
+    /// simulated results do not.
     fn access_span(
         &mut self,
         pid: Pid,
@@ -149,7 +149,7 @@ pub trait MemSys {
         for k in 0..len {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
             if write {
-                self.store(pid, a, first_value + k)?;
+                self.store(pid, a, first_value.wrapping_add(k))?;
             } else {
                 self.load(pid, a)?;
             }
@@ -179,7 +179,7 @@ pub trait MemSys {
             let va = r.start(base).ok_or(VmError::BadAddress)?;
             let stride = r.stride.wrapping_mul(PAGE_SIZE as i64);
             self.access_span(pid, va, stride, r.len, write, value)?;
-            value += r.len;
+            value = value.wrapping_add(r.len);
         }
         Ok(value)
     }

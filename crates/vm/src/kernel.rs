@@ -1565,7 +1565,7 @@ impl BaselineKernel {
                 tlb.insert(asid, a, frame, PageSize::Base, walk_flags);
                 if write {
                     let pa = PhysAddr(frame.base().0 + (a.0 & (PAGE_SIZE - 1)));
-                    m.phys.write_u64(pa, first_value + idx);
+                    m.phys.write_u64(pa, first_value.wrapping_add(idx));
                 }
                 if traced {
                     let key = (splits, nodes);

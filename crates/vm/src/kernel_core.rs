@@ -164,16 +164,16 @@ pub trait KernelHooks {
 
     /// Translate `va`, handling whatever faults the design has, as
     /// the first of a run of `len ≥ 1` accesses by byte `stride`, the
-    /// `k`-th of which stores `first_value + k` when `access` writes;
-    /// `rest` holds the runs that follow in the batch, page-indexed
-    /// from `base`. Returns either a translation of the leading
-    /// accesses (`Mmu::translate`'s hit span, which may run on into
-    /// `rest`; 1 whenever it walked, filled or faulted), whose memory
-    /// half the caller owes, or a fault run the kernel performed
-    /// whole: when the first access of a run of two or more misses
-    /// every translation, the baseline proves that the following
-    /// accesses of the run demand-fault fresh pages too and installs,
-    /// charges, stores and records them all at once.
+    /// `k`-th of which stores `first_value + k` (wrapping) when
+    /// `access` writes; `rest` holds the runs that follow in the
+    /// batch, page-indexed from `base`. Returns either a translation
+    /// of the leading accesses (`Mmu::translate`'s hit span, which may
+    /// run on into `rest`; 1 whenever it walked, filled or faulted),
+    /// whose memory half the caller owes, or a fault run the kernel
+    /// performed whole: when the first access of a run of two or more
+    /// misses every translation, the baseline proves that the
+    /// following accesses of the run demand-fault fresh pages too and
+    /// installs, charges, stores and records them all at once.
     #[allow(clippy::too_many_arguments)]
     fn resolve(
         &mut self,
@@ -338,12 +338,12 @@ fn run_loop<K: KernelHooks>(
                 bulk_memory(m, pa, stride, here, write, value);
                 // The covered following runs, each at its offset from
                 // `va` through the one entry.
-                let mut v = value + here;
-                while v < value + span {
+                let mut covered = here;
+                while covered < span {
                     let (at, s, n) = next_run(&mut rest, base)?.expect("a span covers whole runs");
                     let pa_run = PhysAddr(pa.0.wrapping_add(at.0.wrapping_sub(va.0)));
-                    bulk_memory(m, pa_run, s, n, write, v);
-                    v += n;
+                    bulk_memory(m, pa_run, s, n, write, value.wrapping_add(covered));
+                    covered += n;
                 }
                 if span >= 2 {
                     // Every access in the span hit: `span` AccessHit
@@ -357,7 +357,7 @@ fn run_loop<K: KernelHooks>(
             }
         };
         va = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(here as i64)));
-        (len, value) = (len - here, value + span);
+        (len, value) = (len - here, value.wrapping_add(span));
     }
 }
 

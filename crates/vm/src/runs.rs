@@ -19,8 +19,8 @@ use o1_hw::{CostKind, Machine, MemTier, PhysAddr};
 /// at physical address `pa` with byte stride `stride`: bump the
 /// load/store counter by `span`, charge `span ×` the tier's per-access
 /// cost (the run is tier-uniform by the MMU's proof), and for writes
-/// store the same values the interpreter would (`first_value + k` at
-/// access `k`). Loads have no side effects, so their data reads are
+/// store the same values the interpreter would (`first_value + k`,
+/// wrapping, at access `k`). Loads have no side effects, so their data reads are
 /// skipped entirely — that is the O(1) half of the fast-forward.
 pub fn bulk_memory(
     m: &mut Machine,

@@ -3,6 +3,7 @@
 # alternating pairs.
 #
 #   scripts/hostbench_pairs.sh OLD NEW WORKLOAD FIRST_SEED PAIRS [TRACE]
+#   scripts/hostbench_pairs.sh OLD NEW all FIRST_SEED PAIRS [TRACE]
 #
 # OLD and NEW are built `o1mem-hostbench` binaries (for example the
 # parent commit's and this tree's `hostbench/target/release/
@@ -22,6 +23,12 @@
 # otherwise `ok`. Per-layer metrics print "-".
 # It exits 1 if a run fails, reports `"correct": false`, or prints any
 # `# digest` line that differs from the other side's for the same seed.
+#
+# With `all` in place of a workload it runs `fleet`, `sweep` and
+# `scatter` in turn, on seeds FIRST_SEED, FIRST_SEED+100 and
+# FIRST_SEED+200 on, printing each one's table, and ends with one line
+# per workload naming every end-to-end metric whose verdict is not
+# `ok`. It then exits 1 if any such metric was named.
 set -eu
 
 usage() {
@@ -42,6 +49,30 @@ esac
 root="$(cd "$(dirname "$0")/.." && pwd)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+
+if [ "$workload" = all ]; then
+    seed=$seed0
+    for w in fleet sweep scatter; do
+        "$0" "$old" "$new" "$w" "$seed" "$pairs" "$trace" >"$out/$w" || exit 1
+        cat "$out/$w"
+        echo
+        seed=$((seed + 100))
+    done
+    status=0
+    for w in fleet sweep scatter; do
+        # Table rows end in their verdict; `-` marks a per-layer metric.
+        bad="$(awk 'NF > 0 && $1 != "metric" && $1 != "workload" && $NF != "ok" && $NF != "-" {
+            printf "%s%s (%s)", sep, $1, $NF; sep = ", "
+        }' "$out/$w")"
+        if [ -n "$bad" ]; then
+            echo "$w: not ok: $bad"
+            status=1
+        else
+            echo "$w: every end-to-end verdict ok"
+        fi
+    done
+    exit "$status"
+fi
 
 fail() {
     echo "$0: $*" >&2

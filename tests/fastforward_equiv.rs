@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::hw::ObsMode;
-use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, Pid, ThpMode};
+use o1mem::hw::{DmaEngine, ObsMode};
+use o1mem::memfs::FileClass;
+use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, Pid, Prot, ThpMode};
 use o1mem::workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm,
 };
@@ -65,6 +66,12 @@ fn assert_equivalent(
     b.machine_mut().set_fastforward(false);
     drive(a.as_mut());
     drive(b.as_mut());
+    assert_same_universe(a.as_mut(), b.as_mut(), what);
+}
+
+/// Assert that two driven kernels have the same clock, perf counters,
+/// ledger rows, phase timeline and latency histograms.
+fn assert_same_universe(a: &mut dyn MemSys, b: &mut dyn MemSys, what: &str) {
     assert_eq!(a.stats(), b.stats(), "{what}: clock + perf counters");
     let ra = a.machine_mut().take_trace().expect("ledger on");
     let rb = b.machine_mut().take_trace().expect("ledger on");
@@ -744,4 +751,174 @@ fn sweep_and_scatter_store_batches_match_the_interpreter() {
             }
         }
     }
+}
+
+/// Store values wrap past `u64::MAX`, as the interpreter's do: a
+/// four-access run from `MAX - 1` stores `MAX - 1, MAX, 0, 1` and
+/// returns the counter 2, on a populated region and through the
+/// baseline's fault run, on every kernel with and without
+/// fast-forward.
+#[test]
+fn store_values_wrap_past_u64_max() {
+    for populate in [true, false] {
+        for (name, (a, b)) in all_kernel_pairs() {
+            let what = format!("{name} populate={populate}");
+            assert_equivalent(a, b, &what, &|sys: &mut dyn MemSys| {
+                let pid = sys.create_process().unwrap();
+                let va = sys.alloc(pid, 8 * PAGE_SIZE, populate).unwrap();
+                let run = AccessRun {
+                    start_page: 0,
+                    stride: 1,
+                    len: 4,
+                };
+                let end = sys.access_runs(pid, va, &[run], true, u64::MAX - 1);
+                assert_eq!(end, Ok(2), "{what}: counter");
+                sys.access_span(pid, va + 8, 8, 4, true, u64::MAX - 1)
+                    .unwrap();
+                let words: Vec<u64> = (0..4)
+                    .map(|p| sys.load(pid, va + p * PAGE_SIZE).unwrap())
+                    .collect();
+                assert_eq!(words, [u64::MAX - 1, u64::MAX, 0, 1], "{what}: pages");
+                let words: Vec<u64> = (1..5).map(|w| sys.load(pid, va + 8 * w).unwrap()).collect();
+                assert_eq!(words, [u64::MAX - 1, u64::MAX, 0, 1], "{what}: words");
+                sys.destroy_process(pid).unwrap();
+            });
+        }
+    }
+}
+
+/// Pages of the regions the settle-path tests below store into: 16
+/// full 64-frame chunks when the region is physically contiguous.
+const COLUMN_PAGES: u64 = 1024;
+
+/// Store `sweeps` page-stride passes over `pages` pages at `va + off`,
+/// each with fresh values from `first` on. From the second pass on,
+/// a pass that rewrites every frame of a backed chunk is that chunk's
+/// pending column in physical memory; a pass at another offset
+/// replaces it.
+fn store_sweeps(sys: &mut dyn MemSys, pid: Pid, va: VirtAddr, off: u64, sweeps: u64, first: u64) {
+    let pass = AccessRun {
+        start_page: 0,
+        stride: 1,
+        len: COLUMN_PAGES,
+    };
+    for s in 0..sweeps {
+        let end = sys
+            .access_runs(pid, va + off, &[pass], true, first + s * COLUMN_PAGES)
+            .unwrap();
+        assert_eq!(end, first + (s + 1) * COLUMN_PAGES);
+    }
+}
+
+/// The word at each of `offsets` in every page of the region at `va`.
+fn read_back(sys: &mut dyn MemSys, pid: Pid, va: VirtAddr, offsets: &[u64]) -> Vec<u64> {
+    (0..COLUMN_PAGES)
+        .flat_map(|p| offsets.iter().map(move |&o| p * PAGE_SIZE + o))
+        .map(|at| sys.load(pid, va + at).unwrap())
+        .collect()
+}
+
+/// Drive a fast-forwarding kernel and its interpreting twin; assert
+/// they read back the same words and keep the same ledgers.
+fn assert_twins<K: MemSys>(mut a: K, mut b: K, what: &str, drive: &dyn Fn(&mut K) -> Vec<u64>) {
+    assert!(a.machine().fastforward(), "{what}: default is on");
+    b.machine_mut().set_fastforward(false);
+    let (wa, wb) = (drive(&mut a), drive(&mut b));
+    assert!(wa == wb, "{what}: read-back words differ");
+    assert_eq!(
+        a.machine().phys.backed_frames(),
+        b.machine().phys.backed_frames(),
+        "{what}: backed frames"
+    );
+    assert_same_universe(&mut a, &mut b, what);
+}
+
+/// A persistent file on NVM takes repeated store sweeps, at one offset
+/// and then another, so pending columns form and are replaced; a DMA
+/// transfer and a byte write go through chunks that hold a column;
+/// then a crash keeps the file and recovery maps it again. Every page
+/// reads back alike with fast-forward on and off.
+#[test]
+fn column_stores_survive_dma_writes_and_crashes_on_fom() {
+    for mech in [MapMech::Ranges, MapMech::PageTables] {
+        let mk = || {
+            FomKernel::builder()
+                .dram(64 << 20)
+                .nvm(256 << 20)
+                .mech(mech)
+                .obs(ObsMode::On)
+                .build()
+        };
+        let what = format!("fom-{mech:?}");
+        assert_twins(mk(), mk(), &what, &|k: &mut FomKernel| {
+            let pid = k.create_process().unwrap();
+            let (_, va) = k
+                .create_named(pid, "/db", COLUMN_PAGES * PAGE_SIZE, FileClass::Persistent)
+                .unwrap();
+            store_sweeps(k, pid, va, 0, 3, 1);
+            let mut dma = DmaEngine::new();
+            let pages = k
+                .dma_transfer(pid, va, COLUMN_PAGES * PAGE_SIZE, &mut dma)
+                .unwrap();
+            assert_eq!(pages, COLUMN_PAGES, "{what}: DMA pages");
+            store_sweeps(k, pid, va, 24, 2, 1 << 40);
+            // Bytes across a frame edge inside the region.
+            k.write_bytes(pid, va + 100 * PAGE_SIZE - 4, &[0xa5; 12])
+                .unwrap();
+            store_sweeps(k, pid, va, 24, 1, 7 << 40);
+            let mut words = read_back(k, pid, va, &[0, 24, PAGE_SIZE - 8]);
+            k.crash_and_recover();
+            let pid = k.create_process().unwrap();
+            let (_, va) = k.open_map(pid, "/db", Prot::ReadWrite).unwrap();
+            let after = read_back(k, pid, va, &[0, 24, PAGE_SIZE - 8]);
+            assert!(after == words, "{what}: the crash lost file data");
+            store_sweeps(k, pid, va, 0, 2, 9 << 40);
+            words.extend(read_back(k, pid, va, &[0, 24]));
+            words
+        });
+    }
+}
+
+/// A baseline under reclaim pressure swaps out frames of chunks that
+/// hold a pending column and faults them back in; a DMA transfer runs
+/// over the region first. The columns form on 2 MiB pages, whose hit
+/// spans cover whole chunks; splitting the leaves into base pages over
+/// the same frames puts those frames on the reclaim lists. Every page
+/// reads back alike with fast-forward on and off.
+#[test]
+fn column_stores_survive_swap_and_dma_on_the_baseline() {
+    let mk = || {
+        BaselineKernel::builder()
+            .dram(8 << 20)
+            .thp(ThpMode::Aligned2M)
+            .swap(true)
+            .obs(ObsMode::On)
+            .build()
+    };
+    assert_twins(mk(), mk(), "baseline swap", &|k: &mut BaselineKernel| {
+        let pid = k.create_process().unwrap();
+        let va = k.alloc(pid, COLUMN_PAGES * PAGE_SIZE, true).unwrap();
+        store_sweeps(k, pid, va, 0, 3, 1);
+        let mut dma = DmaEngine::new();
+        k.dma_transfer(pid, va, COLUMN_PAGES * PAGE_SIZE, &mut dma)
+            .unwrap();
+        for leaf in [0, 512] {
+            k.mprotect(pid, va + (leaf + 1) * PAGE_SIZE, PAGE_SIZE, Prot::ReadWrite)
+                .unwrap();
+        }
+        // A second region twice the first's size pushes the first out
+        // to swap.
+        let pages = 2 * COLUMN_PAGES;
+        let other = k.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+        k.access_span(pid, other + 8, PAGE_SIZE as i64, pages, true, 1 << 40)
+            .unwrap();
+        assert!(
+            k.machine().perf.pages_swapped_out > 0,
+            "pressure forced swap"
+        );
+        let words = read_back(k, pid, va, &[0, 8]);
+        assert!(k.machine().perf.pages_swapped_in > 0, "pages came back");
+        store_sweeps(k, pid, va, 0, 2, 1 << 41);
+        [words, read_back(k, pid, va, &[0])].concat()
+    });
 }
