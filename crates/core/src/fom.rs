@@ -950,7 +950,7 @@ impl KernelHooks for FomKernel {
             mech.translate(&mut ctx, pid, va, stride, len, base, rest, access)
         };
         match result {
-            Ok((pa, span)) => Ok(Resolved::Translated { pa, span }),
+            Ok((pa, span, fill_hit)) => Ok(Resolved::Translated { pa, span, fill_hit }),
             Err(TranslateError::NotMapped) => {
                 self.core.machine.perf.prot_faults += 1;
                 Err(VmError::BadAddress)

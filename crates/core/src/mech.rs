@@ -30,8 +30,8 @@
 
 use o1_hw::{
     Access, AccessRun, Asid, ClearedLeaves, CostKind, FastMap, FastRegion, FrameNo, PageSize,
-    PhysAddr, PtNodeId, PteFlags, RangeEntry, Satisfied, TranslateError, VirtAddr, HUGE_2M,
-    PAGE_SHIFT, PAGE_SIZE,
+    PhysAddr, PtNodeId, PteFlags, RangeEntry, Satisfied, TranslateError, Translated, VirtAddr,
+    HUGE_2M, PAGE_SHIFT, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileExtent, FileId};
 use o1_palloc::PhysExtent;
@@ -210,7 +210,8 @@ impl Mechanism {
     /// Translate the first access of a run of `len ≥ 1` by byte
     /// `stride`, followed in its batch by `rest` (page-indexed from
     /// `base`), charging hardware costs, and return its physical
-    /// address and the span of accesses the translation covered (see
+    /// address, the span of accesses the translation covered and, when
+    /// it walked, the hit kind of the span's other accesses (see
     /// [`o1_hw::Mmu::translate`]). The kernel has already verified
     /// `pid` exists.
     #[allow(clippy::too_many_arguments)]
@@ -224,23 +225,26 @@ impl Mechanism {
         base: VirtAddr,
         rest: &[AccessRun],
         access: Access,
-    ) -> Result<(PhysAddr, u64), TranslateError> {
-        match self {
+    ) -> Result<(PhysAddr, u64, Option<CostKind>), TranslateError> {
+        let (t, span) = match self {
             // The fast region takes part in every translation, so a
             // TLB-only span would charge differently than one access
             // at a time: Utopia always covers 1.
-            Mechanism::Utopia(fast) => Ok((utopia_translate(fast, ctx, pid, va, access)?, 1)),
-            Mechanism::Obase(o) => {
-                let (pa, span) = translate_default(ctx, pid, va, stride, len, base, rest, access)?;
-                // A span stays inside one base page (extents map
-                // 4 KiB-grained), also when it crosses runs, so its
-                // heat lands on one record — exactly what `span`
-                // single accesses would do.
-                o.note(pa, span);
-                Ok((pa, span))
+            Mechanism::Utopia(fast) => {
+                return Ok((utopia_translate(fast, ctx, pid, va, access)?, 1, None))
             }
-            _ => translate_default(ctx, pid, va, stride, len, base, rest, access),
-        }
+            Mechanism::Obase(o) => {
+                let (t, span) = translate_default(ctx, pid, va, stride, len, base, rest, access)?;
+                // A span stays inside one base page (extents map
+                // 4 KiB-grained), also when it crosses runs or follows
+                // a walk, so its heat lands on one record — exactly
+                // what `span` single accesses would do.
+                o.note(t.pa, span);
+                (t, span)
+            }
+            _ => translate_default(ctx, pid, va, stride, len, base, rest, access)?,
+        };
+        Ok((t.pa, span, t.by.fill_hit()))
     }
 
     /// Called after every ASID shootdown the kernel issues (unmap,
@@ -398,23 +402,21 @@ fn translate_default(
     base: VirtAddr,
     rest: &[AccessRun],
     access: Access,
-) -> Result<(PhysAddr, u64), TranslateError> {
+) -> Result<(Translated, u64), TranslateError> {
     let proc = ctx.procs.get(pid).expect("kernel verified the pid");
-    ctx.mmu
-        .translate(
-            ctx.machine,
-            ctx.pt,
-            proc.root,
-            &proc.ranges,
-            proc.asid,
-            va,
-            stride,
-            len,
-            base,
-            rest,
-            access,
-        )
-        .map(|(t, span)| (t.pa, span))
+    ctx.mmu.translate(
+        ctx.machine,
+        ctx.pt,
+        proc.root,
+        &proc.ranges,
+        proc.asid,
+        va,
+        stride,
+        len,
+        base,
+        rest,
+        access,
+    )
 }
 
 /// Default teardown: ranges are removed and invalidated, shared

@@ -64,6 +64,21 @@ pub enum Satisfied {
     PageWalk,
 }
 
+impl Satisfied {
+    /// The hit each access after the first of a span is charged when
+    /// the translation walked and filled an entry ([`Mmu::translate`]),
+    /// so the first access's latency differs from theirs: a range-TLB
+    /// hit after a range walk, a page-TLB hit after a page walk. `None`
+    /// for a TLB hit, whose span is uniform.
+    pub fn fill_hit(self) -> Option<CostKind> {
+        match self {
+            Satisfied::RangeWalk => Some(CostKind::RtlbHit),
+            Satisfied::PageWalk => Some(CostKind::TlbHit),
+            Satisfied::RangeTlb | Satisfied::PageTlb => None,
+        }
+    }
+}
+
 /// A successful translation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Translated {
@@ -402,10 +417,21 @@ impl Mmu {
     /// cover each following whole run that lies inside the entry,
     /// stopping at the first that does not, so `span` may exceed
     /// `len`. The second access is tested against the entry first, so
-    /// a hit whose run leaves the entry costs one compare. A walk, a
-    /// fill, a fault or a lone access outside the entry covers 1. The
-    /// caller owes the memory half of every covered access: the entry
-    /// maps VA to PA in order, so a covered access at `a` lands at
+    /// a hit whose run leaves the entry costs one compare.
+    ///
+    /// A walk that fills an entry covers the same hit span after it:
+    /// the accesses that follow inside the new entry are the hits an
+    /// access-by-access loop makes on it, charged through the same
+    /// code as above (`span − 1` hits). The entry is already the
+    /// newest, so no LRU refresh is owed, and the walk has set A/D.
+    /// The walk's span starts only when the current run has at least
+    /// three accesses and its second lies inside the entry, tested
+    /// inline before the span is measured. Its first access paid the
+    /// walk and the fill, which its hits do not share
+    /// ([`Satisfied::fill_hit`] names their kind). A fault, a failed
+    /// walk or a lone access outside the entry covers 1. The caller
+    /// owes the memory half of every covered access: the entry maps
+    /// VA to PA in order, so a covered access at `a` lands at
     /// `pa + (a − va)`.
     ///
     /// No broadcast can land between the covered accesses: this call
@@ -446,13 +472,11 @@ impl Mmu {
                     }
                     Err(_) => 1,
                 };
-                m.perf.rtlb_hits += span;
-                m.charge_opn(CostKind::RtlbHit, span);
+                self.charge_hits(m, CostKind::RtlbHit, span);
                 allowed?;
                 let by = Satisfied::RangeTlb;
                 return Ok((Translated { pa, by }, span));
             }
-            m.perf.rtlb_misses += 1;
         }
 
         // 2. Page TLB.
@@ -467,12 +491,7 @@ impl Mmu {
                 }
                 Err(_) => 1,
             };
-            if self.ranges_enabled {
-                // Each covered access first missed the range TLB.
-                m.perf.rtlb_misses += span - 1;
-            }
-            m.perf.tlb_hits += span;
-            m.charge_opn(CostKind::TlbHit, span);
+            self.charge_hits(m, CostKind::TlbHit, span);
             allowed?;
             // Hardware sets the dirty bit on the first write through a
             // clean TLB entry; modelling that requires a PT update.
@@ -482,30 +501,37 @@ impl Mmu {
             let by = Satisfied::PageTlb;
             return Ok((Translated { pa, by }, span));
         }
+        if self.ranges_enabled {
+            m.perf.rtlb_misses += 1;
+        }
         m.perf.tlb_misses += 1;
 
-        // 3. Range-table walk.
-        if self.ranges_enabled {
+        // 3. Range-table walk, filling the range TLB.
+        let range_fill = if self.ranges_enabled {
             m.charge_kind(CostKind::RangeWalk);
-            if let Some(entry) = ranges.lookup(va).copied() {
+            ranges.lookup(va).copied()
+        } else {
+            None
+        };
+        let (pa, by, entry) = match range_fill {
+            Some(entry) => {
                 check_prot(entry.prot, access)?;
                 m.charge_kind(CostKind::RtlbFill);
                 self.cpus[cur].rtlb.insert(asid, entry);
-                let by = Satisfied::RangeWalk;
-                return Ok((
-                    Translated {
-                        pa: entry.translate(va),
-                        by,
-                    },
-                    1,
-                ));
+                let bounds = entry.base.0..entry.limit.0;
+                (entry.translate(va), Satisfied::RangeWalk, bounds)
             }
-        }
-
-        // 4. Page-table walk (charges native refs; deeper/virtualized
-        // modes charge the extra references on top).
-        match self.cached_walk(m, pt, root, va) {
-            Some((t, frame, slot)) => {
+            // 4. Page-table walk (charges native refs; deeper/virtualized
+            // modes charge the extra references on top), filling the
+            // page TLB.
+            None => {
+                let Some((t, frame, slot)) = self.cached_walk(m, pt, root, va) else {
+                    m.charge_opn(
+                        CostKind::PtwLevelRef,
+                        self.walk_mode.extra_refs(crate::addr::PT_LEVELS),
+                    );
+                    return Err(TranslateError::NotMapped);
+                };
                 m.charge_opn(
                     CostKind::PtwLevelRef,
                     self.walk_mode.extra_refs(t.levels_touched),
@@ -514,22 +540,42 @@ impl Mmu {
                 m.charge_kind(CostKind::TlbFill);
                 self.cpus[cur].tlb.insert(asid, va, frame, t.size, t.flags);
                 pt.mark_slot_accessed(slot.node, slot.index.into(), access == Access::Write);
-                Ok((
-                    Translated {
-                        pa: t.pa,
-                        by: Satisfied::PageWalk,
-                    },
-                    1,
-                ))
+                let region = va.align_down(t.size.bytes()).0;
+                (t.pa, Satisfied::PageWalk, region..region + t.size.bytes())
             }
-            None => {
-                m.charge_opn(
-                    CostKind::PtwLevelRef,
-                    self.walk_mode.extra_refs(crate::addr::PT_LEVELS),
-                );
-                Err(TranslateError::NotMapped)
+        };
+
+        // The hit span on the entry just filled. Most walks start none
+        // (a scattered access, a page-crossing stride), so they are
+        // refused before one is measured, and so are runs of two: on
+        // `hostbench` `scatter` fusing one hit after the walk cost more
+        // host time than the translate it saved.
+        let span = if len >= 3 && entry.contains(&va.0.wrapping_add_signed(stride)) {
+            let span = hit_span(m, va.0, pa, stride, len, base.0, rest, entry);
+            let hit = by.fill_hit().expect("a walk filled the entry");
+            self.charge_hits(m, hit, span - 1);
+            span
+        } else {
+            1
+        };
+        Ok((Translated { pa, by }, span))
+    }
+
+    /// Charge `n` hits of `kind` ([`CostKind::RtlbHit`] or
+    /// [`CostKind::TlbHit`]) with the counters `n` interpreted
+    /// accesses bump: a page-TLB hit first missed the range TLB when
+    /// ranges are on.
+    #[inline]
+    fn charge_hits(&self, m: &mut Machine, kind: CostKind, n: u64) {
+        if kind == CostKind::RtlbHit {
+            m.perf.rtlb_hits += n;
+        } else {
+            if self.ranges_enabled {
+                m.perf.rtlb_misses += n;
             }
+            m.perf.tlb_hits += n;
         }
+        m.charge_opn(kind, n);
     }
 
     /// Hardware page walk through the software page-walk cache.
@@ -1258,7 +1304,7 @@ mod tests {
                 PteFlags::user_rw(),
             )
             .unwrap();
-            // Warm the TLB (a walk covers one access).
+            // Warm the TLB (a one-access walk).
             f.mmu
                 .translate_one(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, Access::Write)
                 .unwrap();
@@ -1376,7 +1422,8 @@ mod tests {
             PteFlags::user_ro(),
         )
         .unwrap();
-        // Cold TLB: the walk covers one access.
+        // Cold TLB: the walk fills the entry, and its span covers the
+        // rest of the in-page run as hits on it.
         let (t, span) = f
             .mmu
             .translate(
@@ -1393,7 +1440,7 @@ mod tests {
                 Access::Read,
             )
             .unwrap();
-        assert_eq!((t.by, span), (Satisfied::PageWalk, 1));
+        assert_eq!((t.by, span), (Satisfied::PageWalk, 10));
         let hit = f.m.cost.unit(CostKind::TlbHit);
         let t0 = f.m.now();
         // Write through a read-only entry: one hit, then the fault.
@@ -1471,9 +1518,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(span, 1);
-        // Every covered access charged one hit: 1 + 2 + 1 + 1.
+        // Every covered access charged one hit: 1 + 2 + 1 + 1, after
+        // the walk's 9.
         assert_eq!(f.m.now().since(t0), 5 * hit);
-        assert_eq!(f.m.perf.tlb_hits, 5);
+        assert_eq!(f.m.perf.tlb_hits, 9 + 5);
     }
 
     /// `f.mmu.translate` of the run `len` from `va` by `stride`,
@@ -1518,7 +1566,7 @@ mod tests {
             f.rt.insert(RangeEntry::new(va, bytes, PhysAddr(pa), flags))
                 .unwrap();
         }
-        // A fill covers 1 whatever follows it.
+        // A fill for a one-access run covers 1 whatever follows it.
         let rest = [run(1, 0, 1), run(2, 0, 1)];
         for va in [base, split, ro] {
             let (t, span) = batch(&mut f, (va, 0, 1), va, &rest, Access::Read).unwrap();
@@ -1602,6 +1650,193 @@ mod tests {
         assert_eq!((t.by, span), (Satisfied::PageTlb, 2 + 1 + 2));
         assert_eq!(f.m.perf.tlb_hits, 5);
         assert_eq!(f.m.now().since(t0), 5 * hit);
+    }
+
+    /// Every address of the run `len` from `va` by `stride`, then of
+    /// each run of `rest` page-indexed from `base`, in order.
+    fn addresses(
+        (va, stride, len): (VirtAddr, i64, u64),
+        base: VirtAddr,
+        rest: &[AccessRun],
+    ) -> Vec<VirtAddr> {
+        let at = |a: VirtAddr, s: i64, k: u64| VirtAddr(a.0.wrapping_add_signed(s * k as i64));
+        let mut out: Vec<VirtAddr> = (0..len).map(|k| at(va, stride, k)).collect();
+        for r in rest {
+            let first = r.start(base).unwrap();
+            out.extend((0..r.len).map(|k| at(first, r.stride * PAGE_SIZE as i64, k)));
+        }
+        out
+    }
+
+    #[test]
+    fn walk_fill_covers_its_hit_span() {
+        const RW: PteFlags = PteFlags::user_rw();
+        // A base page and a 2 MiB page whose upper half lies on NVM
+        // (DRAM ends 1 MiB into it), a read-only page, a 1 MiB range
+        // and a 2 MiB range whose upper half lies on NVM.
+        let (page, huge, ro) = (
+            VirtAddr(0x10_0000),
+            VirtAddr(0x20_0000),
+            VirtAddr(0x60_0000),
+        );
+        let (range, split) = (VirtAddr(0x100_0000), VirtAddr(0x200_0000));
+        let setup = |ranges: bool| {
+            let mut f = fix(ranges);
+            f.m = Machine::with_nvm(3 << 20, 4 << 20);
+            f.root = f.pt.create_root(&mut f.m);
+            for (va, frame, size, flags) in [
+                (page, 77, PageSize::Base, RW),
+                (huge, 512, PageSize::Huge2M, RW),
+                (ro, 78, PageSize::Base, PteFlags::user_ro()),
+            ] {
+                f.pt.map(&mut f.m, f.root, va, FrameNo(frame), size, flags)
+                    .unwrap();
+            }
+            f.rt.insert(RangeEntry::new(range, 1 << 20, PhysAddr(0), RW))
+                .unwrap();
+            f.rt.insert(RangeEntry::new(split, 2 << 20, PhysAddr(2 << 20), RW))
+                .unwrap();
+            f
+        };
+        // Translate the batch cold in one call on one fixture and one
+        // access at a time on its twin; both must charge alike for the
+        // covered accesses, and what the call charged beyond the
+        // span's `fill_hit` hits is the twin's first translation.
+        let check = |ranges: bool,
+                     run: (VirtAddr, i64, u64),
+                     base: VirtAddr,
+                     rest: &[AccessRun],
+                     access: Access,
+                     expect: (Satisfied, u64)| {
+            let (mut ff, mut interp) = (setup(ranges), setup(ranges));
+            let what = format!("{run:?} {rest:?} ranges={ranges} {access:?}");
+            let t0 = ff.m.now();
+            let (t, span) = batch(&mut ff, run, base, rest, access).unwrap();
+            assert_eq!((t.by, span), expect, "{what}");
+            let hit = ff.m.cost.unit(t.by.fill_hit().expect("a walk"));
+            let walk = ff.m.now().since(t0) - (span - 1) * hit;
+            for (k, &va) in addresses(run, base, rest)
+                .iter()
+                .take(span as usize)
+                .enumerate()
+            {
+                let t0 = interp.m.now();
+                let one = interp
+                    .mmu
+                    .translate_one(
+                        &mut interp.m,
+                        &mut interp.pt,
+                        interp.root,
+                        &interp.rt,
+                        A,
+                        va,
+                        access,
+                    )
+                    .unwrap();
+                if k == 0 {
+                    assert_eq!(one.pa, t.pa, "{what}");
+                    assert_eq!(interp.m.now().since(t0), walk, "{what}: the walk's cost");
+                }
+            }
+            assert_eq!(ff.m.now(), interp.m.now(), "{what}: clock");
+            assert_eq!(ff.m.perf, interp.m.perf, "{what}: counters");
+            let (a, b) = (
+                ff.pt.lookup(ff.root, run.0),
+                interp.pt.lookup(interp.root, run.0),
+            );
+            assert_eq!(a.map(|t| t.flags), b.map(|t| t.flags), "{what}: A/D bits");
+            ff.m.perf
+        };
+        let stride = PAGE_SIZE as i64;
+        for ranges in [false, true] {
+            // Page walk: a run inside the base page, then a run on it
+            // in the batch, read and written.
+            for access in [Access::Read, Access::Write] {
+                let perf = check(
+                    ranges,
+                    (page + 8, 8, 10),
+                    page,
+                    &[run(0, 0, 2)],
+                    access,
+                    (Satisfied::PageWalk, 12),
+                );
+                assert_eq!(perf.tlb_hits, 11);
+                // Each covered access first missed the range TLB.
+                assert_eq!(perf.rtlb_misses, if ranges { 12 } else { 0 });
+            }
+            // A page-stride run over the 2 MiB page keeps the prefix
+            // that stays on DRAM, and no following run.
+            check(
+                ranges,
+                (huge, stride, 256),
+                huge,
+                &[run(1, 0, 1)],
+                Access::Read,
+                (Satisfied::PageWalk, 256 + 1),
+            );
+            check(
+                ranges,
+                (huge, stride, 257),
+                huge,
+                &[run(1, 0, 1)],
+                Access::Read,
+                (Satisfied::PageWalk, 1),
+            );
+            check(
+                ranges,
+                (huge, stride, 3),
+                huge,
+                &[run(300, 0, 1)],
+                Access::Write,
+                (Satisfied::PageWalk, 3),
+            );
+            // A second access outside the entry, and a run of one or
+            // two accesses whatever follows it, cover 1.
+            check(
+                ranges,
+                (page, stride, 4),
+                page,
+                &[],
+                Access::Read,
+                (Satisfied::PageWalk, 1),
+            );
+            for len in [1, 2] {
+                check(
+                    ranges,
+                    (page, 0, len),
+                    page,
+                    &[run(0, 0, 3)],
+                    Access::Read,
+                    (Satisfied::PageWalk, 1),
+                );
+            }
+        }
+        // Range walk: a page-stride run covered as range-TLB hits, and
+        // the straddle keeping its DRAM prefix.
+        let perf = check(
+            true,
+            (range, stride, 200),
+            range,
+            &[run(10, 0, 1)],
+            Access::Write,
+            (Satisfied::RangeWalk, 201),
+        );
+        assert_eq!((perf.rtlb_hits, perf.rtlb_misses), (200, 1));
+        check(
+            true,
+            (split, 8, 3),
+            split,
+            &[run(10, 0, 1), run(300, 0, 1)],
+            Access::Read,
+            (Satisfied::RangeWalk, 3),
+        );
+        // A protection fault at the walk charges the walk alone.
+        for ranges in [false, true] {
+            let mut f = setup(ranges);
+            let err = batch(&mut f, (ro, 8, 10), ro, &[], Access::Write).unwrap_err();
+            assert_eq!(err, TranslateError::Protection);
+            assert_eq!((f.m.perf.page_walks, f.m.perf.tlb_hits), (1, 0));
+        }
     }
 
     #[test]

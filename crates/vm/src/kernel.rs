@@ -986,11 +986,13 @@ impl BaselineKernel {
         machine.note_ffwd_run(span);
     }
 
-    /// Allocate and map one 2 MiB huge page covering `va`, if the VMA
-    /// fully covers the aligned region and a 512-frame block is
-    /// available. Returns true on success.
-    fn try_populate_huge(
-        &mut self,
+    /// Whether a 2 MiB page may map the aligned region covering `va`:
+    /// the VMA covers it whole, and no base page of it is mapped or in
+    /// swap. One descent proves the region's pages absent, skipping an
+    /// empty subtree whole; the swap map is probed only when it holds
+    /// anything. Charge-free.
+    fn huge_region_free(
+        &self,
         pid: Pid,
         root: PtNodeId,
         va: VirtAddr,
@@ -1000,17 +1002,34 @@ impl BaselineKernel {
         if leaf_va < vma.start || leaf_va + HUGE_2M > vma.end {
             return Ok(false);
         }
-        // Any existing base mapping or swapped page in the region
-        // forbids the huge mapping.
-        let mut at = leaf_va;
-        while at < leaf_va + HUGE_2M {
-            if self.core.pt.lookup(root, at).is_some()
-                || self.core.proc(pid)?.swapped.contains_key(&at.page().0)
-            {
-                return Ok(false);
-            }
-            at += PAGE_SIZE;
+        let pages = HUGE_2M / PAGE_SIZE;
+        if self
+            .core
+            .pt
+            .absent_run(root, leaf_va, PAGE_SIZE as i64, pages)
+            < pages
+        {
+            return Ok(false);
         }
+        let swapped = &self.core.proc(pid)?.swapped;
+        let first = leaf_va.page().0;
+        Ok(swapped.is_empty() || (first..first + pages).all(|p| !swapped.contains_key(&p)))
+    }
+
+    /// Allocate and map one 2 MiB huge page covering `va`, if the
+    /// region is free for it (`huge_region_free`) and a 512-frame
+    /// block is available. Returns true on success.
+    fn try_populate_huge(
+        &mut self,
+        pid: Pid,
+        root: PtNodeId,
+        va: VirtAddr,
+        vma: &Vma,
+    ) -> Result<bool, VmError> {
+        if !self.huge_region_free(pid, root, va, vma)? {
+            return Ok(false);
+        }
+        let leaf_va = va.align_down(HUGE_2M);
         let Ok(ext) = self.alloc.alloc_order(&mut self.core.machine, 9) else {
             return Ok(false); // fragmentation: fall back to base pages
         };
@@ -1334,7 +1353,8 @@ impl KernelHooks for BaselineKernel {
     /// When the first access of a run of two or more is not mapped,
     /// try the fault run (`fault_run`) before the one-page fault.
     /// A faulted access covers itself only: the retry after the fault
-    /// translates a one-access run.
+    /// translates a one-access run. A walk that succeeds covers its
+    /// hit span.
     #[inline]
     fn resolve(
         &mut self,
@@ -1363,7 +1383,10 @@ impl KernelHooks for BaselineKernel {
                 rest,
                 access,
             ) {
-                Ok((t, span)) => return Ok(Resolved::Translated { pa: t.pa, span }),
+                Ok((t, span)) => {
+                    let (pa, fill_hit) = (t.pa, t.by.fill_hit());
+                    return Ok(Resolved::Translated { pa, span, fill_hit });
+                }
                 Err(TranslateError::NotMapped) => {
                     let write = access == Access::Write;
                     if let Some(span) = self.fault_run(pid, va, stride, len, write, first_value, t0)
@@ -2279,6 +2302,90 @@ mod tests {
         let free_before = k.free_frames();
         k.munmap(pid, va, 4 * HUGE_2M).unwrap();
         assert_eq!(k.free_frames(), free_before + 4 * 512);
+    }
+
+    /// The 2 MiB region check of a THP fault, page by page: the VMA
+    /// covers the region, and no page of it is mapped or swapped.
+    fn huge_region_free_per_page(
+        k: &BaselineKernel,
+        pid: Pid,
+        root: PtNodeId,
+        va: VirtAddr,
+        vma: &Vma,
+    ) -> bool {
+        let leaf_va = va.align_down(HUGE_2M);
+        let swapped = &k.core.proc(pid).unwrap().swapped;
+        leaf_va >= vma.start
+            && leaf_va + HUGE_2M <= vma.end
+            && (0..HUGE_2M / PAGE_SIZE).all(|i| {
+                let at = leaf_va + i * PAGE_SIZE;
+                k.core.pt.lookup(root, at).is_none() && !swapped.contains_key(&at.page().0)
+            })
+    }
+
+    #[test]
+    fn huge_region_check_matches_the_per_page_loop() {
+        let mut k = thp_kernel(ThpMode::Aligned2M);
+        let pid = k.create_process().unwrap();
+        let len = 5 * HUGE_2M + HUGE_2M / 2;
+        let va = k
+            .mmap(
+                pid,
+                len,
+                Prot::ReadWrite,
+                Backing::Anon,
+                MapFlags::private(),
+            )
+            .unwrap();
+        assert!(va.is_aligned(HUGE_2M));
+        // Base pages from here on, so each region's state is set up by
+        // hand.
+        k.thp = ThpMode::Never;
+        let region = |r: u64| va + r * HUGE_2M;
+        let root = k.core.proc(pid).unwrap().root;
+        // The VMA as mapped: the unmaps below split it, and the checks
+        // still read the whole one, so each region's page tables and
+        // swap slots decide.
+        let vma = *k.core.proc(pid).unwrap().vmas.find(va).unwrap();
+        // Region 0: a base page at its last 4 KiB.
+        k.store(pid, region(1) - PAGE_SIZE, 1).unwrap();
+        // Region 1: one swapped page.
+        let swapped = (region(1) + 7 * PAGE_SIZE).page().0;
+        k.core
+            .proc_mut(pid)
+            .unwrap()
+            .swapped
+            .insert(swapped, crate::reclaim::SwapSlot(0));
+        // Region 2: a page mapped and unmapped again, its node pruned.
+        k.store(pid, region(2) + 9 * PAGE_SIZE, 2).unwrap();
+        k.munmap(pid, region(2) + 9 * PAGE_SIZE, PAGE_SIZE).unwrap();
+        // Region 3: the same, with a second reference keeping the
+        // emptied node in the tree.
+        k.store(pid, region(3), 3).unwrap();
+        let node = k.core.pt.subtree(root, region(3), 0).unwrap();
+        k.core.pt.retain(node);
+        k.munmap(pid, region(3), PAGE_SIZE).unwrap();
+        assert_eq!(k.core.pt.subtree(root, region(3), 0), Some(node));
+        assert_eq!(k.core.pt.live_entries(node), 0, "the node is empty");
+        // Region 4 is untouched, and region 5 runs past the VMA end.
+        assert!(region(5) < vma.end && region(5) + HUGE_2M > vma.end);
+        let (t0, perf0) = (k.machine().now(), k.machine().perf);
+        for (r, free) in [false, false, true, true, true, false]
+            .into_iter()
+            .enumerate()
+        {
+            for at in [region(r as u64), region(r as u64 + 1) - PAGE_SIZE] {
+                if at >= vma.end {
+                    continue;
+                }
+                let per_page = huge_region_free_per_page(&k, pid, root, at, &vma);
+                assert_eq!(per_page, free, "region {r}: the per-page loop");
+                let one = k.huge_region_free(pid, root, at, &vma).unwrap();
+                assert_eq!(one, per_page, "region {r} at {at:?}");
+            }
+        }
+        assert_eq!(k.machine().now(), t0, "the check charged");
+        assert_eq!(k.machine().perf, perf0);
     }
 
     #[test]

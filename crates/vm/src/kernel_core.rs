@@ -12,8 +12,8 @@
 //! differs, through statically dispatched hooks.
 
 use o1_hw::{
-    Access, AccessRun, Asid, AsidAllocator, AsidGrant, CpuId, Machine, MachineConfig, Mmu, OpKind,
-    PageTables, PhysAddr, PtNodeId, SimNs, VirtAddr, PAGE_SIZE,
+    Access, AccessRun, Asid, AsidAllocator, AsidGrant, CostKind, CpuId, Machine, MachineConfig,
+    Mmu, OpKind, PageTables, PhysAddr, PtNodeId, SimNs, VirtAddr, PAGE_SIZE,
 };
 
 use crate::api::MemSys;
@@ -134,6 +134,10 @@ pub enum Resolved {
         pa: PhysAddr,
         /// Accesses covered, across run boundaries.
         span: u64,
+        /// `Some(kind)` when the first access walked and filled the
+        /// entry, and the other `span − 1` are hits of `kind` on it
+        /// ([`o1_hw::Satisfied::fill_hit`]); `None` when all hit.
+        fill_hit: Option<CostKind>,
     },
     /// A fault run of this many accesses (at least two), performed
     /// whole: pages installed, every charge made, values stored,
@@ -168,12 +172,13 @@ pub trait KernelHooks {
     /// `access` writes; `rest` holds the runs that follow in the
     /// batch, page-indexed from `base`. Returns either a translation
     /// of the leading accesses (`Mmu::translate`'s hit span, which may
-    /// run on into `rest`; 1 whenever it walked, filled or faulted),
-    /// whose memory half the caller owes, or a fault run the kernel
-    /// performed whole: when the first access of a run of two or more
-    /// misses every translation, the baseline proves that the
-    /// following accesses of the run demand-fault fresh pages too and
-    /// installs, charges, stores and records them all at once.
+    /// run on into `rest`, also after a walk that filled the entry; 1
+    /// whenever it faulted), whose memory half the caller owes, or a
+    /// fault run the kernel performed whole: when the first access of
+    /// a run of two or more misses every translation, the baseline
+    /// proves that the following accesses of the run demand-fault
+    /// fresh pages too and installs, charges, stores and records them
+    /// all at once.
     #[allow(clippy::too_many_arguments)]
     fn resolve(
         &mut self,
@@ -268,6 +273,31 @@ fn access_op_end<K: KernelHooks>(k: &mut K, started: Option<(SimNs, u64)>) {
     }
 }
 
+/// Record the latencies of a span of `span ≥ 2` accesses that began
+/// at clock `t0` with a walk, whose memory half began at `t1`: `span −
+/// 1` equal hits of `hit` plus one memory access each, and the walked
+/// first access, which took the rest of the clock advance. Out of
+/// line, so the untraced run loop stays small.
+#[inline(never)]
+fn record_walked_span(
+    m: &mut Machine,
+    label: &'static str,
+    (t0, t1): (SimNs, SimNs),
+    hit: CostKind,
+    span: u64,
+) {
+    let (total, mem) = (m.now().since(t0), m.now().since(t1));
+    debug_assert_eq!(mem % span, 0, "memory half is uniform");
+    let tail = m.cost.unit(hit) + mem / span;
+    debug_assert!(
+        total - mem >= (span - 1) * m.cost.unit(hit),
+        "the translation half holds the span's hits"
+    );
+    let head = total - (span - 1) * tail;
+    m.op_record_n(OpKind::AccessHit, label, head, 1);
+    m.op_record_n(OpKind::AccessHit, label, tail, span - 1);
+}
+
 /// Pop the next run of `rest` that has accesses: its first address
 /// (page-indexed from `base`), byte stride and length.
 #[inline]
@@ -289,20 +319,23 @@ fn next_run(
 /// [`MemSys::access_runs`]: the current run `(va, stride, len)` (byte
 /// stride), then each run of `rest`, page-indexed from `base`, with
 /// one [`resolve`](KernelHooks::resolve) per translation, not per
-/// access. On a TLB hit the MMU proves and charges the uniform span
-/// itself (`o1_hw::Mmu::translate`: same entry, same protection
-/// outcome, one memory tier), which may run on through whole
-/// following runs; the memory half of each covered run is charged in
-/// one step and only data stores run per element. A walk, fill or
-/// fault covers one access, exactly as [`load`](MemSys::load) /
-/// [`store`](MemSys::store) would. The dual, all-faulting case comes
-/// back from `resolve` as a fault run the kernel already performed,
-/// entered where the run's first access failed to translate.
-/// Simulated clock, counters, ledger and memory contents are identical
-/// to the plain loop. Gauge timelines are not: a fused span is one op
-/// boundary, where the interpreter has one per access, so
-/// fast-forward can take fewer timeline samples. Returns the value
-/// counter after the last access.
+/// access. On a TLB hit, or after a walk that filled the entry, the
+/// MMU proves and charges the uniform span itself
+/// (`o1_hw::Mmu::translate`: same entry, same protection outcome, one
+/// memory tier), which may run on through whole following runs; the
+/// memory half of each covered run is charged in one step and only
+/// data stores run per element. A fault covers one access, exactly as
+/// [`load`](MemSys::load) / [`store`](MemSys::store) would. A span
+/// that began with a walk records its latencies as the interpreter
+/// would: one op of the walk, the fill and one memory access, then
+/// `span − 1` equal hits. The dual, all-faulting case comes back from
+/// `resolve` as a fault run the kernel already performed, entered
+/// where the run's first access failed to translate. Simulated clock,
+/// counters, ledger and memory contents are identical to the plain
+/// loop. Gauge timelines are not: a fused span is one op boundary,
+/// where the interpreter has one per access, so fast-forward can take
+/// fewer timeline samples. Returns the value counter after the last
+/// access.
 #[inline]
 fn run_loop<K: KernelHooks>(
     k: &mut K,
@@ -331,10 +364,11 @@ fn run_loop<K: KernelHooks>(
         let op = k.core().access_op_start();
         let (here, span) = match k.resolve(pid, va, stride, n, base, after, access, value)? {
             Resolved::FaultRun(span) => (span, span),
-            Resolved::Translated { pa, span } => {
+            Resolved::Translated { pa, span, fill_hit } => {
                 let here = span.min(len);
                 let label = k.label();
                 let m = &mut k.core_mut().machine;
+                let t1 = m.now();
                 bulk_memory(m, pa, stride, here, write, value);
                 // The covered following runs, each at its offset from
                 // `va` through the one entry.
@@ -346,9 +380,21 @@ fn run_loop<K: KernelHooks>(
                     covered += n;
                 }
                 if span >= 2 {
-                    // Every access in the span hit: `span` AccessHit
-                    // latencies, each of the identical per-access cost.
-                    m.op_end_n(t0, OpKind::AccessHit, label, span);
+                    match fill_hit {
+                        // Every access in the span hit: `span` AccessHit
+                        // latencies, each of the identical per-access
+                        // cost.
+                        None => m.op_end_n(t0, OpKind::AccessHit, label, span),
+                        // The walked head, then `span − 1` equal hits;
+                        // every access costs one memory access of one
+                        // tier.
+                        Some(hit) => {
+                            m.note_ffwd_run(span);
+                            if m.traced() {
+                                record_walked_span(m, label, (t0, t1), hit, span);
+                            }
+                        }
+                    }
                     k.poll_timeline();
                 } else {
                     access_op_end(k, op);

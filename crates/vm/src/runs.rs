@@ -3,7 +3,8 @@
 //! Both kernels execute an access batch the same way: the MMU's one
 //! translation path proves how many accesses from the current one on
 //! share the translation (the rest of the current run and, once it
-//! holds all of that, whole following runs of the batch) and charges
+//! holds all of that, whole following runs of the batch), on a TLB
+//! hit or right after the walk that filled the entry, and charges
 //! their translation half ([`o1_hw::Mmu::translate`]'s span); the
 //! helper here charges the memory half of each covered run and
 //! performs the data stores. Splitting

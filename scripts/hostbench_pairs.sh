@@ -20,7 +20,9 @@
 # the bound (a fraction of OLD's median); otherwise `unresolved` when
 # OLD's interquartile range exceeds the bound and not every NEW run
 # beats every OLD run, since such a spread hides a change of that size;
-# otherwise `ok`. Per-layer metrics print "-".
+# otherwise `ok`. Per-layer metrics print "-". A closing line names
+# every end-to-end metric that NEW lost in every pair, whatever its
+# verdict: a notice only, which does not change the exit status.
 # It exits 1 if a run fails, reports `"correct": false`, or prints any
 # `# digest` line that differs from the other side's for the same seed.
 #
@@ -28,7 +30,8 @@
 # `scatter` in turn, on seeds FIRST_SEED, FIRST_SEED+100 and
 # FIRST_SEED+200 on, printing each one's table, and ends with one line
 # per workload naming every end-to-end metric whose verdict is not
-# `ok`. It then exits 1 if any such metric was named.
+# `ok`, then the workload's metrics NEW lost in every pair (notice
+# only). It then exits 1 if any metric was named as not `ok`.
 set -eu
 
 usage() {
@@ -61,7 +64,7 @@ if [ "$workload" = all ]; then
     status=0
     for w in fleet sweep scatter; do
         # Table rows end in their verdict; `-` marks a per-layer metric.
-        bad="$(awk 'NF > 0 && $1 != "metric" && $1 != "workload" && $NF != "ok" && $NF != "-" {
+        bad="$(awk 'NF > 0 && $1 != "metric" && $1 != "workload" && $1 != "lost" && $NF != "ok" && $NF != "-" {
             printf "%s%s (%s)", sep, $1, $NF; sep = ", "
         }' "$out/$w")"
         if [ -n "$bad" ]; then
@@ -70,6 +73,7 @@ if [ "$workload" = all ]; then
         else
             echo "$w: every end-to-end verdict ok"
         fi
+        sed -n "s/^lost in every pair/$w: lost in every pair/p" "$out/$w"
     done
     exit "$status"
 fi
@@ -193,5 +197,16 @@ END {
             else verdict = "ok"
         }
         printf "%-48s %-38s %-38s %8s %6s %s\n", k, so, sn, delta, wins, verdict
+        if (k in bound) {
+            # Pairs in which NEW was worse than OLD.
+            l = 0
+            for (i = 0; i < pairs; i++) {
+                if (!(("old", k, i) in v) || !(("new", k, i) in v)) continue
+                d = v["new", k, i] - v["old", k, i]
+                if ((better[k] == "lower" && d > 0) || (better[k] == "higher" && d < 0)) l++
+            }
+            if (l == pairs) { lost = lost sep k " (" verdict ")"; sep = ", " }
+        }
     }
+    printf "lost in every pair (notice only): %s\n", lost == "" ? "none" : lost
 }' "$out/better" "$out/values"

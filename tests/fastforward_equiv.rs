@@ -922,3 +922,94 @@ fn column_stores_survive_swap_and_dma_on_the_baseline() {
         [words, read_back(k, pid, va, &[0])].concat()
     });
 }
+
+/// A walk that fills a translation entry covers the accesses after it
+/// that stay inside the entry, as the interpreter's hits on that
+/// newest entry, with the walked first access recorded as its own op.
+/// A warm page-stride sweep over 16 2 MiB pages, twice the ways of
+/// the page TLB's set 0 where every 2 MiB entry lands, walks each
+/// 2 MiB page on every pass; stride-0 and in-page runs start on cold
+/// 4 KiB pages; on Ranges each first access is a cold range walk.
+/// Every kernel runs against its interpreting twin, with the fused
+/// access counts pinned per kernel and the stored words read back.
+#[test]
+fn walks_cover_their_hit_span() {
+    const PAGES: u64 = 16 * 512;
+    for (name, (a, b)) in all_kernel_pairs() {
+        let fused = RefCell::new(Vec::new());
+        let words = RefCell::new(Vec::new());
+        assert_equivalent(a, b, &name, &|sys: &mut dyn MemSys| {
+            let counted = |sys: &mut dyn MemSys, access: &dyn Fn(&mut dyn MemSys)| {
+                let before = sys.machine().ffwd_accesses;
+                access(sys);
+                if sys.machine().fastforward() {
+                    fused
+                        .borrow_mut()
+                        .push(sys.machine().ffwd_accesses - before);
+                }
+            };
+            let pid = sys.create_process().unwrap();
+            let va = sys.alloc(pid, PAGES * PAGE_SIZE, true).unwrap();
+            let sweep = AccessRun {
+                start_page: 0,
+                stride: 1,
+                len: PAGES,
+            };
+            for (pass, write) in [(0, true), (1, false), (2, true)] {
+                counted(sys, &|sys| {
+                    sys.access_runs(pid, va, &[sweep], write, pass * PAGES)
+                        .unwrap();
+                });
+            }
+            // Each run starts on a page no access has touched.
+            let small = sys.alloc(pid, 8 * PAGE_SIZE, true).unwrap();
+            for (page, stride, len, write) in [
+                (0, 0, 50, true),
+                (1, 8, 100, true),
+                (2, -8, 20, false),
+                (3, 8, 1, true),
+                (4, 3 * PAGE_SIZE as i64, 2, true),
+                (5, 8, 2, true),
+            ] {
+                let at = small + page * PAGE_SIZE + PAGE_SIZE / 2;
+                counted(sys, &|sys| {
+                    sys.access_span(pid, at, stride, len, write, 1000 * page)
+                        .unwrap();
+                });
+            }
+            let mut seen: Vec<u64> = (0..PAGES)
+                .map(|p| sys.load(pid, va + p * PAGE_SIZE).unwrap())
+                .collect();
+            seen.extend((0..8 * PAGE_SIZE / 8).map(|w| sys.load(pid, small + 8 * w).unwrap()));
+            words.borrow_mut().push(seen);
+            sys.destroy_process(pid).unwrap();
+        });
+        let words = words.into_inner();
+        assert!(words[0] == words[1], "{name}: read-back words differ");
+        assert!(
+            words[0]
+                .iter()
+                .zip(2 * PAGES..)
+                .take(PAGES as usize)
+                .all(|(&w, v)| w == v),
+            "{name}: the last store pass"
+        );
+        // Fused accesses per sweep pass, then per short run. A 4 KiB
+        // walk covers no page-stride pass; a 2 MiB walk covers its
+        // page; a range walk the whole region. The in-page and
+        // stride-0 runs fuse after their cold walk; runs of one or two
+        // accesses do not, and neither does the run that leaves its
+        // page, except on Ranges, where the small region's range,
+        // filled by its first run, is a hit for the later ones. Utopia's
+        // fast region takes part in every translation, so it always
+        // covers 1.
+        let (sweeps, short) = match name.as_str() {
+            "fom-Utopia" => ([0; 3], [0; 6]),
+            "fom-Ranges" => ([PAGES; 3], [50, 100, 20, 0, 2, 2]),
+            "baseline-thp" | "fom-PageTables" => ([PAGES; 3], [50, 100, 20, 0, 0, 0]),
+            _ => ([0; 3], [50, 100, 20, 0, 0, 0]),
+        };
+        let pass = [sweeps.as_slice(), &short].concat();
+        assert_eq!(fused.into_inner(), pass, "{name}");
+    }
+}
