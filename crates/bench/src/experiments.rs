@@ -15,7 +15,8 @@ use o1_palloc::{
     SizeClassAllocator, ZeroPool,
 };
 use o1_vm::{
-    Backing, BaselineConfig, BaselineKernel, MapFlags, MemSys, Prot, ReclaimPolicy, ThpMode,
+    Backing, BaselineConfig, BaselineKernel, KernelHooks, MapFlags, MemSys, Prot, ReclaimPolicy,
+    ThpMode,
 };
 use o1_workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm, Trace,

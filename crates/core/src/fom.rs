@@ -27,10 +27,12 @@
 //! there is no copy-on-write and no page-granular `mprotect` — those
 //! tests live in the baseline kernel only.
 
+use std::ops::Range;
+
 use o1_hw::{CostKind, OpKind};
 
 use o1_hw::{
-    Access, AccessRun, Asid, FastMap, MachineConfig, PhysAddr, PtNodeId, RangeTable,
+    Access, AccessRun, Asid, FastMap, Machine, MachineConfig, PhysAddr, PtNodeId, RangeTable,
     TranslateError, VirtAddr, PAGE_SIZE,
 };
 use o1_memfs::{FileClass, FileId, FsError, Pmfs, RecoveryStats};
@@ -154,6 +156,11 @@ impl CoreProc for FomProc {
     #[inline]
     fn root(&self) -> PtNodeId {
         self.root
+    }
+
+    #[inline]
+    fn ranges(&self) -> &RangeTable {
+        &self.ranges
     }
 }
 
@@ -283,23 +290,11 @@ impl FomKernel {
     /// Split-borrow the kernel into the mechanism and a context over
     /// everything else — the only way mechanism code runs.
     fn seam(&mut self) -> (&mut Mechanism, MechCtx<'_>) {
-        let KernelCore {
-            machine,
-            pt,
-            mmu,
-            procs,
-            ..
-        } = &mut self.core;
-        (
-            &mut self.mech,
-            MechCtx {
-                machine,
-                pt,
-                mmu,
-                pmfs: &mut self.pmfs,
-                procs,
-            },
-        )
+        let ctx = MechCtx {
+            core: &mut self.core,
+            pmfs: &mut self.pmfs,
+        };
+        (&mut self.mech, ctx)
     }
 
     /// One mechanism housekeeping pass with a page budget — under
@@ -322,18 +317,6 @@ impl FomKernel {
     /// Free NVM frames in the volume.
     pub fn free_frames(&self) -> u64 {
         self.pmfs.free_frames()
-    }
-
-    /// Configure the hardware translation depth (§2: 5-level paging,
-    /// virtualized nesting). Range translations are unaffected — one
-    /// of their selling points.
-    pub fn set_walk_mode(&mut self, mode: o1_hw::WalkMode) {
-        self.core.mmu.walk_mode = mode;
-    }
-
-    /// Bytes of page-table metadata currently allocated.
-    pub fn pt_metadata_bytes(&self) -> u64 {
-        self.core.pt.metadata_bytes()
     }
 
     /// Live crypto-erase keys: one per file created since the last
@@ -795,27 +778,37 @@ impl FomKernel {
 
     /// Bulk write through a mapping (charged per page copy).
     pub fn write_bytes(&mut self, pid: Pid, va: VirtAddr, data: &[u8]) -> Result<(), VmError> {
-        let mut off = 0usize;
-        while off < data.len() {
-            let at = va + off as u64;
-            let pa = self.resolve_one(pid, at, Access::Write)?;
-            let take = usize::min(data.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
-            self.core.machine.charge_kind(CostKind::CopyPage);
-            self.core.machine.phys.write(pa, &data[off..off + take]);
-            off += take;
-        }
-        Ok(())
+        self.copy_pages(pid, va, data.len(), Access::Write, |m, pa, part| {
+            m.phys.write(pa, &data[part]);
+        })
     }
 
-    /// Bulk read through a mapping.
+    /// Bulk read through a mapping (charged per page copy).
     pub fn read_bytes(&mut self, pid: Pid, va: VirtAddr, buf: &mut [u8]) -> Result<(), VmError> {
+        self.copy_pages(pid, va, buf.len(), Access::Read, |m, pa, part| {
+            m.phys.read(pa, &mut buf[part]);
+        })
+    }
+
+    /// The loop both byte copies run: split `[va, va+len)` at page
+    /// boundaries, translate each piece for `access`, charge one page
+    /// copy and hand `copy` the piece's physical address and its
+    /// offsets within the caller's buffer.
+    fn copy_pages(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        len: usize,
+        access: Access,
+        mut copy: impl FnMut(&mut Machine, PhysAddr, Range<usize>),
+    ) -> Result<(), VmError> {
         let mut off = 0usize;
-        while off < buf.len() {
+        while off < len {
             let at = va + off as u64;
-            let pa = self.resolve_one(pid, at, Access::Read)?;
-            let take = usize::min(buf.len() - off, (PAGE_SIZE - at.page_offset()) as usize);
+            let pa = self.resolve_one(pid, at, access)?;
+            let take = usize::min(len - off, (PAGE_SIZE - at.page_offset()) as usize);
             self.core.machine.charge_kind(CostKind::CopyPage);
-            self.core.machine.phys.read(pa, &mut buf[off..off + take]);
+            copy(&mut self.core.machine, pa, off..off + take);
             off += take;
         }
         Ok(())
@@ -838,11 +831,7 @@ impl FomKernel {
         self.core.machine.phys.crash();
         // Processes and their page tables are DRAM state: gone.
         for pid in self.core.procs.pids() {
-            let proc = self.core.procs.remove(pid).expect("listed");
-            self.core.pt.release(&mut self.core.machine, proc.root);
-            self.core.mmu.flush_asid(&mut self.core.machine, proc.asid);
-            self.mech.on_flush_asid(proc.asid);
-            self.core.asids.free(proc.asid);
+            self.retire(pid).expect("listed");
         }
         // Mechanism state (pre-created page tables, residency records)
         // was DRAM-resident too; it is rebuilt lazily after recovery.
@@ -864,34 +853,6 @@ impl FomKernel {
     pub fn reclaim_discardable(&mut self, frames: u64) -> u64 {
         let (machine, pmfs) = (&mut self.core.machine, &mut self.pmfs);
         pmfs.reclaim_discardable(machine, frames)
-    }
-
-    /// Device DMA from `[va, va+len)`: always at full device rate —
-    /// mapped file extents never move, so every page is implicitly
-    /// pinned. No per-page pinning, no IOMMU faults. A zero `len` is
-    /// `BadRange`, before anything is charged.
-    pub fn dma_transfer(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        len: u64,
-        dma: &mut o1_hw::DmaEngine,
-    ) -> Result<u64, VmError> {
-        let end = span_end(va, len)?;
-        self.core.machine.charge_syscall();
-        let mut pages = 0;
-        let mut at = va;
-        while at < end {
-            let pa = self.resolve_one(pid, at, Access::Read)?;
-            pages += dma.transfer(
-                &mut self.core.machine,
-                pa,
-                PAGE_SIZE,
-                o1_hw::DmaMode::Pinned,
-            );
-            at += PAGE_SIZE;
-        }
-        Ok(pages)
     }
 
     /// Pin state query: with file-only memory *everything* is
@@ -944,13 +905,12 @@ impl KernelHooks for FomKernel {
         access: Access,
         _first_value: u64,
     ) -> Result<Resolved, VmError> {
-        self.core.proc(pid)?;
-        let result = {
+        let translated = {
             let (mech, mut ctx) = self.seam();
-            mech.translate(&mut ctx, pid, va, stride, len, base, rest, access)
+            mech.translate(&mut ctx, pid, va, stride, len, base, rest, access)?
         };
-        match result {
-            Ok((pa, span, fill_hit)) => Ok(Resolved::Translated { pa, span, fill_hit }),
+        match translated {
+            Ok(resolved) => Ok(resolved),
             Err(TranslateError::NotMapped) => {
                 self.core.machine.perf.prot_faults += 1;
                 Err(VmError::BadAddress)
@@ -1005,6 +965,12 @@ impl KernelHooks for FomKernel {
         g.push(("kernel.free_frames", self.pmfs.free_frames()));
         self.mech.gauges(g);
     }
+
+    /// Every page: mapped file extents never move, so DMA always runs
+    /// at full device rate — no per-page pinning, no IOMMU faults.
+    fn pinned(&self, _pa: PhysAddr) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -1012,6 +978,20 @@ mod tests {
     use super::*;
 
     const MECHS: [MapMech; 6] = MapMech::ALL;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn fom_proc_size_is_pinned() {
+        // Each live process is one `ProcTable` arena slot, whose bytes
+        // fig_hostmem and fig_service's host-live series count, so this
+        // size is part of GOLDEN (as `Tlb` and `CpuMmu` are in
+        // `o1_hw::mmu`'s tests).
+        assert_eq!(
+            core::mem::size_of::<FomProc>(),
+            72,
+            "size of FomProc, a host-heap GOLDEN input, changed"
+        );
+    }
 
     #[test]
     fn process_table_exhaustion_is_an_error() {

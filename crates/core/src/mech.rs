@@ -14,9 +14,9 @@
 //! * `translate` must charge exactly what the simulated hardware
 //!   would for every access of the span it returns (1 unless the MMU
 //!   proved a TLB-hit span, which may cross into the batch's
-//!   following runs); the kernel has already verified the process
-//!   exists. A range-TLB hit is one such span: a random batch inside
-//!   one range is one translation.
+//!   following runs), and charge nothing for a pid that is not live.
+//!   A range-TLB hit is one such span: a random batch inside one
+//!   range is one translation.
 //! * `map` needs no prover: page-table installs go through
 //!   [`PageTables::map_extent`](o1_hw::PageTables::map_extent) and
 //!   [`share`](o1_hw::PageTables::share), which charge a whole install
@@ -35,7 +35,7 @@ use o1_hw::{
 };
 use o1_memfs::{FileClass, FileExtent, FileId};
 use o1_palloc::PhysExtent;
-use o1_vm::{Pid, Prot, VmError, MAX_MAP_BYTES};
+use o1_vm::{KernelCore, Pid, Prot, Resolved, VmError, MAX_MAP_BYTES};
 
 use crate::fom::{FomProc, MapMech, PBM_BASE};
 
@@ -47,13 +47,10 @@ const CHUNK_PAGES: u64 = 512;
 pub(crate) const DEFAULT_FAST_REGION_SLOTS: usize = 4096;
 
 /// Split-borrow view of the kernel the mechanism works through:
-/// every field the kernel owns except the mechanism itself.
+/// everything the kernel owns except the mechanism itself.
 pub(crate) struct MechCtx<'a> {
-    pub machine: &'a mut o1_hw::Machine,
-    pub pt: &'a mut o1_hw::PageTables,
-    pub mmu: &'a mut o1_hw::Mmu,
+    pub core: &'a mut KernelCore<FomProc>,
     pub pmfs: &'a mut o1_memfs::Pmfs,
-    pub procs: &'a mut o1_vm::ProcTable<FomProc>,
 }
 
 /// One piece of an installed file mapping.
@@ -152,7 +149,7 @@ impl Mechanism {
             Mechanism::Pbm(_) => pbm(extents.first().map_or(PhysAddr(0), |e| e.phys.base())),
             _ => bump_base(ctx, pid, extents.iter().map(|e| e.phys.frames).sum())?,
         };
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
+        let root = ctx.core.procs.get(pid).ok_or(VmError::NoProcess)?.root;
         let flags = prot.pte_flags();
         for &fe in extents {
             let va = match self {
@@ -168,10 +165,10 @@ impl Mechanism {
                 }
                 Mechanism::Ranges => {
                     let entry = RangeEntry::new(va, fe.phys.bytes(), fe.phys.base(), flags);
-                    let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
+                    let proc = ctx.core.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
                     proc.ranges.insert(entry).map_err(|_| VmError::BadRange)?;
-                    ctx.machine.charge_kind(CostKind::PteWrite);
-                    ctx.machine.perf.range_installs += 1;
+                    ctx.core.machine.charge_kind(CostKind::PteWrite);
+                    ctx.core.machine.perf.range_installs += 1;
                     pieces.push(Piece::Range { base: va });
                 }
                 // The flexible backing is 4 KiB-grained: the fast
@@ -211,9 +208,11 @@ impl Mechanism {
     /// `stride`, followed in its batch by `rest` (page-indexed from
     /// `base`), charging hardware costs, and return its physical
     /// address, the span of accesses the translation covered and, when
-    /// it walked, the hit kind of the span's other accesses (see
-    /// [`o1_hw::Mmu::translate`]). The kernel has already verified
-    /// `pid` exists.
+    /// it walked, the hit kind of the span's other accesses, as
+    /// [`Resolved::Translated`] (see [`o1_hw::Mmu::translate`]). Every
+    /// mechanism but Utopia hands the run to the MMU as it is
+    /// ([`KernelCore::translate`]). The outer error is
+    /// [`VmError::NoProcess`], the inner one the MMU's.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn translate(
         &mut self,
@@ -225,26 +224,31 @@ impl Mechanism {
         base: VirtAddr,
         rest: &[AccessRun],
         access: Access,
-    ) -> Result<(PhysAddr, u64, Option<CostKind>), TranslateError> {
-        let (t, span) = match self {
+    ) -> Result<Result<Resolved, TranslateError>, VmError> {
+        let translated = match self {
             // The fast region takes part in every translation, so a
             // TLB-only span would charge differently than one access
             // at a time: Utopia always covers 1.
             Mechanism::Utopia(fast) => {
-                return Ok((utopia_translate(fast, ctx, pid, va, access)?, 1, None))
+                let pa = utopia_translate(fast, ctx, pid, va, access)?;
+                let (span, fill_hit) = (1, None);
+                return Ok(pa.map(|pa| Resolved::Translated { pa, span, fill_hit }));
             }
-            Mechanism::Obase(o) => {
-                let (t, span) = translate_default(ctx, pid, va, stride, len, base, rest, access)?;
-                // A span stays inside one base page (extents map
-                // 4 KiB-grained), also when it crosses runs or follows
-                // a walk, so its heat lands on one record — exactly
-                // what `span` single accesses would do.
-                o.note(t.pa, span);
-                (t, span)
-            }
-            _ => translate_default(ctx, pid, va, stride, len, base, rest, access)?,
+            _ => ctx
+                .core
+                .translate(pid, va, stride, len, base, rest, access)?,
         };
-        Ok((t.pa, span, t.by.fill_hit()))
+        Ok(translated.map(|(t, span)| {
+            // A span stays inside one base page (extents map 4 KiB-
+            // grained under OBASE), also when it crosses runs or
+            // follows a walk, so its heat lands on one record —
+            // exactly what `span` single accesses would do.
+            if let Mechanism::Obase(o) = self {
+                o.note(t.pa, span);
+            }
+            let (pa, fill_hit) = (t.pa, t.by.fill_hit());
+            Resolved::Translated { pa, span, fill_hit }
+        }))
     }
 
     /// Called after every ASID shootdown the kernel issues (unmap,
@@ -262,7 +266,7 @@ impl Mechanism {
             Mechanism::SharedPt(chunks) | Mechanism::Pbm(chunks) => {
                 if let Some(fpt) = chunks.remove(&id) {
                     for (_, node) in fpt.chunks {
-                        ctx.pt.release(ctx.machine, node);
+                        ctx.core.pt.release(&mut ctx.core.machine, node);
                     }
                 }
             }
@@ -289,7 +293,7 @@ impl Mechanism {
             Mechanism::SharedPt(chunks) | Mechanism::Pbm(chunks) => {
                 for (_, fpt) in chunks.drain() {
                     for (_, node) in fpt.chunks {
-                        ctx.pt.release(ctx.machine, node);
+                        ctx.core.pt.release(&mut ctx.core.machine, node);
                     }
                 }
             }
@@ -349,7 +353,7 @@ fn bump_base(ctx: &mut MechCtx<'_>, pid: Pid, total_pages: u64) -> Result<VirtAd
     } else {
         PAGE_SIZE
     };
-    let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
+    let proc = ctx.core.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
     let start = VirtAddr(proc.next_va).align_up(align);
     let end = total_pages
         .checked_mul(PAGE_SIZE)
@@ -372,9 +376,10 @@ fn install_pages(
     use_huge: bool,
     pieces: &mut Vec<Piece>,
 ) -> Result<(), VmError> {
-    ctx.pt
+    ctx.core
+        .pt
         .map_extent(
-            ctx.machine,
+            &mut ctx.core.machine,
             root,
             va,
             span.start,
@@ -390,35 +395,6 @@ fn install_pages(
     Ok(())
 }
 
-/// Default translate: hand the run to the MMU (range TLB, page TLB,
-/// range walk, page walk — whatever is wired up).
-#[allow(clippy::too_many_arguments)]
-fn translate_default(
-    ctx: &mut MechCtx<'_>,
-    pid: Pid,
-    va: VirtAddr,
-    stride: i64,
-    len: u64,
-    base: VirtAddr,
-    rest: &[AccessRun],
-    access: Access,
-) -> Result<(Translated, u64), TranslateError> {
-    let proc = ctx.procs.get(pid).expect("kernel verified the pid");
-    ctx.mmu.translate(
-        ctx.machine,
-        ctx.pt,
-        proc.root,
-        &proc.ranges,
-        proc.asid,
-        va,
-        stride,
-        len,
-        base,
-        rest,
-        access,
-    )
-}
-
 /// Default teardown: ranges are removed and invalidated, shared
 /// subtrees unshared, page spans unmapped one node's run of leaves at
 /// a time ([`o1_hw::PageTables::unmap_leaves`]).
@@ -427,22 +403,24 @@ fn teardown_pieces_default(
     pid: Pid,
     pieces: &[Piece],
 ) -> Result<(), VmError> {
-    let (root, asid) = ctx.procs.space(pid)?;
+    let (root, asid) = ctx.core.procs.space(pid)?;
     let mut leaves = ClearedLeaves::default();
     for piece in pieces {
         match *piece {
             Piece::Range { base } => {
-                let proc = ctx.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
+                let proc = ctx.core.procs.get_mut(pid).ok_or(VmError::NoProcess)?;
                 proc.ranges.remove(base);
-                ctx.machine.perf.range_removes += 1;
-                ctx.mmu.invalidate_range(ctx.machine, asid, base);
+                ctx.core.machine.perf.range_removes += 1;
+                ctx.core
+                    .mmu
+                    .invalidate_range(&mut ctx.core.machine, asid, base);
             }
             Piece::Shared { va } => {
-                ctx.pt.unshare(ctx.machine, root, va, 0);
+                ctx.core.pt.unshare(&mut ctx.core.machine, root, va, 0);
             }
             Piece::Pages { va, bytes } => {
-                let (pt, mut at, end) = (&mut *ctx.pt, va, va + bytes);
-                while pt.unmap_leaves(ctx.machine, root, &mut at, end, &mut leaves) {}
+                let (pt, mut at, end) = (&mut ctx.core.pt, va, va + bytes);
+                while pt.unmap_leaves(&mut ctx.core.machine, root, &mut at, end, &mut leaves) {}
             }
         }
     }
@@ -489,8 +467,9 @@ fn map_extent_shared(
         if chunk_ok {
             let node =
                 get_or_build_chunk(registry, ctx, id, file_page / CHUNK_PAGES, prot.writable())?;
-            ctx.pt
-                .share(ctx.machine, root, cur_va, node)
+            ctx.core
+                .pt
+                .share(&mut ctx.core.machine, root, cur_va, node)
                 .map_err(|_| VmError::BadRange)?;
             pieces.push(Piece::Shared { va: cur_va });
             page += CHUNK_PAGES;
@@ -534,14 +513,16 @@ fn get_or_build_chunk(
             })
             .collect()
     };
-    let node = ctx.pt.create_node(ctx.machine, 0);
+    let node = ctx.core.pt.create_node(&mut ctx.core.machine, 0);
     let flags = if writable {
         PteFlags::user_rw()
     } else {
         PteFlags::user_ro()
     };
     for (i, frame) in frames.into_iter().enumerate() {
-        ctx.pt.set_leaf(ctx.machine, node, i, frame, flags);
+        ctx.core
+            .pt
+            .set_leaf(&mut ctx.core.machine, node, i, frame, flags);
     }
     registry
         .entry(id)
@@ -554,14 +535,15 @@ fn get_or_build_chunk(
 // ---- Utopia hybrid (arXiv:2211.12205) ---------------------------------------
 
 /// Utopia translate: probe the fast region, else walk and fill it.
+/// Errors as [`Mechanism::translate`].
 fn utopia_translate(
     fast: &mut FastRegion,
     ctx: &mut MechCtx<'_>,
     pid: Pid,
     va: VirtAddr,
     access: Access,
-) -> Result<PhysAddr, TranslateError> {
-    let (root, asid) = ctx.procs.space(pid).expect("kernel verified the pid");
+) -> Result<Result<PhysAddr, TranslateError>, VmError> {
+    let (root, asid) = ctx.core.procs.space(pid)?;
     let vpage = va.0 >> PAGE_SHIFT;
     if let Some((frame, flags)) = fast.lookup(asid, vpage) {
         let allowed = match access {
@@ -569,46 +551,40 @@ fn utopia_translate(
             Access::Write => flags.contains(PteFlags::WRITE),
         };
         if allowed {
-            ctx.machine.charge_kind(CostKind::HybridFastHit);
+            ctx.core.machine.charge_kind(CostKind::HybridFastHit);
             if access == Access::Write {
                 // Hardware sets the dirty bit through the backing
                 // tables, as the TLB-hit path does.
-                ctx.pt.mark_accessed(root, va, true);
+                ctx.core.pt.mark_accessed(root, va, true);
             }
-            return Ok(PhysAddr(frame.base().0 + va.page_offset()));
+            return Ok(Ok(PhysAddr(frame.base().0 + va.page_offset())));
         }
         // Wrong-permission entry: fall through to the walker,
         // which raises the fault with ordinary charges.
     }
-    let (t, _) = {
-        let proc = ctx.procs.get(pid).expect("kernel verified the pid");
-        ctx.mmu.translate(
-            ctx.machine,
-            ctx.pt,
-            proc.root,
-            &proc.ranges,
-            proc.asid,
-            va,
-            0,
-            1,
-            VirtAddr(0),
-            &[],
-            access,
-        )?
-    };
+    let translated = ctx
+        .core
+        .translate(pid, va, 0, 1, VirtAddr(0), &[], access)?;
     // Fill only when a walk actually happened — a TLB-resident
     // translation is already cheap, and filling on it would make
     // the hybrid strictly slower warm. The walker just filled the
     // TLB, so an uncharged peek recovers the frame and flags.
-    if matches!(t.by, Satisfied::PageWalk) {
-        if let Some((frame, size, flags)) = ctx.mmu.tlb().peek(asid, va) {
+    if let Ok((
+        Translated {
+            by: Satisfied::PageWalk,
+            ..
+        },
+        _,
+    )) = translated
+    {
+        if let Some((frame, size, flags)) = ctx.core.mmu.tlb().peek(asid, va) {
             if size == PageSize::Base {
-                ctx.machine.charge_kind(CostKind::HybridFastFill);
+                ctx.core.machine.charge_kind(CostKind::HybridFastFill);
                 fast.insert(asid, vpage, frame, flags);
             }
         }
     }
-    Ok(t.pa)
+    Ok(translated.map(|(t, _)| t.pa))
 }
 
 // ---- OBASE tiering (arXiv:2603.00378) ---------------------------------------
@@ -718,14 +694,11 @@ impl ObaseMech {
     fn copy_span(ctx: &mut MechCtx<'_>, src: u64, dst: u64, frames: u64) {
         let mut buf = [0u8; PAGE_SIZE as usize];
         for i in 0..frames {
-            ctx.machine
-                .phys
-                .read(PhysAddr((src + i) << PAGE_SHIFT), &mut buf);
-            ctx.machine
-                .phys
-                .write(PhysAddr((dst + i) << PAGE_SHIFT), &buf);
+            let phys = &mut ctx.core.machine.phys;
+            phys.read(PhysAddr((src + i) << PAGE_SHIFT), &mut buf);
+            phys.write(PhysAddr((dst + i) << PAGE_SHIFT), &buf);
         }
-        ctx.machine.charge_opn(CostKind::PageMigrate, frames);
+        ctx.core.machine.charge_opn(CostKind::PageMigrate, frames);
     }
 
     /// Re-point every live mapping of record `idx` at `new_start`
@@ -737,14 +710,15 @@ impl ObaseMech {
         let mut flushed: Vec<Asid> = Vec::new();
         let mut leaves = ClearedLeaves::default();
         for ins in &installs {
-            let Ok((root, asid)) = ctx.procs.space(ins.pid) else {
+            let Ok((root, asid)) = ctx.core.procs.space(ins.pid) else {
                 continue;
             };
-            let (pt, mut at, end) = (&mut *ctx.pt, ins.va, ins.va + frames * PAGE_SIZE);
-            while pt.unmap_leaves(ctx.machine, root, &mut at, end, &mut leaves) {}
-            ctx.pt
+            let (pt, mut at, end) = (&mut ctx.core.pt, ins.va, ins.va + frames * PAGE_SIZE);
+            while pt.unmap_leaves(&mut ctx.core.machine, root, &mut at, end, &mut leaves) {}
+            ctx.core
+                .pt
                 .map_extent(
-                    ctx.machine,
+                    &mut ctx.core.machine,
                     root,
                     ins.va,
                     FrameNo(new_start),
@@ -758,7 +732,7 @@ impl ObaseMech {
             }
         }
         for asid in flushed {
-            ctx.mmu.flush_asid(ctx.machine, asid);
+            ctx.core.mmu.flush_asid(&mut ctx.core.machine, asid);
         }
     }
 

@@ -306,12 +306,6 @@ impl Mmu {
         &self.cpus[self.current.index()].rtlb
     }
 
-    /// The current CPU's range TLB, mutably.
-    #[inline]
-    pub fn rtlb_mut(&mut self) -> &mut RangeTlb {
-        &mut self.cpus[self.current.index()].rtlb
-    }
-
     /// Append this MMU's gauge readings (for the timeline sampler):
     /// TLB / range-TLB / walk-cache occupancy summed across CPUs,
     /// total ASID presence-mask population, and the broadcast

@@ -99,9 +99,12 @@ pub struct RangeTable {
 }
 
 impl RangeTable {
-    /// Empty table.
-    pub fn new() -> RangeTable {
-        RangeTable::default()
+    /// Empty table. `const`, so one empty table can be a `static`
+    /// shared by every address space without range translations.
+    pub const fn new() -> RangeTable {
+        RangeTable {
+            entries: BTreeMap::new(),
+        }
     }
 
     /// Number of entries.

@@ -119,10 +119,12 @@ pub struct Pmfs {
     alloc: BitmapAllocator,
     journal: Journal,
     span: PhysExtent,
-    /// Auto-checkpoint the journal when it exceeds this many records
-    /// (None = never). Keeps long-running systems' recovery bounded.
-    auto_checkpoint: Option<usize>,
 }
+
+/// A transaction that begins with the journal holding this many
+/// records checkpoints it first, which keeps a long-running system's
+/// recovery bounded.
+const AUTO_CHECKPOINT_RECORDS: usize = 100_000;
 
 impl Pmfs {
     /// Format a fresh file system over the NVM frames of `span`.
@@ -136,13 +138,7 @@ impl Pmfs {
             alloc: BitmapAllocator::new(span),
             journal: Journal::new(),
             span,
-            auto_checkpoint: Some(100_000),
         }
-    }
-
-    /// Configure the journal auto-checkpoint threshold (records).
-    pub fn set_auto_checkpoint(&mut self, records: Option<usize>) {
-        self.auto_checkpoint = records;
     }
 
     /// Frames still free in the volume.
@@ -181,10 +177,8 @@ impl Pmfs {
     }
 
     fn begin(&mut self, m: &mut Machine) -> u64 {
-        if let Some(limit) = self.auto_checkpoint {
-            if self.journal.len() >= limit {
-                self.checkpoint(m);
-            }
+        if self.journal.len() >= AUTO_CHECKPOINT_RECORDS {
+            self.checkpoint(m);
         }
         let tx = self.next_tx;
         self.next_tx += 1;
@@ -1118,23 +1112,34 @@ mod tests {
     #[test]
     fn journal_auto_checkpoints() {
         let (mut m, mut fs) = setup(8192);
-        fs.set_auto_checkpoint(Some(200));
-        // Churn enough persistent files to cross the threshold many
-        // times over.
-        for round in 0..40 {
+        // Churn persistent files until the journal has crossed the
+        // threshold twice.
+        let (mut round, mut checkpoints, mut peak) = (0, 0, 0);
+        while checkpoints < 2 {
+            let before = fs.journal().len();
             for i in 0..10 {
                 let n = format!("r{round}f{i}");
                 let id = fs.create(&mut m, &n, FileClass::Persistent).unwrap();
+                peak = peak.max(fs.journal().len());
                 fs.allocate(&mut m, id, 4 * PAGE_SIZE).unwrap();
+                peak = peak.max(fs.journal().len());
             }
             for i in 0..10 {
                 fs.unlink(&mut m, &format!("r{round}f{i}")).unwrap();
+                peak = peak.max(fs.journal().len());
             }
+            let after = fs.journal().len();
+            if after < before {
+                checkpoints += 1;
+                assert!(after < 400, "checkpoint compacts: {before} → {after}");
+            }
+            round += 1;
         }
+        // A checkpoint runs before a transaction's first record, so
+        // the journal outgrows the threshold by one transaction at most.
         assert!(
-            fs.journal().len() < 400,
-            "journal stays bounded: {} records",
-            fs.journal().len()
+            peak < AUTO_CHECKPOINT_RECORDS + 100,
+            "journal stays bounded: {peak} records"
         );
         fs.check_consistency();
         // Recovery still works from the compacted journal.

@@ -29,7 +29,7 @@ use o1_palloc::{BuddyAllocator, FrameSource, PhysExtent};
 const MECH: &str = "baseline";
 
 use crate::api::MemSys;
-use crate::kernel_core::{CoreProc, KernelCore, KernelHooks, Resolved};
+use crate::kernel_core::{span_end, CoreProc, KernelCore, KernelHooks, Resolved, MAX_MAP_BYTES};
 use crate::page_meta::{PageFlag, PageMetaTable};
 use crate::reclaim::{LruLists, ReclaimPolicy, ScanDecision, SwapDevice, SwapSlot};
 use crate::types::{Backing, MapFlags, Pid, Prot, VmError};
@@ -37,13 +37,6 @@ use crate::vma::{Vma, VmaMap};
 
 /// Lowest address handed out by mmap.
 pub const MMAP_BASE: u64 = 0x1000_0000;
-
-/// Largest length a mapping call accepts on either kernel (`mmap`,
-/// `map_stack`, fom `falloc`): the 47-bit user half of a 48-bit
-/// address space. Longer requests are `BadRange` before anything is
-/// charged, so page rounding, guard gaps and huge alignment never
-/// overflow.
-pub const MAX_MAP_BYTES: u64 = 1 << 47;
 
 /// Configuration of the baseline kernel.
 #[derive(Clone, Debug)]
@@ -202,7 +195,16 @@ impl CoreProc for BaselineProc {
     fn root(&self) -> PtNodeId {
         self.root
     }
+
+    #[inline]
+    fn ranges(&self) -> &RangeTable {
+        &NO_RANGES
+    }
 }
+
+/// Baseline hardware has no range translations: every process walks
+/// this one empty table.
+static NO_RANGES: RangeTable = RangeTable::new();
 
 /// The baseline Linux-like kernel.
 #[derive(Debug)]
@@ -226,8 +228,6 @@ pub struct BaselineKernel {
     huge_parts: FastMap<u64, u32>,
     /// Bytes wasted by GreedyHuge rounding (space-for-time ledger).
     space_overhead: u64,
-    /// Baseline hardware has no range translations.
-    no_ranges: RangeTable,
 }
 
 impl BaselineKernel {
@@ -257,7 +257,6 @@ impl BaselineKernel {
             fault_around: config.fault_around.max(1),
             huge_parts: FastMap::default(),
             space_overhead: 0,
-            no_ranges: RangeTable::new(),
         }
     }
 
@@ -266,21 +265,10 @@ impl BaselineKernel {
         self.alloc.free_frames()
     }
 
-    /// Configure the hardware translation depth (§2: 5-level paging,
-    /// virtualized nesting).
-    pub fn set_walk_mode(&mut self, mode: o1_hw::WalkMode) {
-        self.core.mmu.walk_mode = mode;
-    }
-
     /// Bytes of memory wasted by the GreedyHuge space-for-time trade
     /// (mapping rounding), cumulatively.
     pub fn space_overhead_bytes(&self) -> u64 {
         self.space_overhead
-    }
-
-    /// Bytes of page-table metadata currently allocated.
-    pub fn pt_metadata_bytes(&self) -> u64 {
-        self.core.pt.metadata_bytes()
     }
 
     /// Bytes of `struct page` metadata (fixed at boot — the linear
@@ -1296,38 +1284,26 @@ impl BaselineKernel {
     /// "expensive per-page operations to ensure data remains in
     /// place"). A zero `len` is `BadRange`, before anything is charged.
     pub fn pin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        let end = span_end(va, len)?;
-        self.core.machine.charge_syscall();
-        let mut page_va = va;
-        while page_va < end {
-            let pa = self.resolve_one(pid, page_va, Access::Read)?;
-            self.core.machine.charge_kind(CostKind::PinPage);
-            let meta = self.meta.get_mut(pa.frame());
+        self.for_each_page(pid, va, len, |k, pa| {
+            k.core.machine.charge_kind(CostKind::PinPage);
+            let meta = k.meta.get_mut(pa.frame());
             meta.pins += 1;
             meta.set(PageFlag::Mlocked);
             meta.set(PageFlag::Unevictable);
-            page_va += PAGE_SIZE;
-        }
-        Ok(())
+        })
     }
 
     /// Undo [`pin_range`](Self::pin_range), with the same length rule.
     pub fn unpin_range(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<(), VmError> {
-        let end = span_end(va, len)?;
-        self.core.machine.charge_syscall();
-        let mut page_va = va;
-        while page_va < end {
-            let pa = self.resolve_one(pid, page_va, Access::Read)?;
-            self.core.machine.charge_kind(CostKind::PinPage);
-            let meta = self.meta.get_mut(pa.frame());
+        self.for_each_page(pid, va, len, |k, pa| {
+            k.core.machine.charge_kind(CostKind::PinPage);
+            let meta = k.meta.get_mut(pa.frame());
             meta.pins = meta.pins.saturating_sub(1);
             if meta.pins == 0 {
                 meta.clear(PageFlag::Mlocked);
                 meta.clear(PageFlag::Unevictable);
             }
-            page_va += PAGE_SIZE;
-        }
-        Ok(())
+        })
     }
 }
 
@@ -1369,20 +1345,10 @@ impl KernelHooks for BaselineKernel {
     ) -> Result<Resolved, VmError> {
         let t0 = self.core.machine.now();
         for _ in 0..4 {
-            let (root, asid) = self.core.procs.space(pid)?;
-            match self.core.mmu.translate(
-                &mut self.core.machine,
-                &mut self.core.pt,
-                root,
-                &self.no_ranges,
-                asid,
-                va,
-                stride,
-                len,
-                base,
-                rest,
-                access,
-            ) {
+            match self
+                .core
+                .translate(pid, va, stride, len, base, rest, access)?
+            {
                 Ok((t, span)) => {
                     let (pa, fill_hit) = (t.pa, t.by.fill_hit());
                     return Ok(Resolved::Translated { pa, span, fill_hit });
@@ -1436,6 +1402,12 @@ impl KernelHooks for BaselineKernel {
         g.push(("kernel.free_frames", self.alloc.free_frames()));
         g.push(("kernel.swap_used_slots", self.swap.used_slots() as u64));
         g.push(("kernel.lru_tracked", self.lru.len() as u64));
+    }
+
+    /// Only pages the caller pinned ([`pin_range`](BaselineKernel::pin_range))
+    /// stay put; any other may be reclaimed or moved.
+    fn pinned(&self, pa: PhysAddr) -> bool {
+        self.meta.get(pa.frame()).pins > 0
     }
 }
 
@@ -1639,48 +1611,6 @@ impl BaselineKernel {
         self.poll_timeline();
         Some(span)
     }
-
-    /// Device DMA from `[va, va+len)`. Pages the caller pinned stream
-    /// at device rate; unpinned pages go through the faulting IOMMU
-    /// path — "even devices that support page faults through an IOMMU
-    /// incur high penalties" (§3.1). Returns pages transferred; a zero
-    /// `len` is `BadRange`, before anything is charged.
-    pub fn dma_transfer(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        len: u64,
-        dma: &mut o1_hw::DmaEngine,
-    ) -> Result<u64, VmError> {
-        let end = span_end(va, len)?;
-        self.core.machine.charge_syscall();
-        let mut pages = 0;
-        let mut at = va;
-        while at < end {
-            let pa = self.resolve_one(pid, at, Access::Read)?;
-            let pinned = self.meta.get(pa.frame()).pins > 0;
-            let mode = if pinned {
-                o1_hw::DmaMode::Pinned
-            } else {
-                o1_hw::DmaMode::IommuFaulting
-            };
-            pages += dma.transfer(&mut self.core.machine, pa, PAGE_SIZE, mode);
-            at += PAGE_SIZE;
-        }
-        Ok(pages)
-    }
-}
-
-/// End of `[va, va+len)` rounded out to whole pages, or
-/// [`VmError::BadRange`] when `len` is zero, exceeds [`MAX_MAP_BYTES`]
-/// or the end does not fit in the address space.
-pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
-    if len == 0 || len > MAX_MAP_BYTES {
-        return Err(VmError::BadRange);
-    }
-    va.0.checked_add(o1_hw::round_up_pages(len))
-        .map(VirtAddr)
-        .ok_or(VmError::BadRange)
 }
 
 /// [`span_end`] for the calls that take an existing range of pages
@@ -1718,6 +1648,20 @@ mod tests {
 
     fn kernel() -> BaselineKernel {
         BaselineKernel::builder().dram(64 << 20).build()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn baseline_proc_size_is_pinned() {
+        // Each live process is one `ProcTable` arena slot, whose bytes
+        // fig_hostmem and fig_service's host-live series count, so this
+        // size is part of GOLDEN (as `Tlb` and `CpuMmu` are in
+        // `o1_hw::mmu`'s tests).
+        assert_eq!(
+            core::mem::size_of::<BaselineProc>(),
+            64,
+            "size of BaselineProc, a host-heap GOLDEN input, changed"
+        );
     }
 
     #[test]

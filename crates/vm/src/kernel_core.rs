@@ -3,23 +3,46 @@
 //! The baseline and file-only-memory kernels differ in what they
 //! charge, not in how a process is born, dies or touches memory.
 //! [`KernelCore`] owns the state every kernel has — machine, page
-//! tables, MMU, process table and ASID allocator — and the blanket
-//! [`MemSys`] impl over [`KernelHooks`] holds, once, the code around
-//! it: process lifecycle, the access-op latency funnel, the one
-//! fast-forward run loop behind `access_span` and `access_runs` (a
-//! hit span may cross run boundaries, so a batch needs no prover of
-//! its own) and the base timeline gauges. A kernel supplies only what
-//! differs, through statically dispatched hooks.
+//! tables, MMU, process table and ASID allocator — and the one call
+//! into the MMU's translate ([`KernelCore::translate`]). The blanket
+//! [`MemSys`] impl over [`KernelHooks`] and the hooks' provided
+//! methods hold, once, the code around it: process lifecycle and
+//! retirement, the access-op latency funnel, the one fast-forward run
+//! loop behind `access_span` and `access_runs` (a hit span may cross
+//! run boundaries, so a batch needs no prover of its own), the
+//! page-by-page syscall loop and device DMA over it, and the base
+//! timeline gauges. A kernel supplies only what differs, through
+//! statically dispatched hooks.
 
 use o1_hw::{
-    Access, AccessRun, Asid, AsidAllocator, AsidGrant, CostKind, CpuId, Machine, MachineConfig,
-    Mmu, OpKind, PageTables, PhysAddr, PtNodeId, SimNs, VirtAddr, PAGE_SIZE,
+    Access, AccessRun, Asid, AsidAllocator, AsidGrant, CostKind, CpuId, DmaEngine, DmaMode,
+    Machine, MachineConfig, Mmu, OpKind, PageTables, PhysAddr, PtNodeId, RangeTable, SimNs,
+    TranslateError, Translated, VirtAddr, WalkMode, PAGE_SIZE,
 };
 
 use crate::api::MemSys;
 use crate::proc_table::ProcTable;
 use crate::runs::bulk_memory;
 use crate::types::{Pid, VmError};
+
+/// Largest length a mapping call accepts on either kernel (`mmap`,
+/// `map_stack`, fom `falloc`): the 47-bit user half of a 48-bit
+/// address space. Longer requests are `BadRange` before anything is
+/// charged, so page rounding, guard gaps and huge alignment never
+/// overflow.
+pub const MAX_MAP_BYTES: u64 = 1 << 47;
+
+/// End of `[va, va+len)` rounded out to whole pages, or
+/// [`VmError::BadRange`] when `len` is zero, exceeds [`MAX_MAP_BYTES`]
+/// or the end does not fit in the address space.
+pub fn span_end(va: VirtAddr, len: u64) -> Result<VirtAddr, VmError> {
+    if len == 0 || len > MAX_MAP_BYTES {
+        return Err(VmError::BadRange);
+    }
+    va.0.checked_add(o1_hw::round_up_pages(len))
+        .map(VirtAddr)
+        .ok_or(VmError::BadRange)
+}
 
 /// State every kernel owns, shared field-for-field so kernel code can
 /// split-borrow it.
@@ -47,6 +70,8 @@ pub trait CoreProc {
     fn asid(&self) -> Asid;
     /// Root of the process's page tables.
     fn root(&self) -> PtNodeId;
+    /// The process's range table, walked on a range-TLB miss.
+    fn ranges(&self) -> &RangeTable;
 }
 
 impl<P> KernelCore<P> {
@@ -105,6 +130,47 @@ impl<P> KernelCore<P> {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
         Ok((pid, grant))
+    }
+
+    /// Translate `va` for `pid` through the MMU, as the first of a run
+    /// of `len ≥ 1` accesses by byte `stride` followed in its batch by
+    /// `rest` (page-indexed from `base`): the one call into
+    /// [`Mmu::translate`], which returns the translation and the span
+    /// of accesses it covered.
+    ///
+    /// # Errors
+    /// The outer error is [`VmError::NoProcess`] when `pid` is not
+    /// live, with nothing charged; the inner one is the MMU's verdict,
+    /// which the kernel turns into a fault or an error.
+    #[allow(clippy::too_many_arguments)] // one parameter per run field
+    #[inline]
+    pub fn translate(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        stride: i64,
+        len: u64,
+        base: VirtAddr,
+        rest: &[AccessRun],
+        access: Access,
+    ) -> Result<Result<(Translated, u64), TranslateError>, VmError>
+    where
+        P: CoreProc,
+    {
+        let p = self.procs.get(pid).ok_or(VmError::NoProcess)?;
+        Ok(self.mmu.translate(
+            &mut self.machine,
+            &mut self.pt,
+            p.root(),
+            p.ranges(),
+            p.asid(),
+            va,
+            stride,
+            len,
+            base,
+            rest,
+            access,
+        ))
     }
 
     /// Latency bookkeeping for one access: clock at entry plus the
@@ -224,6 +290,96 @@ pub trait KernelHooks {
 
     /// Kernel-specific timeline gauges, appended after the base ones.
     fn gauges(&self, g: &mut Vec<(&'static str, u64)>);
+
+    /// Whether the frame behind `pa` stays put for a device: what
+    /// decides a DMA page's mode in [`dma_transfer`](Self::dma_transfer).
+    fn pinned(&self, pa: PhysAddr) -> bool;
+
+    /// Drop the process `pid` and its address space: flush its ASID
+    /// from every CPU and from the kernel's own caches
+    /// ([`on_asid_flush`](Self::on_asid_flush)), free the ASID and
+    /// release the page-table root. Its memory is not unmapped: the
+    /// caller has torn it down ([`MemSys::destroy_process`]) or is
+    /// discarding it wholesale (a crash).
+    ///
+    /// # Errors
+    /// [`VmError::NoProcess`] if `pid` is not live.
+    fn retire(&mut self, pid: Pid) -> Result<(), VmError> {
+        let core = self.core_mut();
+        let proc = core.procs.remove(pid).ok_or(VmError::NoProcess)?;
+        core.mmu.flush_asid(&mut core.machine, proc.asid());
+        self.on_asid_flush(proc.asid());
+        let core = self.core_mut();
+        core.asids.free(proc.asid());
+        core.pt.release(&mut core.machine, proc.root());
+        Ok(())
+    }
+
+    /// The page-by-page syscall loop: charge one syscall, then
+    /// [`resolve`](Self::resolve) each page of `[va, va+len)` as a
+    /// read, faulting it in if the design demand-pages, and hand its
+    /// physical address to `per_page`.
+    ///
+    /// # Errors
+    /// [`VmError::BadRange`] for a zero or oversized `len`, before
+    /// anything is charged ([`span_end`]); otherwise the first
+    /// translation error.
+    fn for_each_page(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        len: u64,
+        mut per_page: impl FnMut(&mut Self, PhysAddr),
+    ) -> Result<(), VmError> {
+        let end = span_end(va, len)?;
+        self.core_mut().machine.charge_syscall();
+        let mut at = va;
+        while at < end {
+            let pa = self.resolve_one(pid, at, Access::Read)?;
+            per_page(self, pa);
+            at += PAGE_SIZE;
+        }
+        Ok(())
+    }
+
+    /// Device DMA from `[va, va+len)`, one page at a time. A
+    /// [`pinned`](Self::pinned) page streams at device rate; any other
+    /// goes through the faulting IOMMU path — "even devices that
+    /// support page faults through an IOMMU incur high penalties"
+    /// (§3.1). Returns pages transferred.
+    ///
+    /// # Errors
+    /// As [`for_each_page`](Self::for_each_page).
+    fn dma_transfer(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        len: u64,
+        dma: &mut DmaEngine,
+    ) -> Result<u64, VmError> {
+        let mut pages = 0;
+        self.for_each_page(pid, va, len, |k, pa| {
+            let mode = if k.pinned(pa) {
+                DmaMode::Pinned
+            } else {
+                DmaMode::IommuFaulting
+            };
+            pages += dma.transfer(&mut k.core_mut().machine, pa, PAGE_SIZE, mode);
+        })?;
+        Ok(pages)
+    }
+
+    /// Configure the hardware translation depth (§2: 5-level paging,
+    /// virtualized nesting). Range translations are unaffected — one
+    /// of their selling points.
+    fn set_walk_mode(&mut self, mode: WalkMode) {
+        self.core_mut().mmu.walk_mode = mode;
+    }
+
+    /// Bytes of page-table metadata currently allocated.
+    fn pt_metadata_bytes(&self) -> u64 {
+        self.core().pt.metadata_bytes()
+    }
 
     /// Sample the gauge timeline if the machine's sampler is due.
     ///
@@ -457,14 +613,8 @@ impl<K: KernelHooks> MemSys for K {
         let t0 = core.machine.op_start();
         core.machine.charge_syscall();
         self.teardown(pid)?;
-        let core = self.core_mut();
-        let proc = core.procs.remove(pid).expect("teardown checked the pid");
-        core.mmu.flush_asid(&mut core.machine, proc.asid());
-        self.on_asid_flush(proc.asid());
-        let core = self.core_mut();
-        core.asids.free(proc.asid());
-        core.pt.release(&mut core.machine, proc.root());
-        core.machine.op_end(t0, OpKind::Teardown, label);
+        self.retire(pid)?;
+        self.core_mut().machine.op_end(t0, OpKind::Teardown, label);
         self.poll_timeline();
         Ok(())
     }

@@ -12,7 +12,8 @@
 //! * [`api`] — the [`api::MemSys`] trait shared with the file-only
 //!   memory kernel so workloads drive both identically;
 //! * [`kernel_core`] — the state and code both kernels embed: process
-//!   lifecycle, the access-op funnel and the fast-forward run loop.
+//!   lifecycle, the one MMU translate call, the access-op funnel, the
+//!   fast-forward run loop and the page-by-page syscall loop (DMA).
 
 pub mod api;
 pub mod kernel;
@@ -25,10 +26,8 @@ pub mod types;
 pub mod vma;
 
 pub use api::{MemSys, OnCpu};
-pub use kernel::{
-    span_end, BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MAX_MAP_BYTES, MMAP_BASE,
-};
-pub use kernel_core::{CoreProc, KernelCore, KernelHooks, Resolved};
+pub use kernel::{BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MMAP_BASE};
+pub use kernel_core::{span_end, CoreProc, KernelCore, KernelHooks, Resolved, MAX_MAP_BYTES};
 pub use o1_hw::AccessRun;
 pub use page_meta::{PageFlag, PageMeta, PageMetaTable, PAGE_FLAG_COUNT, STRUCT_PAGE_BYTES};
 pub use proc_table::ProcTable;

@@ -27,10 +27,6 @@
 //! paper-vs-measured results; run `cargo run --release -p o1-bench
 //! --bin figures` to regenerate every figure.
 
-mod error;
-
-pub use error::Error;
-
 /// Simulated hardware: machine, page tables, TLBs, range translations.
 pub mod hw {
     pub use o1_hw::*;

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{Arena, CostKind, DmaEngine, Handle};
 use o1mem::memfs::FileClass;
-use o1mem::vm::{AccessRun, BaselineKernel, MemSys, Pid, Prot, ThpMode, VmError};
+use o1mem::vm::{AccessRun, BaselineKernel, KernelHooks, MemSys, Pid, Prot, ThpMode, VmError};
 use o1mem::{VirtAddr, PAGE_SIZE};
 
 #[test]

@@ -3,7 +3,7 @@
 //! the paper predicts.
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::vm::{BaselineKernel, MemSys};
+use o1mem::vm::{BaselineKernel, KernelHooks, MemSys};
 use o1mem::workloads::{drive_access, drive_alloc, drive_churn, AccessPattern};
 use o1mem::PAGE_SIZE;
 

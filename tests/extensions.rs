@@ -6,8 +6,8 @@ use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{DmaEngine, WalkMode};
 use o1mem::memfs::FileClass;
 use o1mem::vm::{
-    Backing, BaselineConfig, BaselineKernel, MapFlags, MemSys, Prot, ReclaimPolicy, ThpMode,
-    VmError, MAX_MAP_BYTES,
+    Backing, BaselineConfig, BaselineKernel, KernelHooks, MapFlags, MemSys, Prot, ReclaimPolicy,
+    ThpMode, VmError, MAX_MAP_BYTES,
 };
 use o1mem::PAGE_SIZE;
 

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::hw::{DmaEngine, ObsMode};
 use o1mem::memfs::FileClass;
-use o1mem::vm::{AccessRun, BaselineKernel, CpuId, MemSys, Pid, Prot, ThpMode};
+use o1mem::vm::{AccessRun, BaselineKernel, CpuId, KernelHooks, MemSys, Pid, Prot, ThpMode};
 use o1mem::workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_service_fleet, AccessPattern, Storm,
 };

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::vm::{BaselineKernel, MemSys};
+use o1mem::vm::{BaselineKernel, KernelHooks, MemSys};
 use o1mem::{VirtAddr, PAGE_SIZE};
 
 #[derive(Clone, Copy, Debug)]
